@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model
 from .model import PhaseState, ReducedState, constraint_residual, energy
-from .numerics import NoConvergence, SingularMatrix
+from .numerics import NoConvergence, SingularMatrix, default_newton_config
 from .gni_reduced import (
     ChaplyginParams,
     chaplygin_init,
@@ -30,6 +30,7 @@ __all__ = [
     "Trajectory",
     "ConvergenceReport",
     "run",
+    "check_finite",
     "convergence_sweep",
     "adjoint_check",
     "slope_fit",
@@ -53,11 +54,11 @@ class BelowNoiseFloor(ValueError):
 
 
 class StepFailed(RuntimeError):
-    """A stepper raised during :func:`run`.
+    """A stepper raised during :func:`run`, or a row came out non-finite.
 
     Carries the failing step index (1-based: step ``k`` produces row ``k``),
     the original exception (``cause``), and the partial :class:`Trajectory`
-    accumulated so far (``partial``).
+    of the rows before it (``partial``).
     """
 
     def __init__(self, step: int, cause: Exception, partial: "Trajectory"):
@@ -71,13 +72,14 @@ class StepFailed(RuntimeError):
 class Trajectory:
     """Time-indexed record of a run.
 
-    ``states`` holds one state object per row; ``residuals`` is the
-    infinity norm of the applicable constraint residual per row, and
+    ``states`` holds one state object per row, or for rolling-sphere runs
+    an ``(N+1, 5)`` array of rows ``[x, y, w1, w2, w3]``; ``residuals`` is
+    the infinity norm of the applicable constraint residual per row, and
     ``energies`` the energy monitor per row.
     """
 
     times: np.ndarray
-    states: list
+    states: Union[list, np.ndarray]
     energies: np.ndarray
     residuals: np.ndarray
     newton_iters: np.ndarray
@@ -106,6 +108,48 @@ class Trajectory:
 
     def __len__(self):
         return len(self.states)
+
+    def head(self, n_rows: int) -> "Trajectory":
+        """The first ``n_rows`` rows."""
+        return Trajectory(
+            times=self.times[:n_rows],
+            states=self.states[:n_rows],
+            energies=self.energies[:n_rows],
+            residuals=self.residuals[:n_rows],
+            newton_iters=self.newton_iters[:n_rows],
+            h=self.h,
+        )
+
+
+# The array fields of each state type, as checked by check_finite().
+_STATE_FIELDS = {
+    PhaseState: ("q", "p", "lam"),
+    ReducedState: ("x", "p", "xi", "p_alg", "lam"),
+}
+
+
+def check_finite(traj: Trajectory) -> Trajectory:
+    """Return ``traj`` if every row's energy, residual and state is finite.
+
+    Raises
+    ------
+    StepFailed
+        At the first row that is not, carrying the rows before it.
+    """
+    ok = np.isfinite(traj.energies) & np.isfinite(traj.residuals)
+    states = traj.states
+    if isinstance(states, np.ndarray):
+        ok &= np.isfinite(states).all(axis=1)
+    else:
+        fields = _STATE_FIELDS[type(states[0])]
+        values = np.concatenate([getattr(s, name) for s in states for name in fields])
+        ok &= np.isfinite(values.reshape(len(states), -1)).all(axis=1)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        k = int(bad[0])
+        cause = FloatingPointError(f"row {k} has a non-finite energy, residual or state")
+        raise StepFailed(k, cause, traj.head(k))
+    return traj
 
 
 @dataclass
@@ -159,8 +203,9 @@ def run(stepper, system, initial, h: float, n_steps: int) -> Trajectory:
     Raises
     ------
     StepFailed
-        When the stepper's solver fails; carries the 1-based failing step
-        index, the original exception, and the partial trajectory.
+        When the stepper's solver fails, or at the first row whose energy,
+        residual or state is not finite; carries the 1-based failing step
+        index, the cause, and the partial trajectory.
     ValueError
         For non-positive ``h`` / negative ``n_steps`` or an inadmissible
         initial state.
@@ -183,7 +228,7 @@ def run(stepper, system, initial, h: float, n_steps: int) -> Trajectory:
                 k, exc, Trajectory.from_rows(system, times, states, h)
             ) from exc
     times = h * np.arange(n_steps + 1)
-    return Trajectory.from_rows(system, times, states, h)
+    return check_finite(Trajectory.from_rows(system, times, states, h))
 
 
 def _check_admissible(system, state, h: float) -> None:
@@ -224,50 +269,53 @@ def _run_chaplygin(
     rows ``k-1`` and ``k``'s predecessor pair, so one configuration beyond
     the last row is kept internally for the final central difference.
     """
+    cfg = default_newton_config()
     q0, w0 = initial
-    qs = [np.asarray(q0, dtype=float), chaplygin_init(params, q0, w0, h)]
-    ws = [np.asarray(w0, dtype=float)]
-    iters = [0]
+    qs = np.empty((n_steps + 2, 2))
+    ws = np.empty((n_steps + 1, 3))
+    iters = np.zeros(n_steps + 1, dtype=int)
+    qs[0] = q0
+    qs[1] = chaplygin_init(params, q0, w0, h)
+    ws[0] = w0
     for k in range(1, n_steps + 1):
         try:
-            q_next, w_k, it = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
+            q_next, w_k, it = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h, cfg)
         except (NoConvergence, SingularMatrix) as exc:
             raise StepFailed(
-                k, exc, _assemble_chaplygin(params, qs, ws, iters, h, diagnostics)
+                k, exc, _assemble_chaplygin(params, qs[: k + 1], ws[:k], iters[:k], h, diagnostics)
             ) from exc
-        qs.append(q_next)
-        ws.append(w_k)
-        iters.append(it)
-    return _assemble_chaplygin(params, qs, ws, iters, h, diagnostics)
+        qs[k + 1] = q_next
+        ws[k] = w_k
+        iters[k] = it
+    return check_finite(_assemble_chaplygin(params, qs, ws, iters, h, diagnostics))
 
 
 def _assemble_chaplygin(params, qs, ws, iters, h, diagnostics=True) -> Trajectory:
-    inertia = params.inertia
+    """Rows from ``qs`` (one more than the rows) and ``ws`` (one per row).
+
+    Row 0's contact velocity is the forward difference, later rows' the
+    central one.  The stacked ``matmul`` dot products give the same bits
+    as one ``v @ v`` per row.
+    """
     n_rows = len(ws)
-    states: list = []
-    energies = np.empty(n_rows)
+    v = np.empty((n_rows, 2))
+    v[0] = (qs[1] - qs[0]) / h
+    v[1:] = (qs[2 : n_rows + 1] - qs[: n_rows - 1]) / (2.0 * h)
+    vv = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    ww = (ws[:, None, :] @ (params.inertia * ws)[:, :, None])[:, 0, 0]
+    energies = 0.5 * params.m * vv + 0.5 * ww
     residuals = np.zeros(n_rows)
-    for k in range(n_rows):
-        states.append(np.concatenate([qs[k], ws[k]]))
-        if k == 0:
-            v = (qs[1] - qs[0]) / h
-        else:
-            v = (qs[k + 1] - qs[k - 1]) / (2.0 * h)
-            if diagnostics:
-                residuals[k] = _inf_norm(
-                    chaplygin_scheme_residual(
-                        params, qs[k - 1], qs[k], qs[k + 1], ws[k - 1], ws[k], h
-                    )
-                )
-        energies[k] = 0.5 * params.m * float(v @ v) + 0.5 * float(
-            ws[k] @ (inertia * ws[k])
+    if diagnostics and n_rows > 1:
+        res = chaplygin_scheme_residual(
+            params, qs[: n_rows - 1], qs[1:n_rows], qs[2 : n_rows + 1], ws[:-1], ws[1:], h
         )
+        residuals[1:] = np.max(np.abs(res), axis=1)
     return Trajectory(
         times=h * np.arange(n_rows),
-        states=states,
+        states=np.hstack([qs[:n_rows], ws]),
         energies=energies,
         residuals=residuals,
-        newton_iters=np.asarray(iters[:n_rows], dtype=int),
+        newton_iters=iters,
         h=h,
     )
 

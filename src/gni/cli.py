@@ -57,7 +57,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, gni_flat, model
-from .analysis import StepFailed, Trajectory, check_suite, convergence_sweep, run
+from .analysis import (
+    StepFailed,
+    Trajectory,
+    check_finite,
+    check_suite,
+    convergence_sweep,
+    run,
+)
 from .gni_reduced import (
     ChaplyginParams,
     chaplygin_initial_reduced_state,
@@ -629,7 +636,7 @@ def _run_generic(sys_obj, s0: PhaseState, h: float, n_steps: int) -> Trajectory:
         return Trajectory.from_rows(sys_obj, times, states, h)
 
     if n_steps == 0:
-        return assemble(1)
+        return check_finite(assemble(1))
     try:
         qs.append(gni_flat.rattle_step(sys_obj, s0, h).q)
     except (NoConvergence, SingularMatrix, RankDeficient) as exc:
@@ -641,7 +648,7 @@ def _run_generic(sys_obj, s0: PhaseState, h: float, n_steps: int) -> Trajectory:
             raise StepFailed(k, exc, assemble(k)) from exc
         qs.append(q_next)
         iter_counts.append(iters)
-    return assemble(n_steps + 1)
+    return check_finite(assemble(n_steps + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,11 @@ def _chaplygin_newton(params, q_prev, q_curr, w_prev, h, cfg=None):
     f1, f2, f3, f4, f5, s = residual(xp, yp, w1, w2, w3)
     norm = max(abs(f1), abs(f2), abs(f3), abs(f4), abs(f5))
 
+    # Jacobian entries of the shape unknowns (columns 0 and 1) are constant.
+    h2_2 = 2.0 * h2_4
+    jac_mom = s12 * mr_h
+    jac_con = s45 * inv2h
+
     for iteration in range(max_iters):
         if norm <= tol:
             return (
@@ -434,31 +439,28 @@ def _chaplygin_newton(params, q_prev, q_curr, w_prev, h, cfg=None):
                 iteration,
                 norm,
             )
-        h2_2 = 2.0 * h2_4
-        jac = [
-            [s12 * mr_h, 0.0,
-             s12 * (k13 * w3 + h2_2 * i1 * w1 * w2),
-             s12 * (i2 + h2_4 * (s + 2.0 * i2 * w2 * w2)),
-             s12 * (k13 * w1 + h2_2 * i3 * w3 * w2)],
-            [0.0, s12 * mr_h,
-             s12 * (-i1 - h2_4 * (s + 2.0 * i1 * w1 * w1)),
-             s12 * (-k32 * w3 - h2_2 * i2 * w2 * w1),
-             s12 * (-k32 * w2 - h2_2 * i3 * w3 * w1)],
-            [0.0, 0.0,
-             s3 * (k21 * w2 + h2_2 * i1 * w1 * w3),
-             s3 * (k21 * w1 + h2_2 * i2 * w2 * w3),
-             s3 * (i3 + h2_4 * (s + 2.0 * i3 * w3 * w3))],
-            [s45 * inv2h, 0.0,
-             s45 * (-a4 * w3 - 2.0 * b4 * i1 * w1 * w2),
-             s45 * (-0.5 * r - b4 * (s + 2.0 * i2 * w2 * w2)),
-             s45 * (-a4 * w1 - 2.0 * b4 * i3 * w3 * w2)],
-            [0.0, s45 * inv2h,
-             s45 * (0.5 * r + b5 * (s + 2.0 * i1 * w1 * w1)),
-             s45 * (a5 * w3 + 2.0 * b5 * i2 * w2 * w1),
-             s45 * (a5 * w2 + 2.0 * b5 * i3 * w3 * w1)],
-        ]
-        rhs = [-f1, -f2, -f3, -f4, -f5]
-        delta = _solve5(jac, rhs)
+        delta = _solve_sphere(
+            jac_mom,
+            s12 * (k13 * w3 + h2_2 * i1 * w1 * w2),
+            s12 * (i2 + h2_4 * (s + 2.0 * i2 * w2 * w2)),
+            s12 * (k13 * w1 + h2_2 * i3 * w3 * w2),
+            jac_mom,
+            s12 * (-i1 - h2_4 * (s + 2.0 * i1 * w1 * w1)),
+            s12 * (-k32 * w3 - h2_2 * i2 * w2 * w1),
+            s12 * (-k32 * w2 - h2_2 * i3 * w3 * w1),
+            s3 * (k21 * w2 + h2_2 * i1 * w1 * w3),
+            s3 * (k21 * w1 + h2_2 * i2 * w2 * w3),
+            s3 * (i3 + h2_4 * (s + 2.0 * i3 * w3 * w3)),
+            jac_con,
+            s45 * (-a4 * w3 - 2.0 * b4 * i1 * w1 * w2),
+            s45 * (-0.5 * r - b4 * (s + 2.0 * i2 * w2 * w2)),
+            s45 * (-a4 * w1 - 2.0 * b4 * i3 * w3 * w2),
+            jac_con,
+            s45 * (0.5 * r + b5 * (s + 2.0 * i1 * w1 * w1)),
+            s45 * (a5 * w3 + 2.0 * b5 * i2 * w2 * w1),
+            s45 * (a5 * w2 + 2.0 * b5 * i3 * w3 * w1),
+            -f1, -f2, -f3, -f4, -f5,
+        )
         if delta is None:
             raise NoConvergence(iteration, norm)
 
@@ -483,65 +485,136 @@ def _chaplygin_newton(params, q_prev, q_curr, w_prev, h, cfg=None):
     raise NoConvergence(max_iters, norm)
 
 
-def _solve5(a, b):
-    """In-place Gaussian elimination with partial pivoting on a 5x5 list
-    system; returns None on a (numerically) singular pivot."""
-    n = 5
-    for col in range(n):
-        pivot_row = col
-        pivot_mag = abs(a[col][col])
-        for row in range(col + 1, n):
-            mag = abs(a[row][col])
-            if mag > pivot_mag:
-                pivot_row, pivot_mag = row, mag
-        if pivot_mag <= 1e-300:
-            return None
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        arow = a[col]
-        pivot = arow[col]
-        for row in range(col + 1, n):
-            factor = a[row][col] / pivot
-            if factor != 0.0:
-                brow = a[row]
-                for j in range(col + 1, n):
-                    brow[j] -= factor * arow[j]
-                b[row] -= factor * b[col]
-    x = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        acc = b[row]
-        arow = a[row]
-        for j in range(row + 1, n):
-            acc -= arow[j] * x[j]
-        x[row] = acc / arow[row]
-    return x
+def _solve_sphere(
+    a00, a02, a03, a04,
+    a11, a12, a13, a14,
+    a22, a23, a24,
+    a30, a32, a33, a34,
+    a41, a42, a43, a44,
+    b0, b1, b2, b3, b4,
+):
+    """Solve the 5x5 Newton system of :func:`_chaplygin_newton`.
+
+    ``aij`` are the Jacobian entries; the others are structurally zero:
+    columns 0 and 1 are nonzero only in rows 0/3 and 1/4, and row 2 is
+    zero in both.  The elimination is Gaussian elimination with partial
+    pivoting (strict ``>``, ties to the lower row; zero factors skipped)
+    written out for that structure: it does the same floating-point
+    operations in the same order as the generic loop on the full matrix,
+    minus the updates that leave a structural zero zero, so its result is
+    bit-identical whenever the four column-0/1 entries are finite (they
+    are step constants).  Returns the solution as a tuple, or None on a
+    pivot at or below 1e-300.
+    """
+    # Column 0: rows 0 and 3.
+    if abs(a30) > abs(a00):
+        a00, a02, a03, a04, b0, a30, a32, a33, a34, b3 = (
+            a30, a32, a33, a34, b3, a00, a02, a03, a04, b0
+        )
+    if abs(a00) <= 1e-300:
+        return None
+    factor = a30 / a00
+    if factor != 0.0:
+        a32 -= factor * a02
+        a33 -= factor * a03
+        a34 -= factor * a04
+        b3 -= factor * b0
+
+    # Column 1: rows 1 and 4.
+    if abs(a41) > abs(a11):
+        a11, a12, a13, a14, b1, a41, a42, a43, a44, b4 = (
+            a41, a42, a43, a44, b4, a11, a12, a13, a14, b1
+        )
+    if abs(a11) <= 1e-300:
+        return None
+    factor = a41 / a11
+    if factor != 0.0:
+        a42 -= factor * a12
+        a43 -= factor * a13
+        a44 -= factor * a14
+        b4 -= factor * b1
+
+    # The 3x3 tail: rows 2, 3, 4 in columns 2, 3, 4.
+    pivot_row = 2
+    pivot_mag = abs(a22)
+    mag = abs(a32)
+    if mag > pivot_mag:
+        pivot_row, pivot_mag = 3, mag
+    mag = abs(a42)
+    if mag > pivot_mag:
+        pivot_row, pivot_mag = 4, mag
+    if pivot_mag <= 1e-300:
+        return None
+    if pivot_row == 3:
+        a22, a23, a24, b2, a32, a33, a34, b3 = a32, a33, a34, b3, a22, a23, a24, b2
+    elif pivot_row == 4:
+        a22, a23, a24, b2, a42, a43, a44, b4 = a42, a43, a44, b4, a22, a23, a24, b2
+    factor = a32 / a22
+    if factor != 0.0:
+        a33 -= factor * a23
+        a34 -= factor * a24
+        b3 -= factor * b2
+    factor = a42 / a22
+    if factor != 0.0:
+        a43 -= factor * a23
+        a44 -= factor * a24
+        b4 -= factor * b2
+
+    # Column 3 of the tail: rows 3 and 4.
+    if abs(a43) > abs(a33):
+        a33, a34, b3, a43, a44, b4 = a43, a44, b4, a33, a34, b3
+    if abs(a33) <= 1e-300:
+        return None
+    factor = a43 / a33
+    if factor != 0.0:
+        a44 -= factor * a34
+        b4 -= factor * b3
+
+    if abs(a44) <= 1e-300:
+        return None
+
+    x4 = b4 / a44
+    x3 = (b3 - a34 * x4) / a33
+    x2 = (b2 - a23 * x3 - a24 * x4) / a22
+    x1 = (b1 - a12 * x2 - a13 * x3 - a14 * x4) / a11
+    # The zero row-0 entry of column 1 still multiplies x1, as in the
+    # generic loop, so a non-finite x1 reaches x0 the same way.
+    x0 = (b0 - 0.0 * x1 - a02 * x2 - a03 * x3 - a04 * x4) / a00
+    return x0, x1, x2, x3, x4
 
 
 def chaplygin_scheme_residual(params, q_prev, q_curr, q_next, w_prev, w_curr, h):
     """Residuals of the two discretized rolling constraints (the 4th and
-    5th scheme equations) at the accepted step; diagnostic."""
-    m, r, om = params.m, params.r, params.omega
+    5th scheme equations) at the accepted step; diagnostic.
+
+    Each argument is one row (``q_*`` of length 2, ``w_*`` of length 3) or
+    a stack of rows along the leading axes; the result has shape
+    ``(..., 2)``.  Stacked rows give the same bits as one call per row.
+    """
+    r, om = params.r, params.omega
     i1, i2, i3 = params.i1, params.i2, params.i3
-    v1, v2, v3 = float(w_prev[0]), float(w_prev[1]), float(w_prev[2])
-    w1, w2, w3 = float(w_curr[0]), float(w_curr[1]), float(w_curr[2])
+    q_prev, q_curr, q_next, w_prev, w_curr = (
+        np.asarray(a, dtype=float) for a in (q_prev, q_curr, q_next, w_prev, w_curr)
+    )
+    v1, v2, v3 = w_prev[..., 0], w_prev[..., 1], w_prev[..., 2]
+    w1, w2, w3 = w_curr[..., 0], w_curr[..., 1], w_curr[..., 2]
     s = i1 * w1 * w1 + i2 * w2 * w2 + i3 * w3 * w3
     sv = i1 * v1 * v1 + i2 * v2 * v2 + i3 * v3 * v3
     f4 = (
-        (q_next[0] - q_prev[0]) / (2.0 * h)
-        + om * q_curr[1]
+        (q_next[..., 0] - q_prev[..., 0]) / (2.0 * h)
+        + om * q_curr[..., 1]
         - 0.5 * r * (w2 + v2)
         - 0.25 * r * h * ((i1 - i3) / i2) * (w1 * w3 - v1 * v3)
         - (r * h * h / (8.0 * i2)) * (w2 * s + v2 * sv)
     )
     f5 = (
-        (q_next[1] - q_prev[1]) / (2.0 * h)
-        - om * q_curr[0]
+        (q_next[..., 1] - q_prev[..., 1]) / (2.0 * h)
+        - om * q_curr[..., 0]
         + 0.5 * r * (w1 + v1)
         + 0.25 * r * h * ((i3 - i2) / i1) * (w2 * w3 - v2 * v3)
         + (r * h * h / (8.0 * i1)) * (w1 * s + v1 * sv)
     )
-    return np.array([f4, f5])
+    return np.stack([f4, f5], axis=-1)
 
 
 def reconstruct(seed: np.ndarray, xi_sequence, h: float, retraction: str = "cay") -> List[np.ndarray]:

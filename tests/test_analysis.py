@@ -15,7 +15,12 @@ from gni.analysis import (
     sample_admissible_states,
     slope_fit,
 )
-from gni.gni_reduced import ChaplyginParams, chaplygin_init, chaplygin_step
+from gni.gni_reduced import (
+    ChaplyginParams,
+    chaplygin_init,
+    chaplygin_scheme_residual,
+    chaplygin_step,
+)
 from gni.model import FlatSystem, PhaseState
 from gni.numerics import NoConvergence
 
@@ -135,17 +140,87 @@ def test_run_chaplygin_rows_match_direct_recurrence():
         qn, wn = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
         qs.append(qn)
         ws.append(wn)
+    # The array assembly gives the bits of one row at a time.
+    states = np.array([np.concatenate([qs[k], ws[k]]) for k in range(11)])
+    energies = np.empty(11)
+    residuals = np.zeros(11)
     for k in range(11):
-        np.testing.assert_allclose(traj.states[k][:2], qs[k], atol=1e-15)
-        np.testing.assert_allclose(traj.states[k][2:], ws[k], atol=1e-15)
+        if k == 0:
+            v = (qs[1] - qs[0]) / h
+        else:
+            v = (qs[k + 1] - qs[k - 1]) / (2.0 * h)
+            res = chaplygin_scheme_residual(
+                params, qs[k - 1], qs[k], qs[k + 1], ws[k - 1], ws[k], h
+            )
+            residuals[k] = np.max(np.abs(res))
+        energies[k] = 0.5 * params.m * float(v @ v) + 0.5 * float(
+            ws[k] @ (params.inertia * ws[k])
+        )
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.energies, energies)
+    assert np.array_equal(traj.residuals, residuals)
     # Row 0 is consistent by construction; later rows hold the accepted
     # two-point constraint residuals.
     assert traj.residuals[0] == 0.0
     assert np.max(traj.residuals) <= 1e-10
-    # Row-0 energy uses the forward-difference contact velocity.
-    v0 = (qs[1] - q0) / h
-    e0 = 0.5 * params.m * float(v0 @ v0) + 0.5 * float(w0 @ (params.inertia * w0))
-    assert traj.energies[0] == pytest.approx(e0, abs=1e-14)
+
+
+def test_run_chaplygin_failure_keeps_rows_before_failing_step(monkeypatch):
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
+    full = run(None, params, initial, 0.05, 10)
+    step_stats = analysis.chaplygin_step_stats
+    calls = {"n": 0}
+
+    def failing_at_6(*args):
+        calls["n"] += 1
+        if calls["n"] == 6:
+            raise NoConvergence(50, 1.0)
+        return step_stats(*args)
+
+    monkeypatch.setattr(analysis, "chaplygin_step_stats", failing_at_6)
+    with pytest.raises(StepFailed) as excinfo:
+        run(None, params, initial, 0.05, 10)
+    err = excinfo.value
+    assert err.step == 6
+    assert isinstance(err.cause, NoConvergence)
+    assert len(err.partial) == 6  # rows 0..5
+    assert np.array_equal(err.partial.states, full.states[:6])
+    assert np.array_equal(err.partial.energies, full.energies[:6])
+    assert np.array_equal(err.partial.residuals, full.residuals[:6])
+    assert np.array_equal(err.partial.newton_iters, full.newton_iters[:6])
+
+
+def test_run_rejects_non_finite_rows():
+    # rattle at h = 5 on a fast particle overflows to inf on row 115.
+    sys = model.nonholonomic_particle("harmonic")
+    s0 = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1000.0, 0.5, 0.2])
+    with np.errstate(all="ignore"), pytest.raises(StepFailed) as excinfo:
+        run(gni_flat.rattle_step, sys, s0, 5.0, 120)
+    err = excinfo.value
+    assert err.step == 115
+    assert isinstance(err.cause, FloatingPointError)
+    assert len(err.partial) == 115
+    assert np.all(np.isfinite(err.partial.energies))
+
+
+def test_run_rejects_non_finite_state_with_finite_diagnostics():
+    # A NaN multiplier leaves the row's energy and residual finite.
+    sys = model.nonholonomic_particle("harmonic")
+    s0 = _particle_initial(sys)
+    calls = {"n": 0}
+
+    def nan_multiplier_at_4(sys_, s, h):
+        calls["n"] += 1
+        nxt = gni_flat.rattle_step(sys_, s, h)
+        if calls["n"] == 4:
+            nxt = PhaseState(nxt.q, nxt.p, np.full_like(nxt.lam, np.nan))
+        return nxt
+
+    with pytest.raises(StepFailed) as excinfo:
+        run(nan_multiplier_at_4, sys, s0, 0.05, 6)
+    assert excinfo.value.step == 4
+    assert len(excinfo.value.partial) == 4
 
 
 def test_run_chaplygin_zero_steps():

@@ -427,6 +427,20 @@ def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_exit_code_non_finite_run_writes_no_csv(tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    # rattle at h = 5 on a fast particle overflows to inf on row 115.
+    text = PARTICLE_TEMPLATE.format(integrator="rattle")
+    text = text.replace("v0 = 1.0, 0.5, 0.2", "v0 = 1000, 0.5, 0.2")
+    cfg.write_text(text.replace("h = 0.05\nT = 0.5", "h = 5\nN = 120"))
+    out = tmp_path / "x.csv"
+    with np.errstate(all="ignore"):
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert "solver failure: step 115" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

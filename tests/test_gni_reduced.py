@@ -1,10 +1,13 @@
 """Tests for the reduced steppers and the rolling-sphere specialization."""
+import itertools
+
 import numpy as np
 import pytest
 
 from gni.gni_flat import prepare_state, rattle_step
 from gni.gni_reduced import (
     ChaplyginParams,
+    _solve_sphere,
     chaplygin_init,
     chaplygin_initial_reduced_state,
     chaplygin_reduced_system,
@@ -477,6 +480,146 @@ def test_scheme_residual_at_accepted_step_is_tiny():
         assert np.max(np.abs(res)) <= 1e-10
         qs.append(qn)
         ws.append(wn)
+
+
+def _solve5_reference(a, b, pivots):
+    """The generic 5x5 elimination the rolling-sphere Newton step used
+    before its structured solve, kept as the oracle that solve must match
+    bit for bit.  Appends each column's pivot row to ``pivots``."""
+    n = 5
+    for col in range(n):
+        pivot_row = col
+        pivot_mag = abs(a[col][col])
+        for row in range(col + 1, n):
+            mag = abs(a[row][col])
+            if mag > pivot_mag:
+                pivot_row, pivot_mag = row, mag
+        pivots.append(pivot_row)
+        if pivot_mag <= 1e-300:
+            return None
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+        arow = a[col]
+        pivot = arow[col]
+        for row in range(col + 1, n):
+            factor = a[row][col] / pivot
+            if factor != 0.0:
+                brow = a[row]
+                for j in range(col + 1, n):
+                    brow[j] -= factor * arow[j]
+                b[row] -= factor * b[col]
+    x = [0.0] * n
+    for row in range(n - 1, -1, -1):
+        acc = b[row]
+        arow = a[row]
+        for j in range(row + 1, n):
+            acc -= arow[j] * x[j]
+        x[row] = acc / arow[row]
+    return x
+
+
+# Nonzero pattern of the rolling-sphere Jacobian, in _solve_sphere's
+# argument order.
+_SPHERE_PATTERN = (
+    (0, 0), (0, 2), (0, 3), (0, 4),
+    (1, 1), (1, 2), (1, 3), (1, 4),
+    (2, 2), (2, 3), (2, 4),
+    (3, 0), (3, 2), (3, 3), (3, 4),
+    (4, 1), (4, 2), (4, 3), (4, 4),
+)
+
+
+def _sphere_solve_matches_oracle(jac, rhs):
+    """Assert bit-identical results; return the oracle's pivot rows and
+    whether it found the system singular."""
+    args = [float(jac[i, j]) for i, j in _SPHERE_PATTERN] + [float(x) for x in rhs]
+    got = _solve_sphere(*args)
+    pivots = []
+    want = _solve5_reference(jac.tolist(), [float(x) for x in rhs], pivots)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        np.testing.assert_array_equal(
+            np.array(got).view(np.uint64), np.array(want).view(np.uint64)
+        )
+    return pivots, want is None
+
+
+def _sphere_structured(values):
+    jac = np.zeros((5, 5))
+    for (i, j), value in zip(_SPHERE_PATTERN, values):
+        jac[i, j] = value
+    return jac
+
+
+def test_structured_sphere_solve_matches_generic_elimination_every_pivot_order():
+    rng = np.random.default_rng(2024)
+    # Every combination of a kept or swapped pivot in columns 0 and 1 with
+    # each choice of the tail rows (positions 2, 3, 4) that pivot columns
+    # 2 and 3.
+    for swap0, swap1, order in itertools.product(
+        (False, True), (False, True), itertools.permutations((2, 3, 4))
+    ):
+        # The rows that reach tail positions 2, 3, 4 after columns 0 and 1.
+        tail_rows = {2: 2, 3: 0 if swap0 else 3, 4: 1 if swap1 else 4}
+        for _ in range(45):
+            jac = _sphere_structured(rng.uniform(-1.0, 1.0, size=19))
+            sign = rng.choice((-1.0, 1.0), size=4)
+            small, big = sign[:2], 2.0 * sign[2:]
+            jac[0, 0], jac[3, 0] = (small[0], big[0]) if swap0 else (big[0], small[0])
+            jac[1, 1], jac[4, 1] = (small[1], big[1]) if swap1 else (big[1], small[1])
+            jac[tail_rows[order[0]], 2] = 10.0 * sign[0]
+            jac[tail_rows[order[1]], 3] = 10.0 * sign[1]
+            pivots, _ = _sphere_solve_matches_oracle(jac, rng.normal(size=5))
+            # The column-2 swap moves the row from position 2 to order[0].
+            col3 = order[0] if order[1] == 2 else order[1]
+            assert pivots == [3 if swap0 else 0, 4 if swap1 else 1, order[0], col3, 4]
+
+
+def test_structured_sphere_solve_matches_generic_elimination_on_ties_and_zeros():
+    # Small integers give exact pivot ties (|a30| == |a00| among them),
+    # zero factors that are skipped, and exactly singular systems.
+    rng = np.random.default_rng(7)
+    singular = 0
+    for _ in range(400):
+        jac = _sphere_structured(rng.integers(-2, 3, size=19).astype(float))
+        jac[0, 0], jac[3, 0] = rng.choice((-1.0, 1.0), size=2)
+        rhs = rng.integers(-3, 4, size=5).astype(float)
+        pivots, is_singular = _sphere_solve_matches_oracle(jac, rhs)
+        assert pivots[0] == 0  # the tie |a30| == |a00| keeps the lower row
+        singular += is_singular
+    assert 0 < singular < 400
+
+
+def test_structured_sphere_solve_singular_tail_returns_none():
+    rng = np.random.default_rng(3)
+    for tail in (
+        np.zeros((3, 3)),
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]]),
+        np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 1.0], [0.0, -2.0, 5.0]]),
+    ):
+        jac = _sphere_structured(rng.uniform(-1.0, 1.0, size=19))
+        jac[0, 2:] = jac[1, 2:] = 0.0  # columns 0 and 1 leave the tail as given
+        jac[2:, 2:] = tail
+        assert _solve_sphere(
+            *[float(jac[i, j]) for i, j in _SPHERE_PATTERN], *rng.normal(size=5)
+        ) is None
+        assert _sphere_solve_matches_oracle(jac, rng.normal(size=5))[1]
+
+
+def test_structured_sphere_solve_propagates_overflow_like_generic_elimination():
+    # x1 overflows to inf while x2..x4 stay finite; the generic loop still
+    # multiplies it by the zero row-0 entry of column 1, making x0 NaN.
+    jac = np.eye(5)
+    jac[3, 0] = jac[4, 1] = 0.5
+    jac[1, 2] = 1.0
+    rhs = np.array([1.0, 1e308, -1e308, 0.0, 0.0])
+    with np.errstate(all="ignore"):
+        _sphere_solve_matches_oracle(jac, rhs)
+        x = _solve_sphere(*[float(jac[i, j]) for i, j in _SPHERE_PATTERN], *rhs)
+    assert np.isinf(x[1]) and np.isnan(x[0])
 
 
 def test_reduced_system_projectors_match_hand_values():
