@@ -74,7 +74,7 @@ from .gni_reduced import (
     standard_retracted_lagrangian,
 )
 from .model import PhaseState, RankDeficient, ReducedState
-from .numerics import NoConvergence, SingularMatrix
+from .numerics import NoConvergence, SingularMatrix, default_newton_config
 
 __all__ = [
     "ParseError",
@@ -556,8 +556,12 @@ def _simulate_trajectory(cfg: RunConfig) -> Tuple[Trajectory, List[str]]:
         q0, w0 = _sphere_initial(cfg)
         s0 = chaplygin_initial_reduced_state(params, q0, w0, h)
 
+        newton = default_newton_config()
+
         def stepper(system, state, step):
-            return reduced_rattle_step(system, ld, state, step, retraction=retraction)
+            return reduced_rattle_step(
+                system, ld, state, step, retraction=retraction, cfg=newton
+            )
 
         traj = run(stepper, rsys, s0, h, n_steps)
         residuals = np.zeros(len(traj))  # row 0: consistent by seeding
@@ -637,18 +641,21 @@ def _run_generic(sys_obj, s0: PhaseState, h: float, n_steps: int) -> Trajectory:
 
     if n_steps == 0:
         return check_finite(assemble(1))
-    try:
-        qs.append(gni_flat.rattle_step(sys_obj, s0, h).q)
-    except (NoConvergence, SingularMatrix, RankDeficient) as exc:
-        raise StepFailed(1, exc, assemble(1)) from exc
-    for k in range(1, n_steps + 1):
+    # As in analysis.run: check_finite reports a diverging run as StepFailed.
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            q_next, iters = gni_flat.gni_generic_step_stats(ld, sys_obj, qs[k - 1], qs[k], h)
+            qs.append(gni_flat.rattle_step(sys_obj, s0, h).q)
         except (NoConvergence, SingularMatrix, RankDeficient) as exc:
-            raise StepFailed(k, exc, assemble(k)) from exc
-        qs.append(q_next)
-        iter_counts.append(iters)
-    return check_finite(assemble(n_steps + 1))
+            raise StepFailed(1, exc, assemble(1)) from exc
+        for k in range(1, n_steps + 1):
+            try:
+                q_next, iters = gni_flat.gni_generic_step_stats(ld, sys_obj, qs[k - 1], qs[k], h)
+            except (NoConvergence, SingularMatrix, RankDeficient) as exc:
+                raise StepFailed(k, exc, assemble(k)) from exc
+            qs.append(q_next)
+            iter_counts.append(iters)
+        traj = assemble(n_steps + 1)
+    return check_finite(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +703,12 @@ def _sweep_report(cfg: RunConfig) -> analysis.ConvergenceReport:
         retraction = cfg.retraction or "cay"
         q0, w0 = _sphere_initial(cfg)
 
+        newton = default_newton_config()
+
         def stepper(system, state, step):
-            return reduced_rattle_step(system, ld, state, step, retraction=retraction)
+            return reduced_rattle_step(
+                system, ld, state, step, retraction=retraction, cfg=newton
+            )
 
         # The reduced seed state depends on h, so sweeps reseed per run via
         # the coarsest continuous data; use the smallest h for the reference.

@@ -27,13 +27,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FlatSystem, PhaseState, RankDeficient
+from .model import FlatSystem, PhaseState
 from .numerics import (
     NewtonConfig,
-    SingularMatrix,
     default_newton_config,
-    lu_solve,
     newton_solve_stats,
+    solve_gram,
 )
 
 __all__ = [
@@ -115,19 +114,6 @@ def euler_b_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
     return DiscreteLagrangian(d1, d2)
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve C x = rhs for the constraint Gram matrix C (SPD when the
-    constraint rows are independent)."""
-    if gram.shape == (1, 1):
-        if gram[0, 0] <= 0.0:
-            raise RankDeficient("constraint row vanishes")
-        return rhs / gram[0, 0]
-    try:
-        return lu_solve(gram, rhs)
-    except SingularMatrix as exc:
-        raise RankDeficient("constraint rows are linearly dependent") from exc
-
-
 def gni_generic_step(
     ld: DiscreteLagrangian,
     sys: FlatSystem,
@@ -194,7 +180,7 @@ def _kick_drift_resolve(sys: FlatSystem, s: PhaseState, h: float, scheme: str) -
     mu1_minv = mu1 @ sys.mass_inv
     weight = _STAGE2_WEIGHT[scheme]
     target = p_half - weight * h * grad1 - sys.momentum_offset(q_new)
-    lam_new = (2.0 / h) * _solve_gram(mu1_minv @ mu1.T, mu1_minv @ target)
+    lam_new = (2.0 / h) * solve_gram(mu1_minv @ mu1.T, mu1_minv @ target)
     p_new = p_half - 0.5 * h * (grad1 + mu1.T @ lam_new)
     return PhaseState(q_new, p_new, lam_new)
 
@@ -294,7 +280,7 @@ def prepare_state(
         shift = _FORM_SHIFT[scheme]
         if shift != 0.0:
             vec = vec + shift * h * np.asarray(sys.grad_potential(q), dtype=float)
-    correction = _solve_gram(gram, mu_minv @ vec)
+    correction = solve_gram(gram, mu_minv @ vec)
     p = p_raw - mu.T @ correction
 
     # Multiplier of the continuous dynamics at (q, v): differentiate the
@@ -308,7 +294,7 @@ def prepare_state(
         e = 1e-6
         ddrift = (sys.drift(q + e * v_adm) - sys.drift(q - e * v_adm)) / (2.0 * e)
         rhs = rhs - mu @ ddrift
-    lam0 = _solve_gram(gram, rhs)
+    lam0 = solve_gram(gram, rhs)
     return PhaseState(q, p, lam0)
 
 

@@ -10,6 +10,15 @@ tangent moves momenta between the two endpoints of the increment
 (:func:`reduced_legendre`).  The full rotation history can be recovered
 afterwards with :func:`reconstruct`.
 
+:func:`reduced_rattle_step` assumes the standard constant-metric
+Lagrangian (:func:`standard_retracted_lagrangian`): all three of its
+stages take that Lagrangian's derivatives in closed form from the metric
+blocks of the :class:`~gni.model.ReducedSystem`.  Along the forward shape
+update its algebra gradient is affine in the unknown ``xi``, and both
+inverse retraction tangents have the form ``a(t) I - hat(s)/2 + c(t)
+hat(s)^2`` with ``t = |s|^2``, so stage 3 is a Newton solve on plain
+floats with an analytic Jacobian.
+
 The rolling sphere on a uniformly rotating plate ships as the worked
 system: :func:`chaplygin_step` advances its five coupled discrete
 equations (contact position and body angular velocity) with an analytic
@@ -24,14 +33,13 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .lie_so3 import cay, dcay_inv, dexp_inv, exp_so3
-from .model import RankDeficient, ReducedState, ReducedSystem
+from .model import ReducedState, ReducedSystem
 from .numerics import (
     NewtonConfig,
     NoConvergence,
-    SingularMatrix,
     default_newton_config,
-    lu_solve,
-    newton_solve_stats,
+    newton_solve3,
+    solve_gram,
 )
 
 __all__ = [
@@ -54,6 +62,16 @@ __all__ = [
 _RETRACTIONS = {
     "cay": (cay, dcay_inv),
     "exp": (exp_so3, dexp_inv),
+}
+
+
+# Coefficients of the inverse tangents written as a(t) I - hat(s)/2 +
+# c(t) hat(s)^2 with t = |s|^2: (a, c, da/dt, dc/dt).  cay is exact
+# (dcay_inv); exp is the order-4 series of dexp_inv, whose hat(s)^4 term
+# is -t hat(s)^2 / 720.
+_TANGENT_COEFFS = {
+    "cay": lambda t: (1.0 + 0.25 * t, 0.25, 0.25, 0.0),
+    "exp": lambda t: (1.0, 1.0 / 12.0 + t / 720.0, 0.0, 1.0 / 720.0),
 }
 
 
@@ -134,17 +152,6 @@ def reduced_legendre(
     return p_minus, p_plus
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if gram.shape == (1, 1):
-        if gram[0, 0] <= 0.0:
-            raise RankDeficient("constraint row vanishes")
-        return rhs / gram[0, 0]
-    try:
-        return lu_solve(gram, rhs)
-    except SingularMatrix as exc:
-        raise RankDeficient("constraint rows are linearly dependent") from exc
-
-
 def reduced_rattle_step(
     rsys: ReducedSystem,
     ld: RetractedDiscreteLagrangian,
@@ -164,16 +171,34 @@ def reduced_rattle_step(
     Stage 3 (Newton, k unknowns): recover the new interval velocity
     ``xi`` from the algebra-momentum matching condition, substituting the
     forward shape update, with the current ``xi`` as predictor.
+
+    All three stages assume the standard constant-metric Lagrangian:
+    ``ld`` must be :func:`standard_retracted_lagrangian` of ``rsys``.  Its
+    derivatives are taken in closed form from the metric blocks ``Gs``,
+    ``Gc``, ``Ga`` of ``rsys``, so ``ld`` itself is not evaluated.  Along
+    the forward update ``x2 = x1 + h Gs^{-1} (p_half_next - Gc xi)`` the
+    algebra gradient ``ld.d3`` is the affine map ``b + S xi`` with the
+    Schur block ``S = Ga - Gc^T Gs^{-1} Gc`` and ``b = Gc^T Gs^{-1}
+    p_half_next``, and stage 3 runs :func:`gni.numerics.newton_solve3`
+    with the analytic Jacobian of :func:`_stage3_system`.
+
+    Raises
+    ------
+    NoConvergence
+        If the stage-3 Newton budget is exhausted.
+    SingularMatrix
+        If a stage-3 Newton system is numerically singular.
+    RankDeficient
+        If the constraint rows are dependent at the new shape point.
     """
     if h == 0.0:
         return s
     if rsys.algebra_dim != 3:
         raise ValueError("reduced stepping is implemented for a 3-dim algebra")
-    tau, dtau_inv = _retraction(retraction)
+    tau, _ = _retraction(retraction)
     n = rsys.shape_dim
-    gs = rsys.bundle_metric[:n, :n]
     gc = rsys.bundle_metric[:n, n:]
-    gs_inv = np.linalg.inv(gs)
+    gs_inv = rsys.shape_metric_inv
 
     # Stage 1: shape half-kick and drift.
     rows0 = rsys.annihilator_matrix(s.x)
@@ -196,7 +221,7 @@ def reduced_rattle_step(
         gram = w_mat @ rows1.T
         base = np.concatenate([p_half - 0.5 * h * grad1, alg_trans])
         base = base - rsys.momentum_offset(x1)
-        lam1 = (2.0 / h) * _solve_gram(gram, w_mat @ base)
+        lam1 = (2.0 / h) * solve_gram(gram, w_mat @ base)
         p1 = p_half - 0.5 * h * (grad1 + mu1.T @ lam1)
         alg1 = alg_trans - h * (eta1.T @ lam1)
     else:
@@ -207,16 +232,94 @@ def reduced_rattle_step(
 
     # Stage 3: interval velocity from the algebra-momentum match.
     p_half_next = p1 - 0.5 * h * (grad1 + mu1.T @ lam1)
+    b = gc.T @ (gs_inv @ p_half_next)
+    residual, jacobian = _stage3_system(retraction, rsys.algebra_schur, b, alg1, h)
+    xi1, iters = newton_solve3(residual, jacobian, s.xi.tolist(), cfg)
+    return ReducedState(x1, p1, np.array(xi1), alg1, lam1, newton_iters=iters)
 
-    def residual(xi_next):
-        x2 = x1 + h * (gs_inv @ (p_half_next - gc @ xi_next))
-        sigma = h * xi_next
-        return dtau_inv(sigma).T @ np.asarray(
-            ld.d3(x1, x2, sigma, h), dtype=float
-        ) - alg1
 
-    xi1, iters = newton_solve_stats(residual, s.xi.copy(), cfg=cfg)
-    return ReducedState(x1, p1, xi1, alg1, lam1, newton_iters=iters)
+def _stage3_system(
+    retraction: str, schur: np.ndarray, b: np.ndarray, alg1: np.ndarray, h: float
+):
+    """Residual and analytic Jacobian of stage 3 on plain floats.
+
+    With ``sigma = h xi``, ``t = |sigma|^2``, ``v = b + S xi`` and the
+    inverse tangent ``T = a I - hat(sigma)/2 + c hat(sigma)^2`` of the
+    retraction, the residual is
+
+        T^T v - alg1 = (a - c t) v + sigma x v / 2 + c (sigma . v) sigma - alg1
+
+    and its Jacobian ``T^T S + h d/dsigma[T^T v]``, where
+
+        d/dsigma[T^T v] = 2 (a' - c' t - c) v sigma^T - hat(v)/2
+                          + c ((sigma . v) I + sigma v^T)
+                          + 2 c' (sigma . v) sigma sigma^T.
+
+    Returns ``(residual, jacobian)``, both taking the three components of
+    ``xi``; the Jacobian comes as three rows.
+    """
+    coeffs = _TANGENT_COEFFS[retraction]
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = schur.tolist()
+    b0, b1, b2 = b.tolist()
+    g0, g1, g2 = alg1.tolist()
+
+    def residual(x0, x1, x2):
+        v0 = b0 + s00 * x0 + s01 * x1 + s02 * x2
+        v1 = b1 + s10 * x0 + s11 * x1 + s12 * x2
+        v2 = b2 + s20 * x0 + s21 * x1 + s22 * x2
+        o0, o1, o2 = h * x0, h * x1, h * x2
+        t = o0 * o0 + o1 * o1 + o2 * o2
+        a, c, _, _ = coeffs(t)
+        d = a - c * t
+        cw = c * (o0 * v0 + o1 * v1 + o2 * v2)
+        return (
+            d * v0 + 0.5 * (o1 * v2 - o2 * v1) + cw * o0 - g0,
+            d * v1 + 0.5 * (o2 * v0 - o0 * v2) + cw * o1 - g1,
+            d * v2 + 0.5 * (o0 * v1 - o1 * v0) + cw * o2 - g2,
+        )
+
+    def jacobian(x0, x1, x2):
+        v0 = b0 + s00 * x0 + s01 * x1 + s02 * x2
+        v1 = b1 + s10 * x0 + s11 * x1 + s12 * x2
+        v2 = b2 + s20 * x0 + s21 * x1 + s22 * x2
+        o0, o1, o2 = h * x0, h * x1, h * x2
+        t = o0 * o0 + o1 * o1 + o2 * o2
+        a, c, da, dc = coeffs(t)
+        d = a - c * t
+        sv = o0 * v0 + o1 * v1 + o2 * v2
+        # T^T = d I + hat(sigma)/2 + c sigma sigma^T, entry by entry.
+        co0, co1, co2 = c * o0, c * o1, c * o2
+        t00, t11, t22 = d + co0 * o0, d + co1 * o1, d + co2 * o2
+        t01, t10 = co0 * o1 - 0.5 * o2, co0 * o1 + 0.5 * o2
+        t02, t20 = co0 * o2 + 0.5 * o1, co0 * o2 - 0.5 * o1
+        t12, t21 = co1 * o2 - 0.5 * o0, co1 * o2 + 0.5 * o0
+        # h d/dsigma[T^T v] = p sigma^T + r v^T + diag I - h hat(v)/2 with
+        # p = h (2 (a' - c' t - c) v + 2 c' sv sigma) and r = h c sigma.
+        k = 2.0 * (da - dc * t - c)
+        q = 2.0 * dc * sv
+        p0, p1, p2 = h * (k * v0 + q * o0), h * (k * v1 + q * o1), h * (k * v2 + q * o2)
+        r0, r1, r2 = h * co0, h * co1, h * co2
+        diag = h * c * sv
+        hv0, hv1, hv2 = 0.5 * h * v0, 0.5 * h * v1, 0.5 * h * v2
+        return (
+            (
+                t00 * s00 + t01 * s10 + t02 * s20 + p0 * o0 + r0 * v0 + diag,
+                t00 * s01 + t01 * s11 + t02 * s21 + p0 * o1 + r0 * v1 + hv2,
+                t00 * s02 + t01 * s12 + t02 * s22 + p0 * o2 + r0 * v2 - hv1,
+            ),
+            (
+                t10 * s00 + t11 * s10 + t12 * s20 + p1 * o0 + r1 * v0 - hv2,
+                t10 * s01 + t11 * s11 + t12 * s21 + p1 * o1 + r1 * v1 + diag,
+                t10 * s02 + t11 * s12 + t12 * s22 + p1 * o2 + r1 * v2 + hv0,
+            ),
+            (
+                t20 * s00 + t21 * s10 + t22 * s20 + p2 * o0 + r2 * v0 + hv1,
+                t20 * s01 + t21 * s11 + t22 * s21 + p2 * o1 + r2 * v1 - hv0,
+                t20 * s02 + t21 * s12 + t22 * s22 + p2 * o2 + r2 * v2 + diag,
+            ),
+        )
+
+    return residual, jacobian
 
 
 def reduced_scheme_residual(

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .numerics import SingularMatrix, lu_solve
+from .numerics import RankDeficient, SingularMatrix, lu_solve
 
 __all__ = [
     "RankDeficient",
@@ -40,10 +40,6 @@ __all__ = [
 
 # Step for central finite differences of constraint rows along a direction.
 _DIR_FD_STEP = 1e-6
-
-
-class RankDeficient(ValueError):
-    """Raised when constraint rows are linearly dependent at a point."""
 
 
 def _as_matrix(rows) -> np.ndarray:
@@ -133,6 +129,11 @@ class ReducedSystem:
     constant block matrix ``bundle_metric``; ``annihilator(x)`` returns m
     rows annihilating admissible combined velocities ``(v, xi)``, shifted
     by ``affine_section(x)`` in the affine case.
+
+    With the metric blocks ``Gs`` (shape), ``Gc`` (coupling) and ``Ga``
+    (algebra), the constructor caches ``metric_inv`` (the inverse metric),
+    ``shape_metric_inv`` (``Gs^{-1}``) and ``algebra_schur`` (the Schur
+    complement ``Ga - Gc^T Gs^{-1} Gc``) for the reduced steppers.
     """
 
     shape_dim: int
@@ -144,6 +145,8 @@ class ReducedSystem:
     grad_potential: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
     affine_section: Optional[Callable[[np.ndarray], np.ndarray]] = None
     metric_inv: np.ndarray = field(init=False, repr=False)
+    shape_metric_inv: np.ndarray = field(init=False, repr=False)
+    algebra_schur: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         total = self.shape_dim + self.algebra_dim
@@ -155,6 +158,10 @@ class ReducedSystem:
         np.linalg.cholesky(g)
         self.bundle_metric = g
         self.metric_inv = np.linalg.inv(g)
+        n = self.shape_dim
+        self.shape_metric_inv = np.linalg.inv(g[:n, :n])
+        coupling = g[:n, n:]
+        self.algebra_schur = g[n:, n:] - coupling.T @ self.shape_metric_inv @ coupling
         if self.grad_potential is None:
             self.grad_potential = lambda x: np.zeros(self.shape_dim)
 

@@ -18,10 +18,14 @@ from gni.analysis import (
 from gni.gni_reduced import (
     ChaplyginParams,
     chaplygin_init,
+    chaplygin_initial_reduced_state,
+    chaplygin_reduced_system,
     chaplygin_scheme_residual,
     chaplygin_step,
+    reduced_rattle_step,
+    standard_retracted_lagrangian,
 )
-from gni.model import FlatSystem, PhaseState
+from gni.model import FlatSystem, PhaseState, ReducedState, constraint_residual
 from gni.numerics import NoConvergence
 
 
@@ -89,6 +93,44 @@ def test_run_rejects_inadmissible_initial_state():
     bad = PhaseState(np.array([0.3, 0.2, 0.1]), np.array([0.0, 0.0, 5.0]), np.zeros(1))
     with pytest.raises(ValueError, match="admissible"):
         run(gni_flat.rattle_step, sys, bad, 0.1, 5)
+
+
+def _reduced_sphere_run(params, state, h):
+    rsys = chaplygin_reduced_system(params)
+    ld = standard_retracted_lagrangian(rsys)
+    return run(lambda sys_, s, hh: reduced_rattle_step(sys_, ld, s, hh), rsys, state, h, 2)
+
+
+@pytest.mark.parametrize(
+    "params, q0, w0, h",
+    [
+        # The reduced sphere of configs/sphere_reduced.cfg with w0[1] > 0.
+        (ChaplyginParams(3.0, 1.0, 0.2, 1.0, 1.1, 1.2), (1.0, 0.0), (-0.2, 0.001, 0.4), 0.05),
+        # The state of configs/sphere_bounded.cfg.
+        (ChaplyginParams(1.0, 1.0, 1.0, 2 / 3, 2 / 3, 2 / 3), (1.0, 1.0), (0.0, 2.0, 0.0), 0.1),
+    ],
+)
+def test_run_accepts_seeded_reduced_sphere_states(params, q0, w0, h):
+    # The dcay_inv seeding puts an O(h^2) offset h^2/4 xi (xi . p_alg) into
+    # p_alg as well as the O(h) tilt; both must be allowed for.
+    s0 = chaplygin_initial_reduced_state(params, np.array(q0), np.array(w0), h)
+    assert np.max(np.abs(constraint_residual(chaplygin_reduced_system(params), s0))) > 1e-8
+    assert len(_reduced_sphere_run(params, s0, h)) == 3
+
+
+def test_run_rejects_reduced_state_just_off_its_seeded_form():
+    params = ChaplyginParams(1.0, 1.0, 1.0, 2 / 3, 2 / 3, 2 / 3)
+    h = 0.1
+    s0 = chaplygin_initial_reduced_state(params, np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0]), h)
+    # Row k of the rolling constraint reads p[k] / m directly, so moving
+    # p[k] along the sign of the largest residual grows it by 1e-6.
+    res = constraint_residual(chaplygin_reduced_system(params), s0)
+    k = int(np.argmax(np.abs(res)))
+    p = s0.p.copy()
+    p[k] += 1e-6 * np.sign(res[k])
+    moved = ReducedState(s0.x, p, s0.xi, s0.p_alg, s0.lam)
+    with pytest.raises(ValueError, match="admissible"):
+        _reduced_sphere_run(params, moved, h)
 
 
 def test_run_accepts_scheme_form_initial_states():

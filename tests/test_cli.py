@@ -441,6 +441,18 @@ def test_exit_code_non_finite_run_writes_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_diverging_run_fails_without_numpy_warnings(tmp_path, capsys, recwarn):
+    cfg = tmp_path / "diverge.cfg"
+    text = PARTICLE_TEMPLATE.format(integrator="rattle")
+    text = text.replace("v0 = 1.0, 0.5, 0.2", "v0 = 1000, 0.5, 0.2")
+    cfg.write_text(text.replace("h = 0.05\nT = 0.5", "h = 5\nN = 120"))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "solver failure" in capsys.readouterr().err
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

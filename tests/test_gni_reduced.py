@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from gni.gni_flat import prepare_state, rattle_step
+from gni import gni_reduced
 from gni.gni_reduced import (
     ChaplyginParams,
     _solve_sphere,
+    _stage3_system,
     chaplygin_init,
     chaplygin_initial_reduced_state,
     chaplygin_reduced_system,
@@ -19,9 +21,15 @@ from gni.gni_reduced import (
     reduced_scheme_residual,
     standard_retracted_lagrangian,
 )
-from gni.lie_so3 import cay, dcay_inv, exp_so3
+from gni.lie_so3 import cay, dcay_inv, dexp_inv, exp_so3
 from gni.model import ReducedState, ReducedSystem, FlatSystem
-from gni.numerics import NewtonConfig, NoConvergence
+from gni.numerics import (
+    NewtonConfig,
+    NoConvergence,
+    SingularMatrix,
+    lu_solve,
+    newton_solve_stats,
+)
 
 
 def _coupled_system(seed=5):
@@ -332,6 +340,171 @@ def test_reduced_step_rejects_unknown_retraction():
     s = chaplygin_initial_reduced_state(params, np.zeros(2), np.zeros(3), 0.1)
     with pytest.raises(ValueError):
         reduced_rattle_step(rsys, ld, s, 0.1, retraction="polar")
+
+
+# ---------------------------------------------------------------------------
+# stage-3 kernel
+
+_DTAU_INV = {"cay": dcay_inv, "exp": dexp_inv}
+
+
+def _random_sigma(rng):
+    """A random algebra increment with |sigma| <= 1."""
+    sigma = rng.normal(size=3)
+    return sigma / np.linalg.norm(sigma) * rng.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_tangent_transpose_matches_matrix_form(retraction):
+    # With S = 0 and h = 1 the residual is T(sigma)^T b - alg1.
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        sigma = _random_sigma(rng)
+        v = rng.normal(size=3)
+        residual, _ = _stage3_system(retraction, np.zeros((3, 3)), v, np.zeros(3), 1.0)
+        got = np.array(residual(*sigma))
+        ref = _DTAU_INV[retraction](sigma).T @ v
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_jacobian_matches_central_differences(retraction):
+    rng = np.random.default_rng(17)
+    eps = 1e-6
+    for _ in range(20):
+        a = rng.normal(size=(3, 3))
+        schur = a @ a.T + np.eye(3)
+        b, alg1, xi = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
+        h = rng.uniform(0.01, 0.5)
+        residual, jacobian = _stage3_system(retraction, schur, b, alg1, h)
+        jac = np.array(jacobian(*xi))
+        fd = np.empty((3, 3))
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = eps
+            fd[:, j] = (np.array(residual(*(xi + step))) - np.array(residual(*(xi - step)))) / (
+                2.0 * eps
+            )
+        np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-8)
+
+
+def test_stage3_affine_gradient_matches_standard_lagrangian():
+    # Along the forward shape update x2(xi) = x1 + h Gs^-1 (p - Gc xi) the
+    # algebra gradient d3 of the standard Lagrangian is b + S xi with the
+    # cached Schur block and b = Gc^T Gs^-1 p.
+    rsys = _coupled_system(seed=9)
+    ld = standard_retracted_lagrangian(rsys)
+    gc = rsys.bundle_metric[:2, 2:]
+    gs_inv = rsys.shape_metric_inv
+    rng = np.random.default_rng(29)
+    h = 0.05
+    for _ in range(20):
+        x1, p, xi = rng.normal(size=2), rng.normal(size=2), rng.normal(size=3)
+        b = gc.T @ (gs_inv @ p)
+        x2 = x1 + h * (gs_inv @ (p - gc @ xi))
+        ref = ld.d3(x1, x2, h * xi, h)
+        got = b + rsys.algebra_schur @ xi
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _old_reduced_step(rsys, ld, s, h, retraction="cay"):
+    """The reduced step before the analytic stage 3: lu_solve for the Gram
+    system and a finite-difference Newton solve on the matrix tangents."""
+    tau, dtau_inv = {"cay": (cay, dcay_inv), "exp": (exp_so3, dexp_inv)}[retraction]
+    n = rsys.shape_dim
+    gs = rsys.bundle_metric[:n, :n]
+    gc = rsys.bundle_metric[:n, n:]
+    gs_inv = np.linalg.inv(gs)
+    rows0 = rsys.annihilator_matrix(s.x)
+    p_half = s.p - 0.5 * h * (rsys.grad_potential(s.x) + rows0[:, :n].T @ s.lam)
+    x1 = s.x + h * (gs_inv @ (p_half - gc @ s.xi))
+    alg_trans = tau(h * s.xi).T @ s.p_alg
+    rows1 = rsys.annihilator_matrix(x1)
+    grad1 = np.asarray(rsys.grad_potential(x1), dtype=float)
+    mu1, eta1 = rows1[:, :n], rows1[:, n:]
+    lam1 = np.zeros(0)
+    if rows1.shape[0]:
+        w_mat = rows1 @ rsys.metric_inv
+        base = np.concatenate([p_half - 0.5 * h * grad1, alg_trans]) - rsys.momentum_offset(x1)
+        lam1 = (2.0 / h) * lu_solve(w_mat @ rows1.T, w_mat @ base)
+    p1 = p_half - 0.5 * h * (grad1 + mu1.T @ lam1)
+    alg1 = alg_trans - h * (eta1.T @ lam1)
+    p_half_next = p1 - 0.5 * h * (grad1 + mu1.T @ lam1)
+
+    def residual(xi_next):
+        x2 = x1 + h * (gs_inv @ (p_half_next - gc @ xi_next))
+        sigma = h * xi_next
+        return dtau_inv(sigma).T @ np.asarray(ld.d3(x1, x2, sigma, h)) - alg1
+
+    xi1, iters = newton_solve_stats(residual, s.xi.copy())
+    return ReducedState(x1, p1, xi1, alg1, lam1, newton_iters=iters)
+
+
+@pytest.mark.parametrize("retraction, steps", [("cay", 3000), ("exp", 2500)])
+def test_reduced_step_agrees_with_finite_difference_stage3(retraction, steps):
+    # The shipped reduced sphere (configs/sphere_reduced.cfg) at h = 0.05.
+    # Both paths solve stage 3 to the same 1e-12 tolerance, so their roots
+    # differ within it; over the run that stays below 1e-9.
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    rsys = chaplygin_reduced_system(params)
+    ld = standard_retracted_lagrangian(rsys)
+    h = 0.05
+    new = old = chaplygin_initial_reduced_state(
+        params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), h
+    )
+    cfg = NewtonConfig()
+    worst = 0.0
+    for _ in range(steps):
+        new = reduced_rattle_step(rsys, ld, new, h, retraction=retraction, cfg=cfg)
+        old = _old_reduced_step(rsys, ld, old, h, retraction=retraction)
+        for name in ("x", "p", "xi", "p_alg", "lam"):
+            worst = max(worst, np.max(np.abs(getattr(new, name) - getattr(old, name))))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_reduced_step_agrees_with_finite_difference_stage3_coupled_metric(retraction):
+    # A full metric couples shape and algebra (Gc != 0), so b and the
+    # Schur block both enter stage 3; a potential acts on the shape.
+    rsys = _coupled_system(seed=9)
+    ld = standard_retracted_lagrangian(rsys)
+    h = 0.05
+    xi0 = np.array([0.4, -0.3, 0.8])
+    new = old = ReducedState(
+        np.array([0.3, -0.2]), np.array([0.5, 0.1]), xi0, dcay_inv(h * xi0).T @ xi0, np.zeros(0)
+    )
+    for _ in range(200):
+        new = reduced_rattle_step(rsys, ld, new, h, retraction=retraction)
+        old = _old_reduced_step(rsys, ld, old, h, retraction=retraction)
+        for name in ("x", "p", "xi", "p_alg"):
+            assert np.max(np.abs(getattr(new, name) - getattr(old, name))) <= 1e-9
+
+
+def test_reduced_step_stage3_no_convergence():
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    rsys = chaplygin_reduced_system(params)
+    ld = standard_retracted_lagrangian(rsys)
+    s = chaplygin_initial_reduced_state(
+        params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), 0.05
+    )
+    with pytest.raises(NoConvergence) as excinfo:
+        reduced_rattle_step(rsys, ld, s, 0.05, cfg=NewtonConfig(max_iters=1))
+    assert excinfo.value.iterations == 1
+    assert excinfo.value.final_residual > 1e-12
+
+
+def test_reduced_step_stage3_singular_jacobian(monkeypatch):
+    # Coefficients a = c = 0 make T(sigma) = -hat(sigma)/2; at xi = 0 the
+    # Jacobian is then -h hat(v)/2, a singular 3x3.
+    monkeypatch.setitem(gni_reduced._TANGENT_COEFFS, "cay", lambda t: (0.0, 0.0, 0.0, 0.0))
+    params = ChaplyginParams(m=1.0, r=1.0, omega=0.0, i1=1.0, i2=1.0, i3=1.0)
+    rsys = chaplygin_reduced_system(params)
+    ld = standard_retracted_lagrangian(rsys)
+    s = ReducedState(
+        np.zeros(2), np.array([0.3, -0.2]), np.zeros(3), np.array([0.1, 0.2, 0.3]), np.zeros(2)
+    )
+    with pytest.raises(SingularMatrix):
+        reduced_rattle_step(rsys, ld, s, 0.05)
 
 
 # ---------------------------------------------------------------------------
