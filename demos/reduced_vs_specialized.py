@@ -22,13 +22,11 @@ from gni.gni_reduced import (
     chaplygin_reduced_system,
     chaplygin_step,
     reduced_rattle_step,
-    standard_retracted_lagrangian,
 )
 
 
 def gap_after(params: ChaplyginParams, h: float, n_steps: int, retraction: str) -> float:
     rsys = chaplygin_reduced_system(params)
-    ld = standard_retracted_lagrangian(rsys)
     q0 = np.array([1.0, 0.0])
     w0 = np.array([-0.2, 0.0, 0.4])
     rstate = chaplygin_initial_reduced_state(params, q0, w0, h)
@@ -39,7 +37,7 @@ def gap_after(params: ChaplyginParams, h: float, n_steps: int, retraction: str) 
         q_next, w_curr = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
         qs.append(q_next)
         ws.append(w_curr)
-        rstate = reduced_rattle_step(rsys, ld, rstate, h, retraction=retraction)
+        rstate = reduced_rattle_step(rsys, rstate, h, retraction=retraction)
         worst = max(
             worst,
             float(np.max(np.abs(rstate.x - qs[k]))),

@@ -9,12 +9,13 @@ batteries (used by the command-line ``check`` subcommand).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from . import model
+from .gni_flat import DiscreteLagrangian, gni_generic_step_stats, rattle_step
 from .lie_so3 import dcay
 from .model import PhaseState, ReducedState, constraint_residual, energy
 from .numerics import NoConvergence, SingularMatrix, default_newton_config
@@ -32,6 +33,7 @@ __all__ = [
     "ConvergenceReport",
     "run",
     "check_finite",
+    "state_values",
     "convergence_sweep",
     "adjoint_check",
     "slope_fit",
@@ -47,6 +49,16 @@ _NOISE_FLOOR = 1e-14
 
 # Absolute slack of the initial-admissibility precondition in run().
 _ADMISSIBLE_TOL = 1e-8
+
+# What each state type gives the runner, the sweeps and the CSV writer: its
+# array fields, the multiplier ``lam`` last (check_finite() checks them all;
+# a row's state values are all but ``lam``), and its position and velocity
+# channels.  Rolling-sphere rows are plain arrays ``[x, y, w1, w2, w3]``.
+_STATE_TYPES = {
+    PhaseState: (("q", "p", "lam"), lambda s: s.q, lambda system, s: system.mass_inv @ s.p),
+    ReducedState: (("x", "p", "xi", "p_alg", "lam"), lambda s: s.x, lambda system, s: s.xi),
+    np.ndarray: ((), lambda s: s[:2], lambda system, s: s[2:]),
+}
 
 
 class BelowNoiseFloor(ValueError):
@@ -87,12 +99,20 @@ class Trajectory:
     h: float
 
     @classmethod
-    def from_rows(cls, system, times, states, h: float) -> "Trajectory":
-        """Build a trajectory computing default (momentum-form) diagnostics."""
+    def from_rows(cls, system, times, states, h: float, residual=None) -> "Trajectory":
+        """Build a trajectory of state objects with its diagnostics.
+
+        ``residual(states)`` yields each row's constraint residual; by
+        default it is the momentum form :func:`gni.model.constraint_residual`,
+        and ``False`` leaves the column at zero.
+        """
         energies = np.array([energy(system, s) for s in states])
-        residuals = np.array(
-            [_inf_norm(constraint_residual(system, s)) for s in states]
-        )
+        if residual is False:
+            residuals = np.zeros(len(states))
+        elif residual is None:
+            residuals = np.array([_inf_norm(constraint_residual(system, s)) for s in states])
+        else:
+            residuals = np.array([_inf_norm(r) for r in residual(states)])
         iters = np.array([getattr(s, "newton_iters", 0) for s in states], dtype=int)
         return cls(
             times=np.asarray(times, dtype=float),
@@ -122,11 +142,11 @@ class Trajectory:
         )
 
 
-# The array fields of each state type, as checked by check_finite().
-_STATE_FIELDS = {
-    PhaseState: ("q", "p", "lam"),
-    ReducedState: ("x", "p", "xi", "p_alg", "lam"),
-}
+def state_values(state) -> np.ndarray:
+    """The values a row of ``state`` writes: its array fields but the
+    multiplier ``lam``, in field order; a rolling-sphere row as it is."""
+    fields = _STATE_TYPES[type(state)][0][:-1]
+    return np.concatenate([getattr(state, f) for f in fields]) if fields else state
 
 
 def check_finite(traj: Trajectory) -> Trajectory:
@@ -142,7 +162,7 @@ def check_finite(traj: Trajectory) -> Trajectory:
     if isinstance(states, np.ndarray):
         ok &= np.isfinite(states).all(axis=1)
     else:
-        fields = _STATE_FIELDS[type(states[0])]
+        fields = _STATE_TYPES[type(states[0])][0]
         values = np.concatenate([getattr(s, name) for s in states for name in fields])
         ok &= np.isfinite(values.reshape(len(states), -1)).all(axis=1)
     bad = np.flatnonzero(~ok)
@@ -185,21 +205,36 @@ def _inf_norm(vec) -> float:
 # trajectory running
 
 
-def run(stepper, system, initial, h: float, n_steps: int) -> Trajectory:
+def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Trajectory:
     """Advance ``n_steps`` steps of size ``h`` and record diagnostics.
 
-    For flat and reduced systems ``stepper`` is a one-step map with
-    signature ``stepper(system, state, h) -> state`` and ``initial`` is the
-    corresponding state object (its constraint residual must sit within the
-    stepper's admissible set, allowing for the half-step potential shift of
-    the one-sided schemes).  When ``system`` is a :class:`ChaplyginParams`
-    the rolling-sphere two-point recurrence is used instead: ``initial`` is
-    the pair ``(q0, w0)`` of contact point and body angular velocity, and
-    ``stepper`` is ignored (pass :func:`gni.gni_reduced.chaplygin_step` for
-    clarity).  Rolling-sphere rows pack the state as ``[x, y, w1, w2, w3]``
-    where ``w`` is the angular velocity of the interval starting at that
-    row's time; the energy monitor uses the central-difference contact
-    velocity (forward difference on row 0).
+    This is the one loop over steps.  What it advances depends on its
+    arguments:
+
+    * a one-step map ``stepper(system, state, h) -> state`` on flat or
+      reduced state objects;
+    * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
+      three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`,
+      seeded with one :func:`gni.gni_flat.rattle_step`.  Row ``k >= 1``
+      reports the central-difference momentum ``M (q_{k+1} - q_{k-1}) /
+      (2h)``, the average of the discrete pre- and post-momenta that the
+      scheme keeps on the constraint;
+    * when ``system`` is a :class:`ChaplyginParams`, the rolling-sphere
+      two-point recurrence of :func:`chaplygin_step_stats` (``stepper`` is
+      ignored).  ``initial`` is the pair ``(q0, w0)`` of contact point and
+      body angular velocity, and rows pack ``[x, y, w1, w2, w3]`` where
+      ``w`` is the angular velocity of the interval starting at that row's
+      time; the energy monitor uses the central-difference contact velocity
+      (forward difference on row 0), and the residual column the two
+      discretized rolling constraints (:func:`chaplygin_scheme_residual`).
+
+    Both recurrences keep one position beyond the last row, to close its
+    central difference.  A state-object ``initial`` must sit within the
+    stepper's admissible set, allowing for the half-step potential shift
+    of the one-sided schemes.  ``residual(states)`` gives the constraint
+    residual each state-object row reports, in the form the stepper
+    preserves (default: the momentum form); ``residual=False`` leaves the
+    column at zero, for runs whose final state alone is read.
 
     Raises
     ------
@@ -216,24 +251,89 @@ def run(stepper, system, initial, h: float, n_steps: int) -> Trajectory:
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     if isinstance(system, ChaplyginParams):
-        return _run_chaplygin(system, initial, h, n_steps)
-
-    _check_admissible(system, initial, h)
-    states = [initial]
+        advance, assemble = _sphere_recurrence(system, initial, h, n_steps, residual)
+    else:
+        _check_admissible(system, initial, h)
+        if isinstance(stepper, DiscreteLagrangian):
+            advance, assemble = _three_point_recurrence(stepper, system, initial, h, n_steps, residual)
+        else:
+            advance, assemble = _one_step_map(stepper, system, initial, h, residual)
     # A diverging run overflows on its way to the first non-finite row;
     # check_finite reports that row as StepFailed, so NumPy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             try:
-                states.append(stepper(system, states[-1], h))
+                advance(k)
             except (NoConvergence, SingularMatrix, model.RankDeficient) as exc:
-                times = h * np.arange(k)
-                raise StepFailed(
-                    k, exc, Trajectory.from_rows(system, times, states, h)
-                ) from exc
-        times = h * np.arange(n_steps + 1)
-        traj = Trajectory.from_rows(system, times, states, h)
+                raise StepFailed(k, exc, assemble(k)) from exc
+        traj = assemble(n_steps + 1)
     return check_finite(traj)
+
+
+# Each of the three set-ups below returns ``advance(k)``, which takes step
+# ``k`` (the one producing row ``k``), and ``assemble(n_rows)``, which
+# builds the trajectory of the first ``n_rows`` rows.
+
+
+def _one_step_map(stepper, system, initial, h, residual):
+    states = [initial]
+
+    def advance(k):
+        states.append(stepper(system, states[-1], h))
+
+    def assemble(n_rows):
+        times = h * np.arange(n_rows)
+        return Trajectory.from_rows(system, times, states[:n_rows], h, residual)
+
+    return advance, assemble
+
+
+def _three_point_recurrence(ld, system, initial, h, n_steps, residual):
+    cfg = default_newton_config()
+    qs = np.empty((n_steps + 2, system.dim))
+    iters = np.zeros(n_steps + 1, dtype=int)
+    qs[0] = initial.q
+
+    def advance(k):
+        if k == 1:
+            qs[1] = rattle_step(system, initial, h).q
+        qs[k + 1], iters[k] = gni_generic_step_stats(ld, system, qs[k - 1], qs[k], h, cfg)
+
+    def assemble(n_rows):
+        states = [initial] + [
+            PhaseState(
+                qs[k],
+                system.mass_matrix @ (qs[k + 1] - qs[k - 1]) / (2.0 * h),
+                np.zeros(system.num_constraints),
+                newton_iters=int(iters[k]),
+            )
+            for k in range(1, n_rows)
+        ]
+        times = h * np.arange(n_rows, dtype=float)
+        return Trajectory.from_rows(system, times, states, h, residual)
+
+    return advance, assemble
+
+
+def _sphere_recurrence(params, initial, h, n_steps, residual):
+    cfg = default_newton_config()
+    q0, w0 = initial
+    qs = np.empty((n_steps + 2, 2))
+    ws = np.empty((n_steps + 1, 3))
+    iters = np.zeros(n_steps + 1, dtype=int)
+    qs[0] = q0
+    qs[1] = chaplygin_init(params, q0, w0, h)
+    ws[0] = w0
+
+    def advance(k):
+        qs[k + 1], ws[k], iters[k] = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h, cfg)
+
+    def assemble(n_rows):
+        return _assemble_chaplygin(
+            params, qs[: n_rows + 1], ws[:n_rows], iters[:n_rows], h, residual is not False
+        )
+
+    return advance, assemble
 
 
 def _check_admissible(system, state, h: float) -> None:
@@ -267,37 +367,7 @@ def _check_admissible(system, state, h: float) -> None:
         )
 
 
-def _run_chaplygin(
-    params: ChaplyginParams, initial, h: float, n_steps: int, diagnostics: bool = True
-) -> Trajectory:
-    """Rolling-sphere runner: two-point recurrence with row conventions.
-
-    Row ``k`` is ``(q_k, w^k)``; the solve producing row ``k`` consumes
-    rows ``k-1`` and ``k``'s predecessor pair, so one configuration beyond
-    the last row is kept internally for the final central difference.
-    """
-    cfg = default_newton_config()
-    q0, w0 = initial
-    qs = np.empty((n_steps + 2, 2))
-    ws = np.empty((n_steps + 1, 3))
-    iters = np.zeros(n_steps + 1, dtype=int)
-    qs[0] = q0
-    qs[1] = chaplygin_init(params, q0, w0, h)
-    ws[0] = w0
-    for k in range(1, n_steps + 1):
-        try:
-            q_next, w_k, it = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h, cfg)
-        except (NoConvergence, SingularMatrix) as exc:
-            raise StepFailed(
-                k, exc, _assemble_chaplygin(params, qs[: k + 1], ws[:k], iters[:k], h, diagnostics)
-            ) from exc
-        qs[k + 1] = q_next
-        ws[k] = w_k
-        iters[k] = it
-    return check_finite(_assemble_chaplygin(params, qs, ws, iters, h, diagnostics))
-
-
-def _assemble_chaplygin(params, qs, ws, iters, h, diagnostics=True) -> Trajectory:
+def _assemble_chaplygin(params, qs, ws, iters, h, diagnostics) -> Trajectory:
     """Rows from ``qs`` (one more than the rows) and ``ws`` (one per row).
 
     Row 0's contact velocity is the forward difference, later rows' the
@@ -325,26 +395,6 @@ def _assemble_chaplygin(params, qs, ws, iters, h, diagnostics=True) -> Trajector
         newton_iters=iters,
         h=h,
     )
-
-
-# ---------------------------------------------------------------------------
-# state channels
-
-
-def _position_of(state) -> np.ndarray:
-    if isinstance(state, PhaseState):
-        return state.q
-    if isinstance(state, ReducedState):
-        return state.x
-    return np.asarray(state)[:2]  # rolling-sphere row [x, y, w1, w2, w3]
-
-
-def _velocity_of(system, state) -> np.ndarray:
-    if isinstance(state, PhaseState):
-        return system.mass_inv @ state.p
-    if isinstance(state, ReducedState):
-        return state.xi
-    return np.asarray(state)[2:]
 
 
 def _final_energy(system, traj: Trajectory) -> float:
@@ -420,9 +470,7 @@ def _resolve_reference(stepper, system, initial, T, h_min, reference) -> Traject
         raise ValueError(f"reference step {h_ref} exceeds min(h)/30 = {h_min / 30.0}")
     n_ref = max(1, int(round(T / h_ref)))
     if mode == "self":
-        if isinstance(system, ChaplyginParams):
-            return _run_chaplygin(system, initial, T / n_ref, n_ref, diagnostics=False)
-        return run(stepper, system, initial, T / n_ref, n_ref)
+        return run(stepper, system, initial, T / n_ref, n_ref, residual=False)
     if mode == "rk4":
         if isinstance(system, ChaplyginParams):
             raise ValueError(
@@ -463,9 +511,9 @@ def convergence_sweep(
         counts.append(n)
 
     ref_traj = _resolve_reference(stepper, system, initial, T, h_arr[-1], reference)
-    ref_final = ref_traj.final
-    ref_pos = _position_of(ref_final)
-    ref_vel = _velocity_of(system, ref_final)
+    _, position, velocity = _STATE_TYPES[type(ref_traj.final)]
+    ref_pos = position(ref_traj.final)
+    ref_vel = velocity(system, ref_traj.final)
     ref_energy = _final_energy(system, ref_traj)
 
     used_h = []
@@ -474,8 +522,8 @@ def convergence_sweep(
         h_used = T / n
         traj = run(stepper, system, initial, h_used, n)
         used_h.append(h_used)
-        errs["position"].append(_inf_norm(_position_of(traj.final) - ref_pos))
-        errs["velocity"].append(_inf_norm(_velocity_of(system, traj.final) - ref_vel))
+        errs["position"].append(_inf_norm(position(traj.final) - ref_pos))
+        errs["velocity"].append(_inf_norm(velocity(system, traj.final) - ref_vel))
         errs["energy"].append(abs(_final_energy(system, traj) - ref_energy))
 
     slopes: Dict[str, Tuple[float, float]] = {}
@@ -734,7 +782,6 @@ def _suite_steppers(seed: int):
     newton = default_newton_config()
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     rsys = gni_reduced.chaplygin_reduced_system(params)
-    rld = gni_reduced.standard_retracted_lagrangian(rsys)
     hc = 1e-3
     q0 = np.array([1.0, 0.0])
     w0 = np.array([-0.2, 0.0, 0.4])
@@ -746,7 +793,7 @@ def _suite_steppers(seed: int):
         qn, wn = gni_reduced.chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], hc, newton)
         qs.append(qn)
         ws.append(wn)
-        rstate = gni_reduced.reduced_rattle_step(rsys, rld, rstate, hc, cfg=newton)
+        rstate = gni_reduced.reduced_rattle_step(rsys, rstate, hc, cfg=newton)
         worst = max(worst, _inf_norm(rstate.x - qs[k]), _inf_norm(rstate.xi - wn))
     results.append(
         _bound_result(
@@ -756,13 +803,12 @@ def _suite_steppers(seed: int):
 
     homog = ChaplyginParams(m=1.0, r=1.0, omega=1.0, i1=2 / 3, i2=2 / 3, i3=2 / 3)
     hr = gni_reduced.chaplygin_reduced_system(homog)
-    hl = gni_reduced.standard_retracted_lagrangian(hr)
     rstate = gni_reduced.chaplygin_initial_reduced_state(
         homog, np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0]), 0.1
     )
     worst = 0.0
     for _ in range(20):
-        nxt = gni_reduced.reduced_rattle_step(hr, hl, rstate, 0.1, cfg=newton)
+        nxt = gni_reduced.reduced_rattle_step(hr, rstate, 0.1, cfg=newton)
         worst = max(worst, _inf_norm(gni_reduced.reduced_scheme_residual(hr, rstate, nxt, 0.1)))
         rstate = nxt
     results.append(

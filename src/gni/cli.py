@@ -1,5 +1,6 @@
-"""Command-line front end: config parsing, system registry, experiment
-execution, CSV emission.
+"""Command-line front end: config parsing, the integrator table, and CSV
+emission around :func:`gni.analysis.run` and
+:func:`gni.analysis.convergence_sweep`.
 
 The ``gni`` entry point exposes four subcommands::
 
@@ -33,11 +34,9 @@ rejected so typos never pass silently::
     h_list = 0.1, 0.05, 0.025   # decreasing step sizes (sweep)
     T = 15.0                    # final time  (exactly one of T and N)
     N = 10000                   # step count  (exactly one of T and N)
-    seed = 0
     h_ref = 0.0005              # reference step for sweeps (default min(h)/30)
     reference = self            # self | rk4
     out = traj.csv              # default output path (--out overrides)
-    suite = all                 # default check-suite selector
 
 Omitted keys fall back to documented defaults (the chaplygin system
 defaults to the homogeneous bounded-trajectory setup: ``m = r =
@@ -49,31 +48,21 @@ identical configs reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys as _sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import analysis, gni_flat, model
-from .analysis import (
-    StepFailed,
-    Trajectory,
-    check_finite,
-    check_suite,
-    convergence_sweep,
-    run,
-)
+from . import analysis, gni_flat, gni_reduced, model
+from .analysis import StepFailed, Trajectory, check_suite, convergence_sweep, run, state_values
 from .gni_reduced import (
     ChaplyginParams,
     chaplygin_initial_reduced_state,
     chaplygin_reduced_system,
-    reduced_rattle_step,
     reduced_scheme_residual,
-    standard_retracted_lagrangian,
 )
-from .model import PhaseState, RankDeficient, ReducedState
+from .model import RankDeficient
 from .numerics import NoConvergence, SingularMatrix, default_newton_config
 
 __all__ = [
@@ -86,19 +75,65 @@ __all__ = [
 ]
 
 SYSTEMS = ("nonholonomic_particle", "constrained_2d", "chaplygin")
-INTEGRATORS = (
-    "euler_a",
-    "euler_b",
-    "rattle",
-    "rattle_affine",
-    "gni_generic",
-    "reduced_rattle",
-    "chaplygin_gni",
-)
 SUITES = ("lie", "projectors", "steppers", "adjoint", "all")
 
-_FLAT_INTEGRATORS = {"euler_a", "euler_b", "rattle", "rattle_affine", "gni_generic"}
-_SPHERE_INTEGRATORS = {"reduced_rattle", "chaplygin_gni"}
+
+@dataclass(frozen=True)
+class Integrator:
+    """How the command line runs one integrator.
+
+    ``kind`` is the kind of system it runs on, ``"flat"`` or ``"sphere"``.
+    ``form`` is the constraint form its initial state is seeded in and its
+    ``constraint_res`` column reports: a scheme of
+    :func:`gni.gni_flat.prepare_state` and
+    :func:`gni.gni_flat.scheme_constraint_residual` (``"rattle"`` is the
+    plain momentum form of :func:`gni.model.constraint_residual`),
+    ``"reduced"`` for :func:`chaplygin_initial_reduced_state` and
+    :func:`reduced_scheme_residual`, or ``"sphere"`` for the rolling-sphere
+    recurrence, which seeds itself and reports
+    :func:`gni.gni_reduced.chaplygin_scheme_residual`.  ``stepper(system,
+    cfg)`` returns the stepper :func:`gni.analysis.run` advances; it looks
+    its step up in the step's module when called, so a wrapper bound there
+    is the one used.  ``columns`` names the CSV state columns (``None``:
+    named after the flat system's dimension), and ``sweeps`` says whether
+    ``gni sweep`` takes the integrator.
+    """
+
+    kind: str
+    form: str
+    stepper: Callable
+    columns: Optional[Tuple[str, ...]] = None
+    sweeps: bool = True
+
+
+def _reduced_stepper(system, cfg: RunConfig):
+    retraction = cfg.retraction or "cay"
+    newton = default_newton_config()
+
+    def stepper(rsys, state, h):
+        return gni_reduced.reduced_rattle_step(rsys, state, h, retraction=retraction, cfg=newton)
+
+    return stepper
+
+
+INTEGRATORS = {
+    "euler_a": Integrator("flat", "euler_a", lambda system, cfg: gni_flat.euler_a_step),
+    "euler_b": Integrator("flat", "euler_b", lambda system, cfg: gni_flat.euler_b_step),
+    "rattle": Integrator("flat", "rattle", lambda system, cfg: gni_flat.rattle_step),
+    "rattle_affine": Integrator("flat", "rattle", lambda system, cfg: gni_flat.rattle_step),
+    "gni_generic": Integrator(
+        "flat", "rattle", lambda system, cfg: gni_flat.verlet_lagrangian(system), sweeps=False
+    ),
+    "reduced_rattle": Integrator(
+        "sphere",
+        "reduced",
+        _reduced_stepper,
+        ("x", "y", "px", "py", "w1", "w2", "w3", "pw1", "pw2", "pw3"),
+    ),
+    "chaplygin_gni": Integrator(
+        "sphere", "sphere", lambda system, cfg: None, ("x", "y", "w1", "w2", "w3")
+    ),
+}
 
 # Documented defaults applied at build time (never stored in RunConfig so
 # that parse -> format round-trips exactly).
@@ -160,11 +195,9 @@ class RunConfig:
     h_list: Optional[Tuple[float, ...]] = None
     T: Optional[float] = None
     steps: Optional[int] = None
-    seed: Optional[int] = None
     h_ref: Optional[float] = None
     reference: Optional[str] = None
     out: Optional[str] = None
-    suite: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +218,7 @@ _SECTION_KEYS = {
         "inertia",
     ),
     "integrator": ("name", "retraction"),
-    "run": ("h", "h_list", "T", "N", "seed", "h_ref", "reference", "out", "suite"),
+    "run": ("h", "h_list", "T", "N", "h_ref", "reference", "out"),
 }
 
 
@@ -279,11 +312,9 @@ def parse_config(text: str) -> RunConfig:
         h_list=take("run", "h_list", _parse_floats),
         T=take("run", "T", _parse_float),
         steps=take("run", "N", _parse_int),
-        seed=take("run", "seed", _parse_int),
         h_ref=take("run", "h_ref", _parse_float),
         reference=take("run", "reference", str),
         out=take("run", "out", str),
-        suite=take("run", "suite", str),
     )
     _validate(cfg)
     return cfg
@@ -301,9 +332,10 @@ def _validate(cfg: RunConfig) -> None:
         "integrator",
         f"unknown integrator {cfg.integrator!r}",
     )
+    entry = INTEGRATORS[cfg.integrator]
 
     # integrator / system compatibility
-    if cfg.integrator in _FLAT_INTEGRATORS:
+    if entry.kind == "flat":
         _require(
             cfg.system != "chaplygin",
             "integrator",
@@ -350,8 +382,6 @@ def _validate(cfg: RunConfig) -> None:
         _require(cfg.T > 0, "T", "final time must be positive")
     if cfg.steps is not None:
         _require(cfg.steps >= 0, "N", "step count must be non-negative")
-    if cfg.seed is not None:
-        _require(cfg.seed >= 0, "seed", "seed must be non-negative")
     if cfg.h_ref is not None:
         _require(cfg.h_ref > 0, "h_ref", "reference step must be positive")
         _require(cfg.h_list is not None, "h_ref", "h_ref only applies to sweeps")
@@ -378,8 +408,6 @@ def _validate(cfg: RunConfig) -> None:
                 "reference",
                 "rk4 reference unavailable for affine constraints",
             )
-    if cfg.suite is not None:
-        _require(cfg.suite in SUITES, "suite", f"unknown suite {cfg.suite!r}")
 
     # per-system parameter keys
     if cfg.system == "nonholonomic_particle":
@@ -426,13 +454,13 @@ def _validate(cfg: RunConfig) -> None:
             f"unknown retraction {cfg.retraction!r}",
         )
         _require(
-            cfg.integrator == "reduced_rattle",
+            entry.form == "reduced",
             "retraction",
             "only meaningful for reduced_rattle",
         )
-    if cfg.integrator == "gni_generic":
+    if not entry.sweeps:
         _require(
-            cfg.h_list is None, "integrator", "gni_generic supports simulate only"
+            cfg.h_list is None, "integrator", f"{cfg.integrator} supports simulate only"
         )
 
 
@@ -460,11 +488,9 @@ def format_config(cfg: RunConfig) -> str:
         ("h_list", "h_list"),
         ("T", "T"),
         ("N", "steps"),
-        ("seed", "seed"),
         ("h_ref", "h_ref"),
         ("reference", "reference"),
         ("out", "out"),
-        ("suite", "suite"),
     ):
         value = getattr(cfg, field)
         if value is not None:
@@ -505,21 +531,41 @@ def _sphere_initial(cfg: RunConfig) -> Tuple[np.ndarray, np.ndarray]:
     return q0, w0
 
 
-def _flat_initial(
-    cfg: RunConfig, sys, scheme: str = "continuous", h: float = 0.0
-) -> PhaseState:
-    q_default, v_default = _FLAT_DEFAULT_STATE[cfg.system]
-    q0 = cfg.q0 if cfg.q0 is not None else q_default
-    v0 = cfg.v0 if cfg.v0 is not None else v_default
-    return gni_flat.prepare_state(sys, q0, v0, scheme=scheme, h=h)
+def _experiment(cfg: RunConfig, h: float):
+    """The stepper, system, initial state and residual form of a run.
 
+    The initial state is seeded in the integrator's constraint form at step
+    ``h``; at ``h = 0`` every form is the continuous one, which sweeps use
+    for all their step sizes.  ``residual(states)`` gives each row's
+    residual in that form, as :func:`gni.analysis.run` takes it (``None``
+    for the rolling sphere, whose runner reports its own form).
+    """
+    entry = INTEGRATORS[cfg.integrator]
+    if entry.kind == "flat":
+        system = _build_flat_system(cfg)
+        q_default, v_default = _FLAT_DEFAULT_STATE[cfg.system]
+        q0 = cfg.q0 if cfg.q0 is not None else q_default
+        v0 = cfg.v0 if cfg.v0 is not None else v_default
+        initial = gni_flat.prepare_state(system, q0, v0, scheme=entry.form, h=h)
 
-_FLAT_STEPPERS = {
-    "euler_a": gni_flat.euler_a_step,
-    "euler_b": gni_flat.euler_b_step,
-    "rattle": gni_flat.rattle_step,
-    "rattle_affine": gni_flat.rattle_step,
-}
+        def residual(states):
+            return (gni_flat.scheme_constraint_residual(system, s, h, entry.form) for s in states)
+
+    elif entry.form == "reduced":
+        params = _build_sphere_params(cfg)
+        system = chaplygin_reduced_system(params)
+        initial = chaplygin_initial_reduced_state(params, *_sphere_initial(cfg), h)
+        retraction = cfg.retraction or "cay"
+
+        def residual(states):
+            # Row 0 is consistent by seeding; row k checks step k.
+            yield ()
+            for a, b in zip(states, states[1:]):
+                yield reduced_scheme_residual(system, a, b, h, retraction)
+
+    else:
+        system, initial, residual = _build_sphere_params(cfg), _sphere_initial(cfg), None
+    return entry.stepper(system, cfg), system, initial, residual
 
 
 def _resolve_step_count(cfg: RunConfig) -> Tuple[float, int]:
@@ -536,66 +582,17 @@ def _resolve_step_count(cfg: RunConfig) -> Tuple[float, int]:
 
 def _simulate_trajectory(cfg: RunConfig) -> Tuple[Trajectory, List[str]]:
     """Run the configured experiment; return the trajectory and the CSV
-    column names of its state components.
+    column names of its state values.
 
-    Initial states are seeded in the integrator's own constraint form
-    (mirroring the rolling-sphere seeding), and the ``constraint_res``
-    column reports the residual of the momentum form that integrator
-    preserves, so the column stays at solver tolerance for every scheme.
+    The ``constraint_res`` column reports the residual of the constraint
+    form the integrator preserves, so it stays at solver tolerance for
+    every scheme.
     """
     h, n_steps = _resolve_step_count(cfg)
-    if cfg.integrator == "chaplygin_gni":
-        params = _build_sphere_params(cfg)
-        traj = run(None, params, _sphere_initial(cfg), h, n_steps)
-        return traj, ["x", "y", "w1", "w2", "w3"]
-    if cfg.integrator == "reduced_rattle":
-        params = _build_sphere_params(cfg)
-        rsys = chaplygin_reduced_system(params)
-        ld = standard_retracted_lagrangian(rsys)
-        retraction = cfg.retraction or "cay"
-        q0, w0 = _sphere_initial(cfg)
-        s0 = chaplygin_initial_reduced_state(params, q0, w0, h)
-
-        newton = default_newton_config()
-
-        def stepper(system, state, step):
-            return reduced_rattle_step(
-                system, ld, state, step, retraction=retraction, cfg=newton
-            )
-
-        traj = run(stepper, rsys, s0, h, n_steps)
-        residuals = np.zeros(len(traj))  # row 0: consistent by seeding
-        for k in range(1, len(traj)):
-            residuals[k] = np.max(
-                np.abs(
-                    reduced_scheme_residual(
-                        rsys, traj.states[k - 1], traj.states[k], h, retraction
-                    )
-                )
-            )
-        traj = dataclasses.replace(traj, residuals=residuals)
-        names = ["x", "y", "px", "py", "w1", "w2", "w3", "pw1", "pw2", "pw3"]
-        return traj, names
-    sys_obj = _build_flat_system(cfg)
-    names = _flat_column_names(sys_obj.dim)
-    if cfg.integrator == "gni_generic":
-        s0 = _flat_initial(cfg, sys_obj)
-        return _run_generic(sys_obj, s0, h, n_steps), names
-    scheme = cfg.integrator if cfg.integrator in ("euler_a", "euler_b") else "continuous"
-    s0 = _flat_initial(cfg, sys_obj, scheme=scheme, h=h)
-    traj = run(_FLAT_STEPPERS[cfg.integrator], sys_obj, s0, h, n_steps)
-    if scheme != "continuous":
-        residuals = np.array(
-            [
-                np.max(
-                    np.abs(gni_flat.scheme_constraint_residual(sys_obj, s, h, scheme)),
-                    initial=0.0,
-                )
-                for s in traj.states
-            ]
-        )
-        traj = dataclasses.replace(traj, residuals=residuals)
-    return traj, names
+    stepper, system, initial, residual = _experiment(cfg, h)
+    traj = run(stepper, system, initial, h, n_steps, residual)
+    columns = INTEGRATORS[cfg.integrator].columns
+    return traj, list(columns or _flat_column_names(system.dim))
 
 
 def _flat_column_names(dim: int) -> List[str]:
@@ -607,57 +604,6 @@ def _flat_column_names(dim: int) -> List[str]:
     return coords + [f"p{i + 1}" for i in range(dim)]
 
 
-def _run_generic(sys_obj, s0: PhaseState, h: float, n_steps: int) -> Trajectory:
-    """Drive the three-point recurrence and rebuild momentum rows.
-
-    The two-point seed is the one-step map consistent with the recurrence
-    (a single centered projected step).  Row ``k >= 1`` reports the average
-    of the discrete pre- and post-momenta, which for the centered discrete
-    Lagrangian is the central difference ``M (q_{k+1} - q_{k-1}) / (2h)``;
-    the scheme keeps exactly this average on the constraint, so the
-    residual column measures the invariant the method preserves.  One extra
-    position beyond the final row is computed internally to close the last
-    average.
-    """
-    ld = gni_flat.verlet_lagrangian(sys_obj)
-    mass = sys_obj.mass_matrix
-    qs = [np.asarray(s0.q, dtype=float)]
-    iter_counts = [0]
-
-    def assemble(n_rows: int) -> Trajectory:
-        states = [s0]
-        for k in range(1, n_rows):
-            p_bar = mass @ (qs[k + 1] - qs[k - 1]) / (2.0 * h)
-            states.append(
-                PhaseState(
-                    qs[k],
-                    p_bar,
-                    np.zeros(sys_obj.num_constraints),
-                    newton_iters=iter_counts[k],
-                )
-            )
-        times = h * np.arange(n_rows, dtype=float)
-        return Trajectory.from_rows(sys_obj, times, states, h)
-
-    if n_steps == 0:
-        return check_finite(assemble(1))
-    # As in analysis.run: check_finite reports a diverging run as StepFailed.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            qs.append(gni_flat.rattle_step(sys_obj, s0, h).q)
-        except (NoConvergence, SingularMatrix, RankDeficient) as exc:
-            raise StepFailed(1, exc, assemble(1)) from exc
-        for k in range(1, n_steps + 1):
-            try:
-                q_next, iters = gni_flat.gni_generic_step_stats(ld, sys_obj, qs[k - 1], qs[k], h)
-            except (NoConvergence, SingularMatrix, RankDeficient) as exc:
-                raise StepFailed(k, exc, assemble(k)) from exc
-            qs.append(q_next)
-            iter_counts.append(iters)
-        traj = assemble(n_steps + 1)
-    return check_finite(traj)
-
-
 # ---------------------------------------------------------------------------
 # CSV emission
 
@@ -666,18 +612,10 @@ def _g(value: float) -> str:
     return "%.17g" % value
 
 
-def _state_components(state) -> List[float]:
-    if isinstance(state, PhaseState):
-        return [*state.q, *state.p]
-    if isinstance(state, ReducedState):
-        return [*state.x, *state.p, *state.xi, *state.p_alg]
-    return list(np.asarray(state, dtype=float))
-
-
 def _simulate_csv(traj: Trajectory, names: Sequence[str]) -> str:
     lines = ["step,t," + ",".join(names) + ",energy,constraint_res,newton_iters"]
-    for k in range(len(traj)):
-        comps = ",".join(_g(x) for x in _state_components(traj.states[k]))
+    for k, state in enumerate(traj.states):
+        comps = ",".join(_g(x) for x in state_values(state).tolist())
         lines.append(
             f"{k},{_g(traj.times[k])},{comps},{_g(traj.energies[k])},"
             f"{_g(traj.residuals[k])},{traj.newton_iters[k]}"
@@ -689,36 +627,14 @@ _CHANNEL_COLUMNS = (("position", "pos"), ("velocity", "vel"), ("energy", "energy
 
 
 def _sweep_report(cfg: RunConfig) -> analysis.ConvergenceReport:
-    T = cfg.T
     h_list = list(cfg.h_list)
     h_ref = cfg.h_ref if cfg.h_ref is not None else min(h_list) / 30.0
     reference = (cfg.reference or "self", h_ref)
-    if cfg.integrator == "chaplygin_gni":
-        params = _build_sphere_params(cfg)
-        return convergence_sweep(None, params, _sphere_initial(cfg), T, h_list, reference)
-    if cfg.integrator == "reduced_rattle":
-        params = _build_sphere_params(cfg)
-        rsys = chaplygin_reduced_system(params)
-        ld = standard_retracted_lagrangian(rsys)
-        retraction = cfg.retraction or "cay"
-        q0, w0 = _sphere_initial(cfg)
-
-        newton = default_newton_config()
-
-        def stepper(system, state, step):
-            return reduced_rattle_step(
-                system, ld, state, step, retraction=retraction, cfg=newton
-            )
-
-        # The reduced seed state depends on h, so sweeps reseed per run via
-        # the coarsest continuous data; use the smallest h for the reference.
-        s0 = chaplygin_initial_reduced_state(params, q0, w0, min(h_list))
-        return convergence_sweep(stepper, rsys, s0, T, h_list, reference)
-    sys_obj = _build_flat_system(cfg)
-    s0 = _flat_initial(cfg, sys_obj)
-    return convergence_sweep(
-        _FLAT_STEPPERS[cfg.integrator], sys_obj, s0, T, h_list, reference
-    )
+    # Every run of the sweep, the reference included, starts from the one
+    # state seeded at h = 0: the continuous constraint form (for the reduced
+    # sphere the Legendre form p_alg = I w), admissible at every step size.
+    stepper, system, initial, _ = _experiment(cfg, 0.0)
+    return convergence_sweep(stepper, system, initial, cfg.T, h_list, reference)
 
 
 def _sweep_csv(report: analysis.ConvergenceReport) -> str:
@@ -753,32 +669,24 @@ def _load_config(path: str) -> RunConfig:
         return parse_config(handle.read())
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if getattr(args, "out", None) is not None:
-        updates["out"] = args.out
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _load_config(args.config)
     if cfg.h is None:
         raise ValidationError("h", "simulate needs a single step size h, not h_list")
     traj, names = _simulate_trajectory(cfg)
-    _write_output(cfg.out, _simulate_csv(traj, names))
-    if cfg.out is not None and not args.quiet:
-        print(f"wrote {len(traj)} rows to {cfg.out}")
+    out = args.out if args.out is not None else cfg.out
+    _write_output(out, _simulate_csv(traj, names))
+    if out is not None and not args.quiet:
+        print(f"wrote {len(traj)} rows to {out}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _load_config(args.config)
     if cfg.h_list is None:
         raise ValidationError("h_list", "sweep needs h_list, not a single h")
     report = _sweep_report(cfg)
-    _write_output(cfg.out, _sweep_csv(report))
+    _write_output(args.out if args.out is not None else cfg.out, _sweep_csv(report))
     if not args.quiet:
         for channel, _ in _CHANNEL_COLUMNS:
             if channel in report.noise_floor:
@@ -816,14 +724,12 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run one trajectory and emit CSV")
     simulate.add_argument("--config", required=True, help="path to a run config")
     simulate.add_argument("--out", help="output CSV path (default: config, else stdout)")
-    simulate.add_argument("--seed", type=_uint, help="override the config seed")
     simulate.add_argument("--quiet", action="store_true", help="suppress the summary line")
     simulate.set_defaults(func=_cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="measure convergence over h_list, emit CSV")
     sweep.add_argument("--config", required=True, help="path to a sweep config")
     sweep.add_argument("--out", help="output CSV path (default: config, else stdout)")
-    sweep.add_argument("--seed", type=_uint, help="override the config seed")
     sweep.add_argument("--quiet", action="store_true", help="suppress slope summary")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -28,12 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import FlatSystem, PhaseState
-from .numerics import (
-    NewtonConfig,
-    default_newton_config,
-    newton_solve_stats,
-    solve_gram,
-)
+from .numerics import NewtonConfig, newton_solve_stats, solve_gram
 
 __all__ = [
     "DiscreteLagrangian",

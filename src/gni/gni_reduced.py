@@ -154,7 +154,6 @@ def reduced_legendre(
 
 def reduced_rattle_step(
     rsys: ReducedSystem,
-    ld: RetractedDiscreteLagrangian,
     s: ReducedState,
     h: float,
     retraction: str = "cay",
@@ -172,15 +171,15 @@ def reduced_rattle_step(
     ``xi`` from the algebra-momentum matching condition, substituting the
     forward shape update, with the current ``xi`` as predictor.
 
-    All three stages assume the standard constant-metric Lagrangian:
-    ``ld`` must be :func:`standard_retracted_lagrangian` of ``rsys``.  Its
-    derivatives are taken in closed form from the metric blocks ``Gs``,
-    ``Gc``, ``Ga`` of ``rsys``, so ``ld`` itself is not evaluated.  Along
-    the forward update ``x2 = x1 + h Gs^{-1} (p_half_next - Gc xi)`` the
-    algebra gradient ``ld.d3`` is the affine map ``b + S xi`` with the
-    Schur block ``S = Ga - Gc^T Gs^{-1} Gc`` and ``b = Gc^T Gs^{-1}
-    p_half_next``, and stage 3 runs :func:`gni.numerics.newton_solve3`
-    with the analytic Jacobian of :func:`_stage3_system`.
+    All three stages assume the standard constant-metric Lagrangian of
+    ``rsys`` (:func:`standard_retracted_lagrangian`) and take its
+    derivatives in closed form from the metric blocks ``Gs``, ``Gc``,
+    ``Ga`` of ``rsys``.  Along the forward update ``x2 = x1 + h Gs^{-1}
+    (p_half_next - Gc xi)`` the algebra gradient ``d3`` is the affine map
+    ``b + S xi`` with the Schur block ``S = Ga - Gc^T Gs^{-1} Gc`` and
+    ``b = Gc^T Gs^{-1} p_half_next``, and stage 3 runs
+    :func:`gni.numerics.newton_solve3` with the analytic Jacobian of
+    :func:`_stage3_system`.
 
     Raises
     ------

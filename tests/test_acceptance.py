@@ -219,7 +219,7 @@ def test_criterion_09_scheme_equivalences(capsys):
         qn, wn = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], hc)
         qs.append(qn)
         ws.append(wn)
-        rstate = reduced_rattle_step(rsys, rld, rstate, hc)
+        rstate = reduced_rattle_step(rsys, rstate, hc)
         defect_red = max(
             defect_red,
             float(np.max(np.abs(rstate.x - qs[k]))),

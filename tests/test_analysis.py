@@ -14,6 +14,7 @@ from gni.analysis import (
     run,
     sample_admissible_states,
     slope_fit,
+    state_values,
 )
 from gni.gni_reduced import (
     ChaplyginParams,
@@ -98,7 +99,7 @@ def test_run_rejects_inadmissible_initial_state():
 def _reduced_sphere_run(params, state, h):
     rsys = chaplygin_reduced_system(params)
     ld = standard_retracted_lagrangian(rsys)
-    return run(lambda sys_, s, hh: reduced_rattle_step(sys_, ld, s, hh), rsys, state, h, 2)
+    return run(lambda sys_, s, hh: reduced_rattle_step(sys_, s, hh), rsys, state, h, 2)
 
 
 @pytest.mark.parametrize(
@@ -276,6 +277,105 @@ def test_run_chaplygin_replay_residual_bound():
     params = ChaplyginParams(m=1.0, r=1.0, omega=1.0, i1=2 / 3, i2=2 / 3, i3=2 / 3)
     traj = run(None, params, (np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0])), 0.1, 500)
     assert np.max(traj.residuals) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# three-point recurrence runs and residual forms
+
+
+def test_run_three_point_rows_match_direct_recurrence():
+    sys = model.nonholonomic_particle("harmonic")
+    s0 = _particle_initial(sys)
+    ld = gni_flat.verlet_lagrangian(sys)
+    h = 0.05
+    traj = run(ld, sys, s0, h, 6)
+    assert len(traj) == 7
+    assert traj.states[0] is s0
+
+    qs = [s0.q, gni_flat.rattle_step(sys, s0, h).q]
+    iters = [0]
+    for k in range(1, 7):
+        q_next, it = gni_flat.gni_generic_step_stats(ld, sys, qs[k - 1], qs[k], h)
+        qs.append(q_next)
+        iters.append(it)
+    for k in range(1, 7):
+        assert np.array_equal(traj.states[k].q, qs[k])
+        p_bar = sys.mass_matrix @ (qs[k + 1] - qs[k - 1]) / (2.0 * h)
+        assert np.array_equal(traj.states[k].p, p_bar)
+    assert traj.newton_iters.tolist() == iters
+    residuals = [np.max(np.abs(constraint_residual(sys, s))) for s in traj.states]
+    assert np.array_equal(traj.residuals, residuals)
+    assert np.max(traj.residuals) <= 1e-10
+
+
+def test_run_three_point_failure_keeps_rows_before_failing_step(monkeypatch):
+    sys = model.nonholonomic_particle("harmonic")
+    s0 = _particle_initial(sys)
+    ld = gni_flat.verlet_lagrangian(sys)
+    full = run(ld, sys, s0, 0.05, 6)
+    step_stats = analysis.gni_generic_step_stats
+    calls = {"n": 0}
+
+    def failing_at_4(*args):
+        calls["n"] += 1
+        if calls["n"] == 4:
+            raise NoConvergence(50, 1.0)
+        return step_stats(*args)
+
+    monkeypatch.setattr(analysis, "gni_generic_step_stats", failing_at_4)
+    with pytest.raises(StepFailed) as excinfo:
+        run(ld, sys, s0, 0.05, 6)
+    err = excinfo.value
+    assert err.step == 4
+    assert isinstance(err.cause, NoConvergence)
+    assert len(err.partial) == 4  # rows 0..3
+    for k in range(4):
+        assert np.array_equal(err.partial.states[k].p, full.states[k].p)
+    assert np.array_equal(err.partial.residuals, full.residuals[:4])
+
+
+def test_run_reports_the_residual_form_it_is_given():
+    sys = model.nonholonomic_particle("harmonic")
+    h = 0.05
+    s0 = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="euler_a", h=h)
+    seen = []
+
+    def form(states):
+        seen.append(len(states))
+        return [gni_flat.scheme_constraint_residual(sys, s, h, "euler_a") for s in states]
+
+    traj = run(gni_flat.euler_a_step, sys, s0, h, 5, residual=form)
+    assert seen == [6]  # one pass over the rows
+    expected = [
+        np.max(np.abs(gni_flat.scheme_constraint_residual(sys, s, h, "euler_a")))
+        for s in traj.states
+    ]
+    assert np.array_equal(traj.residuals, expected)
+    assert np.max(traj.residuals) <= 1e-12
+    # The momentum form, the default, is off by the half-step potential shift.
+    assert np.max(run(gni_flat.euler_a_step, sys, s0, h, 5).residuals) > 1e-4
+    assert not np.any(run(gni_flat.euler_a_step, sys, s0, h, 5, residual=False).residuals)
+
+
+def test_run_chaplygin_without_residuals_keeps_states_and_energies():
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
+    full = run(None, params, initial, 0.05, 10)
+    bare = run(None, params, initial, 0.05, 10, residual=False)
+    assert np.array_equal(bare.states, full.states)
+    assert np.array_equal(bare.energies, full.energies)
+    assert not np.any(bare.residuals)
+    assert np.max(full.residuals) > 0.0
+
+
+def test_state_values_are_the_fields_but_the_multiplier():
+    sys = model.nonholonomic_particle("harmonic")
+    s = _particle_initial(sys)
+    assert np.array_equal(state_values(s), np.concatenate([s.q, s.p]))
+    r = ReducedState([1.0, 2.0], [3.0, 4.0], [5.0, 6.0, 7.0], [8.0, 9.0, 10.0], [11.0, 12.0])
+    assert state_values(r).tolist() == [float(x) for x in range(1, 11)]
+    row = np.arange(5.0)
+    assert state_values(row) is row
 
 
 # ---------------------------------------------------------------------------

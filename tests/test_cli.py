@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 from gni import cli
+from gni.gni_flat import scheme_constraint_residual
+from gni.gni_reduced import (
+    chaplygin_init,
+    chaplygin_reduced_system,
+    chaplygin_scheme_residual,
+    chaplygin_step,
+    reduced_scheme_residual,
+)
+from gni.model import PhaseState, ReducedState, constraint_residual
 from gni.cli import (
     INTEGRATORS,
     SYSTEMS,
@@ -140,6 +149,15 @@ def test_parse_missing_names():
     with pytest.raises(ValidationError) as excinfo:
         parse_config("[system]\nname = chaplygin\n[run]\nh = 0.1\nN = 5\n")
     assert excinfo.value.field == "integrator"
+
+
+@pytest.mark.parametrize("line", ["seed = 0", "suite = all"])
+def test_parse_rejects_removed_run_keys(line):
+    text = MINIMAL_SPHERE + line + "\n"
+    with pytest.raises(ParseError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.line == len(text.splitlines())
+    assert line.split()[0] in excinfo.value.message
 
 
 def test_roundtrip_parse_format_parse():
@@ -315,6 +333,84 @@ def test_simulate_reduced_sphere(tmp_path):
     assert np.max(rows[:, 13]) <= 1e-10
 
 
+PLANAR_AFFINE = """\
+[system]
+name = constrained_2d
+affine = 0.3, -0.2
+
+[integrator]
+name = rattle_affine
+
+[run]
+h = 0.05
+N = 8
+"""
+
+
+def _read_csv(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), np.array([[float(x) for x in row.split(",")] for row in rows])
+
+
+@pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
+def test_constraint_column_is_the_preserved_form(tmp_path, integrator):
+    # The column holds, row by row, the residual of the constraint form the
+    # integrator preserves, recomputed here from the written state values.
+    h = 0.05
+    if integrator == "rattle_affine":
+        text = PLANAR_AFFINE
+    elif integrator in ("reduced_rattle", "chaplygin_gni"):
+        text = (CONFIG_DIR / "sphere_reduced.cfg").read_text().replace("T = 5.0", "N = 8")
+        if integrator == "chaplygin_gni":
+            text = text.replace("name = reduced_rattle\nretraction = cay", "name = chaplygin_gni")
+    else:
+        text = PARTICLE_TEMPLATE.format(integrator=integrator).replace("T = 0.5", "N = 8")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    names, table = _read_csv(out)
+    column = table[:, names.index("constraint_res")]
+    values = table[:, 2 : names.index("energy")]
+    cfg = parse_config(text)
+
+    if integrator == "chaplygin_gni":
+        params = cli._build_sphere_params(cfg)
+        q0, w0 = cli._sphere_initial(cfg)
+        qs, ws = [q0, chaplygin_init(params, q0, w0, h)], [w0]
+        for k in range(1, 9):
+            q_next, w = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
+            qs.append(q_next)
+            ws.append(w)
+        assert np.array_equal(values, np.hstack([qs[:9], ws]))
+        expected = [0.0] + [
+            np.max(np.abs(chaplygin_scheme_residual(
+                params, qs[k - 1], qs[k], qs[k + 1], ws[k - 1], ws[k], h
+            )))
+            for k in range(1, 9)
+        ]
+    elif integrator == "reduced_rattle":
+        rsys = chaplygin_reduced_system(cli._build_sphere_params(cfg))
+        states = [ReducedState(v[:2], v[2:4], v[4:7], v[7:10], np.zeros(2)) for v in values]
+        expected = [0.0] + [
+            np.max(np.abs(reduced_scheme_residual(rsys, a, b, h, "cay")))
+            for a, b in zip(states, states[1:])
+        ]
+        assert column[0] == 0.0
+    else:
+        sys = cli._build_flat_system(cfg)
+        states = [PhaseState(v[: sys.dim], v[sys.dim :], np.zeros(1)) for v in values]
+        if integrator in ("euler_a", "euler_b"):
+            expected = [
+                np.max(np.abs(scheme_constraint_residual(sys, s, h, integrator)))
+                for s in states
+            ]
+        else:
+            expected = [np.max(np.abs(constraint_residual(sys, s))) for s in states]
+    assert np.array_equal(column, expected)
+    assert np.max(column) <= 1e-10
+
+
 def test_simulate_byte_identical_reruns(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -370,6 +466,33 @@ def test_sweep_csv_and_summary(tmp_path, capsys):
     assert 1.8 <= slopes["# slope_energy"] <= 2.2
     rows = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
     assert rows.shape == (4, 4)
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_sweep_reduced_rattle_second_order_in_position(tmp_path, capsys, retraction):
+    text = (CONFIG_DIR / "sphere_reduced.cfg").read_text()
+    text = text.replace("retraction = cay", f"retraction = {retraction}")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text.replace("h = 0.05\nT = 5.0", "h_list = 0.1, 0.05, 0.025\nT = 1.0"))
+    out = tmp_path / "conv.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    slopes = {
+        line.split("=")[0]: float(line.split("=")[1])
+        for line in out.read_text().splitlines()
+        if line.startswith("# slope_")
+    }
+    assert 1.8 <= slopes["# slope_pos"] <= 2.2
+
+
+@pytest.mark.parametrize("verb, config", [
+    ("simulate", "particle_euler_a.cfg"),
+    ("sweep", "particle_rattle_sweep.cfg"),
+])
+def test_simulate_and_sweep_take_no_seed_flag(tmp_path, capsys, verb, config):
+    out = tmp_path / "x.csv"
+    args = [verb, "--config", str(CONFIG_DIR / config), "--out", str(out), "--seed", "1"]
+    assert main(args) == 2
+    assert not out.exists()
 
 
 def test_sweep_rejects_simulate_config(tmp_path):

@@ -194,7 +194,7 @@ def test_reduced_step_zero_h_is_identity():
         np.array([-0.2, 0.0, 0.4]),
         0.1,
     )
-    assert reduced_rattle_step(rsys, ld, s, 0.0) is s
+    assert reduced_rattle_step(rsys, s, 0.0) is s
 
 
 def test_reduced_step_rest_state_is_fixed_point():
@@ -202,7 +202,7 @@ def test_reduced_step_rest_state_is_fixed_point():
     rsys = chaplygin_reduced_system(params)
     ld = standard_retracted_lagrangian(rsys)
     s = ReducedState(np.zeros(2), np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(2))
-    out = reduced_rattle_step(rsys, ld, s, 0.05)
+    out = reduced_rattle_step(rsys, s, 0.05)
     np.testing.assert_allclose(out.x, np.zeros(2), atol=1e-15)
     np.testing.assert_allclose(out.p, np.zeros(2), atol=1e-15)
     np.testing.assert_allclose(out.xi, np.zeros(3), atol=1e-15)
@@ -229,7 +229,7 @@ def test_reduced_step_free_motion_straight_line_and_constant_spin():
     s = ReducedState(np.array([0.1, -0.3]), np.array([0.8, -0.4]), xi0, p_alg0, np.zeros(0))
     states = [s]
     for _ in range(20):
-        states.append(reduced_rattle_step(rsys, ld, states[-1], h))
+        states.append(reduced_rattle_step(rsys, states[-1], h))
     for k, st in enumerate(states):
         np.testing.assert_allclose(
             st.x, states[0].x + k * h * (states[0].p / 2.0), atol=1e-12
@@ -270,7 +270,7 @@ def test_reduced_step_shape_part_degenerates_to_flat_rattle():
     )
     fs = prepare_state(flat, rs.x, np.linalg.solve(mass, rs.p))
     for _ in range(20):
-        rs = reduced_rattle_step(rsys, ld, rs, h)
+        rs = reduced_rattle_step(rsys, rs, h)
         fs = rattle_step(flat, fs, h)
     np.testing.assert_allclose(rs.x, fs.q, atol=1e-12)
     np.testing.assert_allclose(rs.p, fs.p, atol=1e-12)
@@ -297,7 +297,7 @@ def test_reduced_step_matches_specialized_rolling_sphere():
 
     tol = 10 * h * h
     for j in range(1, 10):
-        s = reduced_rattle_step(rsys, ld, s, h)
+        s = reduced_rattle_step(rsys, s, h)
         assert np.max(np.abs(s.x - qs[j])) <= tol
         assert np.max(np.abs(s.xi - ws[j])) <= tol
 
@@ -310,7 +310,7 @@ def test_reduced_scheme_residual_small_along_trajectory():
         params, np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0]), 0.1
     )
     for _ in range(50):
-        s_new = reduced_rattle_step(rsys, ld, s, 0.1)
+        s_new = reduced_rattle_step(rsys, s, 0.1)
         res = reduced_scheme_residual(rsys, s, s_new, 0.1)
         assert np.max(np.abs(res)) <= 1e-10
         s = s_new
@@ -326,8 +326,8 @@ def test_reduced_step_exp_retraction_close_to_cay():
     )
     sc = se = s0
     for _ in range(5):
-        sc = reduced_rattle_step(rsys, ld, sc, h, retraction="cay")
-        se = reduced_rattle_step(rsys, ld, se, h, retraction="exp")
+        sc = reduced_rattle_step(rsys, sc, h, retraction="cay")
+        se = reduced_rattle_step(rsys, se, h, retraction="exp")
     # Retractions agree to second order in the increment.
     assert np.max(np.abs(sc.x - se.x)) < 10 * h * h
     assert np.max(np.abs(sc.xi - se.xi)) < 10 * h * h
@@ -339,7 +339,7 @@ def test_reduced_step_rejects_unknown_retraction():
     ld = standard_retracted_lagrangian(rsys)
     s = chaplygin_initial_reduced_state(params, np.zeros(2), np.zeros(3), 0.1)
     with pytest.raises(ValueError):
-        reduced_rattle_step(rsys, ld, s, 0.1, retraction="polar")
+        reduced_rattle_step(rsys, s, 0.1, retraction="polar")
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +455,7 @@ def test_reduced_step_agrees_with_finite_difference_stage3(retraction, steps):
     cfg = NewtonConfig()
     worst = 0.0
     for _ in range(steps):
-        new = reduced_rattle_step(rsys, ld, new, h, retraction=retraction, cfg=cfg)
+        new = reduced_rattle_step(rsys, new, h, retraction=retraction, cfg=cfg)
         old = _old_reduced_step(rsys, ld, old, h, retraction=retraction)
         for name in ("x", "p", "xi", "p_alg", "lam"):
             worst = max(worst, np.max(np.abs(getattr(new, name) - getattr(old, name))))
@@ -474,7 +474,7 @@ def test_reduced_step_agrees_with_finite_difference_stage3_coupled_metric(retrac
         np.array([0.3, -0.2]), np.array([0.5, 0.1]), xi0, dcay_inv(h * xi0).T @ xi0, np.zeros(0)
     )
     for _ in range(200):
-        new = reduced_rattle_step(rsys, ld, new, h, retraction=retraction)
+        new = reduced_rattle_step(rsys, new, h, retraction=retraction)
         old = _old_reduced_step(rsys, ld, old, h, retraction=retraction)
         for name in ("x", "p", "xi", "p_alg"):
             assert np.max(np.abs(getattr(new, name) - getattr(old, name))) <= 1e-9
@@ -488,7 +488,7 @@ def test_reduced_step_stage3_no_convergence():
         params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), 0.05
     )
     with pytest.raises(NoConvergence) as excinfo:
-        reduced_rattle_step(rsys, ld, s, 0.05, cfg=NewtonConfig(max_iters=1))
+        reduced_rattle_step(rsys, s, 0.05, cfg=NewtonConfig(max_iters=1))
     assert excinfo.value.iterations == 1
     assert excinfo.value.final_residual > 1e-12
 
@@ -504,7 +504,7 @@ def test_reduced_step_stage3_singular_jacobian(monkeypatch):
         np.zeros(2), np.array([0.3, -0.2]), np.zeros(3), np.array([0.1, 0.2, 0.3]), np.zeros(2)
     )
     with pytest.raises(SingularMatrix):
-        reduced_rattle_step(rsys, ld, s, 0.05)
+        reduced_rattle_step(rsys, s, 0.05)
 
 
 # ---------------------------------------------------------------------------
