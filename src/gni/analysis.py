@@ -14,17 +14,12 @@ from typing import Dict, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from . import model
+from . import gni_reduced, model
 from .gni_flat import DiscreteLagrangian, gni_generic_step_stats, rattle_step
 from .lie_so3 import dcay
 from .model import PhaseState, ReducedState, constraint_residual, energy
 from .numerics import NoConvergence, SingularMatrix, default_newton_config
-from .gni_reduced import (
-    ChaplyginParams,
-    chaplygin_init,
-    chaplygin_scheme_residual,
-    chaplygin_step_stats,
-)
+from .gni_reduced import ChaplyginParams, chaplygin_init, chaplygin_scheme_residual
 
 __all__ = [
     "BelowNoiseFloor",
@@ -220,7 +215,8 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
       (2h)``, the average of the discrete pre- and post-momenta that the
       scheme keeps on the constraint;
     * when ``system`` is a :class:`ChaplyginParams`, the rolling-sphere
-      two-point recurrence of :func:`chaplygin_step_stats` (``stepper`` is
+      two-point recurrence, stepped by one float kernel per run
+      (:func:`gni.gni_reduced._chaplygin_stepper`; ``stepper`` is
       ignored).  ``initial`` is the pair ``(q0, w0)`` of contact point and
       body angular velocity, and rows pack ``[x, y, w1, w2, w3]`` where
       ``w`` is the angular velocity of the interval starting at that row's
@@ -316,21 +312,26 @@ def _three_point_recurrence(ld, system, initial, h, n_steps, residual):
 
 
 def _sphere_recurrence(params, initial, h, n_steps, residual):
-    cfg = default_newton_config()
+    # One float row [x, y, w1, w2, w3] per step; row N+1 holds only the
+    # position that closes the last central difference.
+    step = gni_reduced._chaplygin_stepper(params, h, default_newton_config())
     q0, w0 = initial
-    qs = np.empty((n_steps + 2, 2))
-    ws = np.empty((n_steps + 1, 3))
+    rows = np.empty((n_steps + 2, 5))
     iters = np.zeros(n_steps + 1, dtype=int)
-    qs[0] = q0
-    qs[1] = chaplygin_init(params, q0, w0, h)
-    ws[0] = w0
+    rows[0, :2] = q0
+    rows[0, 2:] = w0
+    rows[1, :2] = chaplygin_init(params, q0, w0, h)
+    flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
 
     def advance(k):
-        qs[k + 1], ws[k], iters[k] = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h, cfg)
+        i = 5 * k
+        (flat[i + 5], flat[i + 6], flat[i + 2], flat[i + 3], flat[i + 4], counts[k]) = step(
+            flat[i - 5], flat[i - 4], flat[i], flat[i + 1], flat[i - 3], flat[i - 2], flat[i - 1]
+        )
 
     def assemble(n_rows):
         return _assemble_chaplygin(
-            params, qs[: n_rows + 1], ws[:n_rows], iters[:n_rows], h, residual is not False
+            params, rows[: n_rows + 1], iters[:n_rows], h, residual is not False
         )
 
     return advance, assemble
@@ -339,42 +340,44 @@ def _sphere_recurrence(params, initial, h, n_steps, residual):
 def _check_admissible(system, state, h: float) -> None:
     """Reject initial states off the admissible set.
 
-    The plain momentum-form residual is compared against a tolerance that
-    allows for the one-sided schemes' half-step potential shift (and, on
-    the reduced side, the offset ``p_alg - dcay(h xi)^T p_alg`` that the
-    ``dcay_inv`` seeding of
+    Each row of the plain momentum-form residual is compared against a
+    tolerance that allows, in that row, for the one-sided schemes'
+    half-step potential shift (and, on the reduced side, the offset
+    ``p_alg - dcay(h xi)^T p_alg`` that the ``dcay_inv`` seeding of
     :func:`gni.gni_reduced.chaplygin_initial_reduced_state` puts into the
     body momentum: the O(h) tilt ``h/2 xi x p_alg`` plus its O(h^2) part),
     so states prepared for any built-in scheme pass while genuinely
-    inadmissible data is caught.
+    inadmissible data is caught.  The comparison is on magnitudes: a state
+    seeded at ``h = 0`` has no offset but is still checked at ``h``.
     """
-    res = _inf_norm(constraint_residual(system, state))
-    slack = 0.0
+    res = np.asarray(constraint_residual(system, state), dtype=float)
+    slack = np.zeros_like(res)
     if isinstance(state, PhaseState):
         mu = system.constraint_matrix(state.q)
         if mu.shape[0]:
-            shift = mu @ (system.mass_inv @ system.grad_potential(state.q))
-            slack = 0.5 * h * _inf_norm(shift)
+            slack = 0.5 * h * (mu @ (system.mass_inv @ system.grad_potential(state.q)))
     elif isinstance(state, ReducedState):
         rows = system.annihilator_matrix(state.x)
         if rows.shape[0]:
             offset = state.p_alg - dcay(h * state.xi).T @ state.p_alg
             tilt = np.concatenate([0.5 * h * system.grad_potential(state.x), offset])
-            slack = _inf_norm(rows @ (system.metric_inv @ tilt))
-    if res > _ADMISSIBLE_TOL + slack:
+            slack = rows @ (system.metric_inv @ tilt)
+    if np.any(np.abs(res) > _ADMISSIBLE_TOL + np.abs(slack)):
         raise ValueError(
-            f"initial state is not admissible: constraint residual {res:.3e}"
+            f"initial state is not admissible: constraint residual {_inf_norm(res):.3e}"
         )
 
 
-def _assemble_chaplygin(params, qs, ws, iters, h, diagnostics) -> Trajectory:
-    """Rows from ``qs`` (one more than the rows) and ``ws`` (one per row).
+def _assemble_chaplygin(params, rows, iters, h, diagnostics) -> Trajectory:
+    """Trajectory of the rows of ``rows`` but its last, whose position
+    closes the last central difference.
 
     Row 0's contact velocity is the forward difference, later rows' the
     central one.  The stacked ``matmul`` dot products give the same bits
     as one ``v @ v`` per row.
     """
-    n_rows = len(ws)
+    n_rows = len(rows) - 1
+    qs, ws = rows[:, :2], rows[:n_rows, 2:]
     v = np.empty((n_rows, 2))
     v[0] = (qs[1] - qs[0]) / h
     v[1:] = (qs[2 : n_rows + 1] - qs[: n_rows - 1]) / (2.0 * h)
@@ -389,7 +392,7 @@ def _assemble_chaplygin(params, qs, ws, iters, h, diagnostics) -> Trajectory:
         residuals[1:] = np.max(np.abs(res), axis=1)
     return Trajectory(
         times=h * np.arange(n_rows),
-        states=np.hstack([qs[:n_rows], ws]),
+        states=rows[:n_rows],
         energies=energies,
         residuals=residuals,
         newton_iters=iters,
@@ -723,7 +726,7 @@ def _mini_sweep(stepper, system, initial, T, h_list, channel="position"):
 
 
 def _suite_steppers(seed: int):
-    from . import gni_flat, gni_reduced
+    from . import gni_flat
 
     results = []
     sys = model.nonholonomic_particle("harmonic")

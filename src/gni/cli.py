@@ -95,15 +95,13 @@ class Integrator:
     cfg)`` returns the stepper :func:`gni.analysis.run` advances; it looks
     its step up in the step's module when called, so a wrapper bound there
     is the one used.  ``columns`` names the CSV state columns (``None``:
-    named after the flat system's dimension), and ``sweeps`` says whether
-    ``gni sweep`` takes the integrator.
+    named after the flat system's dimension).
     """
 
     kind: str
     form: str
     stepper: Callable
     columns: Optional[Tuple[str, ...]] = None
-    sweeps: bool = True
 
 
 def _reduced_stepper(system, cfg: RunConfig):
@@ -122,7 +120,7 @@ INTEGRATORS = {
     "rattle": Integrator("flat", "rattle", lambda system, cfg: gni_flat.rattle_step),
     "rattle_affine": Integrator("flat", "rattle", lambda system, cfg: gni_flat.rattle_step),
     "gni_generic": Integrator(
-        "flat", "rattle", lambda system, cfg: gni_flat.verlet_lagrangian(system), sweeps=False
+        "flat", "rattle", lambda system, cfg: gni_flat.verlet_lagrangian(system)
     ),
     "reduced_rattle": Integrator(
         "sphere",
@@ -457,10 +455,6 @@ def _validate(cfg: RunConfig) -> None:
             entry.form == "reduced",
             "retraction",
             "only meaningful for reduced_rattle",
-        )
-    if not entry.sweeps:
-        _require(
-            cfg.h_list is None, "integrator", f"{cfg.integrator} supports simulate only"
         )
 
 

@@ -444,7 +444,7 @@ def chaplygin_step(
     NoConvergence
         If the Newton budget is exhausted.
     """
-    q_next, w, _iters, _res = _chaplygin_newton(params, q_prev, q_curr, w_prev, h, cfg)
+    q_next, w, _iters = chaplygin_step_stats(params, q_prev, q_curr, w_prev, h, cfg)
     return q_next, w
 
 
@@ -457,24 +457,38 @@ def chaplygin_step_stats(
     cfg: Optional[NewtonConfig] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Like :func:`chaplygin_step` but also returns the number of accepted
-    Newton updates (used as a per-step diagnostic)."""
-    q_next, w, iters, _res = _chaplygin_newton(params, q_prev, q_curr, w_prev, h, cfg)
-    return q_next, w, iters
+    Newton updates (used as a per-step diagnostic).  Both are one step of
+    :func:`_chaplygin_stepper` on arrays."""
+    step = _chaplygin_stepper(params, h, cfg)
+    x1, y1, w1, w2, w3, iters = step(
+        float(q_prev[0]), float(q_prev[1]), float(q_curr[0]), float(q_curr[1]),
+        float(w_prev[0]), float(w_prev[1]), float(w_prev[2]),
+    )
+    return np.array([x1, y1]), np.array([w1, w2, w3]), iters
 
 
-def _chaplygin_newton(params, q_prev, q_curr, w_prev, h, cfg=None):
-    """Scalar-arithmetic Newton core for the five-equation step.
+def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonConfig] = None):
+    """The rolling-sphere Newton core as a function on plain floats.
 
-    Returns (q_next, w_curr, iterations, final_residual_norm).  Written
-    with plain floats: sweeps take hundreds of thousands of steps and this
-    loop is the hot path.
+    Returns ``step(xm, ym, x0, y0, v1, v2, v3) -> (x1, y1, w1, w2, w3,
+    iters)``: from the previous and current contact points and the
+    previous interval velocity, the next contact point, the current
+    interval velocity and the number of accepted Newton updates.  The
+    constants that depend only on ``params``, ``h`` and ``cfg`` are
+    computed here, once per run: sweeps take hundreds of thousands of
+    steps and ``step`` is the hot path.  Each hoisted constant is a
+    leading factor of the product it stands in, so left-to-right
+    evaluation gives every residual and Jacobian entry the same bits as
+    the expanded expression.
 
     Convergence is measured on row-scaled residuals (momentum-balance rows
     by h/(m r), constraint rows by 2h, spin row by 1/i3) so that the test
     is in position/velocity units and independent of step size; the raw
     equations carry 1/h leading terms whose evaluation noise would swamp
     an absolute tolerance at fine resolution.  Row scaling leaves the
-    Newton updates themselves unchanged.
+    Newton updates themselves unchanged.  ``step`` raises
+    :class:`~gni.numerics.NoConvergence` when the budget is exhausted or
+    the Newton system is singular.
     """
     if cfg is None:
         cfg = default_newton_config()
@@ -483,23 +497,11 @@ def _chaplygin_newton(params, q_prev, q_curr, w_prev, h, cfg=None):
 
     m, r, om = params.m, params.r, params.omega
     i1, i2, i3 = params.i1, params.i2, params.i3
-    x0, y0 = float(q_curr[0]), float(q_curr[1])
-    xm, ym = float(q_prev[0]), float(q_prev[1])
-    v1, v2, v3 = float(w_prev[0]), float(w_prev[1]), float(w_prev[2])
-
-    sv = i1 * v1 * v1 + i2 * v2 * v2 + i3 * v3 * v3
     mr_h = m * r / h
     inv2h = 1.0 / (2.0 * h)
     h2_4 = 0.25 * h * h
-    # Constant (known) parts of the five residuals.
-    c1 = -mr_h * (2.0 * x0 - xm) - i2 * v2 + 0.5 * h * (i1 - i3) * v1 * v3 - h2_4 * v2 * sv
-    c2 = -mr_h * (2.0 * y0 - ym) + i1 * v1 - 0.5 * h * (i3 - i2) * v2 * v3 + h2_4 * v1 * sv
-    c3 = -i3 * v3 + 0.5 * h * (i2 - i1) * v1 * v2 - h2_4 * v3 * sv
-    c4 = -xm * inv2h + om * y0 - 0.5 * r * v2 + 0.25 * r * h * ((i1 - i3) / i2) * v1 * v3 \
-        - (r * h * h / (8.0 * i2)) * v2 * sv
-    c5 = -ym * inv2h - om * x0 + 0.5 * r * v1 - 0.25 * r * h * ((i3 - i2) / i1) * v2 * v3 \
-        + (r * h * h / (8.0 * i1)) * v1 * sv
-
+    h2_2 = 2.0 * h2_4
+    half_r = 0.5 * r
     k13 = 0.5 * h * (i1 - i3)
     k32 = 0.5 * h * (i3 - i2)
     k21 = 0.5 * h * (i2 - i1)
@@ -507,84 +509,93 @@ def _chaplygin_newton(params, q_prev, q_curr, w_prev, h, cfg=None):
     a5 = 0.25 * r * h * ((i3 - i2) / i1)
     b4 = r * h * h / (8.0 * i2)
     b5 = r * h * h / (8.0 * i1)
+    # Leading factors of the Jacobian entries.
+    hi1, hi2, hi3 = h2_2 * i1, h2_2 * i2, h2_2 * i3
+    di1, di2, di3 = 2.0 * i1, 2.0 * i2, 2.0 * i3
+    b4i1, b4i3 = 2.0 * b4 * i1, 2.0 * b4 * i3
+    b5i2, b5i3 = 2.0 * b5 * i2, 2.0 * b5 * i3
 
     # Row scales bringing each residual to position/velocity units.
     s12 = h / (m * r)
     s3 = 1.0 / i3
     s45 = 2.0 * h
-
-    def residual(xp, yp, w1, w2, w3):
-        s = i1 * w1 * w1 + i2 * w2 * w2 + i3 * w3 * w3
-        f1 = s12 * (mr_h * xp + i2 * w2 + k13 * w1 * w3 + h2_4 * w2 * s + c1)
-        f2 = s12 * (mr_h * yp - i1 * w1 - k32 * w2 * w3 - h2_4 * w1 * s + c2)
-        f3 = s3 * (i3 * w3 + k21 * w1 * w2 + h2_4 * w3 * s + c3)
-        f4 = s45 * (inv2h * xp - 0.5 * r * w2 - a4 * w1 * w3 - b4 * w2 * s + c4)
-        f5 = s45 * (inv2h * yp + 0.5 * r * w1 + a5 * w2 * w3 + b5 * w1 * s + c5)
-        return f1, f2, f3, f4, f5, s
-
-    # Predictor.
-    xp, yp = 2.0 * x0 - xm, 2.0 * y0 - ym
-    w1, w2, w3 = v1, v2, v3
-    f1, f2, f3, f4, f5, s = residual(xp, yp, w1, w2, w3)
-    norm = max(abs(f1), abs(f2), abs(f3), abs(f4), abs(f5))
-
     # Jacobian entries of the shape unknowns (columns 0 and 1) are constant.
-    h2_2 = 2.0 * h2_4
     jac_mom = s12 * mr_h
     jac_con = s45 * inv2h
 
-    for iteration in range(max_iters):
-        if norm <= tol:
-            return (
-                np.array([xp, yp]),
-                np.array([w1, w2, w3]),
-                iteration,
-                norm,
+    def step(xm, ym, x0, y0, v1, v2, v3):
+        sv = i1 * v1 * v1 + i2 * v2 * v2 + i3 * v3 * v3
+        # Constant (known) parts of the five residuals.
+        c1 = -mr_h * (2.0 * x0 - xm) - i2 * v2 + k13 * v1 * v3 - h2_4 * v2 * sv
+        c2 = -mr_h * (2.0 * y0 - ym) + i1 * v1 - k32 * v2 * v3 + h2_4 * v1 * sv
+        c3 = -i3 * v3 + k21 * v1 * v2 - h2_4 * v3 * sv
+        c4 = -xm * inv2h + om * y0 - half_r * v2 + a4 * v1 * v3 - b4 * v2 * sv
+        c5 = -ym * inv2h - om * x0 + half_r * v1 - a5 * v2 * v3 + b5 * v1 * sv
+
+        def residual(xp, yp, w1, w2, w3):
+            s = i1 * w1 * w1 + i2 * w2 * w2 + i3 * w3 * w3
+            f1 = s12 * (mr_h * xp + i2 * w2 + k13 * w1 * w3 + h2_4 * w2 * s + c1)
+            f2 = s12 * (mr_h * yp - i1 * w1 - k32 * w2 * w3 - h2_4 * w1 * s + c2)
+            f3 = s3 * (i3 * w3 + k21 * w1 * w2 + h2_4 * w3 * s + c3)
+            f4 = s45 * (inv2h * xp - half_r * w2 - a4 * w1 * w3 - b4 * w2 * s + c4)
+            f5 = s45 * (inv2h * yp + half_r * w1 + a5 * w2 * w3 + b5 * w1 * s + c5)
+            return f1, f2, f3, f4, f5, s
+
+        # Predictor.
+        xp, yp = 2.0 * x0 - xm, 2.0 * y0 - ym
+        w1, w2, w3 = v1, v2, v3
+        f1, f2, f3, f4, f5, s = residual(xp, yp, w1, w2, w3)
+        norm = max(abs(f1), abs(f2), abs(f3), abs(f4), abs(f5))
+
+        for iteration in range(max_iters):
+            if norm <= tol:
+                return xp, yp, w1, w2, w3, iteration
+            delta = _solve_sphere(
+                jac_mom,
+                s12 * (k13 * w3 + hi1 * w1 * w2),
+                s12 * (i2 + h2_4 * (s + di2 * w2 * w2)),
+                s12 * (k13 * w1 + hi3 * w3 * w2),
+                jac_mom,
+                s12 * (-i1 - h2_4 * (s + di1 * w1 * w1)),
+                s12 * (-k32 * w3 - hi2 * w2 * w1),
+                s12 * (-k32 * w2 - hi3 * w3 * w1),
+                s3 * (k21 * w2 + hi1 * w1 * w3),
+                s3 * (k21 * w1 + hi2 * w2 * w3),
+                s3 * (i3 + h2_4 * (s + di3 * w3 * w3)),
+                jac_con,
+                s45 * (-a4 * w3 - b4i1 * w1 * w2),
+                s45 * (-half_r - b4 * (s + di2 * w2 * w2)),
+                s45 * (-a4 * w1 - b4i3 * w3 * w2),
+                jac_con,
+                s45 * (half_r + b5 * (s + di1 * w1 * w1)),
+                s45 * (a5 * w3 + b5i2 * w2 * w1),
+                s45 * (a5 * w2 + b5i3 * w3 * w1),
+                -f1, -f2, -f3, -f4, -f5,
             )
-        delta = _solve_sphere(
-            jac_mom,
-            s12 * (k13 * w3 + h2_2 * i1 * w1 * w2),
-            s12 * (i2 + h2_4 * (s + 2.0 * i2 * w2 * w2)),
-            s12 * (k13 * w1 + h2_2 * i3 * w3 * w2),
-            jac_mom,
-            s12 * (-i1 - h2_4 * (s + 2.0 * i1 * w1 * w1)),
-            s12 * (-k32 * w3 - h2_2 * i2 * w2 * w1),
-            s12 * (-k32 * w2 - h2_2 * i3 * w3 * w1),
-            s3 * (k21 * w2 + h2_2 * i1 * w1 * w3),
-            s3 * (k21 * w1 + h2_2 * i2 * w2 * w3),
-            s3 * (i3 + h2_4 * (s + 2.0 * i3 * w3 * w3)),
-            jac_con,
-            s45 * (-a4 * w3 - 2.0 * b4 * i1 * w1 * w2),
-            s45 * (-0.5 * r - b4 * (s + 2.0 * i2 * w2 * w2)),
-            s45 * (-a4 * w1 - 2.0 * b4 * i3 * w3 * w2),
-            jac_con,
-            s45 * (0.5 * r + b5 * (s + 2.0 * i1 * w1 * w1)),
-            s45 * (a5 * w3 + 2.0 * b5 * i2 * w2 * w1),
-            s45 * (a5 * w2 + 2.0 * b5 * i3 * w3 * w1),
-            -f1, -f2, -f3, -f4, -f5,
-        )
-        if delta is None:
-            raise NoConvergence(iteration, norm)
+            if delta is None:
+                raise NoConvergence(iteration, norm)
 
-        alpha = 1.0
-        for _ in range(8):
-            t1 = xp + alpha * delta[0]
-            t2 = yp + alpha * delta[1]
-            t3 = w1 + alpha * delta[2]
-            t4 = w2 + alpha * delta[3]
-            t5 = w3 + alpha * delta[4]
-            g1, g2, g3, g4, g5, s_t = residual(t1, t2, t3, t4, t5)
-            trial_norm = max(abs(g1), abs(g2), abs(g3), abs(g4), abs(g5))
-            if trial_norm < norm:
-                break
-            alpha *= 0.5
-        xp, yp, w1, w2, w3 = t1, t2, t3, t4, t5
-        f1, f2, f3, f4, f5, s = g1, g2, g3, g4, g5, s_t
-        norm = trial_norm
+            alpha = 1.0
+            for _ in range(8):
+                t1 = xp + alpha * delta[0]
+                t2 = yp + alpha * delta[1]
+                t3 = w1 + alpha * delta[2]
+                t4 = w2 + alpha * delta[3]
+                t5 = w3 + alpha * delta[4]
+                g1, g2, g3, g4, g5, s_t = residual(t1, t2, t3, t4, t5)
+                trial_norm = max(abs(g1), abs(g2), abs(g3), abs(g4), abs(g5))
+                if trial_norm < norm:
+                    break
+                alpha *= 0.5
+            xp, yp, w1, w2, w3 = t1, t2, t3, t4, t5
+            f1, f2, f3, f4, f5, s = g1, g2, g3, g4, g5, s_t
+            norm = trial_norm
 
-    if norm <= tol:
-        return np.array([xp, yp]), np.array([w1, w2, w3]), max_iters, norm
-    raise NoConvergence(max_iters, norm)
+        if norm <= tol:
+            return xp, yp, w1, w2, w3, max_iters
+        raise NoConvergence(max_iters, norm)
+
+    return step
 
 
 def _solve_sphere(
@@ -595,7 +606,7 @@ def _solve_sphere(
     a41, a42, a43, a44,
     b0, b1, b2, b3, b4,
 ):
-    """Solve the 5x5 Newton system of :func:`_chaplygin_newton`.
+    """Solve the 5x5 Newton system of :func:`_chaplygin_stepper`.
 
     ``aij`` are the Jacobian entries; the others are structurally zero:
     columns 0 and 1 are nonzero only in rows 0/3 and 1/4, and row 2 is

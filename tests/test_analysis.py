@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from gni import analysis, gni_flat, model
+from gni import analysis, gni_flat, gni_reduced, model
 from gni.analysis import (
     BelowNoiseFloor,
     ConvergenceReport,
@@ -134,6 +134,25 @@ def test_run_rejects_reduced_state_just_off_its_seeded_form():
         _reduced_sphere_run(params, moved, h)
 
 
+@pytest.mark.parametrize("move", [1e-3, -1e-3])
+def test_run_rejects_reduced_state_moved_in_the_row_without_offset(move):
+    # The seeded sphere_bounded.cfg state carries its whole offset in row 0
+    # (about 0.02).  A move of p[1] by 1e-3 lands in row 1, which has no
+    # offset to allow for, so it is caught in either direction although it
+    # stays below the offset of the other row.
+    params = ChaplyginParams(1.0, 1.0, 1.0, 2 / 3, 2 / 3, 2 / 3)
+    h = 0.1
+    s0 = chaplygin_initial_reduced_state(params, np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0]), h)
+    res = constraint_residual(chaplygin_reduced_system(params), s0)
+    assert abs(res[1]) < 1e-12 < abs(move) < abs(res[0])
+    p = s0.p.copy()
+    p[1] += move
+    moved = ReducedState(s0.x, p, s0.xi, s0.p_alg, s0.lam)
+    with pytest.raises(ValueError, match="admissible"):
+        _reduced_sphere_run(params, moved, h)
+    assert len(_reduced_sphere_run(params, s0, h)) == 3
+
+
 def test_run_accepts_scheme_form_initial_states():
     # States projected onto the one-sided schemes' shifted forms sit O(h)
     # off the plain form and must still be accepted.
@@ -212,16 +231,21 @@ def test_run_chaplygin_failure_keeps_rows_before_failing_step(monkeypatch):
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
     full = run(None, params, initial, 0.05, 10)
-    step_stats = analysis.chaplygin_step_stats
+    make_stepper = gni_reduced._chaplygin_stepper
     calls = {"n": 0}
 
     def failing_at_6(*args):
-        calls["n"] += 1
-        if calls["n"] == 6:
-            raise NoConvergence(50, 1.0)
-        return step_stats(*args)
+        step = make_stepper(*args)
 
-    monkeypatch.setattr(analysis, "chaplygin_step_stats", failing_at_6)
+        def failing_step(*state):
+            calls["n"] += 1
+            if calls["n"] == 6:
+                raise NoConvergence(50, 1.0)
+            return step(*state)
+
+        return failing_step
+
+    monkeypatch.setattr(gni_reduced, "_chaplygin_stepper", failing_at_6)
     with pytest.raises(StepFailed) as excinfo:
         run(None, params, initial, 0.05, 10)
     err = excinfo.value
@@ -232,6 +256,47 @@ def test_run_chaplygin_failure_keeps_rows_before_failing_step(monkeypatch):
     assert np.array_equal(err.partial.energies, full.energies[:6])
     assert np.array_equal(err.partial.residuals, full.residuals[:6])
     assert np.array_equal(err.partial.newton_iters, full.newton_iters[:6])
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 7, 250])
+def test_run_chaplygin_states_have_one_row_per_node(n_steps):
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
+    traj = run(None, params, initial, 0.05, n_steps)
+    assert traj.states.shape == (n_steps + 1, 5)
+    assert len(traj) == len(traj.times) == len(traj.energies) == n_steps + 1
+    assert len(traj.residuals) == len(traj.newton_iters) == n_steps + 1
+    assert np.array_equal(traj.states[0], [1.0, 0.0, -0.2, 0.0, 0.4])
+
+
+@pytest.mark.parametrize("failing_step", [1, 2, 9, 40])
+def test_run_chaplygin_kernel_failure_partial_is_head_of_full_run(monkeypatch, failing_step):
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
+    full = run(None, params, initial, 0.05, 40)
+    make_stepper = gni_reduced._chaplygin_stepper
+
+    def failing_stepper(params_, h, cfg):
+        step = make_stepper(params_, h, cfg)
+        calls = {"n": 0}
+
+        def step_or_fail(*state):
+            calls["n"] += 1
+            if calls["n"] == failing_step:
+                raise NoConvergence(50, 1.0)
+            return step(*state)
+
+        return step_or_fail
+
+    monkeypatch.setattr(gni_reduced, "_chaplygin_stepper", failing_stepper)
+    with pytest.raises(StepFailed) as excinfo:
+        run(None, params, initial, 0.05, 40)
+    err = excinfo.value
+    assert err.step == failing_step
+    assert len(err.partial) == failing_step
+    head = full.head(failing_step)
+    for name in ("times", "states", "energies", "residuals", "newton_iters"):
+        assert np.array_equal(getattr(err.partial, name), getattr(head, name)), name
 
 
 def test_run_rejects_non_finite_rows():

@@ -267,18 +267,6 @@ def test_validate_inertia():
         cli._validate(_sphere_cfg(inertia=(1.0, -1.0, 1.0)))
 
 
-def test_validate_generic_cannot_sweep():
-    with pytest.raises(ValidationError):
-        cli._validate(
-            RunConfig(
-                system="nonholonomic_particle",
-                integrator="gni_generic",
-                h_list=(0.1, 0.05, 0.025),
-                T=1.0,
-            )
-        )
-
-
 # ---------------------------------------------------------------------------
 # main(): simulate
 
@@ -482,6 +470,24 @@ def test_sweep_reduced_rattle_second_order_in_position(tmp_path, capsys, retract
         if line.startswith("# slope_")
     }
     assert 1.8 <= slopes["# slope_pos"] <= 2.2
+
+
+def test_sweep_gni_generic_second_order_in_position(tmp_path, capsys):
+    # The generic three-point recurrence sweeps through the same runner as
+    # the one-step maps, against either reference.
+    text = (CONFIG_DIR / "particle_rattle_sweep.cfg").read_text()
+    text = text.replace("name = rattle", "name = gni_generic")
+    for reference in ("self", "rk4"):
+        cfg = tmp_path / f"{reference}.cfg"
+        cfg.write_text(text.replace("reference = self", f"reference = {reference}"))
+        out = tmp_path / f"{reference}.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        slopes = {
+            line.split("=")[0]: float(line.split("=")[1])
+            for line in out.read_text().splitlines()
+            if line.startswith("# slope_")
+        }
+        assert 1.8 <= slopes["# slope_pos"] <= 2.2
 
 
 @pytest.mark.parametrize("verb, config", [

@@ -15,6 +15,7 @@ from gni.gni_reduced import (
     chaplygin_reduced_system,
     chaplygin_scheme_residual,
     chaplygin_step,
+    chaplygin_step_stats,
     reconstruct,
     reduced_legendre,
     reduced_rattle_step,
@@ -653,6 +654,75 @@ def test_scheme_residual_at_accepted_step_is_tiny():
         assert np.max(np.abs(res)) <= 1e-10
         qs.append(qn)
         ws.append(wn)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+def test_stepper_matches_step_stats_bit_for_bit_over_a_long_run():
+    # The per-run float kernel fed its own outputs, against the array
+    # wrappers fed theirs, on the criterion-06 sphere; the last state and
+    # the Newton work are pinned to the per-call core this kernel replaced.
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    h = 0.01
+    step = gni_reduced._chaplygin_stepper(params, h)
+    q0, w0 = np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])
+    qs, ws = [q0, chaplygin_init(params, q0, w0, h)], [w0]
+    xm, ym, x0, y0 = *qs[0], *qs[1]
+    v = tuple(w0)
+    total_iters = 0
+    for k in range(1, 2001):
+        q_next, w, iters = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
+        x1, y1, *w_float, iters_float = step(xm, ym, x0, y0, *v)
+        np.testing.assert_array_equal(_bits([x1, y1, *w_float]), _bits([*q_next, *w]))
+        assert iters_float == iters
+        q_plain, w_plain = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
+        assert np.array_equal(q_plain, q_next) and np.array_equal(w_plain, w)
+        qs.append(q_next)
+        ws.append(w)
+        xm, ym, x0, y0, v = x0, y0, x1, y1, tuple(w_float)
+        total_iters += iters
+    pinned = [
+        float.fromhex(x)
+        for x in (
+            "-0x1.2f14c5216180bp+2", "0x1.c1d0c68afdafcp+2", "-0x1.322d6bbf59173p+0",
+            "0x1.7364223bb1c03p-1", "0x1.cace33bb5afdfp-1",
+        )
+    ]
+    np.testing.assert_array_equal(_bits([x0, y0, *v]), _bits(pinned))
+    assert total_iters == 3946
+
+
+def test_stepper_damped_step_and_no_convergence_exit():
+    # Off-trajectory inputs: the first state needs one damping halving and
+    # converges after 8 updates; the second halves 336 times and stalls at
+    # a rounding-level residual above the 1e-12 tolerance.  The pinned bits
+    # come from the per-call Newton core this kernel replaced.
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    step = gni_reduced._chaplygin_stepper(params, 1.0)
+    damped = ([-1.0, 2.0], [1.0, 0.0], [-15.0, -24.0, -12.0])
+    *values, iters = step(*damped[0], *damped[1], *damped[2])
+    q_next, w, iters_stats = chaplygin_step_stats(params, *map(np.array, damped), 1.0)
+    pinned = [
+        float.fromhex(x)
+        for x in (
+            "-0x1.799ce0c7ce0c9p+11", "0x1.e6eb333333335p+10", "0x1.569fd924ffe03p+3",
+            "0x1.f1c920d628c1dp+3", "-0x1.10fda9ad100a9p+4",
+        )
+    ]
+    np.testing.assert_array_equal(_bits(values), _bits(pinned))
+    np.testing.assert_array_equal(_bits([*q_next, *w]), _bits(pinned))
+    assert iters == iters_stats == 8
+
+    stalled = ([0.0, -2.0], [1.0, 0.0], [-19.0, 23.0, -27.0])
+    with pytest.raises(NoConvergence) as kernel_exc:
+        step(*stalled[0], *stalled[1], *stalled[2])
+    with pytest.raises(NoConvergence) as stats_exc:
+        chaplygin_step_stats(params, *map(np.array, stalled), 1.0)
+    assert kernel_exc.value.iterations == stats_exc.value.iterations == 50
+    assert kernel_exc.value.final_residual == stats_exc.value.final_residual
+    assert 1e-12 < kernel_exc.value.final_residual < 2e-12
 
 
 def _solve5_reference(a, b, pivots):
