@@ -20,7 +20,7 @@ from gni.gni_reduced import (
     chaplygin_init,
     chaplygin_initial_reduced_state,
     chaplygin_reduced_system,
-    chaplygin_step,
+    chaplygin_step_stats,
     reduced_rattle_step,
 )
 
@@ -34,7 +34,7 @@ def gap_after(params: ChaplyginParams, h: float, n_steps: int, retraction: str) 
     ws = [w0]
     worst = 0.0
     for k in range(1, n_steps + 1):
-        q_next, w_curr = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
+        q_next, w_curr, _ = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
         qs.append(q_next)
         ws.append(w_curr)
         rstate = reduced_rattle_step(rsys, rstate, h, retraction=retraction)

@@ -748,7 +748,7 @@ def _suite_steppers(seed: int):
     worst = 0.0
     q_prev, q_curr = positions[0], positions[1]
     for k in range(2, 51):
-        q_next = gni_flat.gni_generic_step(ld, sys, q_prev, q_curr, 0.01)
+        q_next, _ = gni_flat.gni_generic_step_stats(ld, sys, q_prev, q_curr, 0.01)
         worst = max(worst, _inf_norm(q_next - positions[k]))
         q_prev, q_curr = q_curr, q_next
     results.append(
@@ -793,7 +793,9 @@ def _suite_steppers(seed: int):
     ws = [w0]
     worst = 0.0
     for k in range(1, 6):
-        qn, wn = gni_reduced.chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], hc, newton)
+        qn, wn, _ = gni_reduced.chaplygin_step_stats(
+            params, qs[k - 1], qs[k], ws[k - 1], hc, newton
+        )
         qs.append(qn)
         ws.append(wn)
         rstate = gni_reduced.reduced_rattle_step(rsys, rstate, hc, cfg=newton)

@@ -62,8 +62,7 @@ from .gni_reduced import (
     chaplygin_reduced_system,
     reduced_scheme_residual,
 )
-from .model import RankDeficient
-from .numerics import NoConvergence, SingularMatrix, default_newton_config
+from .numerics import NoConvergence, default_newton_config
 
 __all__ = [
     "ParseError",
@@ -750,22 +749,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ParseError as exc:
+    # SingularMatrix and RankDeficient are ValueErrors: a degenerate system
+    # outside a run is a config error.
+    except (ParseError, ValidationError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
-    except StepFailed as exc:
-        print(f"solver failure: {exc}", file=_sys.stderr)
-        return 1
-    except (NoConvergence, SingularMatrix, RankDeficient) as exc:
+    except (StepFailed, NoConvergence) as exc:
         print(f"solver failure: {exc}", file=_sys.stderr)
         return 1
 

@@ -11,12 +11,13 @@ Three one-step maps advance a :class:`~gni.model.PhaseState`
 * :func:`rattle_step` — second-order, self-adjoint; the end state
   satisfies the plain (or affine) momentum constraint.
 
-:func:`gni_generic_step` is the underlying three-point scheme for an
+:func:`gni_generic_step_stats` is the underlying three-point scheme for an
 arbitrary discrete Lagrangian: the new configuration solves
 
     D1(q_k, q_{k+1}) + (P^T - Q^T) D2(q_{k-1}, q_k) + 2 Q^T Pi(q_k) = 0
 
-with the projectors evaluated at ``q_k``.  With the midpoint (Verlet)
+with the projectors evaluated at ``q_k``, by Newton iteration with the
+analytic Jacobian ``d12(q_k, q_{k+1})``.  With the midpoint (Verlet)
 discrete Lagrangian this reproduces rattle positions; with the one-sided
 discretizations it reproduces Euler A/B.
 """
@@ -35,7 +36,6 @@ __all__ = [
     "verlet_lagrangian",
     "euler_a_lagrangian",
     "euler_b_lagrangian",
-    "gni_generic_step",
     "gni_generic_step_stats",
     "euler_a_step",
     "euler_b_step",
@@ -59,13 +59,20 @@ class DiscreteLagrangian:
     """Partial derivatives of a two-point discrete Lagrangian.
 
     ``d1`` and ``d2`` map ``(q0, q1, h)`` to the gradient with respect to
-    the first and second argument.  ``d12`` is an optional regularity
-    probe (cross second derivative); stepping does not require it.
+    the first and second argument, and ``d12`` to the ``(n, n)`` cross
+    derivative ``d d1 / d q1``, the Jacobian of the generic step.
     """
 
     d1: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     d2: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    d12: Optional[Callable] = None
+    d12: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+
+
+def _kinetic_d12(mass: np.ndarray) -> Callable:
+    """``d12`` of the shipped discretizations: their kinetic term is
+    ``(q1 - q0)^T M (q1 - q0) / 2h`` and each potential term depends on
+    one endpoint only, so the cross derivative is the constant ``-M/h``."""
+    return lambda q0, q1, h: -mass / h
 
 
 def verlet_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
@@ -80,7 +87,7 @@ def verlet_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
         v = (q1 - q0) / h
         return mass @ v - 0.5 * h * np.asarray(sys.grad_potential(q1))
 
-    return DiscreteLagrangian(d1, d2)
+    return DiscreteLagrangian(d1, d2, _kinetic_d12(mass))
 
 
 def euler_a_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
@@ -93,7 +100,7 @@ def euler_a_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
     def d2(q0, q1, h):
         return mass @ ((q1 - q0) / h)
 
-    return DiscreteLagrangian(d1, d2)
+    return DiscreteLagrangian(d1, d2, _kinetic_d12(mass))
 
 
 def euler_b_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
@@ -106,31 +113,7 @@ def euler_b_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
     def d2(q0, q1, h):
         return mass @ ((q1 - q0) / h) - h * np.asarray(sys.grad_potential(q1))
 
-    return DiscreteLagrangian(d1, d2)
-
-
-def gni_generic_step(
-    ld: DiscreteLagrangian,
-    sys: FlatSystem,
-    q_prev: np.ndarray,
-    q_curr: np.ndarray,
-    h: float,
-    cfg: Optional[NewtonConfig] = None,
-) -> np.ndarray:
-    """Advance the three-point projected discrete Euler-Lagrange scheme.
-
-    Solves the n-dimensional residual for ``q_next`` by Newton iteration
-    from the free-flight predictor `` 2 q_curr - q_prev``.
-
-    Raises
-    ------
-    NoConvergence
-        If Newton stalls.
-    RankDeficient
-        If the projectors are undefined at ``q_curr``.
-    """
-    q_next, _iters = gni_generic_step_stats(ld, sys, q_prev, q_curr, h, cfg)
-    return q_next
+    return DiscreteLagrangian(d1, d2, _kinetic_d12(mass))
 
 
 def gni_generic_step_stats(
@@ -141,8 +124,20 @@ def gni_generic_step_stats(
     h: float,
     cfg: Optional[NewtonConfig] = None,
 ):
-    """Like :func:`gni_generic_step` but also return the Newton iteration
-    count (used as a per-step diagnostic)."""
+    """Advance the three-point projected discrete Euler-Lagrange scheme.
+
+    Solves the n-dimensional residual for ``q_next`` by Newton iteration
+    with the Jacobian ``ld.d12(q_curr, q_next, h)``, from the free-flight
+    predictor ``2 q_curr - q_prev``.  Returns ``(q_next, iterations)``;
+    the Newton iteration count is a per-step diagnostic.
+
+    Raises
+    ------
+    NoConvergence
+        If Newton stalls.
+    RankDeficient
+        If the projectors are undefined at ``q_curr``.
+    """
     from .model import projectors
 
     q_prev = np.asarray(q_prev, dtype=float)
@@ -154,7 +149,10 @@ def gni_generic_step_stats(
     def residual(q_next):
         return np.asarray(ld.d1(q_curr, q_next, h), dtype=float) + carried
 
-    return newton_solve_stats(residual, 2.0 * q_curr - q_prev, cfg=cfg)
+    def jacobian(q_next):
+        return ld.d12(q_curr, q_next, h)
+
+    return newton_solve_stats(residual, 2.0 * q_curr - q_prev, cfg=cfg, jacobian=jacobian)
 
 
 def _kick_drift_resolve(sys: FlatSystem, s: PhaseState, h: float, scheme: str) -> PhaseState:

@@ -20,7 +20,7 @@ hat(s)^2`` with ``t = |s|^2``, so stage 3 is a Newton solve on plain
 floats with an analytic Jacobian.
 
 The rolling sphere on a uniformly rotating plate ships as the worked
-system: :func:`chaplygin_step` advances its five coupled discrete
+system: :func:`chaplygin_step_stats` advances its five coupled discrete
 equations (contact position and body angular velocity) with an analytic
 Jacobian, and :func:`chaplygin_reduced_system` exposes the same mechanics
 to the generic reduced stepper for cross-checking.
@@ -49,7 +49,6 @@ __all__ = [
     "reduced_legendre",
     "reduced_rattle_step",
     "reduced_scheme_residual",
-    "chaplygin_step",
     "chaplygin_step_stats",
     "chaplygin_scheme_residual",
     "chaplygin_contact_velocity",
@@ -423,31 +422,6 @@ def chaplygin_init(params: ChaplyginParams, q0, w0, h: float) -> np.ndarray:
     return q0 + h * chaplygin_contact_velocity(params, q0, w0)
 
 
-def chaplygin_step(
-    params: ChaplyginParams,
-    q_prev,
-    q_curr,
-    w_prev,
-    h: float,
-    cfg: Optional[NewtonConfig] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance the five-equation discrete scheme of the rolling sphere.
-
-    Unknowns: next contact point ``(x, y)`` and interval body angular
-    velocity ``w``.  Solved monolithically by damped Newton with the
-    analytic 5x5 Jacobian; predictor ``(2 q_curr - q_prev, w_prev)``.
-
-    Returns ``(q_next, w_curr)``.
-
-    Raises
-    ------
-    NoConvergence
-        If the Newton budget is exhausted.
-    """
-    q_next, w, _iters = chaplygin_step_stats(params, q_prev, q_curr, w_prev, h, cfg)
-    return q_next, w
-
-
 def chaplygin_step_stats(
     params: ChaplyginParams,
     q_prev,
@@ -456,9 +430,21 @@ def chaplygin_step_stats(
     h: float,
     cfg: Optional[NewtonConfig] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Like :func:`chaplygin_step` but also returns the number of accepted
-    Newton updates (used as a per-step diagnostic).  Both are one step of
-    :func:`_chaplygin_stepper` on arrays."""
+    """Advance the five-equation discrete scheme of the rolling sphere.
+
+    Unknowns: next contact point ``(x, y)`` and interval body angular
+    velocity ``w``.  Solved monolithically by damped Newton with the
+    analytic 5x5 Jacobian; predictor ``(2 q_curr - q_prev, w_prev)``.
+    This is one step of :func:`_chaplygin_stepper` on arrays.
+
+    Returns ``(q_next, w_curr, iterations)``; the number of accepted
+    Newton updates is a per-step diagnostic.
+
+    Raises
+    ------
+    NoConvergence
+        If the Newton budget is exhausted.
+    """
     step = _chaplygin_stepper(params, h, cfg)
     x1, y1, w1, w2, w3, iters = step(
         float(q_prev[0]), float(q_prev[1]), float(q_curr[0]), float(q_curr[1]),

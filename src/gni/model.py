@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .numerics import RankDeficient, SingularMatrix, lu_solve
+from .numerics import RankDeficient, SingularMatrix, lu_solve, solve_gram
 
 __all__ = [
     "RankDeficient",
@@ -277,17 +277,7 @@ def continuous_rhs(sys: FlatSystem, q: np.ndarray, p: np.ndarray) -> Tuple[np.nd
     mu = sys.constraint_matrix(q)
     mu_minv = mu @ sys.mass_inv
     gram = mu_minv @ mu.T
-    rhs = sys.constraints_dir(q, v) @ v - mu_minv @ grad
-    if sys.num_constraints == 1:
-        # The 1x1 Gram matrix is positive unless the constraint row vanishes.
-        if gram[0, 0] <= 0.0:
-            raise RankDeficient("constraint row vanishes")
-        lam = rhs / gram[0, 0]
-    else:
-        try:
-            lam = lu_solve(gram, rhs)
-        except SingularMatrix as exc:
-            raise RankDeficient("constraint rows are linearly dependent") from exc
+    lam = solve_gram(gram, sys.constraints_dir(q, v) @ v - mu_minv @ grad)
     return v, -grad - mu.T @ lam
 
 

@@ -5,9 +5,9 @@ here: :func:`lu_solve` for square linear systems (LU with partial pivoting,
 explicit singularity detection), :func:`small_solve` for the same
 elimination written out on plain floats for the 1x1 to 3x3 systems of the
 steppers, :func:`solve_gram` for constraint Gram systems, and
-:func:`newton_solve` for nonlinear root-finding (finite-difference or
-user-supplied Jacobian, step damping; :func:`newton_solve3` runs the same
-iteration on three plain floats).  Keeping the solvers in one place
+:func:`newton_solve_stats` for nonlinear root-finding (analytic Jacobian,
+step damping; :func:`newton_solve3` runs the same iteration on three
+plain floats).  Keeping the solvers in one place
 makes failure modes uniform: linear degeneracies surface as
 :class:`SingularMatrix` (:class:`RankDeficient` for Gram systems), stalled
 iterations as :class:`NoConvergence`.
@@ -30,7 +30,6 @@ __all__ = [
     "lu_solve",
     "small_solve",
     "solve_gram",
-    "newton_solve",
     "newton_solve_stats",
     "newton_solve3",
 ]
@@ -71,7 +70,8 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Tolerances and budgets for :func:`newton_solve`.
+    """Tolerances and budgets for :func:`newton_solve_stats` and
+    :func:`newton_solve3`.
 
     Parameters
     ----------
@@ -79,13 +79,10 @@ class NewtonConfig:
         Convergence threshold on the infinity norm of the residual.
     max_iters : int
         Iteration budget before :class:`NoConvergence` is raised.
-    fd_step : float
-        Absolute step for forward-difference Jacobian columns.
     """
 
     residual_tol: float = 1e-12
     max_iters: int = 50
-    fd_step: float = 1e-7
 
 
 def default_newton_config() -> NewtonConfig:
@@ -249,97 +246,59 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise RankDeficient("constraint rows are linearly dependent") from exc
 
 
-def _fd_jacobian(
+def newton_solve_stats(
     residual: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    r0: np.ndarray,
-    step: float,
-) -> np.ndarray:
-    """Forward-difference Jacobian of ``residual`` at ``x``."""
-    n = x.size
-    jac = np.empty((r0.size, n))
-    for j in range(n):
-        xj = x.copy()
-        xj[j] += step
-        jac[:, j] = (residual(xj) - r0) / step
-    return jac
-
-
-def newton_solve(
-    residual: Callable,
     x0,
     cfg: Optional[NewtonConfig] = None,
-    jacobian: Optional[Callable] = None,
+    *,
+    jacobian: Callable[[np.ndarray], np.ndarray],
 ):
     """Find ``x`` with ``|residual(x)|_inf <= cfg.residual_tol``.
 
-    Damped Newton iteration: at each step the correction from the
+    Damped Newton iteration from the 1-D start ``x0`` with the analytic
+    Jacobian ``jacobian(x)``: at each step the correction from the
     linearised system is applied with step length 1, and halved (at most
-    eight times) while the residual norm fails to decrease.  The Jacobian
-    is obtained from ``jacobian(x)`` when supplied and from forward finite
-    differences with step ``cfg.fd_step`` otherwise.
-
-    ``x0`` may be a scalar or a 1-D array; the result matches its shape.
-
-    Raises
-    ------
-    NoConvergence
-        If the tolerance is not met within ``cfg.max_iters`` iterations.
-    SingularMatrix
-        If a Newton system is numerically singular.
-    """
-    x, _ = newton_solve_stats(residual, x0, cfg=cfg, jacobian=jacobian)
-    return x
-
-
-def newton_solve_stats(
-    residual: Callable,
-    x0,
-    cfg: Optional[NewtonConfig] = None,
-    jacobian: Optional[Callable] = None,
-):
-    """Like :func:`newton_solve` but also report work done.
+    eight times) while the residual norm fails to decrease to a finite
+    value; when the halvings run out the smallest step is taken anyway.
 
     Returns ``(x, iterations)`` where ``iterations`` counts accepted
     Newton updates (0 when the initial guess already satisfies the
     tolerance).
+
+    Raises
+    ------
+    NoConvergence
+        If the tolerance is not met within ``cfg.max_iters`` iterations,
+        or at once when the residual at the current iterate is not finite.
+    SingularMatrix
+        If a Newton system is numerically singular.
     """
     if cfg is None:
         cfg = default_newton_config()
-    scalar_input = np.isscalar(x0) or np.ndim(x0) == 0
-    x = np.atleast_1d(np.array(x0, dtype=float))
-
-    def eval_residual(z: np.ndarray) -> np.ndarray:
-        r = residual(z[0] if scalar_input else z)
-        return np.atleast_1d(np.asarray(r, dtype=float))
-
-    r = eval_residual(x)
+    x = np.array(x0, dtype=float)
+    r = np.asarray(residual(x), dtype=float)
     norm = np.max(np.abs(r)) if r.size else 0.0
     for iteration in range(cfg.max_iters):
         if norm <= cfg.residual_tol:
-            return (x[0] if scalar_input else x), iteration
-        if jacobian is not None:
-            jac = np.atleast_2d(
-                np.asarray(jacobian(x[0] if scalar_input else x), dtype=float)
-            )
-        else:
-            jac = _fd_jacobian(eval_residual, x, r, cfg.fd_step)
-        delta = lu_solve(jac, -r)
+            return x, iteration
+        if not isfinite(norm):
+            raise NoConvergence(iteration, float(norm))
+        delta = lu_solve(jacobian(x), -r)
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = x + alpha * delta
-            r_trial = eval_residual(trial)
+            r_trial = np.asarray(residual(trial), dtype=float)
             trial_norm = np.max(np.abs(r_trial)) if r_trial.size else 0.0
-            if np.isfinite(trial_norm) and trial_norm < norm:
+            if isfinite(trial_norm) and trial_norm < norm:
                 break
             alpha *= 0.5
         else:
             trial = x + alpha * delta
-            r_trial = eval_residual(trial)
+            r_trial = np.asarray(residual(trial), dtype=float)
             trial_norm = np.max(np.abs(r_trial)) if r_trial.size else 0.0
         x, r, norm = trial, r_trial, trial_norm
     if norm <= cfg.residual_tol:
-        return (x[0] if scalar_input else x), cfg.max_iters
+        return x, cfg.max_iters
     raise NoConvergence(cfg.max_iters, float(norm))
 
 
@@ -368,7 +327,8 @@ def newton_solve3(
     Raises
     ------
     NoConvergence
-        If the tolerance is not met within ``cfg.max_iters`` iterations.
+        If the tolerance is not met within ``cfg.max_iters`` iterations,
+        or at once when the residual at the current iterate is not finite.
     SingularMatrix
         If a Newton system is numerically singular.
     """
@@ -381,6 +341,8 @@ def newton_solve3(
     for iteration in range(cfg.max_iters):
         if norm <= tol:
             return (x0, x1, x2), iteration
+        if not isfinite(norm):
+            raise NoConvergence(iteration, norm)
         d0, d1, d2 = small_solve(jacobian(x0, x1, x2), (-f0, -f1, -f2))
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):

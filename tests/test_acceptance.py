@@ -17,7 +17,7 @@ from gni.gni_reduced import (
     chaplygin_init,
     chaplygin_initial_reduced_state,
     chaplygin_reduced_system,
-    chaplygin_step,
+    chaplygin_step_stats,
     reduced_rattle_step,
     standard_retracted_lagrangian,
 )
@@ -186,7 +186,7 @@ def test_criterion_09_scheme_equivalences(capsys):
     defect_mid = 0.0
     q_prev, q_curr = positions[0], positions[1]
     for k in range(2, 101):
-        q_next = gni_flat.gni_generic_step(ld, sys, q_prev, q_curr, h)
+        q_next, _ = gni_flat.gni_generic_step_stats(ld, sys, q_prev, q_curr, h)
         defect_mid = max(defect_mid, float(np.max(np.abs(q_next - positions[k]))))
         q_prev, q_curr = q_curr, q_next
 
@@ -200,7 +200,7 @@ def test_criterion_09_scheme_equivalences(capsys):
     defect_a = 0.0
     q_prev, q_curr = positions[0], positions[1]
     for k in range(2, 101):
-        q_next = gni_flat.gni_generic_step(ld_a, sys, q_prev, q_curr, h)
+        q_next, _ = gni_flat.gni_generic_step_stats(ld_a, sys, q_prev, q_curr, h)
         defect_a = max(defect_a, float(np.max(np.abs(q_next - positions[k]))))
         q_prev, q_curr = q_curr, q_next
 
@@ -216,7 +216,7 @@ def test_criterion_09_scheme_equivalences(capsys):
     ws = [w0]
     defect_red = 0.0
     for k in range(1, 11):
-        qn, wn = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], hc)
+        qn, wn, _ = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], hc)
         qs.append(qn)
         ws.append(wn)
         rstate = reduced_rattle_step(rsys, rstate, hc)

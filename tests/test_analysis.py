@@ -22,7 +22,7 @@ from gni.gni_reduced import (
     chaplygin_initial_reduced_state,
     chaplygin_reduced_system,
     chaplygin_scheme_residual,
-    chaplygin_step,
+    chaplygin_step_stats,
     reduced_rattle_step,
     standard_retracted_lagrangian,
 )
@@ -193,13 +193,13 @@ def test_run_chaplygin_rows_match_direct_recurrence():
     q0 = np.array([1.0, 1.0])
     w0 = np.array([0.0, 2.0, 0.0])
     h = 0.1
-    traj = run(chaplygin_step, params, (q0, w0), h, 10)
+    traj = run(None, params, (q0, w0), h, 10)
     assert len(traj) == 11
 
     qs = [q0, chaplygin_init(params, q0, w0, h)]
     ws = [w0]
     for k in range(1, 11):
-        qn, wn = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
+        qn, wn, _ = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
         qs.append(qn)
         ws.append(wn)
     # The array assembly gives the bits of one row at a time.

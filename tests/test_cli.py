@@ -11,10 +11,12 @@ from gni.gni_reduced import (
     chaplygin_init,
     chaplygin_reduced_system,
     chaplygin_scheme_residual,
-    chaplygin_step,
+    chaplygin_step_stats,
     reduced_scheme_residual,
 )
+from gni.analysis import StepFailed
 from gni.model import PhaseState, ReducedState, constraint_residual
+from gni.numerics import NoConvergence, RankDeficient, SingularMatrix
 from gni.cli import (
     INTEGRATORS,
     SYSTEMS,
@@ -367,7 +369,7 @@ def test_constraint_column_is_the_preserved_form(tmp_path, integrator):
         q0, w0 = cli._sphere_initial(cfg)
         qs, ws = [q0, chaplygin_init(params, q0, w0, h)], [w0]
         for k in range(1, 9):
-            q_next, w = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
+            q_next, w, _ = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
             qs.append(q_next)
             ws.append(w)
         assert np.array_equal(values, np.hstack([qs[:9], ws]))
@@ -554,6 +556,29 @@ def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):
     )
     assert code == 1
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (ParseError(3, "unreadable"), 2, "config error"),
+        (ValidationError("run.h", "must be positive"), 2, "config error"),
+        (FileNotFoundError("no such file"), 2, "config error"),
+        (ValueError("bad value"), 2, "config error"),
+        (SingularMatrix("singular pivot"), 2, "config error"),
+        (RankDeficient("dependent rows"), 2, "config error"),
+        (NoConvergence(50, 1.0), 1, "solver failure"),
+        (StepFailed(3, NoConvergence(50, 1.0), None), 1, "solver failure"),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_exit_code_per_exception_type(monkeypatch, capsys, exc, code, prefix):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "check_suite", fail)
+    assert main(["check", "--quiet"]) == code
+    assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
 def test_exit_code_non_finite_run_writes_no_csv(tmp_path, capsys):

@@ -9,12 +9,15 @@ from gni.model import (
     constraint_residual,
     nonholonomic_particle,
 )
+from gni.analysis import run
 from gni.gni_flat import (
+    DiscreteLagrangian,
     composed_euler_step,
     euler_a_lagrangian,
     euler_a_step,
+    euler_b_lagrangian,
     euler_b_step,
-    gni_generic_step,
+    gni_generic_step_stats,
     prepare_state,
     rattle_step,
     scheme_constraint_residual,
@@ -261,7 +264,7 @@ def test_gni_generic_free_flight():
     ld = verlet_lagrangian(sys)
     q_prev = np.array([0.0, 0.0, 0.0])
     q_curr = np.array([0.1, -0.2, 0.05])
-    q_next = gni_generic_step(ld, sys, q_prev, q_curr, 0.1)
+    q_next, _ = gni_generic_step_stats(ld, sys, q_prev, q_curr, 0.1)
     assert np.allclose(q_next, 2.0 * q_curr - q_prev, atol=1e-14)
 
 
@@ -276,7 +279,7 @@ def test_gni_generic_matches_rattle_positions():
     ld = verlet_lagrangian(sys)
     q_prev, q_curr = positions[0], positions[1]
     for k in range(2, 101):
-        q_next = gni_generic_step(ld, sys, q_prev, q_curr, h)
+        q_next, _ = gni_generic_step_stats(ld, sys, q_prev, q_curr, h)
         assert np.max(np.abs(q_next - positions[k])) <= 1e-10
         q_prev, q_curr = q_curr, q_next
 
@@ -292,7 +295,7 @@ def test_gni_generic_matches_euler_a_positions():
     ld = euler_a_lagrangian(sys)
     q_prev, q_curr = positions[0], positions[1]
     for k in range(2, 101):
-        q_next = gni_generic_step(ld, sys, q_prev, q_curr, h)
+        q_next, _ = gni_generic_step_stats(ld, sys, q_prev, q_curr, h)
         assert np.max(np.abs(q_next - positions[k])) <= 1e-10
         q_prev, q_curr = q_curr, q_next
 
@@ -339,11 +342,54 @@ def test_gni_generic_no_convergence():
     ld = DiscreteLagrangian(
         d1=lambda q0, q1, h: (q1 - 1.0) ** 3,
         d2=lambda q0, q1, h: np.zeros(1),
+        d12=lambda q0, q1, h: np.diag(3.0 * (q1 - 1.0) ** 2),
     )
     cfg = NewtonConfig(max_iters=3)
     with pytest.raises(NoConvergence) as excinfo:
-        gni_generic_step(ld, sys, np.zeros(1), np.zeros(1), 0.01, cfg=cfg)
+        gni_generic_step_stats(ld, sys, np.zeros(1), np.zeros(1), 0.01, cfg=cfg)
     assert excinfo.value.iterations == 3
+
+
+@pytest.mark.parametrize(
+    "lagrangian", [verlet_lagrangian, euler_a_lagrangian, euler_b_lagrangian]
+)
+def test_shipped_d12_matches_central_differences_of_d1(lagrangian):
+    # A full mass matrix and a quartic potential, so no entry of d12 is
+    # zero by symmetry and d1 is not linear in q0.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3))
+    sys = FlatSystem(
+        dim=3,
+        mass_matrix=a @ a.T + 3.0 * np.eye(3),
+        potential=lambda q: 0.25 * np.sum(q ** 4),
+        grad_potential=lambda q: q ** 3,
+    )
+    ld = lagrangian(sys)
+    eps = 1e-6
+    for h in (0.1, 0.01):
+        q0, q1 = rng.standard_normal(3), rng.standard_normal(3)
+        d12 = ld.d12(q0, q1, h)
+        fd = np.column_stack(
+            [(ld.d1(q0, q1 + e, h) - ld.d1(q0, q1 - e, h)) / (2.0 * eps) for e in eps * np.eye(3)]
+        )
+        assert d12.shape == (3, 3)
+        assert np.max(np.abs(d12 - fd)) <= 1e-8 * np.max(np.abs(d12))
+
+
+def test_discrete_lagrangian_requires_d12():
+    with pytest.raises(TypeError):
+        DiscreteLagrangian(lambda q0, q1, h: q1, lambda q0, q1, h: q1)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.01])
+def test_generic_recurrence_takes_one_newton_iteration_per_step(h):
+    # The shipped residuals are affine in q_next and d12 is their exact
+    # Jacobian, so one Newton update solves each step.
+    sys = nonholonomic_particle("harmonic")
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="rattle", h=h)
+    traj = run(verlet_lagrangian(sys), sys, s0, h, round(1.0 / h))
+    assert traj.newton_iters[0] == 0
+    assert np.all(traj.newton_iters[1:] == 1)
 
 
 def test_prepare_state_continuous_consistency():

@@ -14,7 +14,6 @@ from gni.gni_reduced import (
     chaplygin_initial_reduced_state,
     chaplygin_reduced_system,
     chaplygin_scheme_residual,
-    chaplygin_step,
     chaplygin_step_stats,
     reconstruct,
     reduced_legendre,
@@ -292,7 +291,7 @@ def test_reduced_step_matches_specialized_rolling_sphere():
     qs = [q0, chaplygin_init(params, q0, w0, h)]
     ws = [w0]
     for k in range(1, 10):
-        qn, wn = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
+        qn, wn, _ = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
         qs.append(qn)
         ws.append(wn)
 
@@ -437,7 +436,17 @@ def _old_reduced_step(rsys, ld, s, h, retraction="cay"):
         sigma = h * xi_next
         return dtau_inv(sigma).T @ np.asarray(ld.d3(x1, x2, sigma, h)) - alg1
 
-    xi1, iters = newton_solve_stats(residual, s.xi.copy())
+    def fd_jacobian(xi_next):
+        # Forward differences with step 1e-7, column by column.
+        r0 = residual(xi_next)
+        jac = np.empty((3, 3))
+        for j in range(3):
+            probe = xi_next.copy()
+            probe[j] += 1e-7
+            jac[:, j] = (residual(probe) - r0) / 1e-7
+        return jac
+
+    xi1, iters = newton_solve_stats(residual, s.xi.copy(), jacobian=fd_jacobian)
     return ReducedState(x1, p1, xi1, alg1, lam1, newton_iters=iters)
 
 
@@ -541,7 +550,7 @@ def test_init_two_point_constraint_residual_second_order():
 
 def test_step_rest_is_fixed_point():
     params = ChaplyginParams(m=1.0, r=1.0, omega=0.2, i1=2 / 3, i2=2 / 3, i3=2 / 3)
-    q_next, w = chaplygin_step(params, np.zeros(2), np.zeros(2), np.zeros(3), 0.1)
+    q_next, w, _ = chaplygin_step_stats(params, np.zeros(2), np.zeros(2), np.zeros(3), 0.1)
     np.testing.assert_allclose(q_next, np.zeros(2), atol=1e-15)
     np.testing.assert_allclose(w, np.zeros(3), atol=1e-15)
 
@@ -552,7 +561,7 @@ def test_step_vertical_spin_preserved_and_matches_bisection():
     # whose root (found independently by bisection) is exactly 1.
     params = ChaplyginParams(m=1.0, r=1.0, omega=0.0, i1=2 / 3, i2=2 / 3, i3=1 / 3)
     w, h = 0.8, 0.2
-    q_next, w_curr = chaplygin_step(
+    q_next, w_curr, _ = chaplygin_step_stats(
         params, np.zeros(2), np.zeros(2), np.array([0.0, 0.0, w]), h
     )
 
@@ -578,8 +587,8 @@ def test_step_vertical_spin_preserved_and_matches_bisection():
 def test_step_is_deterministic():
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     args = (np.array([1.0, 0.0]), np.array([1.0, 0.06]), np.array([-0.2, 0.0, 0.4]), 0.15)
-    q_a, w_a = chaplygin_step(params, *args)
-    q_b, w_b = chaplygin_step(params, *args)
+    q_a, w_a, _ = chaplygin_step_stats(params, *args)
+    q_b, w_b, _ = chaplygin_step_stats(params, *args)
     assert np.array_equal(q_a, q_b) and np.array_equal(w_a, w_b)
 
 
@@ -587,7 +596,7 @@ def test_step_no_convergence_raises():
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     cfg = NewtonConfig(residual_tol=1e-15, max_iters=1)
     with pytest.raises(NoConvergence) as excinfo:
-        chaplygin_step(
+        chaplygin_step_stats(
             params,
             np.array([1.0, 0.0]),
             np.array([1.3, -0.2]),
@@ -635,7 +644,7 @@ def test_step_converges_to_continuous_dynamics():
     qs = [q0, chaplygin_init(params, q0, w0, h)]
     wv = w0
     for k in range(1, int(round(0.5 / h)) + 1):
-        qn, wv = chaplygin_step(params, qs[k - 1], qs[k], wv, h)
+        qn, wv, _ = chaplygin_step_stats(params, qs[k - 1], qs[k], wv, h)
         qs.append(qn)
     assert np.max(np.abs(qs[-2] - z[:2])) < 5e-4
     assert np.max(np.abs(wv - z[2:])) < 5e-4
@@ -649,7 +658,7 @@ def test_scheme_residual_at_accepted_step_is_tiny():
     qs = [q0, chaplygin_init(params, q0, w0, h)]
     ws = [w0]
     for k in range(1, 100):
-        qn, wn = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
+        qn, wn, _ = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
         res = chaplygin_scheme_residual(params, qs[k - 1], qs[k], qn, ws[k - 1], wn, h)
         assert np.max(np.abs(res)) <= 1e-10
         qs.append(qn)
@@ -677,7 +686,7 @@ def test_stepper_matches_step_stats_bit_for_bit_over_a_long_run():
         x1, y1, *w_float, iters_float = step(xm, ym, x0, y0, *v)
         np.testing.assert_array_equal(_bits([x1, y1, *w_float]), _bits([*q_next, *w]))
         assert iters_float == iters
-        q_plain, w_plain = chaplygin_step(params, qs[k - 1], qs[k], ws[k - 1], h)
+        q_plain, w_plain, _ = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
         assert np.array_equal(q_plain, q_next) and np.array_equal(w_plain, w)
         qs.append(q_next)
         ws.append(w)

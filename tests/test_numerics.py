@@ -11,7 +11,6 @@ from gni.numerics import (
     SingularMatrix,
     default_newton_config,
     lu_solve,
-    newton_solve,
     newton_solve3,
     newton_solve_stats,
     small_solve,
@@ -68,19 +67,20 @@ def test_newton_linear_converges_in_two_iterations():
     calls = []
 
     def residual(x):
-        calls.append(float(np.atleast_1d(x)[0]))
+        calls.append(float(x[0]))
         return 3.0 * x - 6.0
 
-    x = newton_solve(residual, 0.0)
+    x, _ = newton_solve_stats(residual, np.array([0.0]), jacobian=lambda x: np.array([[3.0]]))
     assert abs(x - 2.0) <= 1e-12
-    # Two corrections at most (the second only polishes finite-difference
-    # roundoff): one evaluation at x0 plus per iteration one FD probe and
-    # one accepted trial point.
+    # Two corrections at most: one evaluation at x0 plus one accepted
+    # trial point per iteration.
     assert len(calls) <= 5
 
 
 def test_newton_scalar_quadratic():
-    x = newton_solve(lambda x: x * x - 4.0, 3.0)
+    x, _ = newton_solve_stats(
+        lambda x: x * x - 4.0, np.array([3.0]), jacobian=lambda x: np.array([[2.0 * x[0]]])
+    )
     assert abs(x - 2.0) <= 1e-12
 
 
@@ -88,33 +88,20 @@ def test_newton_vector_system():
     def residual(z):
         return np.array([z[0] - 1.0, z[1] ** 2 - 9.0])
 
-    z = newton_solve(residual, np.array([0.0, 2.0]))
-    assert np.allclose(z, [1.0, 3.0], atol=1e-12)
-
-
-def test_newton_analytic_jacobian_matches_fd():
-    def residual(z):
-        return np.array([z[0] ** 2 + z[1] - 3.0, np.sin(z[0]) + z[1] ** 3])
-
     def jacobian(z):
-        return np.array(
-            [[2.0 * z[0], 1.0], [np.cos(z[0]), 3.0 * z[1] ** 2]]
-        )
+        return np.array([[1.0, 0.0], [0.0, 2.0 * z[1]]])
 
-    z0 = np.array([1.2, 0.7])
-    z_fd = newton_solve(residual, z0)
-    z_an = newton_solve(residual, z0, jacobian=jacobian)
-    assert np.allclose(z_fd, z_an, atol=1e-9)
-    assert np.max(np.abs(residual(z_an))) <= 1e-12
+    z, _ = newton_solve_stats(residual, np.array([0.0, 2.0]), jacobian=jacobian)
+    assert np.allclose(z, [1.0, 3.0], atol=1e-12)
 
 
 def test_newton_damping_rescues_overshoot():
     # Full Newton steps on arctan diverge from this start; the damped
     # iteration must still reach the root at the origin.
-    x = newton_solve(
+    x, _ = newton_solve_stats(
         lambda x: np.arctan(20.0 * x),
-        2.0,
-        jacobian=lambda x: 20.0 / (1.0 + 400.0 * x * x),
+        np.array([2.0]),
+        jacobian=lambda x: np.array([[20.0 / (1.0 + 400.0 * x[0] * x[0])]]),
     )
     assert abs(x) <= 1e-12
 
@@ -122,9 +109,19 @@ def test_newton_damping_rescues_overshoot():
 def test_newton_no_convergence_reports_budget():
     cfg = NewtonConfig(max_iters=3)
     with pytest.raises(NoConvergence) as excinfo:
-        newton_solve(lambda x: x * x - 4.0, 1.0e3, cfg=cfg)
+        newton_solve_stats(
+            lambda x: x * x - 4.0,
+            np.array([1.0e3]),
+            cfg=cfg,
+            jacobian=lambda x: np.array([[2.0 * x[0]]]),
+        )
     assert excinfo.value.iterations == 3
     assert excinfo.value.final_residual > 0.0
+
+
+def test_newton_requires_a_jacobian():
+    with pytest.raises(TypeError):
+        newton_solve_stats(lambda x: x - 1.0, np.array([0.0]))
 
 
 def test_default_config_env_override(monkeypatch):
@@ -324,3 +321,48 @@ def test_newton_solve3_rejects_non_finite_trial_points():
     )
     assert iters == ref_iters
     np.testing.assert_array_equal(x, ref)
+
+
+# A residual that is NaN at the start point, and one that is finite only
+# there: the drivers stop at the first non-finite current residual, after
+# 1 evaluation in the first case and 1 + 8 halvings + 1 fallback step in
+# the second, instead of spending the whole budget (451 evaluations).
+_NON_FINITE_CASES = [(False, 1, 0), (True, 10, 1)]
+
+
+@pytest.mark.parametrize("finite_at_start, evals, iterations", _NON_FINITE_CASES)
+def test_newton_solve_stats_stops_at_a_non_finite_residual(finite_at_start, evals, iterations):
+    calls = []
+
+    def residual(z):
+        calls.append(z.copy())
+        if finite_at_start and not z.any():
+            return z + 1.0
+        return np.full(3, np.nan)
+
+    with pytest.raises(NoConvergence) as excinfo:
+        newton_solve_stats(residual, np.zeros(3), jacobian=lambda z: np.eye(3))
+    assert len(calls) == evals
+    assert excinfo.value.iterations == iterations
+    assert np.isnan(excinfo.value.final_residual)
+
+
+@pytest.mark.parametrize("finite_at_start, evals, iterations", _NON_FINITE_CASES)
+def test_newton_solve3_stops_at_a_non_finite_residual(finite_at_start, evals, iterations):
+    calls = []
+    nan = float("nan")
+
+    def residual(z0, z1, z2):
+        calls.append((z0, z1, z2))
+        if finite_at_start and z0 == z1 == z2 == 0.0:
+            return (1.0, 1.0, 1.0)
+        return (nan, nan, nan)
+
+    def jacobian(z0, z1, z2):
+        return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+    with pytest.raises(NoConvergence) as excinfo:
+        newton_solve3(residual, jacobian, [0.0, 0.0, 0.0])
+    assert len(calls) == evals
+    assert excinfo.value.iterations == iterations
+    assert np.isnan(excinfo.value.final_residual)
