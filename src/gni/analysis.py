@@ -17,7 +17,7 @@ import numpy as np
 from . import gni_reduced, model
 from .gni_flat import DiscreteLagrangian, gni_generic_step_stats, rattle_step
 from .lie_so3 import dcay
-from .model import PhaseState, ReducedState, constraint_residual, energy
+from .model import PhaseState, ReducedState, constraint_residual
 from .numerics import NoConvergence, SingularMatrix, default_newton_config
 from .gni_reduced import ChaplyginParams, chaplygin_init, chaplygin_scheme_residual
 
@@ -29,6 +29,7 @@ __all__ = [
     "run",
     "check_finite",
     "state_values",
+    "state_matrix",
     "convergence_sweep",
     "adjoint_check",
     "slope_fit",
@@ -101,18 +102,17 @@ class Trajectory:
         default it is the momentum form :func:`gni.model.constraint_residual`,
         and ``False`` leaves the column at zero.
         """
-        energies = np.array([energy(system, s) for s in states])
+        states = list(states)
         if residual is False:
             residuals = np.zeros(len(states))
-        elif residual is None:
-            residuals = np.array([_inf_norm(constraint_residual(system, s)) for s in states])
         else:
-            residuals = np.array([_inf_norm(r) for r in residual(states)])
+            rows = residual(states) if residual else (constraint_residual(system, s) for s in states)
+            residuals = np.fromiter(map(_inf_norm, rows), float, len(states))
         iters = np.array([getattr(s, "newton_iters", 0) for s in states], dtype=int)
         return cls(
             times=np.asarray(times, dtype=float),
-            states=list(states),
-            energies=energies,
+            states=states,
+            energies=model.energies(system, states),
             residuals=residuals,
             newton_iters=iters,
             h=h,
@@ -144,6 +144,19 @@ def state_values(state) -> np.ndarray:
     return np.concatenate([getattr(state, f) for f in fields]) if fields else state
 
 
+def state_matrix(states) -> np.ndarray:
+    """:func:`state_values` of every row of ``states``, one row each,
+    stacked field by field; rolling-sphere rows as they are."""
+    if isinstance(states, np.ndarray):
+        return states
+    fields = _STATE_TYPES[type(states[0])][0][:-1]
+    return np.hstack([_field_rows(states, name) for name in fields])
+
+
+def _field_rows(states, name: str) -> np.ndarray:
+    return np.array([getattr(s, name) for s in states])
+
+
 def check_finite(traj: Trajectory) -> Trajectory:
     """Return ``traj`` if every row's energy, residual and state is finite.
 
@@ -157,9 +170,8 @@ def check_finite(traj: Trajectory) -> Trajectory:
     if isinstance(states, np.ndarray):
         ok &= np.isfinite(states).all(axis=1)
     else:
-        fields = _STATE_TYPES[type(states[0])][0]
-        values = np.concatenate([getattr(s, name) for s in states for name in fields])
-        ok &= np.isfinite(values.reshape(len(states), -1)).all(axis=1)
+        for name in _STATE_TYPES[type(states[0])][0]:
+            ok &= np.isfinite(_field_rows(states, name)).all(axis=1)
     bad = np.flatnonzero(~ok)
     if bad.size:
         k = int(bad[0])
@@ -192,8 +204,8 @@ class ConvergenceReport:
 
 
 def _inf_norm(vec) -> float:
-    vec = np.atleast_1d(np.asarray(vec, dtype=float))
-    return float(np.max(np.abs(vec))) if vec.size else 0.0
+    """Largest magnitude in ``vec`` (NaN if any entry is NaN), 0 if empty."""
+    return float(np.maximum.reduce(np.abs(vec), axis=None, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

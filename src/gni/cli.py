@@ -50,12 +50,12 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import analysis, gni_flat, gni_reduced, model
-from .analysis import StepFailed, Trajectory, check_suite, convergence_sweep, run, state_values
+from .analysis import StepFailed, Trajectory, check_suite, convergence_sweep, run, state_matrix
 from .gni_reduced import (
     ChaplyginParams,
     chaplygin_initial_reduced_state,
@@ -605,15 +605,16 @@ def _g(value: float) -> str:
     return "%.17g" % value
 
 
-def _simulate_csv(traj: Trajectory, names: Sequence[str]) -> str:
-    lines = ["step,t," + ",".join(names) + ",energy,constraint_res,newton_iters"]
-    for k, state in enumerate(traj.states):
-        comps = ",".join(_g(x) for x in state_values(state).tolist())
-        lines.append(
-            f"{k},{_g(traj.times[k])},{comps},{_g(traj.energies[k])},"
-            f"{_g(traj.residuals[k])},{traj.newton_iters[k]}"
-        )
-    return "\n".join(lines) + "\n"
+def _simulate_csv(traj: Trajectory, names: Sequence[str]) -> Iterator[str]:
+    """The lines of a simulate CSV: the header, then one line per row from
+    one format over the stacked row values."""
+    yield "step,t," + ",".join(names) + ",energy,constraint_res,newton_iters\n"
+    table = np.column_stack(
+        [traj.times, state_matrix(traj.states), traj.energies, traj.residuals]
+    )
+    line = "%d," + "%.17g," * table.shape[1] + "%d\n"
+    for k, (row, iters) in enumerate(zip(table, traj.newton_iters.tolist())):
+        yield line % (k, *row.tolist(), iters)
 
 
 _CHANNEL_COLUMNS = (("position", "pos"), ("velocity", "vel"), ("energy", "energy"))
@@ -630,27 +631,28 @@ def _sweep_report(cfg: RunConfig) -> analysis.ConvergenceReport:
     return convergence_sweep(stepper, system, initial, cfg.T, h_list, reference)
 
 
-def _sweep_csv(report: analysis.ConvergenceReport) -> str:
-    lines = ["h,err_pos,err_vel,err_energy"]
+def _sweep_csv(report: analysis.ConvergenceReport) -> Iterator[str]:
+    """The lines of a sweep CSV: one per step size, then the slopes."""
+    yield "h,err_pos,err_vel,err_energy\n"
     for i, h in enumerate(report.h_values):
         row = [_g(h)] + [
             _g(report.errors[channel][i]) for channel, _ in _CHANNEL_COLUMNS
         ]
-        lines.append(",".join(row))
+        yield ",".join(row) + "\n"
     for channel, short in _CHANNEL_COLUMNS:
         if channel in report.noise_floor:
-            lines.append(f"# slope_{short}=below-noise-floor")
+            yield f"# slope_{short}=below-noise-floor\n"
         else:
-            lines.append(f"# slope_{short}={_g(report.slopes[channel][0])}")
-    return "\n".join(lines) + "\n"
+            yield f"# slope_{short}={_g(report.slopes[channel][0])}\n"
 
 
-def _write_output(path: Optional[str], text: str) -> None:
+def _write_output(path: Optional[str], lines: Iterable[str]) -> None:
+    """Write ``lines`` as they come to ``path``, or to stdout if ``None``."""
     if path is None:
-        _sys.stdout.write(text)
+        _sys.stdout.writelines(lines)
         return
     with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(lines)
 
 
 # ---------------------------------------------------------------------------

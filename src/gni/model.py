@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .numerics import RankDeficient, SingularMatrix, lu_solve, solve_gram
+from .numerics import RankDeficient, solve_gram
 
 __all__ = [
     "RankDeficient",
@@ -34,6 +34,7 @@ __all__ = [
     "reference_solve",
     "constraint_residual",
     "energy",
+    "energies",
     "nonholonomic_particle",
     "constrained_2d",
 ]
@@ -227,11 +228,7 @@ def _projector_pair(metric_inv: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarra
     n = metric_inv.shape[0]
     if rows.shape[0] == 0:
         return np.eye(n), np.zeros((n, n))
-    gram = rows @ metric_inv @ rows.T
-    try:
-        coeff = lu_solve(gram, rows)  # C^{-1} mu, shape (m, n)
-    except SingularMatrix as exc:
-        raise RankDeficient("constraint rows are linearly dependent") from exc
+    coeff = solve_gram(rows @ metric_inv @ rows.T, rows)  # C^{-1} mu, shape (m, n)
     q_proj = metric_inv @ rows.T @ coeff
     return np.eye(n) - q_proj, q_proj
 
@@ -331,19 +328,25 @@ def constraint_residual(system, state) -> np.ndarray:
 
 
 def energy(system, state) -> float:
-    """Kinetic-plus-potential energy of a state.
+    """Kinetic-plus-potential energy of a state (see :func:`energies`)."""
+    return energies(system, [state])[0]
+
+
+def energies(system, states) -> np.ndarray:
+    """Kinetic-plus-potential energy of each of ``states``, all of one type.
 
     Flat: ``p^T M^{-1} p / 2 + V(q)``.  Reduced: the same with the combined
-    momentum and the bundle metric.
+    momentum ``p ⊕ p_alg`` and the bundle metric.  The kinetic part is one
+    stacked ``matmul`` form, bit for bit ``p @ (M^{-1} @ p)`` per state.
     """
-    if isinstance(state, PhaseState):
-        return 0.5 * state.p @ (system.mass_inv @ state.p) + float(
-            system.potential(state.q)
-        )
-    combined = np.concatenate([state.p, state.p_alg])
-    return 0.5 * combined @ (system.metric_inv @ combined) + float(
-        system.potential(state.x)
-    )
+    if isinstance(states[0], PhaseState):
+        momenta = np.array([s.p for s in states])
+        metric_inv, points = system.mass_inv, [s.q for s in states]
+    else:
+        momenta = np.array([np.concatenate([s.p, s.p_alg]) for s in states])
+        metric_inv, points = system.metric_inv, [s.x for s in states]
+    kinetic = ((0.5 * momenta)[:, None, :] @ (metric_inv @ momenta[:, :, None]))[:, 0, 0]
+    return kinetic + np.fromiter((float(system.potential(x)) for x in points), float, len(points))
 
 
 def nonholonomic_particle(potential: str = "none") -> FlatSystem:

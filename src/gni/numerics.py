@@ -89,9 +89,16 @@ def default_newton_config() -> NewtonConfig:
     """Return the default Newton configuration.
 
     The residual tolerance defaults to ``1e-12`` and may be overridden
-    globally through the ``GNI_NEWTON_TOL`` environment variable.
+    globally through the ``GNI_NEWTON_TOL`` environment variable, which
+    must hold a finite positive number (``ValueError`` otherwise).
     """
-    tol = float(os.environ.get("GNI_NEWTON_TOL", "1e-12"))
+    text = os.environ.get("GNI_NEWTON_TOL", "1e-12")
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = nan
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"GNI_NEWTON_TOL must be a finite positive number, got {text!r}")
     return NewtonConfig(residual_tol=tol)
 
 
@@ -225,7 +232,8 @@ def small_solve(a, b) -> tuple:
 
 def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``C x = rhs`` for a constraint Gram matrix ``C`` (SPD when the
-    constraint rows are independent) and a right-hand-side vector.
+    constraint rows are independent) and a right-hand-side vector, or a
+    matrix of stacked columns (solved by :func:`lu_solve` if ``C`` is not 1x1).
 
     Raises
     ------
@@ -239,7 +247,7 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             raise RankDeficient("constraint row vanishes")
         return rhs / gram[0, 0]
     try:
-        if m <= 3:
+        if m <= 3 and rhs.ndim == 1:
             return np.array(small_solve(gram.tolist(), rhs.tolist()))
         return lu_solve(gram, rhs)
     except SingularMatrix as exc:
@@ -257,7 +265,8 @@ def newton_solve_stats(
 
     Damped Newton iteration from the 1-D start ``x0`` with the analytic
     Jacobian ``jacobian(x)``: at each step the correction from the
-    linearised system is applied with step length 1, and halved (at most
+    linearised system (by :func:`small_solve` up to three unknowns, else
+    :func:`lu_solve`) is applied with step length 1, and halved (at most
     eight times) while the residual norm fails to decrease to a finite
     value; when the halvings run out the smallest step is taken anyway.
 
@@ -283,7 +292,10 @@ def newton_solve_stats(
             return x, iteration
         if not isfinite(norm):
             raise NoConvergence(iteration, float(norm))
-        delta = lu_solve(jacobian(x), -r)
+        if x.size <= 3:
+            delta = np.array(small_solve(np.asarray(jacobian(x)).tolist(), (-r).tolist()))
+        else:
+            delta = lu_solve(jacobian(x), -r)
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = x + alpha * delta

@@ -1,4 +1,6 @@
 """Tests for the running, convergence, and invariant-suite layer."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from gni.analysis import (
     convergence_sweep,
     run,
     sample_admissible_states,
+    check_finite,
     slope_fit,
+    state_matrix,
     state_values,
 )
 from gni.gni_reduced import (
@@ -431,6 +435,108 @@ def test_run_chaplygin_without_residuals_keeps_states_and_energies():
     assert np.array_equal(bare.energies, full.energies)
     assert not np.any(bare.residuals)
     assert np.max(full.residuals) > 0.0
+
+
+def _per_row_energy(system, s):
+    # The one-state-at-a-time formula the stacked energy pass replaced.
+    if isinstance(s, PhaseState):
+        return 0.5 * s.p @ (system.mass_inv @ s.p) + float(system.potential(s.q))
+    combined = np.concatenate([s.p, s.p_alg])
+    return 0.5 * combined @ (system.metric_inv @ combined) + float(system.potential(s.x))
+
+
+def _per_row_norm(vec):
+    vec = np.atleast_1d(np.asarray(vec, dtype=float))
+    return float(np.max(np.abs(vec))) if vec.size else 0.0
+
+
+def _flat_case(system, s0, stepper, residual=None):
+    traj = run(stepper, system, s0, 0.05, 200, residual)
+    rows = residual(traj.states) if residual else [constraint_residual(system, s) for s in traj.states]
+    return system, traj, rows
+
+
+def _euler_a_list_case():
+    sys = model.nonholonomic_particle("harmonic")
+    s0 = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="euler_a", h=0.05)
+
+    def form(states):
+        return [gni_flat.scheme_constraint_residual(sys, s, 0.05, "euler_a") for s in states]
+
+    return _flat_case(sys, s0, gni_flat.euler_a_step, form)
+
+
+def _reduced_case():
+    params = ChaplyginParams(3.0, 1.0, 0.2, 1.0, 1.1, 1.2)
+    rsys = chaplygin_reduced_system(params)
+    h = 0.05
+    s0 = chaplygin_initial_reduced_state(params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), h)
+
+    def form(states):
+        yield ()
+        for a, b in zip(states, states[1:]):
+            yield gni_reduced.reduced_scheme_residual(rsys, a, b, h, "cay")
+
+    traj = run(lambda sys_, s, hh: reduced_rattle_step(sys_, s, hh), rsys, s0, h, 100, form)
+    return rsys, traj, list(form(traj.states))
+
+
+_DIAGNOSTIC_CASES = {
+    "particle": lambda: _flat_case(
+        model.nonholonomic_particle("harmonic"),
+        _particle_initial(model.nonholonomic_particle("harmonic")),
+        gni_flat.rattle_step,
+    ),
+    "planar_affine": lambda: _flat_case(
+        model.constrained_2d(affine=(0.3, -0.2)),
+        gni_flat.prepare_state(model.constrained_2d(affine=(0.3, -0.2)), [0.3, 0.2], [1.0, -0.5]),
+        gni_flat.rattle_step,
+    ),
+    "unconstrained": lambda: _flat_case(
+        _free_system(), PhaseState([0.4, -0.3], [0.2, 0.1], np.zeros(0)), gni_flat.rattle_step
+    ),
+    "list_residual": _euler_a_list_case,
+    "reduced": _reduced_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIAGNOSTIC_CASES))
+def test_stacked_diagnostics_match_per_row(case):
+    system, traj, rows = _DIAGNOSTIC_CASES[case]()
+    states = traj.states
+    assert np.array_equal(traj.energies, [_per_row_energy(system, s) for s in states])
+    assert np.array_equal(traj.energies, [model.energy(system, s) for s in states])
+    assert len(rows) == len(states)
+    assert np.array_equal(traj.residuals, [_per_row_norm(r) for r in rows])
+    assert np.array_equal(state_matrix(states), [state_values(s) for s in states])
+
+
+_FIELD_CASES = [(PhaseState, f) for f in ("q", "p", "lam")] + [
+    (ReducedState, f) for f in ("x", "p", "xi", "p_alg", "lam")
+]
+
+
+@pytest.mark.parametrize(
+    "state_type, field", _FIELD_CASES, ids=[f"{t.__name__}-{f}" for t, f in _FIELD_CASES]
+)
+def test_check_finite_reports_first_non_finite_field_row(state_type, field):
+    # Energies and residuals stay finite: only the state field is bad.
+    if state_type is PhaseState:
+        _, traj, _ = _DIAGNOSTIC_CASES["particle"]()
+    else:
+        _, traj, _ = _reduced_case()
+    states = list(traj.states)
+    for k in (3, 5):
+        bad = np.full_like(getattr(states[k], field), np.nan)
+        states[k] = dataclasses.replace(states[k], **{field: bad})
+    broken = Trajectory(
+        traj.times, states, traj.energies, traj.residuals, traj.newton_iters, traj.h
+    )
+    with pytest.raises(StepFailed) as excinfo:
+        check_finite(broken)
+    assert excinfo.value.step == 3
+    assert len(excinfo.value.partial) == 3
+    assert check_finite(traj) is traj
 
 
 def test_state_values_are_the_fields_but_the_multiplier():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gni import cli
+from gni import cli, numerics
 from gni.gni_flat import scheme_constraint_residual
 from gni.gni_reduced import (
     chaplygin_init,
@@ -14,7 +14,7 @@ from gni.gni_reduced import (
     chaplygin_step_stats,
     reduced_scheme_residual,
 )
-from gni.analysis import StepFailed
+from gni.analysis import StepFailed, state_values
 from gni.model import PhaseState, ReducedState, constraint_residual
 from gni.numerics import NoConvergence, RankDeficient, SingularMatrix
 from gni.cli import (
@@ -517,6 +517,85 @@ def test_sweep_rejects_simulate_config(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# CSV bytes: the streamed writers against the joined-string writers they
+# replaced, kept here as the reference
+
+
+def _g(value):
+    return "%.17g" % value
+
+
+def _joined_simulate_csv(traj, names):
+    lines = ["step,t," + ",".join(names) + ",energy,constraint_res,newton_iters"]
+    for k, state in enumerate(traj.states):
+        comps = ",".join(_g(x) for x in state_values(state).tolist())
+        lines.append(
+            f"{k},{_g(traj.times[k])},{comps},{_g(traj.energies[k])},"
+            f"{_g(traj.residuals[k])},{traj.newton_iters[k]}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _joined_sweep_csv(report):
+    lines = ["h,err_pos,err_vel,err_energy"]
+    channels = (("position", "pos"), ("velocity", "vel"), ("energy", "energy"))
+    for i, h in enumerate(report.h_values):
+        lines.append(",".join([_g(h)] + [_g(report.errors[c][i]) for c, _ in channels]))
+    for channel, short in channels:
+        if channel in report.noise_floor:
+            lines.append(f"# slope_{short}=below-noise-floor")
+        else:
+            lines.append(f"# slope_{short}={_g(report.slopes[channel][0])}")
+    return "\n".join(lines) + "\n"
+
+
+def _simulate_text(integrator, n_steps):
+    if integrator == "rattle_affine":
+        return PLANAR_AFFINE.replace("N = 8", f"N = {n_steps}")
+    if integrator in ("reduced_rattle", "chaplygin_gni"):
+        text = (CONFIG_DIR / "sphere_reduced.cfg").read_text()
+        text = text.replace("T = 5.0", f"N = {n_steps}")
+        return text.replace("name = reduced_rattle\nretraction = cay", f"name = {integrator}")
+    text = PARTICLE_TEMPLATE.format(integrator=integrator)
+    return text.replace("T = 0.5", f"N = {n_steps}")
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 300])
+@pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
+def test_simulate_csv_bytes_match_joined_writer(tmp_path, capsys, integrator, n_steps):
+    text = _simulate_text(integrator, n_steps)
+    expected = _joined_simulate_csv(*cli._simulate_trajectory(parse_config(text)))
+    assert expected.count("\n") == n_steps + 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("at_rest", [False, True], ids=["slopes", "noise_floor"])
+def test_sweep_csv_bytes_match_joined_writer(tmp_path, capsys, at_rest):
+    text = (CONFIG_DIR / "particle_rattle_sweep.cfg").read_text()
+    if at_rest:
+        # A free particle at rest is exact at every step size.
+        text = text.replace("potential = harmonic", "potential = none")
+        text = text.replace("v0 = 1.0, 0.5, 0.2", "v0 = 0.0, 0.0, 0.0")
+    report = cli._sweep_report(parse_config(text))
+    assert bool(report.noise_floor) == at_rest
+    expected = _joined_sweep_csv(report)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "conv.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert main(["sweep", "--config", str(cfg), "--quiet"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# ---------------------------------------------------------------------------
 # main(): check / adjoint / exit codes
 
 
@@ -556,6 +635,42 @@ def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):
     )
     assert code == 1
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_exit_code_invalid_newton_tolerance(tmp_path, monkeypatch, capsys, value):
+    # A tolerance that is not finite and positive is a config error, not a
+    # run that accepts every predictor or one that cannot converge.
+    monkeypatch.setenv("GNI_NEWTON_TOL", value)
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(CONFIG_DIR / "particle_generic.cfg"), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: GNI_NEWTON_TOL")
+    assert not out.exists()
+
+
+def test_valid_newton_tolerance_override_runs(tmp_path, monkeypatch):
+    monkeypatch.setenv("GNI_NEWTON_TOL", "1e-10")
+    out = tmp_path / "x.csv"
+    args = ["simulate", "--config", str(CONFIG_DIR / "particle_generic.cfg"), "--out", str(out)]
+    assert main(args + ["--quiet"]) == 0
+    assert len(out.read_text().splitlines()) == 22  # header + 21 rows (N = T/h = 20)
+
+
+def test_generic_simulate_needs_no_lu_solve(tmp_path, monkeypatch):
+    # The generic step's 3x3 Newton systems and its one-row projector Gram
+    # systems are small solves; lu_solve is for larger systems only.
+    args = ["simulate", "--config", str(CONFIG_DIR / "particle_generic.cfg"), "--quiet"]
+    reference = tmp_path / "reference.csv"
+    assert main(args + ["--out", str(reference)]) == 0
+
+    def no_lu_solve(a, b):
+        raise AssertionError("lu_solve called")
+
+    monkeypatch.setattr(numerics, "lu_solve", no_lu_solve)
+    out = tmp_path / "x.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,21 @@ def test_projectors_rank_deficient():
         projectors(sys, np.zeros(3))
 
 
+def test_projectors_vanishing_single_row():
+    sys = FlatSystem(
+        dim=3,
+        mass_matrix=np.eye(3),
+        potential=lambda q: 0.0,
+        grad_potential=lambda q: np.zeros(3),
+        constraints=lambda q: np.array([[q[1], 0.0, 0.0]]),
+        num_constraints=1,
+    )
+    with pytest.raises(RankDeficient, match="constraint row vanishes"):
+        projectors(sys, np.zeros(3))
+    p_mat, q_mat = projectors(sys, np.array([0.0, 2.0, 0.0]))
+    np.testing.assert_array_equal(q_mat, np.diag([1.0, 0.0, 0.0]))
+
+
 def test_flat_system_rejects_indefinite_mass():
     with pytest.raises(np.linalg.LinAlgError):
         FlatSystem(

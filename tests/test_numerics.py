@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gni import numerics
 from gni.numerics import (
     NewtonConfig,
     NoConvergence,
@@ -131,6 +132,45 @@ def test_default_config_env_override(monkeypatch):
     assert default_newton_config().residual_tol == 1e-12
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "-inf", "tight"])
+def test_default_config_rejects_tolerances_that_are_not_finite_and_positive(monkeypatch, value):
+    monkeypatch.setenv("GNI_NEWTON_TOL", value)
+    with pytest.raises(ValueError, match="GNI_NEWTON_TOL"):
+        default_newton_config()
+
+
+def test_newton_small_systems_skip_lu_solve(monkeypatch):
+    # Up to three unknowns the Newton system goes through small_solve; on
+    # a full, non-diagonal 3x3 Jacobian it agrees with lu_solve to rounding.
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    b = rng.standard_normal(3)
+    expected = lu_solve(a, b)
+
+    def no_lu_solve(*args):
+        raise AssertionError("lu_solve called")
+
+    monkeypatch.setattr(numerics, "lu_solve", no_lu_solve)
+    x, iters = newton_solve_stats(lambda z: a @ z - b, np.zeros(3), jacobian=lambda z: a)
+    assert iters == 1
+    np.testing.assert_allclose(x, expected, rtol=1e-15, atol=0.0)
+
+
+def test_newton_larger_systems_use_lu_solve(monkeypatch):
+    calls = []
+
+    def counting_lu_solve(a, b):
+        calls.append(np.shape(a))
+        return lu_solve(a, b)
+
+    monkeypatch.setattr(numerics, "lu_solve", counting_lu_solve)
+    a = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1
+    b = np.ones(4)
+    x, iters = newton_solve_stats(lambda z: a @ z - b, np.zeros(4), jacobian=lambda z: a)
+    assert calls == [(4, 4)]
+    np.testing.assert_allclose(a @ x, b, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # small_solve, solve_gram and newton_solve3
 
@@ -212,6 +252,20 @@ def test_solve_gram_one_row_is_plain_division():
     assert solve_gram(gram, rhs).tobytes() == (rhs / gram[0, 0]).tobytes()
     with pytest.raises(RankDeficient, match="constraint row vanishes"):
         solve_gram(np.array([[0.0]]), rhs)
+
+
+def test_solve_gram_stacked_columns():
+    # A matrix right-hand side: division for one row, lu_solve beyond.
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal((1, 4))
+    assert solve_gram(np.array([[0.7]]), rhs).tobytes() == (rhs / 0.7).tobytes()
+    for m in (2, 3, 5):
+        rows = rng.standard_normal((m, m + 2))
+        gram = rows @ rows.T
+        assert solve_gram(gram, rows).tobytes() == lu_solve(gram, rows).tobytes()
+        dependent = np.vstack([rows[:-1], rows[:1]])
+        with pytest.raises(RankDeficient, match="linearly dependent"):
+            solve_gram(dependent @ dependent.T, dependent)
 
 
 def test_solve_gram_small_and_large_systems():
