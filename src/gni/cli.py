@@ -41,13 +41,15 @@ rejected so typos never pass silently::
 Omitted keys fall back to documented defaults (the chaplygin system
 defaults to the homogeneous bounded-trajectory setup: ``m = r =
 omega_plate = 1``, ``inertia = 2/3``, ``q0 = (1, 1)``, ``w0 = (0, 2, 0)``).
-Exit codes: 0 success, 1 solver failure or failed checks, 2 config error.
+Exit codes: 0 success, 1 solver failure or failed checks, 2 config error,
+141 when the reader of stdout closes it early (as after SIGPIPE).
 All floating-point CSV output is printed with 17 significant digits so
 identical configs reproduce byte-identical files.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys as _sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -201,24 +203,6 @@ class RunConfig:
 # config parsing
 
 
-_SECTION_KEYS = {
-    "system": (
-        "name",
-        "potential",
-        "q0",
-        "v0",
-        "w0",
-        "affine",
-        "m",
-        "r",
-        "omega_plate",
-        "inertia",
-    ),
-    "integrator": ("name", "retraction"),
-    "run": ("h", "h_list", "T", "N", "h_ref", "reference", "out"),
-}
-
-
 def _parse_float(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
@@ -235,6 +219,32 @@ def _parse_floats(text: str) -> Tuple[float, ...]:
     if any(not p for p in parts):
         raise ValueError("empty list entry")
     return tuple(_parse_float(p) for p in parts)
+
+
+# Every config key: (section, key) -> (RunConfig field, value parser), in the
+# order format_config writes them.
+_KEYS = {
+    ("system", "name"): ("system", str),
+    ("system", "potential"): ("potential", str),
+    ("system", "q0"): ("q0", _parse_floats),
+    ("system", "v0"): ("v0", _parse_floats),
+    ("system", "w0"): ("w0", _parse_floats),
+    ("system", "affine"): ("affine", _parse_floats),
+    ("system", "m"): ("m", _parse_float),
+    ("system", "r"): ("r", _parse_float),
+    ("system", "omega_plate"): ("omega_plate", _parse_float),
+    ("system", "inertia"): ("inertia", _parse_floats),
+    ("integrator", "name"): ("integrator", str),
+    ("integrator", "retraction"): ("retraction", str),
+    ("run", "h"): ("h", _parse_float),
+    ("run", "h_list"): ("h_list", _parse_floats),
+    ("run", "T"): ("T", _parse_float),
+    ("run", "N"): ("steps", _parse_int),
+    ("run", "h_ref"): ("h_ref", _parse_float),
+    ("run", "reference"): ("reference", str),
+    ("run", "out"): ("out", str),
+}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -258,7 +268,7 @@ def parse_config(text: str) -> RunConfig:
             if not line.endswith("]"):
                 raise ParseError(lineno, f"unterminated section header {line!r}")
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            if name not in _SECTIONS:
                 raise ParseError(lineno, f"unknown section [{name}]")
             section = name
             continue
@@ -267,7 +277,7 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ParseError(lineno, "key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[section]:
+        if (section, key) not in _KEYS:
             raise ParseError(lineno, f"unknown key {key!r} in section [{section}]")
         if (section, key) in raw:
             raise ParseError(lineno, f"duplicate key {key!r} in section [{section}]")
@@ -275,44 +285,20 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(lineno, f"empty value for key {key!r}")
         raw[(section, key)] = (value, lineno)
 
-    def take(section: str, key: str, parser):
-        entry = raw.get((section, key))
-        if entry is None:
-            return None
-        value, lineno = entry
+    if ("system", "name") not in raw:
+        raise ValidationError("system", "missing [system] name")
+    if ("integrator", "name") not in raw:
+        raise ValidationError("integrator", "missing [integrator] name")
+    fields = {}
+    for (section, key), (field, parser) in _KEYS.items():
+        if (section, key) not in raw:
+            continue
+        value, lineno = raw[(section, key)]
         try:
-            return parser(value)
+            fields[field] = parser(value)
         except ValueError as exc:
             raise ParseError(lineno, f"bad value for {key!r}: {exc}") from exc
-
-    system = take("system", "name", str)
-    integrator = take("integrator", "name", str)
-    if system is None:
-        raise ValidationError("system", "missing [system] name")
-    if integrator is None:
-        raise ValidationError("integrator", "missing [integrator] name")
-
-    cfg = RunConfig(
-        system=system,
-        integrator=integrator,
-        potential=take("system", "potential", str),
-        q0=take("system", "q0", _parse_floats),
-        v0=take("system", "v0", _parse_floats),
-        w0=take("system", "w0", _parse_floats),
-        affine=take("system", "affine", _parse_floats),
-        m=take("system", "m", _parse_float),
-        r=take("system", "r", _parse_float),
-        omega_plate=take("system", "omega_plate", _parse_float),
-        inertia=take("system", "inertia", _parse_floats),
-        retraction=take("integrator", "retraction", str),
-        h=take("run", "h", _parse_float),
-        h_list=take("run", "h_list", _parse_floats),
-        T=take("run", "T", _parse_float),
-        steps=take("run", "N", _parse_int),
-        h_ref=take("run", "h_ref", _parse_float),
-        reference=take("run", "reference", str),
-        out=take("run", "out", str),
-    )
+    cfg = RunConfig(**fields)
     _validate(cfg)
     return cfg
 
@@ -467,28 +453,15 @@ def format_config(cfg: RunConfig) -> str:
             return repr(value)
         return str(value)
 
-    lines = ["[system]", f"name = {cfg.system}"]
-    for key in ("potential", "q0", "v0", "w0", "affine", "m", "r", "omega_plate", "inertia"):
-        value = getattr(cfg, key)
-        if value is not None:
-            lines.append(f"{key} = {fmt(value)}")
-    lines += ["", "[integrator]", f"name = {cfg.integrator}"]
-    if cfg.retraction is not None:
-        lines.append(f"retraction = {cfg.retraction}")
-    lines += ["", "[run]"]
-    for key, field in (
-        ("h", "h"),
-        ("h_list", "h_list"),
-        ("T", "T"),
-        ("N", "steps"),
-        ("h_ref", "h_ref"),
-        ("reference", "reference"),
-        ("out", "out"),
-    ):
+    lines, current = [], None
+    for (section, key), (field, _) in _KEYS.items():
+        if section != current:
+            lines += ["", f"[{section}]"]
+            current = section
         value = getattr(cfg, field)
         if value is not None:
             lines.append(f"{key} = {fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines[1:]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -743,14 +716,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point. Returns 0 on success, 1 on solver or check failure,
-    2 on config errors."""
+    2 on config errors, 141 when the reader of stdout closed it early."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``gni simulate ... | head``): point
+        # stdout at the null device so the flush at exit is silent, and exit
+        # as a producer stopped by SIGPIPE does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     # SingularMatrix and RankDeficient are ValueErrors: a degenerate system
     # outside a run is a config error.
     except (ParseError, ValidationError, OSError, ValueError) as exc:

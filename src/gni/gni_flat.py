@@ -147,12 +147,15 @@ def gni_generic_step_stats(
     carried = carried + 2.0 * (q_mat.T @ sys.momentum_offset(q_curr))
 
     def residual(q_next):
-        return np.asarray(ld.d1(q_curr, q_next, h), dtype=float) + carried
+        return (ld.d1(q_curr, np.array(q_next), h) + carried).tolist()
 
     def jacobian(q_next):
-        return ld.d12(q_curr, q_next, h)
+        return ld.d12(q_curr, np.array(q_next), h).tolist()
 
-    return newton_solve_stats(residual, 2.0 * q_curr - q_prev, cfg=cfg, jacobian=jacobian)
+    q_next, iters = newton_solve_stats(
+        residual, (2.0 * q_curr - q_prev).tolist(), cfg=cfg, jacobian=jacobian
+    )
+    return np.array(q_next), iters
 
 
 def _kick_drift_resolve(sys: FlatSystem, s: PhaseState, h: float, scheme: str) -> PhaseState:

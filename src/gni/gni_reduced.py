@@ -28,6 +28,7 @@ to the generic reduced stepper for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +39,7 @@ from .numerics import (
     NewtonConfig,
     NoConvergence,
     default_newton_config,
-    newton_solve3,
+    newton_solve_stats,
     solve_gram,
 )
 
@@ -177,7 +178,7 @@ def reduced_rattle_step(
     (p_half_next - Gc xi)`` the algebra gradient ``d3`` is the affine map
     ``b + S xi`` with the Schur block ``S = Ga - Gc^T Gs^{-1} Gc`` and
     ``b = Gc^T Gs^{-1} p_half_next``, and stage 3 runs
-    :func:`gni.numerics.newton_solve3` with the analytic Jacobian of
+    :func:`gni.numerics.newton_solve_stats` with the analytic Jacobian of
     :func:`_stage3_system`.
 
     Raises
@@ -232,7 +233,7 @@ def reduced_rattle_step(
     p_half_next = p1 - 0.5 * h * (grad1 + mu1.T @ lam1)
     b = gc.T @ (gs_inv @ p_half_next)
     residual, jacobian = _stage3_system(retraction, rsys.algebra_schur, b, alg1, h)
-    xi1, iters = newton_solve3(residual, jacobian, s.xi.tolist(), cfg)
+    xi1, iters = newton_solve_stats(residual, s.xi.tolist(), cfg, jacobian=jacobian)
     return ReducedState(x1, p1, np.array(xi1), alg1, lam1, newton_iters=iters)
 
 
@@ -253,15 +254,16 @@ def _stage3_system(
                           + c ((sigma . v) I + sigma v^T)
                           + 2 c' (sigma . v) sigma sigma^T.
 
-    Returns ``(residual, jacobian)``, both taking the three components of
-    ``xi``; the Jacobian comes as three rows.
+    Returns ``(residual, jacobian)``, both taking ``xi`` as one sequence of
+    three floats; the Jacobian comes as three rows.
     """
     coeffs = _TANGENT_COEFFS[retraction]
     (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = schur.tolist()
     b0, b1, b2 = b.tolist()
     g0, g1, g2 = alg1.tolist()
 
-    def residual(x0, x1, x2):
+    def residual(x):
+        x0, x1, x2 = x
         v0 = b0 + s00 * x0 + s01 * x1 + s02 * x2
         v1 = b1 + s10 * x0 + s11 * x1 + s12 * x2
         v2 = b2 + s20 * x0 + s21 * x1 + s22 * x2
@@ -276,7 +278,8 @@ def _stage3_system(
             d * v2 + 0.5 * (o0 * v1 - o1 * v0) + cw * o2 - g2,
         )
 
-    def jacobian(x0, x1, x2):
+    def jacobian(x):
+        x0, x1, x2 = x
         v0 = b0 + s00 * x0 + s01 * x1 + s02 * x2
         v1 = b1 + s10 * x0 + s11 * x1 + s12 * x2
         v2 = b2 + s20 * x0 + s21 * x1 + s22 * x2
@@ -473,8 +476,9 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
     equations carry 1/h leading terms whose evaluation noise would swamp
     an absolute tolerance at fine resolution.  Row scaling leaves the
     Newton updates themselves unchanged.  ``step`` raises
-    :class:`~gni.numerics.NoConvergence` when the budget is exhausted or
-    the Newton system is singular.
+    :class:`~gni.numerics.NoConvergence` when the budget is exhausted,
+    the Newton system is singular, or at once when a residual at the
+    current iterate is not finite.
     """
     if cfg is None:
         cfg = default_newton_config()
@@ -536,6 +540,11 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
         for iteration in range(max_iters):
             if norm <= tol:
                 return xp, yp, w1, w2, w3, iteration
+            if not (isfinite(f1) and isfinite(f2) and isfinite(f3) and isfinite(f4)
+                    and isfinite(f5)):
+                # ``max`` drops a NaN that is not its first argument; the sum
+                # of the magnitudes is NaN if any residual is, else inf.
+                raise NoConvergence(iteration, abs(f1) + abs(f2) + abs(f3) + abs(f4) + abs(f5))
             delta = _solve_sphere(
                 jac_mom,
                 s12 * (k13 * w3 + hi1 * w1 * w2),

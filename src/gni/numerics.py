@@ -5,9 +5,8 @@ here: :func:`lu_solve` for square linear systems (LU with partial pivoting,
 explicit singularity detection), :func:`small_solve` for the same
 elimination written out on plain floats for the 1x1 to 3x3 systems of the
 steppers, :func:`solve_gram` for constraint Gram systems, and
-:func:`newton_solve_stats` for nonlinear root-finding (analytic Jacobian,
-step damping; :func:`newton_solve3` runs the same iteration on three
-plain floats).  Keeping the solvers in one place
+:func:`newton_solve_stats` for nonlinear root-finding (plain floats,
+analytic Jacobian, step damping).  Keeping the solvers in one place
 makes failure modes uniform: linear degeneracies surface as
 :class:`SingularMatrix` (:class:`RankDeficient` for Gram systems), stalled
 iterations as :class:`NoConvergence`.
@@ -17,7 +16,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import isfinite, nan
-from typing import Callable, Optional
+from operator import sub
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "small_solve",
     "solve_gram",
     "newton_solve_stats",
-    "newton_solve3",
 ]
 
 # Relative pivot threshold below which a matrix is declared singular.
@@ -70,8 +69,7 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Tolerances and budgets for :func:`newton_solve_stats` and
-    :func:`newton_solve3`.
+    """Tolerances and budgets for :func:`newton_solve_stats`.
 
     Parameters
     ----------
@@ -254,87 +252,40 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise RankDeficient("constraint rows are linearly dependent") from exc
 
 
+def _inf_norm(values) -> float:
+    """Infinity norm of a sequence of floats: NaN if any entry is NaN (as
+    ``np.max`` gives), 0 for an empty sequence."""
+    norm = 0.0
+    for value in values:
+        if value != value:
+            return nan
+        value = abs(value)
+        if value > norm:
+            norm = value
+    return norm
+
+
 def newton_solve_stats(
-    residual: Callable[[np.ndarray], np.ndarray],
+    residual: Callable[[list], Sequence[float]],
     x0,
     cfg: Optional[NewtonConfig] = None,
     *,
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[list], Sequence[Sequence[float]]],
 ):
     """Find ``x`` with ``|residual(x)|_inf <= cfg.residual_tol``.
 
-    Damped Newton iteration from the 1-D start ``x0`` with the analytic
-    Jacobian ``jacobian(x)``: at each step the correction from the
-    linearised system (by :func:`small_solve` up to three unknowns, else
-    :func:`lu_solve`) is applied with step length 1, and halved (at most
-    eight times) while the residual norm fails to decrease to a finite
+    Damped Newton iteration on plain floats from the start ``x0``.
+    ``residual(x)`` takes the iterate as one list of floats and returns a
+    sequence of floats; ``jacobian(x)`` returns its analytic Jacobian as
+    rows.  At each step the correction ``d`` of ``J d = f`` (by
+    :func:`small_solve` up to three unknowns, else :func:`lu_solve`) is
+    taken as ``x - alpha d`` with ``alpha = 1``, and ``alpha`` is halved (at
+    most eight times) while the residual norm fails to decrease to a finite
     value; when the halvings run out the smallest step is taken anyway.
 
-    Returns ``(x, iterations)`` where ``iterations`` counts accepted
-    Newton updates (0 when the initial guess already satisfies the
-    tolerance).
-
-    Raises
-    ------
-    NoConvergence
-        If the tolerance is not met within ``cfg.max_iters`` iterations,
-        or at once when the residual at the current iterate is not finite.
-    SingularMatrix
-        If a Newton system is numerically singular.
-    """
-    if cfg is None:
-        cfg = default_newton_config()
-    x = np.array(x0, dtype=float)
-    r = np.asarray(residual(x), dtype=float)
-    norm = np.max(np.abs(r)) if r.size else 0.0
-    for iteration in range(cfg.max_iters):
-        if norm <= cfg.residual_tol:
-            return x, iteration
-        if not isfinite(norm):
-            raise NoConvergence(iteration, float(norm))
-        if x.size <= 3:
-            delta = np.array(small_solve(np.asarray(jacobian(x)).tolist(), (-r).tolist()))
-        else:
-            delta = lu_solve(jacobian(x), -r)
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = x + alpha * delta
-            r_trial = np.asarray(residual(trial), dtype=float)
-            trial_norm = np.max(np.abs(r_trial)) if r_trial.size else 0.0
-            if isfinite(trial_norm) and trial_norm < norm:
-                break
-            alpha *= 0.5
-        else:
-            trial = x + alpha * delta
-            r_trial = np.asarray(residual(trial), dtype=float)
-            trial_norm = np.max(np.abs(r_trial)) if r_trial.size else 0.0
-        x, r, norm = trial, r_trial, trial_norm
-    if norm <= cfg.residual_tol:
-        return x, cfg.max_iters
-    raise NoConvergence(cfg.max_iters, float(norm))
-
-
-def _norm3(f0: float, f1: float, f2: float) -> float:
-    """Infinity norm of three floats; NaN if any is NaN, like ``np.max``."""
-    if f0 != f0 or f1 != f1 or f2 != f2:
-        return nan
-    return max(abs(f0), abs(f1), abs(f2))
-
-
-def newton_solve3(
-    residual: Callable,
-    jacobian: Callable,
-    x0,
-    cfg: Optional[NewtonConfig] = None,
-):
-    """:func:`newton_solve_stats` for three unknowns on plain floats.
-
-    ``residual(x0, x1, x2)`` returns the three residuals and
-    ``jacobian(x0, x1, x2)`` the Jacobian as three rows; each Newton
-    system goes through :func:`small_solve`.  The stop, the damping (at
-    most eight halvings, accepting only a finite, smaller norm), the step
-    taken when the halvings run out and the errors are those of
-    :func:`newton_solve_stats`.  Returns ``((x0, x1, x2), iterations)``.
+    Returns ``(x, iterations)``: ``x`` as a list of floats, and the number
+    of accepted Newton updates (0 when the initial guess already satisfies
+    the tolerance).
 
     Raises
     ------
@@ -347,28 +298,30 @@ def newton_solve3(
     if cfg is None:
         cfg = default_newton_config()
     tol = cfg.residual_tol
-    x0, x1, x2 = x0
-    f0, f1, f2 = residual(x0, x1, x2)
-    norm = _norm3(f0, f1, f2)
+    x = [float(v) for v in x0]
+    small = len(x) <= 3
+    f = residual(x)
+    norm = _inf_norm(f)
     for iteration in range(cfg.max_iters):
         if norm <= tol:
-            return (x0, x1, x2), iteration
+            return x, iteration
         if not isfinite(norm):
             raise NoConvergence(iteration, norm)
-        d0, d1, d2 = small_solve(jacobian(x0, x1, x2), (-f0, -f1, -f2))
+        d = small_solve(jacobian(x), f) if small else lu_solve(jacobian(x), f).tolist()
+        # The full step: 1.0 * d is d.
         alpha = 1.0
+        trial = list(map(sub, x, d))
+        f_trial = residual(trial)
+        trial_norm = _inf_norm(f_trial)
         for _ in range(_MAX_HALVINGS):
-            t0, t1, t2 = x0 + alpha * d0, x1 + alpha * d1, x2 + alpha * d2
-            g0, g1, g2 = residual(t0, t1, t2)
-            trial_norm = _norm3(g0, g1, g2)
-            if isfinite(trial_norm) and trial_norm < norm:
+            # ``norm`` is finite here, so only a finite norm can be smaller.
+            if trial_norm < norm:
                 break
             alpha *= 0.5
-        else:
-            t0, t1, t2 = x0 + alpha * d0, x1 + alpha * d1, x2 + alpha * d2
-            g0, g1, g2 = residual(t0, t1, t2)
-            trial_norm = _norm3(g0, g1, g2)
-        x0, x1, x2, f0, f1, f2, norm = t0, t1, t2, g0, g1, g2, trial_norm
+            trial = [xi - alpha * di for xi, di in zip(x, d)]
+            f_trial = residual(trial)
+            trial_norm = _inf_norm(f_trial)
+        x, f, norm = trial, f_trial, trial_norm
     if norm <= tol:
-        return (x0, x1, x2), cfg.max_iters
+        return x, cfg.max_iters
     raise NoConvergence(cfg.max_iters, norm)

@@ -1,5 +1,8 @@
 """Tests for config parsing, the system registry, and CSV emission."""
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from gni.cli import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 MINIMAL_SPHERE = """\
 [system]
@@ -166,6 +170,36 @@ def test_roundtrip_parse_format_parse():
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = parse_config(path.read_text())
         assert parse_config(format_config(cfg)) == cfg, path.name
+
+
+def test_format_config_writes_every_set_key_in_table_order():
+    full = RunConfig(
+        system="chaplygin", integrator="reduced_rattle", potential="harmonic", q0=(1.0, 0.5),
+        v0=(0.25,), w0=(-0.2, 0.0, 0.4), affine=(0.3, -0.2), m=3.0, r=1.5, omega_plate=0.2,
+        inertia=(1.0, 1.1, 1.2), retraction="exp", h=0.1, h_list=(0.1, 0.05, 0.025), T=15.0,
+        steps=100, h_ref=0.0005, reference="self", out="traj.csv",
+    )
+    assert format_config(full) == (
+        "[system]\nname = chaplygin\npotential = harmonic\nq0 = 1.0, 0.5\nv0 = 0.25\n"
+        "w0 = -0.2, 0.0, 0.4\naffine = 0.3, -0.2\nm = 3.0\nr = 1.5\nomega_plate = 0.2\n"
+        "inertia = 1.0, 1.1, 1.2\n\n[integrator]\nname = reduced_rattle\nretraction = exp\n"
+        "\n[run]\nh = 0.1\nh_list = 0.1, 0.05, 0.025\nT = 15.0\nN = 100\nh_ref = 0.0005\n"
+        "reference = self\nout = traj.csv\n"
+    )
+    # Defaults are not written; every section header is.
+    bare = RunConfig(system="chaplygin", integrator="chaplygin_gni")
+    assert format_config(bare) == (
+        "[system]\nname = chaplygin\n\n[integrator]\nname = chaplygin_gni\n\n[run]\n"
+    )
+
+
+def test_parse_reports_the_first_bad_value_in_key_order():
+    # Values are read in the order of the key table, not of the file.
+    text = MINIMAL_SPHERE.replace("N = 100", "N = many") + "[system]\nm = heavy\n"
+    with pytest.raises(ParseError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.line == len(text.splitlines())
+    assert "'m'" in excinfo.value.message
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +754,39 @@ def test_diverging_run_fails_without_numpy_warnings(tmp_path, capsys, recwarn):
     assert "solver failure" in capsys.readouterr().err
     assert not out.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_sphere_non_finite_start_fails_before_any_newton_update(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(MINIMAL_SPHERE.replace("[integrator]", "w0 = 1e160, 0.0, 0.0\n\n[integrator]"))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "solver failure: step 1 failed" in err
+    assert "after 0 iterations (|residual|_inf = nan)" in err
+    assert not out.exists()
+
+
+def test_closed_stdout_exits_141_without_messages(tmp_path):
+    # The reader takes one line and closes the pipe, as ``| head -1`` does;
+    # the rest of the CSV (about 1 MB) cannot be written.
+    cfg = tmp_path / "long.cfg"
+    text = PARTICLE_TEMPLATE.format(integrator="euler_a")
+    cfg.write_text(text.replace("T = 0.5", "N = 5000"))
+    path = os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gni.cli", "simulate", "--config", str(cfg)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"step,t,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_help_exits_zero(capsys):

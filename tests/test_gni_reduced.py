@@ -362,7 +362,7 @@ def test_stage3_tangent_transpose_matches_matrix_form(retraction):
         sigma = _random_sigma(rng)
         v = rng.normal(size=3)
         residual, _ = _stage3_system(retraction, np.zeros((3, 3)), v, np.zeros(3), 1.0)
-        got = np.array(residual(*sigma))
+        got = np.array(residual(sigma.tolist()))
         ref = _DTAU_INV[retraction](sigma).T @ v
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -377,14 +377,14 @@ def test_stage3_jacobian_matches_central_differences(retraction):
         b, alg1, xi = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
         h = rng.uniform(0.01, 0.5)
         residual, jacobian = _stage3_system(retraction, schur, b, alg1, h)
-        jac = np.array(jacobian(*xi))
+        jac = np.array(jacobian(xi.tolist()))
         fd = np.empty((3, 3))
         for j in range(3):
             step = np.zeros(3)
             step[j] = eps
-            fd[:, j] = (np.array(residual(*(xi + step))) - np.array(residual(*(xi - step)))) / (
-                2.0 * eps
-            )
+            fd[:, j] = (
+                np.array(residual((xi + step).tolist())) - np.array(residual((xi - step).tolist()))
+            ) / (2.0 * eps)
         np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-8)
 
 
@@ -446,8 +446,12 @@ def _old_reduced_step(rsys, ld, s, h, retraction="cay"):
             jac[:, j] = (residual(probe) - r0) / 1e-7
         return jac
 
-    xi1, iters = newton_solve_stats(residual, s.xi.copy(), jacobian=fd_jacobian)
-    return ReducedState(x1, p1, xi1, alg1, lam1, newton_iters=iters)
+    xi1, iters = newton_solve_stats(
+        lambda z: residual(np.array(z)).tolist(),
+        s.xi.tolist(),
+        jacobian=lambda z: fd_jacobian(np.array(z)).tolist(),
+    )
+    return ReducedState(x1, p1, np.array(xi1), alg1, lam1, newton_iters=iters)
 
 
 @pytest.mark.parametrize("retraction, steps", [("cay", 3000), ("exp", 2500)])
@@ -488,6 +492,43 @@ def test_reduced_step_agrees_with_finite_difference_stage3_coupled_metric(retrac
         old = _old_reduced_step(rsys, ld, old, h, retraction=retraction)
         for name in ("x", "p", "xi", "p_alg"):
             assert np.max(np.abs(getattr(new, name) - getattr(old, name))) <= 1e-9
+
+
+# Final (x, p, xi, p_alg, lam) after 200 steps of the shipped reduced
+# sphere at h = 0.05, as the stage-3 Newton solve on three floats gave them
+# before it ran through the one Newton driver of gni.numerics.
+_PINNED_200_STEPS = {
+    "cay": (
+        "-0x1.2c52fa7eda196p-2", "0x1.f0954e2243540p+1", "-0x1.9683911920954p-1",
+        "0x1.1762518b250dbp+0", "-0x1.b1ecc816988c0p-2", "0x1.0573a09a620f1p-1",
+        "0x1.dfaee9ecaefe1p-2", "-0x1.b182ad8169e40p-2", "0x1.2039686c6cf9ep-1",
+        "0x1.1fa471e3c683cp-1", "0x1.6e3c57923cfa2p-6", "0x1.2abd04d0154b0p-5",
+    ),
+    "exp": (
+        "-0x1.2c6c7c5f80df0p-2", "0x1.f0961f0234271p+1", "-0x1.96904c753d633p-1",
+        "0x1.17644ac62e916p+0", "-0x1.b22589aab0901p-2", "0x1.058bba5a98eddp-1",
+        "0x1.dfe9811ab4f67p-2", "-0x1.b18a42aad8e94p-2", "0x1.20359397dacb6p-1",
+        "0x1.1faabd81cd36bp-1", "0x1.6ed4a2621ca38p-6", "0x1.2a8cf3614ed10p-5",
+    ),
+}
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_reduced_steps_keep_their_pinned_bits(retraction):
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    rsys = chaplygin_reduced_system(params)
+    h = 0.05
+    s = chaplygin_initial_reduced_state(
+        params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), h
+    )
+    cfg = NewtonConfig()
+    iters = 0
+    for _ in range(200):
+        s = reduced_rattle_step(rsys, s, h, retraction=retraction, cfg=cfg)
+        iters += s.newton_iters
+    got = [*s.x, *s.p, *s.xi, *s.p_alg, *s.lam]
+    assert [float(v).hex() for v in got] == list(_PINNED_200_STEPS[retraction])
+    assert iters == 400
 
 
 def test_reduced_step_stage3_no_convergence():
@@ -934,3 +975,30 @@ def test_reconstruct_orthogonality_drift_bounded():
     rots = reconstruct(np.eye(3), xis, 0.01)
     final = rots[-1]
     assert np.max(np.abs(final.T @ final - np.eye(3))) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "w0",
+    [(1e160, 0.0, 0.0), (float("nan"), 0.0, 0.0), (0.0, 0.0, float("nan"))],
+)
+def test_stepper_stops_at_once_on_a_non_finite_residual(monkeypatch, w0):
+    # A start whose residuals overflow, or that carries a NaN (also where
+    # ``max`` would drop it), raises before the first Newton system.
+    calls = []
+    solve = gni_reduced._solve_sphere
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(gni_reduced, "_solve_sphere", counting_solve)
+    params = ChaplyginParams(m=1.0, r=1.0, omega=1.0, i1=2 / 3, i2=2 / 3, i3=2 / 3)
+    h = 0.1
+    q0 = np.array([1.0, 1.0])
+    q1 = chaplygin_init(params, q0, np.array(w0), h)
+    step = gni_reduced._chaplygin_stepper(params, h)
+    with pytest.raises(NoConvergence) as excinfo:
+        step(*q0.tolist(), *q1.tolist(), *w0)
+    assert excinfo.value.iterations == 0
+    assert not np.isfinite(excinfo.value.final_residual)
+    assert calls == []

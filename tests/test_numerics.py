@@ -1,5 +1,6 @@
 """Tests for the linear and Newton solvers."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from gni.numerics import (
     SingularMatrix,
     default_newton_config,
     lu_solve,
-    newton_solve3,
     newton_solve_stats,
     small_solve,
     solve_gram,
@@ -68,10 +68,10 @@ def test_newton_linear_converges_in_two_iterations():
     calls = []
 
     def residual(x):
-        calls.append(float(x[0]))
-        return 3.0 * x - 6.0
+        calls.append(x[0])
+        return [3.0 * x[0] - 6.0]
 
-    x, _ = newton_solve_stats(residual, np.array([0.0]), jacobian=lambda x: np.array([[3.0]]))
+    (x,), _ = newton_solve_stats(residual, [0.0], jacobian=lambda x: [[3.0]])
     assert abs(x - 2.0) <= 1e-12
     # Two corrections at most: one evaluation at x0 plus one accepted
     # trial point per iteration.
@@ -79,30 +79,30 @@ def test_newton_linear_converges_in_two_iterations():
 
 
 def test_newton_scalar_quadratic():
-    x, _ = newton_solve_stats(
-        lambda x: x * x - 4.0, np.array([3.0]), jacobian=lambda x: np.array([[2.0 * x[0]]])
+    (x,), _ = newton_solve_stats(
+        lambda x: [x[0] * x[0] - 4.0], [3.0], jacobian=lambda x: [[2.0 * x[0]]]
     )
     assert abs(x - 2.0) <= 1e-12
 
 
 def test_newton_vector_system():
     def residual(z):
-        return np.array([z[0] - 1.0, z[1] ** 2 - 9.0])
+        return [z[0] - 1.0, z[1] ** 2 - 9.0]
 
     def jacobian(z):
-        return np.array([[1.0, 0.0], [0.0, 2.0 * z[1]]])
+        return [[1.0, 0.0], [0.0, 2.0 * z[1]]]
 
-    z, _ = newton_solve_stats(residual, np.array([0.0, 2.0]), jacobian=jacobian)
+    z, _ = newton_solve_stats(residual, [0.0, 2.0], jacobian=jacobian)
     assert np.allclose(z, [1.0, 3.0], atol=1e-12)
 
 
 def test_newton_damping_rescues_overshoot():
     # Full Newton steps on arctan diverge from this start; the damped
     # iteration must still reach the root at the origin.
-    x, _ = newton_solve_stats(
-        lambda x: np.arctan(20.0 * x),
-        np.array([2.0]),
-        jacobian=lambda x: np.array([[20.0 / (1.0 + 400.0 * x[0] * x[0])]]),
+    (x,), _ = newton_solve_stats(
+        lambda x: [math.atan(20.0 * x[0])],
+        [2.0],
+        jacobian=lambda x: [[20.0 / (1.0 + 400.0 * x[0] * x[0])]],
     )
     assert abs(x) <= 1e-12
 
@@ -111,10 +111,7 @@ def test_newton_no_convergence_reports_budget():
     cfg = NewtonConfig(max_iters=3)
     with pytest.raises(NoConvergence) as excinfo:
         newton_solve_stats(
-            lambda x: x * x - 4.0,
-            np.array([1.0e3]),
-            cfg=cfg,
-            jacobian=lambda x: np.array([[2.0 * x[0]]]),
+            lambda x: [x[0] * x[0] - 4.0], [1.0e3], cfg=cfg, jacobian=lambda x: [[2.0 * x[0]]]
         )
     assert excinfo.value.iterations == 3
     assert excinfo.value.final_residual > 0.0
@@ -122,7 +119,7 @@ def test_newton_no_convergence_reports_budget():
 
 def test_newton_requires_a_jacobian():
     with pytest.raises(TypeError):
-        newton_solve_stats(lambda x: x - 1.0, np.array([0.0]))
+        newton_solve_stats(lambda x: [x[0] - 1.0], [0.0])
 
 
 def test_default_config_env_override(monkeypatch):
@@ -151,7 +148,9 @@ def test_newton_small_systems_skip_lu_solve(monkeypatch):
         raise AssertionError("lu_solve called")
 
     monkeypatch.setattr(numerics, "lu_solve", no_lu_solve)
-    x, iters = newton_solve_stats(lambda z: a @ z - b, np.zeros(3), jacobian=lambda z: a)
+    x, iters = newton_solve_stats(
+        lambda z: (a @ z - b).tolist(), [0.0] * 3, jacobian=lambda z: a.tolist()
+    )
     assert iters == 1
     np.testing.assert_allclose(x, expected, rtol=1e-15, atol=0.0)
 
@@ -166,13 +165,15 @@ def test_newton_larger_systems_use_lu_solve(monkeypatch):
     monkeypatch.setattr(numerics, "lu_solve", counting_lu_solve)
     a = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1
     b = np.ones(4)
-    x, iters = newton_solve_stats(lambda z: a @ z - b, np.zeros(4), jacobian=lambda z: a)
+    x, iters = newton_solve_stats(
+        lambda z: (a @ z - b).tolist(), [0.0] * 4, jacobian=lambda z: a.tolist()
+    )
     assert calls == [(4, 4)]
     np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# small_solve, solve_gram and newton_solve3
+# small_solve and solve_gram
 
 
 def test_small_solve_matches_lu_solve():
@@ -280,18 +281,57 @@ def test_solve_gram_small_and_large_systems():
             solve_gram(dependent @ dependent.T, rhs)
 
 
+
+
+# ---------------------------------------------------------------------------
+# the Newton driver on plain floats
+
+
+def _array_newton(residual, x0, cfg=NewtonConfig(), *, jacobian):
+    """The Newton driver as it ran on NumPy arrays, solving for ``-f`` and
+    stepping ``x + alpha d``: the oracle the float driver must match bit
+    for bit.  ``residual`` and ``jacobian`` take and return sequences."""
+    x = np.array(x0, dtype=float)
+    r = np.array(residual(x.tolist()), dtype=float)
+    norm = np.max(np.abs(r)) if r.size else 0.0
+    for iteration in range(cfg.max_iters):
+        if norm <= cfg.residual_tol:
+            return x, iteration
+        if not np.isfinite(norm):
+            raise NoConvergence(iteration, float(norm))
+        delta = np.array(small_solve(jacobian(x.tolist()), (-r).tolist()))
+        alpha = 1.0
+        for _ in range(8):
+            trial = x + alpha * delta
+            r_trial = np.array(residual(trial.tolist()), dtype=float)
+            trial_norm = np.max(np.abs(r_trial))
+            if np.isfinite(trial_norm) and trial_norm < norm:
+                break
+            alpha *= 0.5
+        else:
+            trial = x + alpha * delta
+            r_trial = np.array(residual(trial.tolist()), dtype=float)
+            trial_norm = np.max(np.abs(r_trial))
+        x, r, norm = trial, r_trial, trial_norm
+    if norm <= cfg.residual_tol:
+        return x, cfg.max_iters
+    raise NoConvergence(cfg.max_iters, float(norm))
+
+
 def _coupled_atan():
     """Three coupled arctan equations: full Newton steps from far out
     overshoot, so the damping and its halvings are exercised."""
 
-    def residual(z0, z1, z2):
+    def residual(z):
+        z0, z1, z2 = z
         return (
-            np.arctan(20.0 * z0) + 0.1 * z1,
-            np.arctan(10.0 * z1) - 0.1 * z2,
-            np.arctan(5.0 * z2) + 0.05 * z0,
+            math.atan(20.0 * z0) + 0.1 * z1,
+            math.atan(10.0 * z1) - 0.1 * z2,
+            math.atan(5.0 * z2) + 0.05 * z0,
         )
 
-    def jacobian(z0, z1, z2):
+    def jacobian(z):
+        z0, z1, z2 = z
         return (
             (20.0 / (1.0 + 400.0 * z0 * z0), 0.1, 0.0),
             (0.0, 10.0 / (1.0 + 100.0 * z1 * z1), -0.1),
@@ -301,84 +341,102 @@ def _coupled_atan():
     return residual, jacobian
 
 
-def test_newton_solve3_follows_newton_solve_stats():
+def test_newton_damped_coupled_system_matches_the_array_iteration():
     residual, jacobian = _coupled_atan()
     for start in ([2.0, -1.5, 3.0], [0.3, 0.2, -0.1], [5.0, 5.0, 5.0]):
-        x, iters = newton_solve3(residual, jacobian, start)
-        ref, ref_iters = newton_solve_stats(
-            lambda z: np.array(residual(*z)),
-            np.array(start),
-            jacobian=lambda z: np.array(jacobian(*z)),
-        )
+        evals = []
+
+        def counted(z):
+            evals.append(z)
+            return residual(z)
+
+        x, iters = newton_solve_stats(counted, start, jacobian=jacobian)
+        ref, ref_iters = _array_newton(residual, start, jacobian=jacobian)
         assert iters == ref_iters
-        np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-14)
-        assert max(abs(f) for f in residual(*x)) <= 1e-12
+        assert type(x) is list and all(type(v) is float for v in x)
+        np.testing.assert_array_equal(np.array(x).view(np.uint64), ref.view(np.uint64))
+        assert max(abs(f) for f in residual(x)) <= 1e-12
+        if start[0] == 2.0:
+            # Far out the full step overshoots: some iterations halve.
+            assert len(evals) > iters + 1
         # Converging on the last iteration of the budget still succeeds.
-        _, last = newton_solve3(residual, jacobian, start, NewtonConfig(max_iters=ref_iters))
+        _, last = newton_solve_stats(residual, start, NewtonConfig(max_iters=ref_iters),
+                                     jacobian=jacobian)
         assert last == ref_iters
 
 
-def test_newton_solve3_no_convergence_reports_budget():
+def test_newton_coupled_system_no_convergence_reports_budget():
     residual, jacobian = _coupled_atan()
     with pytest.raises(NoConvergence) as excinfo:
-        newton_solve3(residual, jacobian, [2.0, -1.5, 3.0], NewtonConfig(max_iters=1))
+        newton_solve_stats(residual, [2.0, -1.5, 3.0], NewtonConfig(max_iters=1),
+                           jacobian=jacobian)
     assert excinfo.value.iterations == 1
     assert excinfo.value.final_residual > 1e-12
 
 
-def test_newton_solve3_singular_jacobian_raises():
-    def residual(z0, z1, z2):
+def test_newton_singular_jacobian_raises():
+    def residual(z):
+        z0, z1, z2 = z
         return (z0 + z1 - 1.0, 2.0 * z0 + 2.0 * z1, z2)
 
-    def jacobian(z0, z1, z2):
+    def jacobian(z):
         return ((1.0, 1.0, 0.0), (2.0, 2.0, 0.0), (0.0, 0.0, 1.0))
 
     with pytest.raises(SingularMatrix):
-        newton_solve3(residual, jacobian, [0.0, 0.0, 0.0])
+        newton_solve_stats(residual, [0.0, 0.0, 0.0], jacobian=jacobian)
 
 
-def test_newton_solve3_takes_the_fallback_step_like_newton_solve_stats():
+def test_newton_takes_the_fallback_step_when_the_halvings_run_out():
     # A wrong-signed Jacobian makes every damped trial worse, so each
-    # iteration exhausts its halvings and takes the smallest step anyway.
-    def residual(z0, z1, z2):
+    # iteration exhausts its halvings and takes the smallest step anyway:
+    # z0 -> z0 + (1 + z0^2) / 256, after 1 + 8 + 1 evaluations a step.
+    evals = []
+
+    def residual(z):
+        evals.append(z)
+        z0, z1, z2 = z
         return (1.0 + z0 * z0, z1, z2)
 
-    def jacobian(z0, z1, z2):
+    def jacobian(z):
         return ((-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
     cfg = NewtonConfig(max_iters=3)
     with pytest.raises(NoConvergence) as got:
-        newton_solve3(residual, jacobian, [1.0, 0.0, 0.0], cfg)
+        newton_solve_stats(residual, [1.0, 0.0, 0.0], cfg, jacobian=jacobian)
+    z0 = 1.0
+    for _ in range(3):
+        z0 += (1.0 + z0 * z0) / 256.0
+    assert got.value.iterations == 3
+    assert got.value.final_residual == 1.0 + z0 * z0 > 2.0
+    assert len(evals) == 1 + 3 * 9
     with pytest.raises(NoConvergence) as ref:
-        newton_solve_stats(
-            lambda z: np.array(residual(*z)),
-            np.array([1.0, 0.0, 0.0]),
-            cfg=cfg,
-            jacobian=lambda z: np.array(jacobian(*z)),
-        )
-    assert got.value.final_residual == ref.value.final_residual > 2.0
+        _array_newton(residual, [1.0, 0.0, 0.0], cfg, jacobian=jacobian)
+    assert got.value.final_residual == ref.value.final_residual
 
 
-def test_newton_solve3_rejects_non_finite_trial_points():
-    # The full step lands where one residual is NaN; like newton_solve_stats
-    # the damping must refuse it and halve into the finite region.
-    def residual(z0, z1, z2):
-        f = z0 - 1.0
-        return (z1, f if z0 < 1.5 else float("nan"), z2)
+def test_newton_rejects_non_finite_trial_points():
+    # The full step lands where one residual is NaN; the damping must
+    # refuse it and halve into the finite region, where z0 = 1 is the root.
+    evals = []
 
-    def jacobian(z0, z1, z2):
+    def residual(z):
+        evals.append(z)
+        z0, z1, z2 = z
+        return (z1, z0 - 1.0 if z0 < 1.5 else float("nan"), z2)
+
+    def jacobian(z):
         return ((0.0, 1.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 1.0))
 
-    x, iters = newton_solve3(residual, jacobian, [0.0, 0.0, 0.0])
-    ref, ref_iters = newton_solve_stats(
-        lambda z: np.array(residual(*z)), np.zeros(3), jacobian=lambda z: np.array(jacobian(*z))
-    )
-    assert iters == ref_iters
+    x, iters = newton_solve_stats(residual, [0.0, 0.0, 0.0], jacobian=jacobian)
+    assert x == [1.0, 0.0, 0.0] and iters == 1
+    assert [z[0] for z in evals] == [0.0, 2.0, 1.0]
+    ref, ref_iters = _array_newton(residual, [0.0, 0.0, 0.0], jacobian=jacobian)
+    assert ref_iters == iters
     np.testing.assert_array_equal(x, ref)
 
 
 # A residual that is NaN at the start point, and one that is finite only
-# there: the drivers stop at the first non-finite current residual, after
+# there: the driver stops at the first non-finite current residual, after
 # 1 evaluation in the first case and 1 + 8 halvings + 1 fallback step in
 # the second, instead of spending the whole budget (451 evaluations).
 _NON_FINITE_CASES = [(False, 1, 0), (True, 10, 1)]
@@ -386,37 +444,61 @@ _NON_FINITE_CASES = [(False, 1, 0), (True, 10, 1)]
 
 @pytest.mark.parametrize("finite_at_start, evals, iterations", _NON_FINITE_CASES)
 def test_newton_solve_stats_stops_at_a_non_finite_residual(finite_at_start, evals, iterations):
+    # The NaN is not the first entry, where ``max`` would drop it.
     calls = []
 
     def residual(z):
-        calls.append(z.copy())
-        if finite_at_start and not z.any():
-            return z + 1.0
-        return np.full(3, np.nan)
+        calls.append(z)
+        if finite_at_start and not any(z):
+            return [1.0, 1.0, 1.0]
+        return [0.5, math.nan, 0.5]
 
     with pytest.raises(NoConvergence) as excinfo:
-        newton_solve_stats(residual, np.zeros(3), jacobian=lambda z: np.eye(3))
+        newton_solve_stats(residual, [0.0, 0.0, 0.0], jacobian=lambda z: np.eye(3).tolist())
     assert len(calls) == evals
     assert excinfo.value.iterations == iterations
-    assert np.isnan(excinfo.value.final_residual)
+    assert math.isnan(excinfo.value.final_residual)
 
 
 @pytest.mark.parametrize("finite_at_start, evals, iterations", _NON_FINITE_CASES)
-def test_newton_solve3_stops_at_a_non_finite_residual(finite_at_start, evals, iterations):
+def test_newton_stops_at_a_non_finite_tuple_residual(finite_at_start, evals, iterations):
     calls = []
     nan = float("nan")
 
-    def residual(z0, z1, z2):
-        calls.append((z0, z1, z2))
-        if finite_at_start and z0 == z1 == z2 == 0.0:
+    def residual(z):
+        calls.append(tuple(z))
+        if finite_at_start and z == [0.0, 0.0, 0.0]:
             return (1.0, 1.0, 1.0)
         return (nan, nan, nan)
 
-    def jacobian(z0, z1, z2):
+    def jacobian(z):
         return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
     with pytest.raises(NoConvergence) as excinfo:
-        newton_solve3(residual, jacobian, [0.0, 0.0, 0.0])
+        newton_solve_stats(residual, [0.0, 0.0, 0.0], jacobian=jacobian)
     assert len(calls) == evals
     assert excinfo.value.iterations == iterations
-    assert np.isnan(excinfo.value.final_residual)
+    assert math.isnan(excinfo.value.final_residual)
+
+
+def test_newton_empty_system_has_zero_norm():
+    x, iters = newton_solve_stats(lambda z: [], [], jacobian=lambda z: [])
+    assert x == [] and iters == 0
+
+
+def test_newton_residual_contract_of_the_benchmark_tracer():
+    # The benchmark tracer wraps this function by name: it passes
+    # ``residual`` through a one-argument wrapper and reads the iteration
+    # count at ``[1]`` of the result.
+    a = [[2.0, 0.5, 0.0], [0.5, 3.0, 0.25], [0.0, 0.25, 4.0]]
+
+    def residual(*args, **kwargs):
+        assert len(args) == 1 and not kwargs
+        (z,) = args
+        assert type(z) is list and all(type(v) is float for v in z)
+        return [sum(aij * zj for aij, zj in zip(row, z)) - 1.0 for row in a]
+
+    result = newton_solve_stats(residual, np.zeros(3), jacobian=lambda z: a)
+    assert len(result) == 2
+    assert result[1] == 1
+    assert max(abs(f) for f in residual(result[0])) <= 1e-12
