@@ -28,7 +28,6 @@ __all__ = [
     "ConvergenceReport",
     "run",
     "check_finite",
-    "state_values",
     "state_matrix",
     "convergence_sweep",
     "adjoint_check",
@@ -49,12 +48,21 @@ _ADMISSIBLE_TOL = 1e-8
 # What each state type gives the runner, the sweeps and the CSV writer: its
 # array fields, the multiplier ``lam`` last (check_finite() checks them all;
 # a row's state values are all but ``lam``), and its position and velocity
-# channels.  Rolling-sphere rows are plain arrays ``[x, y, w1, w2, w3]``.
+# channels.  Rows of the float kernels are plain arrays, told apart by their
+# width, with the number of state values in place of the fields:
+# rolling-sphere rows ``[x, y, w1, w2, w3]`` and reduced rows ``[x, y, px,
+# py, xi1, xi2, xi3, p_alg1, p_alg2, p_alg3, lam1, lam2]``.
 _STATE_TYPES = {
     PhaseState: (("q", "p", "lam"), lambda s: s.q, lambda system, s: system.mass_inv @ s.p),
     ReducedState: (("x", "p", "xi", "p_alg", "lam"), lambda s: s.x, lambda system, s: s.xi),
-    np.ndarray: ((), lambda s: s[:2], lambda system, s: s[2:]),
+    5: (5, lambda s: s[:2], lambda system, s: s[2:]),
+    12: (10, lambda s: s[:2], lambda system, s: s[4:7]),
 }
+
+
+def _state_type(state):
+    """The :data:`_STATE_TYPES` entry of one state or array row."""
+    return _STATE_TYPES[len(state) if isinstance(state, np.ndarray) else type(state)]
 
 
 class BelowNoiseFloor(ValueError):
@@ -81,8 +89,8 @@ class StepFailed(RuntimeError):
 class Trajectory:
     """Time-indexed record of a run.
 
-    ``states`` holds one state object per row, or for rolling-sphere runs
-    an ``(N+1, 5)`` array of rows ``[x, y, w1, w2, w3]``; ``residuals`` is
+    ``states`` holds one state object per row, or for the runs of a float
+    kernel an array of rows (see :func:`run`); ``residuals`` is
     the infinity norm of the applicable constraint residual per row, and
     ``energies`` the energy monitor per row.
     """
@@ -137,19 +145,14 @@ class Trajectory:
         )
 
 
-def state_values(state) -> np.ndarray:
-    """The values a row of ``state`` writes: its array fields but the
-    multiplier ``lam``, in field order; a rolling-sphere row as it is."""
-    fields = _STATE_TYPES[type(state)][0][:-1]
-    return np.concatenate([getattr(state, f) for f in fields]) if fields else state
-
-
 def state_matrix(states) -> np.ndarray:
-    """:func:`state_values` of every row of ``states``, one row each,
-    stacked field by field; rolling-sphere rows as they are."""
+    """The values each row of ``states`` writes, one row each: a state
+    object's array fields but the multiplier ``lam``, stacked field by
+    field; an array row's leading state values (all of a rolling-sphere
+    row, a reduced row but its two multipliers)."""
     if isinstance(states, np.ndarray):
-        return states
-    fields = _STATE_TYPES[type(states[0])][0][:-1]
+        return states[:, : _state_type(states[0])[0]]
+    fields = _state_type(states[0])[0][:-1]
     return np.hstack([_field_rows(states, name) for name in fields])
 
 
@@ -226,6 +229,14 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
       reports the central-difference momentum ``M (q_{k+1} - q_{k-1}) /
       (2h)``, the average of the discrete pre- and post-momenta that the
       scheme keeps on the constraint;
+    * for a :class:`gni.gni_reduced.ReducedStepper` ``stepper`` on a
+      system that :func:`gni.gni_reduced.reduced_kernel` covers, the same
+      steps by that float kernel, built once per run.  Rows are the arrays
+      ``[x, y, px, py, xi1, xi2, xi3, p_alg1, p_alg2, p_alg3, lam1,
+      lam2]`` of one ``(N+1, 12)`` buffer, the energies the stacked
+      :func:`gni.model.kinetic_energies`, and the residual column one
+      stacked pass of :func:`gni.gni_reduced.reduced_scheme_residual` (0
+      on row 0).  On any other system the record steps as a one-step map;
     * when ``system`` is a :class:`ChaplyginParams`, the rolling-sphere
       two-point recurrence, stepped by one float kernel per run
       (:func:`gni.gni_reduced._chaplygin_stepper`; ``stepper`` is
@@ -239,10 +250,11 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     Both recurrences keep one position beyond the last row, to close its
     central difference.  A state-object ``initial`` must sit within the
     stepper's admissible set, allowing for the half-step potential shift
-    of the one-sided schemes.  ``residual(states)`` gives the constraint
-    residual each state-object row reports, in the form the stepper
-    preserves (default: the momentum form); ``residual=False`` leaves the
-    column at zero, for runs whose final state alone is read.
+    of the one-sided schemes; a non-finite one is left to its first step
+    to report.  ``residual(states)`` gives the constraint residual each
+    state-object row reports, in the form the stepper preserves (default:
+    the momentum form); ``residual=False`` leaves the column at zero, for
+    runs whose final state alone is read.
 
     Raises
     ------
@@ -258,17 +270,26 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
         raise ValueError("step size h must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    if isinstance(system, ChaplyginParams):
-        advance, assemble = _sphere_recurrence(system, initial, h, n_steps, residual)
-    else:
-        _check_admissible(system, initial, h)
-        if isinstance(stepper, DiscreteLagrangian):
-            advance, assemble = _three_point_recurrence(stepper, system, initial, h, n_steps, residual)
-        else:
-            advance, assemble = _one_step_map(stepper, system, initial, h, residual)
     # A diverging run overflows on its way to the first non-finite row;
     # check_finite reports that row as StepFailed, so NumPy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(system, ChaplyginParams):
+            advance, assemble = _sphere_recurrence(system, initial, h, n_steps, residual)
+        else:
+            _check_admissible(system, initial, h)
+            kernel = None
+            if isinstance(stepper, gni_reduced.ReducedStepper):
+                kernel = gni_reduced.reduced_kernel(system, h, stepper.retraction, stepper.cfg)
+            if kernel is not None:
+                advance, assemble = _reduced_rows(
+                    kernel, stepper.retraction, system, initial, h, n_steps, residual
+                )
+            elif isinstance(stepper, DiscreteLagrangian):
+                advance, assemble = _three_point_recurrence(
+                    stepper, system, initial, h, n_steps, residual
+                )
+            else:
+                advance, assemble = _one_step_map(stepper, system, initial, h, residual)
         for k in range(1, n_steps + 1):
             try:
                 advance(k)
@@ -278,7 +299,7 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     return check_finite(traj)
 
 
-# Each of the three set-ups below returns ``advance(k)``, which takes step
+# Each of the four set-ups below returns ``advance(k)``, which takes step
 # ``k`` (the one producing row ``k``), and ``assemble(n_rows)``, which
 # builds the trajectory of the first ``n_rows`` rows.
 
@@ -349,6 +370,44 @@ def _sphere_recurrence(params, initial, h, n_steps, residual):
     return advance, assemble
 
 
+def _reduced_rows(step, retraction, system, initial, h, n_steps, residual):
+    # One float row [x, y, px, py, xi, p_alg, lam] per step.
+    rows = np.empty((n_steps + 1, 12))
+    iters = np.zeros(n_steps + 1, dtype=int)
+    rows[0] = np.concatenate([initial.x, initial.p, initial.xi, initial.p_alg, initial.lam])
+    iters[0] = initial.newton_iters
+    flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
+
+    def advance(k):
+        i = 12 * k
+        (
+            flat[i], flat[i + 1], flat[i + 2], flat[i + 3], flat[i + 4], flat[i + 5],
+            flat[i + 6], flat[i + 7], flat[i + 8], flat[i + 9], flat[i + 10], flat[i + 11],
+            counts[k],
+        ) = step(*flat[i - 12 : i])
+
+    def assemble(n_rows):
+        states = rows[:n_rows]
+        residuals = np.zeros(n_rows)
+        if residual is not False and n_rows > 1:
+            res = gni_reduced.reduced_scheme_residual(
+                system, states[:-1], states[1:], h, retraction
+            )
+            residuals[1:] = np.max(np.abs(res), axis=1)
+        return Trajectory(
+            times=h * np.arange(n_rows),
+            states=states,
+            energies=model.kinetic_energies(
+                system.metric_inv, np.hstack([states[:, 2:4], states[:, 7:10]])
+            ),
+            residuals=residuals,
+            newton_iters=iters[:n_rows],
+            h=h,
+        )
+
+    return advance, assemble
+
+
 def _check_admissible(system, state, h: float) -> None:
     """Reject initial states off the admissible set.
 
@@ -360,9 +419,13 @@ def _check_admissible(system, state, h: float) -> None:
     body momentum: the O(h) tilt ``h/2 xi x p_alg`` plus its O(h^2) part),
     so states prepared for any built-in scheme pass while genuinely
     inadmissible data is caught.  The comparison is on magnitudes: a state
-    seeded at ``h = 0`` has no offset but is still checked at ``h``.
+    seeded at ``h = 0`` has no offset but is still checked at ``h``.  A
+    non-finite residual (a state that overflowed when it was seeded) is not
+    compared: the run's first step reports that state as ``StepFailed``.
     """
     res = np.asarray(constraint_residual(system, state), dtype=float)
+    if not np.isfinite(res).all():
+        return
     slack = np.zeros_like(res)
     if isinstance(state, PhaseState):
         mu = system.constraint_matrix(state.q)
@@ -526,7 +589,7 @@ def convergence_sweep(
         counts.append(n)
 
     ref_traj = _resolve_reference(stepper, system, initial, T, h_arr[-1], reference)
-    _, position, velocity = _STATE_TYPES[type(ref_traj.final)]
+    _, position, velocity = _state_type(ref_traj.final)
     ref_pos = position(ref_traj.final)
     ref_vel = velocity(system, ref_traj.final)
     ref_energy = _final_energy(system, ref_traj)

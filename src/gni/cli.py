@@ -58,12 +58,7 @@ import numpy as np
 
 from . import analysis, gni_flat, gni_reduced, model
 from .analysis import StepFailed, Trajectory, check_suite, convergence_sweep, run, state_matrix
-from .gni_reduced import (
-    ChaplyginParams,
-    chaplygin_initial_reduced_state,
-    chaplygin_reduced_system,
-    reduced_scheme_residual,
-)
+from .gni_reduced import ChaplyginParams, chaplygin_initial_reduced_state, chaplygin_reduced_system
 from .numerics import NoConvergence, default_newton_config
 
 __all__ = [
@@ -89,9 +84,10 @@ class Integrator:
     :func:`gni.gni_flat.prepare_state` and
     :func:`gni.gni_flat.scheme_constraint_residual` (``"rattle"`` is the
     plain momentum form of :func:`gni.model.constraint_residual`),
-    ``"reduced"`` for :func:`chaplygin_initial_reduced_state` and
-    :func:`reduced_scheme_residual`, or ``"sphere"`` for the rolling-sphere
-    recurrence, which seeds itself and reports
+    ``"reduced"`` for :func:`chaplygin_initial_reduced_state` and the
+    reduced kernel's run, which reports
+    :func:`gni.gni_reduced.reduced_scheme_residual`, or ``"sphere"`` for
+    the rolling-sphere recurrence, which seeds itself and reports
     :func:`gni.gni_reduced.chaplygin_scheme_residual`.  ``stepper(system,
     cfg)`` returns the stepper :func:`gni.analysis.run` advances; it looks
     its step up in the step's module when called, so a wrapper bound there
@@ -106,13 +102,7 @@ class Integrator:
 
 
 def _reduced_stepper(system, cfg: RunConfig):
-    retraction = cfg.retraction or "cay"
-    newton = default_newton_config()
-
-    def stepper(rsys, state, h):
-        return gni_reduced.reduced_rattle_step(rsys, state, h, retraction=retraction, cfg=newton)
-
-    return stepper
+    return gni_reduced.ReducedStepper(cfg.retraction or "cay", default_newton_config())
 
 
 INTEGRATORS = {
@@ -504,7 +494,7 @@ def _experiment(cfg: RunConfig, h: float):
     ``h``; at ``h = 0`` every form is the continuous one, which sweeps use
     for all their step sizes.  ``residual(states)`` gives each row's
     residual in that form, as :func:`gni.analysis.run` takes it (``None``
-    for the rolling sphere, whose runner reports its own form).
+    for the sphere systems, whose runners report their own form).
     """
     entry = INTEGRATORS[cfg.integrator]
     if entry.kind == "flat":
@@ -521,14 +511,7 @@ def _experiment(cfg: RunConfig, h: float):
         params = _build_sphere_params(cfg)
         system = chaplygin_reduced_system(params)
         initial = chaplygin_initial_reduced_state(params, *_sphere_initial(cfg), h)
-        retraction = cfg.retraction or "cay"
-
-        def residual(states):
-            # Row 0 is consistent by seeding; row k checks step k.
-            yield ()
-            for a, b in zip(states, states[1:]):
-                yield reduced_scheme_residual(system, a, b, h, retraction)
-
+        residual = None
     else:
         system, initial, residual = _build_sphere_params(cfg), _sphere_initial(cfg), None
     return entry.stepper(system, cfg), system, initial, residual

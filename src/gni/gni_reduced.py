@@ -5,35 +5,38 @@ rotation handled in body coordinates, the stepper advances
 ``(x, p, xi, p_alg, lam)`` where ``xi`` is the body angular velocity of
 the step interval and ``p_alg`` the body angular momentum.  Group elements
 never appear during stepping — a retraction ``tau`` (Cayley by default)
-maps ``h*xi`` to the incremental rotation, and the inverse retraction
-tangent moves momenta between the two endpoints of the increment
-(:func:`reduced_legendre`).  The full rotation history can be recovered
-afterwards with :func:`reconstruct`.
+maps ``h*xi`` to the incremental rotation, the algebra momentum is carried
+across the increment by ``tau(h*xi)^T``, and the inverse retraction
+tangent relates it to the interval velocity.  The full rotation history
+can be recovered afterwards with :func:`reconstruct`.
 
-:func:`reduced_rattle_step` assumes the standard constant-metric
-Lagrangian (:func:`standard_retracted_lagrangian`): all three of its
-stages take that Lagrangian's derivatives in closed form from the metric
-blocks of the :class:`~gni.model.ReducedSystem`.  Along the forward shape
-update its algebra gradient is affine in the unknown ``xi``, and both
-inverse retraction tangents have the form ``a(t) I - hat(s)/2 + c(t)
-hat(s)^2`` with ``t = |s|^2``, so stage 3 is a Newton solve on plain
-floats with an analytic Jacobian.
+:func:`reduced_rattle_step` is the discretization of the midpoint-kinetic
+discrete Lagrangian of a constant-metric reduced system (Kobilarov,
+Marsden & Sukhatme, DCDS-S 3, 2010): all three of its stages take that
+Lagrangian's derivatives in closed form from the metric blocks of the
+:class:`~gni.model.ReducedSystem`.  Along the forward shape update its
+algebra gradient is affine in the unknown ``xi``, and both inverse
+retraction tangents have the form ``a(t) I - hat(s)/2 + c(t) hat(s)^2``
+with ``t = |s|^2``, so stage 3 is a Newton solve on plain floats with an
+analytic Jacobian.  :func:`reduced_kernel` is the same step on plain
+floats for a whole run, for systems that declare constant constraint rows
+and a linear affine section.
 
 The rolling sphere on a uniformly rotating plate ships as the worked
 system: :func:`chaplygin_step_stats` advances its five coupled discrete
 equations (contact position and body angular velocity) with an analytic
 Jacobian, and :func:`chaplygin_reduced_system` exposes the same mechanics
-to the generic reduced stepper for cross-checking.
+to the reduced stepper.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
-from typing import Callable, List, Optional, Tuple
+from math import isfinite, sqrt
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .lie_so3 import cay, dcay_inv, dexp_inv, exp_so3
+from .lie_so3 import cay, dcay_inv, exp_coefficients, exp_so3
 from .model import ReducedState, ReducedSystem
 from .numerics import (
     NewtonConfig,
@@ -44,11 +47,10 @@ from .numerics import (
 )
 
 __all__ = [
-    "RetractedDiscreteLagrangian",
     "ChaplyginParams",
-    "standard_retracted_lagrangian",
-    "reduced_legendre",
+    "ReducedStepper",
     "reduced_rattle_step",
+    "reduced_kernel",
     "reduced_scheme_residual",
     "chaplygin_step_stats",
     "chaplygin_scheme_residual",
@@ -59,10 +61,7 @@ __all__ = [
     "reconstruct",
 ]
 
-_RETRACTIONS = {
-    "cay": (cay, dcay_inv),
-    "exp": (exp_so3, dexp_inv),
-}
+_RETRACTIONS = {"cay": cay, "exp": exp_so3}
 
 
 # Coefficients of the inverse tangents written as a(t) I - hat(s)/2 +
@@ -75,81 +74,38 @@ _TANGENT_COEFFS = {
 }
 
 
-def _retraction(name: str):
+# Coefficients (a, b) of the transport tau(s)^T p = p - a s x p + b s x (s x p)
+# as functions of t = |s|^2, on floats: tau(s) = I + a hat(s) + b hat(s)^2.
+def _cay_transport_coeffs(t: float):
+    k = 4.0 / (4.0 + t)
+    return k, 0.5 * k
+
+
+_TRANSPORT_COEFFS = {
+    "cay": _cay_transport_coeffs,
+    "exp": lambda t: exp_coefficients(sqrt(t)),
+}
+
+
+def _retraction(name: str, table=_RETRACTIONS):
+    """``table[name]``: by default the retraction ``tau`` itself."""
     try:
-        return _RETRACTIONS[name]
+        return table[name]
     except KeyError:
-        raise ValueError(f"unknown retraction {name!r}; choose from {sorted(_RETRACTIONS)}")
+        raise ValueError(f"unknown retraction {name!r}; choose from {sorted(table)}")
 
 
-@dataclass(frozen=True)
-class RetractedDiscreteLagrangian:
-    """Partial derivatives of a discrete Lagrangian in retracted
-    coordinates ``(x0, x1, sigma)`` with ``sigma = h*xi`` the algebra
-    increment.  ``d1``/``d2`` are the shape gradients, ``d3`` the algebra
-    gradient; all take ``(x0, x1, sigma, h)``."""
-
-    d1: Callable
-    d2: Callable
-    d3: Callable
-
-
-def standard_retracted_lagrangian(rsys: ReducedSystem) -> RetractedDiscreteLagrangian:
-    """Midpoint-kinetic discretization of a constant-metric reduced system:
-
-        l_d = |dx|^2_Gs / 2h + dx . Gc sigma / h + |sigma|^2_Ga / 2h
-              - h (V(x0) + V(x1)) / 2
-
-    differentiated in closed form."""
-    n = rsys.shape_dim
-    gs = rsys.bundle_metric[:n, :n]
-    gc = rsys.bundle_metric[:n, n:]
-    ga = rsys.bundle_metric[n:, n:]
-
-    def d1(x0, x1, sigma, h):
-        v = (x1 - x0) / h
-        return -(gs @ v) - gc @ (sigma / h) - 0.5 * h * np.asarray(
-            rsys.grad_potential(x0)
-        )
-
-    def d2(x0, x1, sigma, h):
-        v = (x1 - x0) / h
-        return gs @ v + gc @ (sigma / h) - 0.5 * h * np.asarray(rsys.grad_potential(x1))
-
-    def d3(x0, x1, sigma, h):
-        v = (x1 - x0) / h
-        return gc.T @ v + ga @ (sigma / h)
-
-    return RetractedDiscreteLagrangian(d1, d2, d3)
-
-
-def reduced_legendre(
-    ld: RetractedDiscreteLagrangian,
-    x0: np.ndarray,
-    x1: np.ndarray,
-    xi: np.ndarray,
-    h: float,
-    retraction: str = "cay",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Discrete Legendre transforms of a retracted Lagrangian.
-
-    Returns the pre- and post-momenta ``(p_minus, p_plus)`` as
-    concatenated (shape, algebra) vectors: shape parts are ``-D1`` and
-    ``+D2``; algebra parts apply the transpose of the inverse retraction
-    tangent at ``+h*xi`` (pre) and ``-h*xi`` (post) to ``D3``.
-    """
-    _, dtau_inv = _retraction(retraction)
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    sigma = h * np.asarray(xi, dtype=float)
-    d3 = np.asarray(ld.d3(x0, x1, sigma, h), dtype=float)
-    p_minus = np.concatenate(
-        [-np.asarray(ld.d1(x0, x1, sigma, h), dtype=float), dtau_inv(sigma).T @ d3]
+def _transport(a, b, s0, s1, s2, p0, p1, p2):
+    """``tau(s)^T p = p - a s x p + b s x (s x p)`` component by component,
+    on floats or elementwise on arrays (the same bits either way)."""
+    c0 = s1 * p2 - s2 * p1
+    c1 = s2 * p0 - s0 * p2
+    c2 = s0 * p1 - s1 * p0
+    return (
+        p0 - a * c0 + b * (s1 * c2 - s2 * c1),
+        p1 - a * c1 + b * (s2 * c0 - s0 * c2),
+        p2 - a * c2 + b * (s0 * c1 - s1 * c0),
     )
-    p_plus = np.concatenate(
-        [np.asarray(ld.d2(x0, x1, sigma, h), dtype=float), dtau_inv(-sigma).T @ d3]
-    )
-    return p_minus, p_plus
 
 
 def reduced_rattle_step(
@@ -171,15 +127,15 @@ def reduced_rattle_step(
     ``xi`` from the algebra-momentum matching condition, substituting the
     forward shape update, with the current ``xi`` as predictor.
 
-    All three stages assume the standard constant-metric Lagrangian of
-    ``rsys`` (:func:`standard_retracted_lagrangian`) and take its
-    derivatives in closed form from the metric blocks ``Gs``, ``Gc``,
-    ``Ga`` of ``rsys``.  Along the forward update ``x2 = x1 + h Gs^{-1}
-    (p_half_next - Gc xi)`` the algebra gradient ``d3`` is the affine map
-    ``b + S xi`` with the Schur block ``S = Ga - Gc^T Gs^{-1} Gc`` and
-    ``b = Gc^T Gs^{-1} p_half_next``, and stage 3 runs
-    :func:`gni.numerics.newton_solve_stats` with the analytic Jacobian of
-    :func:`_stage3_system`.
+    All three stages discretize the midpoint-kinetic Lagrangian
+    ``|dx|^2_Gs / 2h + dx . Gc sigma / h + |sigma|^2_Ga / 2h - h (V(x0) +
+    V(x1)) / 2`` of ``rsys`` (``sigma = h xi``) and take its derivatives
+    in closed form from the metric blocks ``Gs``, ``Gc``, ``Ga``.  Along
+    the forward update ``x2 = x1 + h Gs^{-1} (p_half_next - Gc xi)`` the
+    algebra gradient ``d3`` is the affine map ``b + S xi`` with the Schur
+    block ``S = Ga - Gc^T Gs^{-1} Gc`` and ``b = Gc^T Gs^{-1}
+    p_half_next``, and stage 3 runs :func:`gni.numerics.newton_solve_stats`
+    with the analytic Jacobian of :func:`_stage3_system`.
 
     Raises
     ------
@@ -194,7 +150,7 @@ def reduced_rattle_step(
         return s
     if rsys.algebra_dim != 3:
         raise ValueError("reduced stepping is implemented for a 3-dim algebra")
-    tau, _ = _retraction(retraction)
+    tau = _retraction(retraction)
     n = rsys.shape_dim
     gc = rsys.bundle_metric[:n, n:]
     gs_inv = rsys.shape_metric_inv
@@ -232,19 +188,20 @@ def reduced_rattle_step(
     # Stage 3: interval velocity from the algebra-momentum match.
     p_half_next = p1 - 0.5 * h * (grad1 + mu1.T @ lam1)
     b = gc.T @ (gs_inv @ p_half_next)
-    residual, jacobian = _stage3_system(retraction, rsys.algebra_schur, b, alg1, h)
+    residual, jacobian = _stage3_system(
+        retraction, rsys.algebra_schur.tolist(), b.tolist(), alg1.tolist(), h
+    )
     xi1, iters = newton_solve_stats(residual, s.xi.tolist(), cfg, jacobian=jacobian)
     return ReducedState(x1, p1, np.array(xi1), alg1, lam1, newton_iters=iters)
 
 
-def _stage3_system(
-    retraction: str, schur: np.ndarray, b: np.ndarray, alg1: np.ndarray, h: float
-):
+def _stage3_system(retraction: str, schur, b, alg1, h: float):
     """Residual and analytic Jacobian of stage 3 on plain floats.
 
-    With ``sigma = h xi``, ``t = |sigma|^2``, ``v = b + S xi`` and the
-    inverse tangent ``T = a I - hat(sigma)/2 + c hat(sigma)^2`` of the
-    retraction, the residual is
+    ``schur`` is the Schur block ``S`` as three rows of three floats, ``b``
+    and ``alg1`` three floats each.  With ``sigma = h xi``, ``t =
+    |sigma|^2``, ``v = b + S xi`` and the inverse tangent ``T = a I -
+    hat(sigma)/2 + c hat(sigma)^2`` of the retraction, the residual is
 
         T^T v - alg1 = (a - c t) v + sigma x v / 2 + c (sigma . v) sigma - alg1
 
@@ -258,9 +215,9 @@ def _stage3_system(
     three floats; the Jacobian comes as three rows.
     """
     coeffs = _TANGENT_COEFFS[retraction]
-    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = schur.tolist()
-    b0, b1, b2 = b.tolist()
-    g0, g1, g2 = alg1.tolist()
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = schur
+    b0, b1, b2 = b
+    g0, g1, g2 = alg1
 
     def residual(x):
         x0, x1, x2 = x
@@ -324,23 +281,156 @@ def _stage3_system(
 
 
 def reduced_scheme_residual(
-    rsys: ReducedSystem,
-    s_prev: ReducedState,
-    s_new: ReducedState,
-    h: float,
-    retraction: str = "cay",
+    rsys: ReducedSystem, prev, new, h: float, retraction: str = "cay"
 ) -> np.ndarray:
     """Residual of the averaged-momentum constraint a reduced step enforces:
     annihilator(x1) G^{-1} ((p1 ⊕ avg_alg) - Pi(x1)) with avg_alg the mean
-    of the transported old and the new algebra momentum."""
-    rows = rsys.annihilator_matrix(s_new.x)
-    if rows.shape[0] == 0:
-        return np.zeros(0)
-    tau, _ = _retraction(retraction)
-    alg_trans = tau(h * s_prev.xi).T @ s_prev.p_alg
-    avg_alg = 0.5 * (alg_trans + s_new.p_alg)
-    combined = np.concatenate([s_new.p, avg_alg]) - rsys.momentum_offset(s_new.x)
-    return rows @ (rsys.metric_inv @ combined)
+    of the transported old and the new algebra momentum.
+
+    ``prev`` and ``new`` are each a :class:`~gni.model.ReducedState`, its
+    values ``[x, p, xi, p_alg, ...]`` (later columns ignored), or a stack
+    of such rows; the result has shape ``(m,)``, or ``(rows, m)`` for
+    stacks.  Every product is written out column by column, so stacked
+    rows give the same bits as one call per row.  Stacks need a system
+    that declares its rows and section as arrays.
+    """
+    prev, new = _values(prev), _values(new)
+    one_row = prev.ndim == 1
+    if not one_row and (callable(rsys.annihilator) or callable(rsys.affine_section)):
+        raise ValueError("stacked rows need declared constraint rows and section")
+    # Columns: one entry per row.
+    prev, new = np.atleast_2d(prev).T, np.atleast_2d(new).T
+    n = rsys.shape_dim
+    s0, s1, s2 = h * prev[2 * n : 2 * n + 3]
+    coeffs = _retraction(retraction, _TRANSPORT_COEFFS)
+    a, b = np.array([coeffs(t) for t in (s0 * s0 + s1 * s1 + s2 * s2).tolist()]).T
+    alg_trans = np.array(_transport(a, b, s0, s1, s2, *prev[2 * n + 3 : 2 * n + 6]))
+    combined = np.vstack([new[n : 2 * n], 0.5 * (alg_trans + new[2 * n + 3 : 2 * n + 6])])
+    x = new[:n]
+    if callable(rsys.affine_section):
+        combined = combined - _contract(rsys.bundle_metric, rsys.section(x[:, 0])[:, None])
+    elif rsys.affine_section is not None:
+        combined = combined - _contract(rsys.bundle_metric, _contract(rsys.affine_section, x))
+    res = _contract(rsys.annihilator_matrix(x[:, 0]), _contract(rsys.metric_inv, combined))
+    return res[:, 0] if one_row else res.T
+
+
+def _values(state) -> np.ndarray:
+    if isinstance(state, ReducedState):
+        return np.concatenate([state.x, state.p, state.xi, state.p_alg])
+    return np.asarray(state, dtype=float)
+
+
+def _contract(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``mat @ cols`` summed column by column from the left, so that each
+    column of the result has the same bits however many there are."""
+    out = mat[:, :1] * cols[0]
+    for j in range(1, mat.shape[1]):
+        out = out + mat[:, j : j + 1] * cols[j]
+    return out
+
+
+@dataclass(frozen=True)
+class ReducedStepper:
+    """:func:`reduced_rattle_step` with its retraction and Newton settings.
+
+    Calling the record takes one step, ``stepper(rsys, state, h)``.
+    :func:`gni.analysis.run` reads it to step a whole run with
+    :func:`reduced_kernel` where the system allows that.
+    """
+
+    retraction: str = "cay"
+    cfg: Optional[NewtonConfig] = None
+
+    def __call__(self, rsys: ReducedSystem, s: ReducedState, h: float) -> ReducedState:
+        return reduced_rattle_step(rsys, s, h, self.retraction, self.cfg)
+
+
+def reduced_kernel(
+    rsys: ReducedSystem, h: float, retraction: str = "cay", cfg: Optional[NewtonConfig] = None
+):
+    """:func:`reduced_rattle_step` as a function on plain floats, for one run.
+
+    It covers systems with a 2-dim shape, the 3-dim algebra and two
+    constraint rows, that declare those rows as a constant array and the
+    affine section as a matrix (or none), and give no potential; for any
+    other system it returns ``None``.  The step constants are built here,
+    once per run: ``Gs^{-1}`` and ``Gc`` in the shape drift, ``K = (2/h)
+    C^{-1} W`` of stage 2 (``W`` the rows times ``G^{-1}``, ``C = W`` times
+    the rows transposed), the section's momentum offset ``G A`` and the
+    Schur block.  The transport ``tau(h xi)^T p_alg`` is written in closed
+    form, and stage 3 runs :func:`gni.numerics.newton_solve_stats` on
+    :func:`_stage3_system`, as the array step does.
+
+    Returns ``step(x, y, px, py, xi1, xi2, xi3, pa1, pa2, pa3, lam1, lam2)
+    -> (next 12 values, iterations)``; it raises as
+    :func:`reduced_rattle_step` does.  The algebra of both is the same up to
+    rounding.
+
+    Raises
+    ------
+    ValueError
+        For an unknown retraction.
+    RankDeficient
+        If the constant constraint rows are dependent.
+    """
+    coeffs = _retraction(retraction, _TRANSPORT_COEFFS)
+    covered = (
+        (rsys.shape_dim, rsys.algebra_dim, rsys.num_constraints) == (2, 3, 2)
+        and isinstance(rsys.annihilator, np.ndarray)
+        and not callable(rsys.affine_section)
+        and rsys.potential_free
+    )
+    if not covered:
+        return None
+    if cfg is None:
+        cfg = default_newton_config()
+    schur = rsys.algebra_schur.tolist()
+
+    rows = rsys.annihilator
+    gs_inv = rsys.shape_metric_inv
+    gc = rsys.bundle_metric[:2, 2:]
+    w_mat = rows @ rsys.metric_inv
+    k_mat = (2.0 / h) * solve_gram(w_mat @ rows.T, w_mat)
+    offset = np.zeros((5, 2))
+    if rsys.affine_section is not None:
+        offset = rsys.bundle_metric @ rsys.affine_section
+    # The multiplier's kicks of the shape (0.5 h mu^T) and algebra (h eta^T)
+    # momenta, the shape drift h Gs^{-1} [I, -Gc], K, K G A and Gc^T Gs^{-1}.
+    (m00, m01), (m10, m11) = (0.5 * h * rows[:, :2].T).tolist()
+    (e00, e01), (e10, e11), (e20, e21) = (h * rows[:, 2:].T).tolist()
+    (a00, a01, a02, a03, a04), (a10, a11, a12, a13, a14) = (
+        h * gs_inv @ np.hstack([np.eye(2), -gc])
+    ).tolist()
+    (k00, k01, k02, k03, k04), (k10, k11, k12, k13, k14) = k_mat.tolist()
+    (o00, o01), (o10, o11) = (k_mat @ offset).tolist()
+    (c00, c01), (c10, c11), (c20, c21) = (gc.T @ gs_inv).tolist()
+
+    def step(x, y, px, py, w1, w2, w3, g1, g2, g3, l1, l2):
+        # Stage 1: shape half-kick and drift.
+        qx = px - (m00 * l1 + m01 * l2)
+        qy = py - (m10 * l1 + m11 * l2)
+        x1 = x + (a00 * qx + a01 * qy + a02 * w1 + a03 * w2 + a04 * w3)
+        y1 = y + (a10 * qx + a11 * qy + a12 * w1 + a13 * w2 + a14 * w3)
+        # Coadjoint transport of the algebra momentum.
+        s1, s2, s3 = h * w1, h * w2, h * w3
+        t1, t2, t3 = _transport(*coeffs(s1 * s1 + s2 * s2 + s3 * s3), s1, s2, s3, g1, g2, g3)
+        # Stage 2: multiplier and momenta.
+        n1 = k00 * qx + k01 * qy + k02 * t1 + k03 * t2 + k04 * t3 - (o00 * x1 + o01 * y1)
+        n2 = k10 * qx + k11 * qy + k12 * t1 + k13 * t2 + k14 * t3 - (o10 * x1 + o11 * y1)
+        dx, dy = m00 * n1 + m01 * n2, m10 * n1 + m11 * n2
+        px1, py1 = qx - dx, qy - dy
+        h1 = t1 - (e00 * n1 + e01 * n2)
+        h2 = t2 - (e10 * n1 + e11 * n2)
+        h3 = t3 - (e20 * n1 + e21 * n2)
+        # Stage 3: interval velocity from the algebra-momentum match.
+        rx, ry = px1 - dx, py1 - dy
+        b = (c00 * rx + c01 * ry, c10 * rx + c11 * ry, c20 * rx + c21 * ry)
+        residual, jacobian = _stage3_system(retraction, schur, b, (h1, h2, h3), h)
+        (v1, v2, v3), iters = newton_solve_stats(residual, [w1, w2, w3], cfg, jacobian=jacobian)
+        return x1, y1, px1, py1, v1, v2, v3, h1, h2, h3, n1, n2, iters
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -370,8 +460,9 @@ class ChaplyginParams:
 
 def chaplygin_reduced_system(params: ChaplyginParams) -> ReducedSystem:
     """The rolling-sphere mechanics as a reduced system: shape (x, y),
-    so(3) fiber, block-diagonal metric, rolling-constraint annihilator
-    rows, and the plate-rotation affine section."""
+    so(3) fiber, block-diagonal metric, the constant rolling-constraint
+    annihilator rows, and the linear plate-rotation affine section
+    ``(-omega y, omega x, 0, 0, 0)``, both declared as arrays."""
     p = params
     rows = np.array(
         [
@@ -381,13 +472,13 @@ def chaplygin_reduced_system(params: ChaplyginParams) -> ReducedSystem:
     )
     section = None
     if p.omega != 0.0:
-        def section(x, _om=p.omega):
-            return np.array([-_om * x[1], _om * x[0], 0.0, 0.0, 0.0])
+        section = np.zeros((5, 2))
+        section[0, 1], section[1, 0] = -p.omega, p.omega
     return ReducedSystem(
         shape_dim=2,
         algebra_dim=3,
         bundle_metric=np.diag([p.m, p.m, p.i1, p.i2, p.i3]),
-        annihilator=lambda x: rows,
+        annihilator=rows,
         num_constraints=2,
         affine_section=section,
     )
@@ -408,12 +499,15 @@ def chaplygin_initial_reduced_state(
     params: ChaplyginParams, q0: np.ndarray, w0: np.ndarray, h: float
 ) -> ReducedState:
     """Reduced state matching :func:`chaplygin_init` seeding: constraint-
-    consistent shape momentum, Legendre-consistent algebra momentum, zero
-    carried multiplier."""
+    consistent shape momentum, zero carried multiplier, and the algebra
+    momentum of the Cayley Legendre form, ``p_alg = dcay_inv(h w0)^T I
+    w0``, whichever retraction steps it.  A ``w0`` whose products overflow
+    gives a non-finite state without a warning; the run reports it."""
     q0 = np.asarray(q0, dtype=float)
     w0 = np.asarray(w0, dtype=float)
     v0 = chaplygin_contact_velocity(params, q0, w0)
-    p_alg = dcay_inv(h * w0).T @ (params.inertia * w0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_alg = dcay_inv(h * w0).T @ (params.inertia * w0)
     return ReducedState(q0, params.m * v0, w0, p_alg, np.zeros(2))
 
 
@@ -728,7 +822,7 @@ def chaplygin_scheme_residual(params, q_prev, q_curr, q_next, w_prev, w_curr, h)
 def reconstruct(seed: np.ndarray, xi_sequence, h: float, retraction: str = "cay") -> List[np.ndarray]:
     """Rebuild the rotation history from interval velocities:
     ``W_{k+1} = W_k tau(h xi_k)``.  Returns ``[W_0, ..., W_N]``."""
-    tau, _ = _retraction(retraction)
+    tau = _retraction(retraction)
     rots = [np.array(seed, dtype=float)]
     for xi in xi_sequence:
         rots.append(rots[-1] @ tau(h * np.asarray(xi, dtype=float)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, factorial, sin, sqrt
+from math import cos, factorial, inf, nan, sin, sqrt
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "dcay",
     "dcay_inv",
     "exp_so3",
+    "exp_coefficients",
     "dexp_inv",
     "Ad",
     "Ad_star",
@@ -98,15 +99,24 @@ def exp_so3(w: np.ndarray) -> np.ndarray:
     by their Taylor expansions to avoid cancellation.
     """
     w = np.asarray(w, dtype=float)
-    theta = sqrt(w @ w)
-    if theta < _SMALL_ANGLE:
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 - theta * theta / 24.0
-    else:
-        a = sin(theta) / theta
-        b = (1.0 - cos(theta)) / (theta * theta)
+    a, b = exp_coefficients(sqrt(w @ w))
     s = hat(w)
     return np.eye(3) + a * s + b * (s @ s)
+
+
+def exp_coefficients(theta: float):
+    """The Rodrigues coefficients ``(sin(theta)/theta, (1 - cos(theta)) /
+    theta^2)`` of :func:`exp_so3` at the angle ``theta`` (a float).
+
+    Below ``1e-8`` they are Taylor expansions; at an infinite angle they
+    are NaN (``math.sin`` would raise), so an overflowed increment gives a
+    NaN rotation rather than an error.
+    """
+    if theta < _SMALL_ANGLE:
+        return 1.0 - theta * theta / 6.0, 0.5 - theta * theta / 24.0
+    if theta == inf:
+        return nan, nan
+    return sin(theta) / theta, (1.0 - cos(theta)) / (theta * theta)
 
 
 @lru_cache(maxsize=None)

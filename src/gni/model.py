@@ -16,7 +16,7 @@ used as a convergence oracle by the analysis layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "constraint_residual",
     "energy",
     "energies",
+    "kinetic_energies",
     "nonholonomic_particle",
     "constrained_2d",
 ]
@@ -122,6 +123,14 @@ class FlatSystem:
         )
 
 
+def _no_potential(x) -> float:
+    return 0.0
+
+
+def _no_force(x) -> np.ndarray:
+    return np.zeros(len(x))
+
+
 @dataclass(eq=False)
 class ReducedSystem:
     """System on shape space R^n times the Lie algebra so(3) (dim k).
@@ -129,7 +138,11 @@ class ReducedSystem:
     The kinetic metric on the combined (n+k)-dimensional fiber is the
     constant block matrix ``bundle_metric``; ``annihilator(x)`` returns m
     rows annihilating admissible combined velocities ``(v, xi)``, shifted
-    by ``affine_section(x)`` in the affine case.
+    by ``affine_section(x)`` in the affine case.  Either may instead be
+    declared as an array: constant ``(m, n+k)`` rows, and an ``(n+k, n)``
+    matrix ``A`` of the linear section ``A @ x``.  Systems that declare
+    both and give no potential can be stepped by
+    :func:`gni.gni_reduced.reduced_kernel`.
 
     With the metric blocks ``Gs`` (shape), ``Gc`` (coupling) and ``Ga``
     (algebra), the constructor caches ``metric_inv`` (the inverse metric),
@@ -140,11 +153,11 @@ class ReducedSystem:
     shape_dim: int
     algebra_dim: int
     bundle_metric: np.ndarray
-    annihilator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    annihilator: Union[Callable[[np.ndarray], np.ndarray], np.ndarray, None] = None
     num_constraints: int = 0
-    potential: Callable[[np.ndarray], float] = lambda x: 0.0
-    grad_potential: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
-    affine_section: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    potential: Callable[[np.ndarray], float] = _no_potential
+    grad_potential: Optional[Callable[[np.ndarray], np.ndarray]] = _no_force
+    affine_section: Union[Callable[[np.ndarray], np.ndarray], np.ndarray, None] = None
     metric_inv: np.ndarray = field(init=False, repr=False)
     shape_metric_inv: np.ndarray = field(init=False, repr=False)
     algebra_schur: np.ndarray = field(init=False, repr=False)
@@ -164,18 +177,39 @@ class ReducedSystem:
         coupling = g[:n, n:]
         self.algebra_schur = g[n:, n:] - coupling.T @ self.shape_metric_inv @ coupling
         if self.grad_potential is None:
-            self.grad_potential = lambda x: np.zeros(self.shape_dim)
+            self.grad_potential = _no_force
+        declared = {
+            "annihilator": (self.num_constraints, total),
+            "affine_section": (total, n),
+        }
+        for name, shape in declared.items():
+            value = getattr(self, name)
+            if value is None or callable(value):
+                continue
+            value = np.array(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"declared {name} shape {value.shape} != {shape}")
+            setattr(self, name, value)
+
+    @property
+    def potential_free(self) -> bool:
+        """True when neither a potential nor its gradient was given."""
+        return self.potential is _no_potential and self.grad_potential is _no_force
 
     def annihilator_matrix(self, x: np.ndarray) -> np.ndarray:
         if self.annihilator is None or self.num_constraints == 0:
             return np.zeros((0, self.shape_dim + self.algebra_dim))
-        return _as_matrix(self.annihilator(x))
+        if callable(self.annihilator):
+            return _as_matrix(self.annihilator(x))
+        return self.annihilator
 
     def section(self, x: np.ndarray) -> np.ndarray:
         """Combined velocity-level drift (zero when no affine section)."""
         if self.affine_section is None:
             return np.zeros(self.shape_dim + self.algebra_dim)
-        return np.asarray(self.affine_section(x), dtype=float)
+        if callable(self.affine_section):
+            return np.asarray(self.affine_section(x), dtype=float)
+        return self.affine_section @ x
 
     def momentum_offset(self, x: np.ndarray) -> np.ndarray:
         """Momentum-level constraint offset ``G @ section(x)``."""
@@ -336,8 +370,8 @@ def energies(system, states) -> np.ndarray:
     """Kinetic-plus-potential energy of each of ``states``, all of one type.
 
     Flat: ``p^T M^{-1} p / 2 + V(q)``.  Reduced: the same with the combined
-    momentum ``p ⊕ p_alg`` and the bundle metric.  The kinetic part is one
-    stacked ``matmul`` form, bit for bit ``p @ (M^{-1} @ p)`` per state.
+    momentum ``p ⊕ p_alg`` and the bundle metric.  The kinetic part is
+    :func:`kinetic_energies`.
     """
     if isinstance(states[0], PhaseState):
         momenta = np.array([s.p for s in states])
@@ -345,8 +379,14 @@ def energies(system, states) -> np.ndarray:
     else:
         momenta = np.array([np.concatenate([s.p, s.p_alg]) for s in states])
         metric_inv, points = system.metric_inv, [s.x for s in states]
-    kinetic = ((0.5 * momenta)[:, None, :] @ (metric_inv @ momenta[:, :, None]))[:, 0, 0]
-    return kinetic + np.fromiter((float(system.potential(x)) for x in points), float, len(points))
+    potentials = np.fromiter((float(system.potential(x)) for x in points), float, len(points))
+    return kinetic_energies(metric_inv, momenta) + potentials
+
+
+def kinetic_energies(metric_inv: np.ndarray, momenta: np.ndarray) -> np.ndarray:
+    """``p^T G^{-1} p / 2`` of each row ``p`` of ``momenta``: one stacked
+    ``matmul`` form, bit for bit ``p @ (G^{-1} @ p)`` per row."""
+    return ((0.5 * momenta)[:, None, :] @ (metric_inv @ momenta[:, :, None]))[:, 0, 0]
 
 
 def nonholonomic_particle(potential: str = "none") -> FlatSystem:

@@ -19,7 +19,6 @@ from gni.gni_reduced import (
     chaplygin_reduced_system,
     chaplygin_step_stats,
     reduced_rattle_step,
-    standard_retracted_lagrangian,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -207,7 +206,6 @@ def test_criterion_09_scheme_equivalences(capsys):
     # (c) reduced symmetric scheme == specialized rolling-sphere recurrence
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     rsys = chaplygin_reduced_system(params)
-    rld = standard_retracted_lagrangian(rsys)
     hc = 1e-3
     q0 = np.array([1.0, 0.0])
     w0 = np.array([-0.2, 0.0, 0.4])

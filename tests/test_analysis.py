@@ -18,7 +18,6 @@ from gni.analysis import (
     check_finite,
     slope_fit,
     state_matrix,
-    state_values,
 )
 from gni.gni_reduced import (
     ChaplyginParams,
@@ -28,7 +27,6 @@ from gni.gni_reduced import (
     chaplygin_scheme_residual,
     chaplygin_step_stats,
     reduced_rattle_step,
-    standard_retracted_lagrangian,
 )
 from gni.model import FlatSystem, PhaseState, ReducedState, constraint_residual
 from gni.numerics import NoConvergence
@@ -102,7 +100,6 @@ def test_run_rejects_inadmissible_initial_state():
 
 def _reduced_sphere_run(params, state, h):
     rsys = chaplygin_reduced_system(params)
-    ld = standard_retracted_lagrangian(rsys)
     return run(lambda sys_, s, hh: reduced_rattle_step(sys_, s, hh), rsys, state, h, 2)
 
 
@@ -301,6 +298,91 @@ def test_run_chaplygin_kernel_failure_partial_is_head_of_full_run(monkeypatch, f
     head = full.head(failing_step)
     for name in ("times", "states", "energies", "residuals", "newton_iters"):
         assert np.array_equal(getattr(err.partial, name), getattr(head, name)), name
+
+
+def _reduced_kernel_case(retraction="cay"):
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    h = 0.05
+    s0 = chaplygin_initial_reduced_state(params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), h)
+    return chaplygin_reduced_system(params), s0, h, gni_reduced.ReducedStepper(retraction)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 7])
+def test_run_reduced_kernel_has_one_row_per_node(n_steps):
+    rsys, s0, h, stepper = _reduced_kernel_case()
+    traj = run(stepper, rsys, s0, h, n_steps)
+    assert traj.states.shape == (n_steps + 1, 12)
+    assert len(traj) == len(traj.times) == len(traj.energies) == n_steps + 1
+    assert len(traj.residuals) == len(traj.newton_iters) == n_steps + 1
+    assert np.array_equal(
+        traj.states[0], np.concatenate([s0.x, s0.p, s0.xi, s0.p_alg, s0.lam])
+    )
+    assert traj.residuals[0] == 0.0
+    assert np.array_equal(traj.energies[:1], [model.energy(rsys, s0)])
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_run_reduced_kernel_rows_match_the_one_step_map(retraction):
+    # The kernel's rows against the record stepped as a one-step map, and
+    # its diagnostics against the per-row forms on those rows.
+    rsys, s0, h, stepper = _reduced_kernel_case(retraction)
+    traj = run(stepper, rsys, s0, h, 60)
+    states = run(lambda sys_, s, hh: stepper(sys_, s, hh), rsys, s0, h, 60).states
+    rows = np.array([np.concatenate([s.x, s.p, s.xi, s.p_alg, s.lam]) for s in states])
+    assert np.max(np.abs(traj.states - rows)) <= 1e-12
+    assert np.array_equal(traj.newton_iters, [s.newton_iters for s in states])
+    as_states = [ReducedState(r[:2], r[2:4], r[4:7], r[7:10], r[10:]) for r in traj.states]
+    assert np.array_equal(traj.energies, [model.energy(rsys, s) for s in as_states])
+    expected = [0.0] + [
+        _per_row_norm(gni_reduced.reduced_scheme_residual(rsys, a, b, h, retraction))
+        for a, b in zip(as_states, as_states[1:])
+    ]
+    assert np.array_equal(traj.residuals, expected)
+    assert np.max(traj.residuals) <= 1e-10
+
+
+@pytest.mark.parametrize("failing_step", [1, 2, 9])
+def test_run_reduced_kernel_failure_partial_is_head_of_full_run(monkeypatch, failing_step):
+    rsys, s0, h, stepper = _reduced_kernel_case()
+    full = run(stepper, rsys, s0, h, 12)
+    solve = gni_reduced.newton_solve_stats
+    calls = {"n": 0}
+
+    def solve_or_fail(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == failing_step:
+            raise NoConvergence(50, 1.0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gni_reduced, "newton_solve_stats", solve_or_fail)
+    with pytest.raises(StepFailed) as excinfo:
+        run(stepper, rsys, s0, h, 12)
+    err = excinfo.value
+    assert err.step == failing_step
+    assert len(err.partial) == failing_step
+    head = full.head(failing_step)
+    for name in ("times", "states", "energies", "residuals", "newton_iters"):
+        assert np.array_equal(getattr(err.partial, name), getattr(head, name)), name
+
+
+def test_run_reduced_record_on_a_callable_annihilator_steps_the_array_step(monkeypatch):
+    rsys, s0, h, stepper = _reduced_kernel_case()
+    rows = rsys.annihilator
+    callable_rows = model.ReducedSystem(
+        2, 3, rsys.bundle_metric, annihilator=lambda x: rows, num_constraints=2,
+        affine_section=lambda x: rsys.affine_section @ x,
+    )
+    step = gni_reduced.reduced_rattle_step
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(gni_reduced, "reduced_rattle_step", counted)
+    traj = run(stepper, callable_rows, s0, h, 5)
+    assert calls["n"] == 5
+    assert isinstance(traj.states, list) and isinstance(traj.final, ReducedState)
 
 
 def test_run_rejects_non_finite_rows():
@@ -508,7 +590,7 @@ def test_stacked_diagnostics_match_per_row(case):
     assert np.array_equal(traj.energies, [model.energy(system, s) for s in states])
     assert len(rows) == len(states)
     assert np.array_equal(traj.residuals, [_per_row_norm(r) for r in rows])
-    assert np.array_equal(state_matrix(states), [state_values(s) for s in states])
+    assert np.array_equal(state_matrix(states), [_state_values(s) for s in states])
 
 
 _FIELD_CASES = [(PhaseState, f) for f in ("q", "p", "lam")] + [
@@ -539,14 +621,29 @@ def test_check_finite_reports_first_non_finite_field_row(state_type, field):
     assert check_finite(traj) is traj
 
 
-def test_state_values_are_the_fields_but_the_multiplier():
+def _state_values(state):
+    """The values one row writes, field by field (the one-row form of
+    state_matrix): all fields but the multiplier, or the leading values
+    of an array row."""
+    if isinstance(state, PhaseState):
+        return np.concatenate([state.q, state.p])
+    if isinstance(state, ReducedState):
+        return np.concatenate([state.x, state.p, state.xi, state.p_alg])
+    return state[:10] if len(state) == 12 else state
+
+
+def test_state_matrix_rows_are_the_fields_but_the_multiplier():
     sys = model.nonholonomic_particle("harmonic")
     s = _particle_initial(sys)
-    assert np.array_equal(state_values(s), np.concatenate([s.q, s.p]))
+    assert np.array_equal(state_matrix([s]), [np.concatenate([s.q, s.p])])
     r = ReducedState([1.0, 2.0], [3.0, 4.0], [5.0, 6.0, 7.0], [8.0, 9.0, 10.0], [11.0, 12.0])
-    assert state_values(r).tolist() == [float(x) for x in range(1, 11)]
-    row = np.arange(5.0)
-    assert state_values(row) is row
+    assert state_matrix([r, r]).tolist() == [[float(x) for x in range(1, 11)]] * 2
+    # Rolling-sphere rows are written whole; reduced-kernel rows but their
+    # two multipliers.
+    sphere_rows = np.arange(10.0).reshape(2, 5)
+    assert np.array_equal(state_matrix(sphere_rows), sphere_rows)
+    reduced_rows = np.arange(24.0).reshape(2, 12)
+    assert np.array_equal(state_matrix(reduced_rows), reduced_rows[:, :10])
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gni import cli, numerics
+from gni import cli, gni_reduced, numerics
 from gni.gni_flat import scheme_constraint_residual
 from gni.gni_reduced import (
     chaplygin_init,
@@ -17,7 +18,7 @@ from gni.gni_reduced import (
     chaplygin_step_stats,
     reduced_scheme_residual,
 )
-from gni.analysis import StepFailed, state_values
+from gni.analysis import StepFailed
 from gni.model import PhaseState, ReducedState, constraint_residual
 from gni.numerics import NoConvergence, RankDeficient, SingularMatrix
 from gni.cli import (
@@ -559,10 +560,19 @@ def _g(value):
     return "%.17g" % value
 
 
+def _state_values(state):
+    """The values one row writes: a flat state's q and p, or the leading
+    values of an array row (all of a rolling-sphere row, a reduced row
+    but its two multipliers)."""
+    if isinstance(state, PhaseState):
+        return np.concatenate([state.q, state.p])
+    return state[:10] if len(state) == 12 else state
+
+
 def _joined_simulate_csv(traj, names):
     lines = ["step,t," + ",".join(names) + ",energy,constraint_res,newton_iters"]
     for k, state in enumerate(traj.states):
-        comps = ",".join(_g(x) for x in state_values(state).tolist())
+        comps = ",".join(_g(x) for x in _state_values(state).tolist())
         lines.append(
             f"{k},{_g(traj.times[k])},{comps},{_g(traj.energies[k])},"
             f"{_g(traj.residuals[k])},{traj.newton_iters[k]}"
@@ -765,6 +775,42 @@ def test_sphere_non_finite_start_fails_before_any_newton_update(tmp_path, capsys
     assert "solver failure: step 1 failed" in err
     assert "after 0 iterations (|residual|_inf = nan)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_reduced_overflowing_start_fails_as_the_sphere_does(tmp_path, capsys, retraction):
+    # w0 = 1e160 overflows the seeded algebra momentum: both retractions
+    # fail in step 1's Newton solve, as chaplygin_gni does on that state,
+    # with no NumPy warning (turned into errors here) and no CSV.
+    text = (CONFIG_DIR / "sphere_reduced.cfg").read_text()
+    text = text.replace("w0 = -0.2, 0.0, 0.4", "w0 = 1e160, 0.0, 0.0")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text.replace("retraction = cay", f"retraction = {retraction}"))
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "solver failure: step 1 failed: Newton iteration did not converge after 0 "
+        "iterations (|residual|_inf = nan)\n"
+    )
+    assert not out.exists()
+
+
+def test_simulate_reduced_rattle_steps_without_the_array_step(tmp_path, monkeypatch):
+    # The shipped reduced sphere declares constant rows and a linear section,
+    # so every reduced_rattle run takes the float kernel.
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduced_rattle_step called")
+
+    monkeypatch.setattr(gni_reduced, "reduced_rattle_step", refuse)
+    for retraction in ("cay", "exp"):
+        text = (CONFIG_DIR / "sphere_reduced.cfg").read_text()
+        cfg = tmp_path / f"{retraction}.cfg"
+        cfg.write_text(text.replace("retraction = cay", f"retraction = {retraction}"))
+        out = tmp_path / f"{retraction}.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert len(out.read_text().splitlines()) == 102
 
 
 def test_closed_stdout_exits_141_without_messages(tmp_path):

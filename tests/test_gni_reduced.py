@@ -16,11 +16,10 @@ from gni.gni_reduced import (
     chaplygin_scheme_residual,
     chaplygin_step_stats,
     reconstruct,
-    reduced_legendre,
     reduced_rattle_step,
     reduced_scheme_residual,
-    standard_retracted_lagrangian,
 )
+from retracted_lagrangian import reduced_legendre, standard_retracted_lagrangian
 from gni.lie_so3 import cay, dcay_inv, dexp_inv, exp_so3
 from gni.model import ReducedState, ReducedSystem, FlatSystem
 from gni.numerics import (
@@ -187,7 +186,6 @@ def test_legendre_matches_fd_of_scalar_lagrangian_generic():
 
 def test_reduced_step_zero_h_is_identity():
     rsys = chaplygin_reduced_system(ChaplyginParams(1.0, 1.0, 0.2, 2 / 3, 2 / 3, 2 / 3))
-    ld = standard_retracted_lagrangian(rsys)
     s = chaplygin_initial_reduced_state(
         ChaplyginParams(1.0, 1.0, 0.2, 2 / 3, 2 / 3, 2 / 3),
         np.array([1.0, 0.0]),
@@ -200,7 +198,6 @@ def test_reduced_step_zero_h_is_identity():
 def test_reduced_step_rest_state_is_fixed_point():
     params = ChaplyginParams(1.0, 1.0, 0.2, 2 / 3, 2 / 3, 2 / 3)
     rsys = chaplygin_reduced_system(params)
-    ld = standard_retracted_lagrangian(rsys)
     s = ReducedState(np.zeros(2), np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(2))
     out = reduced_rattle_step(rsys, s, 0.05)
     np.testing.assert_allclose(out.x, np.zeros(2), atol=1e-15)
@@ -222,7 +219,6 @@ def test_reduced_step_free_motion_straight_line_and_constant_spin():
         annihilator=None,
         num_constraints=0,
     )
-    ld = standard_retracted_lagrangian(rsys)
     h = 0.05
     xi0 = np.array([0.0, 0.7, 0.0])
     p_alg0 = dcay_inv(h * xi0).T @ (ga * xi0)
@@ -258,7 +254,6 @@ def test_reduced_step_shape_part_degenerates_to_flat_rattle():
         potential=lambda q: 0.5 * (q[0] ** 2 + 2.0 * q[1] ** 2),
         grad_potential=lambda q: np.array([q[0], 2.0 * q[1]]),
     )
-    ld = standard_retracted_lagrangian(rsys)
     h = 0.02
     xi0 = np.array([0.3, -0.2, 0.5])
     rs = ReducedState(
@@ -285,7 +280,6 @@ def test_reduced_step_matches_specialized_rolling_sphere():
     q0 = np.array([1.0, 0.0])
     w0 = np.array([-0.2, 0.0, 0.4])
     rsys = chaplygin_reduced_system(params)
-    ld = standard_retracted_lagrangian(rsys)
     s = chaplygin_initial_reduced_state(params, q0, w0, h)
 
     qs = [q0, chaplygin_init(params, q0, w0, h)]
@@ -305,7 +299,6 @@ def test_reduced_step_matches_specialized_rolling_sphere():
 def test_reduced_scheme_residual_small_along_trajectory():
     params = ChaplyginParams(m=1.0, r=1.0, omega=1.0, i1=2 / 3, i2=2 / 3, i3=2 / 3)
     rsys = chaplygin_reduced_system(params)
-    ld = standard_retracted_lagrangian(rsys)
     s = chaplygin_initial_reduced_state(
         params, np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0]), 0.1
     )
@@ -319,7 +312,6 @@ def test_reduced_scheme_residual_small_along_trajectory():
 def test_reduced_step_exp_retraction_close_to_cay():
     params = ChaplyginParams(m=1.0, r=1.0, omega=0.2, i1=2 / 3, i2=2 / 3, i3=2 / 3)
     rsys = chaplygin_reduced_system(params)
-    ld = standard_retracted_lagrangian(rsys)
     h = 1e-3
     s0 = chaplygin_initial_reduced_state(
         params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), h
@@ -336,7 +328,6 @@ def test_reduced_step_exp_retraction_close_to_cay():
 def test_reduced_step_rejects_unknown_retraction():
     params = ChaplyginParams(1.0, 1.0, 0.0, 1.0, 1.0, 1.0)
     rsys = chaplygin_reduced_system(params)
-    ld = standard_retracted_lagrangian(rsys)
     s = chaplygin_initial_reduced_state(params, np.zeros(2), np.zeros(3), 0.1)
     with pytest.raises(ValueError):
         reduced_rattle_step(rsys, s, 0.1, retraction="polar")
@@ -531,10 +522,93 @@ def test_reduced_steps_keep_their_pinned_bits(retraction):
     assert iters == 400
 
 
+def _shipped_reduced_sphere():
+    # configs/sphere_reduced.cfg at h = 0.05.
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    h = 0.05
+    s0 = chaplygin_initial_reduced_state(
+        params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), h
+    )
+    return chaplygin_reduced_system(params), s0, h
+
+
+def _row(s):
+    return [*s.x, *s.p, *s.xi, *s.p_alg, *s.lam]
+
+
+@pytest.mark.parametrize("retraction, steps", [("cay", 3000), ("exp", 2500)])
+def test_kernel_agrees_with_reduced_rattle_step(retraction, steps):
+    # The same algebra up to rounding: the states stay within 1e-9 of the
+    # array step and every step takes the same Newton iterations.
+    rsys, s, h = _shipped_reduced_sphere()
+    cfg = NewtonConfig()
+    step = gni_reduced.reduced_kernel(rsys, h, retraction, cfg)
+    row = _row(s)
+    worst = 0.0
+    for _ in range(steps):
+        s = reduced_rattle_step(rsys, s, h, retraction=retraction, cfg=cfg)
+        *row, iters = step(*row)
+        assert iters == s.newton_iters
+        worst = max(worst, np.max(np.abs(np.array(row) - _row(s))))
+    assert worst <= 1e-9
+
+
+def test_kernel_covers_only_declared_potential_free_systems():
+    rsys, _, h = _shipped_reduced_sphere()
+    assert gni_reduced.reduced_kernel(rsys, h) is not None
+    no_plate = chaplygin_reduced_system(ChaplyginParams(1.0, 1.0, 0.0, 1.0, 1.0, 1.0))
+    assert gni_reduced.reduced_kernel(no_plate, h) is not None
+    rows = rsys.annihilator
+    callable_rows = ReducedSystem(
+        2, 3, rsys.bundle_metric, annihilator=lambda x: rows, num_constraints=2
+    )
+    with_potential = ReducedSystem(
+        2, 3, rsys.bundle_metric, annihilator=rows, num_constraints=2,
+        potential=lambda x: 0.5 * x @ x, grad_potential=lambda x: x,
+    )
+    for other in (callable_rows, with_potential, _coupled_system()):
+        assert gni_reduced.reduced_kernel(other, h) is None
+    with pytest.raises(ValueError, match="unknown retraction"):
+        gni_reduced.reduced_kernel(rsys, h, "polar")
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stacked_reduced_scheme_residual_matches_one_row_calls(retraction):
+    rsys, s, h = _shipped_reduced_sphere()
+    step = gni_reduced.reduced_kernel(rsys, h, retraction)
+    rows = [_row(s)]
+    for _ in range(200):
+        rows.append(list(step(*rows[-1])[:12]))
+    rows = np.array(rows)
+    stacked = reduced_scheme_residual(rsys, rows[:-1], rows[1:], h, retraction)
+    one_by_one = [
+        reduced_scheme_residual(rsys, a, b, h, retraction) for a, b in zip(rows[:-1], rows[1:])
+    ]
+    assert stacked.shape == (200, 2)
+    assert np.array_equal(stacked, one_by_one)
+    # A state object gives its values row's bits; the residual is the one
+    # the step enforces.
+    states = [ReducedState(r[:2], r[2:4], r[4:7], r[7:10], r[10:]) for r in rows[:3]]
+    assert np.array_equal(
+        reduced_scheme_residual(rsys, states[1], states[2], h, retraction), stacked[1]
+    )
+    assert np.max(np.abs(stacked)) <= 1e-10
+    # The same system given by callables takes one row at a time.
+    callables = ReducedSystem(
+        2, 3, rsys.bundle_metric, annihilator=lambda x: rsys.annihilator, num_constraints=2,
+        affine_section=lambda x: rsys.affine_section @ x,
+    )
+    np.testing.assert_allclose(
+        reduced_scheme_residual(callables, rows[1], rows[2], h, retraction),
+        stacked[1], rtol=0.0, atol=1e-15,
+    )
+    with pytest.raises(ValueError, match="stacked rows"):
+        reduced_scheme_residual(callables, rows[:-1], rows[1:], h, retraction)
+
+
 def test_reduced_step_stage3_no_convergence():
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     rsys = chaplygin_reduced_system(params)
-    ld = standard_retracted_lagrangian(rsys)
     s = chaplygin_initial_reduced_state(
         params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), 0.05
     )
@@ -550,7 +624,6 @@ def test_reduced_step_stage3_singular_jacobian(monkeypatch):
     monkeypatch.setitem(gni_reduced._TANGENT_COEFFS, "cay", lambda t: (0.0, 0.0, 0.0, 0.0))
     params = ChaplyginParams(m=1.0, r=1.0, omega=0.0, i1=1.0, i2=1.0, i3=1.0)
     rsys = chaplygin_reduced_system(params)
-    ld = standard_retracted_lagrangian(rsys)
     s = ReducedState(
         np.zeros(2), np.array([0.3, -0.2]), np.zeros(3), np.array([0.1, 0.2, 0.3]), np.zeros(2)
     )

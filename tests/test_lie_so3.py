@@ -10,6 +10,7 @@ from gni.lie_so3 import (
     dcay,
     dcay_inv,
     dexp_inv,
+    exp_coefficients,
     exp_so3,
     hat,
     vee,
@@ -190,3 +191,20 @@ def test_ad_pairing():
         rot = exp_so3(w)
         m, xi = rng.standard_normal(3), rng.standard_normal(3)
         assert Ad_star(rot, m) @ xi == pytest.approx(m @ Ad(rot, xi), abs=1e-12)
+
+
+def test_exp_coefficients_are_the_rodrigues_coefficients():
+    for theta in (0.0, 1e-9, 1e-3, 0.7, 2.5):
+        a, b = exp_coefficients(theta)
+        w = np.array([theta, 0.0, 0.0])
+        s = hat(w)
+        assert np.array_equal(exp_so3(w), np.eye(3) + a * s + b * (s @ s))
+    assert exp_coefficients(1e-9) == (1.0 - 1e-18 / 6.0, 0.5 - 1e-18 / 24.0)
+
+
+def test_exp_of_an_infinite_increment_is_nan_not_an_error():
+    # math.sin(inf) raises ValueError; an overflowed increment must give a
+    # NaN rotation for the run to report instead.
+    assert all(np.isnan(c) for c in exp_coefficients(float("inf")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(exp_so3(np.array([1e160, 0.0, 0.0]))).any()

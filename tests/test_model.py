@@ -114,6 +114,36 @@ def test_reduced_projectors_chaplygin_entries():
     )
 
 
+def test_declared_reduced_arrays_match_their_callable_form():
+    # chaplygin_reduced_system declares its rows and section as arrays;
+    # they give the callable form's rows, drift and momentum offset.
+    from gni.gni_reduced import ChaplyginParams, chaplygin_reduced_system
+
+    declared = chaplygin_reduced_system(ChaplyginParams(3.0, 1.0, 0.2, 1.0, 1.1, 1.2))
+    callable_form = _chaplygin_like_reduced(m=3.0, inertia=(1.0, 1.1, 1.2), omega=0.2)
+    assert declared.potential_free and callable_form.potential_free
+    rng = np.random.default_rng(4)
+    for x in rng.normal(size=(20, 2)):
+        assert np.array_equal(declared.annihilator_matrix(x), callable_form.annihilator_matrix(x))
+        assert np.array_equal(declared.section(x), callable_form.section(x))
+        assert np.array_equal(declared.momentum_offset(x), callable_form.momentum_offset(x))
+
+
+def test_declared_reduced_arrays_are_shape_checked():
+    rows = np.array([[1.0, 0.0, 0.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="annihilator"):
+        ReducedSystem(2, 3, np.eye(5), annihilator=rows, num_constraints=1)
+    with pytest.raises(ValueError, match="affine_section"):
+        ReducedSystem(2, 3, np.eye(5), annihilator=rows, num_constraints=2,
+                      affine_section=np.zeros((5, 3)))
+
+
+def test_reduced_potential_free_only_without_a_potential():
+    assert ReducedSystem(2, 3, np.eye(5)).potential_free
+    assert not ReducedSystem(2, 3, np.eye(5), grad_potential=lambda x: x).potential_free
+    assert not ReducedSystem(2, 3, np.eye(5), potential=lambda x: 1.0).potential_free
+
+
 def test_projectors_rank_deficient():
     sys = FlatSystem(
         dim=3,
