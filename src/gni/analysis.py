@@ -45,6 +45,9 @@ _NOISE_FLOOR = 1e-14
 # Absolute slack of the initial-admissibility precondition in run().
 _ADMISSIBLE_TOL = 1e-8
 
+# Rows a residual=False run of run() holds between two drops.
+_WINDOW_ROWS = 4096
+
 # What each state type gives the runner, the sweeps and the CSV writer: its
 # array fields, the multiplier ``lam`` last (check_finite() checks them all;
 # a row's state values are all but ``lam``), and its position and velocity
@@ -135,12 +138,17 @@ class Trajectory:
 
     def head(self, n_rows: int) -> "Trajectory":
         """The first ``n_rows`` rows."""
+        return self.rows(0, n_rows)
+
+    def rows(self, start: int, stop=None) -> "Trajectory":
+        """The rows from ``start`` to ``stop``, as Python slice bounds."""
+        index = slice(start, stop)
         return Trajectory(
-            times=self.times[:n_rows],
-            states=self.states[:n_rows],
-            energies=self.energies[:n_rows],
-            residuals=self.residuals[:n_rows],
-            newton_iters=self.newton_iters[:n_rows],
+            times=self.times[index],
+            states=self.states[index],
+            energies=self.energies[index],
+            residuals=self.residuals[index],
+            newton_iters=self.newton_iters[index],
             h=self.h,
         )
 
@@ -168,6 +176,16 @@ def check_finite(traj: Trajectory) -> Trajectory:
     StepFailed
         At the first row that is not, carrying the rows before it.
     """
+    failure = _non_finite(traj, 0)
+    if failure is not None:
+        raise failure
+    return traj
+
+
+def _non_finite(traj: Trajectory, first: int):
+    """The :class:`StepFailed` of the first row of ``traj`` whose energy,
+    residual or state is not finite, or ``None``; ``first`` is the run row
+    of ``traj``'s first row."""
     ok = np.isfinite(traj.energies) & np.isfinite(traj.residuals)
     states = traj.states
     if isinstance(states, np.ndarray):
@@ -176,11 +194,11 @@ def check_finite(traj: Trajectory) -> Trajectory:
         for name in _STATE_TYPES[type(states[0])][0]:
             ok &= np.isfinite(_field_rows(states, name)).all(axis=1)
     bad = np.flatnonzero(~ok)
-    if bad.size:
-        k = int(bad[0])
-        cause = FloatingPointError(f"row {k} has a non-finite energy, residual or state")
-        raise StepFailed(k, cause, traj.head(k))
-    return traj
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    cause = FloatingPointError(f"row {first + k} has a non-finite energy, residual or state")
+    return StepFailed(first + k, cause, traj.head(k))
 
 
 @dataclass
@@ -253,15 +271,25 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     of the one-sided schemes; a non-finite one is left to its first step
     to report.  ``residual(states)`` gives the constraint residual each
     state-object row reports, in the form the stepper preserves (default:
-    the momentum form); ``residual=False`` leaves the column at zero, for
-    runs whose final state alone is read.
+    the momentum form).
+
+    ``residual=False`` is for runs whose final state alone is read, such
+    as the self reference of :func:`convergence_sweep`: the residual
+    column stays at zero, and the run keeps its rows in blocks of
+    ``_WINDOW_ROWS`` (4,096).  Each full block is assembled and checked as a full
+    run's rows are, then dropped but for the rows the steps carry, and the
+    trajectory returned holds only the last two rows (one for
+    ``n_steps = 0``), bit for bit the last two of the full run.
 
     Raises
     ------
     StepFailed
         When the stepper's solver fails, or at the first row whose energy,
         residual or state is not finite; carries the 1-based failing step
-        index, the cause, and the partial trajectory.
+        index, the cause, and the partial trajectory of the rows before
+        that step that the run still holds (all of them unless
+        ``residual=False``).  The failing step and the type of the cause
+        do not depend on ``residual``.
     ValueError
         For non-positive ``h`` / negative ``n_steps`` or an inadmissible
         initial state.
@@ -270,142 +298,201 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
         raise ValueError("step size h must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
+    window = residual is False
+    capacity = min(n_steps, _WINDOW_ROWS) + 1 if window else n_steps + 1
     # A diverging run overflows on its way to the first non-finite row;
-    # check_finite reports that row as StepFailed, so NumPy need not warn.
+    # the finiteness check reports that row as StepFailed, so NumPy need
+    # not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(system, ChaplyginParams):
-            advance, assemble = _sphere_recurrence(system, initial, h, n_steps, residual)
+            setup = _sphere_recurrence(system, initial, h, capacity, residual)
         else:
             _check_admissible(system, initial, h)
             kernel = None
             if isinstance(stepper, gni_reduced.ReducedStepper):
                 kernel = gni_reduced.reduced_kernel(system, h, stepper.retraction, stepper.cfg)
             if kernel is not None:
-                advance, assemble = _reduced_rows(
-                    kernel, stepper.retraction, system, initial, h, n_steps, residual
+                setup = _reduced_rows(
+                    kernel, stepper.retraction, system, initial, h, capacity, residual
                 )
             elif isinstance(stepper, DiscreteLagrangian):
-                advance, assemble = _three_point_recurrence(
-                    stepper, system, initial, h, n_steps, residual
-                )
+                setup = _three_point_recurrence(stepper, system, initial, h, capacity, residual)
             else:
-                advance, assemble = _one_step_map(stepper, system, initial, h, residual)
+                setup = _one_step_map(stepper, system, initial, h, residual)
+        advance, assemble, keep = setup
+        # ``first`` is the first row the run holds; a non-finite row found
+        # in a dropped block fails the run only once it has stepped to the
+        # end, as the full run's one check would.
+        first, failure = 0, None
         for k in range(1, n_steps + 1):
             try:
                 advance(k)
             except (NoConvergence, SingularMatrix, model.RankDeficient) as exc:
                 raise StepFailed(k, exc, assemble(k)) from exc
+            if window and k % _WINDOW_ROWS == 0 and k < n_steps:
+                if failure is None:
+                    failure = _non_finite(assemble(k + 1), first)
+                keep(k)
+                first = k
         traj = assemble(n_steps + 1)
-    return check_finite(traj)
+        if failure is None:
+            failure = _non_finite(traj, first)
+    if failure is not None:
+        raise failure
+    return traj.rows(-2) if window else traj
 
 
 # Each of the four set-ups below returns ``advance(k)``, which takes step
-# ``k`` (the one producing row ``k``), and ``assemble(n_rows)``, which
-# builds the trajectory of the first ``n_rows`` rows.
+# ``k`` (the one producing row ``k``), ``assemble(n_rows)``, which builds
+# the trajectory of the rows before row ``n_rows`` that it holds, and
+# ``keep(k)``, which drops every row before row ``k`` but what the steps
+# still read.  The buffers hold ``capacity`` rows besides those carried.
 
 
 def _one_step_map(stepper, system, initial, h, residual):
     states = [initial]
+    first = 0
 
     def advance(k):
         states.append(stepper(system, states[-1], h))
 
     def assemble(n_rows):
-        times = h * np.arange(n_rows)
-        return Trajectory.from_rows(system, times, states[:n_rows], h, residual)
+        times = h * np.arange(first, n_rows)
+        return Trajectory.from_rows(system, times, states[: n_rows - first], h, residual)
 
-    return advance, assemble
+    def keep(k):
+        nonlocal first
+        del states[:-1]
+        first = k
+
+    return advance, assemble, keep
 
 
-def _three_point_recurrence(ld, system, initial, h, n_steps, residual):
+# The recurrences below carry the position before their first row once
+# they have dropped rows (``base``, the buffer's row 0, is then that
+# position's row) so that the first row keeps its central difference.
+
+
+def _three_point_recurrence(ld, system, initial, h, capacity, residual):
     cfg = default_newton_config()
-    qs = np.empty((n_steps + 2, system.dim))
-    iters = np.zeros(n_steps + 1, dtype=int)
+    qs = np.empty((capacity + 2, system.dim))
+    iters = np.zeros(capacity + 1, dtype=int)
     qs[0] = initial.q
+    base = 0
 
     def advance(k):
+        j = k - base
         if k == 1:
             qs[1] = rattle_step(system, initial, h).q
-        qs[k + 1], iters[k] = gni_generic_step_stats(ld, system, qs[k - 1], qs[k], h, cfg)
+        qs[j + 1], iters[j] = gni_generic_step_stats(ld, system, qs[j - 1], qs[j], h, cfg)
 
     def assemble(n_rows):
-        states = [initial] + [
+        states = [initial] if base == 0 else []
+        states += [
             PhaseState(
-                qs[k],
-                system.mass_matrix @ (qs[k + 1] - qs[k - 1]) / (2.0 * h),
+                qs[j],
+                system.mass_matrix @ (qs[j + 1] - qs[j - 1]) / (2.0 * h),
                 np.zeros(system.num_constraints),
-                newton_iters=int(iters[k]),
+                newton_iters=int(iters[j]),
             )
-            for k in range(1, n_rows)
+            for j in range(1, n_rows - base)
         ]
-        times = h * np.arange(n_rows, dtype=float)
+        times = h * np.arange(n_rows - len(states), n_rows, dtype=float)
         return Trajectory.from_rows(system, times, states, h, residual)
 
-    return advance, assemble
+    def keep(k):
+        nonlocal base
+        j = k - base
+        qs[:3] = qs[j - 1 : j + 2]
+        iters[:2] = iters[j - 1 : j + 1]
+        base = k - 1
+
+    return advance, assemble, keep
 
 
-def _sphere_recurrence(params, initial, h, n_steps, residual):
-    # One float row [x, y, w1, w2, w3] per step; row N+1 holds only the
-    # position that closes the last central difference.
+def _sphere_recurrence(params, initial, h, capacity, residual):
+    # One float row [x, y, w1, w2, w3] per step; the row after the last
+    # holds only the position that closes the last central difference.
     step = gni_reduced._chaplygin_stepper(params, h, default_newton_config())
     q0, w0 = initial
-    rows = np.empty((n_steps + 2, 5))
-    iters = np.zeros(n_steps + 1, dtype=int)
+    rows = np.empty((capacity + 2, 5))
+    iters = np.zeros(capacity + 1, dtype=int)
     rows[0, :2] = q0
     rows[0, 2:] = w0
     rows[1, :2] = chaplygin_init(params, q0, w0, h)
     flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
+    base = 0
 
     def advance(k):
-        i = 5 * k
-        (flat[i + 5], flat[i + 6], flat[i + 2], flat[i + 3], flat[i + 4], counts[k]) = step(
+        j = k - base
+        i = 5 * j
+        (flat[i + 5], flat[i + 6], flat[i + 2], flat[i + 3], flat[i + 4], counts[j]) = step(
             flat[i - 5], flat[i - 4], flat[i], flat[i + 1], flat[i - 3], flat[i - 2], flat[i - 1]
         )
 
     def assemble(n_rows):
-        return _assemble_chaplygin(
-            params, rows[: n_rows + 1], iters[:n_rows], h, residual is not False
+        m = n_rows - base
+        traj = _assemble_chaplygin(
+            params, rows[: m + 1], iters[:m], h, base, residual is not False
         )
+        return traj.rows(1) if base else traj
 
-    return advance, assemble
+    def keep(k):
+        nonlocal base
+        j = k - base
+        rows[:3] = rows[j - 1 : j + 2]
+        iters[:2] = iters[j - 1 : j + 1]
+        base = k - 1
+
+    return advance, assemble, keep
 
 
-def _reduced_rows(step, retraction, system, initial, h, n_steps, residual):
+def _reduced_rows(step, retraction, system, initial, h, capacity, residual):
     # One float row [x, y, px, py, xi, p_alg, lam] per step.
-    rows = np.empty((n_steps + 1, 12))
-    iters = np.zeros(n_steps + 1, dtype=int)
+    rows = np.empty((capacity, 12))
+    iters = np.zeros(capacity, dtype=int)
     rows[0] = np.concatenate([initial.x, initial.p, initial.xi, initial.p_alg, initial.lam])
     iters[0] = initial.newton_iters
     flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
+    base = 0
 
     def advance(k):
-        i = 12 * k
+        j = k - base
+        i = 12 * j
         (
             flat[i], flat[i + 1], flat[i + 2], flat[i + 3], flat[i + 4], flat[i + 5],
             flat[i + 6], flat[i + 7], flat[i + 8], flat[i + 9], flat[i + 10], flat[i + 11],
-            counts[k],
+            counts[j],
         ) = step(*flat[i - 12 : i])
 
     def assemble(n_rows):
-        states = rows[:n_rows]
-        residuals = np.zeros(n_rows)
-        if residual is not False and n_rows > 1:
+        m = n_rows - base
+        states = rows[:m]
+        residuals = np.zeros(m)
+        if residual is not False and m > 1:
             res = gni_reduced.reduced_scheme_residual(
                 system, states[:-1], states[1:], h, retraction
             )
             residuals[1:] = np.max(np.abs(res), axis=1)
         return Trajectory(
-            times=h * np.arange(n_rows),
+            times=h * np.arange(base, n_rows),
             states=states,
             energies=model.kinetic_energies(
                 system.metric_inv, np.hstack([states[:, 2:4], states[:, 7:10]])
             ),
             residuals=residuals,
-            newton_iters=iters[:n_rows],
+            newton_iters=iters[:m],
             h=h,
         )
 
-    return advance, assemble
+    def keep(k):
+        nonlocal base
+        j = k - base
+        rows[0] = rows[j]
+        iters[0] = iters[j]
+        base = k
+
+    return advance, assemble, keep
 
 
 def _check_admissible(system, state, h: float) -> None:
@@ -443,9 +530,10 @@ def _check_admissible(system, state, h: float) -> None:
         )
 
 
-def _assemble_chaplygin(params, rows, iters, h, diagnostics) -> Trajectory:
+def _assemble_chaplygin(params, rows, iters, h, base, diagnostics) -> Trajectory:
     """Trajectory of the rows of ``rows`` but its last, whose position
-    closes the last central difference.
+    closes the last central difference; ``base`` is the run row of the
+    first.
 
     Row 0's contact velocity is the forward difference, later rows' the
     central one.  The stacked ``matmul`` dot products give the same bits
@@ -466,7 +554,7 @@ def _assemble_chaplygin(params, rows, iters, h, diagnostics) -> Trajectory:
         )
         residuals[1:] = np.max(np.abs(res), axis=1)
     return Trajectory(
-        times=h * np.arange(n_rows),
+        times=h * np.arange(base, base + n_rows),
         states=rows[:n_rows],
         energies=energies,
         residuals=residuals,
@@ -570,7 +658,9 @@ def convergence_sweep(
     is a precomputed :class:`Trajectory`, a bare step size (meaning
     self-convergence: the same stepper at that step), or a pair
     ``("self" | "rk4", h_ref)``; in every case the reference step must be
-    at most ``min(h_list)/30``.  Errors are infinity norms at the final
+    at most ``min(h_list)/30``.  A self reference is a ``residual=False``
+    :func:`run`: it keeps only its final rows, so its memory does not grow
+    with its number of steps.  Errors are infinity norms at the final
     time on position and velocity (body angular velocity for reduced and
     rolling-sphere runs) plus the absolute final-energy difference; slopes
     are least-squares fits on the log-log points, with channels at rounding

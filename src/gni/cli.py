@@ -41,14 +41,16 @@ rejected so typos never pass silently::
 Omitted keys fall back to documented defaults (the chaplygin system
 defaults to the homogeneous bounded-trajectory setup: ``m = r =
 omega_plate = 1``, ``inertia = 2/3``, ``q0 = (1, 1)``, ``w0 = (0, 2, 0)``).
-Exit codes: 0 success, 1 solver failure or failed checks, 2 config error,
-141 when the reader of stdout closes it early (as after SIGPIPE).
+Exit codes: 0 success, 1 solver failure or failed checks, 2 config error
+or a run too large for memory, 141 when the reader of stdout closes it
+early (as after SIGPIPE).
 All floating-point CSV output is printed with 17 significant digits so
 identical configs reproduce byte-identical files.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys as _sys
 from dataclasses import dataclass
@@ -66,7 +68,6 @@ __all__ = [
     "ValidationError",
     "RunConfig",
     "parse_config",
-    "format_config",
     "main",
 ]
 
@@ -212,7 +213,7 @@ def _parse_floats(text: str) -> Tuple[float, ...]:
 
 
 # Every config key: (section, key) -> (RunConfig field, value parser), in the
-# order format_config writes them.
+# order parse_config reads them.
 _KEYS = {
     ("system", "name"): ("system", str),
     ("system", "potential"): ("potential", str),
@@ -433,27 +434,6 @@ def _validate(cfg: RunConfig) -> None:
         )
 
 
-def format_config(cfg: RunConfig) -> str:
-    """Emit config text that parses back to an equal :class:`RunConfig`."""
-
-    def fmt(value) -> str:
-        if isinstance(value, tuple):
-            return ", ".join(repr(float(x)) for x in value)
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    lines, current = [], None
-    for (section, key), (field, _) in _KEYS.items():
-        if section != current:
-            lines += ["", f"[{section}]"]
-            current = section
-        value = getattr(cfg, field)
-        if value is not None:
-            lines.append(f"{key} = {fmt(value)}")
-    return "\n".join(lines[1:]) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # registry: building systems, initial states, and steppers
 
@@ -563,14 +543,17 @@ def _g(value: float) -> str:
 
 def _simulate_csv(traj: Trajectory, names: Sequence[str]) -> Iterator[str]:
     """The lines of a simulate CSV: the header, then one line per row from
-    one format over the stacked row values."""
-    yield "step,t," + ",".join(names) + ",energy,constraint_res,newton_iters\n"
+    one format over the stacked row values.  The stack is built here, not
+    when the first line is read, so a failure building it opens no file."""
+    header = "step,t," + ",".join(names) + ",energy,constraint_res,newton_iters\n"
     table = np.column_stack(
         [traj.times, state_matrix(traj.states), traj.energies, traj.residuals]
     )
     line = "%d," + "%.17g," * table.shape[1] + "%d\n"
-    for k, (row, iters) in enumerate(zip(table, traj.newton_iters.tolist())):
-        yield line % (k, *row.tolist(), iters)
+    rows = enumerate(zip(table, traj.newton_iters.tolist()))
+    return itertools.chain(
+        [header], (line % (k, *row.tolist(), iters) for k, (row, iters) in rows)
+    )
 
 
 _CHANNEL_COLUMNS = (("position", "pos"), ("velocity", "vel"), ("energy", "energy"))
@@ -699,7 +682,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point. Returns 0 on success, 1 on solver or check failure,
-    2 on config errors, 141 when the reader of stdout closed it early."""
+    2 on config errors and on runs too large for memory, 141 when the
+    reader of stdout closed it early."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -725,6 +709,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (StepFailed, NoConvergence) as exc:
         print(f"solver failure: {exc}", file=_sys.stderr)
         return 1
+    except MemoryError as exc:
+        # A run whose rows do not fit: its N, or its h against T, is too large.
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=_sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -505,18 +505,170 @@ def test_run_reports_the_residual_form_it_is_given():
     assert np.max(traj.residuals) <= 1e-12
     # The momentum form, the default, is off by the half-step potential shift.
     assert np.max(run(gni_flat.euler_a_step, sys, s0, h, 5).residuals) > 1e-4
-    assert not np.any(run(gni_flat.euler_a_step, sys, s0, h, 5, residual=False).residuals)
+    # residual=False keeps the last two rows, with the column at zero.
+    bare = run(gni_flat.euler_a_step, sys, s0, h, 5, residual=False)
+    assert np.array_equal(state_matrix(bare.states), state_matrix(traj.states[-2:]))
+    assert np.array_equal(bare.energies, traj.energies[-2:])
+    assert not np.any(bare.residuals)
 
 
 def test_run_chaplygin_without_residuals_keeps_states_and_energies():
+    # Of the last two rows, which are all a residual=False run keeps.
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
     full = run(None, params, initial, 0.05, 10)
     bare = run(None, params, initial, 0.05, 10, residual=False)
-    assert np.array_equal(bare.states, full.states)
-    assert np.array_equal(bare.energies, full.energies)
+    assert np.array_equal(bare.times, full.times[-2:])
+    assert np.array_equal(bare.states, full.states[-2:])
+    assert np.array_equal(bare.energies, full.energies[-2:])
     assert not np.any(bare.residuals)
     assert np.max(full.residuals) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# runs that keep only their final rows (residual=False)
+
+
+def _window_cases():
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    q0, w0 = np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])
+    rsys = chaplygin_reduced_system(params)
+    particle = model.nonholonomic_particle("harmonic")
+    h = 0.01
+    return {
+        "sphere": (None, params, (q0, w0)),
+        "reduced-cay": (
+            gni_reduced.ReducedStepper("cay"), rsys, chaplygin_initial_reduced_state(params, q0, w0, h)
+        ),
+        "reduced-exp": (
+            gni_reduced.ReducedStepper("exp"), rsys, chaplygin_initial_reduced_state(params, q0, w0, h)
+        ),
+        "gni_generic": (
+            gni_flat.verlet_lagrangian(particle),
+            particle,
+            gni_flat.prepare_state(particle, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", h),
+        ),
+        "euler_a": (
+            gni_flat.euler_a_step,
+            particle,
+            gni_flat.prepare_state(particle, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "euler_a", h),
+        ),
+    }, h
+
+
+@pytest.mark.parametrize("case", ["sphere", "reduced-cay", "reduced-exp", "gni_generic", "euler_a"])
+def test_run_without_residuals_keeps_the_full_runs_last_two_rows(case):
+    # At N = 1, C - 1, C, C + 1 and 2C + 3 for the block size C, so the
+    # rows kept have crossed zero, one and two drops.  Rows of a full run
+    # of N steps are those of any longer full run, so one long run serves.
+    cases, h = _window_cases()
+    stepper, system, initial = cases[case]
+    c = analysis._WINDOW_ROWS
+    longest = 2 * c + 3
+    full = run(stepper, system, initial, h, longest)
+    for n_steps in (1, c - 1, c, c + 1, longest):
+        bare = run(stepper, system, initial, h, n_steps, residual=False)
+        last = full.rows(n_steps - 1, n_steps + 1)
+        assert len(bare) == 2, n_steps
+        for name in ("times", "energies", "newton_iters"):
+            assert np.array_equal(getattr(bare, name), getattr(last, name)), (n_steps, name)
+        assert np.array_equal(state_matrix(bare.states), state_matrix(last.states)), n_steps
+        assert not np.any(bare.residuals)
+        assert bare.h == h
+
+
+def test_run_without_residuals_keeps_one_row_of_zero_steps():
+    cases, h = _window_cases()
+    stepper, system, initial = cases["sphere"]
+    bare = run(stepper, system, initial, h, 0, residual=False)
+    full = run(stepper, system, initial, h, 0)
+    assert len(bare) == 1
+    assert np.array_equal(bare.states, full.states)
+    assert np.array_equal(bare.energies, full.energies)
+
+
+def _repulsive_system(stiffness):
+    # q'' = stiffness * q: every step grows the state until it overflows.
+    return FlatSystem(
+        dim=2,
+        mass_matrix=np.eye(2),
+        potential=lambda q: -0.5 * stiffness * (q @ q),
+        grad_potential=lambda q: -stiffness * q,
+    )
+
+
+def test_run_overflowing_mid_run_fails_at_the_same_step_without_residuals():
+    # The energy overflows past the first block, after rows were dropped.
+    sys = _repulsive_system(0.36)
+    s0 = PhaseState(np.array([1.0, 0.5]), np.array([0.0, 1.0]), np.zeros(0))
+    errors = []
+    for residual in (None, False):
+        with pytest.raises(StepFailed) as excinfo:
+            run(gni_flat.euler_a_step, sys, s0, 0.1, 3 * analysis._WINDOW_ROWS, residual=residual)
+        errors.append(excinfo.value)
+    full, bare = errors
+    assert analysis._WINDOW_ROWS < full.step < 3 * analysis._WINDOW_ROWS
+    assert bare.step == full.step
+    assert type(bare.cause) is type(full.cause) is FloatingPointError
+    assert str(bare.cause) == str(full.cause)
+    # The partial holds the rows still kept: the tail of the full partial.
+    kept = len(bare.partial)
+    assert 0 < kept <= analysis._WINDOW_ROWS + 1
+    assert np.array_equal(bare.partial.times, full.partial.times[-kept:])
+    assert np.array_equal(bare.partial.energies, full.partial.energies[-kept:])
+    assert np.array_equal(state_matrix(bare.partial.states), state_matrix(full.partial.states[-kept:]))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_run_without_residuals_reports_a_later_solver_failure_as_the_full_run(
+    monkeypatch, offset
+):
+    # A stepper that steps on past a non-finite row but fails on the step
+    # after it: the full run reports that solver failure, not the row, and
+    # so must a windowed run whose block ends at, before or after the row.
+    sys = _repulsive_system(1e4)
+    s0 = PhaseState(np.array([1.0, 0.5]), np.array([0.0, 1.0]), np.zeros(0))
+
+    def step(sys_, s, h):
+        if not np.isfinite(s.p).all():
+            raise NoConvergence(0, float("nan"))
+        return gni_flat.euler_a_step(sys_, s, h)
+
+    with pytest.raises(StepFailed) as excinfo:
+        run(step, sys, s0, 0.1, 200)
+    full = excinfo.value
+    assert isinstance(full.cause, NoConvergence)
+    monkeypatch.setattr(analysis, "_WINDOW_ROWS", full.step - 1 + offset)
+    with pytest.raises(StepFailed) as excinfo:
+        run(step, sys, s0, 0.1, 200, residual=False)
+    assert excinfo.value.step == full.step
+    assert isinstance(excinfo.value.cause, NoConvergence)
+
+
+def test_sphere_sweep_reference_memory_does_not_grow_with_its_steps(monkeypatch):
+    # A 200,000-step self reference; the sweep's own runs are 80 steps.
+    # Its rows alone would take 8 MB.  Under tracemalloc the Newton kernel
+    # costs about 100 us a step, so a straight-line step stands in for it:
+    # what is measured is the runner's buffers.
+    import tracemalloc
+
+    def straight_line_stepper(params, h, cfg):
+        def step(xm, ym, x0, y0, v1, v2, v3):
+            return x0 + (x0 - xm), y0 + (y0 - ym), v1, v2, v3, 0
+
+        return step
+
+    monkeypatch.setattr(gni_reduced, "_chaplygin_stepper", straight_line_stepper)
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
+    tracemalloc.start()
+    try:
+        report = convergence_sweep(None, params, initial, 2.0, [0.1, 0.05, 0.025], 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.errors["position"][-1] > 0.0
+    assert peak < 2 * 2**20
 
 
 def _per_row_energy(system, s):

@@ -27,7 +27,6 @@ from gni.cli import (
     ParseError,
     RunConfig,
     ValidationError,
-    format_config,
     main,
     parse_config,
 )
@@ -165,33 +164,6 @@ def test_parse_rejects_removed_run_keys(line):
         parse_config(text)
     assert excinfo.value.line == len(text.splitlines())
     assert line.split()[0] in excinfo.value.message
-
-
-def test_roundtrip_parse_format_parse():
-    for path in sorted(CONFIG_DIR.glob("*.cfg")):
-        cfg = parse_config(path.read_text())
-        assert parse_config(format_config(cfg)) == cfg, path.name
-
-
-def test_format_config_writes_every_set_key_in_table_order():
-    full = RunConfig(
-        system="chaplygin", integrator="reduced_rattle", potential="harmonic", q0=(1.0, 0.5),
-        v0=(0.25,), w0=(-0.2, 0.0, 0.4), affine=(0.3, -0.2), m=3.0, r=1.5, omega_plate=0.2,
-        inertia=(1.0, 1.1, 1.2), retraction="exp", h=0.1, h_list=(0.1, 0.05, 0.025), T=15.0,
-        steps=100, h_ref=0.0005, reference="self", out="traj.csv",
-    )
-    assert format_config(full) == (
-        "[system]\nname = chaplygin\npotential = harmonic\nq0 = 1.0, 0.5\nv0 = 0.25\n"
-        "w0 = -0.2, 0.0, 0.4\naffine = 0.3, -0.2\nm = 3.0\nr = 1.5\nomega_plate = 0.2\n"
-        "inertia = 1.0, 1.1, 1.2\n\n[integrator]\nname = reduced_rattle\nretraction = exp\n"
-        "\n[run]\nh = 0.1\nh_list = 0.1, 0.05, 0.025\nT = 15.0\nN = 100\nh_ref = 0.0005\n"
-        "reference = self\nout = traj.csv\n"
-    )
-    # Defaults are not written; every section header is.
-    bare = RunConfig(system="chaplygin", integrator="chaplygin_gni")
-    assert format_config(bare) == (
-        "[system]\nname = chaplygin\n\n[integrator]\nname = chaplygin_gni\n\n[run]\n"
-    )
 
 
 def test_parse_reports_the_first_bad_value_in_key_order():
@@ -728,6 +700,7 @@ def test_generic_simulate_needs_no_lu_solve(tmp_path, monkeypatch):
         (RankDeficient("dependent rows"), 2, "config error"),
         (NoConvergence(50, 1.0), 1, "solver failure"),
         (StepFailed(3, NoConvergence(50, 1.0), None), 1, "solver failure"),
+        (MemoryError("Unable to allocate 745. GiB"), 2, "out of memory"),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
 )
@@ -751,6 +724,50 @@ def test_exit_code_non_finite_run_writes_no_csv(tmp_path, capsys):
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
     assert code == 1
     assert "solver failure: step 115" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _allocations_fail_above(monkeypatch, n_values):
+    # Buffers of more than n_values values raise as NumPy does when the
+    # memory is not there, without asking for it.
+    empty = np.empty
+
+    def bounded_empty(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > n_values:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", bounded_empty)
+
+
+@pytest.mark.parametrize("config", ["sphere_bounded.cfg", "sphere_reduced.cfg"])
+def test_run_too_large_for_memory_exits_2_without_csv(tmp_path, monkeypatch, capsys, config):
+    # N = 2e10 rows need 745 GiB (sphere) or 1.75 TiB (reduced_rattle).
+    text = (CONFIG_DIR / config).read_text()
+    lines = [line for line in text.splitlines() if not line.startswith(("N =", "T =", "out ="))]
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("\n".join(lines).replace("[run]", "[run]\nN = 20000000000") + "\n")
+    out = tmp_path / "x.csv"
+    _allocations_fail_above(monkeypatch, 10**9)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate an array with shape (2000000000")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_csv_too_large_for_memory_opens_no_file(tmp_path, monkeypatch, capsys):
+    # The rows fit but their stacked CSV values do not: no file is opened.
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PARTICLE_TEMPLATE.format(integrator="rattle"))
+    out = tmp_path / "x.csv"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(np, "column_stack", no_memory)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "out of memory: allocation failed\n"
     assert not out.exists()
 
 
