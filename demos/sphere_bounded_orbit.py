@@ -19,7 +19,7 @@ def main() -> None:
     w0 = np.array([0.0, 2.0, 0.0])
     traj = run(None, params, (q0, w0), h=0.1, n_steps=10_000)
 
-    xy = np.array([s[:2] for s in traj.states])
+    xy = traj.states[:, :2]
     radius = np.hypot(xy[:, 0], xy[:, 1])
     half = len(traj) // 2
     print(f"steps:                {len(traj) - 1}")

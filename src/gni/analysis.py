@@ -1,29 +1,30 @@
-"""Trajectory container, verification harness, and convergence analysis.
+"""Trajectory container, the runner, and convergence analysis.
 
 The functions here drive the steppers: :func:`run` advances one trajectory
 and records per-step diagnostics, :func:`convergence_sweep` measures
 final-time errors against a reference over a list of step sizes and fits
-log-log slopes, :func:`adjoint_check` measures composition defects of
-stepper pairs, and :func:`check_suite` executes the package's invariant
-batteries (used by the command-line ``check`` subcommand).
+log-log slopes, and :func:`adjoint_check` measures composition defects of
+stepper pairs.  The invariant batteries of the ``check`` subcommand are in
+:mod:`gni.checks`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Sequence, Set, Tuple
 
 import numpy as np
 
 from . import gni_reduced, model
 from .gni_flat import DiscreteLagrangian, gni_generic_step_stats, rattle_step
 from .lie_so3 import dcay
-from .model import PhaseState, ReducedState, constraint_residual
+from .model import PhaseState, ReducedState, ReducedSystem, constraint_residual
 from .numerics import NoConvergence, SingularMatrix, default_newton_config
 from .gni_reduced import ChaplyginParams, chaplygin_init, chaplygin_scheme_residual
 
 __all__ = [
     "BelowNoiseFloor",
     "StepFailed",
+    "Layout",
     "Trajectory",
     "ConvergenceReport",
     "run",
@@ -33,7 +34,6 @@ __all__ = [
     "adjoint_check",
     "slope_fit",
     "sample_admissible_states",
-    "check_suite",
 ]
 
 # Error channels reported by convergence sweeps, in fixed order.
@@ -47,25 +47,6 @@ _ADMISSIBLE_TOL = 1e-8
 
 # Rows a residual=False run of run() holds between two drops.
 _WINDOW_ROWS = 4096
-
-# What each state type gives the runner, the sweeps and the CSV writer: its
-# array fields, the multiplier ``lam`` last (check_finite() checks them all;
-# a row's state values are all but ``lam``), and its position and velocity
-# channels.  Rows of the float kernels are plain arrays, told apart by their
-# width, with the number of state values in place of the fields:
-# rolling-sphere rows ``[x, y, w1, w2, w3]`` and reduced rows ``[x, y, px,
-# py, xi1, xi2, xi3, p_alg1, p_alg2, p_alg3, lam1, lam2]``.
-_STATE_TYPES = {
-    PhaseState: (("q", "p", "lam"), lambda s: s.q, lambda system, s: system.mass_inv @ s.p),
-    ReducedState: (("x", "p", "xi", "p_alg", "lam"), lambda s: s.x, lambda system, s: s.xi),
-    5: (5, lambda s: s[:2], lambda system, s: s[2:]),
-    12: (10, lambda s: s[:2], lambda system, s: s[4:7]),
-}
-
-
-def _state_type(state):
-    """The :data:`_STATE_TYPES` entry of one state or array row."""
-    return _STATE_TYPES[len(state) if isinstance(state, np.ndarray) else type(state)]
 
 
 class BelowNoiseFloor(ValueError):
@@ -88,49 +69,82 @@ class StepFailed(RuntimeError):
         self.partial = partial
 
 
+@dataclass(frozen=True)
+class Layout:
+    """What the columns of a run's rows hold: the state-object ``fields``
+    in column order (the multiplier ``lam`` last), the number of leading
+    state ``values`` the CSV writes, and the ``position`` columns and
+    ``velocity(row)`` of the channels :func:`convergence_sweep` reads."""
+
+    fields: Tuple[str, ...]
+    values: int
+    position: slice
+    velocity: Callable[[np.ndarray], np.ndarray]
+
+    def stack(self, states) -> np.ndarray:
+        """The rows of state objects, stacked field by field."""
+        return np.hstack([np.array([getattr(s, name) for s in states]) for name in self.fields])
+
+
+def flat_layout(system) -> Layout:
+    """Rows ``[q, p, lam]`` of a flat system; the velocity is ``M^{-1} p``."""
+    n, mass_inv = system.dim, system.mass_inv
+    return Layout(("q", "p", "lam"), 2 * n, slice(0, n), lambda row: mass_inv @ row[n : 2 * n])
+
+
+def reduced_layout(system) -> Layout:
+    """Rows ``[x, p, xi, p_alg, lam]`` of a reduced system (``[x, y, px,
+    py, xi1, xi2, xi3, p_alg1, p_alg2, p_alg3, lam1, lam2]`` for the
+    sphere); the velocity is the body angular velocity ``xi``."""
+    n, k = system.shape_dim, system.algebra_dim
+    return Layout(
+        ("x", "p", "xi", "p_alg", "lam"), 2 * (n + k), slice(0, n), lambda row: row[2 * n : 2 * n + k]
+    )
+
+
+# Rolling-sphere rows ``[x, y, w1, w2, w3]``: no state objects, no multiplier.
+SPHERE_LAYOUT = Layout((), 5, slice(0, 2), lambda row: row[2:])
+
+
 @dataclass
 class Trajectory:
     """Time-indexed record of a run.
 
-    ``states`` holds one state object per row, or for the runs of a float
-    kernel an array of rows (see :func:`run`); ``residuals`` is
-    the infinity norm of the applicable constraint residual per row, and
-    ``energies`` the energy monitor per row.
+    ``states`` is one float array with a row per node, whose columns
+    ``layout`` describes: flat rows ``[q, p, lam]``, reduced rows ``[x, p,
+    xi, p_alg, lam]`` or rolling-sphere rows ``[x, y, w1, w2, w3]`` (see
+    :func:`run`).  ``residuals`` is the infinity norm of the applicable
+    constraint residual per row, and ``energies`` the energy monitor per
+    row.
     """
 
     times: np.ndarray
-    states: Union[list, np.ndarray]
+    states: np.ndarray
     energies: np.ndarray
     residuals: np.ndarray
     newton_iters: np.ndarray
     h: float
+    layout: Layout
 
     @classmethod
     def from_rows(cls, system, times, states, h: float, residual=None) -> "Trajectory":
-        """Build a trajectory of state objects with its diagnostics.
+        """Build the trajectory of a flat or reduced system's state objects,
+        which turn into rows of its layout here, with its diagnostics.
 
-        ``residual(states)`` yields each row's constraint residual; by
+        ``residual(states)`` yields each state's constraint residual; by
         default it is the momentum form :func:`gni.model.constraint_residual`,
         and ``False`` leaves the column at zero.
         """
         states = list(states)
-        if residual is False:
-            residuals = np.zeros(len(states))
-        else:
-            rows = residual(states) if residual else (constraint_residual(system, s) for s in states)
-            residuals = np.fromiter(map(_inf_norm, rows), float, len(states))
-        iters = np.array([getattr(s, "newton_iters", 0) for s in states], dtype=int)
-        return cls(
-            times=np.asarray(times, dtype=float),
-            states=states,
-            energies=model.energies(system, states),
-            residuals=residuals,
-            newton_iters=iters,
-            h=h,
-        )
+        layout = (reduced_layout if isinstance(system, ReducedSystem) else flat_layout)(system)
+        if residual is not False:
+            residual = residual(states) if residual else (constraint_residual(system, s) for s in states)
+        rows, iters = layout.stack(states), np.array([s.newton_iters for s in states], dtype=int)
+        return cls(np.asarray(times, dtype=float), rows, model.energies(system, rows),
+                   _norms(residual, len(rows)), iters, h, layout)
 
     @property
-    def final(self):
+    def final(self) -> np.ndarray:
         return self.states[-1]
 
     def __len__(self):
@@ -142,30 +156,20 @@ class Trajectory:
 
     def rows(self, start: int, stop=None) -> "Trajectory":
         """The rows from ``start`` to ``stop``, as Python slice bounds."""
-        index = slice(start, stop)
-        return Trajectory(
-            times=self.times[index],
-            states=self.states[index],
-            energies=self.energies[index],
-            residuals=self.residuals[index],
-            newton_iters=self.newton_iters[index],
-            h=self.h,
-        )
+        i = slice(start, stop)
+        return Trajectory(self.times[i], self.states[i], self.energies[i], self.residuals[i],
+                          self.newton_iters[i], self.h, self.layout)
 
 
-def state_matrix(states) -> np.ndarray:
-    """The values each row of ``states`` writes, one row each: a state
-    object's array fields but the multiplier ``lam``, stacked field by
-    field; an array row's leading state values (all of a rolling-sphere
-    row, a reduced row but its two multipliers)."""
-    if isinstance(states, np.ndarray):
-        return states[:, : _state_type(states[0])[0]]
-    fields = _state_type(states[0])[0][:-1]
-    return np.hstack([_field_rows(states, name) for name in fields])
+def _norms(residuals, count: int) -> np.ndarray:
+    """Infinity norms of ``count`` residual rows; zeros for ``False``."""
+    return np.zeros(count) if residuals is False else np.fromiter(map(_inf_norm, residuals), float, count)
 
 
-def _field_rows(states, name: str) -> np.ndarray:
-    return np.array([getattr(s, name) for s in states])
+def state_matrix(traj: Trajectory) -> np.ndarray:
+    """The state values each row of ``traj`` writes: its leading
+    ``layout.values`` columns, all but the multipliers."""
+    return traj.states[:, : traj.layout.values]
 
 
 def check_finite(traj: Trajectory) -> Trajectory:
@@ -186,13 +190,7 @@ def _non_finite(traj: Trajectory, first: int):
     """The :class:`StepFailed` of the first row of ``traj`` whose energy,
     residual or state is not finite, or ``None``; ``first`` is the run row
     of ``traj``'s first row."""
-    ok = np.isfinite(traj.energies) & np.isfinite(traj.residuals)
-    states = traj.states
-    if isinstance(states, np.ndarray):
-        ok &= np.isfinite(states).all(axis=1)
-    else:
-        for name in _STATE_TYPES[type(states[0])][0]:
-            ok &= np.isfinite(_field_rows(states, name)).all(axis=1)
+    ok = np.isfinite(traj.energies) & np.isfinite(traj.residuals) & np.isfinite(traj.states).all(axis=1)
     bad = np.flatnonzero(~ok)
     if not bad.size:
         return None
@@ -236,23 +234,24 @@ def _inf_norm(vec) -> float:
 def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Trajectory:
     """Advance ``n_steps`` steps of size ``h`` and record diagnostics.
 
-    This is the one loop over steps.  What it advances depends on its
+    This is the one loop over steps.  Every run returns its rows as one
+    float array (see :class:`Trajectory`); what it advances depends on its
     arguments:
 
     * a one-step map ``stepper(system, state, h) -> state`` on flat or
-      reduced state objects;
+      reduced state objects, which :meth:`Trajectory.from_rows` stacks;
     * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
       three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`,
-      seeded with one :func:`gni.gni_flat.rattle_step`.  Row ``k >= 1``
-      reports the central-difference momentum ``M (q_{k+1} - q_{k-1}) /
-      (2h)``, the average of the discrete pre- and post-momenta that the
-      scheme keeps on the constraint;
+      seeded with one :func:`gni.gni_flat.rattle_step`.  It writes its
+      positions straight into flat rows; row ``k >= 1`` reports the
+      central-difference momentum ``M (q_{k+1} - q_{k-1}) / (2h)``, the
+      average of the discrete pre- and post-momenta that the scheme keeps
+      on the constraint, and a zero multiplier;
     * for a :class:`gni.gni_reduced.ReducedStepper` ``stepper`` on a
       system that :func:`gni.gni_reduced.reduced_kernel` covers, the same
       steps by that float kernel, built once per run.  Rows are the arrays
       ``[x, y, px, py, xi1, xi2, xi3, p_alg1, p_alg2, p_alg3, lam1,
-      lam2]`` of one ``(N+1, 12)`` buffer, the energies the stacked
-      :func:`gni.model.kinetic_energies`, and the residual column one
+      lam2]`` of one ``(N+1, 12)`` buffer, and the residual column is one
       stacked pass of :func:`gni.gni_reduced.reduced_scheme_residual` (0
       on row 0).  On any other system the record steps as a one-step map;
     * when ``system`` is a :class:`ChaplyginParams`, the rolling-sphere
@@ -269,9 +268,9 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     central difference.  A state-object ``initial`` must sit within the
     stepper's admissible set, allowing for the half-step potential shift
     of the one-sided schemes; a non-finite one is left to its first step
-    to report.  ``residual(states)`` gives the constraint residual each
-    state-object row reports, in the form the stepper preserves (default:
-    the momentum form).
+    to report.  ``residual(states)`` gives the constraint residual of each
+    of a one-step map's state objects, or of the three-point recurrence's
+    rows, in the form the stepper preserves (default: the momentum form).
 
     ``residual=False`` is for runs whose final state alone is read, such
     as the self reference of :func:`convergence_sweep`: the residual
@@ -374,11 +373,22 @@ def _one_step_map(stepper, system, initial, h, residual):
 
 
 def _three_point_recurrence(ld, system, initial, h, capacity, residual):
+    # Flat rows [q, p, lam] from the positions: row 0 is ``initial``, later
+    # rows take the central-difference momentum and a zero multiplier.  The
+    # default residual is the momentum form of constraint_residual.
     cfg = default_newton_config()
-    qs = np.empty((capacity + 2, system.dim))
+    layout = flat_layout(system)
+    n = system.dim
+    row0 = layout.stack([initial])[0]
+    qs = np.empty((capacity + 2, n))
     iters = np.zeros(capacity + 1, dtype=int)
     qs[0] = initial.q
+    iters[0] = initial.newton_iters
     base = 0
+
+    def momentum_form(rows):
+        for q, p in zip(rows[:, :n], rows[:, n : 2 * n]):
+            yield system.constraint_matrix(q) @ (system.mass_inv @ (p - system.momentum_offset(q)))
 
     def advance(k):
         j = k - base
@@ -387,18 +397,20 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
         qs[j + 1], iters[j] = gni_generic_step_stats(ld, system, qs[j - 1], qs[j], h, cfg)
 
     def assemble(n_rows):
-        states = [initial] if base == 0 else []
-        states += [
-            PhaseState(
-                qs[j],
-                system.mass_matrix @ (qs[j + 1] - qs[j - 1]) / (2.0 * h),
-                np.zeros(system.num_constraints),
-                newton_iters=int(iters[j]),
-            )
-            for j in range(1, n_rows - base)
-        ]
-        times = h * np.arange(n_rows - len(states), n_rows, dtype=float)
-        return Trajectory.from_rows(system, times, states, h, residual)
+        # Buffer row 0 is ``initial``, or once rows were dropped the carried
+        # position, which is no row of its own.
+        m = n_rows - base
+        first = 1 if base else 0
+        rows = np.zeros((m - first, row0.size))
+        rows[:, :n] = qs[first:m]
+        diffs = qs[2 : m + 1] - qs[: m - 1]
+        rows[1 - first :, n : 2 * n] = (system.mass_matrix @ diffs[:, :, None])[:, :, 0] / (2.0 * h)
+        if not base:
+            rows[0] = row0
+        res = residual if residual is False else (residual or momentum_form)(rows)
+        times = h * np.arange(base + first, n_rows, dtype=float)
+        return Trajectory(times, rows, model.energies(system, rows), _norms(res, len(rows)),
+                          iters[first:m], h, layout)
 
     def keep(k):
         nonlocal base
@@ -431,10 +443,22 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
         )
 
     def assemble(n_rows):
+        # Row 0's contact velocity is the forward difference, later rows'
+        # the central one.  The stacked ``matmul`` dot products give the
+        # same bits as one ``v @ v`` per row.
         m = n_rows - base
-        traj = _assemble_chaplygin(
-            params, rows[: m + 1], iters[:m], h, base, residual is not False
-        )
+        qs, ws = rows[: m + 1, :2], rows[:m, 2:]
+        v = np.empty((m, 2))
+        v[0] = (qs[1] - qs[0]) / h
+        v[1:] = (qs[2:] - qs[: m - 1]) / (2.0 * h)
+        vv = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        ww = (ws[:, None, :] @ (params.inertia * ws)[:, :, None])[:, 0, 0]
+        residuals = np.zeros(m)
+        if residual is not False and m > 1:
+            res = chaplygin_scheme_residual(params, qs[: m - 1], qs[1:m], qs[2:], ws[:-1], ws[1:], h)
+            residuals[1:] = np.max(np.abs(res), axis=1)
+        traj = Trajectory(h * np.arange(base, n_rows), rows[:m], 0.5 * params.m * vv + 0.5 * ww,
+                          residuals, iters[:m], h, SPHERE_LAYOUT)
         return traj.rows(1) if base else traj
 
     def keep(k):
@@ -451,7 +475,8 @@ def _reduced_rows(step, retraction, system, initial, h, capacity, residual):
     # One float row [x, y, px, py, xi, p_alg, lam] per step.
     rows = np.empty((capacity, 12))
     iters = np.zeros(capacity, dtype=int)
-    rows[0] = np.concatenate([initial.x, initial.p, initial.xi, initial.p_alg, initial.lam])
+    layout = reduced_layout(system)
+    rows[0] = layout.stack([initial])[0]
     iters[0] = initial.newton_iters
     flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
     base = 0
@@ -470,20 +495,10 @@ def _reduced_rows(step, retraction, system, initial, h, capacity, residual):
         states = rows[:m]
         residuals = np.zeros(m)
         if residual is not False and m > 1:
-            res = gni_reduced.reduced_scheme_residual(
-                system, states[:-1], states[1:], h, retraction
-            )
+            res = gni_reduced.reduced_scheme_residual(system, states[:-1], states[1:], h, retraction)
             residuals[1:] = np.max(np.abs(res), axis=1)
-        return Trajectory(
-            times=h * np.arange(base, n_rows),
-            states=states,
-            energies=model.kinetic_energies(
-                system.metric_inv, np.hstack([states[:, 2:4], states[:, 7:10]])
-            ),
-            residuals=residuals,
-            newton_iters=iters[:m],
-            h=h,
-        )
+        return Trajectory(h * np.arange(base, n_rows), states, model.energies(system, states),
+                          residuals, iters[:m], h, layout)
 
     def keep(k):
         nonlocal base
@@ -530,39 +545,6 @@ def _check_admissible(system, state, h: float) -> None:
         )
 
 
-def _assemble_chaplygin(params, rows, iters, h, base, diagnostics) -> Trajectory:
-    """Trajectory of the rows of ``rows`` but its last, whose position
-    closes the last central difference; ``base`` is the run row of the
-    first.
-
-    Row 0's contact velocity is the forward difference, later rows' the
-    central one.  The stacked ``matmul`` dot products give the same bits
-    as one ``v @ v`` per row.
-    """
-    n_rows = len(rows) - 1
-    qs, ws = rows[:, :2], rows[:n_rows, 2:]
-    v = np.empty((n_rows, 2))
-    v[0] = (qs[1] - qs[0]) / h
-    v[1:] = (qs[2 : n_rows + 1] - qs[: n_rows - 1]) / (2.0 * h)
-    vv = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-    ww = (ws[:, None, :] @ (params.inertia * ws)[:, :, None])[:, 0, 0]
-    energies = 0.5 * params.m * vv + 0.5 * ww
-    residuals = np.zeros(n_rows)
-    if diagnostics and n_rows > 1:
-        res = chaplygin_scheme_residual(
-            params, qs[: n_rows - 1], qs[1:n_rows], qs[2 : n_rows + 1], ws[:-1], ws[1:], h
-        )
-        residuals[1:] = np.max(np.abs(res), axis=1)
-    return Trajectory(
-        times=h * np.arange(base, base + n_rows),
-        states=rows[:n_rows],
-        energies=energies,
-        residuals=residuals,
-        newton_iters=iters,
-        h=h,
-    )
-
-
 def _final_energy(system, traj: Trajectory) -> float:
     """Energy at the final node.
 
@@ -573,8 +555,8 @@ def _final_energy(system, traj: Trajectory) -> float:
     """
     if isinstance(system, ChaplyginParams) and len(traj) >= 2:
         inertia = system.inertia
-        w_last = np.asarray(traj.states[-1])[2:]
-        w_bar = 0.5 * (np.asarray(traj.states[-2])[2:] + w_last)
+        w_last = traj.states[-1, 2:]
+        w_bar = 0.5 * (traj.states[-2, 2:] + w_last)
         return (
             traj.energies[-1]
             - 0.5 * float(w_last @ (inertia * w_last))
@@ -679,9 +661,8 @@ def convergence_sweep(
         counts.append(n)
 
     ref_traj = _resolve_reference(stepper, system, initial, T, h_arr[-1], reference)
-    _, position, velocity = _state_type(ref_traj.final)
-    ref_pos = position(ref_traj.final)
-    ref_vel = velocity(system, ref_traj.final)
+    ref_pos = ref_traj.final[ref_traj.layout.position]
+    ref_vel = ref_traj.layout.velocity(ref_traj.final)
     ref_energy = _final_energy(system, ref_traj)
 
     used_h = []
@@ -690,8 +671,8 @@ def convergence_sweep(
         h_used = T / n
         traj = run(stepper, system, initial, h_used, n)
         used_h.append(h_used)
-        errs["position"].append(_inf_norm(position(traj.final) - ref_pos))
-        errs["velocity"].append(_inf_norm(velocity(system, traj.final) - ref_vel))
+        errs["position"].append(_inf_norm(traj.final[traj.layout.position] - ref_pos))
+        errs["velocity"].append(_inf_norm(traj.layout.velocity(traj.final) - ref_vel))
         errs["energy"].append(abs(_final_energy(system, traj) - ref_energy))
 
     slopes: Dict[str, Tuple[float, float]] = {}
@@ -750,345 +731,3 @@ def sample_admissible_states(
         v = rng.standard_normal(system.dim)
         states.append(prepare_state(system, q, v, scheme=scheme, h=h))
     return states
-
-
-# ---------------------------------------------------------------------------
-# invariant suites
-
-
-def _result(label: str, passed: bool, detail: str):
-    return (label, bool(passed), detail)
-
-
-def _bound_result(label, value, bound):
-    return _result(label, value <= bound, f"max defect {value:.3e} (tol {bound:.1e})")
-
-
-def _window_result(label, value, lo, hi):
-    return _result(label, lo <= value <= hi, f"slope {value:.3f} (window [{lo}, {hi}])")
-
-
-def _suite_lie(seed: int):
-    from .lie_so3 import Ad, Ad_star, cay, dcay, dcay_inv, exp_so3, hat, vee
-
-    rng = np.random.default_rng(seed)
-    eye = np.eye(3)
-    defects = {
-        "hat/vee round trip": 0.0,
-        "hat cross action": 0.0,
-        "cay orthogonality": 0.0,
-        "cay inverse at -w": 0.0,
-        "tangent maps mutually inverse": 0.0,
-        "exp orthogonality": 0.0,
-        "exp inverse at -w": 0.0,
-        "Ad matrix conjugation": 0.0,
-        "Ad / Ad_star duality": 0.0,
-    }
-    for _ in range(100):
-        w = rng.uniform(-1.5, 1.5, size=3)
-        u = rng.standard_normal(3)
-        m = rng.standard_normal(3)
-        r_cay, r_exp = cay(w), exp_so3(w)
-        defects["hat/vee round trip"] = max(
-            defects["hat/vee round trip"], _inf_norm(vee(hat(w)) - w)
-        )
-        defects["hat cross action"] = max(
-            defects["hat cross action"], _inf_norm(hat(w) @ u - np.cross(w, u))
-        )
-        defects["cay orthogonality"] = max(
-            defects["cay orthogonality"],
-            _inf_norm(r_cay.T @ r_cay - eye),
-            abs(np.linalg.det(r_cay) - 1.0),
-        )
-        defects["cay inverse at -w"] = max(
-            defects["cay inverse at -w"], _inf_norm(r_cay @ cay(-w) - eye)
-        )
-        defects["tangent maps mutually inverse"] = max(
-            defects["tangent maps mutually inverse"],
-            _inf_norm(dcay_inv(w) @ dcay(w) - eye),
-        )
-        defects["exp orthogonality"] = max(
-            defects["exp orthogonality"],
-            _inf_norm(r_exp.T @ r_exp - eye),
-            abs(np.linalg.det(r_exp) - 1.0),
-        )
-        defects["exp inverse at -w"] = max(
-            defects["exp inverse at -w"], _inf_norm(r_exp @ exp_so3(-w) - eye)
-        )
-        defects["Ad matrix conjugation"] = max(
-            defects["Ad matrix conjugation"],
-            _inf_norm(hat(Ad(r_cay, u)) - r_cay @ hat(u) @ r_cay.T),
-        )
-        defects["Ad / Ad_star duality"] = max(
-            defects["Ad / Ad_star duality"],
-            abs(float(Ad(r_cay, u) @ m) - float(u @ Ad_star(r_cay, m))),
-        )
-    return [_bound_result(f"lie: {k}", v, 1e-12) for k, v in defects.items()]
-
-
-def _projector_defect(metric, p_mat, q_mat, rows) -> float:
-    n = p_mat.shape[0]
-    return max(
-        _inf_norm(p_mat + q_mat - np.eye(n)),
-        _inf_norm(p_mat @ p_mat - p_mat),
-        _inf_norm(q_mat @ q_mat - q_mat),
-        _inf_norm(p_mat @ q_mat),
-        _inf_norm(rows @ p_mat),
-        _inf_norm(p_mat.T @ metric @ q_mat),
-    )
-
-
-def _suite_projectors(seed: int):
-    from .gni_reduced import chaplygin_reduced_system
-
-    rng = np.random.default_rng(seed)
-    results = []
-    flat_systems = [
-        ("particle", model.nonholonomic_particle("harmonic")),
-        ("planar affine", model.constrained_2d(affine=(0.3, -0.1))),
-    ]
-    for name, sys in flat_systems:
-        worst = 0.0
-        for _ in range(100):
-            q = rng.uniform(-2.0, 2.0, size=sys.dim)
-            p_mat, q_mat = model.projectors(sys, q)
-            worst = max(
-                worst,
-                _projector_defect(sys.mass_matrix, p_mat, q_mat, sys.constraint_matrix(q)),
-            )
-        results.append(_bound_result(f"projectors: {name} algebra", worst, 1e-12))
-
-    sphere_cases = [
-        ("homogeneous sphere", ChaplyginParams(1.0, 1.0, 0.0, 2 / 3, 2 / 3, 2 / 3)),
-        ("unbalanced sphere", ChaplyginParams(3.0, 1.0, 0.2, 1.0, 1.1, 1.2)),
-    ]
-    for name, params in sphere_cases:
-        rsys = chaplygin_reduced_system(params)
-        worst = 0.0
-        for _ in range(100):
-            x = rng.uniform(-2.0, 2.0, size=2)
-            p_mat, q_mat = model.reduced_projectors(rsys, x)
-            worst = max(
-                worst,
-                _projector_defect(
-                    rsys.bundle_metric, p_mat, q_mat, rsys.annihilator_matrix(x)
-                ),
-            )
-        results.append(_bound_result(f"projectors: {name} algebra", worst, 1e-12))
-
-    homog = chaplygin_reduced_system(sphere_cases[0][1])
-    p_mat, q_mat = model.reduced_projectors(homog, np.zeros(2))
-    hand = max(
-        abs(q_mat[0, 0] - 0.4), abs(q_mat[0, 3] + 0.4), abs(p_mat[4, 4] - 1.0)
-    )
-    results.append(_bound_result("projectors: sphere closed-form entries", hand, 1e-12))
-    return results
-
-
-def _mini_sweep(stepper, system, initial, T, h_list, channel="position"):
-    report = convergence_sweep(stepper, system, initial, T, h_list, h_list[-1] / 30.0)
-    return report.slopes[channel][0]
-
-
-def _suite_steppers(seed: int):
-    from . import gni_flat
-
-    results = []
-    sys = model.nonholonomic_particle("harmonic")
-    h = 0.1
-    states = sample_admissible_states(sys, 5, seed, h=h)
-
-    worst = 0.0
-    for stepper in (gni_flat.euler_a_step, gni_flat.euler_b_step, gni_flat.rattle_step):
-        for s in states:
-            worst = max(worst, gni_flat.state_difference(stepper(sys, s, 0.0), s))
-    results.append(_bound_result("steppers: zero-step identity", worst, 1e-14))
-
-    s = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="rattle", h=0.01)
-    positions = [s.q.copy()]
-    for _ in range(50):
-        s = gni_flat.rattle_step(sys, s, 0.01)
-        positions.append(s.q.copy())
-    ld = gni_flat.verlet_lagrangian(sys)
-    worst = 0.0
-    q_prev, q_curr = positions[0], positions[1]
-    for k in range(2, 51):
-        q_next, _ = gni_flat.gni_generic_step_stats(ld, sys, q_prev, q_curr, 0.01)
-        worst = max(worst, _inf_norm(q_next - positions[k]))
-        q_prev, q_curr = q_curr, q_next
-    results.append(
-        _bound_result("steppers: generic scheme reproduces midpoint positions", worst, 1e-10)
-    )
-
-    initial = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2])
-    grid = [0.1, 0.05, 0.025]
-    results.append(
-        _window_result(
-            "steppers: one-sided scheme position order",
-            _mini_sweep(gni_flat.euler_a_step, sys, initial, 1.0, grid),
-            0.8,
-            1.2,
-        )
-    )
-    results.append(
-        _window_result(
-            "steppers: symmetric scheme position order",
-            _mini_sweep(gni_flat.rattle_step, sys, initial, 1.0, grid),
-            1.8,
-            2.2,
-        )
-    )
-    results.append(
-        _window_result(
-            "steppers: half-step composition order",
-            _mini_sweep(gni_flat.composed_euler_step, sys, initial, 1.0, grid),
-            1.8,
-            2.2,
-        )
-    )
-
-    newton = default_newton_config()
-    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
-    rsys = gni_reduced.chaplygin_reduced_system(params)
-    hc = 1e-3
-    q0 = np.array([1.0, 0.0])
-    w0 = np.array([-0.2, 0.0, 0.4])
-    rstate = gni_reduced.chaplygin_initial_reduced_state(params, q0, w0, hc)
-    qs = [q0, gni_reduced.chaplygin_init(params, q0, w0, hc)]
-    ws = [w0]
-    worst = 0.0
-    for k in range(1, 6):
-        qn, wn, _ = gni_reduced.chaplygin_step_stats(
-            params, qs[k - 1], qs[k], ws[k - 1], hc, newton
-        )
-        qs.append(qn)
-        ws.append(wn)
-        rstate = gni_reduced.reduced_rattle_step(rsys, rstate, hc, cfg=newton)
-        worst = max(worst, _inf_norm(rstate.x - qs[k]), _inf_norm(rstate.xi - wn))
-    results.append(
-        _bound_result(
-            "steppers: reduced scheme matches rolling-sphere solver", worst, 10 * hc * hc
-        )
-    )
-
-    homog = ChaplyginParams(m=1.0, r=1.0, omega=1.0, i1=2 / 3, i2=2 / 3, i3=2 / 3)
-    hr = gni_reduced.chaplygin_reduced_system(homog)
-    rstate = gni_reduced.chaplygin_initial_reduced_state(
-        homog, np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0]), 0.1
-    )
-    worst = 0.0
-    for _ in range(20):
-        nxt = gni_reduced.reduced_rattle_step(hr, rstate, 0.1, cfg=newton)
-        worst = max(worst, _inf_norm(gni_reduced.reduced_scheme_residual(hr, rstate, nxt, 0.1)))
-        rstate = nxt
-    results.append(
-        _bound_result("steppers: reduced discrete constraint residual", worst, 1e-10)
-    )
-
-    traj = run(None, homog, (np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0])), 0.1, 200)
-    results.append(
-        _bound_result(
-            "steppers: rolling-sphere discrete constraint residual",
-            float(np.max(traj.residuals)),
-            1e-10,
-        )
-    )
-
-    report = convergence_sweep(
-        None,
-        homog,
-        (np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0])),
-        2.0,
-        grid,
-        grid[-1] / 30.0,
-    )
-    results.append(
-        _window_result(
-            "steppers: homogeneous-sphere energy order",
-            report.slopes["energy"][0],
-            1.7,
-            2.3,
-        )
-    )
-    return results
-
-
-def _suite_adjoint(seed: int):
-    from . import gni_flat
-
-    results = []
-    cases = [
-        ("particle", model.nonholonomic_particle("harmonic")),
-        ("planar affine", model.constrained_2d(affine=(0.3, -0.1))),
-    ]
-    h = 0.1
-    for name, sys in cases:
-        def a_step(s, hh, sys=sys):
-            return gni_flat.euler_a_step(sys, s, hh)
-
-        def b_step(s, hh, sys=sys):
-            return gni_flat.euler_b_step(sys, s, hh)
-
-        def r_step(s, hh, sys=sys):
-            return gni_flat.rattle_step(sys, s, hh)
-
-        states_a = sample_admissible_states(sys, 50, seed, h=h, scheme="euler_a")
-        states_b = sample_admissible_states(sys, 50, seed + 1, h=h, scheme="euler_b")
-        states_r = sample_admissible_states(sys, 50, seed + 2, h=h, scheme="rattle")
-        results.append(
-            _bound_result(
-                f"adjoint: {name} one-sided pair (A then B)",
-                adjoint_check(a_step, b_step, states_a, h),
-                1e-9,
-            )
-        )
-        results.append(
-            _bound_result(
-                f"adjoint: {name} one-sided pair (B then A)",
-                adjoint_check(b_step, a_step, states_b, h),
-                1e-9,
-            )
-        )
-        results.append(
-            _bound_result(
-                f"adjoint: {name} symmetric scheme self-adjointness",
-                adjoint_check(r_step, r_step, states_r, h),
-                1e-9,
-            )
-        )
-    return results
-
-
-_SUITE_FUNCTIONS = {
-    "lie": _suite_lie,
-    "projectors": _suite_projectors,
-    "steppers": _suite_steppers,
-    "adjoint": _suite_adjoint,
-}
-
-
-def check_suite(suite: str = "all", seed: int = 0, quiet: bool = False):
-    """Execute an invariant battery and return ``(label, passed, detail)``
-    triples.
-
-    ``suite`` is one of ``"lie"``, ``"projectors"``, ``"steppers"``,
-    ``"adjoint"``, or ``"all"``.  Every battery is deterministic given
-    ``seed`` (the "all" run equals the concatenation of the individual
-    suites at the same seed).  Unless ``quiet``, one line per check is
-    printed as it completes.
-    """
-    if suite == "all":
-        names = tuple(_SUITE_FUNCTIONS)
-    elif suite in _SUITE_FUNCTIONS:
-        names = (suite,)
-    else:
-        raise ValueError(
-            f"unknown suite {suite!r}; choose from {sorted(_SUITE_FUNCTIONS)} or 'all'"
-        )
-    results = []
-    for name in names:
-        for label, passed, detail in _SUITE_FUNCTIONS[name](seed):
-            if not quiet:
-                print(f"{'ok  ' if passed else 'FAIL'} {label}: {detail}")
-            results.append((label, passed, detail))
-    return results

@@ -1,0 +1,356 @@
+"""Invariant batteries of the command-line ``check`` and ``adjoint``
+subcommands.
+
+:func:`check_suite` runs the Lie-group, projector, stepper and adjoint
+batteries and returns one ``(label, passed, detail)`` triple per check.
+The runs and sweeps themselves live in :mod:`gni.analysis`; this module
+is imported only by the subcommands that run the batteries.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from . import gni_reduced, model
+from .analysis import _inf_norm, adjoint_check, convergence_sweep, run, sample_admissible_states
+from .gni_reduced import ChaplyginParams
+from .numerics import default_newton_config
+
+__all__ = ["check_suite"]
+
+
+def _result(label: str, passed: bool, detail: str):
+    return (label, bool(passed), detail)
+
+
+def _bound_result(label, value, bound):
+    return _result(label, value <= bound, f"max defect {value:.3e} (tol {bound:.1e})")
+
+
+def _window_result(label, value, lo, hi):
+    return _result(label, lo <= value <= hi, f"slope {value:.3f} (window [{lo}, {hi}])")
+
+
+def _suite_lie(seed: int):
+    from .lie_so3 import Ad, Ad_star, cay, dcay, dcay_inv, exp_so3, hat, vee
+
+    rng = np.random.default_rng(seed)
+    eye = np.eye(3)
+    defects = {
+        "hat/vee round trip": 0.0,
+        "hat cross action": 0.0,
+        "cay orthogonality": 0.0,
+        "cay inverse at -w": 0.0,
+        "tangent maps mutually inverse": 0.0,
+        "exp orthogonality": 0.0,
+        "exp inverse at -w": 0.0,
+        "Ad matrix conjugation": 0.0,
+        "Ad / Ad_star duality": 0.0,
+    }
+    for _ in range(100):
+        w = rng.uniform(-1.5, 1.5, size=3)
+        u = rng.standard_normal(3)
+        m = rng.standard_normal(3)
+        r_cay, r_exp = cay(w), exp_so3(w)
+        defects["hat/vee round trip"] = max(
+            defects["hat/vee round trip"], _inf_norm(vee(hat(w)) - w)
+        )
+        defects["hat cross action"] = max(
+            defects["hat cross action"], _inf_norm(hat(w) @ u - np.cross(w, u))
+        )
+        defects["cay orthogonality"] = max(
+            defects["cay orthogonality"],
+            _inf_norm(r_cay.T @ r_cay - eye),
+            abs(np.linalg.det(r_cay) - 1.0),
+        )
+        defects["cay inverse at -w"] = max(
+            defects["cay inverse at -w"], _inf_norm(r_cay @ cay(-w) - eye)
+        )
+        defects["tangent maps mutually inverse"] = max(
+            defects["tangent maps mutually inverse"],
+            _inf_norm(dcay_inv(w) @ dcay(w) - eye),
+        )
+        defects["exp orthogonality"] = max(
+            defects["exp orthogonality"],
+            _inf_norm(r_exp.T @ r_exp - eye),
+            abs(np.linalg.det(r_exp) - 1.0),
+        )
+        defects["exp inverse at -w"] = max(
+            defects["exp inverse at -w"], _inf_norm(r_exp @ exp_so3(-w) - eye)
+        )
+        defects["Ad matrix conjugation"] = max(
+            defects["Ad matrix conjugation"],
+            _inf_norm(hat(Ad(r_cay, u)) - r_cay @ hat(u) @ r_cay.T),
+        )
+        defects["Ad / Ad_star duality"] = max(
+            defects["Ad / Ad_star duality"],
+            abs(float(Ad(r_cay, u) @ m) - float(u @ Ad_star(r_cay, m))),
+        )
+    return [_bound_result(f"lie: {k}", v, 1e-12) for k, v in defects.items()]
+
+
+def _projector_defect(metric, p_mat, q_mat, rows) -> float:
+    n = p_mat.shape[0]
+    return max(
+        _inf_norm(p_mat + q_mat - np.eye(n)),
+        _inf_norm(p_mat @ p_mat - p_mat),
+        _inf_norm(q_mat @ q_mat - q_mat),
+        _inf_norm(p_mat @ q_mat),
+        _inf_norm(rows @ p_mat),
+        _inf_norm(p_mat.T @ metric @ q_mat),
+    )
+
+
+def _suite_projectors(seed: int):
+    from .gni_reduced import chaplygin_reduced_system
+
+    rng = np.random.default_rng(seed)
+    results = []
+    flat_systems = [
+        ("particle", model.nonholonomic_particle("harmonic")),
+        ("planar affine", model.constrained_2d(affine=(0.3, -0.1))),
+    ]
+    for name, sys in flat_systems:
+        worst = 0.0
+        for _ in range(100):
+            q = rng.uniform(-2.0, 2.0, size=sys.dim)
+            p_mat, q_mat = model.projectors(sys, q)
+            worst = max(
+                worst,
+                _projector_defect(sys.mass_matrix, p_mat, q_mat, sys.constraint_matrix(q)),
+            )
+        results.append(_bound_result(f"projectors: {name} algebra", worst, 1e-12))
+
+    sphere_cases = [
+        ("homogeneous sphere", ChaplyginParams(1.0, 1.0, 0.0, 2 / 3, 2 / 3, 2 / 3)),
+        ("unbalanced sphere", ChaplyginParams(3.0, 1.0, 0.2, 1.0, 1.1, 1.2)),
+    ]
+    for name, params in sphere_cases:
+        rsys = chaplygin_reduced_system(params)
+        worst = 0.0
+        for _ in range(100):
+            x = rng.uniform(-2.0, 2.0, size=2)
+            p_mat, q_mat = model.reduced_projectors(rsys, x)
+            worst = max(
+                worst,
+                _projector_defect(
+                    rsys.bundle_metric, p_mat, q_mat, rsys.annihilator_matrix(x)
+                ),
+            )
+        results.append(_bound_result(f"projectors: {name} algebra", worst, 1e-12))
+
+    homog = chaplygin_reduced_system(sphere_cases[0][1])
+    p_mat, q_mat = model.reduced_projectors(homog, np.zeros(2))
+    hand = max(
+        abs(q_mat[0, 0] - 0.4), abs(q_mat[0, 3] + 0.4), abs(p_mat[4, 4] - 1.0)
+    )
+    results.append(_bound_result("projectors: sphere closed-form entries", hand, 1e-12))
+    return results
+
+
+def _mini_sweep(stepper, system, initial, T, h_list, channel="position"):
+    report = convergence_sweep(stepper, system, initial, T, h_list, h_list[-1] / 30.0)
+    return report.slopes[channel][0]
+
+
+def _suite_steppers(seed: int):
+    from . import gni_flat
+
+    results = []
+    sys = model.nonholonomic_particle("harmonic")
+    h = 0.1
+    states = sample_admissible_states(sys, 5, seed, h=h)
+
+    worst = 0.0
+    for stepper in (gni_flat.euler_a_step, gni_flat.euler_b_step, gni_flat.rattle_step):
+        for s in states:
+            worst = max(worst, gni_flat.state_difference(stepper(sys, s, 0.0), s))
+    results.append(_bound_result("steppers: zero-step identity", worst, 1e-14))
+
+    s = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="rattle", h=0.01)
+    positions = [s.q.copy()]
+    for _ in range(50):
+        s = gni_flat.rattle_step(sys, s, 0.01)
+        positions.append(s.q.copy())
+    ld = gni_flat.verlet_lagrangian(sys)
+    worst = 0.0
+    q_prev, q_curr = positions[0], positions[1]
+    for k in range(2, 51):
+        q_next, _ = gni_flat.gni_generic_step_stats(ld, sys, q_prev, q_curr, 0.01)
+        worst = max(worst, _inf_norm(q_next - positions[k]))
+        q_prev, q_curr = q_curr, q_next
+    results.append(
+        _bound_result("steppers: generic scheme reproduces midpoint positions", worst, 1e-10)
+    )
+
+    initial = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2])
+    grid = [0.1, 0.05, 0.025]
+    results.append(
+        _window_result(
+            "steppers: one-sided scheme position order",
+            _mini_sweep(gni_flat.euler_a_step, sys, initial, 1.0, grid),
+            0.8,
+            1.2,
+        )
+    )
+    results.append(
+        _window_result(
+            "steppers: symmetric scheme position order",
+            _mini_sweep(gni_flat.rattle_step, sys, initial, 1.0, grid),
+            1.8,
+            2.2,
+        )
+    )
+    results.append(
+        _window_result(
+            "steppers: half-step composition order",
+            _mini_sweep(gni_flat.composed_euler_step, sys, initial, 1.0, grid),
+            1.8,
+            2.2,
+        )
+    )
+
+    newton = default_newton_config()
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    rsys = gni_reduced.chaplygin_reduced_system(params)
+    hc = 1e-3
+    q0 = np.array([1.0, 0.0])
+    w0 = np.array([-0.2, 0.0, 0.4])
+    rstate = gni_reduced.chaplygin_initial_reduced_state(params, q0, w0, hc)
+    qs = [q0, gni_reduced.chaplygin_init(params, q0, w0, hc)]
+    ws = [w0]
+    worst = 0.0
+    for k in range(1, 6):
+        qn, wn, _ = gni_reduced.chaplygin_step_stats(
+            params, qs[k - 1], qs[k], ws[k - 1], hc, newton
+        )
+        qs.append(qn)
+        ws.append(wn)
+        rstate = gni_reduced.reduced_rattle_step(rsys, rstate, hc, cfg=newton)
+        worst = max(worst, _inf_norm(rstate.x - qs[k]), _inf_norm(rstate.xi - wn))
+    results.append(
+        _bound_result(
+            "steppers: reduced scheme matches rolling-sphere solver", worst, 10 * hc * hc
+        )
+    )
+
+    homog = ChaplyginParams(m=1.0, r=1.0, omega=1.0, i1=2 / 3, i2=2 / 3, i3=2 / 3)
+    hr = gni_reduced.chaplygin_reduced_system(homog)
+    rstate = gni_reduced.chaplygin_initial_reduced_state(
+        homog, np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0]), 0.1
+    )
+    worst = 0.0
+    for _ in range(20):
+        nxt = gni_reduced.reduced_rattle_step(hr, rstate, 0.1, cfg=newton)
+        worst = max(worst, _inf_norm(gni_reduced.reduced_scheme_residual(hr, rstate, nxt, 0.1)))
+        rstate = nxt
+    results.append(
+        _bound_result("steppers: reduced discrete constraint residual", worst, 1e-10)
+    )
+
+    traj = run(None, homog, (np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0])), 0.1, 200)
+    results.append(
+        _bound_result(
+            "steppers: rolling-sphere discrete constraint residual",
+            float(np.max(traj.residuals)),
+            1e-10,
+        )
+    )
+
+    report = convergence_sweep(
+        None,
+        homog,
+        (np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0])),
+        2.0,
+        grid,
+        grid[-1] / 30.0,
+    )
+    results.append(
+        _window_result(
+            "steppers: homogeneous-sphere energy order",
+            report.slopes["energy"][0],
+            1.7,
+            2.3,
+        )
+    )
+    return results
+
+
+def _suite_adjoint(seed: int):
+    from . import gni_flat
+
+    results = []
+    cases = [
+        ("particle", model.nonholonomic_particle("harmonic")),
+        ("planar affine", model.constrained_2d(affine=(0.3, -0.1))),
+    ]
+    h = 0.1
+    for name, sys in cases:
+        def a_step(s, hh, sys=sys):
+            return gni_flat.euler_a_step(sys, s, hh)
+
+        def b_step(s, hh, sys=sys):
+            return gni_flat.euler_b_step(sys, s, hh)
+
+        def r_step(s, hh, sys=sys):
+            return gni_flat.rattle_step(sys, s, hh)
+
+        states_a = sample_admissible_states(sys, 50, seed, h=h, scheme="euler_a")
+        states_b = sample_admissible_states(sys, 50, seed + 1, h=h, scheme="euler_b")
+        states_r = sample_admissible_states(sys, 50, seed + 2, h=h, scheme="rattle")
+        results.append(
+            _bound_result(
+                f"adjoint: {name} one-sided pair (A then B)",
+                adjoint_check(a_step, b_step, states_a, h),
+                1e-9,
+            )
+        )
+        results.append(
+            _bound_result(
+                f"adjoint: {name} one-sided pair (B then A)",
+                adjoint_check(b_step, a_step, states_b, h),
+                1e-9,
+            )
+        )
+        results.append(
+            _bound_result(
+                f"adjoint: {name} symmetric scheme self-adjointness",
+                adjoint_check(r_step, r_step, states_r, h),
+                1e-9,
+            )
+        )
+    return results
+
+
+_SUITE_FUNCTIONS = {
+    "lie": _suite_lie,
+    "projectors": _suite_projectors,
+    "steppers": _suite_steppers,
+    "adjoint": _suite_adjoint,
+}
+
+
+def check_suite(suite: str = "all", seed: int = 0, quiet: bool = False):
+    """Execute an invariant battery and return ``(label, passed, detail)``
+    triples.
+
+    ``suite`` is one of ``"lie"``, ``"projectors"``, ``"steppers"``,
+    ``"adjoint"``, or ``"all"``.  Every battery is deterministic given
+    ``seed`` (the "all" run equals the concatenation of the individual
+    suites at the same seed).  Unless ``quiet``, one line per check is
+    printed as it completes.
+    """
+    if suite == "all":
+        names = tuple(_SUITE_FUNCTIONS)
+    elif suite in _SUITE_FUNCTIONS:
+        names = (suite,)
+    else:
+        raise ValueError(
+            f"unknown suite {suite!r}; choose from {sorted(_SUITE_FUNCTIONS)} or 'all'"
+        )
+    results = []
+    for name in names:
+        for label, passed, detail in _SUITE_FUNCTIONS[name](seed):
+            if not quiet:
+                print(f"{'ok  ' if passed else 'FAIL'} {label}: {detail}")
+            results.append((label, passed, detail))
+    return results

@@ -34,7 +34,8 @@ rejected so typos never pass silently::
     h_list = 0.1, 0.05, 0.025   # decreasing step sizes (sweep)
     T = 15.0                    # final time  (exactly one of T and N)
     N = 10000                   # step count  (exactly one of T and N)
-    h_ref = 0.0005              # reference step for sweeps (default min(h)/30)
+    h_ref = 0.0005              # reference step for sweeps (default min(h)/30;
+                                # T / h_ref at most 1e8)
     reference = self            # self | rk4
     out = traj.csv              # default output path (--out overrides)
 
@@ -59,7 +60,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from . import analysis, gni_flat, gni_reduced, model
-from .analysis import StepFailed, Trajectory, check_suite, convergence_sweep, run, state_matrix
+from .analysis import StepFailed, Trajectory, convergence_sweep, run, state_matrix
 from .gni_reduced import ChaplyginParams, chaplygin_initial_reduced_state, chaplygin_reduced_system
 from .numerics import NoConvergence, default_newton_config
 
@@ -141,6 +142,10 @@ _SPHERE_DEFAULTS = {
 }
 
 _SYSTEM_DIM = {"nonholonomic_particle": 3, "constrained_2d": 2, "chaplygin": 2}
+
+# Most steps a sweep's reference may take (``T / h_ref``): 10^8 sphere steps
+# take about a quarter of an hour, so a larger count is a mistyped h_ref.
+_MAX_REFERENCE_STEPS = 1e8
 
 
 class ParseError(Exception):
@@ -364,6 +369,13 @@ def _validate(cfg: RunConfig) -> None:
             "h_ref",
             "reference step must be at most min(h_list)/30",
         )
+    if cfg.h_list is not None:
+        n_ref = cfg.T / _reference_step(cfg)
+        _require(
+            n_ref <= _MAX_REFERENCE_STEPS,
+            "h_ref",
+            f"the reference needs T / h_ref = {n_ref:.3g} steps, more than {_MAX_REFERENCE_STEPS:.0e}",
+        )
     if cfg.reference is not None:
         _require(
             cfg.reference in ("self", "rk4"),
@@ -472,9 +484,9 @@ def _experiment(cfg: RunConfig, h: float):
 
     The initial state is seeded in the integrator's constraint form at step
     ``h``; at ``h = 0`` every form is the continuous one, which sweeps use
-    for all their step sizes.  ``residual(states)`` gives each row's
+    for all their step sizes.  ``residual(states)`` gives each state's
     residual in that form, as :func:`gni.analysis.run` takes it (``None``
-    for the sphere systems, whose runners report their own form).
+    for the momentum form, ``run``'s default, and the sphere systems).
     """
     entry = INTEGRATORS[cfg.integrator]
     if entry.kind == "flat":
@@ -484,8 +496,10 @@ def _experiment(cfg: RunConfig, h: float):
         v0 = cfg.v0 if cfg.v0 is not None else v_default
         initial = gni_flat.prepare_state(system, q0, v0, scheme=entry.form, h=h)
 
-        def residual(states):
+        def form(states):
             return (gni_flat.scheme_constraint_residual(system, s, h, entry.form) for s in states)
+
+        residual = None if entry.form == "rattle" else form
 
     elif entry.form == "reduced":
         params = _build_sphere_params(cfg)
@@ -547,7 +561,7 @@ def _simulate_csv(traj: Trajectory, names: Sequence[str]) -> Iterator[str]:
     when the first line is read, so a failure building it opens no file."""
     header = "step,t," + ",".join(names) + ",energy,constraint_res,newton_iters\n"
     table = np.column_stack(
-        [traj.times, state_matrix(traj.states), traj.energies, traj.residuals]
+        [traj.times, state_matrix(traj), traj.energies, traj.residuals]
     )
     line = "%d," + "%.17g," * table.shape[1] + "%d\n"
     rows = enumerate(zip(table, traj.newton_iters.tolist()))
@@ -559,10 +573,13 @@ def _simulate_csv(traj: Trajectory, names: Sequence[str]) -> Iterator[str]:
 _CHANNEL_COLUMNS = (("position", "pos"), ("velocity", "vel"), ("energy", "energy"))
 
 
+def _reference_step(cfg: RunConfig) -> float:
+    return cfg.h_ref if cfg.h_ref is not None else min(cfg.h_list) / 30.0
+
+
 def _sweep_report(cfg: RunConfig) -> analysis.ConvergenceReport:
     h_list = list(cfg.h_list)
-    h_ref = cfg.h_ref if cfg.h_ref is not None else min(h_list) / 30.0
-    reference = (cfg.reference or "self", h_ref)
+    reference = (cfg.reference or "self", _reference_step(cfg))
     # Every run of the sweep, the reference included, starts from the one
     # state seeded at h = 0: the continuous constraint form (for the reduced
     # sphere the Legendre form p_alg = I w), admissible at every step size.
@@ -632,12 +649,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    results = check_suite(args.suite, seed=args.seed, quiet=args.quiet)
-    return 0 if all(passed for _, passed, _ in results) else 1
+    from . import checks  # only ``check`` and ``adjoint`` load the batteries
 
-
-def _cmd_adjoint(args: argparse.Namespace) -> int:
-    results = check_suite("adjoint", seed=args.seed, quiet=args.quiet)
+    results = checks.check_suite(args.suite, seed=args.seed, quiet=args.quiet)
     return 0 if all(passed for _, passed, _ in results) else 1
 
 
@@ -676,7 +690,7 @@ def _build_parser() -> argparse.ArgumentParser:
     adjoint = sub.add_parser("adjoint", help="run the adjoint-pair defect checks")
     adjoint.add_argument("--seed", type=_uint, default=0)
     adjoint.add_argument("--quiet", action="store_true")
-    adjoint.set_defaults(func=_cmd_adjoint)
+    adjoint.set_defaults(func=_cmd_check, suite="adjoint")
     return parser
 
 

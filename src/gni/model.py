@@ -316,9 +316,10 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
     """Integrate the continuous equations with classical RK4.
 
     The step is adjusted to ``T / round(T / h_ref)`` so the final time is
-    hit exactly.  Returns a :class:`gni.analysis.Trajectory` whose rows are
-    every ``record_every``-th node (the final state is always recorded).
-    Used as the convergence oracle for the flat steppers.
+    hit exactly.  Returns a :class:`gni.analysis.Trajectory` of flat rows
+    ``[q, p, lam]`` (a zero multiplier after row 0) at every
+    ``record_every``-th node (the final state is always recorded).  Used as
+    the convergence oracle for the flat steppers.
     """
     from .analysis import Trajectory  # deferred: analysis imports this module
 
@@ -362,24 +363,32 @@ def constraint_residual(system, state) -> np.ndarray:
 
 
 def energy(system, state) -> float:
-    """Kinetic-plus-potential energy of a state (see :func:`energies`)."""
-    return energies(system, [state])[0]
+    """Kinetic-plus-potential energy of one state object, as
+    :func:`energies` gives it for the state's row."""
+    if isinstance(system, ReducedSystem):
+        momentum, point = np.concatenate([state.p, state.p_alg]), state.x
+        metric_inv = system.metric_inv
+    else:
+        momentum, point, metric_inv = state.p, state.q, system.mass_inv
+    return float(kinetic_energies(metric_inv, momentum[None])[0] + float(system.potential(point)))
 
 
-def energies(system, states) -> np.ndarray:
-    """Kinetic-plus-potential energy of each of ``states``, all of one type.
+def energies(system, rows: np.ndarray) -> np.ndarray:
+    """Kinetic-plus-potential energy of each row of ``rows``.
 
-    Flat: ``p^T M^{-1} p / 2 + V(q)``.  Reduced: the same with the combined
-    momentum ``p ⊕ p_alg`` and the bundle metric.  The kinetic part is
+    Flat rows ``[q, p, lam]``: ``p^T M^{-1} p / 2 + V(q)``.  Reduced rows
+    ``[x, p, xi, p_alg, lam]``: the same with the combined momentum ``p ⊕
+    p_alg`` and the bundle metric.  The kinetic part is
     :func:`kinetic_energies`.
     """
-    if isinstance(states[0], PhaseState):
-        momenta = np.array([s.p for s in states])
-        metric_inv, points = system.mass_inv, [s.q for s in states]
+    if isinstance(system, ReducedSystem):
+        n, k = system.shape_dim, system.algebra_dim
+        momenta = np.hstack([rows[:, n : 2 * n], rows[:, 2 * n + k : 2 * (n + k)]])
+        metric_inv = system.metric_inv
     else:
-        momenta = np.array([np.concatenate([s.p, s.p_alg]) for s in states])
-        metric_inv, points = system.metric_inv, [s.x for s in states]
-    potentials = np.fromiter((float(system.potential(x)) for x in points), float, len(points))
+        n = system.dim
+        momenta, metric_inv = rows[:, n : 2 * n].copy(), system.mass_inv
+    potentials = np.fromiter((float(system.potential(x)) for x in rows[:, :n]), float, len(rows))
     return kinetic_energies(metric_inv, momenta) + potentials
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from gni import analysis, cli, gni_flat, model
-from gni.analysis import adjoint_check, check_suite, convergence_sweep, run, sample_admissible_states
+from gni.analysis import adjoint_check, convergence_sweep, run, sample_admissible_states
+from gni.checks import check_suite
 from gni.gni_reduced import (
     ChaplyginParams,
     chaplygin_init,

@@ -9,9 +9,7 @@ from gni.analysis import (
     BelowNoiseFloor,
     ConvergenceReport,
     StepFailed,
-    Trajectory,
     adjoint_check,
-    check_suite,
     convergence_sweep,
     run,
     sample_admissible_states,
@@ -28,6 +26,7 @@ from gni.gni_reduced import (
     chaplygin_step_stats,
     reduced_rattle_step,
 )
+from gni.checks import check_suite
 from gni.model import FlatSystem, PhaseState, ReducedState, constraint_residual
 from gni.numerics import NoConvergence
 
@@ -45,6 +44,21 @@ def _particle_initial(sys):
     return gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2])
 
 
+def _row(state):
+    """The row of a flat or reduced state object."""
+    if isinstance(state, PhaseState):
+        return np.concatenate([state.q, state.p, state.lam])
+    return np.concatenate([state.x, state.p, state.xi, state.p_alg, state.lam])
+
+
+def _states(traj):
+    """The rows of a flat or reduced run as state objects."""
+    if traj.layout.fields == ("q", "p", "lam"):
+        n = traj.layout.values // 2
+        return [PhaseState(r[:n], r[n : 2 * n], r[2 * n :]) for r in traj.states]
+    return [ReducedState(r[:2], r[2:4], r[4:7], r[7:10], r[10:]) for r in traj.states]
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -54,7 +68,7 @@ def test_run_zero_steps_returns_initial_only():
     s0 = _particle_initial(sys)
     traj = run(gni_flat.rattle_step, sys, s0, 0.1, 0)
     assert len(traj) == 1
-    assert traj.final is s0
+    assert np.array_equal(traj.final, _row(s0))
     assert traj.times.shape == (1,)
     assert traj.times[0] == 0.0
 
@@ -64,7 +78,7 @@ def test_run_free_particle_is_exactly_linear():
     s0 = PhaseState(np.array([0.1, -0.2]), np.array([1.0, 2.0]), np.zeros(0))
     for stepper in (gni_flat.euler_a_step, gni_flat.euler_b_step, gni_flat.rattle_step):
         traj = run(stepper, sys, s0, 0.25, 8)
-        for k, s in enumerate(traj.states):
+        for k, s in enumerate(_states(traj)):
             np.testing.assert_allclose(s.q, s0.q + k * 0.25 * s0.p, atol=1e-14)
             np.testing.assert_allclose(s.p, s0.p, atol=1e-15)
 
@@ -327,10 +341,10 @@ def test_run_reduced_kernel_rows_match_the_one_step_map(retraction):
     # its diagnostics against the per-row forms on those rows.
     rsys, s0, h, stepper = _reduced_kernel_case(retraction)
     traj = run(stepper, rsys, s0, h, 60)
-    states = run(lambda sys_, s, hh: stepper(sys_, s, hh), rsys, s0, h, 60).states
-    rows = np.array([np.concatenate([s.x, s.p, s.xi, s.p_alg, s.lam]) for s in states])
+    one_step = run(lambda sys_, s, hh: stepper(sys_, s, hh), rsys, s0, h, 60)
+    rows = one_step.states
     assert np.max(np.abs(traj.states - rows)) <= 1e-12
-    assert np.array_equal(traj.newton_iters, [s.newton_iters for s in states])
+    assert np.array_equal(traj.newton_iters, one_step.newton_iters)
     as_states = [ReducedState(r[:2], r[2:4], r[4:7], r[7:10], r[10:]) for r in traj.states]
     assert np.array_equal(traj.energies, [model.energy(rsys, s) for s in as_states])
     expected = [0.0] + [
@@ -382,7 +396,8 @@ def test_run_reduced_record_on_a_callable_annihilator_steps_the_array_step(monke
     monkeypatch.setattr(gni_reduced, "reduced_rattle_step", counted)
     traj = run(stepper, callable_rows, s0, h, 5)
     assert calls["n"] == 5
-    assert isinstance(traj.states, list) and isinstance(traj.final, ReducedState)
+    assert isinstance(traj.states, np.ndarray) and traj.states.shape == (6, 12)
+    assert traj.layout.fields == ("x", "p", "xi", "p_alg", "lam")
 
 
 def test_run_rejects_non_finite_rows():
@@ -441,7 +456,7 @@ def test_run_three_point_rows_match_direct_recurrence():
     h = 0.05
     traj = run(ld, sys, s0, h, 6)
     assert len(traj) == 7
-    assert traj.states[0] is s0
+    assert np.array_equal(traj.states[0], _row(s0))
 
     qs = [s0.q, gni_flat.rattle_step(sys, s0, h).q]
     iters = [0]
@@ -450,11 +465,11 @@ def test_run_three_point_rows_match_direct_recurrence():
         qs.append(q_next)
         iters.append(it)
     for k in range(1, 7):
-        assert np.array_equal(traj.states[k].q, qs[k])
+        assert np.array_equal(traj.states[k, :3], qs[k])
         p_bar = sys.mass_matrix @ (qs[k + 1] - qs[k - 1]) / (2.0 * h)
-        assert np.array_equal(traj.states[k].p, p_bar)
+        assert np.array_equal(traj.states[k, 3:6], p_bar)
     assert traj.newton_iters.tolist() == iters
-    residuals = [np.max(np.abs(constraint_residual(sys, s))) for s in traj.states]
+    residuals = [np.max(np.abs(constraint_residual(sys, s))) for s in _states(traj)]
     assert np.array_equal(traj.residuals, residuals)
     assert np.max(traj.residuals) <= 1e-10
 
@@ -481,7 +496,7 @@ def test_run_three_point_failure_keeps_rows_before_failing_step(monkeypatch):
     assert isinstance(err.cause, NoConvergence)
     assert len(err.partial) == 4  # rows 0..3
     for k in range(4):
-        assert np.array_equal(err.partial.states[k].p, full.states[k].p)
+        assert np.array_equal(err.partial.states[k, 3:6], full.states[k, 3:6])
     assert np.array_equal(err.partial.residuals, full.residuals[:4])
 
 
@@ -499,7 +514,7 @@ def test_run_reports_the_residual_form_it_is_given():
     assert seen == [6]  # one pass over the rows
     expected = [
         np.max(np.abs(gni_flat.scheme_constraint_residual(sys, s, h, "euler_a")))
-        for s in traj.states
+        for s in _states(traj)
     ]
     assert np.array_equal(traj.residuals, expected)
     assert np.max(traj.residuals) <= 1e-12
@@ -507,7 +522,7 @@ def test_run_reports_the_residual_form_it_is_given():
     assert np.max(run(gni_flat.euler_a_step, sys, s0, h, 5).residuals) > 1e-4
     # residual=False keeps the last two rows, with the column at zero.
     bare = run(gni_flat.euler_a_step, sys, s0, h, 5, residual=False)
-    assert np.array_equal(state_matrix(bare.states), state_matrix(traj.states[-2:]))
+    assert np.array_equal(state_matrix(bare), state_matrix(traj.rows(-2)))
     assert np.array_equal(bare.energies, traj.energies[-2:])
     assert not np.any(bare.residuals)
 
@@ -572,7 +587,7 @@ def test_run_without_residuals_keeps_the_full_runs_last_two_rows(case):
         assert len(bare) == 2, n_steps
         for name in ("times", "energies", "newton_iters"):
             assert np.array_equal(getattr(bare, name), getattr(last, name)), (n_steps, name)
-        assert np.array_equal(state_matrix(bare.states), state_matrix(last.states)), n_steps
+        assert np.array_equal(state_matrix(bare), state_matrix(last)), n_steps
         assert not np.any(bare.residuals)
         assert bare.h == h
 
@@ -616,7 +631,7 @@ def test_run_overflowing_mid_run_fails_at_the_same_step_without_residuals():
     assert 0 < kept <= analysis._WINDOW_ROWS + 1
     assert np.array_equal(bare.partial.times, full.partial.times[-kept:])
     assert np.array_equal(bare.partial.energies, full.partial.energies[-kept:])
-    assert np.array_equal(state_matrix(bare.partial.states), state_matrix(full.partial.states[-kept:]))
+    assert np.array_equal(state_matrix(bare.partial), state_matrix(full.partial.rows(-kept)))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -686,7 +701,8 @@ def _per_row_norm(vec):
 
 def _flat_case(system, s0, stepper, residual=None):
     traj = run(stepper, system, s0, 0.05, 200, residual)
-    rows = residual(traj.states) if residual else [constraint_residual(system, s) for s in traj.states]
+    states = _states(traj)
+    rows = residual(states) if residual else [constraint_residual(system, s) for s in states]
     return system, traj, rows
 
 
@@ -737,12 +753,12 @@ _DIAGNOSTIC_CASES = {
 @pytest.mark.parametrize("case", sorted(_DIAGNOSTIC_CASES))
 def test_stacked_diagnostics_match_per_row(case):
     system, traj, rows = _DIAGNOSTIC_CASES[case]()
-    states = traj.states
+    states = _states(traj)
     assert np.array_equal(traj.energies, [_per_row_energy(system, s) for s in states])
     assert np.array_equal(traj.energies, [model.energy(system, s) for s in states])
     assert len(rows) == len(states)
     assert np.array_equal(traj.residuals, [_per_row_norm(r) for r in rows])
-    assert np.array_equal(state_matrix(states), [_state_values(s) for s in states])
+    assert np.array_equal(state_matrix(traj), [_state_values(s) for s in states])
 
 
 _FIELD_CASES = [(PhaseState, f) for f in ("q", "p", "lam")] + [
@@ -759,13 +775,13 @@ def test_check_finite_reports_first_non_finite_field_row(state_type, field):
         _, traj, _ = _DIAGNOSTIC_CASES["particle"]()
     else:
         _, traj, _ = _reduced_case()
-    states = list(traj.states)
-    for k in (3, 5):
-        bad = np.full_like(getattr(states[k], field), np.nan)
-        states[k] = dataclasses.replace(states[k], **{field: bad})
-    broken = Trajectory(
-        traj.times, states, traj.energies, traj.residuals, traj.newton_iters, traj.h
-    )
+    # The field's columns: the fields before it, then its own values.
+    fields = traj.layout.fields
+    s0 = _states(traj)[0]
+    start = sum(np.size(getattr(s0, name)) for name in fields[: fields.index(field)])
+    rows = traj.states.copy()
+    rows[[3, 5], start : start + np.size(getattr(s0, field))] = np.nan
+    broken = dataclasses.replace(traj, states=rows)
     with pytest.raises(StepFailed) as excinfo:
         check_finite(broken)
     assert excinfo.value.step == 3
@@ -774,28 +790,74 @@ def test_check_finite_reports_first_non_finite_field_row(state_type, field):
 
 
 def _state_values(state):
-    """The values one row writes, field by field (the one-row form of
-    state_matrix): all fields but the multiplier, or the leading values
-    of an array row."""
+    """The values one state object's row writes, field by field: all
+    fields but the multiplier."""
     if isinstance(state, PhaseState):
         return np.concatenate([state.q, state.p])
-    if isinstance(state, ReducedState):
-        return np.concatenate([state.x, state.p, state.xi, state.p_alg])
-    return state[:10] if len(state) == 12 else state
+    return np.concatenate([state.x, state.p, state.xi, state.p_alg])
 
 
 def test_state_matrix_rows_are_the_fields_but_the_multiplier():
     sys = model.nonholonomic_particle("harmonic")
     s = _particle_initial(sys)
-    assert np.array_equal(state_matrix([s]), [np.concatenate([s.q, s.p])])
-    r = ReducedState([1.0, 2.0], [3.0, 4.0], [5.0, 6.0, 7.0], [8.0, 9.0, 10.0], [11.0, 12.0])
-    assert state_matrix([r, r]).tolist() == [[float(x) for x in range(1, 11)]] * 2
-    # Rolling-sphere rows are written whole; reduced-kernel rows but their
-    # two multipliers.
-    sphere_rows = np.arange(10.0).reshape(2, 5)
-    assert np.array_equal(state_matrix(sphere_rows), sphere_rows)
-    reduced_rows = np.arange(24.0).reshape(2, 12)
-    assert np.array_equal(state_matrix(reduced_rows), reduced_rows[:, :10])
+    flat = run(gni_flat.rattle_step, sys, s, 0.1, 0)
+    assert np.array_equal(state_matrix(flat), [np.concatenate([s.q, s.p])])
+    rsys, r, h, stepper = _reduced_kernel_case()
+    reduced = run(stepper, rsys, r, h, 1)
+    assert np.array_equal(state_matrix(reduced), reduced.states[:, :10])
+    assert np.array_equal(state_matrix(reduced)[0], _state_values(r))
+    # Rolling-sphere rows are written whole.
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    sphere = run(None, params, (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])), 0.05, 3)
+    assert np.array_equal(state_matrix(sphere), sphere.states)
+
+
+def _setup_runs():
+    # One short run of each set-up, with its row width and written values.
+    particle = model.nonholonomic_particle("harmonic")
+    s0 = _particle_initial(particle)
+    rsys, r0, h, stepper = _reduced_kernel_case()
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    return {
+        "one-step map": (lambda: run(gni_flat.rattle_step, particle, s0, 0.05, 4), 7, 6),
+        "three-point": (lambda: run(gni_flat.verlet_lagrangian(particle), particle, s0, 0.05, 4), 7, 6),
+        "reduced fallback": (lambda: run(lambda sys_, s, hh: stepper(sys_, s, hh), rsys, r0, h, 4), 12, 10),
+        "reduced kernel": (lambda: run(stepper, rsys, r0, h, 4), 12, 10),
+        "sphere": (lambda: run(None, params, (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])), h, 4), 5, 5),
+        "reference_solve": (lambda: model.reference_solve(particle, s0, 0.2, 0.05), 7, 6),
+    }
+
+
+@pytest.mark.parametrize("setup", sorted(_setup_runs()))
+def test_every_setup_returns_one_float_array_of_rows(setup):
+    build, width, values = _setup_runs()[setup]
+    traj = build()
+    assert isinstance(traj.states, np.ndarray) and traj.states.dtype == np.float64
+    assert traj.states.shape == (5, width) == (len(traj), width)
+    assert isinstance(traj.final, np.ndarray) and traj.final.shape == (width,)
+    assert np.array_equal(state_matrix(traj), traj.states[:, :values])
+    # Every row but the first is a step of the run.
+    assert np.all(np.any(traj.states[1:] != traj.states[0], axis=1))
+
+
+def test_state_matrix_tells_planar_flat_rows_from_sphere_rows_of_one_width():
+    # Planar rows [x, y, px, py, lam] and sphere rows [x, y, w1, w2, w3] are
+    # both 5 wide: the planar run writes 4 values, the sphere run all 5.
+    planar = model.constrained_2d()
+    s0 = gni_flat.prepare_state(planar, [0.3, 0.2], [1.0, -0.5], "rattle", 0.05)
+    flat = run(gni_flat.rattle_step, planar, s0, 0.05, 3)
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    sphere = run(None, params, (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])), 0.05, 3)
+    assert flat.states.shape == sphere.states.shape == (4, 5)
+    states = [s0]
+    for _ in range(3):
+        states.append(gni_flat.rattle_step(planar, states[-1], 0.05))
+    assert np.array_equal(state_matrix(flat), [np.concatenate([s.q, s.p]) for s in states])
+    assert np.array_equal(state_matrix(sphere), sphere.states)
+    # The sweep channels follow the layout too: flat velocities are M^-1 p.
+    assert np.array_equal(flat.final[flat.layout.position], states[-1].q)
+    assert np.array_equal(flat.layout.velocity(flat.final), planar.mass_inv @ states[-1].p)
+    assert np.array_equal(sphere.layout.velocity(sphere.final), sphere.final[2:])
 
 
 # ---------------------------------------------------------------------------

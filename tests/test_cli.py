@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gni import cli, gni_reduced, numerics
+from gni import checks, cli, gni_reduced, numerics
 from gni.gni_flat import scheme_constraint_residual
 from gni.gni_reduced import (
     chaplygin_init,
@@ -262,6 +262,36 @@ def test_validate_h_ref_bound():
             _sphere_cfg(h=None, steps=None, h_list=(0.1, 0.05, 0.025), T=1.0, h_ref=0.01)
         )
     assert excinfo.value.field == "h_ref"
+
+
+def _sweep_cfg(h_ref, h_list=(0.1, 0.05, 0.025)):
+    lines = ", ".join(map(repr, h_list))
+    text = PARTICLE_TEMPLATE.format(integrator="rattle").replace("h = 0.05\nT = 0.5", f"h_list = {lines}\nT = 1.0")
+    return text + ("" if h_ref is None else f"h_ref = {h_ref!r}\n")
+
+
+def test_validate_caps_the_reference_step_count():
+    # T / h_ref steps, with h_ref defaulting to min(h_list) / 30.
+    assert parse_config(_sweep_cfg(1.0 / 0.99e8)).h_ref == 1.0 / 0.99e8
+    assert parse_config(_sweep_cfg(None, (3e-6, 2e-6, 1e-6))).h_ref is None
+    for text in (_sweep_cfg(1.0 / 1.01e8), _sweep_cfg(None, (3e-7, 2e-7, 1e-7))):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.field == "h_ref"
+
+
+def test_sweep_with_a_mistyped_h_ref_exits_2_before_stepping(tmp_path, monkeypatch, capsys):
+    # On the shipped sphere sweep h_ref = 1e-9 asks for 1.5e10 reference steps.
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "convergence_sweep", no_stepping)
+    cfg = tmp_path / "mistyped.cfg"
+    cfg.write_text((CONFIG_DIR / "sphere_convergence.cfg").read_text() + "h_ref = 1e-9\n")
+    out = tmp_path / "conv.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "1.5e+10 steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_sweep_needs_final_time():
@@ -532,19 +562,11 @@ def _g(value):
     return "%.17g" % value
 
 
-def _state_values(state):
-    """The values one row writes: a flat state's q and p, or the leading
-    values of an array row (all of a rolling-sphere row, a reduced row
-    but its two multipliers)."""
-    if isinstance(state, PhaseState):
-        return np.concatenate([state.q, state.p])
-    return state[:10] if len(state) == 12 else state
-
-
 def _joined_simulate_csv(traj, names):
     lines = ["step,t," + ",".join(names) + ",energy,constraint_res,newton_iters"]
     for k, state in enumerate(traj.states):
-        comps = ",".join(_g(x) for x in _state_values(state).tolist())
+        # The values one row writes: all but its multipliers.
+        comps = ",".join(_g(x) for x in state[: traj.layout.values].tolist())
         lines.append(
             f"{k},{_g(traj.times[k])},{comps},{_g(traj.energies[k])},"
             f"{_g(traj.residuals[k])},{traj.newton_iters[k]}"
@@ -708,7 +730,7 @@ def test_exit_code_per_exception_type(monkeypatch, capsys, exc, code, prefix):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "check_suite", fail)
+    monkeypatch.setattr(checks, "check_suite", fail)
     assert main(["check", "--quiet"]) == code
     assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
@@ -850,6 +872,29 @@ def test_closed_stdout_exits_141_without_messages(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_simulate_and_sweep_leave_the_check_batteries_unloaded(tmp_path):
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(_sweep_cfg(None))
+    script = "\n".join([
+        "import sys",
+        "from gni.cli import main",
+        f"assert main(['simulate', '--config', {str(CONFIG_DIR / 'sphere_bounded.cfg')!r},"
+        f" '--out', {str(tmp_path / 'run.csv')!r}, '--quiet']) == 0",
+        f"assert main(['sweep', '--config', {str(sweep)!r}, '--out', {str(tmp_path / 'conv.csv')!r},"
+        " '--quiet']) == 0",
+        "print('gni.checks' in sys.modules)",
+        "assert main(['check', '--suite', 'lie', '--quiet']) == 0",
+        "print('gni.checks' in sys.modules)",
+    ])
+    path = os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nTrue\n"
 
 
 def test_help_exits_zero(capsys):

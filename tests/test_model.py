@@ -234,16 +234,18 @@ def test_reference_solve_harmonic_period():
     )
     s0 = PhaseState(np.array([1.0]), np.array([0.0]), np.zeros(0))
     traj = reference_solve(sys, s0, T=2.0 * np.pi, h_ref=1e-3, record_every=10 ** 9)
-    assert abs(traj.final.q[0] - 1.0) <= 1e-7
-    assert abs(traj.final.p[0]) <= 1e-7
+    # Rows [q, p] of the one-dimensional system (no multiplier).
+    assert abs(traj.final[0] - 1.0) <= 1e-7
+    assert abs(traj.final[1]) <= 1e-7
 
 
 def test_reference_solve_straight_line():
     sys = _axis_system()
     s0 = PhaseState(np.zeros(3), np.array([1.0, -2.0, 0.0]), np.zeros(1))
     traj = reference_solve(sys, s0, T=3.0, h_ref=0.1)
-    assert np.allclose(traj.final.q, [3.0, -6.0, 0.0], atol=1e-12)
-    assert np.allclose(traj.final.p, s0.p, atol=1e-14)
+    # Rows [q, p, lam].
+    assert np.allclose(traj.final[:3], [3.0, -6.0, 0.0], atol=1e-12)
+    assert np.allclose(traj.final[3:6], s0.p, atol=1e-14)
 
 
 def test_reference_solve_energy_drift_bound():
