@@ -14,7 +14,7 @@ from typing import Callable, Dict, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import gni_reduced, model
+from . import gni_flat, gni_reduced, model
 from .gni_flat import DiscreteLagrangian, gni_generic_step_stats, rattle_step
 from .lie_so3 import dcay
 from .model import PhaseState, ReducedState, ReducedSystem, constraint_residual
@@ -160,10 +160,20 @@ class Trajectory:
         return Trajectory(self.times[i], self.states[i], self.energies[i], self.residuals[i],
                           self.newton_iters[i], self.h, self.layout)
 
+    def copy(self) -> "Trajectory":
+        """The same rows in arrays of their own."""
+        return Trajectory(self.times.copy(), self.states.copy(), self.energies.copy(),
+                          self.residuals.copy(), self.newton_iters.copy(), self.h, self.layout)
+
 
 def _norms(residuals, count: int) -> np.ndarray:
-    """Infinity norms of ``count`` residual rows; zeros for ``False``."""
-    return np.zeros(count) if residuals is False else np.fromiter(map(_inf_norm, residuals), float, count)
+    """Infinity norms of ``count`` residual rows, in one pass over a 2-D
+    array of them; zeros for ``False``."""
+    if residuals is False:
+        return np.zeros(count)
+    if isinstance(residuals, np.ndarray) and residuals.ndim == 2:
+        return np.maximum.reduce(np.abs(residuals), axis=1, initial=0.0)
+    return np.fromiter(map(_inf_norm, residuals), float, count)
 
 
 def state_matrix(traj: Trajectory) -> np.ndarray:
@@ -196,7 +206,8 @@ def _non_finite(traj: Trajectory, first: int):
         return None
     k = int(bad[0])
     cause = FloatingPointError(f"row {first + k} has a non-finite energy, residual or state")
-    return StepFailed(first + k, cause, traj.head(k))
+    # A copy: a windowed run goes on stepping into the buffers ``traj`` views.
+    return StepFailed(first + k, cause, traj.head(k).copy())
 
 
 @dataclass
@@ -240,9 +251,18 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
 
     * a one-step map ``stepper(system, state, h) -> state`` on flat or
       reduced state objects, which :meth:`Trajectory.from_rows` stacks;
+    * for a :class:`gni.gni_flat.FlatStepper` ``stepper`` (``euler_a_step``,
+      ``euler_b_step``, ``rattle_step``), the same steps by
+      :func:`gni.gni_flat.flat_kernel`, built once per run.  Rows ``[q, p,
+      lam]`` go straight into one ``(N+1, 2n+m)`` buffer; each step hands
+      its gradient, constraint rows and half-step impulse at the new row
+      to the next, and the default residual column is the scheme's own
+      form (:func:`gni.gni_flat.scheme_constraint_residual`, the momentum
+      form for ``rattle``), one stacked pass over the points kept beside
+      the rows;
     * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
       three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`,
-      seeded with one :func:`gni.gni_flat.rattle_step`.  It writes its
+      seeded with one ``rattle_step``.  It writes its
       positions straight into flat rows; row ``k >= 1`` reports the
       central-difference momentum ``M (q_{k+1} - q_{k-1}) / (2h)``, the
       average of the discrete pre- and post-momenta that the scheme keeps
@@ -269,8 +289,9 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     stepper's admissible set, allowing for the half-step potential shift
     of the one-sided schemes; a non-finite one is left to its first step
     to report.  ``residual(states)`` gives the constraint residual of each
-    of a one-step map's state objects, or of the three-point recurrence's
-    rows, in the form the stepper preserves (default: the momentum form).
+    of a one-step map's state objects, or of the rows of a flat kernel run
+    or of the three-point recurrence, in the form the stepper preserves
+    (default: the form the kernels preserve, else the momentum form).
 
     ``residual=False`` is for runs whose final state alone is read, such
     as the self reference of :func:`convergence_sweep`: the residual
@@ -314,6 +335,8 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
                 setup = _reduced_rows(
                     kernel, stepper.retraction, system, initial, h, capacity, residual
                 )
+            elif isinstance(stepper, gni_flat.FlatStepper):
+                setup = _flat_rows(stepper.scheme, system, initial, h, capacity, residual)
             elif isinstance(stepper, DiscreteLagrangian):
                 setup = _three_point_recurrence(stepper, system, initial, h, capacity, residual)
             else:
@@ -363,6 +386,60 @@ def _one_step_map(stepper, system, initial, h, residual):
         nonlocal first
         del states[:-1]
         first = k
+
+    return advance, assemble, keep
+
+
+def _flat_rows(scheme, system, initial, h, capacity, residual):
+    # One row [q, p, lam] per step.  The default residual is the scheme's
+    # own form, one stacked pass over the points (V_q, mu, Pi) the steps
+    # evaluated at the rows, kept beside them.  Only a residual=False run
+    # drops rows, and it keeps no points.
+    start, step, form = gni_flat.flat_kernel(system, h, scheme)
+    n = system.dim
+    layout = flat_layout(system)
+    rows = np.empty((capacity, 2 * n + initial.lam.size))
+    rows[0] = layout.stack([initial])[0]
+    qs, ps, lams = rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
+    iters = np.zeros(capacity, dtype=int)
+    iters[0] = initial.newton_iters
+    carried = [initial.q, initial.p, initial.lam, start(initial.q, initial.lam)]
+    grad, mu, offset, _ = carried[3]
+    with_points = residual is None and mu.shape[0] > 0
+    if with_points:
+        grads, mus = np.empty((capacity, n)), np.empty((capacity,) + mu.shape)
+        offsets = None if offset is None else np.empty((capacity, n))
+        grads[0], mus[0] = grad, mu
+        if offsets is not None:
+            offsets[0] = offset
+    base = 0
+
+    def advance(k):
+        j = k - base
+        carried[:] = step(*carried)
+        qs[j], ps[j], lams[j], point = carried
+        if with_points:
+            grads[j], mus[j] = point[0], point[1]
+            if offsets is not None:
+                offsets[j] = point[2]
+
+    def assemble(n_rows):
+        m = n_rows - base
+        states = rows[:m]
+        res = False
+        if residual:
+            res = residual(states)
+        elif with_points:
+            res = form(ps[:m], mus[:m], grads[:m], None if offsets is None else offsets[:m])
+        return Trajectory(h * np.arange(base, n_rows), states, model.energies(system, states),
+                          _norms(res, m), iters[:m], h, layout)
+
+    def keep(k):
+        nonlocal base
+        j = k - base
+        rows[0] = rows[j]
+        iters[0] = iters[j]
+        base = k
 
     return advance, assemble, keep
 

@@ -85,16 +85,19 @@ class Integrator:
     ``constraint_res`` column reports: a scheme of
     :func:`gni.gni_flat.prepare_state` and
     :func:`gni.gni_flat.scheme_constraint_residual` (``"rattle"`` is the
-    plain momentum form of :func:`gni.model.constraint_residual`),
-    ``"reduced"`` for :func:`chaplygin_initial_reduced_state` and the
-    reduced kernel's run, which reports
+    plain momentum form of :func:`gni.model.constraint_residual`), which
+    the flat kernel's run reports, ``"reduced"`` for
+    :func:`chaplygin_initial_reduced_state` and the reduced kernel's run,
+    which reports
     :func:`gni.gni_reduced.reduced_scheme_residual`, or ``"sphere"`` for
     the rolling-sphere recurrence, which seeds itself and reports
     :func:`gni.gni_reduced.chaplygin_scheme_residual`.  ``stepper(system,
-    cfg)`` returns the stepper :func:`gni.analysis.run` advances; it looks
-    its step up in the step's module when called, so a wrapper bound there
-    is the one used.  ``columns`` names the CSV state columns (``None``:
-    named after the flat system's dimension).
+    cfg)`` returns the stepper :func:`gni.analysis.run` advances: a
+    :class:`gni.gni_flat.FlatStepper` or
+    :class:`gni.gni_reduced.ReducedStepper` record that ``run`` steps by
+    its kernel, the generic step's discrete Lagrangian, or ``None``.
+    ``columns`` names the CSV state columns (``None``: named after the
+    flat system's dimension).
     """
 
     kind: str
@@ -108,10 +111,10 @@ def _reduced_stepper(system, cfg: RunConfig):
 
 
 INTEGRATORS = {
-    "euler_a": Integrator("flat", "euler_a", lambda system, cfg: gni_flat.euler_a_step),
-    "euler_b": Integrator("flat", "euler_b", lambda system, cfg: gni_flat.euler_b_step),
-    "rattle": Integrator("flat", "rattle", lambda system, cfg: gni_flat.rattle_step),
-    "rattle_affine": Integrator("flat", "rattle", lambda system, cfg: gni_flat.rattle_step),
+    "euler_a": Integrator("flat", "euler_a", lambda system, cfg: gni_flat.FlatStepper("euler_a")),
+    "euler_b": Integrator("flat", "euler_b", lambda system, cfg: gni_flat.FlatStepper("euler_b")),
+    "rattle": Integrator("flat", "rattle", lambda system, cfg: gni_flat.FlatStepper("rattle")),
+    "rattle_affine": Integrator("flat", "rattle", lambda system, cfg: gni_flat.FlatStepper("rattle")),
     "gni_generic": Integrator(
         "flat", "rattle", lambda system, cfg: gni_flat.verlet_lagrangian(system)
     ),
@@ -480,13 +483,13 @@ def _sphere_initial(cfg: RunConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _experiment(cfg: RunConfig, h: float):
-    """The stepper, system, initial state and residual form of a run.
+    """The stepper, system and initial state of a run.
 
     The initial state is seeded in the integrator's constraint form at step
     ``h``; at ``h = 0`` every form is the continuous one, which sweeps use
-    for all their step sizes.  ``residual(states)`` gives each state's
-    residual in that form, as :func:`gni.analysis.run` takes it (``None``
-    for the momentum form, ``run``'s default, and the sphere systems).
+    for all their step sizes.  No residual callback is needed:
+    :func:`gni.analysis.run` reports by default the form each of these
+    steppers preserves.
     """
     entry = INTEGRATORS[cfg.integrator]
     if entry.kind == "flat":
@@ -495,20 +498,13 @@ def _experiment(cfg: RunConfig, h: float):
         q0 = cfg.q0 if cfg.q0 is not None else q_default
         v0 = cfg.v0 if cfg.v0 is not None else v_default
         initial = gni_flat.prepare_state(system, q0, v0, scheme=entry.form, h=h)
-
-        def form(states):
-            return (gni_flat.scheme_constraint_residual(system, s, h, entry.form) for s in states)
-
-        residual = None if entry.form == "rattle" else form
-
     elif entry.form == "reduced":
         params = _build_sphere_params(cfg)
         system = chaplygin_reduced_system(params)
         initial = chaplygin_initial_reduced_state(params, *_sphere_initial(cfg), h)
-        residual = None
     else:
-        system, initial, residual = _build_sphere_params(cfg), _sphere_initial(cfg), None
-    return entry.stepper(system, cfg), system, initial, residual
+        system, initial = _build_sphere_params(cfg), _sphere_initial(cfg)
+    return entry.stepper(system, cfg), system, initial
 
 
 def _resolve_step_count(cfg: RunConfig) -> Tuple[float, int]:
@@ -532,8 +528,8 @@ def _simulate_trajectory(cfg: RunConfig) -> Tuple[Trajectory, List[str]]:
     every scheme.
     """
     h, n_steps = _resolve_step_count(cfg)
-    stepper, system, initial, residual = _experiment(cfg, h)
-    traj = run(stepper, system, initial, h, n_steps, residual)
+    stepper, system, initial = _experiment(cfg, h)
+    traj = run(stepper, system, initial, h, n_steps)
     columns = INTEGRATORS[cfg.integrator].columns
     return traj, list(columns or _flat_column_names(system.dim))
 
@@ -583,7 +579,7 @@ def _sweep_report(cfg: RunConfig) -> analysis.ConvergenceReport:
     # Every run of the sweep, the reference included, starts from the one
     # state seeded at h = 0: the continuous constraint form (for the reduced
     # sphere the Legendre form p_alg = I w), admissible at every step size.
-    stepper, system, initial, _ = _experiment(cfg, 0.0)
+    stepper, system, initial = _experiment(cfg, 0.0)
     return convergence_sweep(stepper, system, initial, cfg.T, h_list, reference)
 
 

@@ -3,13 +3,17 @@
 Three one-step maps advance a :class:`~gni.model.PhaseState`
 ``(q, p, lam)``:
 
-* :func:`euler_a_step` / :func:`euler_b_step` — first-order adjoint pair.
+* ``euler_a_step`` / ``euler_b_step`` — first-order adjoint pair.
   Both kick with the current multiplier, drift, then choose the new
   multiplier so the end state satisfies the scheme's own momentum-level
   constraint form (the forms differ by the sign of a half-step potential
   shift, which is what makes the maps mutual adjoints).
-* :func:`rattle_step` — second-order, self-adjoint; the end state
+* ``rattle_step`` — second-order, self-adjoint; the end state
   satisfies the plain (or affine) momentum constraint.
+
+All three are :class:`FlatStepper` records: a call takes one step of
+:func:`flat_kernel`, the one implementation of the kick, drift and
+multiplier resolve, which :func:`gni.analysis.run` steps for a whole run.
 
 :func:`gni_generic_step_stats` is the underlying three-point scheme for an
 arbitrary discrete Lagrangian: the new configuration solves
@@ -37,6 +41,8 @@ __all__ = [
     "euler_a_lagrangian",
     "euler_b_lagrangian",
     "gni_generic_step_stats",
+    "flat_kernel",
+    "FlatStepper",
     "euler_a_step",
     "euler_b_step",
     "rattle_step",
@@ -158,50 +164,98 @@ def gni_generic_step_stats(
     return np.array(q_next), iters
 
 
-def _kick_drift_resolve(sys: FlatSystem, s: PhaseState, h: float, scheme: str) -> PhaseState:
-    """Shared half-kick / drift / multiplier-resolve structure of the
-    one-step maps.  ``scheme`` selects the end-of-step constraint form."""
-    if h == 0.0:
-        return s
-    grad0 = np.asarray(sys.grad_potential(s.q), dtype=float)
-    mu0 = sys.constraint_matrix(s.q)
-    p_half = s.p - 0.5 * h * (grad0 + mu0.T @ s.lam)
-    q_new = s.q + h * (sys.mass_inv @ p_half)
+def flat_kernel(sys: FlatSystem, h: float, scheme: str):
+    """The half-kick / drift / multiplier-resolve step of ``scheme``
+    (``"euler_a"``, ``"euler_b"`` or ``"rattle"``) at step size ``h``, as
+    the closures ``(start, step, form)``, built once per run.
 
-    grad1 = np.asarray(sys.grad_potential(q_new), dtype=float)
-    mu1 = sys.constraint_matrix(q_new)
-    if mu1.shape[0] == 0:
-        p_new = p_half - 0.5 * h * grad1
-        return PhaseState(q_new, p_new, s.lam)
-    mu1_minv = mu1 @ sys.mass_inv
-    weight = _STAGE2_WEIGHT[scheme]
-    target = p_half - weight * h * grad1 - sys.momentum_offset(q_new)
-    lam_new = (2.0 / h) * solve_gram(mu1_minv @ mu1.T, mu1_minv @ target)
-    p_new = p_half - 0.5 * h * (grad1 + mu1.T @ lam_new)
-    return PhaseState(q_new, p_new, lam_new)
-
-
-def euler_a_step(sys: FlatSystem, s: PhaseState, h: float) -> PhaseState:
-    """One step of the first member of the adjoint pair.
-
-    Expects (but does not enforce) the incoming state to satisfy this
-    scheme's constraint form ``mu M^{-1}(p + (h/2) V_q - Pi) = 0``; the
-    returned state satisfies it at the new configuration exactly.
+    ``start(q, lam)`` is the point of a row, ``(V_q, mu, Pi, kick)``: the
+    gradient, the ``(m, n)`` constraint rows, the momentum offset (``None``
+    without a drift field or rows) and ``kick = (h/2)(V_q + mu^T lam)``.
+    ``step(q, p, lam, point)`` returns the next row and its point; the kick
+    that closes a step opens the next, so each configuration is evaluated
+    once.  ``form(momenta, mus, grads, offsets)`` is
+    :func:`scheme_constraint_residual` of stacked rows and their points, in
+    one stacked ``matmul`` pass.  Each ``h``-only factor leads its product,
+    so the bits are those of the products written out.
     """
-    return _kick_drift_resolve(sys, s, h, "euler_a")
+    half_h, weight_h, two_over_h = 0.5 * h, _STAGE2_WEIGHT[scheme] * h, 2.0 / h
+    shift_h = _FORM_SHIFT[scheme] * h
+    mass_inv, grad_potential = sys.mass_inv, sys.grad_potential
+    constrained = sys.constraints is not None and sys.num_constraints != 0
+    no_rows = np.zeros((0, sys.dim))
+    affine = constrained and sys.affine_field is not None
+
+    def at(q):
+        grad = np.asarray(grad_potential(q), dtype=float)
+        if not constrained:
+            return grad, no_rows, None
+        return grad, sys.constraint_matrix(q), sys.momentum_offset(q) if affine else None
+
+    def start(q, lam):
+        grad, mu, offset = at(q)
+        return grad, mu, offset, half_h * (grad + mu.T @ lam)
+
+    def step(q, p, lam, point):
+        p_half = p - point[3]
+        q_new = q + h * (mass_inv @ p_half)
+        grad1, mu1, offset = at(q_new)
+        if mu1.shape[0] == 0:
+            kick = half_h * (grad1 + mu1.T @ lam)
+            return q_new, p_half - half_h * grad1, lam, (grad1, mu1, offset, kick)
+        mu1_minv = mu1 @ mass_inv
+        target = p_half - weight_h * grad1
+        if affine:
+            target = target - offset
+        lam_new = two_over_h * solve_gram(mu1_minv @ mu1.T, mu1_minv @ target)
+        kick = half_h * (grad1 + mu1.T @ lam_new)
+        return q_new, p_half - kick, lam_new, (grad1, mu1, offset, kick)
+
+    def form(momenta, mus, grads, offsets):
+        # Without a drift field Pi is 0, and p - 0 is p (a copy, contiguous).
+        vec = momenta - offsets if offsets is not None else np.array(momenta)
+        if shift_h != 0.0:
+            vec = vec + shift_h * grads
+        return (mus @ (mass_inv @ vec[:, :, None]))[:, :, 0]
+
+    return start, step, form
 
 
-def euler_b_step(sys: FlatSystem, s: PhaseState, h: float) -> PhaseState:
-    """One step of the second member of the adjoint pair; constraint form
-    ``mu M^{-1}(p - (h/2) V_q - Pi) = 0`` (sign flipped versus A)."""
-    return _kick_drift_resolve(sys, s, h, "euler_b")
+@dataclass(frozen=True)
+class FlatStepper:
+    """One of the kick-drift-resolve maps, named by its ``scheme``.
+
+    Calling the record takes one step, ``stepper(sys, state, h)``, by
+    :func:`flat_kernel` (``h == 0`` returns ``state``).
+    :func:`gni.analysis.run` reads it to step a whole run with that kernel.
+    The schemes differ in the constraint form the end state satisfies:
+
+    * ``"euler_a"``: ``mu M^{-1}(p + (h/2) V_q - Pi) = 0``, which the
+      incoming state is expected (not forced) to satisfy as well;
+    * ``"euler_b"``: ``mu M^{-1}(p - (h/2) V_q - Pi) = 0`` (sign flipped
+      versus A, which makes the pair mutual adjoints);
+    * ``"rattle"``: the plain (or, with a drift field, affine) momentum
+      form ``mu M^{-1}(p - Pi) = 0``; second order and self-adjoint.
+    """
+
+    scheme: str
+
+    @property
+    def __name__(self) -> str:
+        """The one-step map's name, ``<scheme>_step``."""
+        return f"{self.scheme}_step"
+
+    def __call__(self, sys: FlatSystem, s: PhaseState, h: float) -> PhaseState:
+        if h == 0.0:
+            return s
+        start, step, _ = flat_kernel(sys, h, self.scheme)
+        q, p, lam, _ = step(s.q, s.p, s.lam, start(s.q, s.lam))
+        return PhaseState(q, p, lam)
 
 
-def rattle_step(sys: FlatSystem, s: PhaseState, h: float) -> PhaseState:
-    """One step of the second-order self-adjoint scheme (half-kick, drift,
-    half-kick); the post state satisfies ``mu M^{-1}(p - Pi) = 0``.  With
-    a drift field present this is the affine variant."""
-    return _kick_drift_resolve(sys, s, h, "rattle")
+euler_a_step = FlatStepper("euler_a")
+euler_b_step = FlatStepper("euler_b")
+rattle_step = FlatStepper("rattle")
 
 
 def composed_euler_step(sys: FlatSystem, s: PhaseState, h: float) -> PhaseState:
@@ -215,7 +269,7 @@ def composed_euler_step(sys: FlatSystem, s: PhaseState, h: float) -> PhaseState:
     therefore receives a state on its own constraint form, which is what
     makes the composition of the two first-order adjoint maps second
     order.  Input and output satisfy the plain (affine) momentum form like
-    :func:`rattle_step`, but the map differs from it in the constrained
+    ``rattle_step``, but the map differs from it in the constrained
     case; unconstrained it reduces to the classical position-Verlet
     update at step ``h``.
     """
@@ -235,7 +289,8 @@ def composed_euler_step(sys: FlatSystem, s: PhaseState, h: float) -> PhaseState:
 def scheme_constraint_residual(sys: FlatSystem, s: PhaseState, h: float, scheme: str) -> np.ndarray:
     """Residual of the constraint form preserved by ``scheme`` at step
     size ``h``: ``mu M^{-1}(p + shift*h*V_q - Pi)`` with shift +1/2, -1/2,
-    0 for euler_a, euler_b, rattle."""
+    0 for euler_a, euler_b, rattle.  The ``form`` of :func:`flat_kernel`
+    gives the same rows, bit for bit, for the stacked rows of a run."""
     mu = sys.constraint_matrix(s.q)
     if mu.shape[0] == 0:
         return np.zeros(0)

@@ -45,6 +45,8 @@ _DIR_FD_STEP = 1e-6
 
 
 def _as_matrix(rows) -> np.ndarray:
+    if type(rows) is np.ndarray and rows.ndim == 2 and rows.dtype == np.float64:
+        return rows  # what the conversion below returns for it, without its calls
     return np.atleast_2d(np.asarray(rows, dtype=float))
 
 

@@ -506,20 +506,25 @@ def test_run_reports_the_residual_form_it_is_given():
     s0 = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="euler_a", h=h)
     seen = []
 
-    def form(states):
-        seen.append(len(states))
-        return [gni_flat.scheme_constraint_residual(sys, s, h, "euler_a") for s in states]
+    def momentum_form(rows):
+        # The flat kernel hands its callback the rows [q, p, lam].
+        seen.append(len(rows))
+        return [constraint_residual(sys, PhaseState(r[:3], r[3:6], r[6:])) for r in rows]
 
-    traj = run(gni_flat.euler_a_step, sys, s0, h, 5, residual=form)
+    traj = run(gni_flat.euler_a_step, sys, s0, h, 5, residual=momentum_form)
     assert seen == [6]  # one pass over the rows
+    expected = [np.max(np.abs(constraint_residual(sys, s))) for s in _states(traj)]
+    assert np.array_equal(traj.residuals, expected)
+    # The momentum form is off by the half-step potential shift; the
+    # default, the scheme's own form, holds to solver tolerance.
+    assert np.max(traj.residuals) > 1e-4
+    default = run(gni_flat.euler_a_step, sys, s0, h, 5)
     expected = [
         np.max(np.abs(gni_flat.scheme_constraint_residual(sys, s, h, "euler_a")))
-        for s in _states(traj)
+        for s in _states(default)
     ]
-    assert np.array_equal(traj.residuals, expected)
-    assert np.max(traj.residuals) <= 1e-12
-    # The momentum form, the default, is off by the half-step potential shift.
-    assert np.max(run(gni_flat.euler_a_step, sys, s0, h, 5).residuals) > 1e-4
+    assert np.array_equal(default.residuals, expected)
+    assert np.max(default.residuals) <= 1e-12
     # residual=False keeps the last two rows, with the column at zero.
     bare = run(gni_flat.euler_a_step, sys, s0, h, 5, residual=False)
     assert np.array_equal(state_matrix(bare), state_matrix(traj.rows(-2)))
@@ -702,7 +707,7 @@ def _per_row_norm(vec):
 def _flat_case(system, s0, stepper, residual=None):
     traj = run(stepper, system, s0, 0.05, 200, residual)
     states = _states(traj)
-    rows = residual(states) if residual else [constraint_residual(system, s) for s in states]
+    rows = residual(traj.states) if residual else [constraint_residual(system, s) for s in states]
     return system, traj, rows
 
 
@@ -710,7 +715,8 @@ def _euler_a_list_case():
     sys = model.nonholonomic_particle("harmonic")
     s0 = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="euler_a", h=0.05)
 
-    def form(states):
+    def form(rows):
+        states = [PhaseState(r[:3], r[3:6], r[6:]) for r in rows]
         return [gni_flat.scheme_constraint_residual(sys, s, 0.05, "euler_a") for s in states]
 
     return _flat_case(sys, s0, gni_flat.euler_a_step, form)

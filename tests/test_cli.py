@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gni import checks, cli, gni_reduced, numerics
+from gni import checks, cli, gni_flat, gni_reduced, numerics
 from gni.gni_flat import scheme_constraint_residual
 from gni.gni_reduced import (
     chaplygin_init,
@@ -332,16 +332,21 @@ def test_simulate_stdout_when_no_out(tmp_path, capsys):
     assert len(lines) == 5
 
 
-@pytest.mark.parametrize("integrator", ["euler_a", "euler_b", "rattle", "gni_generic"])
+@pytest.mark.parametrize("integrator", ["euler_a", "euler_b", "rattle", "rattle_affine", "gni_generic"])
 def test_simulate_flat_constraint_column_is_tiny(tmp_path, integrator):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(PARTICLE_TEMPLATE.format(integrator=integrator))
+    if integrator == "rattle_affine":  # on constrained_2d with an affine offset
+        cfg.write_text(PLANAR_AFFINE.replace("N = 8", "T = 0.5"))
+        width = 9
+    else:
+        cfg.write_text(PARTICLE_TEMPLATE.format(integrator=integrator))
+        width = 11
     out = tmp_path / "traj.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert rows.shape == (11, 11)
-    assert np.max(rows[:, 9]) <= 1e-10  # constraint_res column
-    energy = rows[:, 8]
+    assert rows.shape == (11, width)
+    assert np.max(rows[:, -2]) <= 1e-10  # constraint_res column
+    energy = rows[:, -3]
     assert np.max(np.abs(energy - energy[0])) < 0.05  # near-conserved
 
 
@@ -850,6 +855,27 @@ def test_simulate_reduced_rattle_steps_without_the_array_step(tmp_path, monkeypa
         out = tmp_path / f"{retraction}.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         assert len(out.read_text().splitlines()) == 102
+
+
+def test_simulate_flat_steps_with_the_kernel_alone(tmp_path, monkeypatch):
+    # Flat one-step runs step by the kernel of their FlatStepper record and
+    # take their residual column from its stacked pass: neither the one-step
+    # call nor a per-state residual runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-step call")
+
+    monkeypatch.setattr(gni_flat.FlatStepper, "__call__", refuse)
+    monkeypatch.setattr(gni_flat, "scheme_constraint_residual", refuse)
+    for integrator in ("euler_a", "euler_b", "rattle", "rattle_affine"):
+        cfg = tmp_path / f"{integrator}.cfg"
+        if integrator == "rattle_affine":
+            cfg.write_text(PLANAR_AFFINE)
+        else:
+            cfg.write_text(PARTICLE_TEMPLATE.format(integrator=integrator))
+        out = tmp_path / f"{integrator}.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert 0.0 < np.max(rows[:, -2]) <= 1e-10
 
 
 def test_closed_stdout_exits_141_without_messages(tmp_path):

@@ -2,14 +2,17 @@
 import numpy as np
 import pytest
 
+from gni import analysis
 from gni.model import (
     FlatSystem,
     PhaseState,
+    RankDeficient,
     constrained_2d,
     constraint_residual,
+    energy,
     nonholonomic_particle,
 )
-from gni.analysis import run
+from gni.analysis import StepFailed, adjoint_check, run
 from gni.gni_flat import (
     DiscreteLagrangian,
     composed_euler_step,
@@ -24,7 +27,7 @@ from gni.gni_flat import (
     state_difference,
     verlet_lagrangian,
 )
-from gni.numerics import NewtonConfig, NoConvergence
+from gni.numerics import NewtonConfig, NoConvergence, solve_gram
 
 
 def _free_harmonic(n=2):
@@ -406,3 +409,169 @@ def test_prepare_state_multiplier_seed_is_continuous_limit():
     s = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="euler_a", h=h)
     out = euler_a_step(sys, s, h)
     assert np.max(np.abs(out.lam - s.lam)) <= 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the flat kernel: run steps the kick-drift-resolve maps into one row buffer
+
+_WEIGHT = {"euler_a": 0.0, "euler_b": 1.0, "rattle": 0.5}
+
+
+def _reference_step(sys, s, h, scheme):
+    # The one-step map as written before the kernel (one evaluation of the
+    # gradient and of the constraint rows at each end of every step): the
+    # reference the kernel must reproduce bit for bit.
+    if h == 0.0:
+        return s
+    grad0 = np.asarray(sys.grad_potential(s.q), dtype=float)
+    mu0 = sys.constraint_matrix(s.q)
+    p_half = s.p - 0.5 * h * (grad0 + mu0.T @ s.lam)
+    q_new = s.q + h * (sys.mass_inv @ p_half)
+    grad1 = np.asarray(sys.grad_potential(q_new), dtype=float)
+    mu1 = sys.constraint_matrix(q_new)
+    if mu1.shape[0] == 0:
+        p_new = p_half - 0.5 * h * grad1
+        return PhaseState(q_new, p_new, s.lam)
+    mu1_minv = mu1 @ sys.mass_inv
+    target = p_half - _WEIGHT[scheme] * h * grad1 - sys.momentum_offset(q_new)
+    lam_new = (2.0 / h) * solve_gram(mu1_minv @ mu1.T, mu1_minv @ target)
+    p_new = p_half - 0.5 * h * (grad1 + mu1.T @ lam_new)
+    return PhaseState(q_new, p_new, lam_new)
+
+
+def _reference_run(sys, s0, h, n_steps, scheme):
+    # Rows, residual norms (the scheme's own form), energies and Newton
+    # iterations of a state-by-state loop of the reference step.
+    states = [s0]
+    for _ in range(n_steps):
+        states.append(_reference_step(sys, states[-1], h, scheme))
+    rows = np.array([np.concatenate([s.q, s.p, s.lam]) for s in states])
+    norms = []
+    for s in states:
+        res = scheme_constraint_residual(sys, s, h, scheme)
+        norms.append(float(np.max(np.abs(res))) if res.size else 0.0)
+    energies = [energy(sys, s) for s in states]
+    return rows, np.array(norms), np.array(energies), [s.newton_iters for s in states]
+
+
+def _two_row_system():
+    # Two constraint rows (the small_solve branch of solve_gram).
+    return FlatSystem(
+        dim=4,
+        mass_matrix=np.diag([1.0, 2.0, 1.0, 3.0]),
+        potential=lambda q: 0.5 * float(q @ q),
+        grad_potential=lambda q: np.asarray(q, dtype=float),
+        constraints=lambda q: np.array([[q[1], 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -q[0]]]),
+        num_constraints=2,
+    )
+
+
+def _one_dim_row_particle():
+    # The particle with its constraint row returned as a 1-D array.
+    base = nonholonomic_particle("harmonic")
+    return FlatSystem(
+        dim=3,
+        mass_matrix=np.eye(3),
+        potential=base.potential,
+        grad_potential=base.grad_potential,
+        constraints=lambda q: np.array([q[1], 0.0, -1.0]),
+        num_constraints=1,
+        constraints_derivative=base.constraints_derivative,
+    )
+
+
+_KERNEL_CASES = {
+    "particle-euler_a": (lambda: nonholonomic_particle("harmonic"), "euler_a"),
+    "particle-euler_b": (lambda: nonholonomic_particle("harmonic"), "euler_b"),
+    "particle-rattle": (lambda: nonholonomic_particle("harmonic"), "rattle"),
+    "affine-rattle": (lambda: constrained_2d(affine=(0.3, -0.2)), "rattle"),
+    "affine-euler_a": (lambda: constrained_2d(affine=(0.3, -0.2)), "euler_a"),
+    "unconstrained-euler_b": (lambda: _free_harmonic(3), "euler_b"),
+    "two_rows-euler_a": (_two_row_system, "euler_a"),
+    "two_rows-rattle": (_two_row_system, "rattle"),
+    "one_dim_row-euler_b": (_one_dim_row_particle, "euler_b"),
+}
+_STEPPERS = {"euler_a": euler_a_step, "euler_b": euler_b_step, "rattle": rattle_step}
+
+
+def _kernel_initial(sys, scheme, h):
+    q0 = np.linspace(0.3, 0.1, sys.dim)
+    v0 = np.linspace(1.0, 0.2, sys.dim)
+    s0 = prepare_state(sys, q0, v0, scheme=scheme, h=h)
+    return PhaseState(s0.q, s0.p, s0.lam, newton_iters=3)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 300])
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_run_is_the_state_by_state_loop_bit_for_bit(case, n_steps):
+    factory, scheme = _KERNEL_CASES[case]
+    sys, h = factory(), 0.05
+    s0 = _kernel_initial(sys, scheme, h)
+    traj = run(_STEPPERS[scheme], sys, s0, h, n_steps)
+    rows, norms, energies, iters = _reference_run(sys, s0, h, n_steps, scheme)
+    assert np.array_equal(traj.states, rows)
+    assert np.array_equal(traj.residuals, norms)
+    assert np.array_equal(traj.energies, energies)
+    assert np.array_equal(traj.newton_iters, iters)
+    assert np.array_equal(traj.times, h * np.arange(n_steps + 1))
+    assert np.max(traj.residuals) <= 1e-12
+    # Every one-step call is one step of the same kernel.
+    for k in (0, n_steps // 2, n_steps - 1) if n_steps else ():
+        s = PhaseState(rows[k, : sys.dim], rows[k, sys.dim : 2 * sys.dim], rows[k, 2 * sys.dim :])
+        one = _STEPPERS[scheme](sys, s, h)
+        assert np.array_equal(np.concatenate([one.q, one.p, one.lam]), rows[k + 1])
+
+
+def test_adjoint_check_of_the_kernel_steps_is_the_reference_steps():
+    # At a negative step, from states on euler_a's form at that step.
+    sys, h = nonholonomic_particle("harmonic"), -0.1
+    states = [
+        prepare_state(sys, q, v, scheme="euler_a", h=h)
+        for q, v in (([0.3, 0.2, 0.1], [1.0, 0.5, 0.2]), ([0.1, -0.4, 0.2], [0.3, 0.2, 1.0]))
+    ]
+    kernel = adjoint_check(
+        lambda s, hh: euler_a_step(sys, s, hh), lambda s, hh: euler_b_step(sys, s, hh), states, h
+    )
+    reference = adjoint_check(
+        lambda s, hh: _reference_step(sys, s, hh, "euler_a"),
+        lambda s, hh: _reference_step(sys, s, hh, "euler_b"),
+        states,
+        h,
+    )
+    assert kernel == reference
+    assert 0.0 < kernel <= 1e-9
+
+
+def _vanishing_row_system():
+    # Free flight along x; the constraint row (0, 1 - x) holds y still and
+    # vanishes once x reaches 1.
+    return FlatSystem(
+        dim=2,
+        mass_matrix=np.eye(2),
+        potential=lambda q: 0.0,
+        grad_potential=lambda q: np.zeros(2),
+        constraints=lambda q: np.array([[0.0, max(1.0 - q[0], 0.0)]]),
+        num_constraints=1,
+    )
+
+
+def test_kernel_run_fails_where_the_constraint_row_vanishes(monkeypatch):
+    sys, h = _vanishing_row_system(), 0.1
+    s0 = PhaseState(np.zeros(2), np.array([1.0, 0.0]), np.zeros(1))
+    with pytest.raises(StepFailed) as excinfo:
+        run(rattle_step, sys, s0, h, 40)
+    full = excinfo.value
+    assert isinstance(full.cause, RankDeficient)
+    assert 8 < full.step < 40
+    head = run(rattle_step, sys, s0, h, full.step - 1)
+    assert np.array_equal(full.partial.states, head.states)
+    assert np.array_equal(full.partial.residuals, head.residuals)
+    assert np.array_equal(full.partial.energies, head.energies)
+    # A windowed run has dropped rows by then and fails at the same step.
+    monkeypatch.setattr(analysis, "_WINDOW_ROWS", 4)
+    with pytest.raises(StepFailed) as excinfo:
+        run(rattle_step, sys, s0, h, 40, residual=False)
+    assert excinfo.value.step == full.step
+    assert type(excinfo.value.cause) is type(full.cause)
+    kept = len(excinfo.value.partial)
+    assert np.array_equal(excinfo.value.partial.states, head.states[-kept:])
