@@ -15,7 +15,7 @@ from typing import Callable, Dict, Sequence, Set, Tuple
 import numpy as np
 
 from . import gni_flat, gni_reduced, model
-from .gni_flat import DiscreteLagrangian, gni_generic_step_stats, rattle_step
+from .gni_flat import DiscreteLagrangian, rattle_step
 from .lie_so3 import dcay
 from .model import PhaseState, ReducedState, ReducedSystem, constraint_residual
 from .numerics import NoConvergence, SingularMatrix, default_newton_config
@@ -253,20 +253,24 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
       reduced state objects, which :meth:`Trajectory.from_rows` stacks;
     * for a :class:`gni.gni_flat.FlatStepper` ``stepper`` (``euler_a_step``,
       ``euler_b_step``, ``rattle_step``), the same steps by
-      :func:`gni.gni_flat.flat_kernel`, built once per run.  Rows ``[q, p,
-      lam]`` go straight into one ``(N+1, 2n+m)`` buffer; each step hands
-      its gradient, constraint rows and half-step impulse at the new row
-      to the next, and the default residual column is the scheme's own
+      :func:`gni.gni_flat.flat_kernel` on plain floats, built once per
+      run.  Rows ``[q, p, lam]`` go straight into one ``(N+1, 2n+m)``
+      buffer; each step hands its gradient, constraint rows and half-step
+      impulse at the new row to the next, and the default residual column
+      is the scheme's own
       form (:func:`gni.gni_flat.scheme_constraint_residual`, the momentum
       form for ``rattle``), one stacked pass over the points kept beside
       the rows;
     * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
       three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`,
-      seeded with one ``rattle_step``.  It writes its
-      positions straight into flat rows; row ``k >= 1`` reports the
+      stepped by :func:`gni.gni_flat.three_point_kernel`, built once per
+      run, and seeded with one ``rattle_step``.  It writes its positions
+      straight into flat rows; row ``k >= 1`` reports the
       central-difference momentum ``M (q_{k+1} - q_{k-1}) / (2h)``, the
       average of the discrete pre- and post-momenta that the scheme keeps
-      on the constraint, and a zero multiplier;
+      on the constraint, and a zero multiplier.  The default residual
+      column is the momentum form, one stacked pass over the constraint
+      rows each step evaluated at its position;
     * for a :class:`gni.gni_reduced.ReducedStepper` ``stepper`` on a
       system that :func:`gni.gni_reduced.reduced_kernel` covers, the same
       steps by that float kernel, built once per run.  Rows are the arrays
@@ -400,11 +404,12 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
     layout = flat_layout(system)
     rows = np.empty((capacity, 2 * n + initial.lam.size))
     rows[0] = layout.stack([initial])[0]
-    qs, ps, lams = rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
+    ps = rows[:, n : 2 * n]
     iters = np.zeros(capacity, dtype=int)
     iters[0] = initial.newton_iters
-    carried = [initial.q, initial.p, initial.lam, start(initial.q, initial.lam)]
-    grad, mu, offset, _ = carried[3]
+    q, lam = initial.q.tolist(), initial.lam.tolist()
+    grad, mu, offset, kick = start(q, lam)
+    carried = [q, initial.p.tolist(), lam, kick]
     with_points = residual is None and mu.shape[0] > 0
     if with_points:
         grads, mus = np.empty((capacity, n)), np.empty((capacity,) + mu.shape)
@@ -416,8 +421,9 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
 
     def advance(k):
         j = k - base
-        carried[:] = step(*carried)
-        qs[j], ps[j], lams[j], point = carried
+        q, p, lam, point = step(*carried)
+        carried[:] = q, p, lam, point[3]
+        rows[j] = q + p + lam
         if with_points:
             grads[j], mus[j] = point[0], point[1]
             if offsets is not None:
@@ -452,8 +458,10 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
 def _three_point_recurrence(ld, system, initial, h, capacity, residual):
     # Flat rows [q, p, lam] from the positions: row 0 is ``initial``, later
     # rows take the central-difference momentum and a zero multiplier.  The
-    # default residual is the momentum form of constraint_residual.
-    cfg = default_newton_config()
+    # default residual is the momentum form of constraint_residual, one
+    # stacked pass over the constraint rows (and offsets) each step
+    # evaluated at its current position, kept beside the positions.
+    step = gni_flat.three_point_kernel(ld, system, h)
     layout = flat_layout(system)
     n = system.dim
     row0 = layout.stack([initial])[0]
@@ -461,17 +469,30 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
     iters = np.zeros(capacity + 1, dtype=int)
     qs[0] = initial.q
     iters[0] = initial.newton_iters
+    mu0 = system.constraint_matrix(initial.q)
+    with_points = residual is None and mu0.shape[0] > 0
+    if with_points:
+        mus = np.empty((capacity + 1,) + mu0.shape)
+        mus[0] = mu0
+        offsets = None
+        if system.affine_field is not None:
+            offsets = np.empty((capacity + 1, n))
+            offsets[0] = system.momentum_offset(initial.q)
+    carried = [initial.q, None]
     base = 0
-
-    def momentum_form(rows):
-        for q, p in zip(rows[:, :n], rows[:, n : 2 * n]):
-            yield system.constraint_matrix(q) @ (system.mass_inv @ (p - system.momentum_offset(q)))
 
     def advance(k):
         j = k - base
         if k == 1:
-            qs[1] = rattle_step(system, initial, h).q
-        qs[j + 1], iters[j] = gni_generic_step_stats(ld, system, qs[j - 1], qs[j], h, cfg)
+            carried[1] = rattle_step(system, initial, h).q
+            qs[1] = carried[1]
+        q_next, iters[j], mu, offset = step(*carried)
+        carried[:] = carried[1], np.array(q_next)
+        qs[j + 1] = q_next
+        if with_points:
+            mus[j] = mu
+            if offsets is not None:
+                offsets[j] = offset
 
     def assemble(n_rows):
         # Buffer row 0 is ``initial``, or once rows were dropped the carried
@@ -484,7 +505,12 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
         rows[1 - first :, n : 2 * n] = (system.mass_matrix @ diffs[:, :, None])[:, :, 0] / (2.0 * h)
         if not base:
             rows[0] = row0
-        res = residual if residual is False else (residual or momentum_form)(rows)
+        res = False
+        if residual:
+            res = residual(rows)
+        elif with_points:
+            res = gni_flat.stacked_form(system.mass_inv, rows[:, n : 2 * n], mus[first:m],
+                                        None if offsets is None else offsets[first:m])
         times = h * np.arange(base + first, n_rows, dtype=float)
         return Trajectory(times, rows, model.energies(system, rows), _norms(res, len(rows)),
                           iters[first:m], h, layout)

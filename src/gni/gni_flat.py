@@ -23,17 +23,32 @@ arbitrary discrete Lagrangian: the new configuration solves
 with the projectors evaluated at ``q_k``, by Newton iteration with the
 analytic Jacobian ``d12(q_k, q_{k+1})``.  With the midpoint (Verlet)
 discrete Lagrangian this reproduces rattle positions; with the one-sided
-discretizations it reproduces Euler A/B.
+discretizations it reproduces Euler A/B.  :func:`three_point_kernel` is
+that step, built once per run, which :func:`gni.analysis.run` steps.
+
+Both kernels step on plain Python floats: the system's callables receive
+float64 arrays, and the algebra between them runs on lists, with NumPy's
+rounding (see :func:`flat_kernel`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Callable, Optional
 
 import numpy as np
 
 from .model import FlatSystem, PhaseState
-from .numerics import NewtonConfig, newton_solve_stats, solve_gram
+from .numerics import (
+    NewtonConfig,
+    default_newton_config,
+    fused_dot,
+    linear_map,
+    newton_solve_stats,
+    solve_gram,
+    solve_gram_floats,
+    transpose_times,
+)
 
 __all__ = [
     "DiscreteLagrangian",
@@ -41,7 +56,9 @@ __all__ = [
     "euler_a_lagrangian",
     "euler_b_lagrangian",
     "gni_generic_step_stats",
+    "three_point_kernel",
     "flat_kernel",
+    "stacked_form",
     "FlatStepper",
     "euler_a_step",
     "euler_b_step",
@@ -132,10 +149,11 @@ def gni_generic_step_stats(
 ):
     """Advance the three-point projected discrete Euler-Lagrange scheme.
 
-    Solves the n-dimensional residual for ``q_next`` by Newton iteration
-    with the Jacobian ``ld.d12(q_curr, q_next, h)``, from the free-flight
-    predictor ``2 q_curr - q_prev``.  Returns ``(q_next, iterations)``;
-    the Newton iteration count is a per-step diagnostic.
+    One step of :func:`three_point_kernel`: solves the n-dimensional
+    residual for ``q_next`` by Newton iteration with the Jacobian
+    ``ld.d12(q_curr, q_next, h)``, from the free-flight predictor ``2 q_curr
+    - q_prev``.  Returns ``(q_next, iterations)``; the Newton iteration count
+    is a per-step diagnostic.
 
     Raises
     ------
@@ -144,81 +162,161 @@ def gni_generic_step_stats(
     RankDeficient
         If the projectors are undefined at ``q_curr``.
     """
-    from .model import projectors
-
-    q_prev = np.asarray(q_prev, dtype=float)
-    q_curr = np.asarray(q_curr, dtype=float)
-    p_mat, q_mat = projectors(sys, q_curr)
-    carried = (p_mat.T - q_mat.T) @ np.asarray(ld.d2(q_prev, q_curr, h), dtype=float)
-    carried = carried + 2.0 * (q_mat.T @ sys.momentum_offset(q_curr))
-
-    def residual(q_next):
-        return (ld.d1(q_curr, np.array(q_next), h) + carried).tolist()
-
-    def jacobian(q_next):
-        return ld.d12(q_curr, np.array(q_next), h).tolist()
-
-    q_next, iters = newton_solve_stats(
-        residual, (2.0 * q_curr - q_prev).tolist(), cfg=cfg, jacobian=jacobian
-    )
+    q_prev = np.array(q_prev, dtype=float)
+    q_curr = np.array(q_curr, dtype=float)
+    q_next, iters, _, _ = three_point_kernel(ld, sys, h, cfg)(q_prev, q_curr)
     return np.array(q_next), iters
+
+
+def three_point_kernel(
+    ld: DiscreteLagrangian, sys: FlatSystem, h: float, cfg: Optional[NewtonConfig] = None
+):
+    """The step of :func:`gni_generic_step_stats` on plain floats, built once
+    per run: ``step(q_prev, q_curr) -> (q_next, iterations, mu, offset)``.
+
+    ``q_prev`` and ``q_curr`` are float64 arrays, which the system's and
+    ``ld``'s callables receive; ``q_next`` is a list of floats, and ``mu``
+    (the ``(m, n)`` constraint rows) and ``offset`` (the momentum offset as a
+    list, ``None`` without a drift field or rows) are the point ``q_curr``,
+    which a run keeps for its momentum-form column.  The step takes
+    ``(I - Q)^T - Q^T`` from one Gram solve, ``Q = M^{-1} mu^T C^{-1} mu``,
+    and hands the residual ``D1(q_curr, q_next) + (P^T - Q^T) D2(q_prev,
+    q_curr) + 2 Q^T Pi`` with the Jacobian ``d12`` to
+    :func:`gni.numerics.newton_solve_stats`, so a general discrete
+    Lagrangian takes as many iterations as it needs.  The Gram matrix,
+    ``Q`` and ``(P^T - Q^T) D2`` are :func:`gni.numerics.fused_dot` chains,
+    as NumPy's products form them, and ``M^{-1}`` is a
+    :func:`gni.numerics.linear_map`, so on the shipped systems the bits are
+    those of the array algebra.
+    """
+    if cfg is None:
+        cfg = default_newton_config()
+    n = sys.dim
+    minv_times, minv_t_times = linear_map(sys.mass_inv), linear_map(sys.mass_inv.T)
+    identity = np.eye(n).tolist()
+    d1, d2, d12 = ld.d1, ld.d2, ld.d12
+
+    def step(q_prev, q_curr):
+        mu = sys.constraint_matrix(q_curr)
+        rows = mu.tolist()
+        carried = np.asarray(d2(q_prev, q_curr, h), dtype=float).tolist()
+        offset = None
+        if rows:
+            # (P^T - Q^T) D2 + 2 Q^T Pi with P = I - Q, where Q^T sums over
+            # the rows l the outer products of (C^{-1} mu)_l with the columns
+            # (M^{-1} mu^T)_l, each entry a fused chain over l.
+            gram = [[fused_dot(w, r) for r in rows] for w in map(minv_t_times, rows)]
+            coeff = zip(*[solve_gram_floats(gram, col) for col in zip(*rows)])
+            q_t = None
+            for c_row, m_col in zip(coeff, map(minv_times, rows)):
+                q_t = (
+                    [[0.0 + c * m for m in m_col] for c in c_row] if q_t is None
+                    else [[fused_dot((c,), (m,), a) for m, a in zip(m_col, line)]
+                          for c, line in zip(c_row, q_t)]
+                )
+            carried = [
+                fused_dot([(e - x) - x for e, x in zip(unit, row)], carried)
+                for unit, row in zip(identity, q_t)
+            ]
+            if sys.affine_field is not None:
+                offset = sys.momentum_offset(q_curr).tolist()
+                carried = [c + 2.0 * sum(map(mul, row, offset)) for c, row in zip(carried, q_t)]
+
+        def residual(q_next):
+            d1_next = np.asarray(d1(q_curr, np.array(q_next), h), dtype=float)
+            return list(map(add, d1_next.tolist(), carried))
+
+        def jacobian(q_next):
+            return np.asarray(d12(q_curr, np.array(q_next), h), dtype=float).tolist()
+
+        start = [2.0 * c - p for c, p in zip(q_curr.tolist(), q_prev.tolist())]
+        q_next, iters = newton_solve_stats(residual, start, cfg, jacobian=jacobian)
+        return q_next, iters, mu, offset
+
+    return step
 
 
 def flat_kernel(sys: FlatSystem, h: float, scheme: str):
     """The half-kick / drift / multiplier-resolve step of ``scheme``
-    (``"euler_a"``, ``"euler_b"`` or ``"rattle"``) at step size ``h``, as
-    the closures ``(start, step, form)``, built once per run.
+    (``"euler_a"``, ``"euler_b"`` or ``"rattle"``) at step size ``h`` on
+    plain floats, as the closures ``(start, step, form)``, built once per
+    run.
 
     ``start(q, lam)`` is the point of a row, ``(V_q, mu, Pi, kick)``: the
-    gradient, the ``(m, n)`` constraint rows, the momentum offset (``None``
-    without a drift field or rows) and ``kick = (h/2)(V_q + mu^T lam)``.
-    ``step(q, p, lam, point)`` returns the next row and its point; the kick
-    that closes a step opens the next, so each configuration is evaluated
-    once.  ``form(momenta, mus, grads, offsets)`` is
-    :func:`scheme_constraint_residual` of stacked rows and their points, in
-    one stacked ``matmul`` pass.  Each ``h``-only factor leads its product,
-    so the bits are those of the products written out.
+    gradient, the ``(m, n)`` constraint-row array, the momentum offset
+    (``None`` without a drift field or rows) and ``kick = (h/2)(V_q + mu^T
+    lam)``, all but ``mu`` lists of floats, for ``q`` and ``lam`` given as
+    lists.  ``step(q, p, lam, kick)`` returns the next row's ``q``, ``p`` and
+    ``lam`` lists and its point; the kick that closes a step opens the next,
+    so each configuration is evaluated once.  The system's callables
+    receive ``q`` as a float64 array.  ``form(momenta, mus, grads,
+    offsets)`` is :func:`scheme_constraint_residual` of stacked rows and
+    their points, in one stacked ``matmul`` pass.
+
+    Each ``h``-only factor leads its product, ``M^{-1}`` and its transpose
+    are :func:`gni.numerics.linear_map` closures, the Gram matrix ``mu
+    M^{-1} mu^T`` is formed by :func:`gni.numerics.fused_dot` chains as
+    NumPy's matrix product forms it, and the other products are plain
+    sums, so on the shipped systems (and the diagonal-mass test systems)
+    the bits are those of the array algebra written out.
     """
     half_h, weight_h, two_over_h = 0.5 * h, _STAGE2_WEIGHT[scheme] * h, 2.0 / h
     shift_h = _FORM_SHIFT[scheme] * h
-    mass_inv, grad_potential = sys.mass_inv, sys.grad_potential
+    mass_inv, grad_potential, n = sys.mass_inv, sys.grad_potential, sys.dim
+    minv_times, minv_t_times = linear_map(mass_inv), linear_map(mass_inv.T)
     constrained = sys.constraints is not None and sys.num_constraints != 0
-    no_rows = np.zeros((0, sys.dim))
+    no_rows = np.zeros((0, n))
     affine = constrained and sys.affine_field is not None
 
     def at(q):
-        grad = np.asarray(grad_potential(q), dtype=float)
+        q = np.array(q)
+        grad = np.asarray(grad_potential(q), dtype=float).tolist()
         if not constrained:
             return grad, no_rows, None
-        return grad, sys.constraint_matrix(q), sys.momentum_offset(q) if affine else None
+        return grad, sys.constraint_matrix(q), sys.momentum_offset(q).tolist() if affine else None
+
+    def impulse(grad, rows, lam):
+        # (h/2)(V_q + mu^T lam)
+        return [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
 
     def start(q, lam):
         grad, mu, offset = at(q)
-        return grad, mu, offset, half_h * (grad + mu.T @ lam)
+        return grad, mu, offset, impulse(grad, mu.tolist(), lam)
 
-    def step(q, p, lam, point):
-        p_half = p - point[3]
-        q_new = q + h * (mass_inv @ p_half)
+    def step(q, p, lam, kick):
+        p_half = list(map(sub, p, kick))
+        q_new = [a + h * v for a, v in zip(q, minv_times(p_half))]
         grad1, mu1, offset = at(q_new)
-        if mu1.shape[0] == 0:
-            kick = half_h * (grad1 + mu1.T @ lam)
-            return q_new, p_half - half_h * grad1, lam, (grad1, mu1, offset, kick)
-        mu1_minv = mu1 @ mass_inv
-        target = p_half - weight_h * grad1
+        rows = mu1.tolist()
+        if not rows:
+            p_new = [a - half_h * g for a, g in zip(p_half, grad1)]
+            return q_new, p_new, lam, (grad1, mu1, offset, impulse(grad1, rows, lam))
+        w = list(map(minv_t_times, rows))
+        target = [a - weight_h * g for a, g in zip(p_half, grad1)]
         if affine:
-            target = target - offset
-        lam_new = two_over_h * solve_gram(mu1_minv @ mu1.T, mu1_minv @ target)
-        kick = half_h * (grad1 + mu1.T @ lam_new)
-        return q_new, p_half - kick, lam_new, (grad1, mu1, offset, kick)
+            target = list(map(sub, target, offset))
+        gram = [[fused_dot(wi, r) for r in rows] for wi in w]
+        lam_new = solve_gram_floats(gram, [sum(map(mul, wi, target)) for wi in w])
+        lam_new = [two_over_h * x for x in lam_new]
+        kick = impulse(grad1, rows, lam_new)
+        return q_new, list(map(sub, p_half, kick)), lam_new, (grad1, mu1, offset, kick)
 
     def form(momenta, mus, grads, offsets):
-        # Without a drift field Pi is 0, and p - 0 is p (a copy, contiguous).
-        vec = momenta - offsets if offsets is not None else np.array(momenta)
-        if shift_h != 0.0:
-            vec = vec + shift_h * grads
-        return (mus @ (mass_inv @ vec[:, :, None]))[:, :, 0]
+        return stacked_form(mass_inv, momenta, mus, offsets, shift_h * grads if shift_h else None)
 
     return start, step, form
+
+
+def stacked_form(mass_inv, momenta, mus, offsets=None, shift=None) -> np.ndarray:
+    """``mu M^{-1}(p - Pi + shift)`` of stacked rows, one stacked ``matmul``
+    pass: the momenta ``(N, n)``, their constraint rows ``(N, m, n)``, the
+    momentum offsets ``(N, n)`` (``None`` for none) and an optional ``(N,
+    n)`` shift, added last.  Each row has the bits of the per-state form."""
+    # Without a drift field Pi is 0, and p - 0 is p (a copy, contiguous).
+    vec = momenta - offsets if offsets is not None else np.array(momenta)
+    if shift is not None:
+        vec = vec + shift
+    return (mus @ (mass_inv @ vec[:, :, None]))[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -249,7 +347,8 @@ class FlatStepper:
         if h == 0.0:
             return s
         start, step, _ = flat_kernel(sys, h, self.scheme)
-        q, p, lam, _ = step(s.q, s.p, s.lam, start(s.q, s.lam))
+        q, lam = s.q.tolist(), s.lam.tolist()
+        q, p, lam, _ = step(q, s.p.tolist(), lam, start(q, lam)[3])
         return PhaseState(q, p, lam)
 
 
@@ -316,37 +415,39 @@ def prepare_state(
     for ``"euler_a"``, ``"euler_b"``, ``"rattle"``.  The carried
     multiplier is seeded from the differentiated-constraint formula of the
     continuous dynamics, so the first step starts with an O(1)-accurate
-    force balance.
+    force balance.  A seed that overflows is returned without a NumPy
+    warning: a run reports its non-finite state as ``StepFailed``.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    p_raw = sys.mass_matrix @ v
-    mu = sys.constraint_matrix(q)
-    if mu.shape[0] == 0:
-        return PhaseState(q, p_raw, np.zeros(0))
-    mu_minv = mu @ sys.mass_inv
-    gram = mu_minv @ mu.T
-    vec = p_raw - sys.momentum_offset(q)
-    if scheme != "continuous":
-        shift = _FORM_SHIFT[scheme]
-        if shift != 0.0:
-            vec = vec + shift * h * np.asarray(sys.grad_potential(q), dtype=float)
-    correction = solve_gram(gram, mu_minv @ vec)
-    p = p_raw - mu.T @ correction
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_raw = sys.mass_matrix @ v
+        mu = sys.constraint_matrix(q)
+        if mu.shape[0] == 0:
+            return PhaseState(q, p_raw, np.zeros(0))
+        mu_minv = mu @ sys.mass_inv
+        gram = mu_minv @ mu.T
+        vec = p_raw - sys.momentum_offset(q)
+        if scheme != "continuous":
+            shift = _FORM_SHIFT[scheme]
+            if shift != 0.0:
+                vec = vec + shift * h * np.asarray(sys.grad_potential(q), dtype=float)
+        correction = solve_gram(gram, mu_minv @ vec)
+        p = p_raw - mu.T @ correction
 
-    # Multiplier of the continuous dynamics at (q, v): differentiate the
-    # velocity constraint along the flow and solve for lam.
-    v_adm = sys.mass_inv @ p
-    drift = sys.drift(q)
-    dmu_v = sys.constraints_dir(q, v_adm)
-    grad = np.asarray(sys.grad_potential(q), dtype=float)
-    rhs = dmu_v @ (v_adm - drift) - mu_minv @ grad
-    if sys.affine_field is not None:
-        e = 1e-6
-        ddrift = (sys.drift(q + e * v_adm) - sys.drift(q - e * v_adm)) / (2.0 * e)
-        rhs = rhs - mu @ ddrift
-    lam0 = solve_gram(gram, rhs)
-    return PhaseState(q, p, lam0)
+        # Multiplier of the continuous dynamics at (q, v): differentiate the
+        # velocity constraint along the flow and solve for lam.
+        v_adm = sys.mass_inv @ p
+        drift = sys.drift(q)
+        dmu_v = sys.constraints_dir(q, v_adm)
+        grad = np.asarray(sys.grad_potential(q), dtype=float)
+        rhs = dmu_v @ (v_adm - drift) - mu_minv @ grad
+        if sys.affine_field is not None:
+            e = 1e-6
+            ddrift = (sys.drift(q + e * v_adm) - sys.drift(q - e * v_adm)) / (2.0 * e)
+            rhs = rhs - mu @ ddrift
+        lam0 = solve_gram(gram, rhs)
+        return PhaseState(q, p, lam0)
 
 
 def state_difference(s1: PhaseState, s2: PhaseState) -> float:

@@ -10,17 +10,27 @@ velocity-level constraint rows ``mu(q) @ qdot = 0`` (or the affine version
 
 The module also provides the orthogonal projector pair onto the constraint
 distribution and its metric complement, the eliminated-multiplier
-continuous equations of motion, and a classical RK4 reference integrator
-used as a convergence oracle by the analysis layer.
+continuous equations of motion, and a classical RK4 reference integrator,
+stepped on plain floats, used as a convergence oracle by the analysis
+layer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
+from operator import mul
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .numerics import RankDeficient, solve_gram
+from .numerics import (
+    RankDeficient,
+    fused_dot,
+    linear_map,
+    solve_gram,
+    solve_gram_floats,
+    transpose_times,
+)
 
 __all__ = [
     "RankDeficient",
@@ -294,24 +304,46 @@ def continuous_rhs(sys: FlatSystem, q: np.ndarray, p: np.ndarray) -> Tuple[np.nd
     ``qdot = M^{-1} p`` and ``pdot = -V_q - mu^T lam`` with the multiplier
     eliminated through the differentiated constraint,
     ``lam = C^{-1} (mu_q[v, v] - mu M^{-1} V_q)``, ``C = mu M^{-1} mu^T``.
-    Only linear constraints are supported (no affine field).
+    Only linear constraints are supported (no affine field).  One call of
+    the float closure that :func:`reference_solve` steps with.
 
     Raises
     ------
     RankDeficient
         If the constraint rows are dependent at ``q``.
     """
+    qdot, pdot = _continuous_kernel(sys)(np.asarray(q, dtype=float).tolist(),
+                                         np.asarray(p, dtype=float).tolist())
+    return np.array(qdot), np.array(pdot)
+
+
+def _continuous_kernel(sys: FlatSystem):
+    """:func:`continuous_rhs` of ``sys`` on plain floats, built once:
+    ``rhs(q, p) -> (qdot, pdot)`` on lists of floats.  The system's
+    callables receive ``q`` and ``v`` as float64 arrays, and the Gram
+    matrix is formed by :func:`gni.numerics.fused_dot` chains, as NumPy's
+    matrix product forms it."""
     if sys.affine_field is not None:
         raise ValueError("continuous_rhs supports linear constraints only")
-    v = sys.mass_inv @ p
-    grad = np.asarray(sys.grad_potential(q), dtype=float)
-    if sys.num_constraints == 0:
-        return v, -grad
-    mu = sys.constraint_matrix(q)
-    mu_minv = mu @ sys.mass_inv
-    gram = mu_minv @ mu.T
-    lam = solve_gram(gram, sys.constraints_dir(q, v) @ v - mu_minv @ grad)
-    return v, -grad - mu.T @ lam
+    minv_times, minv_t_times = linear_map(sys.mass_inv), linear_map(sys.mass_inv.T)
+    n, constrained = sys.dim, sys.num_constraints != 0
+
+    def rhs(q, p):
+        v = minv_times(p)
+        q = np.array(q)
+        grad = np.asarray(sys.grad_potential(q), dtype=float).tolist()
+        if not constrained:
+            return v, [-g for g in grad]
+        rows = sys.constraint_matrix(q).tolist()
+        w = list(map(minv_t_times, rows))
+        gram = [[fused_dot(wi, r) for r in rows] for wi in w]
+        dmu = sys.constraints_dir(q, np.array(v)).tolist()
+        lam = solve_gram_floats(
+            gram, [sum(map(mul, d, v)) - sum(map(mul, wi, grad)) for d, wi in zip(dmu, w)]
+        )
+        return v, [-g - c for g, c in zip(grad, transpose_times(rows, lam, n))]
+
+    return rhs
 
 
 def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, record_every: int = 1):
@@ -320,29 +352,53 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
     The step is adjusted to ``T / round(T / h_ref)`` so the final time is
     hit exactly.  Returns a :class:`gni.analysis.Trajectory` of flat rows
     ``[q, p, lam]`` (a zero multiplier after row 0) at every
-    ``record_every``-th node (the final state is always recorded).  Used as
-    the convergence oracle for the flat steppers.
+    ``record_every``-th node (the final state is always recorded), whose
+    residual column is the momentum form.  The steps run on plain floats
+    through one closure of :func:`continuous_rhs`'s algebra, and only the
+    recorded states are kept.  Used as the convergence oracle for the flat
+    steppers.
+
+    Raises
+    ------
+    gni.analysis.StepFailed
+        At the first step whose state is not finite, carrying the rows
+        recorded before it.
+    RankDeficient
+        If the constraint rows are dependent at a stage point.
     """
-    from .analysis import Trajectory  # deferred: analysis imports this module
+    from .analysis import StepFailed, Trajectory  # deferred: analysis imports this module
 
     if T == 0.0:
         return Trajectory.from_rows(sys, [0.0], [s0], h=0.0)
     n_steps = max(1, round(T / h_ref))
     h = T / n_steps
-    q, p = s0.q.copy(), s0.p.copy()
-    times = [0.0]
-    states = [s0]
-    for k in range(n_steps):
-        dq1, dp1 = continuous_rhs(sys, q, p)
-        dq2, dp2 = continuous_rhs(sys, q + 0.5 * h * dq1, p + 0.5 * h * dp1)
-        dq3, dp3 = continuous_rhs(sys, q + 0.5 * h * dq2, p + 0.5 * h * dp2)
-        dq4, dp4 = continuous_rhs(sys, q + h * dq3, p + h * dp3)
-        q = q + (h / 6.0) * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
-        p = p + (h / 6.0) * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4)
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            times.append((k + 1) * h)
-            states.append(PhaseState(q, p, np.zeros(sys.num_constraints)))
-    return Trajectory.from_rows(sys, times, states, h=h)
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    rhs = _continuous_kernel(sys)
+    lam = np.zeros(sys.num_constraints)
+    q, p = s0.q.tolist(), s0.p.tolist()
+    times, states = [0.0], [s0]
+    # A diverging run overflows on its way to the first non-finite state,
+    # which fails the run as StepFailed, so NumPy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            dq1, dp1 = rhs(q, p)
+            dq2, dp2 = rhs([a + half_h * b for a, b in zip(q, dq1)],
+                           [a + half_h * b for a, b in zip(p, dp1)])
+            dq3, dp3 = rhs([a + half_h * b for a, b in zip(q, dq2)],
+                           [a + half_h * b for a, b in zip(p, dp2)])
+            dq4, dp4 = rhs([a + h * b for a, b in zip(q, dq3)], [a + h * b for a, b in zip(p, dp3)])
+            q = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(q, dq1, dq2, dq3, dq4)]
+            p = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(p, dp1, dp2, dp3, dp4)]
+            total = sum(q) + sum(p)  # finite unless an entry is, or the sum overflows
+            if total - total != 0.0 and not all(map(isfinite, q + p)):
+                cause = FloatingPointError(f"RK4 step {k} has a non-finite state")
+                raise StepFailed(k, cause, Trajectory.from_rows(sys, times, states, h=h))
+            if k % record_every == 0 or k == n_steps:
+                times.append(k * h)
+                states.append(PhaseState(q, p, lam))
+        return Trajectory.from_rows(sys, times, states, h=h)
 
 
 def constraint_residual(system, state) -> np.ndarray:

@@ -4,7 +4,10 @@ Every implicit solve in this package funnels through the entry points
 here: :func:`lu_solve` for square linear systems (LU with partial pivoting,
 explicit singularity detection), :func:`small_solve` for the same
 elimination written out on plain floats for the 1x1 to 3x3 systems of the
-steppers, :func:`solve_gram` for constraint Gram systems, and
+steppers, :func:`solve_gram` for constraint Gram systems (and
+:func:`solve_gram_floats` for the float kernels), :func:`fused_dot`,
+:func:`linear_map` and :func:`transpose_times` for small matrix products
+on plain floats, and
 :func:`newton_solve_stats` for nonlinear root-finding (plain floats,
 analytic Jacobian, step damping).  Keeping the solvers in one place
 makes failure modes uniform: linear degeneracies surface as
@@ -15,7 +18,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import isfinite, nan
+from functools import lru_cache
+from math import frexp, fsum, inf, isfinite, nan
 from operator import sub
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +34,10 @@ __all__ = [
     "lu_solve",
     "small_solve",
     "solve_gram",
+    "solve_gram_floats",
+    "fused_dot",
+    "linear_map",
+    "transpose_times",
     "newton_solve_stats",
 ]
 
@@ -37,6 +45,9 @@ __all__ = [
 _PIVOT_RTOL = 1e-14
 # Maximum number of step halvings the Newton damping loop may take.
 _MAX_HALVINGS = 8
+# Veltkamp's splitting constant 2^27 + 1: it cuts a double into two halves
+# whose pairwise products are exact.
+_SPLIT = 134217729.0
 
 
 class SingularMatrix(ValueError):
@@ -250,6 +261,94 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return lu_solve(gram, rhs)
     except SingularMatrix as exc:
         raise RankDeficient("constraint rows are linearly dependent") from exc
+
+
+def solve_gram_floats(gram, rhs) -> list:
+    """:func:`solve_gram` on plain floats: ``gram`` as rows of floats and
+    ``rhs`` one sequence of floats; the solution is a list.  It divides for
+    one row, calls :func:`small_solve` up to three and :func:`lu_solve`
+    beyond, as :func:`solve_gram` does, so the two give the same bits.
+
+    Raises
+    ------
+    RankDeficient
+        As :func:`solve_gram`.
+    """
+    if len(gram) == 1:
+        g = gram[0][0]
+        if g <= 0.0:
+            raise RankDeficient("constraint row vanishes")
+        return [r / g for r in rhs]
+    try:
+        if len(gram) <= 3:
+            return list(small_solve(gram, rhs))
+        return lu_solve(np.array(gram), np.array(rhs)).tolist()
+    except SingularMatrix as exc:
+        raise RankDeficient("constraint rows are linearly dependent") from exc
+
+
+def linear_map(matrix) -> Callable[[Sequence[float]], list]:
+    """``x -> matrix @ x`` for a constant ``(k, n)`` matrix, as a function
+    on plain floats: it takes a sequence of n floats and returns a list of
+    k.  Each entry is one unrolled expression, the row's products summed in
+    column order from 0.0, the bits of ``sum(map(mul, row, x))``; the
+    function is compiled once per matrix, so a kernel applies a constant
+    matrix such as ``M^{-1}`` without a Python loop."""
+    matrix = np.asarray(matrix, dtype=float)
+    return _compiled_map(matrix.shape[1], tuple(map(tuple, matrix.tolist())))
+
+
+@lru_cache(maxsize=64)
+def _compiled_map(n: int, rows: tuple):
+    # Float reprs round-trip exactly; ``inf`` and ``nan`` are names below.
+    names = ", ".join(f"x{j}" for j in range(n))
+    entries = ", ".join(
+        " + ".join(["0.0"] + [f"{a!r} * x{j}" for j, a in enumerate(row)]) for row in rows
+    )
+    source = f"def apply(x):\n    {names}, = x\n    return [{entries}]\n"
+    namespace = {"inf": inf, "nan": nan}
+    exec(source, namespace)
+    return namespace["apply"]
+
+
+def transpose_times(rows, coeffs, n: int) -> list:
+    """``A^T c`` on plain floats for ``A`` given as rows of n floats: the
+    rows scaled by ``coeffs`` and summed in order from 0.0, the bits of
+    NumPy's ``A.T @ c`` entry by entry (n zeros for no rows)."""
+    total = [0.0] * n
+    for c, row in zip(coeffs, rows):
+        total = [t + c * x for t, x in zip(total, row)]
+    return total
+
+
+def fused_dot(xs, ys, acc: float = 0.0) -> float:
+    """``acc + sum(x * y)`` over two float sequences as one chain of fused
+    multiply-adds: from ``acc = 0``, the entry of a matrix product as BLAS
+    ``gemm`` forms it, so float kernels reproduce NumPy's ``A @ B`` bit for
+    bit.
+
+    Each product is exact before it is added (Dekker's two-product with
+    Veltkamp's split gives its rounding error, and :func:`math.fsum` adds
+    the three parts with one rounding).  A product that is exact (one
+    factor a power of two, or a zero error), or lands on a zero sum, is
+    added as is, and so is one near the overflow or underflow range, where
+    the split fails; there the sum may differ in its last bit.
+    """
+    for x, y in zip(xs, ys):
+        p = x * y
+        if (acc and 1e-290 < abs(p) < 1e300 > abs(acc)
+                and abs(frexp(x)[0]) != 0.5 != abs(frexp(y)[0])):
+            t = _SPLIT * x
+            xh = t - (t - x)
+            t = _SPLIT * y
+            yh = t - (t - y)
+            xl, yl = x - xh, y - yh
+            err = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+            if err and abs(err) < 1e300:  # False for a NaN from an overflowed split
+                acc = fsum((acc, p, err))
+                continue
+        acc += p
+    return acc
 
 
 def _inf_norm(values) -> float:

@@ -28,7 +28,9 @@ from gni.gni_reduced import (
 )
 from gni.checks import check_suite
 from gni.model import FlatSystem, PhaseState, ReducedState, constraint_residual
-from gni.numerics import NoConvergence
+from gni.numerics import NoConvergence, newton_solve_stats
+
+from flat_systems import two_row_system
 
 
 def _free_system():
@@ -449,48 +451,132 @@ def test_run_chaplygin_replay_residual_bound():
 # three-point recurrence runs and residual forms
 
 
-def test_run_three_point_rows_match_direct_recurrence():
-    sys = model.nonholonomic_particle("harmonic")
-    s0 = _particle_initial(sys)
-    ld = gni_flat.verlet_lagrangian(sys)
-    h = 0.05
-    traj = run(ld, sys, s0, h, 6)
-    assert len(traj) == 7
-    assert np.array_equal(traj.states[0], _row(s0))
+def _array_three_point_step(ld, sys, q_prev, q_curr, h):
+    # The three-point step as the array algebra wrote it before the float
+    # kernel: the projector pair at q_curr, (P^T - Q^T) D2 + 2 Q^T Pi as
+    # matrix products, and Newton on array residuals.  The kernel must
+    # reproduce it bit for bit.
+    p_mat, q_mat = model.projectors(sys, q_curr)
+    carried = (p_mat.T - q_mat.T) @ np.asarray(ld.d2(q_prev, q_curr, h), dtype=float)
+    carried = carried + 2.0 * (q_mat.T @ sys.momentum_offset(q_curr))
 
-    qs = [s0.q, gni_flat.rattle_step(sys, s0, h).q]
-    iters = [0]
-    for k in range(1, 7):
-        q_next, it = gni_flat.gni_generic_step_stats(ld, sys, qs[k - 1], qs[k], h)
+    def residual(q_next):
+        return (ld.d1(q_curr, np.array(q_next), h) + carried).tolist()
+
+    def jacobian(q_next):
+        return ld.d12(q_curr, np.array(q_next), h).tolist()
+
+    q_next, iters = newton_solve_stats(residual, (2.0 * q_curr - q_prev).tolist(), jacobian=jacobian)
+    return np.array(q_next), iters
+
+
+def _array_three_point_run(ld, sys, s0, h, n_steps):
+    # Positions q_0 .. q_{N+1} (q_1 from one rattle step) and the Newton
+    # iterations of rows 0 .. N.
+    qs, iters = [s0.q, gni_flat.rattle_step(sys, s0, h).q], [s0.newton_iters]
+    for k in range(1, n_steps + 1):
+        q_next, it = _array_three_point_step(ld, sys, qs[k - 1], qs[k], h)
         qs.append(q_next)
         iters.append(it)
-    for k in range(1, 7):
-        assert np.array_equal(traj.states[k, :3], qs[k])
+    return np.array(qs), iters
+
+
+def _quartic_kinetic_lagrangian(sys, c=0.01):
+    # Verlet with the quartic velocity term -(c/4) sum(((q1 - q0)/h)^4) h:
+    # d1 is cubic in q1 and d12 depends on it, so Newton takes several
+    # iterations per step.
+    mass = sys.mass_matrix
+
+    def d1(q0, q1, h):
+        d = q1 - q0
+        return -(mass @ d) / h - 0.5 * h * np.asarray(sys.grad_potential(q0)) + (c / h**3) * d**3
+
+    def d2(q0, q1, h):
+        d = q1 - q0
+        return (mass @ d) / h - 0.5 * h * np.asarray(sys.grad_potential(q1)) - (c / h**3) * d**3
+
+    def d12(q0, q1, h):
+        return -mass / h + np.diag((3.0 * c / h**3) * (q1 - q0) ** 2)
+
+    return gni_flat.DiscreteLagrangian(d1, d2, d12)
+
+
+_THREE_POINT_CASES = {
+    "particle-verlet": (lambda: model.nonholonomic_particle("harmonic"), gni_flat.verlet_lagrangian),
+    "particle-euler_a": (lambda: model.nonholonomic_particle("harmonic"), gni_flat.euler_a_lagrangian),
+    "particle-euler_b": (lambda: model.nonholonomic_particle("harmonic"), gni_flat.euler_b_lagrangian),
+    "particle-quartic": (lambda: model.nonholonomic_particle("harmonic"), _quartic_kinetic_lagrangian),
+    "affine-verlet": (lambda: model.constrained_2d(affine=(0.3, -0.2)), gni_flat.verlet_lagrangian),
+    "two_rows-verlet": (two_row_system, gni_flat.verlet_lagrangian),
+}
+
+
+def _three_point_initial(sys):
+    return gni_flat.prepare_state(sys, np.linspace(0.3, 0.1, sys.dim), np.linspace(1.0, 0.2, sys.dim))
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 300])
+@pytest.mark.parametrize("case", sorted(_THREE_POINT_CASES))
+def test_run_three_point_rows_match_direct_recurrence(case, n_steps):
+    make_system, make_lagrangian = _THREE_POINT_CASES[case]
+    sys = make_system()
+    ld = make_lagrangian(sys)
+    s0 = _three_point_initial(sys)
+    h, n = 0.05, sys.dim
+    traj = run(ld, sys, s0, h, n_steps)
+    assert len(traj) == n_steps + 1
+    assert np.array_equal(traj.states[0], _row(s0))
+
+    qs, iters = _array_three_point_run(ld, sys, s0, h, n_steps)
+    for k in range(1, n_steps + 1):
+        assert np.array_equal(traj.states[k, :n], qs[k])
         p_bar = sys.mass_matrix @ (qs[k + 1] - qs[k - 1]) / (2.0 * h)
-        assert np.array_equal(traj.states[k, 3:6], p_bar)
+        assert np.array_equal(traj.states[k, n : 2 * n], p_bar)
     assert traj.newton_iters.tolist() == iters
     residuals = [np.max(np.abs(constraint_residual(sys, s))) for s in _states(traj)]
     assert np.array_equal(traj.residuals, residuals)
-    assert np.max(traj.residuals) <= 1e-10
+    if make_lagrangian is gni_flat.verlet_lagrangian:
+        # The symmetric scheme keeps its central-difference momentum on the
+        # constraint; the one-sided ones are off it by O(h).
+        assert np.max(traj.residuals) <= 1e-10
+    if case == "particle-quartic" and n_steps:
+        assert max(iters) > 1
 
 
-def test_run_three_point_failure_keeps_rows_before_failing_step(monkeypatch):
+def test_run_three_point_without_residuals_keeps_the_direct_recurrences_last_rows():
+    # Across two 4,096-row blocks, the last two rows are the array
+    # recurrence's, bit for bit.
+    sys = model.nonholonomic_particle("harmonic")
+    ld = gni_flat.verlet_lagrangian(sys)
+    s0 = _three_point_initial(sys)
+    h, n_steps = 0.05, 2 * analysis._WINDOW_ROWS + 5
+    traj = run(ld, sys, s0, h, n_steps, residual=False)
+    qs, iters = _array_three_point_run(ld, sys, s0, h, n_steps)
+    assert len(traj) == 2
+    for row, k in zip(traj.states, (n_steps - 1, n_steps)):
+        assert np.array_equal(row[:3], qs[k])
+        assert np.array_equal(row[3:6], sys.mass_matrix @ (qs[k + 1] - qs[k - 1]) / (2.0 * h))
+    assert traj.newton_iters.tolist() == iters[-2:]
+    assert np.array_equal(traj.times, h * np.arange(n_steps - 1, n_steps + 1))
+
+
+def test_run_three_point_failure_keeps_rows_before_failing_step():
     sys = model.nonholonomic_particle("harmonic")
     s0 = _particle_initial(sys)
     ld = gni_flat.verlet_lagrangian(sys)
     full = run(ld, sys, s0, 0.05, 6)
-    step_stats = analysis.gni_generic_step_stats
-    calls = {"n": 0}
+    q4 = full.states[4, :3]
 
-    def failing_at_4(*args):
-        calls["n"] += 1
-        if calls["n"] == 4:
+    def d1_failing_at_4(q0, q1, h):
+        # Step k solves for q_{k+1} from q_k: step 4 is the first whose
+        # residual evaluates d1 at the run's position q_4.
+        if np.array_equal(q0, q4):
             raise NoConvergence(50, 1.0)
-        return step_stats(*args)
+        return ld.d1(q0, q1, h)
 
-    monkeypatch.setattr(analysis, "gni_generic_step_stats", failing_at_4)
+    failing = gni_flat.DiscreteLagrangian(d1_failing_at_4, ld.d2, ld.d12)
     with pytest.raises(StepFailed) as excinfo:
-        run(ld, sys, s0, 0.05, 6)
+        run(failing, sys, s0, 0.05, 6)
     err = excinfo.value
     assert err.step == 4
     assert isinstance(err.cause, NoConvergence)

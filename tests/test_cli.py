@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gni import checks, cli, gni_flat, gni_reduced, numerics
+from gni import checks, cli, gni_flat, gni_reduced, model, numerics
 from gni.gni_flat import scheme_constraint_residual
 from gni.gni_reduced import (
     chaplygin_init,
@@ -858,12 +858,28 @@ def test_simulate_reduced_rattle_steps_without_the_array_step(tmp_path, monkeypa
 
 
 def test_simulate_flat_steps_with_the_kernel_alone(tmp_path, monkeypatch):
-    # Flat one-step runs step by the kernel of their FlatStepper record and
-    # take their residual column from its stacked pass: neither the one-step
-    # call nor a per-state residual runs.
+    # The three-point recurrence and the RK4 reference step by their
+    # kernels, without the one-step gni_generic_step_stats or continuous_rhs
+    # (the recurrence seeds its second position with one rattle_step).
     def refuse(*args, **kwargs):
         raise AssertionError("per-step call")
 
+    monkeypatch.setattr(gni_flat, "gni_generic_step_stats", refuse)
+    monkeypatch.setattr(model, "continuous_rhs", refuse)
+    cfg = tmp_path / "generic.cfg"
+    cfg.write_text(PARTICLE_TEMPLATE.format(integrator="gni_generic"))
+    out = tmp_path / "generic.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert len(out.read_text().splitlines()) == 12
+    cfg = tmp_path / "rk4.cfg"
+    text = (CONFIG_DIR / "particle_rattle_sweep.cfg").read_text()
+    cfg.write_text(text.replace("reference = self", "reference = rk4"))
+    out = tmp_path / "rk4.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert "# slope_pos=" in out.read_text()
+    # Flat one-step runs step by the kernel of their FlatStepper record and
+    # take their residual column from its stacked pass: neither the one-step
+    # call nor a per-state residual runs.
     monkeypatch.setattr(gni_flat.FlatStepper, "__call__", refuse)
     monkeypatch.setattr(gni_flat, "scheme_constraint_residual", refuse)
     for integrator in ("euler_a", "euler_b", "rattle", "rattle_affine"):
@@ -876,6 +892,22 @@ def test_simulate_flat_steps_with_the_kernel_alone(tmp_path, monkeypatch):
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert 0.0 < np.max(rows[:, -2]) <= 1e-10
+
+
+def test_sweep_with_an_overflowing_rk4_reference_exits_1_without_warnings(tmp_path, capsys):
+    # The RK4 reference fails at its first non-finite step: one message, no
+    # NumPy warning, no CSV.
+    text = (CONFIG_DIR / "particle_rattle_sweep.cfg").read_text()
+    text = text.replace("reference = self", "reference = rk4")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text.replace("v0 = 1.0, 0.5, 0.2", "v0 = 1e200, 1e200, 1e200"))
+    out = tmp_path / "huge.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "solver failure: step 1 failed: RK4 step 1 has a non-finite state\n"
 
 
 def test_closed_stdout_exits_141_without_messages(tmp_path):

@@ -1,7 +1,11 @@
 """Tests for system specifications, projectors, and the reference oracle."""
+import warnings
+
 import numpy as np
 import pytest
 
+from gni.analysis import StepFailed, convergence_sweep
+from gni.gni_flat import prepare_state, rattle_step
 from gni.model import (
     FlatSystem,
     PhaseState,
@@ -17,6 +21,9 @@ from gni.model import (
     reduced_projectors,
     reference_solve,
 )
+from gni.numerics import solve_gram
+
+from flat_systems import two_row_system
 
 
 def _axis_system():
@@ -254,6 +261,132 @@ def test_reference_solve_energy_drift_bound():
         sys, _consistent_particle_state(sys), T=10.0, h_ref=1e-4, record_every=10 ** 9
     )
     assert abs(traj.energies[-1] - traj.energies[0]) <= 1e-9
+
+
+def _array_continuous_rhs(sys, q, p):
+    # The eliminated-multiplier right-hand side as the array algebra wrote
+    # it before the float kernel: the reference of the RK4 loop below.
+    v = sys.mass_inv @ p
+    grad = np.asarray(sys.grad_potential(q), dtype=float)
+    if sys.num_constraints == 0:
+        return v, -grad
+    mu = sys.constraint_matrix(q)
+    mu_minv = mu @ sys.mass_inv
+    gram = mu_minv @ mu.T
+    lam = solve_gram(gram, sys.constraints_dir(q, v) @ v - mu_minv @ grad)
+    return v, -grad - mu.T @ lam
+
+
+def _array_rk4(sys, s0, T, h_ref):
+    # Times and [q, p] of every node of the array RK4 loop.
+    n_steps = max(1, round(T / h_ref))
+    h = T / n_steps
+    q, p = s0.q.copy(), s0.p.copy()
+    times, rows = [0.0], [np.concatenate([q, p])]
+    for k in range(n_steps):
+        dq1, dp1 = _array_continuous_rhs(sys, q, p)
+        dq2, dp2 = _array_continuous_rhs(sys, q + 0.5 * h * dq1, p + 0.5 * h * dp1)
+        dq3, dp3 = _array_continuous_rhs(sys, q + 0.5 * h * dq2, p + 0.5 * h * dp2)
+        dq4, dp4 = _array_continuous_rhs(sys, q + h * dq3, p + h * dp3)
+        q = q + (h / 6.0) * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+        p = p + (h / 6.0) * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4)
+        times.append((k + 1) * h)
+        rows.append(np.concatenate([q, p]))
+    return np.array(times), np.array(rows)
+
+
+def _fd_particle():
+    # The particle with its constraint derivative taken by finite differences.
+    sys = nonholonomic_particle("harmonic")
+    sys.constraints_derivative = None
+    return sys
+
+
+def _oscillator():
+    return FlatSystem(
+        dim=1,
+        mass_matrix=np.array([[1.0]]),
+        potential=lambda q: 0.5 * q[0] ** 2,
+        grad_potential=lambda q: np.array([q[0]]),
+    )
+
+
+_RK4_CASES = {
+    "particle": lambda: nonholonomic_particle("harmonic"),
+    "fd_particle": _fd_particle,
+    "two_rows": two_row_system,
+    "oscillator": _oscillator,
+}
+
+
+@pytest.mark.parametrize("record_every", [1, 7, 10**9])
+@pytest.mark.parametrize("case", sorted(_RK4_CASES))
+def test_reference_solve_is_the_array_rk4_loop_bit_for_bit(case, record_every):
+    sys = _RK4_CASES[case]()
+    s0 = prepare_state(sys, np.linspace(0.3, 0.1, sys.dim), np.linspace(1.0, 0.2, sys.dim))
+    traj = reference_solve(sys, s0, T=0.3, h_ref=1e-3, record_every=record_every)
+    times, rows = _array_rk4(sys, s0, 0.3, 1e-3)
+    kept = [k for k in range(len(rows)) if k % record_every == 0 or k == len(rows) - 1]
+    n = sys.dim
+    assert np.array_equal(traj.times, times[kept])
+    assert np.array_equal(traj.states[:, : 2 * n], rows[kept])
+    assert np.array_equal(traj.states[0, 2 * n :], s0.lam)
+    assert not np.any(traj.states[1:, 2 * n :])
+    assert traj.h == 0.3 / 300
+    # Each qdot, pdot of continuous_rhs is the array one.
+    for q, p in zip(rows[kept][:, :n], rows[kept][:, n:]):
+        for got, want in zip(continuous_rhs(sys, q, p), _array_continuous_rhs(sys, q, p)):
+            assert np.array_equal(got, want)
+    states = (PhaseState(r[:n], r[n : 2 * n], r[2 * n :]) for r in traj.states)
+    residuals = [np.max(np.abs(constraint_residual(sys, s)), initial=0.0) for s in states]
+    assert np.array_equal(traj.residuals, residuals)
+
+
+def _nan_past(edge):
+    # Free flight in 1-D whose gradient turns NaN once q passes ``edge``.
+    return FlatSystem(
+        dim=1,
+        mass_matrix=np.array([[1.0]]),
+        potential=lambda q: 0.0,
+        grad_potential=lambda q: np.array([np.nan if q[0] > edge else 0.0]),
+    )
+
+
+def test_reference_solve_fails_at_the_first_non_finite_step():
+    # q = t: step 6 (from q = 0.5) evaluates the gradient at 0.6 > 0.55.
+    sys = _nan_past(0.55)
+    s0 = PhaseState(np.zeros(1), np.ones(1), np.zeros(0))
+    with pytest.raises(StepFailed) as excinfo:
+        reference_solve(sys, s0, T=1.0, h_ref=0.1, record_every=2)
+    err = excinfo.value
+    assert err.step == 6
+    assert isinstance(err.cause, FloatingPointError)
+    # The rows recorded before step 6: nodes 0, 2 and 4.
+    assert len(err.partial) == 3
+    np.testing.assert_allclose(err.partial.times, [0.0, 0.2, 0.4])
+    np.testing.assert_allclose(err.partial.states, [[0.0, 1.0], [0.2, 1.0], [0.4, 1.0]])
+    assert np.isfinite(err.partial.energies).all()
+
+
+def test_reference_solve_overflow_fails_without_warnings():
+    # The constraint's second derivative v_y v_x overflows in the first step.
+    sys = nonholonomic_particle("harmonic")
+    s0 = PhaseState(np.array([0.3, 0.2, 0.1]), np.full(3, 1e200), np.zeros(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailed) as excinfo:
+            reference_solve(sys, s0, T=1.0, h_ref=1e-3)
+    err = excinfo.value
+    assert err.step == 1
+    assert np.array_equal(err.partial.states, [np.concatenate([s0.q, s0.p, s0.lam])])
+
+
+def test_convergence_sweep_fails_on_a_non_finite_rk4_reference():
+    sys = _nan_past(0.55)
+    s0 = PhaseState(np.zeros(1), np.ones(1), np.zeros(0))
+    with pytest.raises(StepFailed) as excinfo:
+        convergence_sweep(rattle_step, sys, s0, 1.0, [0.1, 0.05, 0.025], ("rk4", 0.025 / 30))
+    assert isinstance(excinfo.value.cause, FloatingPointError)
 
 
 def test_continuous_rhs_rejects_affine_field():
