@@ -294,14 +294,15 @@ def linear_map(matrix) -> Callable[[Sequence[float]], list]:
     column order from 0.0, the bits of ``sum(map(mul, row, x))``; the
     function is compiled once per matrix, so a kernel applies a constant
     matrix such as ``M^{-1}`` without a Python loop."""
-    matrix = np.asarray(matrix, dtype=float)
-    return _compiled_map(matrix.shape[1], tuple(map(tuple, matrix.tolist())))
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    return _compiled_map(matrix.shape, matrix.tobytes())
 
 
 @lru_cache(maxsize=64)
-def _compiled_map(n: int, rows: tuple):
+def _compiled_map(shape: tuple, data: bytes):
     # Float reprs round-trip exactly; ``inf`` and ``nan`` are names below.
-    names = ", ".join(f"x{j}" for j in range(n))
+    rows = np.frombuffer(data).reshape(shape).tolist()
+    names = ", ".join(f"x{j}" for j in range(shape[1]))
     entries = ", ".join(
         " + ".join(["0.0"] + [f"{a!r} * x{j}" for j, a in enumerate(row)]) for row in rows
     )

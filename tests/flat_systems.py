@@ -1,4 +1,4 @@
-"""Flat test systems shared by the kernel and reference tests."""
+"""Flat test systems shared by the three-point and RK4 conformance tests."""
 import numpy as np
 
 from gni.model import FlatSystem
