@@ -182,30 +182,30 @@ def state_matrix(traj: Trajectory) -> np.ndarray:
     return traj.states[:, : traj.layout.values]
 
 
-def check_finite(traj: Trajectory) -> Trajectory:
+def check_finite(traj: Trajectory, name: str = "row") -> Trajectory:
     """Return ``traj`` if every row's energy, residual and state is finite.
 
     Raises
     ------
     StepFailed
-        At the first row that is not, carrying the rows before it.
+        At the first row that is not, named ``name``, with the rows before it.
     """
-    failure = _non_finite(traj, 0)
+    failure = _non_finite(traj, 0, name)
     if failure is not None:
         raise failure
     return traj
 
 
-def _non_finite(traj: Trajectory, first: int):
+def _non_finite(traj: Trajectory, first: int, name: str = "row"):
     """The :class:`StepFailed` of the first row of ``traj`` whose energy,
     residual or state is not finite, or ``None``; ``first`` is the run row
-    of ``traj``'s first row."""
+    of ``traj``'s first row, and the message calls it ``name``."""
     ok = np.isfinite(traj.energies) & np.isfinite(traj.residuals) & np.isfinite(traj.states).all(axis=1)
     bad = np.flatnonzero(~ok)
     if not bad.size:
         return None
     k = int(bad[0])
-    cause = FloatingPointError(f"row {first + k} has a non-finite energy, residual or state")
+    cause = FloatingPointError(f"{name} {first + k} has a non-finite energy, residual or state")
     # A copy: a windowed run goes on stepping into the buffers ``traj`` views.
     return StepFailed(first + k, cause, traj.head(k).copy())
 

@@ -17,10 +17,10 @@ Lagrangian's derivatives in closed form from the metric blocks of the
 :class:`~gni.model.ReducedSystem`.  Along the forward shape update its
 algebra gradient is affine in the unknown ``xi``, and both inverse
 retraction tangents have the form ``a(t) I - hat(s)/2 + c(t) hat(s)^2``
-with ``t = |s|^2``, so stage 3 is a Newton solve on plain floats with an
-analytic Jacobian.  :func:`reduced_kernel` is the same step on plain
-floats for a whole run, for systems that declare constant constraint rows
-and a linear affine section.
+with ``t = |s|^2``, so stage 3 is one Newton solve on plain floats with an
+analytic Jacobian, :func:`_stage3_solver`.  :func:`reduced_kernel` is the
+same step on plain floats for a whole run, for systems that declare
+constant constraint rows and a linear affine section.
 
 The rolling sphere on a uniformly rotating plate ships as the worked
 system: :func:`chaplygin_step_stats` advances its five coupled discrete
@@ -31,7 +31,7 @@ to the reduced stepper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import isfinite, nan, sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -39,10 +39,11 @@ import numpy as np
 from .lie_so3 import cay, dcay_inv, exp_coefficients, exp_so3
 from .model import ReducedState, ReducedSystem
 from .numerics import (
+    _MAX_HALVINGS,
     NewtonConfig,
     NoConvergence,
     default_newton_config,
-    newton_solve_stats,
+    small_solve,
     solve_gram,
 )
 
@@ -134,8 +135,8 @@ def reduced_rattle_step(
     the forward update ``x2 = x1 + h Gs^{-1} (p_half_next - Gc xi)`` the
     algebra gradient ``d3`` is the affine map ``b + S xi`` with the Schur
     block ``S = Ga - Gc^T Gs^{-1} Gc`` and ``b = Gc^T Gs^{-1}
-    p_half_next``, and stage 3 runs :func:`gni.numerics.newton_solve_stats`
-    with the analytic Jacobian of :func:`_stage3_system`.
+    p_half_next``, and stage 3 is the float Newton solve of
+    :func:`_stage3_solver`, built for each step.
 
     Raises
     ------
@@ -188,20 +189,18 @@ def reduced_rattle_step(
     # Stage 3: interval velocity from the algebra-momentum match.
     p_half_next = p1 - 0.5 * h * (grad1 + mu1.T @ lam1)
     b = gc.T @ (gs_inv @ p_half_next)
-    residual, jacobian = _stage3_system(
-        retraction, rsys.algebra_schur.tolist(), b.tolist(), alg1.tolist(), h
-    )
-    xi1, iters = newton_solve_stats(residual, s.xi.tolist(), cfg, jacobian=jacobian)
+    solve = _stage3_solver(retraction, rsys.algebra_schur.tolist(), h, cfg)
+    *xi1, iters = solve(*b.tolist(), *alg1.tolist(), *s.xi.tolist())
     return ReducedState(x1, p1, np.array(xi1), alg1, lam1, newton_iters=iters)
 
 
-def _stage3_system(retraction: str, schur, b, alg1, h: float):
-    """Residual and analytic Jacobian of stage 3 on plain floats.
+def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig] = None):
+    """Stage 3 as a Newton solve on plain floats.
 
-    ``schur`` is the Schur block ``S`` as three rows of three floats, ``b``
-    and ``alg1`` three floats each.  With ``sigma = h xi``, ``t =
-    |sigma|^2``, ``v = b + S xi`` and the inverse tangent ``T = a I -
-    hat(sigma)/2 + c hat(sigma)^2`` of the retraction, the residual is
+    ``schur`` is the Schur block ``S`` as three rows of three floats.  With
+    ``sigma = h xi``, ``t = |sigma|^2``, ``v = b + S xi`` and the inverse
+    tangent ``T = a I - hat(sigma)/2 + c hat(sigma)^2`` of the retraction,
+    the residual is
 
         T^T v - alg1 = (a - c t) v + sigma x v / 2 + c (sigma . v) sigma - alg1
 
@@ -211,73 +210,78 @@ def _stage3_system(retraction: str, schur, b, alg1, h: float):
                           + c ((sigma . v) I + sigma v^T)
                           + 2 c' (sigma . v) sigma sigma^T.
 
-    Returns ``(residual, jacobian)``, both taking ``xi`` as one sequence of
-    three floats; the Jacobian comes as three rows.
+    Returns ``solve(b0, b1, b2, g0, g1, g2, x0, x1, x2) -> (xi0, xi1, xi2,
+    iterations)`` for ``b``, ``alg1`` and the predictor ``xi``: the same
+    operations, stop rule and errors as :func:`~gni.numerics.newton_solve_stats`.
     """
+    cfg = cfg or default_newton_config()
+    tol, max_iters = cfg.residual_tol, cfg.max_iters
     coeffs = _TANGENT_COEFFS[retraction]
     (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = schur
-    b0, b1, b2 = b
-    g0, g1, g2 = alg1
 
-    def residual(x):
-        x0, x1, x2 = x
-        v0 = b0 + s00 * x0 + s01 * x1 + s02 * x2
-        v1 = b1 + s10 * x0 + s11 * x1 + s12 * x2
-        v2 = b2 + s20 * x0 + s21 * x1 + s22 * x2
-        o0, o1, o2 = h * x0, h * x1, h * x2
-        t = o0 * o0 + o1 * o1 + o2 * o2
-        a, c, _, _ = coeffs(t)
-        d = a - c * t
-        cw = c * (o0 * v0 + o1 * v1 + o2 * v2)
-        return (
-            d * v0 + 0.5 * (o1 * v2 - o2 * v1) + cw * o0 - g0,
-            d * v1 + 0.5 * (o2 * v0 - o0 * v2) + cw * o1 - g1,
-            d * v2 + 0.5 * (o0 * v1 - o1 * v0) + cw * o2 - g2,
-        )
+    def solve(b0, b1, b2, g0, g1, g2, x0, x1, x2):
+        # One pass per residual evaluation, at the trial y; ``left`` halvings of e remain.
+        y0, y1, y2, iterations, left = x0, x1, x2, -1, 0
+        while True:
+            v0 = b0 + s00 * y0 + s01 * y1 + s02 * y2
+            v1 = b1 + s10 * y0 + s11 * y1 + s12 * y2
+            v2 = b2 + s20 * y0 + s21 * y1 + s22 * y2
+            o0, o1, o2 = h * y0, h * y1, h * y2
+            t = o0 * o0 + o1 * o1 + o2 * o2
+            a, c, da, dc = coeffs(t)
+            d = a - c * t
+            sv = o0 * v0 + o1 * v1 + o2 * v2
+            cw = c * sv
+            f0 = d * v0 + 0.5 * (o1 * v2 - o2 * v1) + cw * o0 - g0
+            f1 = d * v1 + 0.5 * (o2 * v0 - o0 * v2) + cw * o1 - g1
+            f2 = d * v2 + 0.5 * (o0 * v1 - o1 * v0) + cw * o2 - g2
+            # The NaN-aware infinity norm of f at y.
+            f_norm = max(abs(f0), abs(f1), abs(f2)) if f0 == f0 and f1 == f1 and f2 == f2 else nan
+            if left and not f_norm < norm:  # ``norm`` is finite: only a finite f_norm is less
+                left, alpha = left - 1, 0.5 * alpha
+                y0, y1, y2 = x0 - alpha * e0, x1 - alpha * e1, x2 - alpha * e2
+                continue
+            x0, x1, x2, norm, iterations = y0, y1, y2, f_norm, iterations + 1
+            if norm <= tol:
+                return x0, x1, x2, iterations
+            if iterations >= max_iters or not isfinite(norm):
+                raise NoConvergence(min(iterations, max_iters), norm)
+            # T^T = d I + hat(sigma)/2 + c sigma sigma^T, entry by entry.
+            co0, co1, co2 = c * o0, c * o1, c * o2
+            t00, t11, t22 = d + co0 * o0, d + co1 * o1, d + co2 * o2
+            t01, t10 = co0 * o1 - 0.5 * o2, co0 * o1 + 0.5 * o2
+            t02, t20 = co0 * o2 + 0.5 * o1, co0 * o2 - 0.5 * o1
+            t12, t21 = co1 * o2 - 0.5 * o0, co1 * o2 + 0.5 * o0
+            # h d/dsigma[T^T v] = p sigma^T + r v^T + diag I - h hat(v)/2 with
+            # p = h (2 (a' - c' t - c) v + 2 c' sv sigma) and r = h c sigma.
+            k, q = 2.0 * (da - dc * t - c), 2.0 * dc * sv
+            p0, p1, p2 = h * (k * v0 + q * o0), h * (k * v1 + q * o1), h * (k * v2 + q * o2)
+            r0, r1, r2, diag = h * co0, h * co1, h * co2, h * c * sv
+            hv0, hv1, hv2 = 0.5 * h * v0, 0.5 * h * v1, 0.5 * h * v2
+            e0, e1, e2 = small_solve(
+                (
+                    (
+                        t00 * s00 + t01 * s10 + t02 * s20 + p0 * o0 + r0 * v0 + diag,
+                        t00 * s01 + t01 * s11 + t02 * s21 + p0 * o1 + r0 * v1 + hv2,
+                        t00 * s02 + t01 * s12 + t02 * s22 + p0 * o2 + r0 * v2 - hv1,
+                    ),
+                    (
+                        t10 * s00 + t11 * s10 + t12 * s20 + p1 * o0 + r1 * v0 - hv2,
+                        t10 * s01 + t11 * s11 + t12 * s21 + p1 * o1 + r1 * v1 + diag,
+                        t10 * s02 + t11 * s12 + t12 * s22 + p1 * o2 + r1 * v2 + hv0,
+                    ),
+                    (
+                        t20 * s00 + t21 * s10 + t22 * s20 + p2 * o0 + r2 * v0 + hv1,
+                        t20 * s01 + t21 * s11 + t22 * s21 + p2 * o1 + r2 * v1 - hv0,
+                        t20 * s02 + t21 * s12 + t22 * s22 + p2 * o2 + r2 * v2 + diag,
+                    ),
+                ),
+                (f0, f1, f2),
+            )
+            alpha, left = 1.0, _MAX_HALVINGS
+            y0, y1, y2 = x0 - e0, x1 - e1, x2 - e2  # the full step: 1.0 * e is e
 
-    def jacobian(x):
-        x0, x1, x2 = x
-        v0 = b0 + s00 * x0 + s01 * x1 + s02 * x2
-        v1 = b1 + s10 * x0 + s11 * x1 + s12 * x2
-        v2 = b2 + s20 * x0 + s21 * x1 + s22 * x2
-        o0, o1, o2 = h * x0, h * x1, h * x2
-        t = o0 * o0 + o1 * o1 + o2 * o2
-        a, c, da, dc = coeffs(t)
-        d = a - c * t
-        sv = o0 * v0 + o1 * v1 + o2 * v2
-        # T^T = d I + hat(sigma)/2 + c sigma sigma^T, entry by entry.
-        co0, co1, co2 = c * o0, c * o1, c * o2
-        t00, t11, t22 = d + co0 * o0, d + co1 * o1, d + co2 * o2
-        t01, t10 = co0 * o1 - 0.5 * o2, co0 * o1 + 0.5 * o2
-        t02, t20 = co0 * o2 + 0.5 * o1, co0 * o2 - 0.5 * o1
-        t12, t21 = co1 * o2 - 0.5 * o0, co1 * o2 + 0.5 * o0
-        # h d/dsigma[T^T v] = p sigma^T + r v^T + diag I - h hat(v)/2 with
-        # p = h (2 (a' - c' t - c) v + 2 c' sv sigma) and r = h c sigma.
-        k = 2.0 * (da - dc * t - c)
-        q = 2.0 * dc * sv
-        p0, p1, p2 = h * (k * v0 + q * o0), h * (k * v1 + q * o1), h * (k * v2 + q * o2)
-        r0, r1, r2 = h * co0, h * co1, h * co2
-        diag = h * c * sv
-        hv0, hv1, hv2 = 0.5 * h * v0, 0.5 * h * v1, 0.5 * h * v2
-        return (
-            (
-                t00 * s00 + t01 * s10 + t02 * s20 + p0 * o0 + r0 * v0 + diag,
-                t00 * s01 + t01 * s11 + t02 * s21 + p0 * o1 + r0 * v1 + hv2,
-                t00 * s02 + t01 * s12 + t02 * s22 + p0 * o2 + r0 * v2 - hv1,
-            ),
-            (
-                t10 * s00 + t11 * s10 + t12 * s20 + p1 * o0 + r1 * v0 - hv2,
-                t10 * s01 + t11 * s11 + t12 * s21 + p1 * o1 + r1 * v1 + diag,
-                t10 * s02 + t11 * s12 + t12 * s22 + p1 * o2 + r1 * v2 + hv0,
-            ),
-            (
-                t20 * s00 + t21 * s10 + t22 * s20 + p2 * o0 + r2 * v0 + hv1,
-                t20 * s01 + t21 * s11 + t22 * s21 + p2 * o1 + r2 * v1 - hv0,
-                t20 * s02 + t21 * s12 + t22 * s22 + p2 * o2 + r2 * v2 + diag,
-            ),
-        )
-
-    return residual, jacobian
+    return solve
 
 
 def reduced_scheme_residual(
@@ -358,9 +362,8 @@ def reduced_kernel(
     once per run: ``Gs^{-1}`` and ``Gc`` in the shape drift, ``K = (2/h)
     C^{-1} W`` of stage 2 (``W`` the rows times ``G^{-1}``, ``C = W`` times
     the rows transposed), the section's momentum offset ``G A`` and the
-    Schur block.  The transport ``tau(h xi)^T p_alg`` is written in closed
-    form, and stage 3 runs :func:`gni.numerics.newton_solve_stats` on
-    :func:`_stage3_system`, as the array step does.
+    Schur block, and the stage-3 solve of :func:`_stage3_solver`.  The
+    transport ``tau(h xi)^T p_alg`` is written in closed form.
 
     Returns ``step(x, y, px, py, xi1, xi2, xi3, pa1, pa2, pa3, lam1, lam2)
     -> (next 12 values, iterations)``; it raises as
@@ -383,9 +386,7 @@ def reduced_kernel(
     )
     if not covered:
         return None
-    if cfg is None:
-        cfg = default_newton_config()
-    schur = rsys.algebra_schur.tolist()
+    solve = _stage3_solver(retraction, rsys.algebra_schur.tolist(), h, cfg)
 
     rows = rsys.annihilator
     gs_inv = rsys.shape_metric_inv
@@ -425,9 +426,8 @@ def reduced_kernel(
         h3 = t3 - (e20 * n1 + e21 * n2)
         # Stage 3: interval velocity from the algebra-momentum match.
         rx, ry = px1 - dx, py1 - dy
-        b = (c00 * rx + c01 * ry, c10 * rx + c11 * ry, c20 * rx + c21 * ry)
-        residual, jacobian = _stage3_system(retraction, schur, b, (h1, h2, h3), h)
-        (v1, v2, v3), iters = newton_solve_stats(residual, [w1, w2, w3], cfg, jacobian=jacobian)
+        v1, v2, v3, iters = solve(c00 * rx + c01 * ry, c10 * rx + c11 * ry, c20 * rx + c21 * ry,
+                                  h1, h2, h3, w1, w2, w3)
         return x1, y1, px1, py1, v1, v2, v3, h1, h2, h3, n1, n2, iters
 
     return step

@@ -361,12 +361,12 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
     Raises
     ------
     gni.analysis.StepFailed
-        At the first step whose state is not finite, carrying the rows
-        recorded before it.
+        At the first step whose state is not finite, or recorded ``RK4 row``
+        whose energy, residual or state is not, with the rows before it.
     RankDeficient
         If the constraint rows are dependent at a stage point.
     """
-    from .analysis import StepFailed, Trajectory  # deferred: analysis imports this module
+    from .analysis import StepFailed, Trajectory, check_finite  # deferred: analysis imports model
 
     if T == 0.0:
         return Trajectory.from_rows(sys, [0.0], [s0], h=0.0)
@@ -398,7 +398,7 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
             if k % record_every == 0 or k == n_steps:
                 times.append(k * h)
                 states.append(PhaseState(q, p, lam))
-        return Trajectory.from_rows(sys, times, states, h=h)
+        return check_finite(Trajectory.from_rows(sys, times, states, h=h), "RK4 row")
 
 
 def constraint_residual(system, state) -> np.ndarray:

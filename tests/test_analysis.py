@@ -361,16 +361,21 @@ def test_run_reduced_kernel_rows_match_the_one_step_map(retraction):
 def test_run_reduced_kernel_failure_partial_is_head_of_full_run(monkeypatch, failing_step):
     rsys, s0, h, stepper = _reduced_kernel_case()
     full = run(stepper, rsys, s0, h, 12)
-    solve = gni_reduced.newton_solve_stats
+    build = gni_reduced._stage3_solver
     calls = {"n": 0}
 
-    def solve_or_fail(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == failing_step:
-            raise NoConvergence(50, 1.0)
-        return solve(*args, **kwargs)
+    def build_failing(*args, **kwargs):
+        solve = build(*args, **kwargs)
 
-    monkeypatch.setattr(gni_reduced, "newton_solve_stats", solve_or_fail)
+        def solve_or_fail(*values):
+            calls["n"] += 1
+            if calls["n"] == failing_step:
+                raise NoConvergence(50, 1.0)
+            return solve(*values)
+
+        return solve_or_fail
+
+    monkeypatch.setattr(gni_reduced, "_stage3_solver", build_failing)
     with pytest.raises(StepFailed) as excinfo:
         run(stepper, rsys, s0, h, 12)
     err = excinfo.value

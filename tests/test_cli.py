@@ -894,6 +894,31 @@ def test_simulate_flat_steps_with_the_kernel_alone(tmp_path, monkeypatch):
         assert 0.0 < np.max(rows[:, -2]) <= 1e-10
 
 
+def test_reduced_rattle_solves_stage3_without_newton_solve_stats(tmp_path, monkeypatch):
+    # Stage 3 of the reduced sphere is the float solve of gni_reduced,
+    # in the kernel and in the array step alike, not newton_solve_stats.
+    def refuse(*args, **kwargs):
+        raise AssertionError("newton_solve_stats called")
+
+    monkeypatch.setattr(numerics, "newton_solve_stats", refuse)
+    monkeypatch.setattr(gni_reduced, "newton_solve_stats", refuse, raising=False)
+    text = (CONFIG_DIR / "sphere_reduced.cfg").read_text()
+    for retraction in ("cay", "exp"):
+        cfg = tmp_path / f"{retraction}.cfg"
+        cfg.write_text(text.replace("retraction = cay", f"retraction = {retraction}"))
+        out = tmp_path / f"{retraction}.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert len(out.read_text().splitlines()) == 102
+        cfg.write_text(cfg.read_text().replace("h = 0.05\nT = 5.0", "h_list = 0.1, 0.05, 0.025\nT = 1.0"))
+        out = tmp_path / f"{retraction}_sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert "# slope_pos=" in out.read_text()
+    params = gni_reduced.ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    s0 = ReducedState(np.zeros(2), np.zeros(2), np.array([-0.2, 0.0, 0.4]), np.zeros(3), np.zeros(2))
+    step = gni_reduced.reduced_rattle_step(chaplygin_reduced_system(params), s0, 0.05)
+    assert step.newton_iters >= 1
+
+
 def test_sweep_with_an_overflowing_rk4_reference_exits_1_without_warnings(tmp_path, capsys):
     # The RK4 reference fails at its first non-finite step: one message, no
     # NumPy warning, no CSV.
@@ -908,6 +933,24 @@ def test_sweep_with_an_overflowing_rk4_reference_exits_1_without_warnings(tmp_pa
     assert not out.exists()
     err = capsys.readouterr().err
     assert err == "solver failure: step 1 failed: RK4 step 1 has a non-finite state\n"
+
+
+def test_sweep_with_a_finite_rk4_reference_of_infinite_energy_fails_at_the_reference(
+    tmp_path, capsys
+):
+    text = (CONFIG_DIR / "particle_rattle_sweep.cfg").read_text()
+    text = text.replace("reference = self", "reference = rk4")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text.replace("v0 = 1.0, 0.5, 0.2", "v0 = 1e200, 0.5, 0.2"))
+    out = tmp_path / "huge.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == (
+        "solver failure: step 0 failed: RK4 row 0 has a non-finite energy, residual or state\n"
+    )
 
 
 def test_closed_stdout_exits_141_without_messages(tmp_path):

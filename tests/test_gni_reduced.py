@@ -1,5 +1,6 @@
 """Tests for the reduced steppers and the rolling-sphere specialization."""
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from gni import gni_reduced
 from gni.gni_reduced import (
     ChaplyginParams,
     _solve_sphere,
-    _stage3_system,
+    _stage3_solver,
     chaplygin_init,
     chaplygin_initial_reduced_state,
     chaplygin_reduced_system,
@@ -26,6 +27,7 @@ from gni.numerics import (
     NewtonConfig,
     NoConvergence,
     SingularMatrix,
+    _inf_norm,
     lu_solve,
     newton_solve_stats,
 )
@@ -345,6 +347,75 @@ def _random_sigma(rng):
     return sigma / np.linalg.norm(sigma) * rng.uniform(0.0, 1.0)
 
 
+def _stage3_system(retraction: str, schur, b, alg1, h: float):
+    """Residual and analytic Jacobian of stage 3 as closures on plain floats,
+    the oracle of :func:`gni.gni_reduced._stage3_solver` (its docstring has
+    the formulas).  ``schur`` is three rows of three floats, ``b`` and
+    ``alg1`` three floats each; both closures take ``xi`` as one sequence of
+    three floats, and the Jacobian comes as three rows."""
+    coeffs = gni_reduced._TANGENT_COEFFS[retraction]
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = schur
+    b0, b1, b2 = b
+    g0, g1, g2 = alg1
+
+    def residual(x):
+        x0, x1, x2 = x
+        v0 = b0 + s00 * x0 + s01 * x1 + s02 * x2
+        v1 = b1 + s10 * x0 + s11 * x1 + s12 * x2
+        v2 = b2 + s20 * x0 + s21 * x1 + s22 * x2
+        o0, o1, o2 = h * x0, h * x1, h * x2
+        t = o0 * o0 + o1 * o1 + o2 * o2
+        a, c, _, _ = coeffs(t)
+        d = a - c * t
+        cw = c * (o0 * v0 + o1 * v1 + o2 * v2)
+        return (
+            d * v0 + 0.5 * (o1 * v2 - o2 * v1) + cw * o0 - g0,
+            d * v1 + 0.5 * (o2 * v0 - o0 * v2) + cw * o1 - g1,
+            d * v2 + 0.5 * (o0 * v1 - o1 * v0) + cw * o2 - g2,
+        )
+
+    def jacobian(x):
+        x0, x1, x2 = x
+        v0 = b0 + s00 * x0 + s01 * x1 + s02 * x2
+        v1 = b1 + s10 * x0 + s11 * x1 + s12 * x2
+        v2 = b2 + s20 * x0 + s21 * x1 + s22 * x2
+        o0, o1, o2 = h * x0, h * x1, h * x2
+        t = o0 * o0 + o1 * o1 + o2 * o2
+        a, c, da, dc = coeffs(t)
+        d = a - c * t
+        sv = o0 * v0 + o1 * v1 + o2 * v2
+        co0, co1, co2 = c * o0, c * o1, c * o2
+        t00, t11, t22 = d + co0 * o0, d + co1 * o1, d + co2 * o2
+        t01, t10 = co0 * o1 - 0.5 * o2, co0 * o1 + 0.5 * o2
+        t02, t20 = co0 * o2 + 0.5 * o1, co0 * o2 - 0.5 * o1
+        t12, t21 = co1 * o2 - 0.5 * o0, co1 * o2 + 0.5 * o0
+        k = 2.0 * (da - dc * t - c)
+        q = 2.0 * dc * sv
+        p0, p1, p2 = h * (k * v0 + q * o0), h * (k * v1 + q * o1), h * (k * v2 + q * o2)
+        r0, r1, r2 = h * co0, h * co1, h * co2
+        diag = h * c * sv
+        hv0, hv1, hv2 = 0.5 * h * v0, 0.5 * h * v1, 0.5 * h * v2
+        return (
+            (
+                t00 * s00 + t01 * s10 + t02 * s20 + p0 * o0 + r0 * v0 + diag,
+                t00 * s01 + t01 * s11 + t02 * s21 + p0 * o1 + r0 * v1 + hv2,
+                t00 * s02 + t01 * s12 + t02 * s22 + p0 * o2 + r0 * v2 - hv1,
+            ),
+            (
+                t10 * s00 + t11 * s10 + t12 * s20 + p1 * o0 + r1 * v0 - hv2,
+                t10 * s01 + t11 * s11 + t12 * s21 + p1 * o1 + r1 * v1 + diag,
+                t10 * s02 + t11 * s12 + t12 * s22 + p1 * o2 + r1 * v2 + hv0,
+            ),
+            (
+                t20 * s00 + t21 * s10 + t22 * s20 + p2 * o0 + r2 * v0 + hv1,
+                t20 * s01 + t21 * s11 + t22 * s21 + p2 * o1 + r2 * v1 - hv0,
+                t20 * s02 + t21 * s12 + t22 * s22 + p2 * o2 + r2 * v2 + diag,
+            ),
+        )
+
+    return residual, jacobian
+
+
 @pytest.mark.parametrize("retraction", ["cay", "exp"])
 def test_stage3_tangent_transpose_matches_matrix_form(retraction):
     # With S = 0 and h = 1 the residual is T(sigma)^T b - alg1.
@@ -377,6 +448,160 @@ def test_stage3_jacobian_matches_central_differences(retraction):
                 np.array(residual((xi + step).tolist())) - np.array(residual((xi - step).tolist()))
             ) / (2.0 * eps)
         np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-8)
+
+
+def _same_floats(a, b) -> bool:
+    """Bit-for-bit equality of two float sequences, any NaN equal to any NaN."""
+    return len(a) == len(b) and all(
+        np.float64(x).tobytes() == np.float64(y).tobytes() or (x != x and y != y)
+        for x, y in zip(a, b)
+    )
+
+
+def _outcome(solve):
+    """What ``solve()`` gives: its floats, or the error and its arguments."""
+    try:
+        return "returned", solve()
+    except NoConvergence as exc:
+        return "NoConvergence", (exc.iterations, exc.final_residual)
+    except SingularMatrix as exc:
+        return "SingularMatrix", str(exc)
+
+
+def _check_stage3_solver(retraction, schur, b, alg1, xi, h, cfg):
+    """Assert that the stage-3 solver and newton_solve_stats on the oracle
+    give the same iterates, iteration counts and errors, bit for bit, and
+    evaluate the residual at the same points (seen through ``t = |h xi|^2``,
+    which each of the solver's residual evaluations hands the coefficients).
+
+    Returns the solver's outcome and, for each Newton iteration of
+    newton_solve_stats, the number of trial points it evaluated and whether the last
+    one failed to lower the residual norm (the fallback step)."""
+    residual, jacobian = _stage3_system(retraction, schur, b, alg1, h)
+    norms, newton_ts, solver_ts = [], [], []
+
+    def traced_residual(x):
+        f = residual(x)
+        o0, o1, o2 = h * x[0], h * x[1], h * x[2]
+        newton_ts.append(o0 * o0 + o1 * o1 + o2 * o2)
+        norms.append(_inf_norm(f))
+        return f
+
+    def traced_jacobian(x):
+        norms.append(None)
+        return jacobian(x)
+
+    def newton():
+        x, iters = newton_solve_stats(traced_residual, xi, cfg, jacobian=traced_jacobian)
+        return (*x, iters)
+
+    def traced_coeffs(t, coeffs=gni_reduced._TANGENT_COEFFS[retraction]):
+        solver_ts.append(t)
+        return coeffs(t)
+
+    expected = _outcome(newton)
+    with mock.patch.dict(gni_reduced._TANGENT_COEFFS, {retraction: traced_coeffs}):
+        solve = _stage3_solver(retraction, schur, h, cfg)
+    got = _outcome(lambda: solve(*b, *alg1, *xi))
+    assert _same_floats(solver_ts, newton_ts)
+    assert got[0] == expected[0]
+    if got[0] == "SingularMatrix":
+        assert got[1] == expected[1]
+    else:
+        assert _same_floats(got[1], expected[1]), (got, expected)
+        assert type(got[1][-1] if got[0] == "returned" else got[1][0]) is int
+    trials, last = [], norms[0]
+    for start in [k for k, norm in enumerate(norms) if norm is None]:
+        evaluated = list(itertools.takewhile(lambda n: n is not None, norms[start + 1 :]))
+        if evaluated:
+            trials.append((len(evaluated), not evaluated[-1] < last))
+            last = evaluated[-1]
+    return got, trials
+
+
+def _random_stage3_case(rng, h_range=(0.01, 0.5), scale=1.0):
+    a = rng.normal(size=(3, 3))
+    schur = (a @ a.T + np.eye(3)).tolist()
+    b, alg1, xi = (scale * rng.normal(size=(3, 3))).tolist()
+    return schur, b, alg1, xi, float(rng.uniform(*h_range))
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_solver_is_newton_solve_stats_on_random_systems(retraction):
+    rng = np.random.default_rng(41)
+    # A budget at or below zero stops before the first Newton system.
+    for cfg in (NewtonConfig(), NewtonConfig(max_iters=1), NewtonConfig(max_iters=0),
+                NewtonConfig(max_iters=-1), NewtonConfig(residual_tol=1e-6)):
+        kinds = set()
+        for _ in range(40):
+            got, _ = _check_stage3_solver(retraction, *_random_stage3_case(rng), cfg)
+            kinds.add(got[0])
+        assert ("NoConvergence" if cfg.max_iters <= 1 else "returned") in kinds
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_solver_accepts_a_converged_predictor(retraction):
+    # alg1 is the residual's own T^T v at xi, so xi solves stage 3 exactly.
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        schur, b, _, xi, h = _random_stage3_case(rng)
+        alg1 = _stage3_system(retraction, schur, b, [0.0, 0.0, 0.0], h)[0](xi)
+        got, trials = _check_stage3_solver(retraction, schur, b, alg1, xi, h, NewtonConfig())
+        assert got == ("returned", (*xi, 0)) and trials == []
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_solver_halves_and_falls_back_as_newton_solve_stats(retraction):
+    # Long steps and large velocities make the full Newton step overshoot.
+    rng = np.random.default_rng(3)
+    halved = fell_back = 0
+    for _ in range(40):
+        case = _random_stage3_case(rng, h_range=(0.5, 2.0), scale=5.0)
+        _, trials = _check_stage3_solver(retraction, *case, NewtonConfig())
+        halved += any(1 < n < 9 for n, _ in trials)
+        fell_back += any(n == 9 and up for n, up in trials)
+    assert halved and fell_back
+    # Below rounding level no trial lowers the norm: every later iteration
+    # takes all eight halvings and the fallback step, until the budget ends.
+    cfg = NewtonConfig(residual_tol=1e-300, max_iters=8)
+    got, trials = _check_stage3_solver(retraction, *_random_stage3_case(rng), cfg)
+    assert got[0] == "NoConvergence" and got[1][0] == 8
+    assert trials[-1] == (9, True)
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+@pytest.mark.parametrize(
+    "alg1", [(np.inf, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.nan), (np.nan, 0.0, 0.0)]
+)
+def test_stage3_solver_stops_at_a_non_finite_start(retraction, alg1):
+    rng = np.random.default_rng(47)
+    schur, b, _, xi, h = _random_stage3_case(rng)
+    got, trials = _check_stage3_solver(retraction, schur, b, list(alg1), xi, h, NewtonConfig())
+    assert got[0] == "NoConvergence" and got[1][0] == 0 and trials == []
+    assert np.isnan(got[1][1]) == np.isnan(alg1).any()
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_solver_stops_after_a_step_to_a_non_finite_residual(retraction):
+    # A residual near 1e300 at the start sends the first step to an xi whose
+    # |h xi|^2 overflows; all eight halvings stay there and the fallback is
+    # taken, so the next iteration stops at once.
+    rng = np.random.default_rng(5)
+    schur, b = np.eye(3).tolist(), rng.normal(size=3).tolist()
+    alg1 = (1e300 * rng.normal(size=3)).tolist()
+    got, trials = _check_stage3_solver(retraction, schur, b, alg1, [0.0] * 3, 0.1, NewtonConfig())
+    assert got[0] == "NoConvergence" and got[1][0] == 1 and np.isnan(got[1][1])
+    assert trials == [(9, True)]
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_solver_raises_the_singular_matrix_of_newton_solve_stats(retraction):
+    # With S = 0 at xi = 0 the Jacobian is -h hat(b) / 2, of rank 2.
+    got, _ = _check_stage3_solver(
+        retraction, [[0.0] * 3] * 3, [1.0, 2.0, 3.0], [0.5, 0.1, 0.2], [0.0] * 3, 0.1,
+        NewtonConfig(),
+    )
+    assert got[0] == "SingularMatrix"
 
 
 def test_stage3_affine_gradient_matches_standard_lagrangian():

@@ -389,6 +389,26 @@ def test_convergence_sweep_fails_on_a_non_finite_rk4_reference():
     assert isinstance(excinfo.value.cause, FloatingPointError)
 
 
+def test_convergence_sweep_fails_at_an_rk4_reference_with_a_non_finite_energy(monkeypatch):
+    # The states stay finite (about 1e200) while the energy overflows: the
+    # reference's rows fail as a run's would, before any grid run steps.
+    from gni import analysis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid run started")
+
+    monkeypatch.setattr(analysis, "run", refuse)
+    sys = nonholonomic_particle("harmonic")
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1e200, 0.5, 0.2], scheme="rattle", h=0.025)
+    assert np.isfinite(np.concatenate([s0.q, s0.p])).all()
+    with pytest.raises(StepFailed) as excinfo:
+        convergence_sweep(rattle_step, sys, s0, 1.0, [0.1, 0.05, 0.025], ("rk4", 0.025 / 30))
+    err = excinfo.value
+    assert str(err) == "step 0 failed: RK4 row 0 has a non-finite energy, residual or state"
+    assert isinstance(err.cause, FloatingPointError)
+    assert err.step == 0 and len(err.partial) == 0
+
+
 def test_continuous_rhs_rejects_affine_field():
     sys = constrained_2d(affine=(0.3, -0.1))
     with pytest.raises(ValueError):
