@@ -45,7 +45,8 @@ _NOISE_FLOOR = 1e-14
 # Absolute slack of the initial-admissibility precondition in run().
 _ADMISSIBLE_TOL = 1e-8
 
-# Rows a residual=False run of run() holds between two drops.
+# Steps run() takes per call of a set-up's advance; the rows a
+# residual=False run holds between two drops.
 _WINDOW_ROWS = 4096
 
 
@@ -245,9 +246,11 @@ def _inf_norm(vec) -> float:
 def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Trajectory:
     """Advance ``n_steps`` steps of size ``h`` and record diagnostics.
 
-    This is the one loop over steps.  Every run returns its rows as one
-    float array (see :class:`Trajectory`); what it advances depends on its
-    arguments:
+    This is the one loop: over windows of ``_WINDOW_ROWS`` (4,096) steps,
+    each taken by one call of the set-up's ``advance(k0, k1)``, which
+    returns the failing step and its solver error instead of raising.
+    Every run returns its rows as one float array (see
+    :class:`Trajectory`); what it advances depends on its arguments:
 
     * a one-step map ``stepper(system, state, h) -> state`` on flat or
       reduced state objects, which :meth:`Trajectory.from_rows` stacks;
@@ -279,8 +282,8 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
       stacked pass of :func:`gni.gni_reduced.reduced_scheme_residual` (0
       on row 0).  On any other system the record steps as a one-step map;
     * when ``system`` is a :class:`ChaplyginParams`, the rolling-sphere
-      two-point recurrence, stepped by one float kernel per run
-      (:func:`gni.gni_reduced._chaplygin_stepper`; ``stepper`` is
+      two-point recurrence, stepped a window at a time by one float kernel
+      per run (:func:`gni.gni_reduced._chaplygin_stepper`; ``stepper`` is
       ignored).  ``initial`` is the pair ``(q0, w0)`` of contact point and
       body angular velocity, and rows pack ``[x, y, w1, w2, w3]`` where
       ``w`` is the angular velocity of the interval starting at that row's
@@ -299,11 +302,11 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
 
     ``residual=False`` is for runs whose final state alone is read, such
     as the self reference of :func:`convergence_sweep`: the residual
-    column stays at zero, and the run keeps its rows in blocks of
-    ``_WINDOW_ROWS`` (4,096).  Each full block is assembled and checked as a full
-    run's rows are, then dropped but for the rows the steps carry, and the
-    trajectory returned holds only the last two rows (one for
-    ``n_steps = 0``), bit for bit the last two of the full run.
+    column stays at zero, and the run holds one window of rows at a time.
+    Each full window is assembled and checked as a full run's rows are,
+    then dropped but for the rows the steps carry, and the trajectory
+    returned holds only the last two rows (one for ``n_steps = 0``), bit
+    for bit the last two of the full run.
 
     Raises
     ------
@@ -347,19 +350,20 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
                 setup = _one_step_map(stepper, system, initial, h, residual)
         advance, assemble, keep = setup
         # ``first`` is the first row the run holds; a non-finite row found
-        # in a dropped block fails the run only once it has stepped to the
+        # in a dropped window fails the run only once it has stepped to the
         # end, as the full run's one check would.
         first, failure = 0, None
-        for k in range(1, n_steps + 1):
-            try:
-                advance(k)
-            except (NoConvergence, SingularMatrix, model.RankDeficient) as exc:
+        for k0 in range(1, n_steps + 1, _WINDOW_ROWS):
+            k1 = min(k0 + _WINDOW_ROWS, n_steps + 1)
+            failed = advance(k0, k1)
+            if failed is not None:
+                k, exc = failed
                 raise StepFailed(k, exc, assemble(k)) from exc
-            if window and k % _WINDOW_ROWS == 0 and k < n_steps:
+            if window and k1 <= n_steps:
                 if failure is None:
-                    failure = _non_finite(assemble(k + 1), first)
-                keep(k)
-                first = k
+                    failure = _non_finite(assemble(k1), first)
+                keep(k1 - 1)
+                first = k1 - 1
         traj = assemble(n_steps + 1)
         if failure is None:
             failure = _non_finite(traj, first)
@@ -368,18 +372,34 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     return traj.rows(-2) if window else traj
 
 
-# Each of the four set-ups below returns ``advance(k)``, which takes step
-# ``k`` (the one producing row ``k``), ``assemble(n_rows)``, which builds
-# the trajectory of the rows before row ``n_rows`` that it holds, and
-# ``keep(k)``, which drops every row before row ``k`` but what the steps
-# still read.  The buffers hold ``capacity`` rows besides those carried.
+# Each of the five set-ups below returns ``advance(k0, k1)``, which takes
+# steps ``k0 .. k1-1`` (step ``k`` produces row ``k``) and returns
+# ``None``, or ``(k, exc)`` for the step ``k`` whose solver raised
+# ``exc``; ``assemble(n_rows)``, which builds the trajectory of the rows
+# before row ``n_rows`` that it holds; and ``keep(k)``, which drops every
+# row before row ``k`` but what the steps still read.  The buffers hold
+# ``capacity`` rows besides those carried.
+
+
+def _stepwise(step):
+    """``advance(k0, k1)`` of a set-up whose ``step(k)`` takes one step."""
+
+    def advance(k0, k1):
+        for k in range(k0, k1):
+            try:
+                step(k)
+            except (NoConvergence, SingularMatrix, model.RankDeficient) as exc:
+                return k, exc
+        return None
+
+    return advance
 
 
 def _one_step_map(stepper, system, initial, h, residual):
     states = [initial]
     first = 0
 
-    def advance(k):
+    def step(k):
         states.append(stepper(system, states[-1], h))
 
     def assemble(n_rows):
@@ -391,7 +411,7 @@ def _one_step_map(stepper, system, initial, h, residual):
         del states[:-1]
         first = k
 
-    return advance, assemble, keep
+    return _stepwise(step), assemble, keep
 
 
 def _flat_rows(scheme, system, initial, h, capacity, residual):
@@ -399,7 +419,7 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
     # own form, one stacked pass over the points (V_q, mu, Pi) the steps
     # evaluated at the rows, kept beside them.  Only a residual=False run
     # drops rows, and it keeps no points.
-    start, step, form = gni_flat.flat_kernel(system, h, scheme)
+    start, kernel, form = gni_flat.flat_kernel(system, h, scheme)
     n = system.dim
     layout = flat_layout(system)
     rows = np.empty((capacity, 2 * n + initial.lam.size))
@@ -419,9 +439,9 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
             offsets[0] = offset
     base = 0
 
-    def advance(k):
+    def step(k):
         j = k - base
-        q, p, lam, point = step(*carried)
+        q, p, lam, point = kernel(*carried)
         carried[:] = q, p, lam, point[3]
         rows[j] = q + p + lam
         if with_points:
@@ -447,7 +467,7 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
         iters[0] = iters[j]
         base = k
 
-    return advance, assemble, keep
+    return _stepwise(step), assemble, keep
 
 
 # The recurrences below carry the position before their first row once
@@ -461,7 +481,7 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
     # default residual is the momentum form of constraint_residual, one
     # stacked pass over the constraint rows (and offsets) each step
     # evaluated at its current position, kept beside the positions.
-    step = gni_flat.three_point_kernel(ld, system, h)
+    kernel = gni_flat.three_point_kernel(ld, system, h)
     layout = flat_layout(system)
     n = system.dim
     row0 = layout.stack([initial])[0]
@@ -481,12 +501,12 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
     carried = [initial.q, None]
     base = 0
 
-    def advance(k):
+    def step(k):
         j = k - base
         if k == 1:
             carried[1] = rattle_step(system, initial, h).q
             qs[1] = carried[1]
-        q_next, iters[j], mu, offset = step(*carried)
+        q_next, iters[j], mu, offset = kernel(*carried)
         carried[:] = carried[1], np.array(q_next)
         qs[j + 1] = q_next
         if with_points:
@@ -522,13 +542,13 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
         iters[:2] = iters[j - 1 : j + 1]
         base = k - 1
 
-    return advance, assemble, keep
+    return _stepwise(step), assemble, keep
 
 
 def _sphere_recurrence(params, initial, h, capacity, residual):
     # One float row [x, y, w1, w2, w3] per step; the row after the last
     # holds only the position that closes the last central difference.
-    step = gni_reduced._chaplygin_stepper(params, h, default_newton_config())
+    window = gni_reduced._chaplygin_stepper(params, h, default_newton_config())
     q0, w0 = initial
     rows = np.empty((capacity + 2, 5))
     iters = np.zeros(capacity + 1, dtype=int)
@@ -538,12 +558,9 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
     flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
     base = 0
 
-    def advance(k):
-        j = k - base
-        i = 5 * j
-        (flat[i + 5], flat[i + 6], flat[i + 2], flat[i + 3], flat[i + 4], counts[j]) = step(
-            flat[i - 5], flat[i - 4], flat[i], flat[i + 1], flat[i - 3], flat[i - 2], flat[i - 1]
-        )
+    def advance(k0, k1):
+        failed = window(flat, counts, k0 - base, k1 - base)
+        return None if failed is None else (failed[0] + base, failed[1])
 
     def assemble(n_rows):
         # Row 0's contact velocity is the forward difference, later rows'
@@ -574,7 +591,7 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
     return advance, assemble, keep
 
 
-def _reduced_rows(step, retraction, system, initial, h, capacity, residual):
+def _reduced_rows(kernel, retraction, system, initial, h, capacity, residual):
     # One float row [x, y, px, py, xi, p_alg, lam] per step.
     rows = np.empty((capacity, 12))
     iters = np.zeros(capacity, dtype=int)
@@ -584,14 +601,14 @@ def _reduced_rows(step, retraction, system, initial, h, capacity, residual):
     flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
     base = 0
 
-    def advance(k):
+    def step(k):
         j = k - base
         i = 12 * j
         (
             flat[i], flat[i + 1], flat[i + 2], flat[i + 3], flat[i + 4], flat[i + 5],
             flat[i + 6], flat[i + 7], flat[i + 8], flat[i + 9], flat[i + 10], flat[i + 11],
             counts[j],
-        ) = step(*flat[i - 12 : i])
+        ) = kernel(*flat[i - 12 : i])
 
     def assemble(n_rows):
         m = n_rows - base
@@ -610,7 +627,7 @@ def _reduced_rows(step, retraction, system, initial, h, capacity, residual):
         iters[0] = iters[j]
         base = k
 
-    return advance, assemble, keep
+    return _stepwise(step), assemble, keep
 
 
 def _check_admissible(system, state, h: float) -> None:

@@ -244,25 +244,34 @@ def test_run_chaplygin_rows_match_direct_recurrence():
     assert np.max(traj.residuals) <= 1e-10
 
 
+def _fail_sphere_kernel_at(monkeypatch, failing_step):
+    """Patch the rolling-sphere window kernel so that the ``failing_step``-th
+    step each run's kernel takes fails with ``NoConvergence(50, 1.0)``; the
+    steps before it run unchanged."""
+    make_kernel = gni_reduced._chaplygin_stepper
+
+    def failing_kernel(*args):
+        window = make_kernel(*args)
+        taken = [0]
+
+        def window_or_fail(flat, counts, j0, j1):
+            stop = j0 + failing_step - 1 - taken[0]  # the failing step's buffer row
+            if stop >= j1:
+                taken[0] += j1 - j0
+                return window(flat, counts, j0, j1)
+            failed = window(flat, counts, j0, stop)
+            return (stop, NoConvergence(50, 1.0)) if failed is None else failed
+
+        return window_or_fail
+
+    monkeypatch.setattr(gni_reduced, "_chaplygin_stepper", failing_kernel)
+
+
 def test_run_chaplygin_failure_keeps_rows_before_failing_step(monkeypatch):
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
     full = run(None, params, initial, 0.05, 10)
-    make_stepper = gni_reduced._chaplygin_stepper
-    calls = {"n": 0}
-
-    def failing_at_6(*args):
-        step = make_stepper(*args)
-
-        def failing_step(*state):
-            calls["n"] += 1
-            if calls["n"] == 6:
-                raise NoConvergence(50, 1.0)
-            return step(*state)
-
-        return failing_step
-
-    monkeypatch.setattr(gni_reduced, "_chaplygin_stepper", failing_at_6)
+    _fail_sphere_kernel_at(monkeypatch, 6)
     with pytest.raises(StepFailed) as excinfo:
         run(None, params, initial, 0.05, 10)
     err = excinfo.value
@@ -273,6 +282,25 @@ def test_run_chaplygin_failure_keeps_rows_before_failing_step(monkeypatch):
     assert np.array_equal(err.partial.energies, full.energies[:6])
     assert np.array_equal(err.partial.residuals, full.residuals[:6])
     assert np.array_equal(err.partial.newton_iters, full.newton_iters[:6])
+
+
+def test_run_chaplygin_windowed_failure_in_the_second_window_is_the_full_runs(monkeypatch):
+    # Step 4,100 is the fourth step of the second window of 4,096 steps.
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
+    _fail_sphere_kernel_at(monkeypatch, 4100)
+    failures = []
+    for residual in (None, False):
+        with pytest.raises(StepFailed) as excinfo:
+            run(None, params, initial, 1e-3, 5000, residual=residual)
+        failures.append(excinfo.value)
+    full, windowed = failures
+    assert full.step == windowed.step == 4100
+    assert type(full.cause) is type(windowed.cause) is NoConvergence
+    assert len(full.partial) == 4100
+    # The windowed run holds the rows of the second window before the step.
+    assert np.array_equal(windowed.partial.states, full.partial.states[4096:])
+    assert np.array_equal(windowed.partial.times, full.partial.times[4096:])
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 7, 250])
@@ -291,21 +319,7 @@ def test_run_chaplygin_kernel_failure_partial_is_head_of_full_run(monkeypatch, f
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
     full = run(None, params, initial, 0.05, 40)
-    make_stepper = gni_reduced._chaplygin_stepper
-
-    def failing_stepper(params_, h, cfg):
-        step = make_stepper(params_, h, cfg)
-        calls = {"n": 0}
-
-        def step_or_fail(*state):
-            calls["n"] += 1
-            if calls["n"] == failing_step:
-                raise NoConvergence(50, 1.0)
-            return step(*state)
-
-        return step_or_fail
-
-    monkeypatch.setattr(gni_reduced, "_chaplygin_stepper", failing_stepper)
+    _fail_sphere_kernel_at(monkeypatch, failing_step)
     with pytest.raises(StepFailed) as excinfo:
         run(None, params, initial, 0.05, 40)
     err = excinfo.value
@@ -764,10 +778,16 @@ def test_sphere_sweep_reference_memory_does_not_grow_with_its_steps(monkeypatch)
     import tracemalloc
 
     def straight_line_stepper(params, h, cfg):
-        def step(xm, ym, x0, y0, v1, v2, v3):
-            return x0 + (x0 - xm), y0 + (y0 - ym), v1, v2, v3, 0
+        def window(flat, counts, j0, j1):
+            for j in range(j0, j1):
+                i = 5 * j
+                flat[i + 5] = flat[i] + (flat[i] - flat[i - 5])
+                flat[i + 6] = flat[i + 1] + (flat[i + 1] - flat[i - 4])
+                flat[i + 2], flat[i + 3], flat[i + 4] = flat[i - 3], flat[i - 2], flat[i - 1]
+                counts[j] = 0
+            return None
 
-        return step
+        return window
 
     monkeypatch.setattr(gni_reduced, "_chaplygin_stepper", straight_line_stepper)
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)

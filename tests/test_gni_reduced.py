@@ -9,7 +9,6 @@ from gni.gni_flat import prepare_state, rattle_step
 from gni import gni_reduced
 from gni.gni_reduced import (
     ChaplyginParams,
-    _solve_sphere,
     _stage3_solver,
     chaplygin_init,
     chaplygin_initial_reduced_state,
@@ -21,6 +20,8 @@ from gni.gni_reduced import (
     reduced_scheme_residual,
 )
 from retracted_lagrangian import reduced_legendre, standard_retracted_lagrangian
+import sphere_oracle
+from sphere_oracle import _solve_sphere
 from gni.lie_so3 import cay, dcay_inv, dexp_inv, exp_so3
 from gni.model import ReducedState, ReducedSystem, FlatSystem
 from gni.numerics import (
@@ -1008,28 +1009,258 @@ def _bits(values):
     return np.array(values, dtype=float).view(np.uint64)
 
 
+def _kernel_run(params, h, start, windows, cfg=None):
+    """Rows, Newton counts and failure of the window kernel stepped from
+    ``start = (q_prev, w_prev, q_curr)`` over consecutive windows of the
+    given sizes, stopping at the first failure.  Rows not written hold
+    a NaN sentinel."""
+    rows = np.full((sum(windows) + 2, 5), np.nan)
+    counts = np.full(sum(windows) + 1, -7)
+    (rows[0, :2], rows[0, 2:], rows[1, :2]) = start
+    window = gni_reduced._chaplygin_stepper(params, h, cfg)
+    flat, j0, failed = memoryview(rows.reshape(-1)), 1, None
+    for size in windows:
+        failed = window(flat, memoryview(counts), j0, j0 + size)
+        if failed is not None:
+            break
+        j0 += size
+    return rows, counts, failed
+
+
+def _oracle_run(params, h, start, n_steps, cfg=None):
+    """:func:`_kernel_run` with the per-step oracle, stepped as the runner
+    stepped it one step at a time."""
+    rows = np.full((n_steps + 2, 5), np.nan)
+    counts = np.full(n_steps + 1, -7)
+    (rows[0, :2], rows[0, 2:], rows[1, :2]) = start
+    step = sphere_oracle._chaplygin_stepper(params, h, cfg)
+    flat = memoryview(rows.reshape(-1))
+    for j in range(1, n_steps + 1):
+        i = 5 * j
+        try:
+            (flat[i + 5], flat[i + 6], flat[i + 2], flat[i + 3], flat[i + 4], counts[j]) = step(
+                flat[i - 5], flat[i - 4], flat[i], flat[i + 1], flat[i - 3], flat[i - 2], flat[i - 1]
+            )
+        except NoConvergence as exc:
+            return rows, counts, (j, exc)
+    return rows, counts, None
+
+
+def _assert_kernel_is_oracle(params, h, start, windows, cfg=None):
+    """The window kernel against the oracle, bit for bit: rows, Newton
+    counts, and the failing step with its exception, ``iterations`` and
+    ``final_residual``.  Returns the oracle's failure."""
+    got_rows, got_counts, got = _kernel_run(params, h, start, windows, cfg)
+    rows, counts, want = _oracle_run(params, h, start, sum(windows), cfg)
+    np.testing.assert_array_equal(got_rows.view(np.uint64), rows.view(np.uint64))
+    np.testing.assert_array_equal(got_counts, counts)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == want[0]
+        assert type(got[1]) is type(want[1])
+        assert got[1].iterations == want[1].iterations
+        assert _bits([got[1].final_residual])[0] == _bits([want[1].final_residual])[0]
+    return want
+
+
+# Every Newton configuration of the conformance tests: a budget that
+# cannot iterate, one iteration, the default, and a tolerance no step meets,
+# where late iterations take all eight halvings and the fallback step.
+_KERNEL_CFGS = [
+    NewtonConfig(residual_tol=tol, max_iters=its)
+    for its in (-1, 0, 1, 50)
+    for tol in (1e-12, 1e-300)
+]
+
+
+@pytest.mark.parametrize("windows", [[1], [2], [4097], [4096, 1]])
+@pytest.mark.parametrize("h", [0.15, 0.01, 3.9e-5])
+def test_window_kernel_is_the_oracle_on_random_states(h, windows):
+    rng = np.random.default_rng(int(h * 1e6) + len(windows))
+    cases = [(ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2),
+              (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])))]
+    for _ in range(2):
+        inertia = rng.uniform(0.5, 2.0, size=3)
+        cases.append((ChaplyginParams(float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.5, 2.0)),
+                                      float(rng.normal()), *map(float, inertia)),
+                      (rng.uniform(-1.0, 1.0, size=2), rng.normal(size=3))))
+    outcomes = set()
+    for params, (q0, w0) in cases:
+        # A consistent start and one whose predictor is off by about h.
+        q1 = chaplygin_init(params, q0, w0, h)
+        for start in ((q0, w0, q1), (q0, w0, q1 + h * rng.normal(size=2))):
+            for cfg in _KERNEL_CFGS:
+                failure = _assert_kernel_is_oracle(params, h, start, windows, cfg)
+                outcomes.add(None if failure is None else failure[1].iterations)
+    assert None in outcomes and {-1, 0, 1, 50} <= outcomes
+
+
+def test_window_kernel_is_the_oracle_at_rest():
+    # The residual is zero at the predictor: every budget accepts it,
+    # a negative one with its own count, as the per-step loop did.
+    params = ChaplyginParams(m=1.0, r=1.0, omega=0.0, i1=2 / 3, i2=2 / 3, i3=2 / 3)
+    start = (np.zeros(2), np.zeros(3), np.zeros(2))
+    for cfg in _KERNEL_CFGS:
+        assert _assert_kernel_is_oracle(params, 0.1, start, [2], cfg) is None
+    rows, counts, _ = _kernel_run(params, 0.1, start, [2], NewtonConfig(max_iters=-1))
+    assert counts.tolist() == [-7, -1, -1]
+
+
+_SPHERE = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+
+# Single steps off the trajectory, each named by the path it takes:
+# (params, h, (q_prev, w_prev, q_curr)).
+_EDGE_CASES = {
+    # one damping halving, then converged after 8 updates
+    "damped": (_SPHERE, 1.0, ([-1.0, 2.0], [-15.0, -24.0, -12.0], [1.0, 0.0])),
+    # 336 halvings, stalled at a rounding-level residual above 1e-12
+    "stalled": (_SPHERE, 1.0, ([0.0, -2.0], [-19.0, 23.0, -27.0], [1.0, 0.0])),
+    "overflowing start": (_SPHERE, 0.1, ([1.0, 1.0], [1e160, 0.0, 0.0], [1.0, 1.0])),
+    "NaN start": (_SPHERE, 0.1, ([1.0, 1.0], [float("nan"), 0.0, 0.0], [1.0, 1.0])),
+    "NaN start, not first": (_SPHERE, 0.1, ([1.0, 1.0], [0.0, 0.0, float("nan")], [1.0, 1.0])),
+    "infinite start": (_SPHERE, 0.1, ([1.0, float("inf")], [0.0, 0.5, 0.0], [1.0, 1.0])),
+    # a finite start whose Newton steps reach a non-finite trial
+    "non-finite trial": (
+        ChaplyginParams(m=356.68348304337246, r=0.6391091691266894, omega=0.07885063357858513,
+                        i1=0.3160193528068799, i2=13.970071675214866, i3=0.0077259682689118465),
+        2.7840502852255537e-05,
+        ([0.6616971156536948, -1.204007676300878],
+         [-1.386749406505271e+105, -3.7945720993147024e+104, 1.9020493561907128e+105],
+         [-0.8124055948069913, 0.45171315272524226]),
+    ),
+    # an update whose y part is not finite while its w part is, so that
+    # only the zero row-0 entry of column 1 makes the x part NaN; seen at
+    # the end of a 2-iteration budget
+    "non-finite y update": (
+        ChaplyginParams(m=780.9120177050029, r=2.6151275658740383e-25, omega=-0.0,
+                        i1=3.106577530223033e-29, i2=2.9005849683551435e-132,
+                        i3=2.5127533757197795e-149),
+        1.492871199037187e-114,
+        ([-21.98349980536197, 132.54054520582426],
+         [2.093817020243152e-53, -1.1338709586126272e-53, 3.6020524056054783e-54],
+         [-98.55732034905786, 156.39428459665388]),
+    ),
+    # exact pivot ties, which keep the lower row, in the tail's columns 2
+    # (rows 2 and 3, then row 4 against the larger) and 3
+    "pivot tie of tail rows 2 and 3": (
+        ChaplyginParams(m=1.0, r=1.0, omega=0.5, i1=1.0, i2=0.125, i3=0.125), 0.25,
+        ([1.0, 2.0], [-3.0, 3.0, -2.0], [-2.0, -4.0]),
+    ),
+    "pivot tie with tail row 4": (
+        ChaplyginParams(m=2.0, r=0.25, omega=0.5, i1=1.0, i2=0.25, i3=1.0), 2.0,
+        ([-1.0, 3.0], [-3.0, -4.0, 0.0], [-1.0, -3.0]),
+    ),
+    "pivot tie in tail column 3": (
+        ChaplyginParams(m=2.0, r=0.25, omega=-1.0, i1=1.0, i2=0.25, i3=0.25), 0.5,
+        ([0.0, 3.0], [-4.0, -4.0, 0.0], [2.0, 0.0]),
+    ),
+    # pivots at or below 1e-300: the tail's column 2 after an update, its
+    # column 3 and its last pivot at the predictor
+    "singular tail column 2": (
+        ChaplyginParams(m=22.822230704583998, r=3.8356313332005475e-69, omega=-0.5963012648328796,
+                        i1=5.80188376169287e-160, i2=5.167424913260778e-158,
+                        i3=7.594612155567717e-77),
+        4.2340303998610796e-167,
+        ([-2.071281115163771, 0.42861080175677996], [-0.0, 4.537342240779726e-103, 0.0],
+         [-1.4824226769871822, -0.5742994819952312]),
+    ),
+    "singular tail column 3": (
+        ChaplyginParams(m=14.420805155933943, r=1.9143266398785223e-118, omega=-0.0,
+                        i1=1.5920474410704816e-09, i2=8.771277216821477e-154,
+                        i3=1.6166929673383366e-37),
+        2.1541048786422025e-27,
+        ([-0.4333975024646634, 1.4620898949425065], [-0.0, -0.0, 3.5882983153381615e-09],
+         [-0.13414897986011093, -1.7669304864354005]),
+    ),
+    "singular last pivot": (
+        ChaplyginParams(m=0.5240308213908512, r=1.4013809583229615e-74, omega=0.0,
+                        i1=2.448000203936239e-134, i2=1.3103485294563402e-72,
+                        i3=1.7342052897057203e-117),
+        3.3426114219336274e-28,
+        ([-0.6395192784458072, -0.5526175018735073], [-0.14372372063643898, 0.0, 0.06041414620173722],
+         [-0.2867827071832998, 0.83880422247886]),
+    ),
+    "singular last pivot after updates": (
+        ChaplyginParams(m=55.404031505276684, r=0.002968409358985232, omega=2.04705856961848,
+                        i1=5.6410162069006625e-148, i2=7.420613921931948e-95,
+                        i3=3.7952399125299753e-57),
+        2.134457366317306e-53,
+        ([0.4371847360926782, -1.68132609212329], [0.0, 0.0, 4.615150581459465e-104],
+         [-1.7240055186324608, 0.3249064271080364]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_CASES))
+def test_window_kernel_is_the_oracle_on_edge_cases(name):
+    params, h, start = _EDGE_CASES[name]
+    start = tuple(np.array(x, dtype=float) for x in start)
+    for cfg in [None, NewtonConfig(max_iters=2)] + _KERNEL_CFGS:
+        for windows in ([1], [2], [1, 1]):
+            _assert_kernel_is_oracle(params, h, start, windows, cfg)
+
+
+def test_edge_cases_take_the_paths_they_name(monkeypatch):
+    # Under the default budget, the oracle's (iterations, whether the
+    # final residual is finite, Newton systems solved, whether the last
+    # was singular); a converged step has no final residual.
+    expected = {
+        "damped": (8, None, 8, False),
+        "stalled": (50, True, 50, False),
+        "overflowing start": (0, False, 0, None),
+        "NaN start": (0, False, 0, None),
+        "NaN start, not first": (0, False, 0, None),
+        "infinite start": (0, False, 0, None),
+        "non-finite trial": (17, False, 17, False),
+        "non-finite y update": (2, False, 2, False),
+        "pivot tie of tail rows 2 and 3": (8, None, 8, False),
+        "pivot tie with tail row 4": (5, None, 5, False),
+        "pivot tie in tail column 3": (6, None, 6, False),
+        "singular tail column 2": (1, True, 2, True),
+        "singular tail column 3": (0, True, 1, True),
+        "singular last pivot": (0, True, 1, True),
+        "singular last pivot after updates": (3, True, 4, True),
+    }
+    singular = []
+    solve = sphere_oracle._solve_sphere
+
+    def recording_solve(*args):
+        x = solve(*args)
+        singular.append(x is None)
+        return x
+
+    monkeypatch.setattr(sphere_oracle, "_solve_sphere", recording_solve)
+    assert set(expected) == set(_EDGE_CASES)
+    for name, (params, h, (q_prev, w_prev, q_curr)) in _EDGE_CASES.items():
+        singular.clear()
+        step = sphere_oracle._chaplygin_stepper(params, h)
+        try:
+            *_, iters = step(*q_prev, *q_curr, *w_prev)
+            finite = None
+        except NoConvergence as exc:
+            iters, finite = exc.iterations, bool(np.isfinite(exc.final_residual))
+        last = singular[-1] if singular else None
+        assert (iters, finite, len(singular), last) == expected[name], name
+
+
 def test_stepper_matches_step_stats_bit_for_bit_over_a_long_run():
-    # The per-run float kernel fed its own outputs, against the array
-    # wrappers fed theirs, on the criterion-06 sphere; the last state and
-    # the Newton work are pinned to the per-call core this kernel replaced.
+    # The per-run window kernel over 2,000 steps in windows of 4,096, 1 and
+    # 4,095 rows' worth, against the array wrapper fed its own outputs, on
+    # the criterion-06 sphere; the last state and the Newton work are
+    # pinned to the per-call core this kernel replaced.
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     h = 0.01
-    step = gni_reduced._chaplygin_stepper(params, h)
     q0, w0 = np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])
     qs, ws = [q0, chaplygin_init(params, q0, w0, h)], [w0]
-    xm, ym, x0, y0 = *qs[0], *qs[1]
-    v = tuple(w0)
     total_iters = 0
+    rows, counts, failed = _kernel_run(params, h, (qs[0], ws[0], qs[1]), [1, 999, 1000])
+    assert failed is None
     for k in range(1, 2001):
         q_next, w, iters = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
-        x1, y1, *w_float, iters_float = step(xm, ym, x0, y0, *v)
-        np.testing.assert_array_equal(_bits([x1, y1, *w_float]), _bits([*q_next, *w]))
-        assert iters_float == iters
-        q_plain, w_plain, _ = chaplygin_step_stats(params, qs[k - 1], qs[k], ws[k - 1], h)
-        assert np.array_equal(q_plain, q_next) and np.array_equal(w_plain, w)
+        np.testing.assert_array_equal(_bits([*rows[k + 1, :2], *rows[k, 2:]]), _bits([*q_next, *w]))
+        assert counts[k] == iters and type(iters) is int
         qs.append(q_next)
         ws.append(w)
-        xm, ym, x0, y0, v = x0, y0, x1, y1, tuple(w_float)
         total_iters += iters
     pinned = [
         float.fromhex(x)
@@ -1038,7 +1269,7 @@ def test_stepper_matches_step_stats_bit_for_bit_over_a_long_run():
             "0x1.7364223bb1c03p-1", "0x1.cace33bb5afdfp-1",
         )
     ]
-    np.testing.assert_array_equal(_bits([x0, y0, *v]), _bits(pinned))
+    np.testing.assert_array_equal(_bits([*rows[2001, :2], *rows[2000, 2:]]), _bits(pinned))
     assert total_iters == 3946
 
 
@@ -1048,7 +1279,7 @@ def test_stepper_damped_step_and_no_convergence_exit():
     # a rounding-level residual above the 1e-12 tolerance.  The pinned bits
     # come from the per-call Newton core this kernel replaced.
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
-    step = gni_reduced._chaplygin_stepper(params, 1.0)
+    step = sphere_oracle._chaplygin_stepper(params, 1.0)
     damped = ([-1.0, 2.0], [1.0, 0.0], [-15.0, -24.0, -12.0])
     *values, iters = step(*damped[0], *damped[1], *damped[2])
     q_next, w, iters_stats = chaplygin_step_stats(params, *map(np.array, damped), 1.0)
@@ -1283,20 +1514,24 @@ def test_stepper_stops_at_once_on_a_non_finite_residual(monkeypatch, w0):
     # A start whose residuals overflow, or that carries a NaN (also where
     # ``max`` would drop it), raises before the first Newton system.
     calls = []
-    solve = gni_reduced._solve_sphere
+    solve = sphere_oracle._solve_sphere
 
     def counting_solve(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(gni_reduced, "_solve_sphere", counting_solve)
+    monkeypatch.setattr(sphere_oracle, "_solve_sphere", counting_solve)
     params = ChaplyginParams(m=1.0, r=1.0, omega=1.0, i1=2 / 3, i2=2 / 3, i3=2 / 3)
     h = 0.1
     q0 = np.array([1.0, 1.0])
     q1 = chaplygin_init(params, q0, np.array(w0), h)
-    step = gni_reduced._chaplygin_stepper(params, h)
+    step = sphere_oracle._chaplygin_stepper(params, h)
     with pytest.raises(NoConvergence) as excinfo:
         step(*q0.tolist(), *q1.tolist(), *w0)
     assert excinfo.value.iterations == 0
     assert not np.isfinite(excinfo.value.final_residual)
     assert calls == []
+    with pytest.raises(NoConvergence) as kernel_exc:
+        chaplygin_step_stats(params, q0, q1, np.array(w0), h)
+    assert kernel_exc.value.iterations == 0
+    assert _bits([kernel_exc.value.final_residual])[0] == _bits([excinfo.value.final_residual])[0]
