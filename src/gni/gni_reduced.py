@@ -236,7 +236,14 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
             f1 = d * v1 + 0.5 * (o2 * v0 - o0 * v2) + cw * o1 - g1
             f2 = d * v2 + 0.5 * (o0 * v1 - o1 * v0) + cw * o2 - g2
             # The NaN-aware infinity norm of f at y.
-            f_norm = max(abs(f0), abs(f1), abs(f2)) if f0 == f0 and f1 == f1 and f2 == f2 else nan
+            if f0 == f0 and f1 == f1 and f2 == f2:
+                f_norm = abs(f0)
+                if (u := abs(f1)) > f_norm:
+                    f_norm = u
+                if (u := abs(f2)) > f_norm:
+                    f_norm = u
+            else:
+                f_norm = nan
             if left and not f_norm < norm:  # ``norm`` is finite: only a finite f_norm is less
                 left, alpha = left - 1, 0.5 * alpha
                 y0, y1, y2 = x0 - alpha * e0, x1 - alpha * e1, x2 - alpha * e2
@@ -448,6 +455,8 @@ class ChaplyginParams:
     i3: float
 
     def __post_init__(self):
+        for name in ("m", "r", "omega", "i1", "i2", "i3"):  # NumPy scalars would slow every step
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.m <= 0.0 or self.r <= 0.0:
             raise ValueError("mass and radius must be positive")
         if min(self.i1, self.i2, self.i3) <= 0.0:
@@ -572,10 +581,11 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
     Newton updates themselves unchanged.  The 5x5 Newton system is solved
     by Gaussian elimination with partial pivoting (strict ``>``, ties to
     the lower row, zero factors skipped) written out for its structure:
-    columns 0 and 1 are nonzero only in rows 0/3 and 1/4, and row 2 is
-    zero in both.  Minus the updates that leave a structural zero zero,
-    it does the generic loop's operations in its order, so it has its
-    bits while the four column-0/1 entries (step constants) are finite.
+    columns 0 and 1 are nonzero only in rows 0/3 and 1/4, both holding the
+    step constants ``jac_mom`` over ``jac_con``, so their pivot choice, pivot
+    floor test and factor are set once per run.  Minus the updates that
+    leave a structural zero zero, it does the generic loop's operations in
+    its order, so it has its bits while those constants are finite.
     """
     if cfg is None:
         cfg = default_newton_config()
@@ -606,9 +616,13 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
     s12 = h / (m * r)
     s3 = 1.0 / i3
     s45 = 2.0 * h
-    # Jacobian entries of the shape unknowns (columns 0 and 1) are constant.
-    jac_mom = s12 * mr_h
-    jac_con = s45 * inv2h
+    jac_mom, jac_con = s12 * mr_h, s45 * inv2h
+    swap = abs(jac_con) > abs(jac_mom)
+    pivot, other = (jac_con, jac_mom) if swap else (jac_mom, jac_con)
+    singular = abs(pivot) <= 1e-300
+    factor01 = 0.0 if singular else other / pivot
+    eliminate = factor01 != 0.0
+    newton_iterations, halvings = range(max_iters), range(_MAX_HALVINGS)
 
     def window(flat, counts, j0, j1):
         i = 5 * j0
@@ -630,20 +644,26 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
             f3 = s3 * (i3 * w3 + k21 * w1 * w2 + h2_4 * w3 * s + c3)
             f4 = s45 * (inv2h * xp - half_r * w2 - a4 * w1 * w3 - b4 * w2 * s + c4)
             f5 = s45 * (inv2h * yp + half_r * w1 + a5 * w2 * w3 + b5 * w1 * s + c5)
-            norm = max(abs(f1), abs(f2), abs(f3), abs(f4), abs(f5))
+            # The infinity norm by builtin ``max``'s rule: strict ``>``, a first NaN kept.
+            norm = abs(f1)
+            if (a := abs(f2)) > norm:
+                norm = a
+            if (a := abs(f3)) > norm:
+                norm = a
+            if (a := abs(f4)) > norm:
+                norm = a
+            if (a := abs(f5)) > norm:
+                norm = a
 
-            for iteration in range(max_iters):
+            for iteration in newton_iterations:
                 if norm <= tol:
                     break
-                if not (isfinite(f1) and isfinite(f2) and isfinite(f3) and isfinite(f4)
-                        and isfinite(f5)):
-                    # ``max`` drops a NaN that is not its first argument; the
+                if (f1 - f1) + (f2 - f2) + (f3 - f3) + (f4 - f4) + (f5 - f5) != 0.0:
+                    # Some residual is inf or NaN, which the norm may drop; the
                     # sum of the magnitudes is NaN if any residual is, else inf.
                     return j, NoConvergence(iteration, abs(f1) + abs(f2) + abs(f3) + abs(f4)
                                             + abs(f5))
                 # The Newton system J d = -f; its other entries are zero.
-                a00 = a11 = jac_mom
-                a30 = a41 = jac_con
                 a02 = s12 * (k13 * w3 + hi1 * w1 * w2)
                 a03 = s12 * (i2 + h2_4 * (s + di2 * w2 * w2))
                 a04 = s12 * (k13 * w1 + hi3 * w3 * w2)
@@ -661,30 +681,21 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
                 a44 = s45 * (a5 * w2 + b5i3 * w3 * w1)
                 r0, r1, r2, r3, r4 = -f1, -f2, -f3, -f4, -f5
 
-                # Column 0: rows 0 and 3.
-                if abs(a30) > abs(a00):
-                    a00, a02, a03, a04, r0, a30, a32, a33, a34, r3 = (a30, a32, a33, a34, r3,
-                                                                      a00, a02, a03, a04, r0)
-                if abs(a00) <= 1e-300:
+                # Columns 0 and 1: rows 0/3 and 1/4, pivoted as set up per run.
+                if singular:
                     return j, NoConvergence(iteration, norm)
-                factor = a30 / a00
-                if factor != 0.0:
-                    a32 -= factor * a02
-                    a33 -= factor * a03
-                    a34 -= factor * a04
-                    r3 -= factor * r0
-                # Column 1: rows 1 and 4.
-                if abs(a41) > abs(a11):
-                    a11, a12, a13, a14, r1, a41, a42, a43, a44, r4 = (a41, a42, a43, a44, r4,
-                                                                      a11, a12, a13, a14, r1)
-                if abs(a11) <= 1e-300:
-                    return j, NoConvergence(iteration, norm)
-                factor = a41 / a11
-                if factor != 0.0:
-                    a42 -= factor * a12
-                    a43 -= factor * a13
-                    a44 -= factor * a14
-                    r4 -= factor * r1
+                if swap:
+                    a02, a03, a04, r0, a32, a33, a34, r3 = a32, a33, a34, r3, a02, a03, a04, r0
+                    a12, a13, a14, r1, a42, a43, a44, r4 = a42, a43, a44, r4, a12, a13, a14, r1
+                if eliminate:
+                    a32 -= factor01 * a02
+                    a33 -= factor01 * a03
+                    a34 -= factor01 * a04
+                    r3 -= factor01 * r0
+                    a42 -= factor01 * a12
+                    a43 -= factor01 * a13
+                    a44 -= factor01 * a14
+                    r4 -= factor01 * r1
                 # The 3x3 tail: rows 2, 3, 4 in columns 2, 3, 4.
                 pivot_row = 2
                 pivot_mag = abs(a22)
@@ -724,15 +735,15 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
                 d4 = r4 / a44
                 d3 = (r3 - a34 * d4) / a33
                 d2 = (r2 - a23 * d3 - a24 * d4) / a22
-                d1 = (r1 - a12 * d2 - a13 * d3 - a14 * d4) / a11
+                d1 = (r1 - a12 * d2 - a13 * d3 - a14 * d4) / pivot
                 # The zero row-0 entry of column 1 still multiplies d1, as in
                 # the generic loop, so a non-finite d1 reaches d0 the same way.
-                d0 = (r0 - 0.0 * d1 - a02 * d2 - a03 * d3 - a04 * d4) / a00
+                d0 = (r0 - 0.0 * d1 - a02 * d2 - a03 * d3 - a04 * d4) / pivot
 
                 # Full step, halved while the residual does not fall; after
                 # the last halving the trial is taken anyway.
                 alpha = 1.0
-                for _ in range(_MAX_HALVINGS):
+                for _ in halvings:
                     t1 = xp + alpha * d0
                     t2 = yp + alpha * d1
                     t3 = w1 + alpha * d2
@@ -744,7 +755,15 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
                     g3 = s3 * (i3 * t5 + k21 * t3 * t4 + h2_4 * t5 * s_t + c3)
                     g4 = s45 * (inv2h * t1 - half_r * t4 - a4 * t3 * t5 - b4 * t4 * s_t + c4)
                     g5 = s45 * (inv2h * t2 + half_r * t3 + a5 * t4 * t5 + b5 * t3 * s_t + c5)
-                    trial_norm = max(abs(g1), abs(g2), abs(g3), abs(g4), abs(g5))
+                    trial_norm = abs(g1)
+                    if (a := abs(g2)) > trial_norm:
+                        trial_norm = a
+                    if (a := abs(g3)) > trial_norm:
+                        trial_norm = a
+                    if (a := abs(g4)) > trial_norm:
+                        trial_norm = a
+                    if (a := abs(g5)) > trial_norm:
+                        trial_norm = a
                     if trial_norm < norm:
                         break
                     alpha *= 0.5

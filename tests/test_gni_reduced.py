@@ -1,5 +1,6 @@
 """Tests for the reduced steppers and the rolling-sphere specialization."""
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -552,6 +553,19 @@ def test_stage3_solver_accepts_a_converged_predictor(retraction):
 
 
 @pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_solver_accepts_a_norm_equal_to_the_tolerance(retraction):
+    # The norm at the predictor and after one update, each read off the
+    # budget error, is met as the tolerance, as newton_solve_stats meets it.
+    case = _random_stage3_case(np.random.default_rng(53))
+    for iterations in (0, 1):
+        cfg = NewtonConfig(residual_tol=1e-300, max_iters=iterations)
+        got, _ = _check_stage3_solver(retraction, *case, cfg)
+        assert got[0] == "NoConvergence" and got[1][0] == iterations
+        got, _ = _check_stage3_solver(retraction, *case, NewtonConfig(residual_tol=got[1][1]))
+        assert got[0] == "returned" and got[1][-1] == iterations
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
 def test_stage3_solver_halves_and_falls_back_as_newton_solve_stats(retraction):
     # Long steps and large velocities make the full Newton step overshoot.
     rng = np.random.default_rng(3)
@@ -1073,8 +1087,14 @@ _KERNEL_CFGS = [
 ]
 
 
+# Steps of the random-state conformance test; they pivot columns 0 and 1
+# of the criterion-06 sphere's Newton system each way
+# (test_random_state_steps_take_every_column_pivot).
+_RANDOM_STATE_STEPS = [0.15, 0.01, 3.9e-5, 0.09]
+
+
 @pytest.mark.parametrize("windows", [[1], [2], [4097], [4096, 1]])
-@pytest.mark.parametrize("h", [0.15, 0.01, 3.9e-5])
+@pytest.mark.parametrize("h", _RANDOM_STATE_STEPS)
 def test_window_kernel_is_the_oracle_on_random_states(h, windows):
     rng = np.random.default_rng(int(h * 1e6) + len(windows))
     cases = [(ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2),
@@ -1188,6 +1208,41 @@ _EDGE_CASES = {
         ([0.4371847360926782, -1.68132609212329], [0.0, 0.0, 4.615150581459465e-104],
          [-1.7240055186324608, 0.3249064271080364]),
     ),
+    # zero factors in the tail's columns 2 (row 4) and 3, whose skipped
+    # updates would flip the sign of a zero that reaches the rows
+    "zero factors in the tail": (
+        ChaplyginParams(m=0.005, r=0.5, omega=-2.5, i1=12.0, i2=0.25, i3=600.0), 3e-5,
+        ([-0.0, 0.04], [0.0, -0.0, -0.0], [-0.0, -0.0]),
+    ),
+    # a zero factor of the tail's column 2 (rows 2 and 3 swapped) beside an
+    # infinite entry: skipped, the next pivot is zero and singular; made,
+    # its update would make that pivot NaN
+    "zero factor beside a non-finite entry": (
+        ChaplyginParams(m=1e-136, r=1e-146, omega=-0.5, i1=1e-112, i2=1e105, i3=1e-78), 2e-14,
+        ([1e-55, -0.4], [-0.0, 0.0, 0.2], [-1e-34, 0.0]),
+    ),
+    # one residual alone overflows at the predictor (a cubic term of the
+    # spin about one axis); the norm keeps the NaN of f1 but drops the others
+    "non-finite f1 only": (
+        ChaplyginParams(m=1.0, r=1e-6, omega=0.0, i1=1.0, i2=1.0, i3=1.0), 1.0,
+        ([0.0, 0.0], [0.0, 1e103, 0.0], [1.0, 1.0]),
+    ),
+    "non-finite f2 only": (
+        ChaplyginParams(m=1.0, r=1e-6, omega=0.0, i1=1.0, i2=1.0, i3=1.0), 1.0,
+        ([0.0, 0.0], [1e103, 0.0, 0.0], [1.0, 1.0]),
+    ),
+    "non-finite f3 only": (
+        ChaplyginParams(m=1.0, r=1e-6, omega=0.0, i1=1.0, i2=1.0, i3=1.0), 1.0,
+        ([0.0, 0.0], [0.0, 0.0, 1e103], [1.0, 1.0]),
+    ),
+    "non-finite f4 only": (
+        ChaplyginParams(m=1.0, r=1.0, omega=0.0, i1=1.0, i2=1e-6, i3=1.0), 1.0,
+        ([0.0, 0.0], [0.0, 1.2e103, 0.0], [1.0, 1.0]),
+    ),
+    "non-finite f5 only": (
+        ChaplyginParams(m=1.0, r=1.0, omega=0.0, i1=1e-6, i2=1.0, i3=1.0), 1.0,
+        ([0.0, 0.0], [1.2e103, 0.0, 0.0], [1.0, 1.0]),
+    ),
 }
 
 
@@ -1220,6 +1275,13 @@ def test_edge_cases_take_the_paths_they_name(monkeypatch):
         "singular tail column 3": (0, True, 1, True),
         "singular last pivot": (0, True, 1, True),
         "singular last pivot after updates": (3, True, 4, True),
+        "zero factors in the tail": (2, None, 2, False),
+        "zero factor beside a non-finite entry": (0, True, 1, True),
+        "non-finite f1 only": (0, False, 0, None),
+        "non-finite f2 only": (0, False, 0, None),
+        "non-finite f3 only": (0, False, 0, None),
+        "non-finite f4 only": (0, False, 0, None),
+        "non-finite f5 only": (0, False, 0, None),
     }
     singular = []
     solve = sphere_oracle._solve_sphere
@@ -1241,6 +1303,68 @@ def test_edge_cases_take_the_paths_they_name(monkeypatch):
             iters, finite = exc.iterations, bool(np.isfinite(exc.final_residual))
         last = singular[-1] if singular else None
         assert (iters, finite, len(singular), last) == expected[name], name
+
+
+def _column_pivot(params, h):
+    """How the window kernel pivots columns 0 and 1 of its Newton system.
+    Their constant entries, jac_mom = h/(m r) * (m r/h) in the momentum
+    rows and jac_con = 2h * 1/(2h) in the constraint rows, are 1 up to
+    rounding; the constraint rows pivot ("swap") only where jac_con is the
+    larger."""
+    jac_mom = h / (params.m * params.r) * (params.m * params.r / h)
+    jac_con = 2.0 * h * (1.0 / (2.0 * h))
+    return "swap" if abs(jac_con) > abs(jac_mom) else "equal" if jac_con == jac_mom else "keep"
+
+
+def test_random_state_steps_take_every_column_pivot():
+    assert [_column_pivot(_SPHERE, h) for h in _RANDOM_STATE_STEPS] == [
+        "swap", "equal", "swap", "keep"
+    ]
+    h = 0.15
+    assert h / (3.0 * 1.0) * (3.0 * 1.0 / h) == 0.9999999999999999
+    assert 2.0 * h * (1.0 / (2.0 * h)) == 1.0
+
+
+def test_stop_test_accepts_a_norm_equal_to_the_tolerance():
+    # The residual norm at the predictor, and after the one update a budget
+    # of one allows, each read off the budget error; as the tolerance, each
+    # is met, inside the loop and at the end of the budget, as in the oracle.
+    q0, w0, h = np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), 0.01
+    start = (q0, w0, chaplygin_init(_SPHERE, q0, w0, h) + 1e-3)
+    for iterations in (0, 1):
+        failure = _assert_kernel_is_oracle(
+            _SPHERE, h, start, [1], NewtonConfig(residual_tol=1e-300, max_iters=iterations)
+        )
+        assert failure[1].iterations == iterations
+        for budget in (iterations, 50):
+            cfg = NewtonConfig(residual_tol=failure[1].final_residual, max_iters=budget)
+            assert _assert_kernel_is_oracle(_SPHERE, h, start, [1], cfg) is None
+            assert _kernel_run(_SPHERE, h, start, [1], cfg)[1][1] == iterations
+
+
+def test_params_hold_numpy_scalars_as_floats():
+    # NumPy scalar fields would make each kernel step NumPy scalar
+    # arithmetic, about twice as slow; the rows are the same bits.
+    values = (3.0, 1.0, 0.2, 1.0, 1.1, 1.2)
+    params = ChaplyginParams(*map(np.float64, values))
+    assert {type(getattr(params, name)) for name in ("m", "r", "omega", "i1", "i2", "i3")} == {float}
+    q0, w0, h = np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), 0.01
+    start = (q0, w0, chaplygin_init(params, q0, w0, h))
+    rows, counts, failed = _kernel_run(params, h, start, [500])
+    want_rows, want_counts, _ = _kernel_run(ChaplyginParams(*values), h, start, [500])
+    assert failed is None
+    np.testing.assert_array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
+    np.testing.assert_array_equal(counts, want_counts)
+
+
+def test_numpy_scalar_params_overflow_without_warnings():
+    # With NumPy scalar fields, this step's overflow warned 18 times.
+    params = ChaplyginParams(*map(np.float64, (3.0, 1.0, 0.2, 1.0, 1.1, 1.2)))
+    q0 = np.array([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence):
+            chaplygin_step_stats(params, q0, q0, np.array([1e200, 1e200, 1e200]), 0.1)
 
 
 def test_stepper_matches_step_stats_bit_for_bit_over_a_long_run():
