@@ -276,11 +276,11 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
       rows each step evaluated at its position;
     * for a :class:`gni.gni_reduced.ReducedStepper` ``stepper`` on a
       system that :func:`gni.gni_reduced.reduced_kernel` covers, the same
-      steps by that float kernel, built once per run.  Rows are the arrays
-      ``[x, y, px, py, xi1, xi2, xi3, p_alg1, p_alg2, p_alg3, lam1,
-      lam2]`` of one ``(N+1, 12)`` buffer, and the residual column is one
-      stacked pass of :func:`gni.gni_reduced.reduced_scheme_residual` (0
-      on row 0).  On any other system the record steps as a one-step map;
+      steps by that float window kernel, built once per run, which writes
+      rows ``[x, y, px, py, xi1, xi2, xi3, p_alg1, p_alg2, p_alg3, lam1,
+      lam2]`` straight into one ``(N+1, 12)`` buffer; the residual column is
+      one stacked pass of :func:`gni.gni_reduced.reduced_scheme_residual`
+      (0 on row 0).  On any other system the record steps as a one-step map;
     * when ``system`` is a :class:`ChaplyginParams`, the rolling-sphere
       two-point recurrence, stepped a window at a time by one float kernel
       per run (:func:`gni.gni_reduced._chaplygin_stepper`; ``stepper`` is
@@ -591,7 +591,7 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
     return advance, assemble, keep
 
 
-def _reduced_rows(kernel, retraction, system, initial, h, capacity, residual):
+def _reduced_rows(window, retraction, system, initial, h, capacity, residual):
     # One float row [x, y, px, py, xi, p_alg, lam] per step.
     rows = np.empty((capacity, 12))
     iters = np.zeros(capacity, dtype=int)
@@ -601,14 +601,9 @@ def _reduced_rows(kernel, retraction, system, initial, h, capacity, residual):
     flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
     base = 0
 
-    def step(k):
-        j = k - base
-        i = 12 * j
-        (
-            flat[i], flat[i + 1], flat[i + 2], flat[i + 3], flat[i + 4], flat[i + 5],
-            flat[i + 6], flat[i + 7], flat[i + 8], flat[i + 9], flat[i + 10], flat[i + 11],
-            counts[j],
-        ) = kernel(*flat[i - 12 : i])
+    def advance(k0, k1):
+        failed = window(flat, counts, k0 - base, k1 - base)
+        return None if failed is None else (failed[0] + base, failed[1])
 
     def assemble(n_rows):
         m = n_rows - base
@@ -627,7 +622,7 @@ def _reduced_rows(kernel, retraction, system, initial, h, capacity, residual):
         iters[0] = iters[j]
         base = k
 
-    return _stepwise(step), assemble, keep
+    return advance, assemble, keep
 
 
 def _check_admissible(system, state, h: float) -> None:

@@ -422,6 +422,10 @@ def _validate(cfg: RunConfig) -> None:
             _require(all(x > 0 for x in value), "inertia", "moments must be positive")
         elif field != "omega_plate":
             _require(value > 0, field, "must be positive")
+    if entry.form == "sphere":  # the recurrence scales its momentum rows by h / (m r)
+        m = _SPHERE_DEFAULTS["m"] if cfg.m is None else cfg.m
+        r = _SPHERE_DEFAULTS["r"] if cfg.r is None else cfg.r
+        _require(m * r != 0.0, "m", f"m * r = {m:g} * {r:g} underflows to 0")
 
     # initial-state keys
     dim = _SYSTEM_DIM[cfg.system]

@@ -40,10 +40,12 @@ from .lie_so3 import cay, dcay_inv, exp_coefficients, exp_so3
 from .model import ReducedState, ReducedSystem
 from .numerics import (
     _MAX_HALVINGS,
+    _PIVOT_RTOL,
     NewtonConfig,
     NoConvergence,
+    SingularMatrix,
+    _singular,
     default_newton_config,
-    small_solve,
     solve_gram,
 )
 
@@ -212,7 +214,10 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
 
     Returns ``solve(b0, b1, b2, g0, g1, g2, x0, x1, x2) -> (xi0, xi1, xi2,
     iterations)`` for ``b``, ``alg1`` and the predictor ``xi``: the same
-    operations, stop rule and errors as :func:`~gni.numerics.newton_solve_stats`.
+    operations, stop rule and errors as :func:`~gni.numerics.newton_solve_stats`,
+    whose :func:`~gni.numerics.small_solve` is written out inline (partial
+    pivoting to the first row of largest magnitude, the pivot test against
+    ``1e-14 max|J|``, the same back substitution).
     """
     cfg = cfg or default_newton_config()
     tol, max_iters = cfg.residual_tol, cfg.max_iters
@@ -265,26 +270,41 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
             p0, p1, p2 = h * (k * v0 + q * o0), h * (k * v1 + q * o1), h * (k * v2 + q * o2)
             r0, r1, r2, diag = h * co0, h * co1, h * co2, h * c * sv
             hv0, hv1, hv2 = 0.5 * h * v0, 0.5 * h * v1, 0.5 * h * v2
-            e0, e1, e2 = small_solve(
-                (
-                    (
-                        t00 * s00 + t01 * s10 + t02 * s20 + p0 * o0 + r0 * v0 + diag,
-                        t00 * s01 + t01 * s11 + t02 * s21 + p0 * o1 + r0 * v1 + hv2,
-                        t00 * s02 + t01 * s12 + t02 * s22 + p0 * o2 + r0 * v2 - hv1,
-                    ),
-                    (
-                        t10 * s00 + t11 * s10 + t12 * s20 + p1 * o0 + r1 * v0 - hv2,
-                        t10 * s01 + t11 * s11 + t12 * s21 + p1 * o1 + r1 * v1 + diag,
-                        t10 * s02 + t11 * s12 + t12 * s22 + p1 * o2 + r1 * v2 + hv0,
-                    ),
-                    (
-                        t20 * s00 + t21 * s10 + t22 * s20 + p2 * o0 + r2 * v0 + hv1,
-                        t20 * s01 + t21 * s11 + t22 * s21 + p2 * o1 + r2 * v1 - hv0,
-                        t20 * s02 + t21 * s12 + t22 * s22 + p2 * o2 + r2 * v2 + diag,
-                    ),
-                ),
-                (f0, f1, f2),
-            )
+            # The Newton system J e = f, solved as small_solve solves it.
+            j00 = t00 * s00 + t01 * s10 + t02 * s20 + p0 * o0 + r0 * v0 + diag
+            j01 = t00 * s01 + t01 * s11 + t02 * s21 + p0 * o1 + r0 * v1 + hv2
+            j02 = t00 * s02 + t01 * s12 + t02 * s22 + p0 * o2 + r0 * v2 - hv1
+            j10 = t10 * s00 + t11 * s10 + t12 * s20 + p1 * o0 + r1 * v0 - hv2
+            j11 = t10 * s01 + t11 * s11 + t12 * s21 + p1 * o1 + r1 * v1 + diag
+            j12 = t10 * s02 + t11 * s12 + t12 * s22 + p1 * o2 + r1 * v2 + hv0
+            j20 = t20 * s00 + t21 * s10 + t22 * s20 + p2 * o0 + r2 * v0 + hv1
+            j21 = t20 * s01 + t21 * s11 + t22 * s21 + p2 * o1 + r2 * v1 - hv0
+            j22 = t20 * s02 + t21 * s12 + t22 * s22 + p2 * o2 + r2 * v2 + diag
+            threshold = _PIVOT_RTOL * max(abs(j00), abs(j01), abs(j02), abs(j10), abs(j11),
+                                          abs(j12), abs(j20), abs(j21), abs(j22))
+            if abs(j10) > abs(j00):
+                if abs(j20) > abs(j10):
+                    j00, j01, j02, f0, j20, j21, j22, f2 = j20, j21, j22, f2, j00, j01, j02, f0
+                else:
+                    j00, j01, j02, f0, j10, j11, j12, f1 = j10, j11, j12, f1, j00, j01, j02, f0
+            elif abs(j20) > abs(j00):
+                j00, j01, j02, f0, j20, j21, j22, f2 = j20, j21, j22, f2, j00, j01, j02, f0
+            if abs(j00) <= threshold:
+                raise _singular(j00, 0, threshold)
+            q1, q2 = j10 / j00, j20 / j00
+            j11, j12, j21, j22 = j11 - q1 * j01, j12 - q1 * j02, j21 - q2 * j01, j22 - q2 * j02
+            f1, f2 = f1 - q1 * f0, f2 - q2 * f0
+            if abs(j21) > abs(j11):
+                j11, j12, f1, j21, j22, f2 = j21, j22, f2, j11, j12, f1
+            if abs(j11) <= threshold:
+                raise _singular(j11, 1, threshold)
+            q2 = j21 / j11
+            j22, f2 = j22 - q2 * j12, f2 - q2 * f1
+            if abs(j22) <= threshold:
+                raise _singular(j22, 2, threshold)
+            e2 = f2 / j22
+            e1 = (f1 - j12 * e2) / j11
+            e0 = (f0 - (j01 * e1 + j02 * e2)) / j00
             alpha, left = 1.0, _MAX_HALVINGS
             y0, y1, y2 = x0 - e0, x1 - e1, x2 - e2  # the full step: 1.0 * e is e
 
@@ -360,7 +380,7 @@ class ReducedStepper:
 def reduced_kernel(
     rsys: ReducedSystem, h: float, retraction: str = "cay", cfg: Optional[NewtonConfig] = None
 ):
-    """:func:`reduced_rattle_step` as a function on plain floats, for one run.
+    """:func:`reduced_rattle_step` as a window kernel on plain floats, for one run.
 
     It covers systems with a 2-dim shape, the 3-dim algebra and two
     constraint rows, that declare those rows as a constant array and the
@@ -372,10 +392,13 @@ def reduced_kernel(
     Schur block, and the stage-3 solve of :func:`_stage3_solver`.  The
     transport ``tau(h xi)^T p_alg`` is written in closed form.
 
-    Returns ``step(x, y, px, py, xi1, xi2, xi3, pa1, pa2, pa3, lam1, lam2)
-    -> (next 12 values, iterations)``; it raises as
-    :func:`reduced_rattle_step` does.  The algebra of both is the same up to
-    rounding.
+    Returns ``window(flat, counts, j0, j1)``, which takes the steps ``j0 ..
+    j1-1`` on a buffer of rows ``[x, y, px, py, xi1, xi2, xi3, pa1, pa2,
+    pa3, lam1, lam2]`` seen as the flat float memoryview ``flat``, carrying
+    row ``j0-1`` in locals from step to step: step ``j`` writes row ``j``
+    and its stage-3 iterations ``counts[j]``.  It returns ``None``, or
+    ``(j, exc)`` for the first step ``j`` whose stage-3 solve raised.  The
+    algebra is that of :func:`reduced_rattle_step` up to rounding.
 
     Raises
     ------
@@ -384,7 +407,7 @@ def reduced_kernel(
     RankDeficient
         If the constant constraint rows are dependent.
     """
-    coeffs = _retraction(retraction, _TRANSPORT_COEFFS)
+    cayley = _retraction(retraction, {"cay": True, "exp": False})
     covered = (
         (rsys.shape_dim, rsys.algebra_dim, rsys.num_constraints) == (2, 3, 2)
         and isinstance(rsys.annihilator, np.ndarray)
@@ -414,30 +437,49 @@ def reduced_kernel(
     (o00, o01), (o10, o11) = (k_mat @ offset).tolist()
     (c00, c01), (c10, c11), (c20, c21) = (gc.T @ gs_inv).tolist()
 
-    def step(x, y, px, py, w1, w2, w3, g1, g2, g3, l1, l2):
-        # Stage 1: shape half-kick and drift.
-        qx = px - (m00 * l1 + m01 * l2)
-        qy = py - (m10 * l1 + m11 * l2)
-        x1 = x + (a00 * qx + a01 * qy + a02 * w1 + a03 * w2 + a04 * w3)
-        y1 = y + (a10 * qx + a11 * qy + a12 * w1 + a13 * w2 + a14 * w3)
-        # Coadjoint transport of the algebra momentum.
-        s1, s2, s3 = h * w1, h * w2, h * w3
-        t1, t2, t3 = _transport(*coeffs(s1 * s1 + s2 * s2 + s3 * s3), s1, s2, s3, g1, g2, g3)
-        # Stage 2: multiplier and momenta.
-        n1 = k00 * qx + k01 * qy + k02 * t1 + k03 * t2 + k04 * t3 - (o00 * x1 + o01 * y1)
-        n2 = k10 * qx + k11 * qy + k12 * t1 + k13 * t2 + k14 * t3 - (o10 * x1 + o11 * y1)
-        dx, dy = m00 * n1 + m01 * n2, m10 * n1 + m11 * n2
-        px1, py1 = qx - dx, qy - dy
-        h1 = t1 - (e00 * n1 + e01 * n2)
-        h2 = t2 - (e10 * n1 + e11 * n2)
-        h3 = t3 - (e20 * n1 + e21 * n2)
-        # Stage 3: interval velocity from the algebra-momentum match.
-        rx, ry = px1 - dx, py1 - dy
-        v1, v2, v3, iters = solve(c00 * rx + c01 * ry, c10 * rx + c11 * ry, c20 * rx + c21 * ry,
-                                  h1, h2, h3, w1, w2, w3)
-        return x1, y1, px1, py1, v1, v2, v3, h1, h2, h3, n1, n2, iters
+    def window(flat, counts, j0, j1):
+        i = 12 * j0
+        x, y, px, py, w1, w2, w3, g1, g2, g3, l1, l2 = flat[i - 12 : i]
+        for j in range(j0, j1):
+            # Stage 1: shape half-kick and drift.
+            qx = px - (m00 * l1 + m01 * l2)
+            qy = py - (m10 * l1 + m11 * l2)
+            x += a00 * qx + a01 * qy + a02 * w1 + a03 * w2 + a04 * w3
+            y += a10 * qx + a11 * qy + a12 * w1 + a13 * w2 + a14 * w3
+            # Coadjoint transport tau(s)^T g = g - a s x g + b s x (s x g), s = h xi.
+            s1, s2, s3 = h * w1, h * w2, h * w3
+            t = s1 * s1 + s2 * s2 + s3 * s3
+            if cayley:
+                a = 4.0 / (4.0 + t)
+                b = 0.5 * a
+            else:
+                a, b = exp_coefficients(sqrt(t))
+            u1, u2, u3 = s2 * g3 - s3 * g2, s3 * g1 - s1 * g3, s1 * g2 - s2 * g1
+            t1 = g1 - a * u1 + b * (s2 * u3 - s3 * u2)
+            t2 = g2 - a * u2 + b * (s3 * u1 - s1 * u3)
+            t3 = g3 - a * u3 + b * (s1 * u2 - s2 * u1)
+            # Stage 2: multiplier and momenta.
+            l1 = k00 * qx + k01 * qy + k02 * t1 + k03 * t2 + k04 * t3 - (o00 * x + o01 * y)
+            l2 = k10 * qx + k11 * qy + k12 * t1 + k13 * t2 + k14 * t3 - (o10 * x + o11 * y)
+            dx, dy = m00 * l1 + m01 * l2, m10 * l1 + m11 * l2
+            px, py = qx - dx, qy - dy
+            g1 = t1 - (e00 * l1 + e01 * l2)
+            g2 = t2 - (e10 * l1 + e11 * l2)
+            g3 = t3 - (e20 * l1 + e21 * l2)
+            # Stage 3: interval velocity from the algebra-momentum match.
+            rx, ry = px - dx, py - dy
+            try:
+                w1, w2, w3, counts[j] = solve(c00 * rx + c01 * ry, c10 * rx + c11 * ry,
+                                              c20 * rx + c21 * ry, g1, g2, g3, w1, w2, w3)
+            except (NoConvergence, SingularMatrix) as exc:
+                return j, exc
+            (flat[i], flat[i + 1], flat[i + 2], flat[i + 3], flat[i + 4], flat[i + 5], flat[i + 6],
+             flat[i + 7], flat[i + 8], flat[i + 9], flat[i + 10], flat[i + 11]) = (
+                x, y, px, py, w1, w2, w3, g1, g2, g3, l1, l2)
+            i += 12
+        return None
 
-    return step
+    return window
 
 
 @dataclass(frozen=True)
@@ -582,10 +624,13 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
     by Gaussian elimination with partial pivoting (strict ``>``, ties to
     the lower row, zero factors skipped) written out for its structure:
     columns 0 and 1 are nonzero only in rows 0/3 and 1/4, both holding the
-    step constants ``jac_mom`` over ``jac_con``, so their pivot choice, pivot
-    floor test and factor are set once per run.  Minus the updates that
-    leave a structural zero zero, it does the generic loop's operations in
-    its order, so it has its bits while those constants are finite.
+    step constants ``jac_mom`` over ``jac_con``, so their pivot choice and
+    factor are set once per run, with no pivot floor or zero-factor test:
+    the two are 1 up to rounding, or not finite when a set-up constant
+    overflows, and then the predictor's residuals have stopped the step.
+    Minus the updates that leave a structural zero zero, it does the
+    generic loop's operations in its order, so it has its bits while
+    those constants are finite.
     """
     if cfg is None:
         cfg = default_newton_config()
@@ -619,9 +664,7 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
     jac_mom, jac_con = s12 * mr_h, s45 * inv2h
     swap = abs(jac_con) > abs(jac_mom)
     pivot, other = (jac_con, jac_mom) if swap else (jac_mom, jac_con)
-    singular = abs(pivot) <= 1e-300
-    factor01 = 0.0 if singular else other / pivot
-    eliminate = factor01 != 0.0
+    factor01 = other / pivot
     newton_iterations, halvings = range(max_iters), range(_MAX_HALVINGS)
 
     def window(flat, counts, j0, j1):
@@ -682,20 +725,17 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
                 r0, r1, r2, r3, r4 = -f1, -f2, -f3, -f4, -f5
 
                 # Columns 0 and 1: rows 0/3 and 1/4, pivoted as set up per run.
-                if singular:
-                    return j, NoConvergence(iteration, norm)
                 if swap:
                     a02, a03, a04, r0, a32, a33, a34, r3 = a32, a33, a34, r3, a02, a03, a04, r0
                     a12, a13, a14, r1, a42, a43, a44, r4 = a42, a43, a44, r4, a12, a13, a14, r1
-                if eliminate:
-                    a32 -= factor01 * a02
-                    a33 -= factor01 * a03
-                    a34 -= factor01 * a04
-                    r3 -= factor01 * r0
-                    a42 -= factor01 * a12
-                    a43 -= factor01 * a13
-                    a44 -= factor01 * a14
-                    r4 -= factor01 * r1
+                a32 -= factor01 * a02
+                a33 -= factor01 * a03
+                a34 -= factor01 * a04
+                r3 -= factor01 * r0
+                a42 -= factor01 * a12
+                a43 -= factor01 * a13
+                a44 -= factor01 * a14
+                r4 -= factor01 * r1
                 # The 3x3 tail: rows 2, 3, 4 in columns 2, 3, 4.
                 pivot_row = 2
                 pivot_mag = abs(a22)

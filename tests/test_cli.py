@@ -658,6 +658,36 @@ def test_adjoint_command(capsys):
     assert main(["adjoint", "--seed", "3", "--quiet"]) == 0
 
 
+def _with_mass_and_radius(config, m, r):
+    lines = (CONFIG_DIR / config).read_text().splitlines()
+    lines = [ln for ln in lines if not ln.startswith(("m =", "r ="))]
+    at = lines.index("[system]") + 1
+    return "\n".join(lines[:at] + [f"m = {m}", f"r = {r}"] + lines[at:]) + "\n"
+
+
+@pytest.mark.parametrize("verb, config", [("simulate", "sphere_bounded.cfg"),
+                                          ("sweep", "sphere_convergence.cfg")])
+def test_sphere_whose_m_times_r_underflows_is_a_config_error(tmp_path, capsys, verb, config):
+    # m and r are positive, but the recurrence's row scale h / (m r) divides by 0.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(_with_mass_and_radius(config, "1e-200", "1e-200"))
+    out = tmp_path / "out.csv"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: m: m * r = 1e-200 * 1e-200 underflows to 0")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_reduced_sphere_whose_m_times_r_underflows_still_runs(tmp_path):
+    # The reduced stepper never divides by m r.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(_with_mass_and_radius("sphere_reduced.cfg", "1e-200", "1e-200"))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert len(out.read_text().splitlines()) == 102  # header + 101 rows (T / h = 100)
+
+
 def test_exit_code_missing_config(capsys):
     assert main(["simulate", "--config", "/no/such/file.cfg"]) == 2
     assert "config error" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 
 from gni.gni_flat import prepare_state, rattle_step
 from gni import gni_reduced
+from gni.analysis import StepFailed, run
 from gni.gni_reduced import (
     ChaplyginParams,
     _stage3_solver,
@@ -21,6 +22,7 @@ from gni.gni_reduced import (
     reduced_scheme_residual,
 )
 from retracted_lagrangian import reduced_legendre, standard_retracted_lagrangian
+import reduced_oracle
 import sphere_oracle
 from sphere_oracle import _solve_sphere
 from gni.lie_so3 import cay, dcay_inv, dexp_inv, exp_so3
@@ -541,6 +543,38 @@ def test_stage3_solver_is_newton_solve_stats_on_random_systems(retraction):
         assert ("NoConvergence" if cfg.max_iters <= 1 else "returned") in kinds
 
 
+# Schur blocks whose magnitudes tie where the first Newton system (at xi = 0
+# with b = 0 that system is S itself) picks its pivots, with an alg1 whose
+# iterates tell the two choices apart: column 0 between rows 0 and 1, rows
+# 1 and 2 after row 1 beat row 0, rows 0 and 2, and column 1 after the
+# elimination of column 0.
+_PIVOT_TIES = [
+    ([[-0.83, -0.53, 0.6], [-0.83, -0.81, -0.13], [-0.04, -0.68, 0.47]], [-3.9, -1.1, 0.2]),
+    ([[0.1, 0.7, 0.11], [0.3, 0.5, 0.13], [-0.3, 0.17, 0.9]], [3.7, -2.1, 5.3]),
+    ([[0.3, 0.7, 0.11], [0.2, 0.5, 0.13], [-0.3, 0.17, 0.9]], [3.7, -2.1, 5.3]),
+    ([[-0.22, -0.24, 0.82], [0.0, -0.3, -0.3], [0.0, -0.3, 0.09]], [4.2, 0.6, 2.4]),
+]
+
+
+@pytest.mark.parametrize("schur, alg1", _PIVOT_TIES)
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_solver_breaks_pivot_ties_as_newton_solve_stats(retraction, schur, alg1):
+    # Ties keep the first row, as small_solve's do.
+    got, _ = _check_stage3_solver(retraction, schur, [0.0] * 3, alg1, [0.0] * 3, 0.1,
+                                  NewtonConfig(residual_tol=1.0))
+    assert got[0] == "returned"
+
+
+@pytest.mark.parametrize("diagonal", [(1.0, 1.0, 1e-14), (1.0, 1e-14, 1.0), (1e-13, 1.0, 100.0)])
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_solver_pivot_test_is_newton_solve_stats(retraction, diagonal):
+    # At xi = 0 with b = 0 the Newton system is S: a pivot equal to 1e-14
+    # max|S| is singular, and max|S| is taken over every entry.
+    got, _ = _check_stage3_solver(retraction, np.diag(diagonal).tolist(), [0.0] * 3,
+                                  [0.5, 0.1, 0.2], [0.0] * 3, 0.1, NewtonConfig())
+    assert got[0] == "SingularMatrix"
+
+
 @pytest.mark.parametrize("retraction", ["cay", "exp"])
 def test_stage3_solver_accepts_a_converged_predictor(retraction):
     # alg1 is the residual's own T^T v at xi, so xi solves stage 3 exactly.
@@ -776,20 +810,78 @@ def _row(s):
     return [*s.x, *s.p, *s.xi, *s.p_alg, *s.lam]
 
 
+def _reduced_window_run(rsys, h, retraction, row0, windows, cfg=None):
+    """Rows, stage-3 iteration counts and failure of the reduced window
+    kernel stepped from ``row0`` over consecutive windows of the given
+    sizes, stopping at the first failure.  Rows not written hold a NaN
+    sentinel."""
+    rows = np.full((sum(windows) + 1, 12), np.nan)
+    counts = np.full(sum(windows) + 1, -7)
+    rows[0] = row0
+    window = gni_reduced.reduced_kernel(rsys, h, retraction, cfg)
+    flat, j0, failed = memoryview(rows.reshape(-1)), 1, None
+    for size in windows:
+        failed = window(flat, memoryview(counts), j0, j0 + size)
+        if failed is not None:
+            break
+        j0 += size
+    return rows, counts, failed
+
+
+def _reduced_oracle_run(rsys, h, retraction, row0, n_steps, cfg=None):
+    """:func:`_reduced_window_run` with the per-step oracle, stepped as the
+    runner stepped it, one step at a time."""
+    rows = np.full((n_steps + 1, 12), np.nan)
+    counts = np.full(n_steps + 1, -7)
+    rows[0] = row0
+    step = reduced_oracle.reduced_kernel(rsys, h, retraction, cfg)
+    flat = memoryview(rows.reshape(-1))
+    for j in range(1, n_steps + 1):
+        i = 12 * j
+        try:
+            (
+                flat[i], flat[i + 1], flat[i + 2], flat[i + 3], flat[i + 4], flat[i + 5],
+                flat[i + 6], flat[i + 7], flat[i + 8], flat[i + 9], flat[i + 10], flat[i + 11],
+                counts[j],
+            ) = step(*flat[i - 12 : i])
+        except (NoConvergence, SingularMatrix) as exc:
+            return rows, counts, (j, exc)
+    return rows, counts, None
+
+
+def _assert_reduced_window_is_oracle(rsys, h, retraction, row0, windows, cfg=None):
+    """The reduced window kernel against the oracle, bit for bit: rows,
+    counts, and the failing step with its exception's type and message
+    (and a ``NoConvergence``'s ``iterations`` and ``final_residual``).
+    Returns the oracle's failure."""
+    got_rows, got_counts, got = _reduced_window_run(rsys, h, retraction, row0, windows, cfg)
+    rows, counts, want = _reduced_oracle_run(rsys, h, retraction, row0, sum(windows), cfg)
+    np.testing.assert_array_equal(got_rows.view(np.uint64), rows.view(np.uint64))
+    np.testing.assert_array_equal(got_counts, counts)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == want[0]
+        assert type(got[1]) is type(want[1])
+        assert str(got[1]) == str(want[1])
+        if isinstance(want[1], NoConvergence):
+            assert got[1].iterations == want[1].iterations
+            assert _bits([got[1].final_residual])[0] == _bits([want[1].final_residual])[0]
+    return want
+
+
 @pytest.mark.parametrize("retraction, steps", [("cay", 3000), ("exp", 2500)])
 def test_kernel_agrees_with_reduced_rattle_step(retraction, steps):
     # The same algebra up to rounding: the states stay within 1e-9 of the
     # array step and every step takes the same Newton iterations.
     rsys, s, h = _shipped_reduced_sphere()
     cfg = NewtonConfig()
-    step = gni_reduced.reduced_kernel(rsys, h, retraction, cfg)
-    row = _row(s)
+    rows, counts, failed = _reduced_window_run(rsys, h, retraction, _row(s), [steps], cfg)
+    assert failed is None
     worst = 0.0
-    for _ in range(steps):
+    for row, iters in zip(rows[1:], counts[1:]):
         s = reduced_rattle_step(rsys, s, h, retraction=retraction, cfg=cfg)
-        *row, iters = step(*row)
         assert iters == s.newton_iters
-        worst = max(worst, np.max(np.abs(np.array(row) - _row(s))))
+        worst = max(worst, np.max(np.abs(row - _row(s))))
     assert worst <= 1e-9
 
 
@@ -815,11 +907,8 @@ def test_kernel_covers_only_declared_potential_free_systems():
 @pytest.mark.parametrize("retraction", ["cay", "exp"])
 def test_stacked_reduced_scheme_residual_matches_one_row_calls(retraction):
     rsys, s, h = _shipped_reduced_sphere()
-    step = gni_reduced.reduced_kernel(rsys, h, retraction)
-    rows = [_row(s)]
-    for _ in range(200):
-        rows.append(list(step(*rows[-1])[:12]))
-    rows = np.array(rows)
+    rows, _, failed = _reduced_window_run(rsys, h, retraction, _row(s), [200])
+    assert failed is None
     stacked = reduced_scheme_residual(rsys, rows[:-1], rows[1:], h, retraction)
     one_by_one = [
         reduced_scheme_residual(rsys, a, b, h, retraction) for a, b in zip(rows[:-1], rows[1:])
@@ -844,6 +933,114 @@ def test_stacked_reduced_scheme_residual_matches_one_row_calls(retraction):
     )
     with pytest.raises(ValueError, match="stacked rows"):
         reduced_scheme_residual(callables, rows[:-1], rows[1:], h, retraction)
+
+
+@pytest.mark.parametrize("retraction, steps", [("cay", 3000), ("exp", 2500)])
+def test_reduced_window_is_the_oracle_on_the_shipped_sphere(retraction, steps):
+    rsys, s, h = _shipped_reduced_sphere()
+    for windows in ([steps], [1, 1, 997, steps - 999]):
+        assert _assert_reduced_window_is_oracle(rsys, h, retraction, _row(s), windows) is None
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_reduced_window_is_the_oracle_under_arbitrary_window_cuts(retraction):
+    rsys, s, h = _shipped_reduced_sphere()
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        # Cuts anywhere in 300 steps, empty windows included.
+        cuts = np.sort(rng.integers(0, 301, size=int(rng.integers(1, 8))))
+        windows = np.diff(np.concatenate([[0], cuts, [300]])).tolist()
+        assert _assert_reduced_window_is_oracle(rsys, h, retraction, _row(s), windows) is None
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+@pytest.mark.parametrize("windows", [[1], [2], [9], [4, 5]])
+def test_reduced_window_is_the_oracle_on_random_states(retraction, windows):
+    rng = np.random.default_rng(len(windows) * 10 + sum(windows))
+    outcomes = set()
+    for h in (0.15, 0.05, 0.01, 3.9e-5):
+        for omega in (float(rng.normal()), 0.0):
+            inertia = rng.uniform(0.5, 2.0, size=3)
+            params = ChaplyginParams(float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.5, 2.0)),
+                                     omega, *map(float, inertia))
+            rsys = chaplygin_reduced_system(params)
+            s = chaplygin_initial_reduced_state(params, rng.uniform(-1.0, 1.0, size=2),
+                                                rng.normal(size=3), h)
+            # The seeded state, and the same with a carried multiplier.
+            for lam in (s.lam, rng.normal(size=2)):
+                row0 = [*s.x, *s.p, *s.xi, *s.p_alg, *lam]
+                for cfg in _KERNEL_CFGS:
+                    failure = _assert_reduced_window_is_oracle(rsys, h, retraction, row0, windows, cfg)
+                    outcomes.add(None if failure is None else failure[1].iterations)
+    assert None in outcomes and {-1, 0, 1} <= outcomes
+
+
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_reduced_window_is_the_oracle_across_a_full_window(retraction):
+    # 4,097 steps: a window of 4,096 (the runner's) and one more.
+    rsys, s, h = _shipped_reduced_sphere()
+    assert _assert_reduced_window_is_oracle(rsys, h, retraction, _row(s), [4096, 1]) is None
+    stepper = gni_reduced.ReducedStepper(retraction)
+    full = run(stepper, rsys, s, h, 4097)
+    bare = run(stepper, rsys, s, h, 4097, residual=False)
+    rows, counts, _ = _reduced_oracle_run(rsys, h, retraction, _row(s), 4097)
+    assert np.array_equal(full.states.view(np.uint64), rows.view(np.uint64))
+    assert np.array_equal(full.newton_iters[1:], counts[1:])
+    assert np.array_equal(bare.states.view(np.uint64), rows[-2:].view(np.uint64))
+    assert np.array_equal(bare.newton_iters, full.newton_iters[-2:])
+
+
+def _fail_stage3_at(monkeypatch, failing_step, kind):
+    """Patch the stage-3 solve of the kernel and the oracle so that its
+    ``failing_step``-th call in each run raises a real solver error of
+    ``kind``: the budget of ``max_iters = 0`` spent, a NaN residual, or
+    the singular Newton system of ``S = 0`` at ``xi = 0``."""
+    build = gni_reduced._stage3_solver
+
+    def build_failing(retraction, schur, h, cfg=None):
+        solve = build(retraction, schur, h, cfg)
+        calls = [0]
+
+        def solve_or_fail(b0, b1, b2, g0, g1, g2, x0, x1, x2):
+            calls[0] += 1
+            if calls[0] != failing_step:
+                return solve(b0, b1, b2, g0, g1, g2, x0, x1, x2)
+            if kind == "budget":
+                return build(retraction, schur, h, NewtonConfig(max_iters=0))(
+                    b0, b1, b2, g0, g1, g2, x0, x1, x2)
+            if kind == "non-finite":
+                return solve(b0, b1, b2, float("nan"), g1, g2, x0, x1, x2)
+            return build(retraction, [[0.0] * 3] * 3, h, cfg)(1.0, 2.0, 3.0, 0.5, 0.1, 0.2,
+                                                             0.0, 0.0, 0.0)
+
+        return solve_or_fail
+
+    monkeypatch.setattr(gni_reduced, "_stage3_solver", build_failing)
+    monkeypatch.setattr(reduced_oracle, "_stage3_solver", build_failing)
+
+
+@pytest.mark.parametrize("kind, error", [("budget", NoConvergence), ("non-finite", NoConvergence),
+                                         ("singular", SingularMatrix)])
+@pytest.mark.parametrize("failing_step", [1, 2, 9, 4097])
+def test_reduced_window_fails_as_the_oracle(monkeypatch, failing_step, kind, error):
+    rsys, s, h = _shipped_reduced_sphere()
+    stepper = gni_reduced.ReducedStepper("cay")
+    n_steps = failing_step + 3
+    full = run(stepper, rsys, s, h, n_steps)
+    _fail_stage3_at(monkeypatch, failing_step, kind)
+    windows = [4096, n_steps - 4096] if n_steps > 4096 else [n_steps]  # as run() cuts them
+    want = _assert_reduced_window_is_oracle(rsys, h, "cay", _row(s), windows)
+    assert want[0] == failing_step and type(want[1]) is error
+    if kind == "non-finite":
+        assert want[1].final_residual != want[1].final_residual
+    with pytest.raises(StepFailed) as excinfo:
+        run(stepper, rsys, s, h, n_steps)
+    err = excinfo.value
+    assert err.step == failing_step
+    assert type(err.cause) is error and str(err.cause) == str(want[1])
+    head = full.head(failing_step)
+    for name in ("times", "states", "energies", "residuals", "newton_iters"):
+        assert np.array_equal(getattr(err.partial, name), getattr(head, name)), name
 
 
 def test_reduced_step_stage3_no_convergence():
