@@ -255,15 +255,13 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     * a one-step map ``stepper(system, state, h) -> state`` on flat or
       reduced state objects, which :meth:`Trajectory.from_rows` stacks;
     * for a :class:`gni.gni_flat.FlatStepper` ``stepper`` (``euler_a_step``,
-      ``euler_b_step``, ``rattle_step``), the same steps by
-      :func:`gni.gni_flat.flat_kernel` on plain floats, built once per
-      run.  Rows ``[q, p, lam]`` go straight into one ``(N+1, 2n+m)``
-      buffer; each step hands its gradient, constraint rows and half-step
-      impulse at the new row to the next, and the default residual column
-      is the scheme's own
-      form (:func:`gni.gni_flat.scheme_constraint_residual`, the momentum
-      form for ``rattle``), one stacked pass over the points kept beside
-      the rows;
+      ``euler_b_step``, ``rattle_step``), the same steps by the float window
+      kernel :func:`gni.gni_flat.flat_kernel`, built once per run, which
+      writes rows ``[q, p, lam]`` straight into one ``(N+1, 2n+m)`` buffer.
+      The default residual column is the scheme's own form
+      (:func:`gni.gni_flat.scheme_constraint_residual`, the momentum form
+      for ``rattle``), one stacked pass over the points (gradient,
+      constraint rows, offset) the kernel writes beside the rows;
     * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
       three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`,
       stepped by :func:`gni.gni_flat.three_point_kernel`, built once per
@@ -318,8 +316,8 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
         ``residual=False``).  The failing step and the type of the cause
         do not depend on ``residual``.
     ValueError
-        For non-positive ``h`` / negative ``n_steps`` or an inadmissible
-        initial state.
+        For non-positive ``h`` / negative ``n_steps``, an inadmissible
+        initial state, or a rolling sphere whose ``m * r`` underflows to 0.
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
@@ -378,7 +376,24 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
 # ``exc``; ``assemble(n_rows)``, which builds the trajectory of the rows
 # before row ``n_rows`` that it holds; and ``keep(k)``, which drops every
 # row before row ``k`` but what the steps still read.  The buffers hold
-# ``capacity`` rows besides those carried.
+# ``capacity`` rows besides those carried.  The flat, sphere and reduced
+# set-ups step window kernels through ``_windowed``; ``_stepwise`` serves
+# only one-step maps and the three-point recurrence.
+
+
+def _windowed(window, rows, extra, base):
+    """``advance(k0, k1)`` of a set-up whose ``window(flat, extra, j0, j1)``
+    steps buffer rows ``j0 .. j1-1`` of ``rows`` and ``extra`` (or ``None``),
+    seen as flat memoryviews; ``base()`` is the run row of buffer row 0."""
+    flat = memoryview(rows.reshape(-1))
+    extra = None if extra is None else memoryview(extra.reshape(-1))
+
+    def advance(k0, k1):
+        b = base()
+        failed = window(flat, extra, k0 - b, k1 - b)
+        return None if failed is None else (failed[0] + b, failed[1])
+
+    return advance
 
 
 def _stepwise(step):
@@ -415,50 +430,31 @@ def _one_step_map(stepper, system, initial, h, residual):
 
 
 def _flat_rows(scheme, system, initial, h, capacity, residual):
-    # One row [q, p, lam] per step.  The default residual is the scheme's
-    # own form, one stacked pass over the points (V_q, mu, Pi) the steps
-    # evaluated at the rows, kept beside them.  Only a residual=False run
-    # drops rows, and it keeps no points.
-    start, kernel, form = gni_flat.flat_kernel(system, h, scheme)
-    n = system.dim
+    # One row [q, p, lam] per step.  The default residual is the scheme's own
+    # form, one stacked pass over the points the kernel writes beside the
+    # rows; a residual=False run keeps none.
+    n, m = system.dim, initial.lam.size
+    window, form, point_size = gni_flat.flat_kernel(system, h, scheme, m)
     layout = flat_layout(system)
-    rows = np.empty((capacity, 2 * n + initial.lam.size))
+    rows = np.empty((capacity, 2 * n + m))
     rows[0] = layout.stack([initial])[0]
-    ps = rows[:, n : 2 * n]
     iters = np.zeros(capacity, dtype=int)
     iters[0] = initial.newton_iters
-    q, lam = initial.q.tolist(), initial.lam.tolist()
-    grad, mu, offset, kick = start(q, lam)
-    carried = [q, initial.p.tolist(), lam, kick]
-    with_points = residual is None and mu.shape[0] > 0
-    if with_points:
-        grads, mus = np.empty((capacity, n)), np.empty((capacity,) + mu.shape)
-        offsets = None if offset is None else np.empty((capacity, n))
-        grads[0], mus[0] = grad, mu
-        if offsets is not None:
-            offsets[0] = offset
+    points = np.empty((capacity, point_size)) if residual is None and m else None
     base = 0
-
-    def step(k):
-        j = k - base
-        q, p, lam, point = kernel(*carried)
-        carried[:] = q, p, lam, point[3]
-        rows[j] = q + p + lam
-        if with_points:
-            grads[j], mus[j] = point[0], point[1]
-            if offsets is not None:
-                offsets[j] = point[2]
+    advance = _windowed(window, rows, points, lambda: base)
+    advance(1, 1)  # an empty window: it checks row 0's multipliers and writes its point
 
     def assemble(n_rows):
-        m = n_rows - base
-        states = rows[:m]
+        k = n_rows - base
+        states = rows[:k]
         res = False
         if residual:
             res = residual(states)
-        elif with_points:
-            res = form(ps[:m], mus[:m], grads[:m], None if offsets is None else offsets[:m])
+        elif points is not None:
+            res = form(states[:, n : 2 * n], points[:k])
         return Trajectory(h * np.arange(base, n_rows), states, model.energies(system, states),
-                          _norms(res, m), iters[:m], h, layout)
+                          _norms(res, k), iters[:k], h, layout)
 
     def keep(k):
         nonlocal base
@@ -467,7 +463,7 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
         iters[0] = iters[j]
         base = k
 
-    return _stepwise(step), assemble, keep
+    return advance, assemble, keep
 
 
 # The recurrences below carry the position before their first row once
@@ -555,12 +551,8 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
     rows[0, :2] = q0
     rows[0, 2:] = w0
     rows[1, :2] = chaplygin_init(params, q0, w0, h)
-    flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
     base = 0
-
-    def advance(k0, k1):
-        failed = window(flat, counts, k0 - base, k1 - base)
-        return None if failed is None else (failed[0] + base, failed[1])
+    advance = _windowed(window, rows, iters, lambda: base)
 
     def assemble(n_rows):
         # Row 0's contact velocity is the forward difference, later rows'
@@ -598,12 +590,8 @@ def _reduced_rows(window, retraction, system, initial, h, capacity, residual):
     layout = reduced_layout(system)
     rows[0] = layout.stack([initial])[0]
     iters[0] = initial.newton_iters
-    flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
     base = 0
-
-    def advance(k0, k1):
-        failed = window(flat, counts, k0 - base, k1 - base)
-        return None if failed is None else (failed[0] + base, failed[1])
+    advance = _windowed(window, rows, iters, lambda: base)
 
     def assemble(n_rows):
         m = n_rows - base

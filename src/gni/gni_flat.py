@@ -41,6 +41,7 @@ import numpy as np
 from .model import FlatSystem, PhaseState
 from .numerics import (
     NewtonConfig,
+    RankDeficient,
     default_newton_config,
     fused_dot,
     linear_map,
@@ -236,75 +237,105 @@ def three_point_kernel(
     return step
 
 
-def flat_kernel(sys: FlatSystem, h: float, scheme: str):
-    """The half-kick / drift / multiplier-resolve step of ``scheme``
-    (``"euler_a"``, ``"euler_b"`` or ``"rattle"``) at step size ``h`` on
-    plain floats, as the closures ``(start, step, form)``, built once per
-    run.
+def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
+    """The half-kick / drift / multiplier-resolve step of ``scheme`` at step
+    size ``h`` as a window kernel on plain floats, for one run of rows with
+    ``m`` multipliers: ``(window, form, point_size)``.
 
-    ``start(q, lam)`` is the point of a row, ``(V_q, mu, Pi, kick)``: the
-    gradient, the ``(m, n)`` constraint-row array, the momentum offset
-    (``None`` without a drift field or rows) and ``kick = (h/2)(V_q + mu^T
-    lam)``, all but ``mu`` lists of floats, for ``q`` and ``lam`` given as
-    lists.  ``step(q, p, lam, kick)`` returns the next row's ``q``, ``p`` and
-    ``lam`` lists and its point; the kick that closes a step opens the next,
-    so each configuration is evaluated once.  The system's callables
-    receive ``q`` as a float64 array.  ``form(momenta, mus, grads,
-    offsets)`` is :func:`scheme_constraint_residual` of stacked rows and
-    their points, in one stacked ``matmul`` pass.
+    ``window(flat, points, j0, j1)`` takes the steps ``j0 .. j1-1`` on a
+    buffer of rows ``[q, p, lam]`` seen as the flat float memoryview
+    ``flat``; step ``j`` writes row ``j``.  It derives the kick ``(h/2)(V_q
+    + mu^T lam)`` of row ``j0-1`` from that row's ``q`` and ``lam`` alone,
+    then carries the state and the kick in locals: the kick that closes a
+    step opens the next, so each configuration is evaluated once.  Unless
+    ``points`` is ``None``, it writes there the point of each row ``j0-1 ..
+    j1-1``, ``point_size`` floats ``[V_q, mu, Pi]``: the gradient, the ``m x
+    n`` constraint rows and, with a drift field, the momentum offset.  It
+    returns ``None``, or ``(j, exc)`` for the first step ``j`` whose
+    multiplier resolve raised :class:`~gni.numerics.RankDeficient`; a row
+    ``j0-1`` without one multiplier per constraint row raises
+    ``ValueError``.  ``form(momenta, points)`` is
+    :func:`scheme_constraint_residual` of stacked rows and points, in one
+    stacked ``matmul`` pass.
 
     Each ``h``-only factor leads its product, ``M^{-1}`` and its transpose
     are :func:`gni.numerics.linear_map` closures, the Gram matrix ``mu
-    M^{-1} mu^T`` is formed by :func:`gni.numerics.fused_dot` chains as
-    NumPy's matrix product forms it, and the other products are plain
-    sums, so on the shipped systems (and the diagonal-mass test systems)
-    the bits are those of the array algebra written out.
+    M^{-1} mu^T`` is :func:`gni.numerics.fused_dot` chains as NumPy's
+    product forms it, one row's Gram solve divides as
+    :func:`gni.numerics.solve_gram_floats` does, and the other sums start
+    from 0.0: on the shipped (and diagonal-mass test) systems the bits are
+    those of the array algebra written out.
     """
     half_h, weight_h, two_over_h = 0.5 * h, _STAGE2_WEIGHT[scheme] * h, 2.0 / h
     shift_h = _FORM_SHIFT[scheme] * h
     mass_inv, grad_potential, n = sys.mass_inv, sys.grad_potential, sys.dim
     minv_times, minv_t_times = linear_map(mass_inv), linear_map(mass_inv.T)
+    constraint_matrix, momentum_offset = sys.constraint_matrix, sys.momentum_offset
     constrained = sys.constraints is not None and sys.num_constraints != 0
-    no_rows = np.zeros((0, n))
     affine = constrained and sys.affine_field is not None
+    width, point_size, array, asarray = 2 * n + m, n * (m + 1 + affine), np.array, np.asarray
 
-    def at(q):
-        q = np.array(q)
-        grad = np.asarray(grad_potential(q), dtype=float).tolist()
-        if not constrained:
-            return grad, no_rows, None
-        return grad, sys.constraint_matrix(q), sys.momentum_offset(q).tolist() if affine else None
+    def window(flat, points, j0, j1):
+        i, k = width * j0, point_size * (j0 - 1)
+        row = flat[i - width : i].tolist()
+        q, p, lam = row[:n], row[n : 2 * n], row[2 * n :]
+        x = array(q)
+        grad = asarray(grad_potential(x), dtype=float).tolist()
+        rows = constraint_matrix(x).tolist() if constrained else []
+        if constrained and len(rows) != m:  # else the rows written would lose their places
+            raise ValueError(f"{m} multipliers for {len(rows)} constraint rows")
+        kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
+        if points is not None:
+            for v in grad + sum(rows, []) + (momentum_offset(x).tolist() if affine else []):
+                points[k] = v
+                k += 1
+        for j in range(j0, j1):
+            p_half = list(map(sub, p, kick))
+            q = [a + h * v for a, v in zip(q, minv_times(p_half))]
+            x = array(q)
+            grad = asarray(grad_potential(x), dtype=float).tolist()
+            rows = constraint_matrix(x).tolist() if constrained else []
+            offset = momentum_offset(x).tolist() if affine else []
+            if not rows:
+                p = [a - half_h * g for a, g in zip(p_half, grad)]
+                kick = [half_h * (g + 0.0) for g in grad]  # mu^T lam sums no row: 0.0
+            else:
+                target = [a - weight_h * g for a, g in zip(p_half, grad)]
+                if affine:
+                    target = list(map(sub, target, offset))
+                if len(rows) == 1:
+                    r = rows[0]
+                    w = minv_t_times(r)
+                    gram = fused_dot(w, r)
+                    if gram <= 0.0:
+                        return j, RankDeficient("constraint row vanishes")
+                    lam = [c := two_over_h * (sum(map(mul, w, target)) / gram)]
+                    kick = [half_h * (g + (0.0 + c * e)) for g, e in zip(grad, r)]
+                else:
+                    w = list(map(minv_t_times, rows))
+                    gram = [[fused_dot(wi, r) for r in rows] for wi in w]
+                    try:
+                        lam = solve_gram_floats(gram, [sum(map(mul, wi, target)) for wi in w])
+                    except RankDeficient as exc:
+                        return j, exc
+                    lam = [two_over_h * c for c in lam]
+                    kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
+                p = list(map(sub, p_half, kick))
+            for v in q + p + lam:
+                flat[i] = v
+                i += 1
+            if points is not None:
+                for v in grad + sum(rows, []) + offset:
+                    points[k] = v
+                    k += 1
+        return None
 
-    def impulse(grad, rows, lam):
-        # (h/2)(V_q + mu^T lam)
-        return [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
-
-    def start(q, lam):
-        grad, mu, offset = at(q)
-        return grad, mu, offset, impulse(grad, mu.tolist(), lam)
-
-    def step(q, p, lam, kick):
-        p_half = list(map(sub, p, kick))
-        q_new = [a + h * v for a, v in zip(q, minv_times(p_half))]
-        grad1, mu1, offset = at(q_new)
-        rows = mu1.tolist()
-        if not rows:
-            p_new = [a - half_h * g for a, g in zip(p_half, grad1)]
-            return q_new, p_new, lam, (grad1, mu1, offset, impulse(grad1, rows, lam))
-        w = list(map(minv_t_times, rows))
-        target = [a - weight_h * g for a, g in zip(p_half, grad1)]
-        if affine:
-            target = list(map(sub, target, offset))
-        gram = [[fused_dot(wi, r) for r in rows] for wi in w]
-        lam_new = solve_gram_floats(gram, [sum(map(mul, wi, target)) for wi in w])
-        lam_new = [two_over_h * x for x in lam_new]
-        kick = impulse(grad1, rows, lam_new)
-        return q_new, list(map(sub, p_half, kick)), lam_new, (grad1, mu1, offset, kick)
-
-    def form(momenta, mus, grads, offsets):
+    def form(momenta, points):
+        grads, mus = points[:, :n], points[:, n : n + m * n].reshape(-1, m, n)
+        offsets = points[:, n + m * n :] if affine else None
         return stacked_form(mass_inv, momenta, mus, offsets, shift_h * grads if shift_h else None)
 
-    return start, step, form
+    return window, form, point_size
 
 
 def stacked_form(mass_inv, momenta, mus, offsets=None, shift=None) -> np.ndarray:
@@ -323,8 +354,8 @@ def stacked_form(mass_inv, momenta, mus, offsets=None, shift=None) -> np.ndarray
 class FlatStepper:
     """One of the kick-drift-resolve maps, named by its ``scheme``.
 
-    Calling the record takes one step, ``stepper(sys, state, h)``, by
-    :func:`flat_kernel` (``h == 0`` returns ``state``).
+    Calling the record takes one step, ``stepper(sys, state, h)``, as a
+    one-step window of :func:`flat_kernel` (``h == 0`` returns ``state``).
     :func:`gni.analysis.run` reads it to step a whole run with that kernel.
     The schemes differ in the constraint form the end state satisfies:
 
@@ -346,10 +377,13 @@ class FlatStepper:
     def __call__(self, sys: FlatSystem, s: PhaseState, h: float) -> PhaseState:
         if h == 0.0:
             return s
-        start, step, _ = flat_kernel(sys, h, self.scheme)
-        q, lam = s.q.tolist(), s.lam.tolist()
-        q, p, lam, _ = step(q, s.p.tolist(), lam, start(q, lam)[3])
-        return PhaseState(q, p, lam)
+        n, m = sys.dim, s.lam.size
+        rows = np.concatenate([s.q, s.p, s.lam, s.q, s.p, s.lam])  # a two-row buffer
+        failed = flat_kernel(sys, h, self.scheme, m)[0](memoryview(rows), None, 1, 2)
+        if failed is not None:
+            raise failed[1]
+        end = rows[2 * n + m :]
+        return PhaseState(end[:n], end[n : 2 * n], end[2 * n :])
 
 
 euler_a_step = FlatStepper("euler_a")

@@ -280,16 +280,20 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
             j20 = t20 * s00 + t21 * s10 + t22 * s20 + p2 * o0 + r2 * v0 + hv1
             j21 = t20 * s01 + t21 * s11 + t22 * s21 + p2 * o1 + r2 * v1 - hv0
             j22 = t20 * s02 + t21 * s12 + t22 * s22 + p2 * o2 + r2 * v2 + diag
-            threshold = _PIVOT_RTOL * max(abs(j00), abs(j01), abs(j02), abs(j10), abs(j11),
-                                          abs(j12), abs(j20), abs(j21), abs(j22))
-            if abs(j10) > abs(j00):
-                if abs(j20) > abs(j10):
+            u0, u1, u2 = abs(j00), abs(j10), abs(j20)  # for max|J|, the pivot choice, its test
+            threshold = _PIVOT_RTOL * max(u0, abs(j01), abs(j02), u1, abs(j11),
+                                          abs(j12), u2, abs(j21), abs(j22))
+            if u1 > u0:
+                if u2 > u1:
                     j00, j01, j02, f0, j20, j21, j22, f2 = j20, j21, j22, f2, j00, j01, j02, f0
+                    u0 = u2
                 else:
                     j00, j01, j02, f0, j10, j11, j12, f1 = j10, j11, j12, f1, j00, j01, j02, f0
-            elif abs(j20) > abs(j00):
+                    u0 = u1
+            elif u2 > u0:
                 j00, j01, j02, f0, j20, j21, j22, f2 = j20, j21, j22, f2, j00, j01, j02, f0
-            if abs(j00) <= threshold:
+                u0 = u2
+            if u0 <= threshold:
                 raise _singular(j00, 0, threshold)
             q1, q2 = j10 / j00, j20 / j00
             j11, j12, j21, j22 = j11 - q1 * j01, j12 - q1 * j02, j21 - q2 * j01, j22 - q2 * j02
@@ -587,6 +591,8 @@ def chaplygin_step_stats(params: ChaplyginParams, q_prev, q_curr, w_prev, h: flo
     ------
     NoConvergence
         If the Newton budget is exhausted.
+    ValueError
+        If ``m * r`` underflows to 0.
     """
     rows = np.empty((3, 5))
     rows[0, :2], rows[0, 2:], rows[1, :2] = q_prev, w_prev, q_curr
@@ -630,7 +636,7 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
     overflows, and then the predictor's residuals have stopped the step.
     Minus the updates that leave a structural zero zero, it does the
     generic loop's operations in its order, so it has its bits while
-    those constants are finite.
+    those constants are finite; ``m * r`` underflowing to 0 raises ``ValueError``.
     """
     if cfg is None:
         cfg = default_newton_config()
@@ -638,6 +644,8 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
     max_iters = cfg.max_iters
 
     m, r, om = params.m, params.r, params.omega
+    if m * r == 0.0:  # the momentum rows' scale h / (m r) would divide by 0
+        raise ValueError("m * r underflows to 0")
     i1, i2, i3 = params.i1, params.i2, params.i3
     mr_h = m * r / h
     inv2h = 1.0 / (2.0 * h)

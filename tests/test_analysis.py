@@ -107,6 +107,19 @@ def test_run_rejects_bad_arguments():
         run(gni_flat.rattle_step, sys, s0, 0.1, -1)
 
 
+def test_sphere_run_whose_m_times_r_underflows_is_rejected_before_any_step():
+    # m and r are positive, but the recurrence's row scale h / (m r) divides
+    # by 0; the reduced stepper runs on the same values.
+    params = ChaplyginParams(1e-200, 1e-200, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"m \* r underflows to 0"):
+        run(None, params, ((1.0, 0.0), (-0.2, 0.0, 0.4)), 0.1, 5)
+    with pytest.raises(ValueError, match=r"m \* r underflows to 0"):
+        gni_reduced.chaplygin_step_stats(params, (1.0, 0.0), (1.0, 0.01), (-0.2, 0.0, 0.4), 0.1)
+    rsys = chaplygin_reduced_system(params)
+    s0 = chaplygin_initial_reduced_state(params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), 0.1)
+    assert np.isfinite(run(gni_reduced.ReducedStepper(), rsys, s0, 0.1, 5).states).all()
+
+
 def test_run_rejects_inadmissible_initial_state():
     sys = model.nonholonomic_particle("harmonic")
     bad = PhaseState(np.array([0.3, 0.2, 0.1]), np.array([0.0, 0.0, 5.0]), np.zeros(1))

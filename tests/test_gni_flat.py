@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from gni import analysis
+import flat_oracle
+from flat_systems import two_row_system
+from gni import analysis, gni_flat
 from gni.model import (
     FlatSystem,
     PhaseState,
@@ -575,3 +577,205 @@ def test_kernel_run_fails_where_the_constraint_row_vanishes(monkeypatch):
     assert type(excinfo.value.cause) is type(full.cause)
     kept = len(excinfo.value.partial)
     assert np.array_equal(excinfo.value.partial.states, head.states[-kept:])
+
+
+# ---------------------------------------------------------------------------
+# the window kernel against the per-step oracle of tests/flat_oracle.py
+
+_SCHEMES = ("euler_a", "euler_b", "rattle")
+
+
+def _signed_zero_gradient_system():
+    # Unconstrained, with a gradient entry of -0.0: the kick is (h/2)(g + 0.0).
+    return FlatSystem(
+        dim=3,
+        mass_matrix=np.diag([1.0, 2.0, 0.5]),
+        potential=lambda q: 0.5 * float(q[0] * q[0] + q[2] * q[2]),
+        grad_potential=lambda q: np.array([q[0], -0.0, q[2]]),
+    )
+
+
+_ORACLE_SYSTEMS = {
+    "particle": lambda: nonholonomic_particle("harmonic"),
+    "planar_affine": lambda: constrained_2d(affine=(0.3, -0.2)),
+    "two_rows": two_row_system,
+    "signed_zero": _signed_zero_gradient_system,
+}
+
+
+def _oracle_row0(sys, scheme, h):
+    s0 = prepare_state(sys, np.linspace(0.3, 0.1, sys.dim), np.linspace(1.0, 0.2, sys.dim), scheme, h)
+    p = s0.p.copy()
+    if sys.num_constraints == 0:
+        p[1] = -0.0  # with the -0.0 gradient entry, a step at h < 0 shows the kick's zero sign
+    return np.concatenate([s0.q, p, s0.lam])
+
+
+def _oracle_point(grad, mu, offset):
+    # The kernel's point layout [V_q, mu, Pi].
+    return np.concatenate([grad, np.asarray(mu, dtype=float).reshape(-1), offset or []])
+
+
+def _flat_oracle_run(sys, scheme, h, row0, n_steps):
+    """Rows, points, residual column and failure ``(j, exc)`` (or ``None``)
+    of the per-step oracle, stepped as the runner stepped it; the rows and
+    points after a failure stay NaN."""
+    n = sys.dim
+    start, step, form = flat_oracle.flat_kernel(sys, h, scheme)
+    rows = np.full((n_steps + 1, len(row0)), np.nan)
+    rows[0] = row0
+    q, p, lam = list(row0[:n]), list(row0[n : 2 * n]), list(row0[2 * n :])
+    grad, mu, offset, kick = start(q, lam)
+    points = [_oracle_point(grad, mu, offset)]
+    grads, mus, offsets, failed = [grad], [mu], [offset], None
+    for j in range(1, n_steps + 1):
+        try:
+            q, p, lam, (grad, mu, offset, kick) = step(q, p, lam, kick)
+        except RankDeficient as exc:
+            failed = (j, exc)
+            break
+        rows[j] = q + p + lam
+        points.append(_oracle_point(grad, mu, offset))
+        grads.append(grad), mus.append(mu), offsets.append(offset)
+    k = len(points)
+    res = None
+    if sys.num_constraints:
+        res = form(rows[:k, n : 2 * n], np.array(mus), np.array(grads),
+                   None if offsets[0] is None else np.array(offsets))
+    return rows, np.array(points), res, failed
+
+
+def _flat_window_run(sys, scheme, h, row0, windows):
+    """The window kernel over the steps of ``windows`` in turn, after an
+    empty window that writes row 0's point, on buffers filled with NaN."""
+    n, m = sys.dim, len(row0) - 2 * sys.dim
+    window, form, point_size = gni_flat.flat_kernel(sys, h, scheme, m)
+    total = sum(windows)
+    rows = np.full((total + 1, len(row0)), np.nan)
+    points = np.full((total + 1, point_size), np.nan)
+    rows[0] = row0
+    flat, pts = memoryview(rows.reshape(-1)), memoryview(points.reshape(-1))
+    window(flat, pts, 1, 1)
+    j0, failed = 1, None
+    for size in windows:
+        failed = window(flat, pts, j0, j0 + size)
+        if failed is not None:
+            break
+        j0 += size
+    k = j0 if failed is None else failed[0]
+    res = form(rows[:k, n : 2 * n], points[:k]) if m else None
+    return rows, points, res, failed
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _assert_flat_window_is_oracle(sys, scheme, h, row0, windows):
+    """Rows, points and residual column bit for bit, and the failing step
+    with its exception's type and message.  Returns the oracle's failure."""
+    rows, points, res, failed = _flat_window_run(sys, scheme, h, row0, windows)
+    want_rows, want_points, want_res, want = _flat_oracle_run(sys, scheme, h, row0, sum(windows))
+    np.testing.assert_array_equal(_bits(rows), _bits(want_rows))
+    k = len(want_points)
+    if sys.num_constraints:
+        np.testing.assert_array_equal(_bits(points[:k]), _bits(want_points))
+        np.testing.assert_array_equal(_bits(res), _bits(want_res))
+    assert (failed is None) == (want is None)
+    if want is not None:
+        assert failed[0] == want[0]
+        assert type(failed[1]) is type(want[1]) and str(failed[1]) == str(want[1])
+    return want
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+@pytest.mark.parametrize("name", sorted(_ORACLE_SYSTEMS))
+def test_flat_window_is_the_oracle(name, scheme):
+    sys = _ORACLE_SYSTEMS[name]()
+    for h in (0.05, -0.05) if name == "signed_zero" else (0.05,):
+        row0 = _oracle_row0(sys, scheme, abs(h))
+        for windows in ([300], [1, 1, 97, 201], [0, 2, 0, 298]):
+            assert _assert_flat_window_is_oracle(sys, scheme, h, row0, windows) is None
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+@pytest.mark.parametrize("name", sorted(_ORACLE_SYSTEMS))
+def test_flat_run_is_the_oracle_under_arbitrary_window_cuts(monkeypatch, name, scheme):
+    # run() cuts its steps into windows of _WINDOW_ROWS: full runs hold every
+    # row and point, residual=False runs keep the last two rows.
+    sys, h, n_steps = _ORACLE_SYSTEMS[name](), 0.05, 150
+    row0 = _oracle_row0(sys, scheme, h)
+    n = sys.dim
+    s0 = PhaseState(row0[:n], row0[n : 2 * n], row0[2 * n :])
+    rows, _, res, _ = _flat_oracle_run(sys, scheme, h, row0, n_steps)
+    norms = np.max(np.abs(res), axis=1) if res is not None else np.zeros(n_steps + 1)
+    for size in (1, 2, 7, 64, 149, 150, 4096):
+        monkeypatch.setattr(analysis, "_WINDOW_ROWS", size)
+        full = run(_STEPPERS[scheme], sys, s0, h, n_steps)
+        np.testing.assert_array_equal(_bits(full.states), _bits(rows))
+        np.testing.assert_array_equal(_bits(full.residuals), _bits(norms))
+        bare = run(_STEPPERS[scheme], sys, s0, h, n_steps, residual=False)
+        np.testing.assert_array_equal(_bits(bare.states), _bits(rows[-2:]))
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_flat_run_across_a_full_window_is_the_oracle(scheme):
+    # 4,100 steps: a window of 4,096 (the runner's) and one of 4.
+    sys, h, n_steps = nonholonomic_particle("harmonic"), 0.05, 4100
+    row0 = _oracle_row0(sys, scheme, h)
+    assert _assert_flat_window_is_oracle(sys, scheme, h, row0, [4096, 4]) is None
+    s0 = PhaseState(row0[:3], row0[3:6], row0[6:])
+    full = run(_STEPPERS[scheme], sys, s0, h, n_steps)
+    bare = run(_STEPPERS[scheme], sys, s0, h, n_steps, residual=False)
+    rows, _, res, _ = _flat_oracle_run(sys, scheme, h, row0, n_steps)
+    np.testing.assert_array_equal(_bits(full.states), _bits(rows))
+    np.testing.assert_array_equal(_bits(full.residuals), _bits(np.max(np.abs(res), axis=1)))
+    np.testing.assert_array_equal(_bits(bare.states), _bits(rows[-2:]))
+    np.testing.assert_array_equal(_bits(bare.energies), _bits(full.energies[-2:]))
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+@pytest.mark.parametrize("failing_step", [1, 2, 4097])
+def test_flat_window_fails_as_the_oracle(failing_step, scheme):
+    # Free flight along x at speed v: x_k = x0 + k h v first reaches 1, where
+    # the constraint row (0, 1 - x) vanishes, at step ``failing_step``.
+    sys, h = _vanishing_row_system(), 0.1
+    x0, v = (0.95 - 0.1 * (failing_step - 1), 1.0) if failing_step < 3 else (0.0, 1.0 / 409.65)
+    row0 = np.array([x0, 0.0, v, 0.0, 0.0])
+    n_steps = failing_step + 3
+    windows = [4096, n_steps - 4096] if n_steps > 4096 else [n_steps]  # as run() cuts them
+    want = _assert_flat_window_is_oracle(sys, scheme, h, row0, windows)
+    assert want[0] == failing_step and type(want[1]) is RankDeficient
+    assert str(want[1]) == "constraint row vanishes"
+    rows, _, res, _ = _flat_oracle_run(sys, scheme, h, row0, n_steps)
+    s0 = PhaseState(row0[:2], row0[2:4], row0[4:])
+    with pytest.raises(StepFailed) as excinfo:
+        run(_STEPPERS[scheme], sys, s0, h, n_steps)
+    err = excinfo.value
+    assert err.step == failing_step
+    assert type(err.cause) is RankDeficient and str(err.cause) == str(want[1])
+    np.testing.assert_array_equal(_bits(err.partial.states), _bits(rows[:failing_step]))
+    np.testing.assert_array_equal(_bits(err.partial.residuals), _bits(np.max(np.abs(res), axis=1)))
+    with pytest.raises(StepFailed) as excinfo:
+        run(_STEPPERS[scheme], sys, s0, h, n_steps, residual=False)
+    assert excinfo.value.step == failing_step
+    assert type(excinfo.value.cause) is RankDeficient
+    kept = len(excinfo.value.partial)
+    np.testing.assert_array_equal(_bits(excinfo.value.partial.states),
+                                  _bits(rows[failing_step - kept : failing_step]))
+    # A one-step call fails as the run's first step does.
+    if failing_step == 1:
+        with pytest.raises(RankDeficient, match="constraint row vanishes"):
+            _STEPPERS[scheme](sys, s0, h)
+
+
+def test_flat_kernel_rejects_a_multiplier_count_other_than_the_constraint_rows():
+    # One multiplier per constraint row, else the rows written would shift.
+    sys, h = nonholonomic_particle("harmonic"), 0.05
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", h)
+    bad = PhaseState(s0.q, s0.p, np.append(s0.lam, 0.0))
+    for residual in (None, False):
+        with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
+            run(rattle_step, sys, bad, h, 5, residual=residual)
+    with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
+        rattle_step(sys, bad, h)

@@ -575,6 +575,23 @@ def test_stage3_solver_pivot_test_is_newton_solve_stats(retraction, diagonal):
     assert got[0] == "SingularMatrix"
 
 
+@pytest.mark.parametrize(
+    "schur",
+    [
+        [[1e-15, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],  # row 1 beats row 0
+        [[1e-15, 1.0, 0.0], [0.5, 0.0, 1.0], [1.0, 0.0, 0.0]],  # row 2 beats row 1
+        [[1e-15, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],  # row 2 beats row 0 alone
+    ],
+)
+@pytest.mark.parametrize("retraction", ["cay", "exp"])
+def test_stage3_solver_tests_the_column_0_pivot_it_chose(retraction, schur):
+    # At xi = 0 with b = 0 the Newton system is S: its entry (0, 0) is below
+    # 1e-14 max|S|, but the row swapped in for it is not.
+    got, _ = _check_stage3_solver(retraction, schur, [0.0] * 3, [0.5, 0.1, 0.2], [0.0] * 3, 0.1,
+                                  NewtonConfig())
+    assert got[0] == "returned"
+
+
 @pytest.mark.parametrize("retraction", ["cay", "exp"])
 def test_stage3_solver_accepts_a_converged_predictor(retraction):
     # alg1 is the residual's own T^T v at xi, so xi solves stage 3 exactly.
