@@ -309,7 +309,8 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     Raises
     ------
     StepFailed
-        When the stepper's solver fails, or at the first row whose energy,
+        When the stepper's solver (or a flat point callable, with an
+        ``ArithmeticError``) fails, or at the first row whose energy,
         residual or state is not finite; carries the 1-based failing step
         index, the cause, and the partial trajectory of the rows before
         that step that the run still holds (all of them unless
@@ -317,7 +318,8 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
         do not depend on ``residual``.
     ValueError
         For non-positive ``h`` / negative ``n_steps``, an inadmissible
-        initial state, or a rolling sphere whose ``m * r`` underflows to 0.
+        initial state, a flat point callable's wrong length, or a rolling
+        sphere whose ``m * r`` underflows to 0.
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
@@ -443,7 +445,7 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
     points = np.empty((capacity, point_size)) if residual is None and m else None
     base = 0
     advance = _windowed(window, rows, points, lambda: base)
-    advance(1, 1)  # an empty window: it checks row 0's multipliers and writes its point
+    advance(1, 1)  # an empty window: it checks row 0 (point and multipliers), writes its point
 
     def assemble(n_rows):
         k = n_rows - base

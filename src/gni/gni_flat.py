@@ -26,9 +26,9 @@ discrete Lagrangian this reproduces rattle positions; with the one-sided
 discretizations it reproduces Euler A/B.  :func:`three_point_kernel` is
 that step, built once per run, which :func:`gni.analysis.run` steps.
 
-Both kernels step on plain Python floats: the system's callables receive
-float64 arrays, and the algebra between them runs on lists, with NumPy's
-rounding (see :func:`flat_kernel`).
+Both kernels step on plain Python floats: the system's point callables
+take ``q`` as a list (the discrete Lagrangian's, float64 arrays), and the
+algebra between them runs on lists, with NumPy's rounding.
 """
 from __future__ import annotations
 
@@ -38,13 +38,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FlatSystem, PhaseState
+from .model import FlatSystem, PhaseState, as_floats
 from .numerics import (
     NewtonConfig,
     RankDeficient,
     default_newton_config,
     fused_dot,
-    linear_map,
     newton_solve_stats,
     solve_gram,
     solve_gram_floats,
@@ -175,31 +174,33 @@ def three_point_kernel(
     """The step of :func:`gni_generic_step_stats` on plain floats, built once
     per run: ``step(q_prev, q_curr) -> (q_next, iterations, mu, offset)``.
 
-    ``q_prev`` and ``q_curr`` are float64 arrays, which the system's and
-    ``ld``'s callables receive; ``q_next`` is a list of floats, and ``mu``
-    (the ``(m, n)`` constraint rows) and ``offset`` (the momentum offset as a
-    list, ``None`` without a drift field or rows) are the point ``q_curr``,
-    which a run keeps for its momentum-form column.  The step takes
+    ``q_prev`` and ``q_curr`` are float64 arrays, which ``ld``'s callables
+    receive, and the system's point callables ``q_curr`` as a list;
+    ``q_next`` is a list of floats, and ``mu`` (the constraint rows as
+    lists) and ``offset`` (the momentum offset ``M Y`` as a list, ``None``
+    without a drift field or rows) are the point ``q_curr``, which a run
+    keeps for its momentum-form column.  The step takes
     ``(I - Q)^T - Q^T`` from one Gram solve, ``Q = M^{-1} mu^T C^{-1} mu``,
     and hands the residual ``D1(q_curr, q_next) + (P^T - Q^T) D2(q_prev,
     q_curr) + 2 Q^T Pi`` with the Jacobian ``d12`` to
     :func:`gni.numerics.newton_solve_stats`, so a general discrete
     Lagrangian takes as many iterations as it needs.  The Gram matrix,
     ``Q`` and ``(P^T - Q^T) D2`` are :func:`gni.numerics.fused_dot` chains,
-    as NumPy's products form them, and ``M^{-1}`` is a
-    :func:`gni.numerics.linear_map`, so on the shipped systems the bits are
-    those of the array algebra.
+    as NumPy's products form them, and ``M^{-1}`` and ``M`` are the
+    system's ``float_maps``, so on the shipped systems the bits are those
+    of the array algebra.
     """
     if cfg is None:
         cfg = default_newton_config()
     n = sys.dim
-    minv_times, minv_t_times = linear_map(sys.mass_inv), linear_map(sys.mass_inv.T)
+    minv_times, minv_t_times, mass_times = sys.float_maps
     identity = np.eye(n).tolist()
     d1, d2, d12 = ld.d1, ld.d2, ld.d12
+    constrained = sys.constraints is not None and sys.num_constraints != 0
 
     def step(q_prev, q_curr):
-        mu = sys.constraint_matrix(q_curr)
-        rows = mu.tolist()
+        x = q_curr.tolist()
+        rows = as_floats(sys.constraints(x), True) if constrained else []
         carried = np.asarray(d2(q_prev, q_curr, h), dtype=float).tolist()
         offset = None
         if rows:
@@ -220,7 +221,7 @@ def three_point_kernel(
                 for unit, row in zip(identity, q_t)
             ]
             if sys.affine_field is not None:
-                offset = sys.momentum_offset(q_curr).tolist()
+                offset = mass_times(as_floats(sys.affine_field(x)))
                 carried = [c + 2.0 * sum(map(mul, row, offset)) for c, row in zip(carried, q_t)]
 
         def residual(q_next):
@@ -230,9 +231,9 @@ def three_point_kernel(
         def jacobian(q_next):
             return np.asarray(d12(q_curr, np.array(q_next), h), dtype=float).tolist()
 
-        start = [2.0 * c - p for c, p in zip(q_curr.tolist(), q_prev.tolist())]
+        start = [2.0 * c - p for c, p in zip(x, q_prev.tolist())]
         q_next, iters = newton_solve_stats(residual, start, cfg, jacobian=jacobian)
-        return q_next, iters, mu, offset
+        return q_next, iters, rows, offset
 
     return step
 
@@ -250,16 +251,18 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
     step opens the next, so each configuration is evaluated once.  Unless
     ``points`` is ``None``, it writes there the point of each row ``j0-1 ..
     j1-1``, ``point_size`` floats ``[V_q, mu, Pi]``: the gradient, the ``m x
-    n`` constraint rows and, with a drift field, the momentum offset.  It
-    returns ``None``, or ``(j, exc)`` for the first step ``j`` whose
-    multiplier resolve raised :class:`~gni.numerics.RankDeficient`; a row
-    ``j0-1`` without one multiplier per constraint row raises
-    ``ValueError``.  ``form(momenta, points)`` is
-    :func:`scheme_constraint_residual` of stacked rows and points, in one
-    stacked ``matmul`` pass.
+    n`` constraint rows and, with a drift field, the momentum offset.  The
+    point callables take each ``q`` as a list (see
+    :class:`~gni.model.FlatSystem`).  It returns ``None``, or ``(j, exc)``
+    for the first step ``j`` whose multiplier resolve raised
+    :class:`~gni.numerics.RankDeficient`, or whose callables raised an
+    ``ArithmeticError``; a point callable's wrong length at row ``j0-1``, or
+    a row without one multiplier per constraint row, raises ``ValueError``.
+    ``form(momenta, points)`` is :func:`scheme_constraint_residual` of
+    stacked rows and points, in one stacked ``matmul`` pass.
 
-    Each ``h``-only factor leads its product, ``M^{-1}`` and its transpose
-    are :func:`gni.numerics.linear_map` closures, the Gram matrix ``mu
+    Each ``h``-only factor leads its product, ``M^{-1}``, its transpose and
+    ``M`` are the system's ``float_maps``, the Gram matrix ``mu
     M^{-1} mu^T`` is :func:`gni.numerics.fused_dot` chains as NumPy's
     product forms it, one row's Gram solve divides as
     :func:`gni.numerics.solve_gram_floats` does, and the other sums start
@@ -269,65 +272,65 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
     half_h, weight_h, two_over_h = 0.5 * h, _STAGE2_WEIGHT[scheme] * h, 2.0 / h
     shift_h = _FORM_SHIFT[scheme] * h
     mass_inv, grad_potential, n = sys.mass_inv, sys.grad_potential, sys.dim
-    minv_times, minv_t_times = linear_map(mass_inv), linear_map(mass_inv.T)
-    constraint_matrix, momentum_offset = sys.constraint_matrix, sys.momentum_offset
-    constrained = sys.constraints is not None and sys.num_constraints != 0
-    affine = constrained and sys.affine_field is not None
-    width, point_size, array, asarray = 2 * n + m, n * (m + 1 + affine), np.array, np.asarray
+    minv_times, minv_t_times, mass_times = sys.float_maps
+    constraints, affine_field = sys.constraints, sys.affine_field
+    constrained = constraints is not None and sys.num_constraints != 0
+    affine = constrained and affine_field is not None
+    width, point_size = 2 * n + m, n * (m + 1 + affine)
 
     def window(flat, points, j0, j1):
         i, k = width * j0, point_size * (j0 - 1)
         row = flat[i - width : i].tolist()
         q, p, lam = row[:n], row[n : 2 * n], row[2 * n :]
-        x = array(q)
-        grad = asarray(grad_potential(x), dtype=float).tolist()
-        rows = constraint_matrix(x).tolist() if constrained else []
-        if constrained and len(rows) != m:  # else the rows written would lose their places
-            raise ValueError(f"{m} multipliers for {len(rows)} constraint rows")
-        kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
-        if points is not None:
-            for v in grad + sum(rows, []) + (momentum_offset(x).tolist() if affine else []):
-                points[k] = v
-                k += 1
-        for j in range(j0, j1):
-            p_half = list(map(sub, p, kick))
-            q = [a + h * v for a, v in zip(q, minv_times(p_half))]
-            x = array(q)
-            grad = asarray(grad_potential(x), dtype=float).tolist()
-            rows = constraint_matrix(x).tolist() if constrained else []
-            offset = momentum_offset(x).tolist() if affine else []
-            if not rows:
-                p = [a - half_h * g for a, g in zip(p_half, grad)]
-                kick = [half_h * (g + 0.0) for g in grad]  # mu^T lam sums no row: 0.0
-            else:
-                target = [a - weight_h * g for a, g in zip(p_half, grad)]
-                if affine:
-                    target = list(map(sub, target, offset))
-                if len(rows) == 1:
-                    r = rows[0]
-                    w = minv_t_times(r)
-                    gram = fused_dot(w, r)
-                    if gram <= 0.0:
-                        return j, RankDeficient("constraint row vanishes")
-                    lam = [c := two_over_h * (sum(map(mul, w, target)) / gram)]
-                    kick = [half_h * (g + (0.0 + c * e)) for g, e in zip(grad, r)]
-                else:
-                    w = list(map(minv_t_times, rows))
-                    gram = [[fused_dot(wi, r) for r in rows] for wi in w]
-                    try:
-                        lam = solve_gram_floats(gram, [sum(map(mul, wi, target)) for wi in w])
-                    except RankDeficient as exc:
-                        return j, exc
-                    lam = [two_over_h * c for c in lam]
-                    kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
-                p = list(map(sub, p_half, kick))
-            for v in q + p + lam:
-                flat[i] = v
-                i += 1
+        j = j0
+        try:
+            grad = as_floats(grad_potential(q), False, "grad_potential", n)
+            rows = as_floats(constraints(q), True, "constraints", n) if constrained else []
+            if constrained and len(rows) != m:  # else the rows written would lose their places
+                raise ValueError(f"{m} multipliers for {len(rows)} constraint rows")
+            kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
+            offset = mass_times(as_floats(affine_field(q), False, "affine_field", n)) if affine else []
             if points is not None:
                 for v in grad + sum(rows, []) + offset:
                     points[k] = v
                     k += 1
+            for j in range(j0, j1):
+                p_half = list(map(sub, p, kick))
+                q = [a + h * v for a, v in zip(q, minv_times(p_half))]
+                grad = as_floats(grad_potential(q))
+                rows = as_floats(constraints(q), True) if constrained else []
+                offset = mass_times(as_floats(affine_field(q))) if affine else []
+                if not rows:
+                    p = [a - half_h * g for a, g in zip(p_half, grad)]
+                    kick = [half_h * (g + 0.0) for g in grad]  # mu^T lam sums no row: 0.0
+                else:
+                    target = [a - weight_h * g for a, g in zip(p_half, grad)]
+                    if affine:
+                        target = list(map(sub, target, offset))
+                    if len(rows) == 1:
+                        r = rows[0]
+                        w = minv_t_times(r)
+                        gram = fused_dot(w, r)
+                        if gram <= 0.0:
+                            return j, RankDeficient("constraint row vanishes")
+                        lam = [c := two_over_h * (sum(map(mul, w, target)) / gram)]
+                        kick = [half_h * (g + (0.0 + c * e)) for g, e in zip(grad, r)]
+                    else:
+                        w = list(map(minv_t_times, rows))
+                        gram = [[fused_dot(wi, r) for r in rows] for wi in w]
+                        lam = solve_gram_floats(gram, [sum(map(mul, wi, target)) for wi in w])
+                        lam = [two_over_h * c for c in lam]
+                        kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
+                    p = list(map(sub, p_half, kick))
+                for v in q + p + lam:
+                    flat[i] = v
+                    i += 1
+                if points is not None:
+                    for v in grad + sum(rows, []) + offset:
+                        points[k] = v
+                        k += 1
+        except (ArithmeticError, RankDeficient) as exc:
+            return j, exc
         return None
 
     def form(momenta, points):

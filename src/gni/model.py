@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite
 from operator import mul
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,10 +54,32 @@ __all__ = [
 _DIR_FD_STEP = 1e-6
 
 
-def _as_matrix(rows) -> np.ndarray:
-    if type(rows) is np.ndarray and rows.ndim == 2 and rows.dtype == np.float64:
-        return rows  # what the conversion below returns for it, without its calls
-    return np.atleast_2d(np.asarray(rows, dtype=float))
+def _spd_matrix(name: str, value, size: int) -> np.ndarray:
+    """``value`` as a ``(size, size)`` float array, checked finite, symmetric
+    to 1e-12 of its largest entry, and positive definite (by Cholesky)."""
+    g = np.array(value, dtype=float)
+    if g.shape != (size, size):
+        raise ValueError(f"{name} shape {g.shape} != ({size}, {size})")
+    if not np.isfinite(g).all():
+        raise ValueError(f"{name} must be finite")
+    if np.max(np.abs(g - g.T), initial=0.0) > 1e-12 * np.max(np.abs(g), initial=0.0):
+        raise ValueError(f"{name} must be symmetric")
+    np.linalg.cholesky(g)
+    return g
+
+
+def as_floats(value, rows: bool = False, name: Optional[str] = None, n: int = 0) -> list:
+    """A point callable's result as the float kernels take it: a list (of
+    lists, for ``rows``) as is, else via a float64 array (1-D: one row); with
+    the callable's ``name``, ``ValueError`` unless n floats (per row)."""
+    if type(value) is not list or rows and value and type(value[0]) is not list:
+        value = np.asarray(value, dtype=float)
+        value = (np.atleast_2d(value) if rows else value).tolist()
+    if name:
+        for line in value if rows else [value]:
+            if len(line) != n or not all(isinstance(x, float) for x in line):
+                raise ValueError(f"{name} must return {n} floats{' per row' * rows}, not {line!r}")
+    return value
 
 
 @dataclass(eq=False)
@@ -69,12 +91,12 @@ class FlatSystem:
     dim : int
         Configuration dimension n.
     mass_matrix : (n, n) array
-        Constant symmetric positive definite mass matrix.
+        Constant, finite, symmetric positive definite mass matrix.
     potential, grad_potential : callables
-        ``V(q) -> float`` and its gradient ``(n,)``.
+        ``V(q) -> float`` (``q`` a float64 array) and its gradient ``(n,)``.
     constraints : callable or None
-        ``q -> (m, n)`` matrix of constraint rows, full rank m wherever
-        evaluated; ``None`` for an unconstrained system.
+        ``q -> (m, n)`` constraint rows, full rank m wherever evaluated;
+        ``None`` for an unconstrained system.
     num_constraints : int
         Row count m (0 allowed).
     affine_field : callable or None
@@ -85,33 +107,34 @@ class FlatSystem:
         Optional analytic directional derivative ``(q, v) -> (m, n)`` of
         the constraint rows along ``v``; central finite differences with
         step 1e-6 are used when absent.
+
+    The point callables (all but ``potential``) take ``q`` and ``v`` as
+    float sequences they index (lists in the float kernels) and return lists
+    of floats, rows as lists of them (an ndarray passes :func:`as_floats`).
+    ``float_maps`` holds ``M^{-1}``, ``M^{-T}`` and ``M`` as linear maps.
     """
 
     dim: int
     mass_matrix: np.ndarray
     potential: Callable[[np.ndarray], float]
-    grad_potential: Callable[[np.ndarray], np.ndarray]
-    constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad_potential: Callable[[Sequence[float]], list]
+    constraints: Optional[Callable[[Sequence[float]], list]] = None
     num_constraints: int = 0
-    affine_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    affine_field: Optional[Callable[[Sequence[float]], list]] = None
     constraints_derivative: Optional[Callable] = None
     mass_inv: np.ndarray = field(init=False, repr=False)
+    float_maps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(self.mass_matrix, dtype=float)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"mass matrix shape {m.shape} != ({self.dim}, {self.dim})")
-        if np.max(np.abs(m - m.T)) > 1e-12:
-            raise ValueError("mass matrix must be symmetric")
-        np.linalg.cholesky(m)  # raises LinAlgError unless positive definite
-        self.mass_matrix = m
+        self.mass_matrix = m = _spd_matrix("mass matrix", self.mass_matrix, self.dim)
         self.mass_inv = np.linalg.inv(m)
+        self.float_maps = (linear_map(self.mass_inv), linear_map(self.mass_inv.T), linear_map(m))
 
     def constraint_matrix(self, q: np.ndarray) -> np.ndarray:
         """Constraint rows at ``q`` as an (m, n) matrix (possibly empty)."""
         if self.constraints is None or self.num_constraints == 0:
             return np.zeros((0, self.dim))
-        return _as_matrix(self.constraints(q))
+        return np.atleast_2d(np.asarray(self.constraints(q), dtype=float))
 
     def drift(self, q: np.ndarray) -> np.ndarray:
         """Velocity-level drift ``Y(q)`` (zero when no affine field)."""
@@ -120,19 +143,17 @@ class FlatSystem:
         return np.asarray(self.affine_field(q), dtype=float)
 
     def momentum_offset(self, q: np.ndarray) -> np.ndarray:
-        """``Pi(q) = M @ Y(q)``, the constraint offset at momentum level."""
+        """``Pi(q) = M @ Y(q)``, the momentum-level offset, as the kernels sum it."""
         if self.affine_field is None:
             return np.zeros(self.dim)
-        return self.mass_matrix @ self.drift(q)
+        return np.array(self.float_maps[2](self.drift(q).tolist()))
 
     def constraints_dir(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Directional derivative of the constraint rows along ``v``."""
         if self.constraints_derivative is not None:
-            return _as_matrix(self.constraints_derivative(q, v))
+            return np.atleast_2d(np.asarray(self.constraints_derivative(q, v), dtype=float))
         e = _DIR_FD_STEP
-        return (self.constraint_matrix(q + e * v) - self.constraint_matrix(q - e * v)) / (
-            2.0 * e
-        )
+        return (self.constraint_matrix(q + e * v) - self.constraint_matrix(q - e * v)) / (2.0 * e)
 
 
 def _no_potential(x) -> float:
@@ -176,13 +197,7 @@ class ReducedSystem:
 
     def __post_init__(self):
         total = self.shape_dim + self.algebra_dim
-        g = np.array(self.bundle_metric, dtype=float)
-        if g.shape != (total, total):
-            raise ValueError(f"bundle metric shape {g.shape} != ({total}, {total})")
-        if np.max(np.abs(g - g.T)) > 1e-12:
-            raise ValueError("bundle metric must be symmetric")
-        np.linalg.cholesky(g)
-        self.bundle_metric = g
+        self.bundle_metric = g = _spd_matrix("bundle metric", self.bundle_metric, total)
         self.metric_inv = np.linalg.inv(g)
         n = self.shape_dim
         self.shape_metric_inv = np.linalg.inv(g[:n, :n])
@@ -212,7 +227,7 @@ class ReducedSystem:
         if self.annihilator is None or self.num_constraints == 0:
             return np.zeros((0, self.shape_dim + self.algebra_dim))
         if callable(self.annihilator):
-            return _as_matrix(self.annihilator(x))
+            return np.atleast_2d(np.asarray(self.annihilator(x), dtype=float))
         return self.annihilator
 
     def section(self, x: np.ndarray) -> np.ndarray:
@@ -317,27 +332,33 @@ def continuous_rhs(sys: FlatSystem, q: np.ndarray, p: np.ndarray) -> Tuple[np.nd
     return np.array(qdot), np.array(pdot)
 
 
-def _continuous_kernel(sys: FlatSystem):
+def _continuous_kernel(sys: FlatSystem, check: bool = False):
     """:func:`continuous_rhs` of ``sys`` on plain floats, built once:
-    ``rhs(q, p) -> (qdot, pdot)`` on lists of floats.  The system's
-    callables receive ``q`` and ``v`` as float64 arrays, and the Gram
-    matrix is formed by :func:`gni.numerics.fused_dot` chains, as NumPy's
-    matrix product forms it."""
+    ``rhs(q, p) -> (qdot, pdot)`` on lists of floats, which the point
+    callables receive (``check`` checks their results by :func:`as_floats`).
+    The central difference of the rows, without ``constraints_derivative``,
+    is taken entry by entry as the array one, and the Gram matrix by
+    :func:`gni.numerics.fused_dot` chains, as NumPy's product forms it."""
     if sys.affine_field is not None:
         raise ValueError("continuous_rhs supports linear constraints only")
-    minv_times, minv_t_times = linear_map(sys.mass_inv), linear_map(sys.mass_inv.T)
-    n, constrained = sys.dim, sys.num_constraints != 0
+    minv_times, minv_t_times, _ = sys.float_maps
+    e, n, constrained = _DIR_FD_STEP, sys.dim, sys.constraints is not None and sys.num_constraints != 0
+    grad_at, rows_at, derivative = sys.grad_potential, sys.constraints, sys.constraints_derivative
 
     def rhs(q, p):
         v = minv_times(p)
-        q = np.array(q)
-        grad = np.asarray(sys.grad_potential(q), dtype=float).tolist()
+        grad = as_floats(grad_at(q), False, check and "grad_potential", n)
         if not constrained:
             return v, [-g for g in grad]
-        rows = sys.constraint_matrix(q).tolist()
+        rows = as_floats(rows_at(q), True, check and "constraints", n)
         w = list(map(minv_t_times, rows))
         gram = [[fused_dot(wi, r) for r in rows] for wi in w]
-        dmu = sys.constraints_dir(q, np.array(v)).tolist()
+        if derivative is not None:
+            dmu = as_floats(derivative(q, v), True, check and "constraints_derivative", n)
+        else:
+            ahead = as_floats(rows_at([a + e * b for a, b in zip(q, v)]), True)
+            behind = as_floats(rows_at([a - e * b for a, b in zip(q, v)]), True)
+            dmu = [[(x - y) / (2.0 * e) for x, y in zip(r, s)] for r, s in zip(ahead, behind)]
         lam = solve_gram_floats(
             gram, [sum(map(mul, d, v)) - sum(map(mul, wi, grad)) for d, wi in zip(dmu, w)]
         )
@@ -361,10 +382,13 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
     Raises
     ------
     gni.analysis.StepFailed
-        At the first step whose state is not finite, or recorded ``RK4 row``
-        whose energy, residual or state is not, with the rows before it.
+        At the first step whose state is not finite or whose callables raise
+        an ``ArithmeticError``, or recorded ``RK4 row`` whose energy,
+        residual or state is not, with the rows before it.
     RankDeficient
         If the constraint rows are dependent at a stage point.
+    ValueError
+        If a point callable's result at ``s0`` has the wrong length.
     """
     from .analysis import StepFailed, Trajectory, check_finite  # deferred: analysis imports model
 
@@ -373,7 +397,7 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
     n_steps = max(1, round(T / h_ref))
     h = T / n_steps
     half_h, sixth_h = 0.5 * h, h / 6.0
-    rhs = _continuous_kernel(sys)
+    rhs, first = _continuous_kernel(sys), _continuous_kernel(sys, check=True)
     lam = np.zeros(sys.num_constraints)
     q, p = s0.q.tolist(), s0.p.tolist()
     times, states = [0.0], [s0]
@@ -381,12 +405,15 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
     # which fails the run as StepFailed, so NumPy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            dq1, dp1 = rhs(q, p)
-            dq2, dp2 = rhs([a + half_h * b for a, b in zip(q, dq1)],
-                           [a + half_h * b for a, b in zip(p, dp1)])
-            dq3, dp3 = rhs([a + half_h * b for a, b in zip(q, dq2)],
-                           [a + half_h * b for a, b in zip(p, dp2)])
-            dq4, dp4 = rhs([a + h * b for a, b in zip(q, dq3)], [a + h * b for a, b in zip(p, dp3)])
+            try:
+                dq1, dp1 = (first if k == 1 else rhs)(q, p)
+                dq2, dp2 = rhs([a + half_h * b for a, b in zip(q, dq1)],
+                               [a + half_h * b for a, b in zip(p, dp1)])
+                dq3, dp3 = rhs([a + half_h * b for a, b in zip(q, dq2)],
+                               [a + half_h * b for a, b in zip(p, dp2)])
+                dq4, dp4 = rhs([a + h * b for a, b in zip(q, dq3)], [a + h * b for a, b in zip(p, dp3)])
+            except ArithmeticError as exc:
+                raise StepFailed(k, exc, Trajectory.from_rows(sys, times, states, h=h)) from exc
             q = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(q, dq1, dq2, dq3, dq4)]
             p = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
@@ -465,10 +492,10 @@ def nonholonomic_particle(potential: str = "none") -> FlatSystem:
     """
     if potential == "none":
         v_fn = lambda q: 0.0
-        grad = lambda q: np.zeros(3)
+        grad = lambda q: [0.0, 0.0, 0.0]
     elif potential == "harmonic":
         v_fn = lambda q: 0.5 * (q[0] ** 2 + q[1] ** 2)
-        grad = lambda q: np.array([q[0], q[1], 0.0])
+        grad = lambda q: [q[0], q[1], 0.0]
     else:
         raise ValueError(f"unknown potential {potential!r}")
     return FlatSystem(
@@ -476,9 +503,9 @@ def nonholonomic_particle(potential: str = "none") -> FlatSystem:
         mass_matrix=np.eye(3),
         potential=v_fn,
         grad_potential=grad,
-        constraints=lambda q: np.array([[q[1], 0.0, -1.0]]),
+        constraints=lambda q: [[q[1], 0.0, -1.0]],
         num_constraints=1,
-        constraints_derivative=lambda q, v: np.array([[v[1], 0.0, 0.0]]),
+        constraints_derivative=lambda q, v: [[v[1], 0.0, 0.0]],
     )
 
 
@@ -491,15 +518,15 @@ def constrained_2d(affine: Optional[Tuple[float, float]] = None) -> FlatSystem:
     """
     drift = None
     if affine is not None:
-        vec = np.array(affine, dtype=float)
-        drift = lambda q: vec
+        vec = [float(a) for a in affine]
+        drift = lambda q: list(vec)
     return FlatSystem(
         dim=2,
         mass_matrix=np.diag([1.0, 2.0]),
         potential=lambda q: 0.5 * (q[0] ** 2 + 2.0 * q[1] ** 2),
-        grad_potential=lambda q: np.array([q[0], 2.0 * q[1]]),
-        constraints=lambda q: np.array([[1.0, 1.0]]),
+        grad_potential=lambda q: [q[0], 2.0 * q[1]],
+        constraints=lambda q: [[1.0, 1.0]],
         num_constraints=1,
         affine_field=drift,
-        constraints_derivative=lambda q, v: np.array([[0.0, 0.0]]),
+        constraints_derivative=lambda q, v: [[0.0, 0.0]],
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import frexp, fsum, inf, isfinite, nan
 from operator import sub
 from typing import Callable, Optional, Sequence
@@ -292,19 +291,13 @@ def linear_map(matrix) -> Callable[[Sequence[float]], list]:
     on plain floats: it takes a sequence of n floats and returns a list of
     k.  Each entry is one unrolled expression, the row's products summed in
     column order from 0.0, the bits of ``sum(map(mul, row, x))``; the
-    function is compiled once per matrix, so a kernel applies a constant
-    matrix such as ``M^{-1}`` without a Python loop."""
-    matrix = np.ascontiguousarray(matrix, dtype=float)
-    return _compiled_map(matrix.shape, matrix.tobytes())
-
-
-@lru_cache(maxsize=64)
-def _compiled_map(shape: tuple, data: bytes):
+    function is compiled here, once, so a kernel applies a constant matrix
+    such as a system's ``M^{-1}`` without a Python loop."""
+    matrix = np.asarray(matrix, dtype=float)
     # Float reprs round-trip exactly; ``inf`` and ``nan`` are names below.
-    rows = np.frombuffer(data).reshape(shape).tolist()
-    names = ", ".join(f"x{j}" for j in range(shape[1]))
+    names = ", ".join(f"x{j}" for j in range(matrix.shape[1]))
     entries = ", ".join(
-        " + ".join(["0.0"] + [f"{a!r} * x{j}" for j, a in enumerate(row)]) for row in rows
+        " + ".join(["0.0"] + [f"{a!r} * x{j}" for j, a in enumerate(row)]) for row in matrix.tolist()
     )
     source = f"def apply(x):\n    {names}, = x\n    return [{entries}]\n"
     namespace = {"inf": inf, "nan": nan}

@@ -731,7 +731,7 @@ def _repulsive_system(stiffness):
         dim=2,
         mass_matrix=np.eye(2),
         potential=lambda q: -0.5 * stiffness * (q @ q),
-        grad_potential=lambda q: -stiffness * q,
+        grad_potential=lambda q: -stiffness * np.asarray(q),
     )
 
 
@@ -846,6 +846,22 @@ def _euler_a_list_case():
     return _flat_case(sys, s0, gni_flat.euler_a_step, form)
 
 
+def _full_mass_affine_case():
+    # A full mass matrix: the kernel's offset M Y and momentum_offset must
+    # sum alike, or the residual column parts from the per-state form.
+    sys = FlatSystem(
+        dim=3,
+        mass_matrix=[[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.1]],
+        potential=lambda q: 0.5 * float(np.dot(q, q)),
+        grad_potential=lambda q: [q[0], q[1], q[2]],
+        constraints=lambda q: [[q[1], 1.0, -1.0]],
+        num_constraints=1,
+        affine_field=lambda q: [0.3 + 0.1 * q[1], -0.2 * q[0], 0.7],
+    )
+    s0 = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", 0.05)
+    return _flat_case(sys, s0, gni_flat.rattle_step)
+
+
 def _reduced_case():
     params = ChaplyginParams(3.0, 1.0, 0.2, 1.0, 1.1, 1.2)
     rsys = chaplygin_reduced_system(params)
@@ -875,6 +891,7 @@ _DIAGNOSTIC_CASES = {
     "unconstrained": lambda: _flat_case(
         _free_system(), PhaseState([0.4, -0.3], [0.2, 0.1], np.zeros(0)), gni_flat.rattle_step
     ),
+    "full_mass_affine": _full_mass_affine_case,
     "list_residual": _euler_a_list_case,
     "reduced": _reduced_case,
 }

@@ -1,9 +1,11 @@
 """Tests for the flat constraint-projected steppers."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import flat_oracle
-from flat_systems import two_row_system
+from flat_systems import RETURN_KINDS, cube_or_inf, cubic_repeller, returning, two_row_system
 from gni import analysis, gni_flat
 from gni.model import (
     FlatSystem,
@@ -691,11 +693,13 @@ def _assert_flat_window_is_oracle(sys, scheme, h, row0, windows):
 @pytest.mark.parametrize("scheme", _SCHEMES)
 @pytest.mark.parametrize("name", sorted(_ORACLE_SYSTEMS))
 def test_flat_window_is_the_oracle(name, scheme):
-    sys = _ORACLE_SYSTEMS[name]()
-    for h in (0.05, -0.05) if name == "signed_zero" else (0.05,):
-        row0 = _oracle_row0(sys, scheme, abs(h))
-        for windows in ([300], [1, 1, 97, 201], [0, 2, 0, 298]):
-            assert _assert_flat_window_is_oracle(sys, scheme, h, row0, windows) is None
+    # Point callables that return lists, 1-D or 2-D arrays give the same bits.
+    for kind in RETURN_KINDS:
+        sys = returning(kind, _ORACLE_SYSTEMS[name]())
+        for h in (0.05, -0.05) if name == "signed_zero" else (0.05,):
+            row0 = _oracle_row0(sys, scheme, abs(h))
+            for windows in ([300], [1, 1, 97, 201], [0, 2, 0, 298]):
+                assert _assert_flat_window_is_oracle(sys, scheme, h, row0, windows) is None
 
 
 @pytest.mark.parametrize("scheme", _SCHEMES)
@@ -779,3 +783,55 @@ def test_flat_kernel_rejects_a_multiplier_count_other_than_the_constraint_rows()
             run(rattle_step, sys, bad, h, 5, residual=residual)
     with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
         rattle_step(sys, bad, h)
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("grad_potential", {"grad_potential": lambda q: 2 * q}),  # 4 entries on a list
+        ("grad_potential", {"grad_potential": lambda q: [q[0], 0]}),  # an int entry
+        ("constraints", {"constraints": lambda q: [[1.0, 1.0, 0.0]]}),
+        ("affine_field", {"affine_field": lambda q: [0.3]}),
+    ],
+)
+@pytest.mark.parametrize("with_points", [True, False])
+def test_flat_window_rejects_a_point_callable_of_the_wrong_length(name, overrides, with_points):
+    # The window checks the point at its entry row, before any step: a
+    # result that zip() would silently cut short raises, naming the callable.
+    good, h = constrained_2d(affine=(0.3, -0.2)), 0.05
+    row0 = _oracle_row0(good, "rattle", h)
+    sys = dataclasses.replace(good, **overrides)
+    window, _, point_size = gni_flat.flat_kernel(sys, h, "rattle", 1)
+    rows, points = np.full((6, row0.size), np.nan), np.full((6, point_size), np.nan)
+    rows[0] = row0
+    pts = memoryview(points.reshape(-1)) if with_points else None
+    with pytest.raises(ValueError, match=name):
+        window(memoryview(rows.reshape(-1)), pts, 1, 6)
+    assert np.isnan(rows[1:]).all() and np.isnan(points).all()
+    if name == "grad_potential":  # run's own checks evaluate it on arrays, where it passes
+        s0 = PhaseState(row0[:2], row0[2:4], row0[4:])
+        with pytest.raises(ValueError, match=name):
+            run(rattle_step, sys, s0, h, 5, residual=None if with_points else False)
+
+
+@pytest.mark.parametrize("residual", [None, False])
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_flat_run_fails_where_a_callable_overflows_on_floats(scheme, residual, monkeypatch):
+    # q'' = q^3: ``x ** 3`` raises OverflowError on a float where NumPy would
+    # give inf.  The run fails as StepFailed at the step where the same
+    # cubes, taken to inf, make the first non-finite row, with the same rows
+    # before it, past a window cut.
+    monkeypatch.setattr(analysis, "_WINDOW_ROWS", 16)
+    h = 0.05
+    s0 = PhaseState(np.array([1.0, 0.5]), np.array([0.5, 0.0]), np.zeros(0))
+    failures = []
+    for grad in (lambda q: [-(x ** 3) for x in q], lambda q: [cube_or_inf(x) for x in q]):
+        with pytest.raises(StepFailed) as excinfo:
+            run(_STEPPERS[scheme], cubic_repeller(grad), s0, h, 200, residual=residual)
+        failures.append(excinfo.value)
+    raised, non_finite = failures
+    assert isinstance(raised.cause, OverflowError)
+    assert isinstance(non_finite.cause, FloatingPointError)
+    assert 16 < raised.step == non_finite.step < 200
+    np.testing.assert_array_equal(_bits(raised.partial.states), _bits(non_finite.partial.states))
+    assert np.isfinite(raised.partial.states).all()

@@ -1,4 +1,5 @@
 """Tests for system specifications, projectors, and the reference oracle."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from gni.model import (
     RankDeficient,
     ReducedState,
     ReducedSystem,
+    as_floats,
     constrained_2d,
     constraint_residual,
     continuous_rhs,
@@ -23,7 +25,7 @@ from gni.model import (
 )
 from gni.numerics import solve_gram
 
-from flat_systems import two_row_system
+from flat_systems import RETURN_KINDS, cube_or_inf, cubic_repeller, returning, two_row_system
 
 
 def _axis_system():
@@ -322,24 +324,27 @@ _RK4_CASES = {
 @pytest.mark.parametrize("record_every", [1, 7, 10**9])
 @pytest.mark.parametrize("case", sorted(_RK4_CASES))
 def test_reference_solve_is_the_array_rk4_loop_bit_for_bit(case, record_every):
-    sys = _RK4_CASES[case]()
-    s0 = prepare_state(sys, np.linspace(0.3, 0.1, sys.dim), np.linspace(1.0, 0.2, sys.dim))
-    traj = reference_solve(sys, s0, T=0.3, h_ref=1e-3, record_every=record_every)
-    times, rows = _array_rk4(sys, s0, 0.3, 1e-3)
+    base = _RK4_CASES[case]()
+    s0 = prepare_state(base, np.linspace(0.3, 0.1, base.dim), np.linspace(1.0, 0.2, base.dim))
+    times, rows = _array_rk4(base, s0, 0.3, 1e-3)
     kept = [k for k in range(len(rows)) if k % record_every == 0 or k == len(rows) - 1]
-    n = sys.dim
-    assert np.array_equal(traj.times, times[kept])
-    assert np.array_equal(traj.states[:, : 2 * n], rows[kept])
-    assert np.array_equal(traj.states[0, 2 * n :], s0.lam)
-    assert not np.any(traj.states[1:, 2 * n :])
-    assert traj.h == 0.3 / 300
-    # Each qdot, pdot of continuous_rhs is the array one.
-    for q, p in zip(rows[kept][:, :n], rows[kept][:, n:]):
-        for got, want in zip(continuous_rhs(sys, q, p), _array_continuous_rhs(sys, q, p)):
-            assert np.array_equal(got, want)
-    states = (PhaseState(r[:n], r[n : 2 * n], r[2 * n :]) for r in traj.states)
-    residuals = [np.max(np.abs(constraint_residual(sys, s)), initial=0.0) for s in states]
-    assert np.array_equal(traj.residuals, residuals)
+    n = base.dim
+    # Point callables that return lists, 1-D or 2-D arrays give the same bits.
+    for kind in RETURN_KINDS:
+        sys = returning(kind, base)
+        traj = reference_solve(sys, s0, T=0.3, h_ref=1e-3, record_every=record_every)
+        assert np.array_equal(traj.times, times[kept])
+        assert np.array_equal(traj.states[:, : 2 * n], rows[kept])
+        assert np.array_equal(traj.states[0, 2 * n :], s0.lam)
+        assert not np.any(traj.states[1:, 2 * n :])
+        assert traj.h == 0.3 / 300
+        # Each qdot, pdot of continuous_rhs is the array one.
+        for q, p in zip(rows[kept][:, :n], rows[kept][:, n:]):
+            for got, want in zip(continuous_rhs(sys, q, p), _array_continuous_rhs(base, q, p)):
+                assert np.array_equal(got, want)
+        states = (PhaseState(r[:n], r[n : 2 * n], r[2 * n :]) for r in traj.states)
+        residuals = [np.max(np.abs(constraint_residual(sys, s)), initial=0.0) for s in states]
+        assert np.array_equal(traj.residuals, residuals)
 
 
 def _nan_past(edge):
@@ -379,6 +384,96 @@ def test_reference_solve_overflow_fails_without_warnings():
     err = excinfo.value
     assert err.step == 1
     assert np.array_equal(err.partial.states, [np.concatenate([s0.q, s0.p, s0.lam])])
+
+
+def test_reference_solve_fails_where_a_callable_overflows_on_floats():
+    # ``x ** 3`` raises OverflowError on a float where NumPy would give inf:
+    # the RK4 step where the same cubes, taken to inf, make the state
+    # non-finite fails, as StepFailed, with the same recorded rows.
+    s0 = PhaseState(np.array([1.0, 0.5]), np.array([0.5, 0.0]), np.zeros(0))
+    failures = []
+    for grad in (lambda q: [-(x ** 3) for x in q], lambda q: [cube_or_inf(x) for x in q]):
+        with pytest.raises(StepFailed) as excinfo:
+            reference_solve(cubic_repeller(grad), s0, T=3.0, h_ref=0.01, record_every=3)
+        failures.append(excinfo.value)
+    raised, non_finite = failures
+    assert isinstance(raised.cause, OverflowError)
+    assert isinstance(non_finite.cause, FloatingPointError)
+    assert 1 < raised.step == non_finite.step < 300
+    assert np.array_equal(raised.partial.states, non_finite.partial.states)
+    assert np.isfinite(raised.partial.states).all()
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("grad_potential", {"grad_potential": lambda q: 2 * q}),  # 6 entries on a list
+        ("constraints", {"constraints": lambda q: [[q[1], 0.0]]}),
+        ("constraints_derivative", {"constraints_derivative": lambda q, v: [[v[1], 0.0, 0.0, 0.0]]}),
+        ("grad_potential", {"grad_potential": lambda q: [q[0], q[1], 0]}),  # an int entry
+    ],
+)
+def test_reference_solve_rejects_a_point_callable_of_the_wrong_length(name, overrides):
+    sys = dataclasses.replace(nonholonomic_particle("harmonic"), **overrides)
+    s0 = PhaseState(np.array([0.3, 0.2, 0.1]), np.array([1.0, 0.5, 0.1]), np.zeros(1))
+    with pytest.raises(ValueError, match=name):
+        reference_solve(sys, s0, T=0.1, h_ref=0.01)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: nonholonomic_particle("none"), lambda: nonholonomic_particle("harmonic"),
+     constrained_2d, lambda: constrained_2d(affine=(0.3, -0.2))],
+    ids=["particle", "harmonic_particle", "planar", "planar_affine"],
+)
+def test_shipped_point_callables_return_plain_lists_of_floats(make):
+    # The float kernels take such results as they are, without NumPy.
+    sys = make()
+    q, v = [0.3, 0.2, 0.1][: sys.dim], [1.0, -0.5, 0.2][: sys.dim]
+
+    def plain(x):
+        return type(x) is list and all(type(e) is float for e in x)
+
+    vectors = [sys.grad_potential(q)] + ([sys.affine_field(q)] if sys.affine_field else [])
+    rows = [sys.constraints(q), sys.constraints_derivative(q, v)]
+    assert all(plain(x) and as_floats(x) is x for x in vectors)
+    assert all(type(r) is list and all(map(plain, r)) and as_floats(r, True) is r for r in rows)
+
+
+_BAD_METRICS = {
+    "NaN entry": ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+    "inf entry": ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+    # Asymmetric by 1e-25 against entries of 1e-20: far beyond rounding.
+    "tiny and asymmetric": ([[1e-20, 0.0], [1e-25, 1e-20]], "symmetric"),
+}
+
+
+def _reduced_with_metric(block):
+    # The 2x2 block on the shape space, its entry (1, 1) times the identity
+    # on the algebra, so the metric has the block's scale.
+    metric = block[1][1] * np.eye(5)
+    metric[:2, :2] = block
+    return ReducedSystem(shape_dim=2, algebra_dim=3, bundle_metric=metric)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_METRICS))
+def test_mass_and_metric_matrices_must_be_finite_and_symmetric_to_their_scale(case):
+    block, message = _BAD_METRICS[case]
+    with pytest.raises(ValueError, match=f"mass matrix must be {message}"):
+        FlatSystem(dim=2, mass_matrix=block, potential=lambda q: 0.0,
+                   grad_potential=lambda q: [0.0, 0.0])
+    with pytest.raises(ValueError, match=f"bundle metric must be {message}"):
+        _reduced_with_metric(block)
+
+
+def test_mass_and_metric_asymmetry_at_rounding_level_of_their_scale_is_accepted():
+    # 2e-7 against entries of 1e9 is a relative 2e-16.
+    block = [[1e9, 2e-7], [0.0, 1e9]]
+    sys = FlatSystem(dim=2, mass_matrix=block, potential=lambda q: 0.0,
+                     grad_potential=lambda q: [0.0, 0.0])
+    np.testing.assert_array_equal(sys.mass_matrix, block)
+    assert np.isfinite(sys.mass_inv).all()
+    np.testing.assert_array_equal(_reduced_with_metric(block).bundle_metric[:2, :2], block)
 
 
 def test_convergence_sweep_fails_on_a_non_finite_rk4_reference():
