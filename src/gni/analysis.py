@@ -248,9 +248,11 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
 
     This is the one loop: over windows of ``_WINDOW_ROWS`` (4,096) steps,
     each taken by one call of the set-up's ``advance(k0, k1)``, which
-    returns the failing step and its solver error instead of raising.
-    Every run returns its rows as one float array (see
-    :class:`Trajectory`); what it advances depends on its arguments:
+    returns the failing step and its error instead of raising.  Every run
+    returns its rows as one float array (see :class:`Trajectory`); every
+    run but a one-step map's steps a window kernel on one row buffer that
+    one set-up, ``_kernel_rows``, owns.  What it advances depends on its
+    arguments:
 
     * a one-step map ``stepper(system, state, h) -> state`` on flat or
       reduced state objects, which :meth:`Trajectory.from_rows` stacks;
@@ -264,9 +266,9 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
       constraint rows, offset) the kernel writes beside the rows;
     * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
       three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`,
-      stepped by :func:`gni.gni_flat.three_point_kernel`, built once per
-      run, and seeded with one ``rattle_step``.  It writes its positions
-      straight into flat rows; row ``k >= 1`` reports the
+      stepped a window at a time by :func:`gni.gni_flat.three_point_kernel`,
+      built once per run, and seeded with one ``rattle_step``.  It writes
+      its positions straight into flat rows; row ``k >= 1`` reports the
       central-difference momentum ``M (q_{k+1} - q_{k-1}) / (2h)``, the
       average of the discrete pre- and post-momenta that the scheme keeps
       on the constraint, and a zero multiplier.  The default residual
@@ -309,20 +311,20 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     Raises
     ------
     StepFailed
-        When the stepper's solver (or a flat point callable, with an
-        ``ArithmeticError``) fails, or at the first row whose energy,
-        residual or state is not finite; carries the 1-based failing step
-        index, the cause, and the partial trajectory of the rows before
-        that step that the run still holds (all of them unless
-        ``residual=False``).  The failing step and the type of the cause
-        do not depend on ``residual``.
+        When the stepper's solver fails or its callables raise an
+        ``ArithmeticError``, or at the first row whose energy, residual or
+        state is not finite; carries the 1-based failing step index, the
+        cause, and the partial trajectory of the rows before that step
+        that the run still holds (all of them unless ``residual=False``).
+        The failing step and the type of the cause do not depend on
+        ``residual``.
     ValueError
-        For non-positive ``h`` / negative ``n_steps``, an inadmissible
-        initial state, a flat point callable's wrong length, or a rolling
-        sphere whose ``m * r`` underflows to 0.
+        For a non-positive or non-finite ``h``, a negative ``n_steps``,
+        an inadmissible initial state, a flat point callable's wrong
+        length, or a rolling sphere whose ``m * r`` underflows to 0.
     """
-    if h <= 0.0:
-        raise ValueError("step size h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step size h must be positive and finite, not {h}")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     window = residual is False
@@ -372,52 +374,61 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     return traj.rows(-2) if window else traj
 
 
-# Each of the five set-ups below returns ``advance(k0, k1)``, which takes
-# steps ``k0 .. k1-1`` (step ``k`` produces row ``k``) and returns
-# ``None``, or ``(k, exc)`` for the step ``k`` whose solver raised
-# ``exc``; ``assemble(n_rows)``, which builds the trajectory of the rows
-# before row ``n_rows`` that it holds; and ``keep(k)``, which drops every
-# row before row ``k`` but what the steps still read.  The buffers hold
-# ``capacity`` rows besides those carried.  The flat, sphere and reduced
-# set-ups step window kernels through ``_windowed``; ``_stepwise`` serves
-# only one-step maps and the three-point recurrence.
+# Each set-up below returns ``advance(k0, k1)``, which takes steps ``k0 ..
+# k1-1`` (step ``k`` produces row ``k``) and returns ``None``, or ``(k,
+# exc)`` for the step ``k`` that raised ``exc``, one of ``_STEP_ERRORS``;
+# ``assemble(n_rows)``, which builds the trajectory of the rows before row
+# ``n_rows`` that it holds; and ``keep(k)``, which drops every row before
+# row ``k`` but what the steps still read.  The buffers hold ``capacity``
+# rows besides those carried.  The flat, three-point, reduced and sphere
+# set-ups share ``_kernel_rows``; only a one-step map loops step by step.
+
+# What a failing step raises: a solver's error or, from a callable
+# evaluated on floats, an ``ArithmeticError``.
+_STEP_ERRORS = (NoConvergence, SingularMatrix, model.RankDeficient, ArithmeticError)
 
 
-def _windowed(window, rows, extra, base):
-    """``advance(k0, k1)`` of a set-up whose ``window(flat, extra, j0, j1)``
+def _kernel_rows(window, rows, iters, extra, lag, diagnose, h, layout):
+    """The set-up of a window kernel ``window(flat, extra, j0, j1)``, which
     steps buffer rows ``j0 .. j1-1`` of ``rows`` and ``extra`` (or ``None``),
-    seen as flat memoryviews; ``base()`` is the run row of buffer row 0."""
+    seen as flat memoryviews, and returns ``None`` or ``(j, exc)``.  Step
+    ``j`` reads the ``lag`` rows before row ``j`` and may write ``lag`` rows
+    beyond it, which ``keep`` carries; ``diagnose(m)`` gives the states,
+    energies and residual norms of buffer rows ``0 .. m-1``."""
     flat = memoryview(rows.reshape(-1))
     extra = None if extra is None else memoryview(extra.reshape(-1))
+    base = skip = 0  # the run row of buffer row 0; the carried rows assemble drops
 
     def advance(k0, k1):
-        b = base()
-        failed = window(flat, extra, k0 - b, k1 - b)
-        return None if failed is None else (failed[0] + b, failed[1])
+        failed = window(flat, extra, k0 - base, k1 - base)
+        return None if failed is None else (failed[0] + base, failed[1])
 
-    return advance
+    def assemble(n_rows):
+        m = n_rows - base
+        traj = Trajectory(h * np.arange(base, n_rows), *diagnose(m), iters[:m], h, layout)
+        return traj.rows(skip) if skip else traj
 
+    def keep(k):
+        nonlocal base, skip
+        j = k - base
+        rows[: 1 + 2 * lag] = rows[j - lag : j + 1 + lag]
+        iters[: 1 + lag] = iters[j - lag : j + 1]
+        base, skip = k - lag, lag
 
-def _stepwise(step):
-    """``advance(k0, k1)`` of a set-up whose ``step(k)`` takes one step."""
-
-    def advance(k0, k1):
-        for k in range(k0, k1):
-            try:
-                step(k)
-            except (NoConvergence, SingularMatrix, model.RankDeficient) as exc:
-                return k, exc
-        return None
-
-    return advance
+    return advance, assemble, keep
 
 
 def _one_step_map(stepper, system, initial, h, residual):
     states = [initial]
     first = 0
 
-    def step(k):
-        states.append(stepper(system, states[-1], h))
+    def advance(k0, k1):
+        for k in range(k0, k1):
+            try:
+                states.append(stepper(system, states[-1], h))
+            except _STEP_ERRORS as exc:
+                return k, exc
+        return None
 
     def assemble(n_rows):
         times = h * np.arange(first, n_rows)
@@ -428,7 +439,7 @@ def _one_step_map(stepper, system, initial, h, residual):
         del states[:-1]
         first = k
 
-    return _stepwise(step), assemble, keep
+    return advance, assemble, keep
 
 
 def _flat_rows(scheme, system, initial, h, capacity, residual):
@@ -443,34 +454,25 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
     iters = np.zeros(capacity, dtype=int)
     iters[0] = initial.newton_iters
     points = np.empty((capacity, point_size)) if residual is None and m else None
-    base = 0
-    advance = _windowed(window, rows, points, lambda: base)
-    advance(1, 1)  # an empty window: it checks row 0 (point and multipliers), writes its point
 
-    def assemble(n_rows):
-        k = n_rows - base
+    def diagnose(k):
         states = rows[:k]
         res = False
         if residual:
             res = residual(states)
         elif points is not None:
             res = form(states[:, n : 2 * n], points[:k])
-        return Trajectory(h * np.arange(base, n_rows), states, model.energies(system, states),
-                          _norms(res, k), iters[:k], h, layout)
+        return states, model.energies(system, states), _norms(res, k)
 
-    def keep(k):
-        nonlocal base
-        j = k - base
-        rows[0] = rows[j]
-        iters[0] = iters[j]
-        base = k
-
+    advance, assemble, keep = _kernel_rows(window, rows, iters, points, 0, diagnose, h, layout)
+    advance(1, 1)  # an empty window: it checks row 0 (point and multipliers), writes its point
     return advance, assemble, keep
 
 
-# The recurrences below carry the position before their first row once
-# they have dropped rows (``base``, the buffer's row 0, is then that
-# position's row) so that the first row keeps its central difference.
+# The recurrences below (lag 1) step from the position before the current
+# one and write the position after it, which closes the last row's central
+# difference; once rows were dropped, buffer row 0 is the position before
+# the first row the run holds, and no row of its own.
 
 
 def _three_point_recurrence(ld, system, initial, h, capacity, residual):
@@ -496,51 +498,40 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
         if system.affine_field is not None:
             offsets = np.empty((capacity + 1, n))
             offsets[0] = system.momentum_offset(initial.q)
-    carried = [initial.q, None]
-    base = 0
 
-    def step(k):
-        j = k - base
-        if k == 1:
-            carried[1] = rattle_step(system, initial, h).q
-            qs[1] = carried[1]
-        q_next, iters[j], mu, offset = kernel(*carried)
-        carried[:] = carried[1], np.array(q_next)
-        qs[j + 1] = q_next
-        if with_points:
-            mus[j] = mu
-            if offsets is not None:
-                offsets[j] = offset
+    def window(flat, extra, j0, j1):
+        # Step 1 seeds position 1, unset until then, with one rattle step.
+        q_prev, q_curr = qs[j0 - 1].copy(), qs[j0].copy()
+        for j in range(j0, j1):
+            try:
+                if j == 1:
+                    q_curr = qs[1] = rattle_step(system, initial, h).q
+                q_next, iters[j], mu, offset = kernel(q_prev, q_curr)
+            except _STEP_ERRORS as exc:
+                return j, exc
+            q_prev, q_curr = q_curr, np.array(q_next)
+            qs[j + 1] = q_next
+            if with_points:
+                mus[j] = mu
+                if offsets is not None:
+                    offsets[j] = offset
+        return None
 
-    def assemble(n_rows):
-        # Buffer row 0 is ``initial``, or once rows were dropped the carried
-        # position, which is no row of its own.
-        m = n_rows - base
-        first = 1 if base else 0
-        rows = np.zeros((m - first, row0.size))
-        rows[:, :n] = qs[first:m]
+    def diagnose(m):
+        rows = np.zeros((m, row0.size))
+        rows[:, :n] = qs[:m]
         diffs = qs[2 : m + 1] - qs[: m - 1]
-        rows[1 - first :, n : 2 * n] = (system.mass_matrix @ diffs[:, :, None])[:, :, 0] / (2.0 * h)
-        if not base:
-            rows[0] = row0
+        rows[1:, n : 2 * n] = (system.mass_matrix @ diffs[:, :, None])[:, :, 0] / (2.0 * h)
+        rows[0] = row0  # once rows were dropped, a carried position assemble drops
         res = False
         if residual:
             res = residual(rows)
         elif with_points:
-            res = gni_flat.stacked_form(system.mass_inv, rows[:, n : 2 * n], mus[first:m],
-                                        None if offsets is None else offsets[first:m])
-        times = h * np.arange(base + first, n_rows, dtype=float)
-        return Trajectory(times, rows, model.energies(system, rows), _norms(res, len(rows)),
-                          iters[first:m], h, layout)
+            res = gni_flat.stacked_form(system.mass_inv, rows[:, n : 2 * n], mus[:m],
+                                        None if offsets is None else offsets[:m])
+        return rows, model.energies(system, rows), _norms(res, m)
 
-    def keep(k):
-        nonlocal base
-        j = k - base
-        qs[:3] = qs[j - 1 : j + 2]
-        iters[:2] = iters[j - 1 : j + 1]
-        base = k - 1
-
-    return _stepwise(step), assemble, keep
+    return _kernel_rows(window, qs, iters, None, 1, diagnose, h, layout)
 
 
 def _sphere_recurrence(params, initial, h, capacity, residual):
@@ -550,17 +541,13 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
     q0, w0 = initial
     rows = np.empty((capacity + 2, 5))
     iters = np.zeros(capacity + 1, dtype=int)
-    rows[0, :2] = q0
-    rows[0, 2:] = w0
+    rows[0, :2], rows[0, 2:] = q0, w0
     rows[1, :2] = chaplygin_init(params, q0, w0, h)
-    base = 0
-    advance = _windowed(window, rows, iters, lambda: base)
 
-    def assemble(n_rows):
+    def diagnose(m):
         # Row 0's contact velocity is the forward difference, later rows'
         # the central one.  The stacked ``matmul`` dot products give the
         # same bits as one ``v @ v`` per row.
-        m = n_rows - base
         qs, ws = rows[: m + 1, :2], rows[:m, 2:]
         v = np.empty((m, 2))
         v[0] = (qs[1] - qs[0]) / h
@@ -571,18 +558,9 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
         if residual is not False and m > 1:
             res = chaplygin_scheme_residual(params, qs[: m - 1], qs[1:m], qs[2:], ws[:-1], ws[1:], h)
             residuals[1:] = np.max(np.abs(res), axis=1)
-        traj = Trajectory(h * np.arange(base, n_rows), rows[:m], 0.5 * params.m * vv + 0.5 * ww,
-                          residuals, iters[:m], h, SPHERE_LAYOUT)
-        return traj.rows(1) if base else traj
+        return rows[:m], 0.5 * params.m * vv + 0.5 * ww, residuals
 
-    def keep(k):
-        nonlocal base
-        j = k - base
-        rows[:3] = rows[j - 1 : j + 2]
-        iters[:2] = iters[j - 1 : j + 1]
-        base = k - 1
-
-    return advance, assemble, keep
+    return _kernel_rows(window, rows, iters, iters, 1, diagnose, h, SPHERE_LAYOUT)
 
 
 def _reduced_rows(window, retraction, system, initial, h, capacity, residual):
@@ -592,27 +570,16 @@ def _reduced_rows(window, retraction, system, initial, h, capacity, residual):
     layout = reduced_layout(system)
     rows[0] = layout.stack([initial])[0]
     iters[0] = initial.newton_iters
-    base = 0
-    advance = _windowed(window, rows, iters, lambda: base)
 
-    def assemble(n_rows):
-        m = n_rows - base
+    def diagnose(m):
         states = rows[:m]
         residuals = np.zeros(m)
         if residual is not False and m > 1:
             res = gni_reduced.reduced_scheme_residual(system, states[:-1], states[1:], h, retraction)
             residuals[1:] = np.max(np.abs(res), axis=1)
-        return Trajectory(h * np.arange(base, n_rows), states, model.energies(system, states),
-                          residuals, iters[:m], h, layout)
+        return states, model.energies(system, states), residuals
 
-    def keep(k):
-        nonlocal base
-        j = k - base
-        rows[0] = rows[j]
-        iters[0] = iters[j]
-        base = k
-
-    return advance, assemble, keep
+    return _kernel_rows(window, rows, iters, iters, 0, diagnose, h, layout)
 
 
 def _check_admissible(system, state, h: float) -> None:
@@ -753,6 +720,8 @@ def convergence_sweep(
     are least-squares fits on the log-log points, with channels at rounding
     level reported in ``noise_floor`` instead of fitted.
     """
+    if not np.isfinite(T):
+        raise ValueError(f"final time T={T} is not finite")
     h_arr = [float(x) for x in h_list]
     if len(h_arr) < 3:
         raise ValueError("convergence sweeps need at least 3 step sizes")

@@ -618,6 +618,74 @@ def test_run_three_point_failure_keeps_rows_before_failing_step():
     assert np.array_equal(err.partial.residuals, full.residuals[:4])
 
 
+def test_run_three_point_windowed_failure_in_the_second_window_is_the_full_runs():
+    # Step 4,100 is the fourth step of the second window of 4,096 steps.
+    sys = model.nonholonomic_particle("harmonic")
+    s0 = _three_point_initial(sys)
+    ld = gni_flat.verlet_lagrangian(sys)
+    h = 0.01
+    q_4100 = run(ld, sys, s0, h, 4100).states[4100, :3]
+
+    def d1_failing_at_4100(q0, q1, h):
+        if np.array_equal(q0, q_4100):
+            raise NoConvergence(50, 1.0)
+        return ld.d1(q0, q1, h)
+
+    failing = gni_flat.DiscreteLagrangian(d1_failing_at_4100, ld.d2, ld.d12)
+    failures = []
+    for residual in (None, False):
+        with pytest.raises(StepFailed) as excinfo:
+            run(failing, sys, s0, h, 5000, residual=residual)
+        failures.append(excinfo.value)
+    full, windowed = failures
+    assert full.step == windowed.step == 4100
+    assert type(full.cause) is type(windowed.cause) is NoConvergence
+    assert len(full.partial) == 4100
+    # The windowed run holds the rows of the second window before the step.
+    assert np.array_equal(windowed.partial.states, full.partial.states[4096:])
+    assert np.array_equal(windowed.partial.times, full.partial.times[4096:])
+    assert np.array_equal(windowed.partial.energies, full.partial.energies[4096:])
+
+
+def _overflowing_row_system():
+    # The constraint row (0, 0, 1) holds z still; evaluating it on floats
+    # overflows once x passes 709.78 / 800.
+    import math
+
+    return FlatSystem(
+        dim=3,
+        mass_matrix=np.eye(3),
+        potential=lambda q: 0.0,
+        grad_potential=lambda q: [0.0, 0.0, 0.0],
+        constraints=lambda q: [[0.0 * math.exp(800.0 * q[0]), 0.0, 1.0]],
+        num_constraints=1,
+    )
+
+
+@pytest.mark.parametrize("kind", ["rattle", "gni_generic", "one-step map"])
+@pytest.mark.parametrize("residual", [None, False])
+def test_run_fails_where_a_constraint_callable_overflows(kind, residual):
+    # An ArithmeticError from any stepper fails the run as StepFailed.
+    sys = _overflowing_row_system()
+    stepper = {
+        "rattle": gni_flat.rattle_step,
+        "gni_generic": gni_flat.verlet_lagrangian(sys),
+        "one-step map": gni_flat.composed_euler_step,
+    }[kind]
+    s0 = PhaseState(np.array([0.3, 0.0, 0.0]), np.array([1.0, 0.5, 0.0]), np.zeros(1))
+    with pytest.raises(StepFailed) as excinfo:
+        run(stepper, sys, s0, 0.05, 40, residual=residual)
+    err = excinfo.value
+    assert err.step == 12
+    assert type(err.cause) is OverflowError
+    head = run(stepper, sys, s0, 0.05, err.step - 1)
+    assert len(err.partial) == len(head) == err.step
+    for name in ("times", "states", "energies", "newton_iters"):
+        assert np.array_equal(getattr(err.partial, name), getattr(head, name)), name
+    if residual is None:
+        assert np.array_equal(err.partial.residuals, head.residuals)
+
+
 def test_run_reports_the_residual_form_it_is_given():
     sys = model.nonholonomic_particle("harmonic")
     h = 0.05
@@ -694,17 +762,27 @@ def _window_cases():
     }, h
 
 
-@pytest.mark.parametrize("case", ["sphere", "reduced-cay", "reduced-exp", "gni_generic", "euler_a"])
-def test_run_without_residuals_keeps_the_full_runs_last_two_rows(case):
-    # At N = 1, C - 1, C, C + 1 and 2C + 3 for the block size C, so the
-    # rows kept have crossed zero, one and two drops.  Rows of a full run
-    # of N steps are those of any longer full run, so one long run serves.
+_WINDOW_CASES = ["sphere", "reduced-cay", "reduced-exp", "gni_generic", "euler_a"]
+
+
+@pytest.mark.parametrize(
+    "case, window",
+    [pytest.param(case, None, id=case) for case in _WINDOW_CASES]
+    + [pytest.param(case, w, id=f"{case}-window{w}") for case in _WINDOW_CASES for w in (1, 2, 3)],
+)
+def test_run_without_residuals_keeps_the_full_runs_last_two_rows(monkeypatch, case, window):
+    # At N = 1, C - 1, C, C + 1 and 2C + 3 for the block size C (the
+    # default, or one as small as the carried rows), so the rows kept have
+    # crossed zero, one and two drops.  Rows of a full run of N steps are
+    # those of any longer full run, so one long run serves.
+    if window is not None:
+        monkeypatch.setattr(analysis, "_WINDOW_ROWS", window)
     cases, h = _window_cases()
     stepper, system, initial = cases[case]
     c = analysis._WINDOW_ROWS
     longest = 2 * c + 3
     full = run(stepper, system, initial, h, longest)
-    for n_steps in (1, c - 1, c, c + 1, longest):
+    for n_steps in sorted({1, c - 1, c, c + 1, longest} - {0}):
         bare = run(stepper, system, initial, h, n_steps, residual=False)
         last = full.rows(n_steps - 1, n_steps + 1)
         assert len(bare) == 2, n_steps
@@ -713,6 +791,24 @@ def test_run_without_residuals_keeps_the_full_runs_last_two_rows(case):
         assert np.array_equal(state_matrix(bare), state_matrix(last)), n_steps
         assert not np.any(bare.residuals)
         assert bare.h == h
+
+
+@pytest.mark.parametrize("case", ["sphere", "reduced-cay", "gni_generic", "euler_a", "one-step map"])
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+@pytest.mark.parametrize("residual", [None, False])
+def test_run_rejects_a_non_finite_step_size_before_any_step(case, h, residual):
+    cases, _ = _window_cases()
+    cases["one-step map"] = (gni_flat.composed_euler_step,) + cases["euler_a"][1:]
+    stepper, system, initial = cases[case]
+    with pytest.raises(ValueError, match="finite"):
+        run(stepper, system, initial, h, 10, residual=residual)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_convergence_sweep_rejects_a_non_finite_final_time(T):
+    sys = model.nonholonomic_particle("harmonic")
+    with pytest.raises(ValueError, match="T="):
+        convergence_sweep(gni_flat.rattle_step, sys, _particle_initial(sys), T, [0.1, 0.05, 0.025], 1e-4)
 
 
 def test_run_without_residuals_keeps_one_row_of_zero_steps():
@@ -755,6 +851,40 @@ def test_run_overflowing_mid_run_fails_at_the_same_step_without_residuals():
     assert np.array_equal(bare.partial.times, full.partial.times[-kept:])
     assert np.array_equal(bare.partial.energies, full.partial.energies[-kept:])
     assert np.array_equal(state_matrix(bare.partial), state_matrix(full.partial.rows(-kept)))
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_run_sphere_non_finite_row_at_the_smallest_windows_is_the_full_runs(monkeypatch, window):
+    # Each step moves the contact point 1e100 times further, so row 2's
+    # central difference is the first to overflow: at a window of one step
+    # it is found after the first keep, which has dropped no row yet.
+    def growing_stepper(params, h, cfg):
+        def window_kernel(flat, counts, j0, j1):
+            for j in range(j0, j1):
+                i = 5 * j
+                flat[i + 5], flat[i + 6] = flat[i] * 1e100, flat[i + 1]
+                flat[i + 2], flat[i + 3], flat[i + 4] = flat[i - 3], flat[i - 2], flat[i - 1]
+                counts[j] = 0
+            return None
+
+        return window_kernel
+
+    monkeypatch.setattr(gni_reduced, "_chaplygin_stepper", growing_stepper)
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
+    errors = []
+    for residual in (None, False):
+        with np.errstate(all="ignore"), pytest.raises(StepFailed) as excinfo:
+            run(None, params, initial, 0.1, 30, residual=residual)
+        errors.append(excinfo.value)
+        monkeypatch.setattr(analysis, "_WINDOW_ROWS", window)
+    full, bare = errors
+    assert full.step == bare.step == 2
+    assert str(bare.cause) == str(full.cause)
+    kept = len(bare.partial)
+    assert 0 < kept <= 2
+    assert np.array_equal(bare.partial.times, full.partial.times[-kept:])
+    assert np.array_equal(bare.partial.states, full.partial.states[-kept:])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
