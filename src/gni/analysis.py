@@ -10,6 +10,7 @@ stepper pairs.  The invariant batteries of the ``check`` subcommand are in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum, inf, isfinite, log, sqrt
 from typing import Callable, Dict, Sequence, Set, Tuple
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import gni_flat, gni_reduced, model
 from .gni_flat import DiscreteLagrangian, rattle_step
 from .lie_so3 import dcay
 from .model import PhaseState, ReducedState, ReducedSystem, constraint_residual
-from .numerics import NoConvergence, SingularMatrix, default_newton_config
+from .numerics import NoConvergence, SingularMatrix, default_newton_config, dot, matmul
 from .gni_reduced import ChaplyginParams, chaplygin_init, chaplygin_scheme_residual
 
 __all__ = [
@@ -90,7 +91,7 @@ class Layout:
 def flat_layout(system) -> Layout:
     """Rows ``[q, p, lam]`` of a flat system; the velocity is ``M^{-1} p``."""
     n, mass_inv = system.dim, system.mass_inv
-    return Layout(("q", "p", "lam"), 2 * n, slice(0, n), lambda row: mass_inv @ row[n : 2 * n])
+    return Layout(("q", "p", "lam"), 2 * n, slice(0, n), lambda row: matmul(mass_inv, row[n : 2 * n]))
 
 
 def reduced_layout(system) -> Layout:
@@ -521,7 +522,7 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
         rows = np.zeros((m, row0.size))
         rows[:, :n] = qs[:m]
         diffs = qs[2 : m + 1] - qs[: m - 1]
-        rows[1:, n : 2 * n] = (system.mass_matrix @ diffs[:, :, None])[:, :, 0] / (2.0 * h)
+        rows[1:, n : 2 * n] = matmul(system.mass_matrix, diffs[:, :, None])[:, :, 0] / (2.0 * h)
         rows[0] = row0  # once rows were dropped, a carried position assemble drops
         res = False
         if residual:
@@ -546,14 +547,13 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
 
     def diagnose(m):
         # Row 0's contact velocity is the forward difference, later rows'
-        # the central one.  The stacked ``matmul`` dot products give the
-        # same bits as one ``v @ v`` per row.
+        # the central one.
         qs, ws = rows[: m + 1, :2], rows[:m, 2:]
         v = np.empty((m, 2))
         v[0] = (qs[1] - qs[0]) / h
         v[1:] = (qs[2:] - qs[: m - 1]) / (2.0 * h)
-        vv = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-        ww = (ws[:, None, :] @ (params.inertia * ws)[:, :, None])[:, 0, 0]
+        vv = matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+        ww = matmul(ws[:, None, :], (params.inertia * ws)[:, :, None])[:, 0, 0]
         residuals = np.zeros(m)
         if residual is not False and m > 1:
             res = chaplygin_scheme_residual(params, qs[: m - 1], qs[1:m], qs[2:], ws[:-1], ws[1:], h)
@@ -604,13 +604,13 @@ def _check_admissible(system, state, h: float) -> None:
     if isinstance(state, PhaseState):
         mu = system.constraint_matrix(state.q)
         if mu.shape[0]:
-            slack = 0.5 * h * (mu @ (system.mass_inv @ system.grad_potential(state.q)))
+            slack = 0.5 * h * matmul(mu, matmul(system.mass_inv, system.grad_potential(state.q)))
     elif isinstance(state, ReducedState):
         rows = system.annihilator_matrix(state.x)
         if rows.shape[0]:
-            offset = state.p_alg - dcay(h * state.xi).T @ state.p_alg
+            offset = state.p_alg - matmul(dcay(h * state.xi).T, state.p_alg)
             tilt = np.concatenate([0.5 * h * system.grad_potential(state.x), offset])
-            slack = rows @ (system.metric_inv @ tilt)
+            slack = matmul(rows, matmul(system.metric_inv, tilt))
     if np.any(np.abs(res) > _ADMISSIBLE_TOL + np.abs(slack)):
         raise ValueError(
             f"initial state is not admissible: constraint residual {_inf_norm(res):.3e}"
@@ -630,9 +630,9 @@ def _final_energy(system, traj: Trajectory) -> float:
         w_last = traj.states[-1, 2:]
         w_bar = 0.5 * (traj.states[-2, 2:] + w_last)
         return (
-            traj.energies[-1]
-            - 0.5 * float(w_last @ (inertia * w_last))
-            + 0.5 * float(w_bar @ (inertia * w_bar))
+            float(traj.energies[-1])
+            - 0.5 * dot(w_last.tolist(), (inertia * w_last).tolist())
+            + 0.5 * dot(w_bar.tolist(), (inertia * w_bar).tolist())
         )
     return float(traj.energies[-1])
 
@@ -645,31 +645,34 @@ def slope_fit(h_values, errors) -> Tuple[float, float]:
     """Least-squares slope of log(error) against log(h).
 
     Returns ``(slope, residual)`` where ``residual`` is the RMS deviation
-    of the log errors from the fitted line.
+    of the log errors from the fitted line: the closed-form centred line
+    on ``math.log`` of each value, its sums by ``math.fsum``.
 
     Raises
     ------
     BelowNoiseFloor
         If any error is at or below 1e-14, where rounding noise dominates.
     ValueError
-        For fewer than 3 points or mismatched lengths.
+        For fewer than 3 points, mismatched lengths, an error that is not
+        finite, or step sizes that are not positive and finite, or all equal.
     """
-    h = np.asarray(h_values, dtype=float)
-    e = np.asarray(errors, dtype=float)
-    if h.size != e.size:
+    h, e = [float(v) for v in h_values], [float(v) for v in errors]
+    if len(h) != len(e):
         raise ValueError("h_values and errors must have equal length")
-    if h.size < 3:
+    if len(h) < 3:
         raise ValueError("slope fitting needs at least 3 points")
-    if np.any(e <= _NOISE_FLOOR):
-        raise BelowNoiseFloor(
-            f"smallest error {np.min(e):.3e} is at the rounding noise floor"
-        )
-    log_h = np.log(h)
-    log_e = np.log(e)
-    design = np.stack([log_h, np.ones_like(log_h)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, log_e, rcond=None)
-    residual = float(np.sqrt(np.mean((log_e - design @ coef) ** 2)))
-    return float(coef[0]), residual
+    if not all(0.0 < v < inf for v in h) or min(h) == max(h):
+        raise ValueError(f"step sizes must be positive, finite and not all equal, not {h}")
+    if not all(map(isfinite, e)):
+        raise ValueError(f"errors must be finite, not {e}")
+    if min(e) <= _NOISE_FLOOR:
+        raise BelowNoiseFloor(f"smallest error {min(e):.3e} is at the rounding noise floor")
+    x, y = list(map(log, h)), list(map(log, e))
+    mean_x, mean_y = fsum(x) / len(x), fsum(y) / len(y)
+    dx, dy = [v - mean_x for v in x], [v - mean_y for v in y]
+    slope = fsum(a * b for a, b in zip(dx, dy)) / fsum(a * a for a in dx)
+    residual = sqrt(fsum((b - slope * a) ** 2 for a, b in zip(dx, dy)) / len(dy))
+    return slope, residual
 
 
 def _resolve_reference(stepper, system, initial, T, h_min, reference) -> Trajectory:

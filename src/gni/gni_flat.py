@@ -28,12 +28,13 @@ that step, built once per run, which :func:`gni.analysis.run` steps.
 
 Both kernels step on plain Python floats: the system's point callables
 take ``q`` as a list (the discrete Lagrangian's, float64 arrays), and the
-algebra between them runs on lists, with NumPy's rounding.
+algebra between them runs on lists, every sum of products in the order
+of :mod:`gni.numerics`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +44,8 @@ from .numerics import (
     NewtonConfig,
     RankDeficient,
     default_newton_config,
-    fused_dot,
+    dot,
+    matmul,
     newton_solve_stats,
     solve_gram,
     solve_gram_floats,
@@ -98,45 +100,45 @@ def _kinetic_d12(mass: np.ndarray) -> Callable:
     return lambda q0, q1, h: -mass / h
 
 
+def _momentum(sys: FlatSystem, q0, q1, h) -> np.ndarray:
+    """``M (q1 - q0) / h`` through the system's ``float_maps``."""
+    return np.array(sys.float_maps[2](((q1 - q0) / h).tolist()))
+
+
 def verlet_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
     """Midpoint-kinetic, endpoint-averaged-potential discretization."""
-    mass = sys.mass_matrix
 
     def d1(q0, q1, h):
-        v = (q1 - q0) / h
-        return -(mass @ v) - 0.5 * h * np.asarray(sys.grad_potential(q0))
+        return -_momentum(sys, q0, q1, h) - 0.5 * h * np.asarray(sys.grad_potential(q0))
 
     def d2(q0, q1, h):
-        v = (q1 - q0) / h
-        return mass @ v - 0.5 * h * np.asarray(sys.grad_potential(q1))
+        return _momentum(sys, q0, q1, h) - 0.5 * h * np.asarray(sys.grad_potential(q1))
 
-    return DiscreteLagrangian(d1, d2, _kinetic_d12(mass))
+    return DiscreteLagrangian(d1, d2, _kinetic_d12(sys.mass_matrix))
 
 
 def euler_a_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
     """One-sided discretization with the potential at the left endpoint."""
-    mass = sys.mass_matrix
 
     def d1(q0, q1, h):
-        return -(mass @ ((q1 - q0) / h)) - h * np.asarray(sys.grad_potential(q0))
+        return -_momentum(sys, q0, q1, h) - h * np.asarray(sys.grad_potential(q0))
 
     def d2(q0, q1, h):
-        return mass @ ((q1 - q0) / h)
+        return _momentum(sys, q0, q1, h)
 
-    return DiscreteLagrangian(d1, d2, _kinetic_d12(mass))
+    return DiscreteLagrangian(d1, d2, _kinetic_d12(sys.mass_matrix))
 
 
 def euler_b_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
     """One-sided discretization with the potential at the right endpoint."""
-    mass = sys.mass_matrix
 
     def d1(q0, q1, h):
-        return -(mass @ ((q1 - q0) / h))
+        return -_momentum(sys, q0, q1, h)
 
     def d2(q0, q1, h):
-        return mass @ ((q1 - q0) / h) - h * np.asarray(sys.grad_potential(q1))
+        return _momentum(sys, q0, q1, h) - h * np.asarray(sys.grad_potential(q1))
 
-    return DiscreteLagrangian(d1, d2, _kinetic_d12(mass))
+    return DiscreteLagrangian(d1, d2, _kinetic_d12(sys.mass_matrix))
 
 
 def gni_generic_step_stats(
@@ -184,11 +186,10 @@ def three_point_kernel(
     and hands the residual ``D1(q_curr, q_next) + (P^T - Q^T) D2(q_prev,
     q_curr) + 2 Q^T Pi`` with the Jacobian ``d12`` to
     :func:`gni.numerics.newton_solve_stats`, so a general discrete
-    Lagrangian takes as many iterations as it needs.  The Gram matrix,
-    ``Q`` and ``(P^T - Q^T) D2`` are :func:`gni.numerics.fused_dot` chains,
-    as NumPy's products form them, and ``M^{-1}`` and ``M`` are the
-    system's ``float_maps``, so on the shipped systems the bits are those
-    of the array algebra.
+    Lagrangian takes as many iterations as it needs.  The entries of the
+    Gram matrix, ``Q`` and ``(P^T - Q^T) D2`` are :func:`gni.numerics.dot`,
+    and ``M^{-1}`` and ``M`` the system's ``float_maps``: every sum in the
+    order of :mod:`gni.numerics`.
     """
     if cfg is None:
         cfg = default_newton_config()
@@ -204,25 +205,19 @@ def three_point_kernel(
         carried = np.asarray(d2(q_prev, q_curr, h), dtype=float).tolist()
         offset = None
         if rows:
-            # (P^T - Q^T) D2 + 2 Q^T Pi with P = I - Q, where Q^T sums over
-            # the rows l the outer products of (C^{-1} mu)_l with the columns
-            # (M^{-1} mu^T)_l, each entry a fused chain over l.
-            gram = [[fused_dot(w, r) for r in rows] for w in map(minv_t_times, rows)]
-            coeff = zip(*[solve_gram_floats(gram, col) for col in zip(*rows)])
-            q_t = None
-            for c_row, m_col in zip(coeff, map(minv_times, rows)):
-                q_t = (
-                    [[0.0 + c * m for m in m_col] for c in c_row] if q_t is None
-                    else [[fused_dot((c,), (m,), a) for m, a in zip(m_col, line)]
-                          for c, line in zip(c_row, q_t)]
-                )
+            # (P^T - Q^T) D2 + 2 Q^T Pi with P = I - Q, where each entry of
+            # Q^T is a dot over the rows l of (C^{-1} mu)_l and (M^{-1} mu^T)_l.
+            gram = [[dot(w, r) for r in rows] for w in map(minv_t_times, rows)]
+            coeffs = [solve_gram_floats(gram, col) for col in zip(*rows)]
+            m_cols = list(zip(*map(minv_times, rows)))
+            q_t = [[dot(c, m) for m in m_cols] for c in coeffs]
             carried = [
-                fused_dot([(e - x) - x for e, x in zip(unit, row)], carried)
+                dot([(e - x) - x for e, x in zip(unit, row)], carried)
                 for unit, row in zip(identity, q_t)
             ]
             if sys.affine_field is not None:
                 offset = mass_times(as_floats(sys.affine_field(x)))
-                carried = [c + 2.0 * sum(map(mul, row, offset)) for c, row in zip(carried, q_t)]
+                carried = [c + 2.0 * dot(row, offset) for c, row in zip(carried, q_t)]
 
         def residual(q_next):
             d1_next = np.asarray(d1(q_curr, np.array(q_next), h), dtype=float)
@@ -259,15 +254,15 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
     ``ArithmeticError``; a point callable's wrong length at row ``j0-1``, or
     a row without one multiplier per constraint row, raises ``ValueError``.
     ``form(momenta, points)`` is :func:`scheme_constraint_residual` of
-    stacked rows and points, in one stacked ``matmul`` pass.
+    stacked rows and points, in one stacked :func:`gni.numerics.matmul`
+    pass.
 
     Each ``h``-only factor leads its product, ``M^{-1}``, its transpose and
-    ``M`` are the system's ``float_maps``, the Gram matrix ``mu
-    M^{-1} mu^T`` is :func:`gni.numerics.fused_dot` chains as NumPy's
-    product forms it, one row's Gram solve divides as
-    :func:`gni.numerics.solve_gram_floats` does, and the other sums start
-    from 0.0: on the shipped (and diagonal-mass test) systems the bits are
-    those of the array algebra written out.
+    ``M`` are the system's ``float_maps``, the Gram matrix ``mu M^{-1}
+    mu^T`` and the other sums of products are :func:`gni.numerics.dot`,
+    and one row's Gram solve divides as
+    :func:`gni.numerics.solve_gram_floats` does: every sum in the order of
+    :mod:`gni.numerics`.
     """
     half_h, weight_h, two_over_h = 0.5 * h, _STAGE2_WEIGHT[scheme] * h, 2.0 / h
     shift_h = _FORM_SHIFT[scheme] * h
@@ -310,15 +305,15 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
                     if len(rows) == 1:
                         r = rows[0]
                         w = minv_t_times(r)
-                        gram = fused_dot(w, r)
+                        gram = dot(w, r)
                         if gram <= 0.0:
                             return j, RankDeficient("constraint row vanishes")
-                        lam = [c := two_over_h * (sum(map(mul, w, target)) / gram)]
+                        lam = [c := two_over_h * (dot(w, target) / gram)]
                         kick = [half_h * (g + (0.0 + c * e)) for g, e in zip(grad, r)]
                     else:
                         w = list(map(minv_t_times, rows))
-                        gram = [[fused_dot(wi, r) for r in rows] for wi in w]
-                        lam = solve_gram_floats(gram, [sum(map(mul, wi, target)) for wi in w])
+                        gram = [[dot(wi, r) for r in rows] for wi in w]
+                        lam = solve_gram_floats(gram, [dot(wi, target) for wi in w])
                         lam = [two_over_h * c for c in lam]
                         kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
                     p = list(map(sub, p_half, kick))
@@ -342,15 +337,15 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
 
 
 def stacked_form(mass_inv, momenta, mus, offsets=None, shift=None) -> np.ndarray:
-    """``mu M^{-1}(p - Pi + shift)`` of stacked rows, one stacked ``matmul``
-    pass: the momenta ``(N, n)``, their constraint rows ``(N, m, n)``, the
-    momentum offsets ``(N, n)`` (``None`` for none) and an optional ``(N,
-    n)`` shift, added last.  Each row has the bits of the per-state form."""
-    # Without a drift field Pi is 0, and p - 0 is p (a copy, contiguous).
-    vec = momenta - offsets if offsets is not None else np.array(momenta)
+    """``mu M^{-1}(p - Pi + shift)`` of stacked rows, one stacked
+    :func:`gni.numerics.matmul` pass: the momenta ``(N, n)``, their
+    constraint rows ``(N, m, n)``, the momentum offsets ``(N, n)`` (``None``
+    for none) and an optional ``(N, n)`` shift, added last.  Each row has
+    the bits of the per-state form."""
+    vec = momenta - offsets if offsets is not None else momenta
     if shift is not None:
         vec = vec + shift
-    return (mus @ (mass_inv @ vec[:, :, None]))[:, :, 0]
+    return matmul(mus, matmul(mass_inv, vec[:, :, None]))[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -434,7 +429,7 @@ def scheme_constraint_residual(sys: FlatSystem, s: PhaseState, h: float, scheme:
     vec = s.p - sys.momentum_offset(s.q)
     if shift != 0.0:
         vec = vec + shift * h * np.asarray(sys.grad_potential(s.q), dtype=float)
-    return mu @ (sys.mass_inv @ vec)
+    return matmul(mu, matmul(sys.mass_inv, vec))
 
 
 def prepare_state(
@@ -458,31 +453,31 @@ def prepare_state(
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        p_raw = sys.mass_matrix @ v
+        p_raw = matmul(sys.mass_matrix, v)
         mu = sys.constraint_matrix(q)
         if mu.shape[0] == 0:
             return PhaseState(q, p_raw, np.zeros(0))
-        mu_minv = mu @ sys.mass_inv
-        gram = mu_minv @ mu.T
+        mu_minv = matmul(mu, sys.mass_inv)
+        gram = matmul(mu_minv, mu.T)
         vec = p_raw - sys.momentum_offset(q)
         if scheme != "continuous":
             shift = _FORM_SHIFT[scheme]
             if shift != 0.0:
                 vec = vec + shift * h * np.asarray(sys.grad_potential(q), dtype=float)
-        correction = solve_gram(gram, mu_minv @ vec)
-        p = p_raw - mu.T @ correction
+        correction = solve_gram(gram, matmul(mu_minv, vec))
+        p = p_raw - matmul(mu.T, correction)
 
         # Multiplier of the continuous dynamics at (q, v): differentiate the
         # velocity constraint along the flow and solve for lam.
-        v_adm = sys.mass_inv @ p
+        v_adm = matmul(sys.mass_inv, p)
         drift = sys.drift(q)
         dmu_v = sys.constraints_dir(q, v_adm)
         grad = np.asarray(sys.grad_potential(q), dtype=float)
-        rhs = dmu_v @ (v_adm - drift) - mu_minv @ grad
+        rhs = matmul(dmu_v, v_adm - drift) - matmul(mu_minv, grad)
         if sys.affine_field is not None:
             e = 1e-6
             ddrift = (sys.drift(q + e * v_adm) - sys.drift(q - e * v_adm)) / (2.0 * e)
-            rhs = rhs - mu @ ddrift
+            rhs = rhs - matmul(mu, ddrift)
         lam0 = solve_gram(gram, rhs)
         return PhaseState(q, p, lam0)
 

@@ -46,6 +46,7 @@ from .numerics import (
     SingularMatrix,
     _singular,
     default_newton_config,
+    matmul,
     solve_gram,
 )
 
@@ -162,12 +163,12 @@ def reduced_rattle_step(
     rows0 = rsys.annihilator_matrix(s.x)
     mu0 = rows0[:, :n]
     grad0 = np.asarray(rsys.grad_potential(s.x), dtype=float)
-    p_half = s.p - 0.5 * h * (grad0 + mu0.T @ s.lam)
-    x1 = s.x + h * (gs_inv @ (p_half - gc @ s.xi))
+    p_half = s.p - 0.5 * h * (grad0 + matmul(mu0.T, s.lam))
+    x1 = s.x + h * matmul(gs_inv, p_half - matmul(gc, s.xi))
 
     # Coadjoint transport of the algebra momentum along the increment.
     rot = tau(h * s.xi)
-    alg_trans = rot.T @ s.p_alg
+    alg_trans = matmul(rot.T, s.p_alg)
 
     # Stage 2: multiplier from the averaged-momentum constraint at x1.
     rows1 = rsys.annihilator_matrix(x1)
@@ -175,13 +176,13 @@ def reduced_rattle_step(
     if rows1.shape[0]:
         mu1 = rows1[:, :n]
         eta1 = rows1[:, n:]
-        w_mat = rows1 @ rsys.metric_inv
-        gram = w_mat @ rows1.T
+        w_mat = matmul(rows1, rsys.metric_inv)
+        gram = matmul(w_mat, rows1.T)
         base = np.concatenate([p_half - 0.5 * h * grad1, alg_trans])
         base = base - rsys.momentum_offset(x1)
-        lam1 = (2.0 / h) * solve_gram(gram, w_mat @ base)
-        p1 = p_half - 0.5 * h * (grad1 + mu1.T @ lam1)
-        alg1 = alg_trans - h * (eta1.T @ lam1)
+        lam1 = (2.0 / h) * solve_gram(gram, matmul(w_mat, base))
+        p1 = p_half - 0.5 * h * (grad1 + matmul(mu1.T, lam1))
+        alg1 = alg_trans - h * matmul(eta1.T, lam1)
     else:
         mu1 = np.zeros((0, n))
         lam1 = np.zeros(0)
@@ -189,8 +190,8 @@ def reduced_rattle_step(
         alg1 = alg_trans
 
     # Stage 3: interval velocity from the algebra-momentum match.
-    p_half_next = p1 - 0.5 * h * (grad1 + mu1.T @ lam1)
-    b = gc.T @ (gs_inv @ p_half_next)
+    p_half_next = p1 - 0.5 * h * (grad1 + matmul(mu1.T, lam1))
+    b = matmul(gc.T, matmul(gs_inv, p_half_next))
     solve = _stage3_solver(retraction, rsys.algebra_schur.tolist(), h, cfg)
     *xi1, iters = solve(*b.tolist(), *alg1.tolist(), *s.xi.tolist())
     return ReducedState(x1, p1, np.array(xi1), alg1, lam1, newton_iters=iters)
@@ -325,7 +326,7 @@ def reduced_scheme_residual(
     ``prev`` and ``new`` are each a :class:`~gni.model.ReducedState`, its
     values ``[x, p, xi, p_alg, ...]`` (later columns ignored), or a stack
     of such rows; the result has shape ``(m,)``, or ``(rows, m)`` for
-    stacks.  Every product is written out column by column, so stacked
+    stacks.  Every product is :func:`gni.numerics.matmul`, so stacked
     rows give the same bits as one call per row.  Stacks need a system
     that declares its rows and section as arrays.
     """
@@ -343,10 +344,10 @@ def reduced_scheme_residual(
     combined = np.vstack([new[n : 2 * n], 0.5 * (alg_trans + new[2 * n + 3 : 2 * n + 6])])
     x = new[:n]
     if callable(rsys.affine_section):
-        combined = combined - _contract(rsys.bundle_metric, rsys.section(x[:, 0])[:, None])
+        combined = combined - matmul(rsys.bundle_metric, rsys.section(x[:, 0])[:, None])
     elif rsys.affine_section is not None:
-        combined = combined - _contract(rsys.bundle_metric, _contract(rsys.affine_section, x))
-    res = _contract(rsys.annihilator_matrix(x[:, 0]), _contract(rsys.metric_inv, combined))
+        combined = combined - matmul(rsys.bundle_metric, matmul(rsys.affine_section, x))
+    res = matmul(rsys.annihilator_matrix(x[:, 0]), matmul(rsys.metric_inv, combined))
     return res[:, 0] if one_row else res.T
 
 
@@ -354,15 +355,6 @@ def _values(state) -> np.ndarray:
     if isinstance(state, ReducedState):
         return np.concatenate([state.x, state.p, state.xi, state.p_alg])
     return np.asarray(state, dtype=float)
-
-
-def _contract(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``mat @ cols`` summed column by column from the left, so that each
-    column of the result has the same bits however many there are."""
-    out = mat[:, :1] * cols[0]
-    for j in range(1, mat.shape[1]):
-        out = out + mat[:, j : j + 1] * cols[j]
-    return out
 
 
 @dataclass(frozen=True)
@@ -425,21 +417,21 @@ def reduced_kernel(
     rows = rsys.annihilator
     gs_inv = rsys.shape_metric_inv
     gc = rsys.bundle_metric[:2, 2:]
-    w_mat = rows @ rsys.metric_inv
-    k_mat = (2.0 / h) * solve_gram(w_mat @ rows.T, w_mat)
+    w_mat = matmul(rows, rsys.metric_inv)
+    k_mat = (2.0 / h) * solve_gram(matmul(w_mat, rows.T), w_mat)
     offset = np.zeros((5, 2))
     if rsys.affine_section is not None:
-        offset = rsys.bundle_metric @ rsys.affine_section
+        offset = matmul(rsys.bundle_metric, rsys.affine_section)
     # The multiplier's kicks of the shape (0.5 h mu^T) and algebra (h eta^T)
     # momenta, the shape drift h Gs^{-1} [I, -Gc], K, K G A and Gc^T Gs^{-1}.
     (m00, m01), (m10, m11) = (0.5 * h * rows[:, :2].T).tolist()
     (e00, e01), (e10, e11), (e20, e21) = (h * rows[:, 2:].T).tolist()
     (a00, a01, a02, a03, a04), (a10, a11, a12, a13, a14) = (
-        h * gs_inv @ np.hstack([np.eye(2), -gc])
+        matmul(h * gs_inv, np.hstack([np.eye(2), -gc]))
     ).tolist()
     (k00, k01, k02, k03, k04), (k10, k11, k12, k13, k14) = k_mat.tolist()
-    (o00, o01), (o10, o11) = (k_mat @ offset).tolist()
-    (c00, c01), (c10, c11), (c20, c21) = (gc.T @ gs_inv).tolist()
+    (o00, o01), (o10, o11) = matmul(k_mat, offset).tolist()
+    (c00, c01), (c10, c11), (c20, c21) = matmul(gc.T, gs_inv).tolist()
 
     def window(flat, counts, j0, j1):
         i = 12 * j0
@@ -562,7 +554,7 @@ def chaplygin_initial_reduced_state(
     w0 = np.asarray(w0, dtype=float)
     v0 = chaplygin_contact_velocity(params, q0, w0)
     with np.errstate(over="ignore", invalid="ignore"):
-        p_alg = dcay_inv(h * w0).T @ (params.inertia * w0)
+        p_alg = matmul(dcay_inv(h * w0).T, params.inertia * w0)
     return ReducedState(q0, params.m * v0, w0, p_alg, np.zeros(2))
 
 
@@ -873,5 +865,5 @@ def reconstruct(seed: np.ndarray, xi_sequence, h: float, retraction: str = "cay"
     tau = _retraction(retraction)
     rots = [np.array(seed, dtype=float)]
     for xi in xi_sequence:
-        rots.append(rots[-1] @ tau(h * np.asarray(xi, dtype=float)))
+        rots.append(matmul(rots[-1], tau(h * np.asarray(xi, dtype=float))))
     return rots

@@ -4,7 +4,8 @@ Provides the skew/vector isomorphism on so(3), two retractions from the
 algebra to SO(3) — the Cayley transform and the matrix exponential — and
 the right-trivialized tangent maps needed to move momenta between the
 algebra and its dual along a retraction.  All maps act on plain numpy
-vectors (length 3) and matrices (3 x 3).
+vectors (length 3) and matrices (3 x 3), their products in the order of
+:func:`gni.numerics.matmul`.
 
 Conventions: ``hat(w) @ x == cross(w, x)``; tangent maps are
 right-trivialized, i.e. ``d/dt tau(w + t*eta) |_0 = hat(dtau(w) @ eta) @
@@ -18,6 +19,8 @@ from functools import lru_cache
 from math import cos, factorial, inf, nan, sin, sqrt
 
 import numpy as np
+
+from .numerics import matmul
 
 __all__ = [
     "NotSkew",
@@ -76,14 +79,14 @@ def cay(w: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float)
     s = hat(w)
-    return np.eye(3) + (4.0 / (4.0 + w @ w)) * (s + 0.5 * (s @ s))
+    return np.eye(3) + (4.0 / (4.0 + matmul(w, w))) * (s + 0.5 * matmul(s, s))
 
 
 def dcay(w: np.ndarray) -> np.ndarray:
     """Right-trivialized tangent of :func:`cay`:
     ``2/(4 + |w|^2) * (2 I + hat(w))``."""
     w = np.asarray(w, dtype=float)
-    return (2.0 / (4.0 + w @ w)) * (2.0 * np.eye(3) + hat(w))
+    return (2.0 / (4.0 + matmul(w, w))) * (2.0 * np.eye(3) + hat(w))
 
 
 def dcay_inv(w: np.ndarray) -> np.ndarray:
@@ -99,9 +102,9 @@ def exp_so3(w: np.ndarray) -> np.ndarray:
     by their Taylor expansions to avoid cancellation.
     """
     w = np.asarray(w, dtype=float)
-    a, b = exp_coefficients(sqrt(w @ w))
+    a, b = exp_coefficients(sqrt(matmul(w, w)))
     s = hat(w)
-    return np.eye(3) + a * s + b * (s @ s)
+    return np.eye(3) + a * s + b * matmul(s, s)
 
 
 def exp_coefficients(theta: float):
@@ -145,7 +148,7 @@ def dexp_inv(w: np.ndarray, order: int = 4) -> np.ndarray:
     result = np.eye(3)
     power = np.eye(3)
     for j in range(1, order + 1):
-        power = power @ s
+        power = matmul(power, s)
         coeff = _bernoulli(j)
         if coeff:
             result = result + (float(coeff) / factorial(j)) * power
@@ -154,9 +157,9 @@ def dexp_inv(w: np.ndarray, order: int = 4) -> np.ndarray:
 
 def Ad(rot: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Adjoint action of SO(3) on so(3) in vector form: ``rot @ xi``."""
-    return np.asarray(rot, dtype=float) @ np.asarray(xi, dtype=float)
+    return matmul(rot, xi)
 
 
 def Ad_star(rot: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Coadjoint action, the pairing-adjoint of :func:`Ad`: ``rot.T @ m``."""
-    return np.asarray(rot, dtype=float).T @ np.asarray(m, dtype=float)
+    return matmul(np.asarray(rot, dtype=float).T, m)

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import mul
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .numerics import (
     RankDeficient,
-    fused_dot,
+    dot,
     linear_map,
+    lu_solve,
+    matmul,
     solve_gram,
     solve_gram_floats,
     transpose_times,
@@ -66,6 +67,14 @@ def _spd_matrix(name: str, value, size: int) -> np.ndarray:
         raise ValueError(f"{name} must be symmetric")
     np.linalg.cholesky(g)
     return g
+
+
+def _spd_inverse(g: np.ndarray) -> np.ndarray:
+    """``g^{-1}`` by :func:`lu_solve` of ``D g D``, ``D`` the powers of two
+    (an exact scaling) that bring the diagonal into [0.5, 2): the relative
+    pivot test then sees ``g``'s conditioning, not its units."""
+    d = np.ldexp(1.0, -(np.frexp(np.diag(g))[1] // 2))[:, None]
+    return d * lu_solve(d * g * d.T, np.eye(len(g))) * d.T
 
 
 def as_floats(value, rows: bool = False, name: Optional[str] = None, n: int = 0) -> list:
@@ -127,7 +136,7 @@ class FlatSystem:
 
     def __post_init__(self):
         self.mass_matrix = m = _spd_matrix("mass matrix", self.mass_matrix, self.dim)
-        self.mass_inv = np.linalg.inv(m)
+        self.mass_inv = _spd_inverse(m)
         self.float_maps = (linear_map(self.mass_inv), linear_map(self.mass_inv.T), linear_map(m))
 
     def constraint_matrix(self, q: np.ndarray) -> np.ndarray:
@@ -144,9 +153,7 @@ class FlatSystem:
 
     def momentum_offset(self, q: np.ndarray) -> np.ndarray:
         """``Pi(q) = M @ Y(q)``, the momentum-level offset, as the kernels sum it."""
-        if self.affine_field is None:
-            return np.zeros(self.dim)
-        return np.array(self.float_maps[2](self.drift(q).tolist()))
+        return matmul(self.mass_matrix, self.drift(q))
 
     def constraints_dir(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Directional derivative of the constraint rows along ``v``."""
@@ -198,11 +205,11 @@ class ReducedSystem:
     def __post_init__(self):
         total = self.shape_dim + self.algebra_dim
         self.bundle_metric = g = _spd_matrix("bundle metric", self.bundle_metric, total)
-        self.metric_inv = np.linalg.inv(g)
+        self.metric_inv = _spd_inverse(g)
         n = self.shape_dim
-        self.shape_metric_inv = np.linalg.inv(g[:n, :n])
+        self.shape_metric_inv = _spd_inverse(g[:n, :n])
         coupling = g[:n, n:]
-        self.algebra_schur = g[n:, n:] - coupling.T @ self.shape_metric_inv @ coupling
+        self.algebra_schur = g[n:, n:] - matmul(matmul(coupling.T, self.shape_metric_inv), coupling)
         if self.grad_potential is None:
             self.grad_potential = _no_force
         declared = {
@@ -236,13 +243,11 @@ class ReducedSystem:
             return np.zeros(self.shape_dim + self.algebra_dim)
         if callable(self.affine_section):
             return np.asarray(self.affine_section(x), dtype=float)
-        return self.affine_section @ x
+        return matmul(self.affine_section, x)
 
     def momentum_offset(self, x: np.ndarray) -> np.ndarray:
         """Momentum-level constraint offset ``G @ section(x)``."""
-        if self.affine_section is None:
-            return np.zeros(self.shape_dim + self.algebra_dim)
-        return self.bundle_metric @ self.section(x)
+        return matmul(self.bundle_metric, self.section(x))
 
 
 @dataclass(frozen=True)
@@ -289,8 +294,8 @@ def _projector_pair(metric_inv: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarra
     n = metric_inv.shape[0]
     if rows.shape[0] == 0:
         return np.eye(n), np.zeros((n, n))
-    coeff = solve_gram(rows @ metric_inv @ rows.T, rows)  # C^{-1} mu, shape (m, n)
-    q_proj = metric_inv @ rows.T @ coeff
+    coeff = solve_gram(matmul(matmul(rows, metric_inv), rows.T), rows)  # C^{-1} mu, shape (m, n)
+    q_proj = matmul(matmul(metric_inv, rows.T), coeff)
     return np.eye(n) - q_proj, q_proj
 
 
@@ -337,8 +342,8 @@ def _continuous_kernel(sys: FlatSystem, check: bool = False):
     ``rhs(q, p) -> (qdot, pdot)`` on lists of floats, which the point
     callables receive (``check`` checks their results by :func:`as_floats`).
     The central difference of the rows, without ``constraints_derivative``,
-    is taken entry by entry as the array one, and the Gram matrix by
-    :func:`gni.numerics.fused_dot` chains, as NumPy's product forms it."""
+    is taken entry by entry as the array one, and every sum of products is
+    :func:`gni.numerics.dot` or the system's ``float_maps``."""
     if sys.affine_field is not None:
         raise ValueError("continuous_rhs supports linear constraints only")
     minv_times, minv_t_times, _ = sys.float_maps
@@ -352,7 +357,7 @@ def _continuous_kernel(sys: FlatSystem, check: bool = False):
             return v, [-g for g in grad]
         rows = as_floats(rows_at(q), True, check and "constraints", n)
         w = list(map(minv_t_times, rows))
-        gram = [[fused_dot(wi, r) for r in rows] for wi in w]
+        gram = [[dot(wi, r) for r in rows] for wi in w]
         if derivative is not None:
             dmu = as_floats(derivative(q, v), True, check and "constraints_derivative", n)
         else:
@@ -360,7 +365,7 @@ def _continuous_kernel(sys: FlatSystem, check: bool = False):
             behind = as_floats(rows_at([a - e * b for a, b in zip(q, v)]), True)
             dmu = [[(x - y) / (2.0 * e) for x, y in zip(r, s)] for r, s in zip(ahead, behind)]
         lam = solve_gram_floats(
-            gram, [sum(map(mul, d, v)) - sum(map(mul, wi, grad)) for d, wi in zip(dmu, w)]
+            gram, [dot(d, v) - dot(wi, grad) for d, wi in zip(dmu, w)]
         )
         return v, [-g - c for g, c in zip(grad, transpose_times(rows, lam, n))]
 
@@ -439,12 +444,12 @@ def constraint_residual(system, state) -> np.ndarray:
         mu = system.constraint_matrix(state.q)
         if mu.shape[0] == 0:
             return np.zeros(0)
-        return mu @ (system.mass_inv @ (state.p - system.momentum_offset(state.q)))
+        return matmul(mu, matmul(system.mass_inv, state.p - system.momentum_offset(state.q)))
     rows = system.annihilator_matrix(state.x)
     if rows.shape[0] == 0:
         return np.zeros(0)
     combined = np.concatenate([state.p, state.p_alg])
-    return rows @ (system.metric_inv @ (combined - system.momentum_offset(state.x)))
+    return matmul(rows, matmul(system.metric_inv, combined - system.momentum_offset(state.x)))
 
 
 def energy(system, state) -> float:
@@ -479,8 +484,9 @@ def energies(system, rows: np.ndarray) -> np.ndarray:
 
 def kinetic_energies(metric_inv: np.ndarray, momenta: np.ndarray) -> np.ndarray:
     """``p^T G^{-1} p / 2`` of each row ``p`` of ``momenta``: one stacked
-    ``matmul`` form, bit for bit ``p @ (G^{-1} @ p)`` per row."""
-    return ((0.5 * momenta)[:, None, :] @ (metric_inv @ momenta[:, :, None]))[:, 0, 0]
+    :func:`gni.numerics.matmul` form, bit for bit ``(p / 2) . (G^{-1} p)``
+    per row."""
+    return matmul((0.5 * momenta)[:, None, :], matmul(metric_inv, momenta[:, :, None]))[:, 0, 0]
 
 
 def nonholonomic_particle(potential: str = "none") -> FlatSystem:

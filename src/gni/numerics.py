@@ -1,24 +1,27 @@
-"""Small dense linear algebra and a damped Newton iteration.
+"""Small dense linear algebra, the one float order of products, and a
+damped Newton iteration.
 
 Every implicit solve in this package funnels through the entry points
 here: :func:`lu_solve` for square linear systems (LU with partial pivoting,
 explicit singularity detection), :func:`small_solve` for the same
 elimination written out on plain floats for the 1x1 to 3x3 systems of the
 steppers, :func:`solve_gram` for constraint Gram systems (and
-:func:`solve_gram_floats` for the float kernels), :func:`fused_dot`,
-:func:`linear_map` and :func:`transpose_times` for small matrix products
-on plain floats, and
+:func:`solve_gram_floats` for the float kernels), and
 :func:`newton_solve_stats` for nonlinear root-finding (plain floats,
 analytic Jacobian, step damping).  Keeping the solvers in one place
 makes failure modes uniform: linear degeneracies surface as
 :class:`SingularMatrix` (:class:`RankDeficient` for Gram systems), stalled
-iterations as :class:`NoConvergence`.
+iterations as :class:`NoConvergence`.  Every product whose value reaches a
+CSV, a kernel constant or a test is summed in one order, defined here and
+not by a BLAS: each product rounded on its own, added left to right from
+0.0, by :func:`matmul` on arrays and :func:`dot`, :func:`linear_map` and
+:func:`transpose_times` on plain floats.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import frexp, fsum, inf, isfinite, nan
+from math import inf, isfinite, nan
 from operator import sub
 from typing import Callable, Optional, Sequence
 
@@ -34,7 +37,8 @@ __all__ = [
     "small_solve",
     "solve_gram",
     "solve_gram_floats",
-    "fused_dot",
+    "matmul",
+    "dot",
     "linear_map",
     "transpose_times",
     "newton_solve_stats",
@@ -44,9 +48,6 @@ __all__ = [
 _PIVOT_RTOL = 1e-14
 # Maximum number of step halvings the Newton damping loop may take.
 _MAX_HALVINGS = 8
-# Veltkamp's splitting constant 2^27 + 1: it cuts a double into two halves
-# whose pairwise products are exact.
-_SPLIT = 134217729.0
 
 
 class SingularMatrix(ValueError):
@@ -151,7 +152,7 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     x = np.empty_like(rhs)
     for row in range(n - 1, -1, -1):
-        x[row] = (rhs[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+        x[row] = (rhs[row] - matmul(a[row, row + 1:], x[row + 1:])) / a[row, row]
     return x[:, 0] if vector_rhs else x
 
 
@@ -286,13 +287,40 @@ def solve_gram_floats(gram, rhs) -> list:
         raise RankDeficient("constraint rows are linearly dependent") from exc
 
 
+def matmul(a, b) -> np.ndarray:
+    """``a @ b`` with ``np.matmul``'s semantics for 1-D, 2-D and stacked
+    operands, each entry in the defined order, by elementwise NumPy only
+    (one pass per inner index): a one-row call and a stacked call give the
+    same bits, and no BLAS decides them."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a2, b2 = (a[None] if a.ndim == 1 else a), (b[:, None] if b.ndim == 1 else b)
+    n = a2.shape[-1]
+    if b2.shape[-2] != n:
+        raise ValueError(f"matmul: inner dimensions {a.shape} and {b.shape} differ")
+    # An empty sum is 0.0 in any order, so ``@`` may form it.
+    out = a2[..., :, :1] * b2[..., :1, :] + 0.0 if n else a2 @ b2
+    for j in range(1, n):
+        out = out + a2[..., :, j : j + 1] * b2[..., j : j + 1, :]
+    out = out[..., 0, :] if a.ndim == 1 else out
+    return out[..., 0] if b.ndim == 1 else out
+
+
+def dot(xs, ys) -> float:
+    """``x . y`` of two float sequences in the defined order.  Not ``sum``:
+    from Python 3.12 on, ``sum`` of floats compensates its rounding."""
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total += x * y
+    return total
+
+
 def linear_map(matrix) -> Callable[[Sequence[float]], list]:
     """``x -> matrix @ x`` for a constant ``(k, n)`` matrix, as a function
     on plain floats: it takes a sequence of n floats and returns a list of
     k.  Each entry is one unrolled expression, the row's products summed in
-    column order from 0.0, the bits of ``sum(map(mul, row, x))``; the
-    function is compiled here, once, so a kernel applies a constant matrix
-    such as a system's ``M^{-1}`` without a Python loop."""
+    column order from 0.0, the bits of :func:`dot` of the row and ``x``;
+    the function is compiled here, once, so a kernel applies a constant
+    matrix such as a system's ``M^{-1}`` without a Python loop."""
     matrix = np.asarray(matrix, dtype=float)
     # Float reprs round-trip exactly; ``inf`` and ``nan`` are names below.
     names = ", ".join(f"x{j}" for j in range(matrix.shape[1]))
@@ -308,41 +336,12 @@ def linear_map(matrix) -> Callable[[Sequence[float]], list]:
 def transpose_times(rows, coeffs, n: int) -> list:
     """``A^T c`` on plain floats for ``A`` given as rows of n floats: the
     rows scaled by ``coeffs`` and summed in order from 0.0, the bits of
-    NumPy's ``A.T @ c`` entry by entry (n zeros for no rows)."""
+    :func:`matmul` of ``A.T`` and ``c`` entry by entry (n zeros for no
+    rows)."""
     total = [0.0] * n
     for c, row in zip(coeffs, rows):
         total = [t + c * x for t, x in zip(total, row)]
     return total
-
-
-def fused_dot(xs, ys, acc: float = 0.0) -> float:
-    """``acc + sum(x * y)`` over two float sequences as one chain of fused
-    multiply-adds: from ``acc = 0``, the entry of a matrix product as BLAS
-    ``gemm`` forms it, so float kernels reproduce NumPy's ``A @ B`` bit for
-    bit.
-
-    Each product is exact before it is added (Dekker's two-product with
-    Veltkamp's split gives its rounding error, and :func:`math.fsum` adds
-    the three parts with one rounding).  A product that is exact (one
-    factor a power of two, or a zero error), or lands on a zero sum, is
-    added as is, and so is one near the overflow or underflow range, where
-    the split fails; there the sum may differ in its last bit.
-    """
-    for x, y in zip(xs, ys):
-        p = x * y
-        if (acc and 1e-290 < abs(p) < 1e300 > abs(acc)
-                and abs(frexp(x)[0]) != 0.5 != abs(frexp(y)[0])):
-            t = _SPLIT * x
-            xh = t - (t - x)
-            t = _SPLIT * y
-            yh = t - (t - y)
-            xl, yl = x - xh, y - yh
-            err = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-            if err and abs(err) < 1e300:  # False for a NaN from an overflowed split
-                acc = fsum((acc, p, err))
-                continue
-        acc += p
-    return acc
 
 
 def _inf_norm(values) -> float:

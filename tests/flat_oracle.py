@@ -2,19 +2,19 @@
 :func:`gni.gni_flat.flat_kernel`.
 
 :func:`flat_kernel` here is the per-step ``(start, step, form)`` closure set
-that the window kernel writes out with its state in locals, unchanged: the
-window kernel must reproduce it bit for bit, in rows, points, residual
-column and failures.
+that the window kernel writes out with its state in locals, its sums of
+products in the order of :mod:`gni.numerics`: the window kernel must
+reproduce it bit for bit, in rows, points, residual column and failures.
 """
 from __future__ import annotations
 
-from operator import mul, sub
+from operator import sub
 
 import numpy as np
 
 from gni.gni_flat import _FORM_SHIFT, _STAGE2_WEIGHT, stacked_form
 from gni.model import FlatSystem
-from gni.numerics import fused_dot, linear_map, solve_gram_floats, transpose_times
+from gni.numerics import dot, linear_map, solve_gram_floats, transpose_times
 
 
 def flat_kernel(sys: FlatSystem, h: float, scheme: str):
@@ -32,14 +32,12 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str):
     so each configuration is evaluated once.  The system's callables
     receive ``q`` as a float64 array.  ``form(momenta, mus, grads,
     offsets)`` is :func:`scheme_constraint_residual` of stacked rows and
-    their points, in one stacked ``matmul`` pass.
+    their points, in one stacked :func:`gni.numerics.matmul` pass.
 
     Each ``h``-only factor leads its product, ``M^{-1}`` and its transpose
-    are :func:`gni.numerics.linear_map` closures, the Gram matrix ``mu
-    M^{-1} mu^T`` is formed by :func:`gni.numerics.fused_dot` chains as
-    NumPy's matrix product forms it, and the other products are plain
-    sums, so on the shipped systems (and the diagonal-mass test systems)
-    the bits are those of the array algebra written out.
+    are :func:`gni.numerics.linear_map` closures, and the Gram matrix ``mu
+    M^{-1} mu^T`` and the other sums of products are
+    :func:`gni.numerics.dot`, in the order of :mod:`gni.numerics`.
     """
     half_h, weight_h, two_over_h = 0.5 * h, _STAGE2_WEIGHT[scheme] * h, 2.0 / h
     shift_h = _FORM_SHIFT[scheme] * h
@@ -76,8 +74,8 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str):
         target = [a - weight_h * g for a, g in zip(p_half, grad1)]
         if affine:
             target = list(map(sub, target, offset))
-        gram = [[fused_dot(wi, r) for r in rows] for wi in w]
-        lam_new = solve_gram_floats(gram, [sum(map(mul, wi, target)) for wi in w])
+        gram = [[dot(wi, r) for r in rows] for wi in w]
+        lam_new = solve_gram_floats(gram, [dot(wi, target) for wi in w])
         lam_new = [two_over_h * x for x in lam_new]
         kick = impulse(grad1, rows, lam_new)
         return q_new, list(map(sub, p_half, kick)), lam_new, (grad1, mu1, offset, kick)

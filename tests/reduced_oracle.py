@@ -2,11 +2,11 @@
 :func:`gni.gni_reduced.reduced_kernel`.
 
 :func:`reduced_kernel` here is the per-step closure that the window kernel
-writes out with its state in locals, unchanged: the window kernel must
-reproduce it bit for bit, in rows, iteration counts and failures.  Both
-call the one stage-3 solve of :func:`gni.gni_reduced._stage3_solver`,
-which the ``test_stage3_solver_*`` tests pin to
-:func:`gni.numerics.newton_solve_stats`.
+writes out with its state in locals, its set-up products in the order of
+:func:`gni.numerics.matmul`: the window kernel must reproduce it bit for
+bit, in rows, iteration counts and failures.  Both call the one stage-3
+solve of :func:`gni.gni_reduced._stage3_solver`, which the
+``test_stage3_solver_*`` tests pin to :func:`gni.numerics.newton_solve_stats`.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from gni.gni_reduced import _TRANSPORT_COEFFS, _retraction, _stage3_solver, _transport
 from gni.model import ReducedSystem
-from gni.numerics import NewtonConfig, solve_gram
+from gni.numerics import NewtonConfig, matmul, solve_gram
 
 
 def reduced_kernel(
@@ -60,21 +60,21 @@ def reduced_kernel(
     rows = rsys.annihilator
     gs_inv = rsys.shape_metric_inv
     gc = rsys.bundle_metric[:2, 2:]
-    w_mat = rows @ rsys.metric_inv
-    k_mat = (2.0 / h) * solve_gram(w_mat @ rows.T, w_mat)
+    w_mat = matmul(rows, rsys.metric_inv)
+    k_mat = (2.0 / h) * solve_gram(matmul(w_mat, rows.T), w_mat)
     offset = np.zeros((5, 2))
     if rsys.affine_section is not None:
-        offset = rsys.bundle_metric @ rsys.affine_section
+        offset = matmul(rsys.bundle_metric, rsys.affine_section)
     # The multiplier's kicks of the shape (0.5 h mu^T) and algebra (h eta^T)
     # momenta, the shape drift h Gs^{-1} [I, -Gc], K, K G A and Gc^T Gs^{-1}.
     (m00, m01), (m10, m11) = (0.5 * h * rows[:, :2].T).tolist()
     (e00, e01), (e10, e11), (e20, e21) = (h * rows[:, 2:].T).tolist()
     (a00, a01, a02, a03, a04), (a10, a11, a12, a13, a14) = (
-        h * gs_inv @ np.hstack([np.eye(2), -gc])
+        matmul(h * gs_inv, np.hstack([np.eye(2), -gc]))
     ).tolist()
     (k00, k01, k02, k03, k04), (k10, k11, k12, k13, k14) = k_mat.tolist()
-    (o00, o01), (o10, o11) = (k_mat @ offset).tolist()
-    (c00, c01), (c10, c11), (c20, c21) = (gc.T @ gs_inv).tolist()
+    (o00, o01), (o10, o11) = matmul(k_mat, offset).tolist()
+    (c00, c01), (c10, c11), (c20, c21) = matmul(gc.T, gs_inv).tolist()
 
     def step(x, y, px, py, w1, w2, w3, g1, g2, g3, l1, l2):
         # Stage 1: shape half-kick and drift.

@@ -28,7 +28,7 @@ from gni.gni_reduced import (
 )
 from gni.checks import check_suite
 from gni.model import FlatSystem, PhaseState, ReducedState, constraint_residual
-from gni.numerics import NoConvergence, newton_solve_stats
+from gni.numerics import NoConvergence, matmul, newton_solve_stats
 
 from flat_systems import two_row_system
 
@@ -245,8 +245,8 @@ def test_run_chaplygin_rows_match_direct_recurrence():
                 params, qs[k - 1], qs[k], qs[k + 1], ws[k - 1], ws[k], h
             )
             residuals[k] = np.max(np.abs(res))
-        energies[k] = 0.5 * params.m * float(v @ v) + 0.5 * float(
-            ws[k] @ (params.inertia * ws[k])
+        energies[k] = 0.5 * params.m * float(matmul(v, v)) + 0.5 * float(
+            matmul(ws[k], params.inertia * ws[k])
         )
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.energies, energies)
@@ -486,11 +486,11 @@ def test_run_chaplygin_replay_residual_bound():
 def _array_three_point_step(ld, sys, q_prev, q_curr, h):
     # The three-point step as the array algebra wrote it before the float
     # kernel: the projector pair at q_curr, (P^T - Q^T) D2 + 2 Q^T Pi as
-    # matrix products, and Newton on array residuals.  The kernel must
-    # reproduce it bit for bit.
+    # matrix products (in the order of gni.numerics.matmul), and Newton on
+    # array residuals.  The kernel must reproduce it bit for bit.
     p_mat, q_mat = model.projectors(sys, q_curr)
-    carried = (p_mat.T - q_mat.T) @ np.asarray(ld.d2(q_prev, q_curr, h), dtype=float)
-    carried = carried + 2.0 * (q_mat.T @ sys.momentum_offset(q_curr))
+    carried = matmul(p_mat.T - q_mat.T, np.asarray(ld.d2(q_prev, q_curr, h), dtype=float))
+    carried = carried + 2.0 * matmul(q_mat.T, sys.momentum_offset(q_curr))
 
     def residual(q_next):
         return (ld.d1(q_curr, np.array(q_next), h) + carried).tolist()
@@ -562,7 +562,7 @@ def test_run_three_point_rows_match_direct_recurrence(case, n_steps):
     qs, iters = _array_three_point_run(ld, sys, s0, h, n_steps)
     for k in range(1, n_steps + 1):
         assert np.array_equal(traj.states[k, :n], qs[k])
-        p_bar = sys.mass_matrix @ (qs[k + 1] - qs[k - 1]) / (2.0 * h)
+        p_bar = matmul(sys.mass_matrix, qs[k + 1] - qs[k - 1]) / (2.0 * h)
         assert np.array_equal(traj.states[k, n : 2 * n], p_bar)
     assert traj.newton_iters.tolist() == iters
     residuals = [np.max(np.abs(constraint_residual(sys, s))) for s in _states(traj)]
@@ -587,7 +587,7 @@ def test_run_three_point_without_residuals_keeps_the_direct_recurrences_last_row
     assert len(traj) == 2
     for row, k in zip(traj.states, (n_steps - 1, n_steps)):
         assert np.array_equal(row[:3], qs[k])
-        assert np.array_equal(row[3:6], sys.mass_matrix @ (qs[k + 1] - qs[k - 1]) / (2.0 * h))
+        assert np.array_equal(row[3:6], matmul(sys.mass_matrix, qs[k + 1] - qs[k - 1]) / (2.0 * h))
     assert traj.newton_iters.tolist() == iters[-2:]
     assert np.array_equal(traj.times, h * np.arange(n_steps - 1, n_steps + 1))
 
@@ -948,9 +948,9 @@ def test_sphere_sweep_reference_memory_does_not_grow_with_its_steps(monkeypatch)
 def _per_row_energy(system, s):
     # The one-state-at-a-time formula the stacked energy pass replaced.
     if isinstance(s, PhaseState):
-        return 0.5 * s.p @ (system.mass_inv @ s.p) + float(system.potential(s.q))
+        return matmul(0.5 * s.p, matmul(system.mass_inv, s.p)) + float(system.potential(s.q))
     combined = np.concatenate([s.p, s.p_alg])
-    return 0.5 * combined @ (system.metric_inv @ combined) + float(system.potential(s.x))
+    return matmul(0.5 * combined, matmul(system.metric_inv, combined)) + float(system.potential(s.x))
 
 
 def _per_row_norm(vec):
@@ -1133,7 +1133,7 @@ def test_state_matrix_tells_planar_flat_rows_from_sphere_rows_of_one_width():
     assert np.array_equal(state_matrix(sphere), sphere.states)
     # The sweep channels follow the layout too: flat velocities are M^-1 p.
     assert np.array_equal(flat.final[flat.layout.position], states[-1].q)
-    assert np.array_equal(flat.layout.velocity(flat.final), planar.mass_inv @ states[-1].p)
+    assert np.array_equal(flat.layout.velocity(flat.final), matmul(planar.mass_inv, states[-1].p))
     assert np.array_equal(sphere.layout.velocity(sphere.final), sphere.final[2:])
 
 
@@ -1169,11 +1169,22 @@ def test_slope_fit_noise_floor():
         slope_fit(h, np.zeros(3))
 
 
-def test_slope_fit_argument_validation():
+def test_slope_fit_argument_validation(capfd):
     with pytest.raises(ValueError):
         slope_fit([0.1, 0.05], [1e-2, 1e-3])
     with pytest.raises(ValueError):
         slope_fit([0.1, 0.05, 0.025], [1e-2, 1e-3])
+    # Inputs no line fits: a non-finite error, a step size that is not
+    # positive and finite, or step sizes all equal (a rank-deficient design).
+    h, e = [0.1, 0.05, 0.025], [1e-2, 1e-3, 1e-4]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="errors must be finite"):
+            slope_fit(h, [bad, 1e-3, 1e-4])
+    for bad_h in ([0.1, -0.05, 0.025], [0.1, 0.0, 0.025], [np.inf, 0.05, 0.025],
+                  [0.1, np.nan, 0.025], [0.1, 0.1, 0.1]):
+        with pytest.raises(ValueError, match="positive, finite and not all equal"):
+            slope_fit(bad_h, e)
+    assert capfd.readouterr().err == ""  # nothing reaches stderr
 
 
 # ---------------------------------------------------------------------------

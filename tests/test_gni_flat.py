@@ -31,7 +31,7 @@ from gni.gni_flat import (
     state_difference,
     verlet_lagrangian,
 )
-from gni.numerics import NewtonConfig, NoConvergence, solve_gram
+from gni.numerics import NewtonConfig, NoConvergence, matmul, solve_gram
 
 
 def _free_harmonic(n=2):
@@ -423,23 +423,24 @@ _WEIGHT = {"euler_a": 0.0, "euler_b": 1.0, "rattle": 0.5}
 
 def _reference_step(sys, s, h, scheme):
     # The one-step map as written before the kernel (one evaluation of the
-    # gradient and of the constraint rows at each end of every step): the
-    # reference the kernel must reproduce bit for bit.
+    # gradient and of the constraint rows at each end of every step), its
+    # products in the order of gni.numerics.matmul: the reference the kernel
+    # must reproduce bit for bit.
     if h == 0.0:
         return s
     grad0 = np.asarray(sys.grad_potential(s.q), dtype=float)
     mu0 = sys.constraint_matrix(s.q)
-    p_half = s.p - 0.5 * h * (grad0 + mu0.T @ s.lam)
-    q_new = s.q + h * (sys.mass_inv @ p_half)
+    p_half = s.p - 0.5 * h * (grad0 + matmul(mu0.T, s.lam))
+    q_new = s.q + h * matmul(sys.mass_inv, p_half)
     grad1 = np.asarray(sys.grad_potential(q_new), dtype=float)
     mu1 = sys.constraint_matrix(q_new)
     if mu1.shape[0] == 0:
         p_new = p_half - 0.5 * h * grad1
         return PhaseState(q_new, p_new, s.lam)
-    mu1_minv = mu1 @ sys.mass_inv
+    mu1_minv = matmul(mu1, sys.mass_inv)
     target = p_half - _WEIGHT[scheme] * h * grad1 - sys.momentum_offset(q_new)
-    lam_new = (2.0 / h) * solve_gram(mu1_minv @ mu1.T, mu1_minv @ target)
-    p_new = p_half - 0.5 * h * (grad1 + mu1.T @ lam_new)
+    lam_new = (2.0 / h) * solve_gram(matmul(mu1_minv, mu1.T), matmul(mu1_minv, target))
+    p_new = p_half - 0.5 * h * (grad1 + matmul(mu1.T, lam_new))
     return PhaseState(q_new, p_new, lam_new)
 
 

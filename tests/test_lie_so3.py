@@ -15,6 +15,7 @@ from gni.lie_so3 import (
     hat,
     vee,
 )
+from gni.numerics import matmul
 
 
 def _random_vectors(seed, count, radius):
@@ -198,7 +199,7 @@ def test_exp_coefficients_are_the_rodrigues_coefficients():
         a, b = exp_coefficients(theta)
         w = np.array([theta, 0.0, 0.0])
         s = hat(w)
-        assert np.array_equal(exp_so3(w), np.eye(3) + a * s + b * (s @ s))
+        assert np.array_equal(exp_so3(w), np.eye(3) + a * s + b * matmul(s, s))
     assert exp_coefficients(1e-9) == (1.0 - 1e-18 / 6.0, 0.5 - 1e-18 / 24.0)
 
 

@@ -23,7 +23,7 @@ from gni.model import (
     reduced_projectors,
     reference_solve,
 )
-from gni.numerics import solve_gram
+from gni.numerics import matmul, solve_gram
 
 from flat_systems import RETURN_KINDS, cube_or_inf, cubic_repeller, returning, two_row_system
 
@@ -267,16 +267,17 @@ def test_reference_solve_energy_drift_bound():
 
 def _array_continuous_rhs(sys, q, p):
     # The eliminated-multiplier right-hand side as the array algebra wrote
-    # it before the float kernel: the reference of the RK4 loop below.
-    v = sys.mass_inv @ p
+    # it before the float kernel, its products in the order of
+    # gni.numerics.matmul: the reference of the RK4 loop below.
+    v = matmul(sys.mass_inv, p)
     grad = np.asarray(sys.grad_potential(q), dtype=float)
     if sys.num_constraints == 0:
         return v, -grad
     mu = sys.constraint_matrix(q)
-    mu_minv = mu @ sys.mass_inv
-    gram = mu_minv @ mu.T
-    lam = solve_gram(gram, sys.constraints_dir(q, v) @ v - mu_minv @ grad)
-    return v, -grad - mu.T @ lam
+    mu_minv = matmul(mu, sys.mass_inv)
+    gram = matmul(mu_minv, mu.T)
+    lam = solve_gram(gram, matmul(sys.constraints_dir(q, v), v) - matmul(mu_minv, grad))
+    return v, -grad - matmul(mu.T, lam)
 
 
 def _array_rk4(sys, s0, T, h_ref):

@@ -12,7 +12,10 @@ from gni.numerics import (
     RankDeficient,
     SingularMatrix,
     default_newton_config,
+    dot,
+    linear_map,
     lu_solve,
+    matmul,
     newton_solve_stats,
     small_solve,
     solve_gram,
@@ -502,3 +505,48 @@ def test_newton_residual_contract_of_the_benchmark_tracer():
     assert len(result) == 2
     assert result[1] == 1
     assert max(abs(f) for f in residual(result[0])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the defined float order
+
+
+def test_dot_sums_left_to_right_from_zero():
+    # Plain and compensated sums differ here: 1e16 + 1.0 rounds back to
+    # 1e16, so the defined order gives 0.0 where math.fsum (and Python
+    # 3.12's sum of floats) gives 1.0.
+    assert dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert dot([], []) == 0.0
+    # 0.0 + (-0.0) is 0.0: the sum starts from 0.0.
+    assert math.copysign(1.0, dot([-0.0], [1.0])) == 1.0
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((3,), (3,)), ((3,), (3, 4)), ((2, 3), (3,)), ((2, 3), (3, 4)), ((5, 2, 3), (3,)),
+     ((3,), (5, 3, 4)), ((5, 2, 3), (5, 3, 1)), ((2, 3), (5, 3, 4)), ((0,), (0,)), ((2, 0), (0, 3))],
+)
+def test_matmul_has_numpys_semantics_and_the_defined_order(a_shape, b_shape):
+    rng = np.random.default_rng(sum(a_shape + b_shape))
+    a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+    got = matmul(a, b)
+    assert np.shape(got) == np.shape(a @ b)
+    np.testing.assert_allclose(got, a @ b, rtol=1e-14, atol=1e-14)
+    if a.ndim == b.ndim == 2:  # every entry is the float dot of its row and column
+        assert got.tolist() == [[dot(row, col) for col in b.T.tolist()] for row in a.tolist()]
+
+
+def test_matmul_stacked_rows_have_the_bits_of_one_row_calls():
+    rng = np.random.default_rng(3)
+    mats, vecs = rng.standard_normal((50, 2, 5)), rng.standard_normal((50, 5))
+    stacked = matmul(mats, vecs[:, :, None])[:, :, 0]
+    assert np.array_equal(stacked, [matmul(m, v) for m, v in zip(mats, vecs)])
+    with pytest.raises(ValueError):
+        matmul(mats, vecs)
+
+
+def test_linear_map_is_the_float_dot_of_each_row():
+    rng = np.random.default_rng(5)
+    a, x = rng.standard_normal((4, 6)), rng.standard_normal(6).tolist()
+    assert linear_map(a)(x) == [dot(row, x) for row in a.tolist()] == matmul(a, x).tolist()
