@@ -48,7 +48,6 @@ from .numerics import (
     matmul,
     newton_solve_stats,
     solve_gram,
-    solve_gram_floats,
     transpose_times,
 )
 
@@ -208,7 +207,7 @@ def three_point_kernel(
             # (P^T - Q^T) D2 + 2 Q^T Pi with P = I - Q, where each entry of
             # Q^T is a dot over the rows l of (C^{-1} mu)_l and (M^{-1} mu^T)_l.
             gram = [[dot(w, r) for r in rows] for w in map(minv_t_times, rows)]
-            coeffs = [solve_gram_floats(gram, col) for col in zip(*rows)]
+            coeffs = list(zip(*solve_gram(gram, rows)))
             m_cols = list(zip(*map(minv_times, rows)))
             q_t = [[dot(c, m) for m in m_cols] for c in coeffs]
             carried = [
@@ -260,9 +259,9 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
     Each ``h``-only factor leads its product, ``M^{-1}``, its transpose and
     ``M`` are the system's ``float_maps``, the Gram matrix ``mu M^{-1}
     mu^T`` and the other sums of products are :func:`gni.numerics.dot`,
-    and one row's Gram solve divides as
-    :func:`gni.numerics.solve_gram_floats` does: every sum in the order of
-    :mod:`gni.numerics`.
+    and the Gram solve is :func:`gni.numerics.solve_gram`, whose one-row
+    division, with its ``g <= 0`` test, is written out inline: every sum in
+    the order of :mod:`gni.numerics`.
     """
     half_h, weight_h, two_over_h = 0.5 * h, _STAGE2_WEIGHT[scheme] * h, 2.0 / h
     shift_h = _FORM_SHIFT[scheme] * h
@@ -313,7 +312,7 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
                     else:
                         w = list(map(minv_t_times, rows))
                         gram = [[dot(wi, r) for r in rows] for wi in w]
-                        lam = solve_gram_floats(gram, [dot(wi, target) for wi in w])
+                        lam = solve_gram(gram, [dot(wi, target) for wi in w])
                         lam = [two_over_h * c for c in lam]
                         kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
                     p = list(map(sub, p_half, kick))
@@ -464,7 +463,7 @@ def prepare_state(
             shift = _FORM_SHIFT[scheme]
             if shift != 0.0:
                 vec = vec + shift * h * np.asarray(sys.grad_potential(q), dtype=float)
-        correction = solve_gram(gram, matmul(mu_minv, vec))
+        correction = np.array(solve_gram(gram.tolist(), matmul(mu_minv, vec).tolist()))
         p = p_raw - matmul(mu.T, correction)
 
         # Multiplier of the continuous dynamics at (q, v): differentiate the
@@ -478,7 +477,7 @@ def prepare_state(
             e = 1e-6
             ddrift = (sys.drift(q + e * v_adm) - sys.drift(q - e * v_adm)) / (2.0 * e)
             rhs = rhs - matmul(mu, ddrift)
-        lam0 = solve_gram(gram, rhs)
+        lam0 = np.array(solve_gram(gram.tolist(), rhs.tolist()))
         return PhaseState(q, p, lam0)
 
 

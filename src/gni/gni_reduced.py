@@ -180,7 +180,7 @@ def reduced_rattle_step(
         gram = matmul(w_mat, rows1.T)
         base = np.concatenate([p_half - 0.5 * h * grad1, alg_trans])
         base = base - rsys.momentum_offset(x1)
-        lam1 = (2.0 / h) * solve_gram(gram, matmul(w_mat, base))
+        lam1 = (2.0 / h) * np.array(solve_gram(gram.tolist(), matmul(w_mat, base).tolist()))
         p1 = p_half - 0.5 * h * (grad1 + matmul(mu1.T, lam1))
         alg1 = alg_trans - h * matmul(eta1.T, lam1)
     else:
@@ -216,9 +216,10 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
     Returns ``solve(b0, b1, b2, g0, g1, g2, x0, x1, x2) -> (xi0, xi1, xi2,
     iterations)`` for ``b``, ``alg1`` and the predictor ``xi``: the same
     operations, stop rule and errors as :func:`~gni.numerics.newton_solve_stats`,
-    whose :func:`~gni.numerics.small_solve` is written out inline (partial
-    pivoting to the first row of largest magnitude, the pivot test against
-    ``1e-14 max|J|``, the same back substitution).
+    whose :func:`~gni.numerics.lu_solve` is written out inline for three
+    unknowns (partial pivoting to the first row of largest magnitude, each
+    pivot tested against ``1e-14`` times the largest magnitude of its
+    column of ``J``, the same back substitution).
     """
     cfg = cfg or default_newton_config()
     tol, max_iters = cfg.residual_tol, cfg.max_iters
@@ -271,7 +272,7 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
             p0, p1, p2 = h * (k * v0 + q * o0), h * (k * v1 + q * o1), h * (k * v2 + q * o2)
             r0, r1, r2, diag = h * co0, h * co1, h * co2, h * c * sv
             hv0, hv1, hv2 = 0.5 * h * v0, 0.5 * h * v1, 0.5 * h * v2
-            # The Newton system J e = f, solved as small_solve solves it.
+            # The Newton system J e = f, solved as lu_solve solves it.
             j00 = t00 * s00 + t01 * s10 + t02 * s20 + p0 * o0 + r0 * v0 + diag
             j01 = t00 * s01 + t01 * s11 + t02 * s21 + p0 * o1 + r0 * v1 + hv2
             j02 = t00 * s02 + t01 * s12 + t02 * s22 + p0 * o2 + r0 * v2 - hv1
@@ -281,9 +282,10 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
             j20 = t20 * s00 + t21 * s10 + t22 * s20 + p2 * o0 + r2 * v0 + hv1
             j21 = t20 * s01 + t21 * s11 + t22 * s21 + p2 * o1 + r2 * v1 - hv0
             j22 = t20 * s02 + t21 * s12 + t22 * s22 + p2 * o2 + r2 * v2 + diag
-            u0, u1, u2 = abs(j00), abs(j10), abs(j20)  # for max|J|, the pivot choice, its test
-            threshold = _PIVOT_RTOL * max(u0, abs(j01), abs(j02), u1, abs(j11),
-                                          abs(j12), u2, abs(j21), abs(j22))
+            # Each pivot against its column of J as given; column 0's largest is its pivot.
+            u0, u1, u2 = abs(j00), abs(j10), abs(j20)
+            threshold1 = _PIVOT_RTOL * max(abs(j01), abs(j11), abs(j21))
+            threshold2 = _PIVOT_RTOL * max(abs(j02), abs(j12), abs(j22))
             if u1 > u0:
                 if u2 > u1:
                     j00, j01, j02, f0, j20, j21, j22, f2 = j20, j21, j22, f2, j00, j01, j02, f0
@@ -294,19 +296,19 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
             elif u2 > u0:
                 j00, j01, j02, f0, j20, j21, j22, f2 = j20, j21, j22, f2, j00, j01, j02, f0
                 u0 = u2
-            if u0 <= threshold:
+            if u0 <= (threshold := _PIVOT_RTOL * u0):
                 raise _singular(j00, 0, threshold)
             q1, q2 = j10 / j00, j20 / j00
             j11, j12, j21, j22 = j11 - q1 * j01, j12 - q1 * j02, j21 - q2 * j01, j22 - q2 * j02
             f1, f2 = f1 - q1 * f0, f2 - q2 * f0
             if abs(j21) > abs(j11):
                 j11, j12, f1, j21, j22, f2 = j21, j22, f2, j11, j12, f1
-            if abs(j11) <= threshold:
-                raise _singular(j11, 1, threshold)
+            if abs(j11) <= threshold1:
+                raise _singular(j11, 1, threshold1)
             q2 = j21 / j11
             j22, f2 = j22 - q2 * j12, f2 - q2 * f1
-            if abs(j22) <= threshold:
-                raise _singular(j22, 2, threshold)
+            if abs(j22) <= threshold2:
+                raise _singular(j22, 2, threshold2)
             e2 = f2 / j22
             e1 = (f1 - j12 * e2) / j11
             e0 = (f0 - (j01 * e1 + j02 * e2)) / j00
@@ -418,7 +420,7 @@ def reduced_kernel(
     gs_inv = rsys.shape_metric_inv
     gc = rsys.bundle_metric[:2, 2:]
     w_mat = matmul(rows, rsys.metric_inv)
-    k_mat = (2.0 / h) * solve_gram(matmul(w_mat, rows.T), w_mat)
+    k_mat = (2.0 / h) * np.array(solve_gram(matmul(w_mat, rows.T).tolist(), w_mat.tolist()))
     offset = np.zeros((5, 2))
     if rsys.affine_section is not None:
         offset = matmul(rsys.bundle_metric, rsys.affine_section)
@@ -745,6 +747,9 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
                 mag = abs(a42)
                 if mag > pivot_mag:
                     pivot_row, pivot_mag = 4, mag
+                # An absolute floor, not lu_solve's column rule: the rows are scaled to
+                # position and velocity units, a pivot at the floor ends the step as
+                # NoConvergence, and tests/sphere_oracle.py pins both.
                 if pivot_mag <= 1e-300:
                     return j, NoConvergence(iteration, norm)
                 if pivot_row == 3:

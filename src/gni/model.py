@@ -29,7 +29,6 @@ from .numerics import (
     lu_solve,
     matmul,
     solve_gram,
-    solve_gram_floats,
     transpose_times,
 )
 
@@ -72,9 +71,12 @@ def _spd_matrix(name: str, value, size: int) -> np.ndarray:
 def _spd_inverse(g: np.ndarray) -> np.ndarray:
     """``g^{-1}`` by :func:`lu_solve` of ``D g D``, ``D`` the powers of two
     (an exact scaling) that bring the diagonal into [0.5, 2): the relative
-    pivot test then sees ``g``'s conditioning, not its units."""
+    pivot test then sees ``g``'s conditioning, not its units.  The column
+    rule of :func:`lu_solve` alone is not enough: it rejects the SPD
+    ``[[1e30, 9e14], [9e14, 1]]``, whose last pivot 0.19 is below 1e-14
+    times its column's 9e14, and accepts it scaled."""
     d = np.ldexp(1.0, -(np.frexp(np.diag(g))[1] // 2))[:, None]
-    return d * lu_solve(d * g * d.T, np.eye(len(g))) * d.T
+    return d * np.array(lu_solve((d * g * d.T).tolist(), np.eye(len(g)).tolist())) * d.T
 
 
 def as_floats(value, rows: bool = False, name: Optional[str] = None, n: int = 0) -> list:
@@ -294,7 +296,8 @@ def _projector_pair(metric_inv: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarra
     n = metric_inv.shape[0]
     if rows.shape[0] == 0:
         return np.eye(n), np.zeros((n, n))
-    coeff = solve_gram(matmul(matmul(rows, metric_inv), rows.T), rows)  # C^{-1} mu, shape (m, n)
+    gram = matmul(matmul(rows, metric_inv), rows.T).tolist()
+    coeff = np.array(solve_gram(gram, rows.tolist()))  # C^{-1} mu, shape (m, n)
     q_proj = matmul(matmul(metric_inv, rows.T), coeff)
     return np.eye(n) - q_proj, q_proj
 
@@ -364,9 +367,7 @@ def _continuous_kernel(sys: FlatSystem, check: bool = False):
             ahead = as_floats(rows_at([a + e * b for a, b in zip(q, v)]), True)
             behind = as_floats(rows_at([a - e * b for a, b in zip(q, v)]), True)
             dmu = [[(x - y) / (2.0 * e) for x, y in zip(r, s)] for r, s in zip(ahead, behind)]
-        lam = solve_gram_floats(
-            gram, [dot(d, v) - dot(wi, grad) for d, wi in zip(dmu, w)]
-        )
+        lam = solve_gram(gram, [dot(d, v) - dot(wi, grad) for d, wi in zip(dmu, w)])
         return v, [-g - c for g, c in zip(grad, transpose_times(rows, lam, n))]
 
     return rhs

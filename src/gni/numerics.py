@@ -2,20 +2,21 @@
 damped Newton iteration.
 
 Every implicit solve in this package funnels through the entry points
-here: :func:`lu_solve` for square linear systems (LU with partial pivoting,
-explicit singularity detection), :func:`small_solve` for the same
-elimination written out on plain floats for the 1x1 to 3x3 systems of the
-steppers, :func:`solve_gram` for constraint Gram systems (and
-:func:`solve_gram_floats` for the float kernels), and
-:func:`newton_solve_stats` for nonlinear root-finding (plain floats,
-analytic Jacobian, step damping).  Keeping the solvers in one place
-makes failure modes uniform: linear degeneracies surface as
+here, all on plain floats: :func:`lu_solve`, the one elimination, for
+square linear systems of any size with one or many right-hand sides
+(partial pivoting, each pivot tested against its own column's scale),
+:func:`solve_gram` for constraint Gram systems (a division for one row,
+else :func:`lu_solve`), and :func:`newton_solve_stats` for nonlinear
+root-finding (analytic Jacobian, step damping).  Array callers convert at
+their own boundary.  Keeping the solvers in one place makes failure
+modes uniform: linear degeneracies surface as
 :class:`SingularMatrix` (:class:`RankDeficient` for Gram systems), stalled
 iterations as :class:`NoConvergence`.  Every product whose value reaches a
 CSV, a kernel constant or a test is summed in one order, defined here and
 not by a BLAS: each product rounded on its own, added left to right from
 0.0, by :func:`matmul` on arrays and :func:`dot`, :func:`linear_map` and
-:func:`transpose_times` on plain floats.
+:func:`transpose_times` on plain floats; only the back substitution of
+:func:`lu_solve` starts its sums at their first product.
 """
 from __future__ import annotations
 
@@ -34,9 +35,7 @@ __all__ = [
     "NewtonConfig",
     "default_newton_config",
     "lu_solve",
-    "small_solve",
     "solve_gram",
-    "solve_gram_floats",
     "matmul",
     "dot",
     "linear_map",
@@ -111,138 +110,77 @@ def default_newton_config() -> NewtonConfig:
     return NewtonConfig(residual_tol=tol)
 
 
-def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the square linear system ``a @ x = b``.
+def lu_solve(a, b) -> list:
+    """Solve the square linear system ``a @ x = b`` on plain floats.
 
-    Gaussian elimination with partial pivoting on a copy of ``a``.  ``b``
-    may be a vector or a matrix of stacked right-hand-side columns; the
-    result has the same shape.
+    ``a`` is n rows of n floats.  ``b`` is n floats, one right-hand side,
+    or n rows (lists or tuples) of k floats, k right-hand sides as columns
+    (the layout of a NumPy matrix ``b``); the solution is a list in the
+    same layout.  Gaussian elimination: column j takes as pivot the first
+    row of largest magnitude at or below the diagonal, and the back
+    substitution divides ``b_i - (a_i,i+1 x_i+1 + ... + a_i,n-1 x_n-1)``,
+    its products summed left to right, by the pivot.  Each right-hand side
+    gets the operations it would get alone.
 
     Raises
     ------
     SingularMatrix
-        If any pivot falls at or below ``1e-14 * max|a|``, i.e. the matrix
-        is singular or numerically rank deficient.
+        If the pivot of a column j falls at or below ``1e-14 * max_i
+        |a_ij|``, the scale of that column of ``a`` as given.  Unlike the
+        whole matrix's, a column's own scale follows a scaling of the
+        columns, so a well-conditioned matrix whose columns differ in size
+        is regular (Higham 2002, ch. 9).
+    ValueError
+        If ``a`` is not square or ``b`` has not n rows.
     """
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    b = np.array(b, dtype=float)
-    vector_rhs = b.ndim == 1
-    rhs = b.reshape(n, -1) if vector_rhs else b
-    if rhs.shape[0] != n:
-        raise ValueError(f"right-hand side has {rhs.shape[0]} rows, expected {n}")
-    rhs = rhs.copy()
-
-    scale = np.max(np.abs(a)) if n else 0.0
-    threshold = _PIVOT_RTOL * scale
-
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        pivot = a[pivot_row, col]
-        if abs(pivot) <= threshold:
-            raise _singular(pivot, col, threshold)
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
-        factors = a[col + 1:, col] / pivot
-        a[col + 1:, col + 1:] -= np.outer(factors, a[col, col + 1:])
-        rhs[col + 1:] -= np.outer(factors, rhs[col])
-
-    x = np.empty_like(rhs)
-    for row in range(n - 1, -1, -1):
-        x[row] = (rhs[row] - matmul(a[row, row + 1:], x[row + 1:])) / a[row, row]
-    return x[:, 0] if vector_rhs else x
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in a):
+        raise ValueError(f"expected n x n rows and n right-hand sides, got {len(a)} and {len(b)}")
+    stacked = n != 0 and isinstance(b[0], (list, tuple))
+    # The rows of a with their right-hand-side entries appended.
+    rows = [[*row, *r] for row, r in zip(a, b)] if stacked else [[*row, r] for row, r in zip(a, b)]
+    for k in range(n):
+        pivot_at, magnitude = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if (u := abs(rows[i][k])) > magnitude:
+                pivot_at, magnitude = i, u
+        if magnitude <= (threshold := _PIVOT_RTOL * max([abs(row[k]) for row in a])):
+            raise _singular(rows[pivot_at][k], k, threshold)
+        top = rows[pivot_at]
+        rows[pivot_at], rows[k] = rows[k], top
+        pivot = top[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / pivot
+            # The whole row in one pass: its columns left of k are not read again.
+            rows[i] = [v - f * w for v, w in zip(rows[i], top)]
+    solutions = []
+    for c in range(n, len(rows[0]) if n else 0):
+        x = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            if i + 1 < n:
+                total = row[i + 1] * x[i + 1]
+                for j in range(i + 2, n):
+                    total += row[j] * x[j]
+                x[i] = (row[c] - total) / row[i]
+            else:
+                x[i] = row[c] / row[i]
+        solutions.append(x)
+    return [list(r) for r in zip(*solutions)] if stacked else solutions[0] if n else []
 
 
 def _singular(pivot: float, col: int, threshold: float) -> SingularMatrix:
     return SingularMatrix(
         f"pivot {abs(pivot):.3e} at column {col} is below "
-        f"{_PIVOT_RTOL:g} * max|a| = {threshold:.3e}"
+        f"{_PIVOT_RTOL:g} * max|a[:, {col}]| = {threshold:.3e}"
     )
 
 
-def small_solve(a, b) -> tuple:
-    """Solve ``a @ x = b`` for n = 1, 2 or 3 on plain floats.
-
-    ``a`` is a sequence of n rows of n floats and ``b`` a sequence of n
-    floats; the solution is returned as a tuple.  This is the elimination
-    of :func:`lu_solve` written out without arrays: partial pivoting (the
-    first row of largest magnitude), the same relative pivot test and the
-    same back substitution, so the two agree to rounding.
-
-    Raises
-    ------
-    SingularMatrix
-        If any pivot falls at or below ``1e-14 * max|a|``.
-    """
-    n = len(b)
-    if n == 1:
-        ((a00,),), (b0,) = a, b
-        threshold = _PIVOT_RTOL * abs(a00)
-        if abs(a00) <= threshold:
-            raise _singular(a00, 0, threshold)
-        return (b0 / a00,)
-    if n == 2:
-        ((a00, a01), (a10, a11)), (b0, b1) = a, b
-        threshold = _PIVOT_RTOL * max(abs(a00), abs(a01), abs(a10), abs(a11))
-        if abs(a10) > abs(a00):
-            a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
-        if abs(a00) <= threshold:
-            raise _singular(a00, 0, threshold)
-        f = a10 / a00
-        a11 -= f * a01
-        b1 -= f * b0
-        if abs(a11) <= threshold:
-            raise _singular(a11, 1, threshold)
-        x1 = b1 / a11
-        return ((b0 - a01 * x1) / a00, x1)
-    if n != 3:
-        raise ValueError(f"small_solve handles 1 to 3 unknowns, got {n}")
-    ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), (b0, b1, b2) = a, b
-    threshold = _PIVOT_RTOL * max(
-        abs(a00), abs(a01), abs(a02),
-        abs(a10), abs(a11), abs(a12),
-        abs(a20), abs(a21), abs(a22),
-    )
-    # Column 0.
-    if abs(a10) > abs(a00):
-        if abs(a20) > abs(a10):
-            a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
-        else:
-            a00, a01, a02, b0, a10, a11, a12, b1 = a10, a11, a12, b1, a00, a01, a02, b0
-    elif abs(a20) > abs(a00):
-        a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
-    if abs(a00) <= threshold:
-        raise _singular(a00, 0, threshold)
-    f1 = a10 / a00
-    f2 = a20 / a00
-    a11 -= f1 * a01
-    a12 -= f1 * a02
-    a21 -= f2 * a01
-    a22 -= f2 * a02
-    b1 -= f1 * b0
-    b2 -= f2 * b0
-    # Column 1.
-    if abs(a21) > abs(a11):
-        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
-    if abs(a11) <= threshold:
-        raise _singular(a11, 1, threshold)
-    f2 = a21 / a11
-    a22 -= f2 * a12
-    b2 -= f2 * b1
-    if abs(a22) <= threshold:
-        raise _singular(a22, 2, threshold)
-    x2 = b2 / a22
-    x1 = (b1 - a12 * x2) / a11
-    return ((b0 - (a01 * x1 + a02 * x2)) / a00, x1, x2)
-
-
-def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``C x = rhs`` for a constraint Gram matrix ``C`` (SPD when the
-    constraint rows are independent) and a right-hand-side vector, or a
-    matrix of stacked columns (solved by :func:`lu_solve` if ``C`` is not 1x1).
+def solve_gram(gram, rhs) -> list:
+    """Solve ``C x = rhs`` on plain floats for a constraint Gram matrix
+    ``C``, SPD when the constraint rows are independent, given as rows of
+    floats; ``rhs`` and the result are laid out as :func:`lu_solve`'s.
+    One row divides; more go through :func:`lu_solve`.
 
     Raises
     ------
@@ -250,39 +188,15 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         If the constraint rows are dependent: a 1x1 ``C`` that is not
         positive, or a singular larger one.
     """
-    m = gram.shape[0]
-    if m == 1:
-        if gram[0, 0] <= 0.0:
-            raise RankDeficient("constraint row vanishes")
-        return rhs / gram[0, 0]
-    try:
-        if m <= 3 and rhs.ndim == 1:
-            return np.array(small_solve(gram.tolist(), rhs.tolist()))
-        return lu_solve(gram, rhs)
-    except SingularMatrix as exc:
-        raise RankDeficient("constraint rows are linearly dependent") from exc
-
-
-def solve_gram_floats(gram, rhs) -> list:
-    """:func:`solve_gram` on plain floats: ``gram`` as rows of floats and
-    ``rhs`` one sequence of floats; the solution is a list.  It divides for
-    one row, calls :func:`small_solve` up to three and :func:`lu_solve`
-    beyond, as :func:`solve_gram` does, so the two give the same bits.
-
-    Raises
-    ------
-    RankDeficient
-        As :func:`solve_gram`.
-    """
     if len(gram) == 1:
+        # The column rule passes any nonzero 1x1 pivot, a negative one too: this
+        # test, and the flat kernel's inline copy, name a vanishing row.
         g = gram[0][0]
         if g <= 0.0:
             raise RankDeficient("constraint row vanishes")
-        return [r / g for r in rhs]
+        return [[r / g for r in rhs[0]]] if isinstance(rhs[0], (list, tuple)) else [rhs[0] / g]
     try:
-        if len(gram) <= 3:
-            return list(small_solve(gram, rhs))
-        return lu_solve(np.array(gram), np.array(rhs)).tolist()
+        return lu_solve(gram, rhs)
     except SingularMatrix as exc:
         raise RankDeficient("constraint rows are linearly dependent") from exc
 
@@ -369,11 +283,11 @@ def newton_solve_stats(
     Damped Newton iteration on plain floats from the start ``x0``.
     ``residual(x)`` takes the iterate as one list of floats and returns a
     sequence of floats; ``jacobian(x)`` returns its analytic Jacobian as
-    rows.  At each step the correction ``d`` of ``J d = f`` (by
-    :func:`small_solve` up to three unknowns, else :func:`lu_solve`) is
-    taken as ``x - alpha d`` with ``alpha = 1``, and ``alpha`` is halved (at
-    most eight times) while the residual norm fails to decrease to a finite
-    value; when the halvings run out the smallest step is taken anyway.
+    rows.  At each step the correction ``d`` of ``J d = f``, by
+    :func:`lu_solve` whatever the number of unknowns, is taken as ``x -
+    alpha d`` with ``alpha = 1``, and ``alpha`` is halved (at most eight
+    times) while the residual norm fails to decrease to a finite value;
+    when the halvings run out the smallest step is taken anyway.
 
     Returns ``(x, iterations)``: ``x`` as a list of floats, and the number
     of accepted Newton updates (0 when the initial guess already satisfies
@@ -391,7 +305,6 @@ def newton_solve_stats(
         cfg = default_newton_config()
     tol = cfg.residual_tol
     x = [float(v) for v in x0]
-    small = len(x) <= 3
     f = residual(x)
     norm = _inf_norm(f)
     for iteration in range(cfg.max_iters):
@@ -399,7 +312,7 @@ def newton_solve_stats(
             return x, iteration
         if not isfinite(norm):
             raise NoConvergence(iteration, norm)
-        d = small_solve(jacobian(x), f) if small else lu_solve(jacobian(x), f).tolist()
+        d = lu_solve(jacobian(x), f)
         # The full step: 1.0 * d is d.
         alpha = 1.0
         trial = list(map(sub, x, d))

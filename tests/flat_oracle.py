@@ -14,7 +14,7 @@ import numpy as np
 
 from gni.gni_flat import _FORM_SHIFT, _STAGE2_WEIGHT, stacked_form
 from gni.model import FlatSystem
-from gni.numerics import dot, linear_map, solve_gram_floats, transpose_times
+from gni.numerics import dot, linear_map, solve_gram, transpose_times
 
 
 def flat_kernel(sys: FlatSystem, h: float, scheme: str):
@@ -75,7 +75,7 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str):
         if affine:
             target = list(map(sub, target, offset))
         gram = [[dot(wi, r) for r in rows] for wi in w]
-        lam_new = solve_gram_floats(gram, [dot(wi, target) for wi in w])
+        lam_new = solve_gram(gram, [dot(wi, target) for wi in w])
         lam_new = [two_over_h * x for x in lam_new]
         kick = impulse(grad1, rows, lam_new)
         return q_new, list(map(sub, p_half, kick)), lam_new, (grad1, mu1, offset, kick)

@@ -61,7 +61,7 @@ def reduced_kernel(
     gs_inv = rsys.shape_metric_inv
     gc = rsys.bundle_metric[:2, 2:]
     w_mat = matmul(rows, rsys.metric_inv)
-    k_mat = (2.0 / h) * solve_gram(matmul(w_mat, rows.T), w_mat)
+    k_mat = (2.0 / h) * np.array(solve_gram(matmul(w_mat, rows.T).tolist(), w_mat.tolist()))
     offset = np.zeros((5, 2))
     if rsys.affine_section is not None:
         offset = matmul(rsys.bundle_metric, rsys.affine_section)

@@ -21,6 +21,7 @@ from gni.gni_reduced import (
 from gni.analysis import StepFailed
 from gni.model import PhaseState, ReducedState, constraint_residual
 from gni.numerics import NoConvergence, RankDeficient, SingularMatrix
+from solve_oracle import small_solve
 from gni.cli import (
     INTEGRATORS,
     SYSTEMS,
@@ -730,19 +731,22 @@ def test_valid_newton_tolerance_override_runs(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 22  # header + 21 rows (N = T/h = 20)
 
 
-def test_generic_simulate_needs_no_lu_solve(tmp_path, monkeypatch):
-    # The generic step's 3x3 Newton systems and its one-row projector Gram
-    # systems are small solves; lu_solve is for larger systems only.
+def test_generic_simulate_is_the_same_with_the_unrolled_solver(tmp_path, monkeypatch):
+    # The generic step's 3x3 Newton systems go through lu_solve, and the
+    # run has the bits of the unrolled elimination that lu_solve replaced.
     args = ["simulate", "--config", str(CONFIG_DIR / "particle_generic.cfg"), "--quiet"]
     reference = tmp_path / "reference.csv"
     assert main(args + ["--out", str(reference)]) == 0
+    sizes = []
 
-    def no_lu_solve(a, b):
-        raise AssertionError("lu_solve called")
+    def unrolled(a, b):
+        sizes.append(len(a))
+        return list(small_solve(a, b))
 
-    monkeypatch.setattr(numerics, "lu_solve", no_lu_solve)
+    monkeypatch.setattr(numerics, "lu_solve", unrolled)
     out = tmp_path / "x.csv"
     assert main(args + ["--out", str(out)]) == 0
+    assert sizes and set(sizes) == {3}
     assert out.read_bytes() == reference.read_bytes()
 
 

@@ -439,7 +439,8 @@ def _reference_step(sys, s, h, scheme):
         return PhaseState(q_new, p_new, s.lam)
     mu1_minv = matmul(mu1, sys.mass_inv)
     target = p_half - _WEIGHT[scheme] * h * grad1 - sys.momentum_offset(q_new)
-    lam_new = (2.0 / h) * solve_gram(matmul(mu1_minv, mu1.T), matmul(mu1_minv, target))
+    gram = matmul(mu1_minv, mu1.T).tolist()
+    lam_new = (2.0 / h) * np.array(solve_gram(gram, matmul(mu1_minv, target).tolist()))
     p_new = p_half - 0.5 * h * (grad1 + matmul(mu1.T, lam_new))
     return PhaseState(q_new, p_new, lam_new)
 
@@ -460,7 +461,7 @@ def _reference_run(sys, s0, h, n_steps, scheme):
 
 
 def _two_row_system():
-    # Two constraint rows (the small_solve branch of solve_gram).
+    # Two constraint rows (the lu_solve branch of solve_gram).
     return FlatSystem(
         dim=4,
         mass_matrix=np.diag([1.0, 2.0, 1.0, 3.0]),
@@ -836,3 +837,46 @@ def test_flat_run_fails_where_a_callable_overflows_on_floats(scheme, residual, m
     assert 16 < raised.step == non_finite.step < 200
     np.testing.assert_array_equal(_bits(raised.partial.states), _bits(non_finite.partial.states))
     assert np.isfinite(raised.partial.states).all()
+
+
+def _scaled_mass_system(m2, rows):
+    """Mass diag(1, m2, 1), the potential (x^2 + z^2)/2 and constant
+    ``rows``.  For the rows e1, e2 the Gram matrix is diag(1, 1/m2): well
+    conditioned column by column however small m2, but below 1e-14 of its
+    largest entry in column 0 once m2 < 1e-14."""
+    return FlatSystem(
+        dim=3,
+        mass_matrix=np.diag([1.0, m2, 1.0]),
+        potential=lambda q: 0.5 * (q[0] ** 2 + q[2] ** 2),
+        grad_potential=lambda q: [float(q[0]), 0.0, float(q[2])],
+        constraints=lambda q: [list(map(float, row)) for row in rows],
+        num_constraints=len(rows),
+    )
+
+
+@pytest.mark.parametrize("m2", [1e-13, 1e-15, 1e-20])
+def test_a_gram_matrix_whose_columns_differ_in_scale_is_regular(m2):
+    sys, h = _scaled_mass_system(m2, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 0.05
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", h)
+    traj = run(rattle_step, sys, s0, h, 200)
+    # The momentum form mu M^{-1} p against its scale |M^{-1}| max|p|.
+    scale = np.max(np.abs(traj.states[:, 3:6])) / m2
+    assert np.max(traj.residuals) <= 1e-12 * scale
+    assert np.max(np.abs(traj.states[:, :2] - [0.3, 0.2])) <= 1e-12
+    # The three-point scheme solves the same Gram matrix for every column
+    # of the rows, and a Newton system diag(1, m2, 1) / h.
+    generic = run(verlet_lagrangian(sys), sys, s0, h, 200)
+    assert np.max(generic.residuals) <= 1e-12 * scale
+    assert np.max(np.abs(generic.states[:, :3] - traj.states[:, :3])) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("second", [1.0, 1e-10])
+def test_dependent_constraint_rows_are_rank_deficient_at_every_scale(scale, second):
+    sys = _scaled_mass_system(1.0, [[scale, 0.0, 0.0], [second * scale, 0.0, 0.0]])
+    with pytest.raises(RankDeficient, match="linearly dependent"):
+        prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", 0.05)
+    s0 = PhaseState(np.zeros(3), np.zeros(3), np.zeros(2))
+    with pytest.raises(StepFailed) as excinfo:
+        run(rattle_step, sys, s0, 0.05, 3)
+    assert excinfo.value.step == 1 and type(excinfo.value.cause) is RankDeficient

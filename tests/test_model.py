@@ -23,7 +23,7 @@ from gni.model import (
     reduced_projectors,
     reference_solve,
 )
-from gni.numerics import matmul, solve_gram
+from gni.numerics import SingularMatrix, lu_solve, matmul, solve_gram
 
 from flat_systems import RETURN_KINDS, cube_or_inf, cubic_repeller, returning, two_row_system
 
@@ -276,7 +276,8 @@ def _array_continuous_rhs(sys, q, p):
     mu = sys.constraint_matrix(q)
     mu_minv = matmul(mu, sys.mass_inv)
     gram = matmul(mu_minv, mu.T)
-    lam = solve_gram(gram, matmul(sys.constraints_dir(q, v), v) - matmul(mu_minv, grad))
+    rhs = matmul(sys.constraints_dir(q, v), v) - matmul(mu_minv, grad)
+    lam = np.array(solve_gram(gram.tolist(), rhs.tolist()))
     return v, -grad - matmul(mu.T, lam)
 
 
@@ -475,6 +476,18 @@ def test_mass_and_metric_asymmetry_at_rounding_level_of_their_scale_is_accepted(
     np.testing.assert_array_equal(sys.mass_matrix, block)
     assert np.isfinite(sys.mass_inv).all()
     np.testing.assert_array_equal(_reduced_with_metric(block).bundle_metric[:2, :2], block)
+
+
+def test_mass_inverse_scales_before_the_column_pivot_test():
+    # SPD, but its last pivot 0.19 is below 1e-14 times its column's 9e14:
+    # lu_solve alone calls it singular, the power-of-two scaling does not.
+    block = [[1e30, 9e14], [9e14, 1.0]]
+    with pytest.raises(SingularMatrix, match="at column 1"):
+        lu_solve(block, np.eye(2).tolist())
+    sys = FlatSystem(dim=2, mass_matrix=block, potential=lambda q: 0.0,
+                     grad_potential=lambda q: [0.0, 0.0])
+    exact = np.array([[1.0, -9e14], [-9e14, 1e30]]) / (1e30 - 8.1e29)
+    np.testing.assert_allclose(sys.mass_inv, exact, rtol=1e-14, atol=0.0)
 
 
 def test_convergence_sweep_fails_on_a_non_finite_rk4_reference():

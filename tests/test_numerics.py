@@ -17,29 +17,38 @@ from gni.numerics import (
     lu_solve,
     matmul,
     newton_solve_stats,
-    small_solve,
     solve_gram,
 )
 
+from solve_oracle import small_solve
+
+
+def _bits(values) -> list:
+    """The bit patterns of a sequence of floats."""
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
 
 def test_lu_solve_diagonal():
-    x = lu_solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+    x = lu_solve([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
+    assert type(x) is list and all(type(v) is float for v in x)
     assert np.allclose(x, [1.0, 2.0], atol=1e-15)
 
 
 def test_lu_solve_requires_pivoting():
     # Zero leading pivot forces a row swap.
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.array([3.0, 7.0])
-    assert np.allclose(lu_solve(a, b), [7.0, 3.0], atol=1e-15)
+    assert np.allclose(lu_solve([[0.0, 1.0], [1.0, 0.0]], [3.0, 7.0]), [7.0, 3.0], atol=1e-15)
 
 
 def test_lu_solve_matrix_rhs():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
     x_true = rng.standard_normal((5, 3))
-    x = lu_solve(a, a @ x_true)
+    x = lu_solve(a.tolist(), (a @ x_true).tolist())
     assert np.allclose(x, x_true, atol=1e-10)
+    # Each column is solved as it would be alone.
+    for col in range(3):
+        alone = lu_solve(a.tolist(), (a @ x_true)[:, col].tolist())
+        assert _bits([row[col] for row in x]) == _bits(alone)
 
 
 def test_lu_solve_residual_contract():
@@ -49,7 +58,7 @@ def test_lu_solve_residual_contract():
         n = int(rng.integers(1, 9))
         a = rng.standard_normal((n, n)) + n * np.eye(n)
         b = rng.standard_normal(n)
-        x = lu_solve(a, b)
+        x = np.array(lu_solve(a.tolist(), b.tolist()))
         norm_a = np.max(np.abs(a))
         norm_x = np.max(np.abs(x))
         norm_b = np.max(np.abs(b))
@@ -57,14 +66,15 @@ def test_lu_solve_residual_contract():
 
 
 def test_lu_solve_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrix):
-        lu_solve(a, np.array([1.0, 1.0]))
+        lu_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
 
 
 def test_lu_solve_rejects_nonsquare():
     with pytest.raises(ValueError):
-        lu_solve(np.ones((2, 3)), np.ones(2))
+        lu_solve(np.ones((2, 3)).tolist(), [1.0, 1.0])
+    with pytest.raises(ValueError):
+        lu_solve(np.eye(2).tolist(), [1.0, 1.0, 1.0])
 
 
 def test_newton_linear_converges_in_two_iterations():
@@ -139,49 +149,49 @@ def test_default_config_rejects_tolerances_that_are_not_finite_and_positive(monk
         default_newton_config()
 
 
-def test_newton_small_systems_skip_lu_solve(monkeypatch):
-    # Up to three unknowns the Newton system goes through small_solve; on
-    # a full, non-diagonal 3x3 Jacobian it agrees with lu_solve to rounding.
+def _newton_first_step(monkeypatch, a, b):
+    """One Newton iteration on the linear residual ``a z - b`` from 0, with
+    the number of lu_solve calls: its iterate is ``0 - d`` for the solve
+    ``d`` of ``a d = -b``."""
+    calls = []
+
+    def counting_lu_solve(m, rhs):
+        calls.append(len(m))
+        return lu_solve(m, rhs)
+
+    monkeypatch.setattr(numerics, "lu_solve", counting_lu_solve)
+    x, iters = newton_solve_stats(
+        lambda z: (a @ z - b).tolist(), [0.0] * len(b), NewtonConfig(max_iters=1),
+        jacobian=lambda z: a.tolist(),
+    )
+    assert iters == 1 and calls == [len(b)]
+    return x
+
+
+def test_newton_small_systems_give_the_oracle_bits(monkeypatch):
+    # A full, non-diagonal 3x3 Jacobian: the step is the unrolled solve's.
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
     b = rng.standard_normal(3)
-    expected = lu_solve(a, b)
-
-    def no_lu_solve(*args):
-        raise AssertionError("lu_solve called")
-
-    monkeypatch.setattr(numerics, "lu_solve", no_lu_solve)
-    x, iters = newton_solve_stats(
-        lambda z: (a @ z - b).tolist(), [0.0] * 3, jacobian=lambda z: a.tolist()
-    )
-    assert iters == 1
-    np.testing.assert_allclose(x, expected, rtol=1e-15, atol=0.0)
+    x = _newton_first_step(monkeypatch, a, b)
+    assert _bits(x) == _bits([0.0 - d for d in small_solve(a.tolist(), (-b).tolist())])
 
 
-def test_newton_larger_systems_use_lu_solve(monkeypatch):
-    calls = []
-
-    def counting_lu_solve(a, b):
-        calls.append(np.shape(a))
-        return lu_solve(a, b)
-
-    monkeypatch.setattr(numerics, "lu_solve", counting_lu_solve)
+def test_newton_larger_systems_give_lu_solve_bits(monkeypatch):
     a = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1
     b = np.ones(4)
-    x, iters = newton_solve_stats(
-        lambda z: (a @ z - b).tolist(), [0.0] * 4, jacobian=lambda z: a.tolist()
-    )
-    assert calls == [(4, 4)]
+    x = _newton_first_step(monkeypatch, a, b)
+    assert _bits(x) == _bits([0.0 - d for d in lu_solve(a.tolist(), (-b).tolist())])
     np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# small_solve and solve_gram
+# lu_solve against the unrolled solve it replaced, and solve_gram
 
 
 def test_small_solve_matches_lu_solve():
-    # Every row order of a diagonally dominant matrix forces every pivot
-    # choice (and so every row swap) of the elimination.
+    # Every row order of a diagonally dominant matrix, its columns scaled
+    # apart, forces every pivot choice (and so every row swap).
     rng = np.random.default_rng(8)
     checked = 0
     for n in (1, 2, 3):
@@ -189,12 +199,16 @@ def test_small_solve_matches_lu_solve():
             base = rng.standard_normal((n, n)) + 3.0 * np.diag(rng.choice([-1.0, 1.0], n))
             b = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
             for perm in itertools.permutations(range(n)):
-                a = base[list(perm)] * 10.0 ** rng.uniform(-3, 3)
-                x = np.array(small_solve(a.tolist(), b.tolist()))
-                ref = lu_solve(a, b)
-                assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+                a = (base[list(perm)] * 10.0 ** rng.uniform(-3, 3, n)).tolist()
+                assert _bits(lu_solve(a, b.tolist())) == _bits(small_solve(a, b.tolist()))
                 checked += 1
     assert checked == 40 * (1 + 2 + 6)
+    # Random matrices, their columns scaled apart.
+    for _ in range(3000):
+        n = int(rng.integers(1, 4))
+        a = (rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, n)).tolist()
+        b = rng.standard_normal(n).tolist()
+        assert _bits(lu_solve(a, b)) == _bits(small_solve(a, b))
 
 
 @pytest.mark.parametrize(
@@ -210,18 +224,23 @@ def test_small_solve_matches_lu_solve():
 )
 def test_small_solve_swaps_rows_at_zero_pivots(a):
     b = [1.0, -2.0, 0.5][: len(a)]
-    x = np.array(small_solve(a, b))
-    ref = lu_solve(np.array(a), np.array(b))
-    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+    x = lu_solve(a, b)
+    assert _bits(x) == _bits(small_solve(a, b))
     np.testing.assert_allclose(np.array(a) @ x, b, rtol=0.0, atol=1e-14)
 
 
 def test_small_solve_ties_pick_the_first_row_like_lu_solve():
     a = [[1.0, 2.0, 0.5], [-1.0, 0.25, 3.0], [1.0, -4.0, 1.0]]
     b = [1.0, 2.0, 3.0]
-    x = np.array(small_solve(a, b))
-    ref = lu_solve(np.array(a), np.array(b))
-    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert _bits(lu_solve(a, b)) == _bits(small_solve(a, b))
+
+
+def test_lu_solve_back_substitution_sums_from_its_first_product():
+    # As the unrolled solve: -0.0 - (-1 * 0.0 + ...) is 0.0, where a sum
+    # started at 0.0 would give -0.0.
+    for a in ([[1.0, -1.0], [0.0, 1.0]], [[1.0, -1.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+        b = [-0.0] + [0.0] * (len(a) - 1)
+        assert _bits(lu_solve(a, b)) == _bits(small_solve(a, b)) == _bits([0.0] * len(a))
 
 
 @pytest.mark.parametrize(
@@ -237,39 +256,68 @@ def test_small_solve_ties_pick_the_first_row_like_lu_solve():
     ],
 )
 def test_small_solve_raises_where_lu_solve_does(a):
-    b = list(range(1, len(a) + 1))
-    with pytest.raises(SingularMatrix) as ref:
-        lu_solve(np.array(a), np.array(b, dtype=float))
-    with pytest.raises(SingularMatrix) as got:
+    # The whole-matrix rule rejects every case.  The column rule rejects the
+    # singular ones, and solves a regular diagonal, whose small entry is the
+    # whole of its column, exactly.
+    b = [float(v) for v in range(1, len(a) + 1)]
+    with pytest.raises(SingularMatrix):
         small_solve(a, b)
-    assert str(got.value) == str(ref.value)
+    diagonal = np.diag(a)
+    if np.array_equal(a, np.diag(diagonal)) and diagonal.all():
+        assert lu_solve(a, b) == (b / diagonal).tolist()
+    else:
+        with pytest.raises(SingularMatrix, match=r"max\|a\[:, \d\]\|"):
+            lu_solve(a, b)
 
 
 def test_small_solve_relative_pivot_test_keeps_small_but_regular_pivots():
     a = [[1.0, 0.0], [0.0, 1e-13]]
     assert small_solve(a, [1.0, 1e-13]) == pytest.approx((1.0, 1.0), abs=1e-15)
+    assert _bits(lu_solve(a, [1.0, 1e-13])) == _bits(small_solve(a, [1.0, 1e-13]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_lu_solve_pivot_test_follows_each_columns_scale(n):
+    # Scaling the columns by powers of two changes no pivot choice and no
+    # significand: the solution is the unscaled one's, scaled back, even
+    # where the columns span 1e-300 to 1e300 and the whole-matrix rule
+    # would call the matrix singular.
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    b = rng.standard_normal(n)
+    powers = np.ldexp(1.0, rng.integers(-996, 996, n))
+    powers[0], powers[-1] = 2.0 ** -996, 2.0 ** 996
+    x = lu_solve(a.tolist(), b.tolist())
+    scaled = lu_solve((a * powers).tolist(), b.tolist())
+    assert _bits(np.array(scaled) * powers) == _bits(x)
+    # A column that is a multiple of another is still singular, at any scale.
+    for scale in (1e-8, 1.0, 1e8):
+        dependent = a.copy()
+        dependent[:, -1] = scale * dependent[:, 0]
+        with pytest.raises(SingularMatrix):
+            lu_solve(dependent.tolist(), b.tolist())
 
 
 def test_solve_gram_one_row_is_plain_division():
-    gram = np.array([[0.7]])
-    rhs = np.array([0.3])
-    assert solve_gram(gram, rhs).tobytes() == (rhs / gram[0, 0]).tobytes()
+    assert solve_gram([[0.7]], [0.3]) == [0.3 / 0.7]
     with pytest.raises(RankDeficient, match="constraint row vanishes"):
-        solve_gram(np.array([[0.0]]), rhs)
+        solve_gram([[0.0]], [0.3])
+    with pytest.raises(RankDeficient, match="constraint row vanishes"):
+        solve_gram([[-1e-300]], [0.3])
 
 
 def test_solve_gram_stacked_columns():
     # A matrix right-hand side: division for one row, lu_solve beyond.
     rng = np.random.default_rng(5)
-    rhs = rng.standard_normal((1, 4))
-    assert solve_gram(np.array([[0.7]]), rhs).tobytes() == (rhs / 0.7).tobytes()
+    rhs = rng.standard_normal((1, 4)).tolist()
+    assert solve_gram([[0.7]], rhs) == [[r / 0.7 for r in rhs[0]]]
     for m in (2, 3, 5):
         rows = rng.standard_normal((m, m + 2))
-        gram = rows @ rows.T
-        assert solve_gram(gram, rows).tobytes() == lu_solve(gram, rows).tobytes()
+        gram = (rows @ rows.T).tolist()
+        assert solve_gram(gram, rows.tolist()) == lu_solve(gram, rows.tolist())
         dependent = np.vstack([rows[:-1], rows[:1]])
         with pytest.raises(RankDeficient, match="linearly dependent"):
-            solve_gram(dependent @ dependent.T, dependent)
+            solve_gram((dependent @ dependent.T).tolist(), dependent.tolist())
 
 
 def test_solve_gram_small_and_large_systems():
@@ -278,12 +326,11 @@ def test_solve_gram_small_and_large_systems():
         rows = rng.standard_normal((m, m + 2))
         gram = rows @ rows.T
         rhs = rng.standard_normal(m)
-        np.testing.assert_allclose(solve_gram(gram, rhs), np.linalg.solve(gram, rhs), rtol=1e-12)
+        got = solve_gram(gram.tolist(), rhs.tolist())
+        np.testing.assert_allclose(got, np.linalg.solve(gram, rhs), rtol=1e-12)
         dependent = np.vstack([rows[:-1], rows[:1]])
         with pytest.raises(RankDeficient, match="linearly dependent"):
-            solve_gram(dependent @ dependent.T, rhs)
-
-
+            solve_gram((dependent @ dependent.T).tolist(), rhs.tolist())
 
 
 # ---------------------------------------------------------------------------
