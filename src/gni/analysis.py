@@ -125,25 +125,23 @@ class Trajectory:
     energies: np.ndarray
     residuals: np.ndarray
     newton_iters: np.ndarray
-    h: float
     layout: Layout
 
     @classmethod
-    def from_rows(cls, system, times, states, h: float, residual=None) -> "Trajectory":
+    def from_rows(cls, system, times, states, residual: bool = True) -> "Trajectory":
         """Build the trajectory of a flat or reduced system's state objects,
         which turn into rows of its layout here, with its diagnostics.
 
-        ``residual(states)`` yields each state's constraint residual; by
-        default it is the momentum form :func:`gni.model.constraint_residual`,
-        and ``False`` leaves the column at zero.
+        The residual column is the momentum form
+        :func:`gni.model.constraint_residual`; ``residual=False`` leaves it
+        at zero.
         """
         states = list(states)
         layout = (reduced_layout if isinstance(system, ReducedSystem) else flat_layout)(system)
-        if residual is not False:
-            residual = residual(states) if residual else (constraint_residual(system, s) for s in states)
+        res = residual and (constraint_residual(system, s) for s in states)
         rows, iters = layout.stack(states), np.array([s.newton_iters for s in states], dtype=int)
         return cls(np.asarray(times, dtype=float), rows, model.energies(system, rows),
-                   _norms(residual, len(rows)), iters, h, layout)
+                   _norms(res, len(rows)), iters, layout)
 
     @property
     def final(self) -> np.ndarray:
@@ -160,12 +158,12 @@ class Trajectory:
         """The rows from ``start`` to ``stop``, as Python slice bounds."""
         i = slice(start, stop)
         return Trajectory(self.times[i], self.states[i], self.energies[i], self.residuals[i],
-                          self.newton_iters[i], self.h, self.layout)
+                          self.newton_iters[i], self.layout)
 
     def copy(self) -> "Trajectory":
         """The same rows in arrays of their own."""
         return Trajectory(self.times.copy(), self.states.copy(), self.energies.copy(),
-                          self.residuals.copy(), self.newton_iters.copy(), self.h, self.layout)
+                          self.residuals.copy(), self.newton_iters.copy(), self.layout)
 
 
 def _norms(residuals, count: int) -> np.ndarray:
@@ -244,7 +242,7 @@ def _inf_norm(vec) -> float:
 # trajectory running
 
 
-def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Trajectory:
+def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True) -> Trajectory:
     """Advance ``n_steps`` steps of size ``h`` and record diagnostics.
 
     This is the one loop: over windows of ``_WINDOW_ROWS`` (4,096) steps,
@@ -261,7 +259,7 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
       ``euler_b_step``, ``rattle_step``), the same steps by the float window
       kernel :func:`gni.gni_flat.flat_kernel`, built once per run, which
       writes rows ``[q, p, lam]`` straight into one ``(N+1, 2n+m)`` buffer.
-      The default residual column is the scheme's own form
+      The residual column is the scheme's own form
       (:func:`gni.gni_flat.scheme_constraint_residual`, the momentum form
       for ``rattle``), one stacked pass over the points (gradient,
       constraint rows, offset) the kernel writes beside the rows;
@@ -272,9 +270,9 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
       its positions straight into flat rows; row ``k >= 1`` reports the
       central-difference momentum ``M (q_{k+1} - q_{k-1}) / (2h)``, the
       average of the discrete pre- and post-momenta that the scheme keeps
-      on the constraint, and a zero multiplier.  The default residual
-      column is the momentum form, one stacked pass over the constraint
-      rows each step evaluated at its position;
+      on the constraint, and a zero multiplier.  The residual column is
+      the momentum form, one stacked pass over the constraint rows each
+      step evaluated at its position;
     * for a :class:`gni.gni_reduced.ReducedStepper` ``stepper`` on a
       system that :func:`gni.gni_reduced.reduced_kernel` covers, the same
       steps by that float window kernel, built once per run, which writes
@@ -296,10 +294,7 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
     central difference.  A state-object ``initial`` must sit within the
     stepper's admissible set, allowing for the half-step potential shift
     of the one-sided schemes; a non-finite one is left to its first step
-    to report.  ``residual(states)`` gives the constraint residual of each
-    of a one-step map's state objects, or of the rows of a flat kernel run
-    or of the three-point recurrence, in the form the stepper preserves
-    (default: the form the kernels preserve, else the momentum form).
+    to report.  A one-step map's residual column is the momentum form.
 
     ``residual=False`` is for runs whose final state alone is read, such
     as the self reference of :func:`convergence_sweep`: the residual
@@ -328,7 +323,7 @@ def run(stepper, system, initial, h: float, n_steps: int, residual=None) -> Traj
         raise ValueError(f"step size h must be positive and finite, not {h}")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    window = residual is False
+    window = not residual
     capacity = min(n_steps, _WINDOW_ROWS) + 1 if window else n_steps + 1
     # A diverging run overflows on its way to the first non-finite row;
     # the finiteness check reports that row as StepFailed, so NumPy need
@@ -406,7 +401,7 @@ def _kernel_rows(window, rows, iters, extra, lag, diagnose, h, layout):
 
     def assemble(n_rows):
         m = n_rows - base
-        traj = Trajectory(h * np.arange(base, n_rows), *diagnose(m), iters[:m], h, layout)
+        traj = Trajectory(h * np.arange(base, n_rows), *diagnose(m), iters[:m], layout)
         return traj.rows(skip) if skip else traj
 
     def keep(k):
@@ -433,7 +428,7 @@ def _one_step_map(stepper, system, initial, h, residual):
 
     def assemble(n_rows):
         times = h * np.arange(first, n_rows)
-        return Trajectory.from_rows(system, times, states[: n_rows - first], h, residual)
+        return Trajectory.from_rows(system, times, states[: n_rows - first], residual)
 
     def keep(k):
         nonlocal first
@@ -444,9 +439,9 @@ def _one_step_map(stepper, system, initial, h, residual):
 
 
 def _flat_rows(scheme, system, initial, h, capacity, residual):
-    # One row [q, p, lam] per step.  The default residual is the scheme's own
-    # form, one stacked pass over the points the kernel writes beside the
-    # rows; a residual=False run keeps none.
+    # One row [q, p, lam] per step.  The residual is the scheme's own form,
+    # one stacked pass over the points the kernel writes beside the rows; a
+    # residual=False run keeps none.
     n, m = system.dim, initial.lam.size
     window, form, point_size = gni_flat.flat_kernel(system, h, scheme, m)
     layout = flat_layout(system)
@@ -454,15 +449,11 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
     rows[0] = layout.stack([initial])[0]
     iters = np.zeros(capacity, dtype=int)
     iters[0] = initial.newton_iters
-    points = np.empty((capacity, point_size)) if residual is None and m else None
+    points = np.empty((capacity, point_size)) if residual and m else None
 
     def diagnose(k):
         states = rows[:k]
-        res = False
-        if residual:
-            res = residual(states)
-        elif points is not None:
-            res = form(states[:, n : 2 * n], points[:k])
+        res = points is not None and form(states[:, n : 2 * n], points[:k])
         return states, model.energies(system, states), _norms(res, k)
 
     advance, assemble, keep = _kernel_rows(window, rows, iters, points, 0, diagnose, h, layout)
@@ -479,9 +470,9 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
 def _three_point_recurrence(ld, system, initial, h, capacity, residual):
     # Flat rows [q, p, lam] from the positions: row 0 is ``initial``, later
     # rows take the central-difference momentum and a zero multiplier.  The
-    # default residual is the momentum form of constraint_residual, one
-    # stacked pass over the constraint rows (and offsets) each step
-    # evaluated at its current position, kept beside the positions.
+    # residual is the momentum form of constraint_residual, one stacked pass
+    # over the constraint rows (and offsets) each step evaluated at its
+    # current position, kept beside the positions.
     kernel = gni_flat.three_point_kernel(ld, system, h)
     layout = flat_layout(system)
     n = system.dim
@@ -491,7 +482,7 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
     qs[0] = initial.q
     iters[0] = initial.newton_iters
     mu0 = system.constraint_matrix(initial.q)
-    with_points = residual is None and mu0.shape[0] > 0
+    with_points = residual and mu0.shape[0] > 0
     if with_points:
         mus = np.empty((capacity + 1,) + mu0.shape)
         mus[0] = mu0
@@ -524,12 +515,8 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
         diffs = qs[2 : m + 1] - qs[: m - 1]
         rows[1:, n : 2 * n] = matmul(system.mass_matrix, diffs[:, :, None])[:, :, 0] / (2.0 * h)
         rows[0] = row0  # once rows were dropped, a carried position assemble drops
-        res = False
-        if residual:
-            res = residual(rows)
-        elif with_points:
-            res = gni_flat.stacked_form(system.mass_inv, rows[:, n : 2 * n], mus[:m],
-                                        None if offsets is None else offsets[:m])
+        res = with_points and gni_flat.stacked_form(system.mass_inv, rows[:, n : 2 * n], mus[:m],
+                                                    None if offsets is None else offsets[:m])
         return rows, model.energies(system, rows), _norms(res, m)
 
     return _kernel_rows(window, qs, iters, None, 1, diagnose, h, layout)
@@ -555,7 +542,7 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
         vv = matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
         ww = matmul(ws[:, None, :], (params.inertia * ws)[:, :, None])[:, 0, 0]
         residuals = np.zeros(m)
-        if residual is not False and m > 1:
+        if residual and m > 1:
             res = chaplygin_scheme_residual(params, qs[: m - 1], qs[1:m], qs[2:], ws[:-1], ws[1:], h)
             residuals[1:] = np.max(np.abs(res), axis=1)
         return rows[:m], 0.5 * params.m * vv + 0.5 * ww, residuals
@@ -574,7 +561,7 @@ def _reduced_rows(window, retraction, system, initial, h, capacity, residual):
     def diagnose(m):
         states = rows[:m]
         residuals = np.zeros(m)
-        if residual is not False and m > 1:
+        if residual and m > 1:
             res = gni_reduced.reduced_scheme_residual(system, states[:-1], states[1:], h, retraction)
             residuals[1:] = np.max(np.abs(res), axis=1)
         return states, model.energies(system, states), residuals
@@ -675,23 +662,29 @@ def slope_fit(h_values, errors) -> Tuple[float, float]:
     return slope, residual
 
 
-def _resolve_reference(stepper, system, initial, T, h_min, reference) -> Trajectory:
-    if isinstance(reference, Trajectory):
-        if reference.h > h_min / 30.0 * (1.0 + 1e-12):
-            raise ValueError(
-                f"reference step {reference.h} exceeds min(h)/30 = {h_min / 30.0}"
-            )
-        if abs(float(reference.times[-1]) - T) > max(reference.h, 1e-9):
-            raise ValueError("reference trajectory does not end at T")
-        return reference
-    if isinstance(reference, (int, float)):
-        mode, h_ref = "self", float(reference)
-    else:
-        mode, h_ref = reference
-        h_ref = float(h_ref)
+def _step_count(T: float, h: float) -> int:
+    """The number of steps, ``round(T / h)``, of a run to ``T`` at about ``h``.
+
+    Raises
+    ------
+    ValueError
+        If ``T / h`` overflows, or ``h`` does not divide ``T`` to within one
+        step.
+    """
+    ratio = T / h
+    if not isfinite(ratio):
+        raise ValueError(f"T / h = {T} / {h} overflows")
+    n = int(round(ratio))
+    if n < 1 or abs(n * h - T) > h:
+        raise ValueError(f"h={h} does not divide T={T} to within one step")
+    return n
+
+
+def _resolve_reference(stepper, system, initial, T, h_min, mode, h_ref) -> Trajectory:
+    h_ref = float(h_ref)
     if h_ref > h_min / 30.0 * (1.0 + 1e-12):
         raise ValueError(f"reference step {h_ref} exceeds min(h)/30 = {h_min / 30.0}")
-    n_ref = max(1, int(round(T / h_ref)))
+    n_ref = _step_count(T, h_ref)
     if mode == "self":
         return run(stepper, system, initial, T / n_ref, n_ref, residual=False)
     if mode == "rk4":
@@ -712,16 +705,24 @@ def convergence_sweep(
     ``h_list`` must be strictly decreasing with at least 3 entries, each
     dividing ``T`` to within one step (the step actually used is
     ``T/round(T/h)`` so every run lands exactly on ``T``).  ``reference``
-    is a precomputed :class:`Trajectory`, a bare step size (meaning
-    self-convergence: the same stepper at that step), or a pair
-    ``("self" | "rk4", h_ref)``; in every case the reference step must be
-    at most ``min(h_list)/30``.  A self reference is a ``residual=False``
+    is the pair ``(mode, h_ref)``: mode ``"self"`` runs the same stepper at
+    step ``h_ref``, mode ``"rk4"`` the continuous equations
+    (:func:`gni.model.reference_solve`), and ``h_ref`` must be at most
+    ``min(h_list)/30``.  A self reference is a ``residual=False``
     :func:`run`: it keeps only its final rows, so its memory does not grow
     with its number of steps.  Errors are infinity norms at the final
     time on position and velocity (body angular velocity for reduced and
     rolling-sphere runs) plus the absolute final-energy difference; slopes
     are least-squares fits on the log-log points, with channels at rounding
     level reported in ``noise_floor`` instead of fitted.
+
+    Raises
+    ------
+    ValueError
+        For a non-finite ``T``, fewer than 3 step sizes or ones not strictly
+        decreasing, a step count ``T / h`` that overflows, a step that does
+        not divide ``T`` to within one step, or a reference step above
+        ``min(h_list)/30`` or of an unknown mode.
     """
     if not np.isfinite(T):
         raise ValueError(f"final time T={T} is not finite")
@@ -730,14 +731,9 @@ def convergence_sweep(
         raise ValueError("convergence sweeps need at least 3 step sizes")
     if any(b >= a for a, b in zip(h_arr, h_arr[1:])):
         raise ValueError("step sizes must be strictly decreasing")
-    counts = []
-    for h in h_arr:
-        n = int(round(T / h))
-        if n < 1 or abs(n * h - T) > h:
-            raise ValueError(f"h={h} does not divide T={T} to within one step")
-        counts.append(n)
+    counts = [_step_count(T, h) for h in h_arr]
 
-    ref_traj = _resolve_reference(stepper, system, initial, T, h_arr[-1], reference)
+    ref_traj = _resolve_reference(stepper, system, initial, T, h_arr[-1], *reference)
     ref_pos = ref_traj.final[ref_traj.layout.position]
     ref_vel = ref_traj.layout.velocity(ref_traj.final)
     ref_energy = _final_energy(system, ref_traj)
@@ -793,10 +789,9 @@ def sample_admissible_states(
     seed: int,
     h: float = 0.1,
     scheme: str = "continuous",
-    box: float = 1.0,
 ):
     """Draw ``count`` admissible states: configurations uniform in
-    ``[-box, box]^n``, Gaussian velocities projected onto the admissible
+    ``[-1, 1]^n``, Gaussian velocities projected onto the admissible
     set by the named scheme's own constraint form (see
     :func:`gni.gni_flat.prepare_state`)."""
     from .gni_flat import prepare_state
@@ -804,7 +799,7 @@ def sample_admissible_states(
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(count):
-        q = rng.uniform(-box, box, size=system.dim)
+        q = rng.uniform(-1.0, 1.0, size=system.dim)
         v = rng.standard_normal(system.dim)
         states.append(prepare_state(system, q, v, scheme=scheme, h=h))
     return states

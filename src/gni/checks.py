@@ -1,10 +1,9 @@
-"""Invariant batteries of the command-line ``check`` and ``adjoint``
-subcommands.
+"""Invariant batteries of the command-line ``check`` subcommand.
 
 :func:`check_suite` runs the Lie-group, projector, stepper and adjoint
 batteries and returns one ``(label, passed, detail)`` triple per check.
 The runs and sweeps themselves live in :mod:`gni.analysis`; this module
-is imported only by the subcommands that run the batteries.
+is imported only by the subcommand that runs the batteries.
 """
 from __future__ import annotations
 
@@ -148,7 +147,7 @@ def _suite_projectors(seed: int):
 
 
 def _mini_sweep(stepper, system, initial, T, h_list, channel="position"):
-    report = convergence_sweep(stepper, system, initial, T, h_list, h_list[-1] / 30.0)
+    report = convergence_sweep(stepper, system, initial, T, h_list, ("self", h_list[-1] / 30.0))
     return report.slopes[channel][0]
 
 
@@ -262,7 +261,7 @@ def _suite_steppers(seed: int):
         (np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0])),
         2.0,
         grid,
-        grid[-1] / 30.0,
+        ("self", grid[-1] / 30.0),
     )
     results.append(
         _window_result(

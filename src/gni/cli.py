@@ -2,12 +2,11 @@
 emission around :func:`gni.analysis.run` and
 :func:`gni.analysis.convergence_sweep`.
 
-The ``gni`` entry point exposes four subcommands::
+The ``gni`` entry point exposes three subcommands::
 
     gni simulate --config run.cfg [--out traj.csv]
     gni sweep    --config conv.cfg [--out conv.csv]
     gni check    [--suite lie|projectors|steppers|adjoint|all] [--seed N]
-    gni adjoint  [--seed N]
 
 Configs are INI-style text with three sections.  Keys not listed below are
 rejected so typos never pass silently::
@@ -491,9 +490,8 @@ def _experiment(cfg: RunConfig, h: float):
 
     The initial state is seeded in the integrator's constraint form at step
     ``h``; at ``h = 0`` every form is the continuous one, which sweeps use
-    for all their step sizes.  No residual callback is needed:
-    :func:`gni.analysis.run` reports by default the form each of these
-    steppers preserves.
+    for all their step sizes.  :func:`gni.analysis.run` reports the form
+    each of these steppers preserves.
     """
     entry = INTEGRATORS[cfg.integrator]
     if entry.kind == "flat":
@@ -517,10 +515,10 @@ def _resolve_step_count(cfg: RunConfig) -> Tuple[float, int]:
     assert h is not None  # _validate guarantees this for simulate configs
     if cfg.steps is not None:
         return h, cfg.steps
-    n = int(round(cfg.T / h))
-    if n < 1 or abs(n * h - cfg.T) > h:
-        raise ValidationError("T", f"h={h} does not divide T={cfg.T} to within one step")
-    return h, n
+    try:
+        return h, analysis._step_count(cfg.T, h)
+    except ValueError as exc:
+        raise ValidationError("T", str(exc)) from exc
 
 
 def _simulate_trajectory(cfg: RunConfig) -> Tuple[Trajectory, List[str]]:
@@ -649,7 +647,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from . import checks  # only ``check`` and ``adjoint`` load the batteries
+    from . import checks  # only ``check`` loads the batteries
 
     results = checks.check_suite(args.suite, seed=args.seed, quiet=args.quiet)
     return 0 if all(passed for _, passed, _ in results) else 1
@@ -686,11 +684,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=_uint, default=0)
     check.add_argument("--quiet", action="store_true")
     check.set_defaults(func=_cmd_check)
-
-    adjoint = sub.add_parser("adjoint", help="run the adjoint-pair defect checks")
-    adjoint.add_argument("--seed", type=_uint, default=0)
-    adjoint.add_argument("--quiet", action="store_true")
-    adjoint.set_defaults(func=_cmd_check, suite="adjoint")
     return parser
 
 

@@ -394,13 +394,17 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
     RankDeficient
         If the constraint rows are dependent at a stage point.
     ValueError
-        If a point callable's result at ``s0`` has the wrong length.
+        If ``T / h_ref`` overflows, or a point callable's result at ``s0``
+        has the wrong length.
     """
     from .analysis import StepFailed, Trajectory, check_finite  # deferred: analysis imports model
 
     if T == 0.0:
-        return Trajectory.from_rows(sys, [0.0], [s0], h=0.0)
-    n_steps = max(1, round(T / h_ref))
+        return Trajectory.from_rows(sys, [0.0], [s0])
+    ratio = T / h_ref
+    if not isfinite(ratio):
+        raise ValueError(f"T / h_ref = {T} / {h_ref} overflows")
+    n_steps = max(1, round(ratio))
     h = T / n_steps
     half_h, sixth_h = 0.5 * h, h / 6.0
     rhs, first = _continuous_kernel(sys), _continuous_kernel(sys, check=True)
@@ -419,7 +423,7 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
                                [a + half_h * b for a, b in zip(p, dp2)])
                 dq4, dp4 = rhs([a + h * b for a, b in zip(q, dq3)], [a + h * b for a, b in zip(p, dp3)])
             except ArithmeticError as exc:
-                raise StepFailed(k, exc, Trajectory.from_rows(sys, times, states, h=h)) from exc
+                raise StepFailed(k, exc, Trajectory.from_rows(sys, times, states)) from exc
             q = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(q, dq1, dq2, dq3, dq4)]
             p = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
@@ -427,11 +431,11 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
             total = sum(q) + sum(p)  # finite unless an entry is, or the sum overflows
             if total - total != 0.0 and not all(map(isfinite, q + p)):
                 cause = FloatingPointError(f"RK4 step {k} has a non-finite state")
-                raise StepFailed(k, cause, Trajectory.from_rows(sys, times, states, h=h))
+                raise StepFailed(k, cause, Trajectory.from_rows(sys, times, states))
             if k % record_every == 0 or k == n_steps:
                 times.append(k * h)
                 states.append(PhaseState(q, p, lam))
-        return check_finite(Trajectory.from_rows(sys, times, states, h=h), "RK4 row")
+        return check_finite(Trajectory.from_rows(sys, times, states), "RK4 row")
 
 
 def constraint_residual(system, state) -> np.ndarray:

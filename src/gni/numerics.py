@@ -20,7 +20,6 @@ not by a BLAS: each product rounded on its own, added left to right from
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import inf, isfinite, nan
 from operator import sub
@@ -94,20 +93,8 @@ class NewtonConfig:
 
 
 def default_newton_config() -> NewtonConfig:
-    """Return the default Newton configuration.
-
-    The residual tolerance defaults to ``1e-12`` and may be overridden
-    globally through the ``GNI_NEWTON_TOL`` environment variable, which
-    must hold a finite positive number (``ValueError`` otherwise).
-    """
-    text = os.environ.get("GNI_NEWTON_TOL", "1e-12")
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = nan
-    if not (isfinite(tol) and tol > 0.0):
-        raise ValueError(f"GNI_NEWTON_TOL must be a finite positive number, got {text!r}")
-    return NewtonConfig(residual_tol=tol)
+    """Return the default Newton configuration, ``NewtonConfig()``."""
+    return NewtonConfig()
 
 
 def lu_solve(a, b) -> list:

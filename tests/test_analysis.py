@@ -33,6 +33,11 @@ from gni.numerics import NoConvergence, matmul, newton_solve_stats
 from flat_systems import two_row_system
 
 
+# The ``residual`` of a full run, with its residual column, and of a
+# windowed one; the ids keep the names "None" (the full run) and "False".
+_FULL_AND_WINDOWED = [pytest.param(True, id="None"), pytest.param(False, id="False")]
+
+
 def _free_system():
     return FlatSystem(
         dim=2,
@@ -303,7 +308,7 @@ def test_run_chaplygin_windowed_failure_in_the_second_window_is_the_full_runs(mo
     initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
     _fail_sphere_kernel_at(monkeypatch, 4100)
     failures = []
-    for residual in (None, False):
+    for residual in (True, False):
         with pytest.raises(StepFailed) as excinfo:
             run(None, params, initial, 1e-3, 5000, residual=residual)
         failures.append(excinfo.value)
@@ -633,7 +638,7 @@ def test_run_three_point_windowed_failure_in_the_second_window_is_the_full_runs(
 
     failing = gni_flat.DiscreteLagrangian(d1_failing_at_4100, ld.d2, ld.d12)
     failures = []
-    for residual in (None, False):
+    for residual in (True, False):
         with pytest.raises(StepFailed) as excinfo:
             run(failing, sys, s0, h, 5000, residual=residual)
         failures.append(excinfo.value)
@@ -663,7 +668,7 @@ def _overflowing_row_system():
 
 
 @pytest.mark.parametrize("kind", ["rattle", "gni_generic", "one-step map"])
-@pytest.mark.parametrize("residual", [None, False])
+@pytest.mark.parametrize("residual", _FULL_AND_WINDOWED)
 def test_run_fails_where_a_constraint_callable_overflows(kind, residual):
     # An ArithmeticError from any stepper fails the run as StepFailed.
     sys = _overflowing_row_system()
@@ -682,35 +687,24 @@ def test_run_fails_where_a_constraint_callable_overflows(kind, residual):
     assert len(err.partial) == len(head) == err.step
     for name in ("times", "states", "energies", "newton_iters"):
         assert np.array_equal(getattr(err.partial, name), getattr(head, name)), name
-    if residual is None:
+    if residual:
         assert np.array_equal(err.partial.residuals, head.residuals)
 
 
-def test_run_reports_the_residual_form_it_is_given():
+def test_run_reports_the_schemes_own_residual_form():
     sys = model.nonholonomic_particle("harmonic")
     h = 0.05
     s0 = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="euler_a", h=h)
-    seen = []
-
-    def momentum_form(rows):
-        # The flat kernel hands its callback the rows [q, p, lam].
-        seen.append(len(rows))
-        return [constraint_residual(sys, PhaseState(r[:3], r[3:6], r[6:])) for r in rows]
-
-    traj = run(gni_flat.euler_a_step, sys, s0, h, 5, residual=momentum_form)
-    assert seen == [6]  # one pass over the rows
-    expected = [np.max(np.abs(constraint_residual(sys, s))) for s in _states(traj)]
-    assert np.array_equal(traj.residuals, expected)
-    # The momentum form is off by the half-step potential shift; the
-    # default, the scheme's own form, holds to solver tolerance.
-    assert np.max(traj.residuals) > 1e-4
-    default = run(gni_flat.euler_a_step, sys, s0, h, 5)
+    traj = run(gni_flat.euler_a_step, sys, s0, h, 5)
     expected = [
         np.max(np.abs(gni_flat.scheme_constraint_residual(sys, s, h, "euler_a")))
-        for s in _states(default)
+        for s in _states(traj)
     ]
-    assert np.array_equal(default.residuals, expected)
-    assert np.max(default.residuals) <= 1e-12
+    assert np.array_equal(traj.residuals, expected)
+    assert np.max(traj.residuals) <= 1e-12
+    # The momentum form is off by the half-step potential shift.
+    momentum = [np.max(np.abs(constraint_residual(sys, s))) for s in _states(traj)]
+    assert np.max(momentum) > 1e-4
     # residual=False keeps the last two rows, with the column at zero.
     bare = run(gni_flat.euler_a_step, sys, s0, h, 5, residual=False)
     assert np.array_equal(state_matrix(bare), state_matrix(traj.rows(-2)))
@@ -790,12 +784,11 @@ def test_run_without_residuals_keeps_the_full_runs_last_two_rows(monkeypatch, ca
             assert np.array_equal(getattr(bare, name), getattr(last, name)), (n_steps, name)
         assert np.array_equal(state_matrix(bare), state_matrix(last)), n_steps
         assert not np.any(bare.residuals)
-        assert bare.h == h
 
 
 @pytest.mark.parametrize("case", ["sphere", "reduced-cay", "gni_generic", "euler_a", "one-step map"])
 @pytest.mark.parametrize("h", [np.nan, np.inf])
-@pytest.mark.parametrize("residual", [None, False])
+@pytest.mark.parametrize("residual", _FULL_AND_WINDOWED)
 def test_run_rejects_a_non_finite_step_size_before_any_step(case, h, residual):
     cases, _ = _window_cases()
     cases["one-step map"] = (gni_flat.composed_euler_step,) + cases["euler_a"][1:]
@@ -808,7 +801,9 @@ def test_run_rejects_a_non_finite_step_size_before_any_step(case, h, residual):
 def test_convergence_sweep_rejects_a_non_finite_final_time(T):
     sys = model.nonholonomic_particle("harmonic")
     with pytest.raises(ValueError, match="T="):
-        convergence_sweep(gni_flat.rattle_step, sys, _particle_initial(sys), T, [0.1, 0.05, 0.025], 1e-4)
+        convergence_sweep(
+            gni_flat.rattle_step, sys, _particle_initial(sys), T, [0.1, 0.05, 0.025], ("self", 1e-4)
+        )
 
 
 def test_run_without_residuals_keeps_one_row_of_zero_steps():
@@ -836,7 +831,7 @@ def test_run_overflowing_mid_run_fails_at_the_same_step_without_residuals():
     sys = _repulsive_system(0.36)
     s0 = PhaseState(np.array([1.0, 0.5]), np.array([0.0, 1.0]), np.zeros(0))
     errors = []
-    for residual in (None, False):
+    for residual in (True, False):
         with pytest.raises(StepFailed) as excinfo:
             run(gni_flat.euler_a_step, sys, s0, 0.1, 3 * analysis._WINDOW_ROWS, residual=residual)
         errors.append(excinfo.value)
@@ -873,7 +868,7 @@ def test_run_sphere_non_finite_row_at_the_smallest_windows_is_the_full_runs(monk
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
     initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
     errors = []
-    for residual in (None, False):
+    for residual in (True, False):
         with np.errstate(all="ignore"), pytest.raises(StepFailed) as excinfo:
             run(None, params, initial, 0.1, 30, residual=residual)
         errors.append(excinfo.value)
@@ -937,7 +932,7 @@ def test_sphere_sweep_reference_memory_does_not_grow_with_its_steps(monkeypatch)
     initial = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
     tracemalloc.start()
     try:
-        report = convergence_sweep(None, params, initial, 2.0, [0.1, 0.05, 0.025], 1e-5)
+        report = convergence_sweep(None, params, initial, 2.0, [0.1, 0.05, 0.025], ("self", 1e-5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -958,20 +953,18 @@ def _per_row_norm(vec):
     return float(np.max(np.abs(vec))) if vec.size else 0.0
 
 
-def _flat_case(system, s0, stepper, residual=None):
-    traj = run(stepper, system, s0, 0.05, 200, residual)
-    states = _states(traj)
-    rows = residual(traj.states) if residual else [constraint_residual(system, s) for s in states]
-    return system, traj, rows
+def _flat_case(system, s0, stepper, form=constraint_residual):
+    # ``form(system, state)``: the per-state residual of the run's column.
+    traj = run(stepper, system, s0, 0.05, 200)
+    return system, traj, [form(system, s) for s in _states(traj)]
 
 
 def _euler_a_list_case():
     sys = model.nonholonomic_particle("harmonic")
     s0 = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="euler_a", h=0.05)
 
-    def form(rows):
-        states = [PhaseState(r[:3], r[3:6], r[6:]) for r in rows]
-        return [gni_flat.scheme_constraint_residual(sys, s, 0.05, "euler_a") for s in states]
+    def form(system, s):
+        return gni_flat.scheme_constraint_residual(system, s, 0.05, "euler_a")
 
     return _flat_case(sys, s0, gni_flat.euler_a_step, form)
 
@@ -998,13 +991,8 @@ def _reduced_case():
     h = 0.05
     s0 = chaplygin_initial_reduced_state(params, np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]), h)
 
-    def form(states):
-        yield ()
-        for a, b in zip(states, states[1:]):
-            yield gni_reduced.reduced_scheme_residual(rsys, a, b, h, "cay")
-
-    traj = run(lambda sys_, s, hh: reduced_rattle_step(sys_, s, hh), rsys, s0, h, 100, form)
-    return rsys, traj, list(form(traj.states))
+    traj = run(lambda sys_, s, hh: reduced_rattle_step(sys_, s, hh), rsys, s0, h, 100)
+    return rsys, traj, [constraint_residual(rsys, s) for s in _states(traj)]
 
 
 _DIAGNOSTIC_CASES = {
@@ -1195,7 +1183,7 @@ def test_sweep_euler_a_first_order():
     sys = model.nonholonomic_particle("harmonic")
     s0 = _particle_initial(sys)
     grid = [0.1, 0.05, 0.025, 0.0125]
-    report = convergence_sweep(gni_flat.euler_a_step, sys, s0, 1.0, grid, grid[-1] / 30.0)
+    report = convergence_sweep(gni_flat.euler_a_step, sys, s0, 1.0, grid, ("self", grid[-1] / 30.0))
     slope, _ = report.slopes["position"]
     assert 0.8 <= slope <= 1.2
 
@@ -1204,7 +1192,7 @@ def test_sweep_rattle_second_order():
     sys = model.nonholonomic_particle("harmonic")
     s0 = _particle_initial(sys)
     grid = [0.1, 0.05, 0.025, 0.0125]
-    report = convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, grid, grid[-1] / 30.0)
+    report = convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, grid, ("self", grid[-1] / 30.0))
     slope, _ = report.slopes["position"]
     assert 1.8 <= slope <= 2.2
 
@@ -1215,7 +1203,7 @@ def test_sweep_exact_scheme_flags_noise_floor():
     sys = _free_system()
     s0 = PhaseState(np.array([0.4, -0.3]), np.zeros(2), np.zeros(0))
     grid = [0.1, 0.05, 0.025]
-    report = convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, grid, grid[-1] / 30.0)
+    report = convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, grid, ("self", grid[-1] / 30.0))
     assert report.noise_floor == {"position", "velocity", "energy"}
     assert report.slopes == {}
 
@@ -1224,7 +1212,7 @@ def test_sweep_rk4_reference_matches_self_reference():
     sys = model.nonholonomic_particle("harmonic")
     s0 = _particle_initial(sys)
     grid = [0.1, 0.05, 0.025]
-    rep_self = convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, grid, grid[-1] / 30.0)
+    rep_self = convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, grid, ("self", grid[-1] / 30.0))
     rep_rk4 = convergence_sweep(
         gni_flat.rattle_step, sys, s0, 1.0, grid, ("rk4", grid[-1] / 30.0)
     )
@@ -1232,22 +1220,12 @@ def test_sweep_rk4_reference_matches_self_reference():
     assert abs(rep_self.slopes["position"][0] - rep_rk4.slopes["position"][0]) < 0.05
 
 
-def test_sweep_accepts_precomputed_reference_trajectory():
-    sys = model.nonholonomic_particle("harmonic")
-    s0 = _particle_initial(sys)
-    grid = [0.1, 0.05, 0.025]
-    h_ref = grid[-1] / 40.0
-    ref = run(gni_flat.rattle_step, sys, s0, 1.0 / round(1.0 / h_ref), round(1.0 / h_ref))
-    report = convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, grid, ref)
-    assert 1.8 <= report.slopes["position"][0] <= 2.2
-
-
 def test_sweep_is_reproducible_bit_for_bit():
     sys = model.nonholonomic_particle("harmonic")
     s0 = _particle_initial(sys)
     grid = [0.1, 0.05, 0.025]
-    rep1 = convergence_sweep(gni_flat.euler_a_step, sys, s0, 1.0, grid, grid[-1] / 30.0)
-    rep2 = convergence_sweep(gni_flat.euler_a_step, sys, s0, 1.0, grid, grid[-1] / 30.0)
+    rep1 = convergence_sweep(gni_flat.euler_a_step, sys, s0, 1.0, grid, ("self", grid[-1] / 30.0))
+    rep2 = convergence_sweep(gni_flat.euler_a_step, sys, s0, 1.0, grid, ("self", grid[-1] / 30.0))
     for ch in ("position", "velocity", "energy"):
         assert np.array_equal(rep1.errors[ch], rep2.errors[ch])
     assert rep1.slopes == rep2.slopes
@@ -1257,17 +1235,26 @@ def test_sweep_validation_errors():
     sys = model.nonholonomic_particle("harmonic")
     s0 = _particle_initial(sys)
     with pytest.raises(ValueError):  # too few step sizes
-        convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.1, 0.05], 0.001)
+        convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.1, 0.05], ("self", 0.001))
     with pytest.raises(ValueError):  # not strictly decreasing
-        convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.1, 0.1, 0.05], 0.001)
+        convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.1, 0.1, 0.05], ("self", 0.001))
     with pytest.raises(ValueError):  # h does not divide T within one step
-        convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.9, 0.7, 0.6], 0.01)
+        convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.9, 0.7, 0.6], ("self", 0.01))
     with pytest.raises(ValueError):  # reference step too coarse
-        convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.1, 0.05, 0.025], 0.01)
+        convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.1, 0.05, 0.025], ("self", 0.01))
     with pytest.raises(ValueError):  # unknown reference mode
         convergence_sweep(
             gni_flat.rattle_step, sys, s0, 1.0, [0.1, 0.05, 0.025], ("euler", 1e-4)
         )
+
+
+def test_sweep_with_an_overflowing_step_count_raises_value_error():
+    sys = model.nonholonomic_particle("harmonic")
+    s0 = _particle_initial(sys)
+    with pytest.raises(ValueError, match="overflows"):  # a step of the grid
+        convergence_sweep(gni_flat.rattle_step, sys, s0, 1e10, [1e-300, 5e-301, 2e-301], ("self", 1e-302))
+    with pytest.raises(ValueError, match="overflows"):  # the reference step
+        convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.1, 0.05, 0.025], ("rk4", 1e-320))
 
 
 def test_report_invariants():

@@ -640,7 +640,7 @@ def test_sweep_csv_bytes_match_joined_writer(tmp_path, capsys, at_rest):
 
 
 # ---------------------------------------------------------------------------
-# main(): check / adjoint / exit codes
+# main(): check and exit codes
 
 
 def test_check_command_prints_and_passes(capsys):
@@ -656,7 +656,10 @@ def test_check_quiet_suppresses_output(capsys):
 
 
 def test_adjoint_command(capsys):
-    assert main(["adjoint", "--seed", "3", "--quiet"]) == 0
+    # The adjoint battery is a suite of ``check``; there is no ``adjoint`` subcommand.
+    assert main(["check", "--suite", "adjoint", "--seed", "3", "--quiet"]) == 0
+    assert main(["adjoint", "--seed", "3", "--quiet"]) == 2
+    assert "invalid choice: 'adjoint'" in capsys.readouterr().err
 
 
 def _with_mass_and_radius(config, m, r):
@@ -702,33 +705,39 @@ def test_exit_code_bad_config(tmp_path, capsys):
 
 
 def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GNI_NEWTON_TOL", "1e-30")
+    # A Newton tolerance below rounding cannot be met: the run fails, exit 1.
+    monkeypatch.setattr(cli, "default_newton_config", lambda: numerics.NewtonConfig(residual_tol=1e-30))
     out = tmp_path / "x.csv"
     code = main(
         ["simulate", "--config", str(CONFIG_DIR / "sphere_reduced.cfg"), "--out", str(out)]
     )
     assert code == 1
     assert "solver failure" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-def test_exit_code_invalid_newton_tolerance(tmp_path, monkeypatch, capsys, value):
-    # A tolerance that is not finite and positive is a config error, not a
-    # run that accepts every predictor or one that cannot converge.
-    monkeypatch.setenv("GNI_NEWTON_TOL", value)
-    out = tmp_path / "x.csv"
-    code = main(["simulate", "--config", str(CONFIG_DIR / "particle_generic.cfg"), "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("config error: GNI_NEWTON_TOL")
     assert not out.exists()
 
 
-def test_valid_newton_tolerance_override_runs(tmp_path, monkeypatch):
-    monkeypatch.setenv("GNI_NEWTON_TOL", "1e-10")
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "1e-30"])
+def test_exit_code_invalid_newton_tolerance(tmp_path, monkeypatch, value):
+    # No module reads GNI_NEWTON_TOL: whatever it holds, the run and its CSV
+    # depend on the config and the code alone.
+    args = ["simulate", "--config", str(CONFIG_DIR / "sphere_reduced.cfg"), "--quiet", "--out"]
+    plain, with_variable = tmp_path / "plain.csv", tmp_path / "with_variable.csv"
+    monkeypatch.delenv("GNI_NEWTON_TOL", raising=False)
+    assert main(args + [str(plain)]) == 0
+    monkeypatch.setenv("GNI_NEWTON_TOL", value)
+    assert main(args + [str(with_variable)]) == 0
+    assert with_variable.read_bytes() == plain.read_bytes()
+
+
+def test_simulate_with_an_overflowing_step_count_exits_2_without_csv(tmp_path, capsys):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        PARTICLE_TEMPLATE.format(integrator="rattle").replace("h = 0.05\nT = 0.5", "h = 1e-308\nT = 1e308")
+    )
     out = tmp_path / "x.csv"
-    args = ["simulate", "--config", str(CONFIG_DIR / "particle_generic.cfg"), "--out", str(out)]
-    assert main(args + ["--quiet"]) == 0
-    assert len(out.read_text().splitlines()) == 22  # header + 21 rows (N = T/h = 20)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: T: T / h = 1e+308 / 1e-308 overflows\n"
+    assert not out.exists()
 
 
 def test_generic_simulate_is_the_same_with_the_unrolled_solver(tmp_path, monkeypatch):

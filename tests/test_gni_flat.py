@@ -416,6 +416,55 @@ def test_prepare_state_multiplier_seed_is_continuous_limit():
 
 
 # ---------------------------------------------------------------------------
+# the structures the schemes keep, read off a run's rows: the particle's
+# constraint zdot = y xdot leaves J = p_x + y p_z, the momentum of the x, z
+# translations, to the nonholonomic momentum equation dJ/dt = ydot zdot - x
+# (the last term from the harmonic potential only)
+
+_KEPT_BOUNDS = {"euler_a": 1e-13, "euler_b": 1e-13, "rattle": 1e-13, "gni_generic": 1e-11}
+
+
+def _particle_run(scheme, potential, h):
+    """Positions, momenta and interval velocities of the particle from
+    q0 = (0.3, 0.2, 0.1), v0 = (1, 0.5, 0.2) to T = 20."""
+    sys = nonholonomic_particle(potential)
+    if scheme == "gni_generic":
+        stepper, form = verlet_lagrangian(sys), "rattle"
+    else:
+        stepper, form = gni_flat.FlatStepper(scheme), scheme
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme=form, h=h)
+    rows = run(stepper, sys, s0, h, round(20.0 / h)).states
+    q, p = rows[:, :3], rows[:, 3:6]
+    return q, p, np.diff(q, axis=0) / h
+
+
+@pytest.mark.parametrize("potential", ["none", "harmonic"])
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("scheme", sorted(_KEPT_BOUNDS))
+def test_discrete_nonholonomic_momentum_equation(scheme, h, potential):
+    # J_{k+1} - J_k = h v_y v_z - h (x_k + x_{k+1}) / 2 over every interval.
+    q, p, v = _particle_run(scheme, potential, h)
+    j = p[:, 0] + q[:, 1] * p[:, 2]
+    forcing = h * v[:, 1] * v[:, 2]
+    if potential == "harmonic":
+        forcing -= h * (q[:-1, 0] + q[1:, 0]) / 2.0
+    assert np.max(np.abs(np.diff(j) - forcing)) <= _KEPT_BOUNDS[scheme]
+    # J itself moves: the equation is not a conservation law.
+    assert np.ptp(j) > 0.1
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("scheme", sorted(_KEPT_BOUNDS))
+def test_interval_kinetic_energy_is_kept_without_a_potential(scheme, h):
+    # Kept to rounding, while the row energy of the stored momenta drifts
+    # at second order (3.0e-4 at h = 0.1, 7.5e-5 at h = 0.05).
+    _, p, v = _particle_run(scheme, "none", h)
+    kinetic = 0.5 * np.sum(v * v, axis=1)
+    assert np.ptp(kinetic) <= 1e-12
+    assert np.ptp(0.5 * np.sum(p * p, axis=1)) > 5e-5
+
+
+# ---------------------------------------------------------------------------
 # the flat kernel: run steps the kick-drift-resolve maps into one row buffer
 
 _WEIGHT = {"euler_a": 0.0, "euler_b": 1.0, "rattle": 0.5}
@@ -780,7 +829,7 @@ def test_flat_kernel_rejects_a_multiplier_count_other_than_the_constraint_rows()
     sys, h = nonholonomic_particle("harmonic"), 0.05
     s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", h)
     bad = PhaseState(s0.q, s0.p, np.append(s0.lam, 0.0))
-    for residual in (None, False):
+    for residual in (True, False):
         with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
             run(rattle_step, sys, bad, h, 5, residual=residual)
     with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
@@ -813,10 +862,12 @@ def test_flat_window_rejects_a_point_callable_of_the_wrong_length(name, override
     if name == "grad_potential":  # run's own checks evaluate it on arrays, where it passes
         s0 = PhaseState(row0[:2], row0[2:4], row0[4:])
         with pytest.raises(ValueError, match=name):
-            run(rattle_step, sys, s0, h, 5, residual=None if with_points else False)
+            run(rattle_step, sys, s0, h, 5, residual=with_points)
 
 
-@pytest.mark.parametrize("residual", [None, False])
+@pytest.mark.parametrize(
+    "residual", [pytest.param(True, id="None"), pytest.param(False, id="False")]
+)  # the full run, with its residual column, and a windowed one
 @pytest.mark.parametrize("scheme", _SCHEMES)
 def test_flat_run_fails_where_a_callable_overflows_on_floats(scheme, residual, monkeypatch):
     # q'' = q^3: ``x ** 3`` raises OverflowError on a float where NumPy would

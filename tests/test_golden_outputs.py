@@ -15,12 +15,14 @@ A change that means to move bits re-records the file with
 ``PYTHONPATH=src python tests/test_golden_outputs.py`` and states, per
 output, which columns moved and by how much.
 """
+import ast
 import hashlib
 import json
 import re
 import sys
 from pathlib import Path
 
+import gni
 from gni import cli
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -38,18 +40,27 @@ def _digests(out: Path) -> dict:
     return digests
 
 
-def test_shipped_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("GNI_NEWTON_TOL", raising=False)
+def test_shipped_outputs_match_the_recorded_digests(tmp_path):
     golden = json.loads(_GOLDEN.read_text())
     assert len(golden) == 8
     assert _digests(tmp_path) == golden
 
 
+def test_no_module_reads_the_environment():
+    # The digests hold only if each output depends on its config and the
+    # code alone.
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(gni.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            assert not names & readers, f"{path.name}:{node.lineno} reads the environment"
+
+
 if __name__ == "__main__":
-    import os
     import tempfile
 
-    os.environ.pop("GNI_NEWTON_TOL", None)
     with tempfile.TemporaryDirectory() as out:
         digests = _digests(Path(out))
     _GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

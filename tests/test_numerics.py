@@ -135,18 +135,8 @@ def test_newton_requires_a_jacobian():
         newton_solve_stats(lambda x: [x[0] - 1.0], [0.0])
 
 
-def test_default_config_env_override(monkeypatch):
-    monkeypatch.setenv("GNI_NEWTON_TOL", "1e-8")
-    assert default_newton_config().residual_tol == 1e-8
-    monkeypatch.delenv("GNI_NEWTON_TOL")
-    assert default_newton_config().residual_tol == 1e-12
-
-
-@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "-inf", "tight"])
-def test_default_config_rejects_tolerances_that_are_not_finite_and_positive(monkeypatch, value):
-    monkeypatch.setenv("GNI_NEWTON_TOL", value)
-    with pytest.raises(ValueError, match="GNI_NEWTON_TOL"):
-        default_newton_config()
+def test_default_config_is_the_dataclass_default():
+    assert default_newton_config() == NewtonConfig() == NewtonConfig(1e-12, 50)
 
 
 def _newton_first_step(monkeypatch, a, b):
