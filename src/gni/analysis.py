@@ -264,15 +264,15 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
       for ``rattle``), one stacked pass over the points (gradient,
       constraint rows, offset) the kernel writes beside the rows;
     * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
-      three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`,
-      stepped a window at a time by :func:`gni.gni_flat.three_point_kernel`,
-      built once per run, and seeded with one ``rattle_step``.  It writes
-      its positions straight into flat rows; row ``k >= 1`` reports the
+      three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`
+      by the float window kernel :func:`gni.gni_flat.three_point_kernel`,
+      built once per run and seeded with one ``rattle_step``, which writes
+      the positions, and beside them each position's constraint rows and
+      offset, straight into float buffers; row ``k >= 1`` reports the
       central-difference momentum ``M (q_{k+1} - q_{k-1}) / (2h)``, the
       average of the discrete pre- and post-momenta that the scheme keeps
       on the constraint, and a zero multiplier.  The residual column is
-      the momentum form, one stacked pass over the constraint rows each
-      step evaluated at its position;
+      the momentum form, one stacked pass over those points;
     * for a :class:`gni.gni_reduced.ReducedStepper` ``stepper`` on a
       system that :func:`gni.gni_reduced.reduced_kernel` covers, the same
       steps by that float window kernel, built once per run, which writes
@@ -468,12 +468,12 @@ def _flat_rows(scheme, system, initial, h, capacity, residual):
 
 
 def _three_point_recurrence(ld, system, initial, h, capacity, residual):
-    # Flat rows [q, p, lam] from the positions: row 0 is ``initial``, later
-    # rows take the central-difference momentum and a zero multiplier.  The
-    # residual is the momentum form of constraint_residual, one stacked pass
-    # over the constraint rows (and offsets) each step evaluated at its
-    # current position, kept beside the positions.
-    kernel = gni_flat.three_point_kernel(ld, system, h)
+    # Flat rows [q, p, lam] from the positions the kernel writes: row 0 is
+    # ``initial``, later rows take the central-difference momentum and a
+    # zero multiplier.  The residual is the momentum form, one stacked pass
+    # over the points (constraint rows and offsets) the kernel writes beside
+    # the positions; a residual=False run keeps none.
+    window, form, point_size = gni_flat.three_point_kernel(ld, system, h)
     layout = flat_layout(system)
     n = system.dim
     row0 = layout.stack([initial])[0]
@@ -481,33 +481,17 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
     iters = np.zeros(capacity + 1, dtype=int)
     qs[0] = initial.q
     iters[0] = initial.newton_iters
-    mu0 = system.constraint_matrix(initial.q)
-    with_points = residual and mu0.shape[0] > 0
-    if with_points:
-        mus = np.empty((capacity + 1,) + mu0.shape)
-        mus[0] = mu0
-        offsets = None
-        if system.affine_field is not None:
-            offsets = np.empty((capacity + 1, n))
-            offsets[0] = system.momentum_offset(initial.q)
+    points = np.empty((capacity + 1, point_size)) if residual and point_size else None
+    counts = memoryview(iters)
 
-    def window(flat, extra, j0, j1):
+    def seeded(flat, extra, j0, j1):
         # Step 1 seeds position 1, unset until then, with one rattle step.
-        q_prev, q_curr = qs[j0 - 1].copy(), qs[j0].copy()
-        for j in range(j0, j1):
+        if j0 == 1 < j1:
             try:
-                if j == 1:
-                    q_curr = qs[1] = rattle_step(system, initial, h).q
-                q_next, iters[j], mu, offset = kernel(q_prev, q_curr)
+                qs[1] = rattle_step(system, initial, h).q
             except _STEP_ERRORS as exc:
-                return j, exc
-            q_prev, q_curr = q_curr, np.array(q_next)
-            qs[j + 1] = q_next
-            if with_points:
-                mus[j] = mu
-                if offsets is not None:
-                    offsets[j] = offset
-        return None
+                return 1, exc
+        return window(flat, extra, counts, j0, j1)
 
     def diagnose(m):
         rows = np.zeros((m, row0.size))
@@ -515,11 +499,12 @@ def _three_point_recurrence(ld, system, initial, h, capacity, residual):
         diffs = qs[2 : m + 1] - qs[: m - 1]
         rows[1:, n : 2 * n] = matmul(system.mass_matrix, diffs[:, :, None])[:, :, 0] / (2.0 * h)
         rows[0] = row0  # once rows were dropped, a carried position assemble drops
-        res = with_points and gni_flat.stacked_form(system.mass_inv, rows[:, n : 2 * n], mus[:m],
-                                                    None if offsets is None else offsets[:m])
+        res = points is not None and form(rows[:, n : 2 * n], points[:m])
         return rows, model.energies(system, rows), _norms(res, m)
 
-    return _kernel_rows(window, qs, iters, None, 1, diagnose, h, layout)
+    advance, assemble, keep = _kernel_rows(seeded, qs, iters, points, 1, diagnose, h, layout)
+    advance(1, 1)  # an empty window: it checks row 0's point and writes it
+    return advance, assemble, keep
 
 
 def _sphere_recurrence(params, initial, h, capacity, residual):

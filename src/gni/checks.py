@@ -7,6 +7,9 @@ is imported only by the subcommand that runs the batteries.
 """
 from __future__ import annotations
 
+import itertools
+from functools import partial
+
 import numpy as np
 
 from . import gni_reduced, model
@@ -34,56 +37,25 @@ def _suite_lie(seed: int):
 
     rng = np.random.default_rng(seed)
     eye = np.eye(3)
-    defects = {
-        "hat/vee round trip": 0.0,
-        "hat cross action": 0.0,
-        "cay orthogonality": 0.0,
-        "cay inverse at -w": 0.0,
-        "tangent maps mutually inverse": 0.0,
-        "exp orthogonality": 0.0,
-        "exp inverse at -w": 0.0,
-        "Ad matrix conjugation": 0.0,
-        "Ad / Ad_star duality": 0.0,
-    }
+    defects = {}
     for _ in range(100):
         w = rng.uniform(-1.5, 1.5, size=3)
         u = rng.standard_normal(3)
         m = rng.standard_normal(3)
         r_cay, r_exp = cay(w), exp_so3(w)
-        defects["hat/vee round trip"] = max(
-            defects["hat/vee round trip"], _inf_norm(vee(hat(w)) - w)
-        )
-        defects["hat cross action"] = max(
-            defects["hat cross action"], _inf_norm(hat(w) @ u - np.cross(w, u))
-        )
-        defects["cay orthogonality"] = max(
-            defects["cay orthogonality"],
-            _inf_norm(r_cay.T @ r_cay - eye),
-            abs(np.linalg.det(r_cay) - 1.0),
-        )
-        defects["cay inverse at -w"] = max(
-            defects["cay inverse at -w"], _inf_norm(r_cay @ cay(-w) - eye)
-        )
-        defects["tangent maps mutually inverse"] = max(
-            defects["tangent maps mutually inverse"],
-            _inf_norm(dcay_inv(w) @ dcay(w) - eye),
-        )
-        defects["exp orthogonality"] = max(
-            defects["exp orthogonality"],
-            _inf_norm(r_exp.T @ r_exp - eye),
-            abs(np.linalg.det(r_exp) - 1.0),
-        )
-        defects["exp inverse at -w"] = max(
-            defects["exp inverse at -w"], _inf_norm(r_exp @ exp_so3(-w) - eye)
-        )
-        defects["Ad matrix conjugation"] = max(
-            defects["Ad matrix conjugation"],
-            _inf_norm(hat(Ad(r_cay, u)) - r_cay @ hat(u) @ r_cay.T),
-        )
-        defects["Ad / Ad_star duality"] = max(
-            defects["Ad / Ad_star duality"],
-            abs(float(Ad(r_cay, u) @ m) - float(u @ Ad_star(r_cay, m))),
-        )
+        values = {
+            "hat/vee round trip": [_inf_norm(vee(hat(w)) - w)],
+            "hat cross action": [_inf_norm(hat(w) @ u - np.cross(w, u))],
+            "cay orthogonality": [_inf_norm(r_cay.T @ r_cay - eye), abs(np.linalg.det(r_cay) - 1.0)],
+            "cay inverse at -w": [_inf_norm(r_cay @ cay(-w) - eye)],
+            "tangent maps mutually inverse": [_inf_norm(dcay_inv(w) @ dcay(w) - eye)],
+            "exp orthogonality": [_inf_norm(r_exp.T @ r_exp - eye), abs(np.linalg.det(r_exp) - 1.0)],
+            "exp inverse at -w": [_inf_norm(r_exp @ exp_so3(-w) - eye)],
+            "Ad matrix conjugation": [_inf_norm(hat(Ad(r_cay, u)) - r_cay @ hat(u) @ r_cay.T)],
+            "Ad / Ad_star duality": [abs(float(Ad(r_cay, u) @ m) - float(u @ Ad_star(r_cay, m)))],
+        }
+        for k, v in values.items():
+            defects[k] = max(defects.get(k, 0.0), *v)
     return [_bound_result(f"lie: {k}", v, 1e-12) for k, v in defects.items()]
 
 
@@ -151,6 +123,41 @@ def _mini_sweep(stepper, system, initial, T, h_list, channel="position"):
     return report.slopes[channel][0]
 
 
+def _kept_structures():
+    """What the particle's schemes keep, from the rows of runs to T = 20 at
+    h = 0.1 and 0.05 from q0 = (0.3, 0.2, 0.1), v0 = (1, 0.5, 0.2): ``J =
+    p_x + y p_z`` obeys the discrete momentum equation ``J_{k+1} - J_k = h
+    v_y v_z - h (x_k + x_{k+1}) / 2``, ``v = (q_{k+1} - q_k) / h`` and the
+    last term the harmonic potential's, and without it ``|v|^2 / 2`` is kept."""
+    from . import gni_flat
+
+    defects, kinetic = {"flat": 0.0, "gni_generic": 0.0}, 0.0
+    for potential, scheme, h in itertools.product(
+        ("harmonic", "none"), ("euler_a", "euler_b", "rattle", "gni_generic"), (0.1, 0.05)
+    ):
+        sys, generic = model.nonholonomic_particle(potential), scheme == "gni_generic"
+        stepper = gni_flat.verlet_lagrangian(sys) if generic else gni_flat.FlatStepper(scheme)
+        form = "rattle" if generic else scheme
+        s0 = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], form, h)
+        rows = run(stepper, sys, s0, h, round(20.0 / h)).states
+        q, p, v = rows[:, :3], rows[:, 3:6], np.diff(rows[:, :3], axis=0) / h
+        forcing = h * v[:, 1] * v[:, 2]
+        if potential == "harmonic":
+            forcing -= h * (q[:-1, 0] + q[1:, 0]) / 2.0
+        j = p[:, 0] + q[:, 1] * p[:, 2]
+        kind = scheme if generic else "flat"
+        defects[kind] = max(defects[kind], _inf_norm(np.diff(j) - forcing))
+        if potential == "none":
+            kinetic = max(kinetic, float(np.ptp(0.5 * np.sum(v * v, axis=1))))
+    flat, generic = defects["flat"], defects["gni_generic"]
+    detail = (f"max defect {flat:.3e} (tol 1.0e-13) for the flat maps, "
+              f"{generic:.3e} (tol 1.0e-11) for gni_generic")
+    return [
+        _result("steppers: discrete momentum equation", flat <= 1e-13 and generic <= 1e-11, detail),
+        _bound_result("steppers: interval kinetic energy (potential-free)", kinetic, 1e-12),
+    ]
+
+
 def _suite_steppers(seed: int):
     from . import gni_flat
 
@@ -207,6 +214,7 @@ def _suite_steppers(seed: int):
             2.2,
         )
     )
+    results += _kept_structures()
 
     newton = default_newton_config()
     params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
@@ -283,40 +291,17 @@ def _suite_adjoint(seed: int):
         ("planar affine", model.constrained_2d(affine=(0.3, -0.1))),
     ]
     h = 0.1
+    pairs = [
+        ("one-sided pair (A then B)", gni_flat.euler_a_step, gni_flat.euler_b_step),
+        ("one-sided pair (B then A)", gni_flat.euler_b_step, gni_flat.euler_a_step),
+        ("symmetric scheme self-adjointness", gni_flat.rattle_step, gni_flat.rattle_step),
+    ]
     for name, sys in cases:
-        def a_step(s, hh, sys=sys):
-            return gni_flat.euler_a_step(sys, s, hh)
-
-        def b_step(s, hh, sys=sys):
-            return gni_flat.euler_b_step(sys, s, hh)
-
-        def r_step(s, hh, sys=sys):
-            return gni_flat.rattle_step(sys, s, hh)
-
-        states_a = sample_admissible_states(sys, 50, seed, h=h, scheme="euler_a")
-        states_b = sample_admissible_states(sys, 50, seed + 1, h=h, scheme="euler_b")
-        states_r = sample_admissible_states(sys, 50, seed + 2, h=h, scheme="rattle")
-        results.append(
-            _bound_result(
-                f"adjoint: {name} one-sided pair (A then B)",
-                adjoint_check(a_step, b_step, states_a, h),
-                1e-9,
-            )
-        )
-        results.append(
-            _bound_result(
-                f"adjoint: {name} one-sided pair (B then A)",
-                adjoint_check(b_step, a_step, states_b, h),
-                1e-9,
-            )
-        )
-        results.append(
-            _bound_result(
-                f"adjoint: {name} symmetric scheme self-adjointness",
-                adjoint_check(r_step, r_step, states_r, h),
-                1e-9,
-            )
-        )
+        for i, (label, first, second) in enumerate(pairs):
+            # The states of each pair sit on its first map's constraint form.
+            states = sample_admissible_states(sys, 50, seed + i, h=h, scheme=first.scheme)
+            defect = adjoint_check(partial(first, sys), partial(second, sys), states, h)
+            results.append(_bound_result(f"adjoint: {name} {label}", defect, 1e-9))
     return results
 
 

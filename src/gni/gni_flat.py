@@ -24,12 +24,12 @@ with the projectors evaluated at ``q_k``, by Newton iteration with the
 analytic Jacobian ``d12(q_k, q_{k+1})``.  With the midpoint (Verlet)
 discrete Lagrangian this reproduces rattle positions; with the one-sided
 discretizations it reproduces Euler A/B.  :func:`three_point_kernel` is
-that step, built once per run, which :func:`gni.analysis.run` steps.
+that step as a window kernel, which :func:`gni.analysis.run` steps.
 
-Both kernels step on plain Python floats: the system's point callables
-take ``q`` as a list (the discrete Lagrangian's, float64 arrays), and the
-algebra between them runs on lists, every sum of products in the order
-of :mod:`gni.numerics`.
+Both kernels step on plain Python floats: the system's and the discrete
+Lagrangian's point callables take positions as lists, and the algebra
+between them runs on lists, every sum of products in the order of
+:mod:`gni.numerics`.
 """
 from __future__ import annotations
 
@@ -42,7 +42,9 @@ import numpy as np
 from .model import FlatSystem, PhaseState, as_floats
 from .numerics import (
     NewtonConfig,
+    NoConvergence,
     RankDeficient,
+    SingularMatrix,
     default_newton_config,
     dot,
     matmul,
@@ -80,156 +82,172 @@ _FORM_SHIFT = {"euler_a": 0.5, "euler_b": -0.5, "rattle": 0.0}
 
 @dataclass(frozen=True)
 class DiscreteLagrangian:
-    """Partial derivatives of a two-point discrete Lagrangian.
+    """Partial derivatives of a two-point discrete Lagrangian, as point
+    callables on plain floats.
 
-    ``d1`` and ``d2`` map ``(q0, q1, h)`` to the gradient with respect to
-    the first and second argument, and ``d12`` to the ``(n, n)`` cross
-    derivative ``d d1 / d q1``, the Jacobian of the generic step.
+    ``d1`` and ``d2`` map ``(q0, q1, h)``, the positions lists of n floats,
+    to the gradient with respect to the first and second argument as n
+    floats, and ``d12`` to the cross derivative ``d d1 / d q1`` as n rows of
+    n floats, the Jacobian of the generic step.  An ndarray result passes
+    :func:`~gni.model.as_floats`.
     """
 
-    d1: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    d2: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    d12: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    d1: Callable[[list, list, float], list]
+    d2: Callable[[list, list, float], list]
+    d12: Callable[[list, list, float], list]
 
 
-def _kinetic_d12(mass: np.ndarray) -> Callable:
-    """``d12`` of the shipped discretizations: their kinetic term is
-    ``(q1 - q0)^T M (q1 - q0) / 2h`` and each potential term depends on
-    one endpoint only, so the cross derivative is the constant ``-M/h``."""
-    return lambda q0, q1, h: -mass / h
+def _endpoint_lagrangian(sys: FlatSystem, left: float, right: float) -> DiscreteLagrangian:
+    """The shipped discretizations: kinetic term ``(q1 - q0)^T M (q1 - q0) /
+    2h`` and the potential weighted ``left`` at ``q0`` and ``right`` at
+    ``q1``, so ``d1 = -M (q1 - q0)/h - left h V_q(q0)``, ``d2 = M (q1 -
+    q0)/h - right h V_q(q1)``, each momentum through the system's
+    ``float_maps``, and ``d12`` the constant ``-M/h``, with the bits of
+    ``-mass / h``."""
+    mass_times, grad, mass = sys.float_maps[2], sys.grad_potential, sys.mass_matrix.tolist()
 
+    def d1(q0, q1, h):
+        p = mass_times([(b - a) / h for a, b in zip(q0, q1)])
+        return [-v - left * h * g for v, g in zip(p, as_floats(grad(q0)))] if left else [-v for v in p]
 
-def _momentum(sys: FlatSystem, q0, q1, h) -> np.ndarray:
-    """``M (q1 - q0) / h`` through the system's ``float_maps``."""
-    return np.array(sys.float_maps[2](((q1 - q0) / h).tolist()))
+    def d2(q0, q1, h):
+        p = mass_times([(b - a) / h for a, b in zip(q0, q1)])
+        return [v - right * h * g for v, g in zip(p, as_floats(grad(q1)))] if right else p
+
+    return DiscreteLagrangian(d1, d2, lambda q0, q1, h: [[-a / h for a in row] for row in mass])
 
 
 def verlet_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
     """Midpoint-kinetic, endpoint-averaged-potential discretization."""
-
-    def d1(q0, q1, h):
-        return -_momentum(sys, q0, q1, h) - 0.5 * h * np.asarray(sys.grad_potential(q0))
-
-    def d2(q0, q1, h):
-        return _momentum(sys, q0, q1, h) - 0.5 * h * np.asarray(sys.grad_potential(q1))
-
-    return DiscreteLagrangian(d1, d2, _kinetic_d12(sys.mass_matrix))
+    return _endpoint_lagrangian(sys, 0.5, 0.5)
 
 
 def euler_a_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
     """One-sided discretization with the potential at the left endpoint."""
-
-    def d1(q0, q1, h):
-        return -_momentum(sys, q0, q1, h) - h * np.asarray(sys.grad_potential(q0))
-
-    def d2(q0, q1, h):
-        return _momentum(sys, q0, q1, h)
-
-    return DiscreteLagrangian(d1, d2, _kinetic_d12(sys.mass_matrix))
+    return _endpoint_lagrangian(sys, 1.0, 0.0)
 
 
 def euler_b_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
     """One-sided discretization with the potential at the right endpoint."""
-
-    def d1(q0, q1, h):
-        return -_momentum(sys, q0, q1, h)
-
-    def d2(q0, q1, h):
-        return _momentum(sys, q0, q1, h) - h * np.asarray(sys.grad_potential(q1))
-
-    return DiscreteLagrangian(d1, d2, _kinetic_d12(sys.mass_matrix))
+    return _endpoint_lagrangian(sys, 0.0, 1.0)
 
 
-def gni_generic_step_stats(
-    ld: DiscreteLagrangian,
-    sys: FlatSystem,
-    q_prev: np.ndarray,
-    q_curr: np.ndarray,
-    h: float,
-    cfg: Optional[NewtonConfig] = None,
-):
-    """Advance the three-point projected discrete Euler-Lagrange scheme.
-
-    One step of :func:`three_point_kernel`: solves the n-dimensional
-    residual for ``q_next`` by Newton iteration with the Jacobian
-    ``ld.d12(q_curr, q_next, h)``, from the free-flight predictor ``2 q_curr
-    - q_prev``.  Returns ``(q_next, iterations)``; the Newton iteration count
-    is a per-step diagnostic.
-
-    Raises
-    ------
-    NoConvergence
-        If Newton stalls.
-    RankDeficient
-        If the projectors are undefined at ``q_curr``.
-    """
-    q_prev = np.array(q_prev, dtype=float)
-    q_curr = np.array(q_curr, dtype=float)
-    q_next, iters, _, _ = three_point_kernel(ld, sys, h, cfg)(q_prev, q_curr)
-    return np.array(q_next), iters
+def gni_generic_step_stats(ld: DiscreteLagrangian, sys: FlatSystem, q_prev: np.ndarray,
+                           q_curr: np.ndarray, h: float, cfg: Optional[NewtonConfig] = None):
+    """Advance the three-point projected discrete Euler-Lagrange scheme: one
+    step of :func:`three_point_kernel` on a buffer of three positions, from
+    the free-flight predictor ``2 q_curr - q_prev``.  Returns ``(q_next,
+    iterations)``, ``q_next`` a float64 array and the accepted Newton updates
+    a per-step diagnostic, or raises the step's failure:
+    :class:`~gni.numerics.NoConvergence` if Newton stalls,
+    :class:`~gni.numerics.RankDeficient` if the projectors are undefined at
+    ``q_curr``."""
+    n = sys.dim
+    flat = np.concatenate([np.asarray(q_prev, dtype=float), np.asarray(q_curr, dtype=float), [0.0] * n])
+    counts = np.zeros(2, dtype=int)
+    failed = three_point_kernel(ld, sys, h, cfg)[0](memoryview(flat), None, memoryview(counts), 1, 2)
+    if failed is not None:
+        raise failed[1]
+    return flat[2 * n :], int(counts[1])
 
 
-def three_point_kernel(
-    ld: DiscreteLagrangian, sys: FlatSystem, h: float, cfg: Optional[NewtonConfig] = None
-):
-    """The step of :func:`gni_generic_step_stats` on plain floats, built once
-    per run: ``step(q_prev, q_curr) -> (q_next, iterations, mu, offset)``.
+def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
+                       cfg: Optional[NewtonConfig] = None):
+    """The step of :func:`gni_generic_step_stats` as a window kernel on plain
+    floats, built once per run: ``(window, form, point_size)``.
 
-    ``q_prev`` and ``q_curr`` are float64 arrays, which ``ld``'s callables
-    receive, and the system's point callables ``q_curr`` as a list;
-    ``q_next`` is a list of floats, and ``mu`` (the constraint rows as
-    lists) and ``offset`` (the momentum offset ``M Y`` as a list, ``None``
-    without a drift field or rows) are the point ``q_curr``, which a run
-    keeps for its momentum-form column.  The step takes
-    ``(I - Q)^T - Q^T`` from one Gram solve, ``Q = M^{-1} mu^T C^{-1} mu``,
-    and hands the residual ``D1(q_curr, q_next) + (P^T - Q^T) D2(q_prev,
-    q_curr) + 2 Q^T Pi`` with the Jacobian ``d12`` to
+    ``window(flat, points, counts, j0, j1)`` takes the steps ``j0 .. j1-1`` on
+    a buffer of positions seen as the flat float memoryview ``flat``: step
+    ``j`` reads positions ``j-1`` and ``j`` (carried in locals from the step
+    before) and writes position ``j+1`` and its accepted Newton updates,
+    ``counts[j]``.  Unless ``points`` is ``None``, it writes there the point
+    of each position ``j0-1 .. j1-1``, ``point_size`` floats: the ``m x n``
+    constraint rows and, with a drift field, the momentum offset ``M Y``.  It
+    returns ``None`` or ``(j, exc)``, as :func:`flat_kernel` does, ``exc``
+    also a solver's :class:`~gni.numerics.NoConvergence` or
+    :class:`~gni.numerics.SingularMatrix`; a wrong length from ``d1``,
+    ``d2`` or ``d12`` at step ``j0`` raises ``ValueError`` too.
+    ``form(momenta, points)`` is the momentum form ``mu M^{-1}(p - Pi)`` of
+    stacked rows, one :func:`stacked_form` pass.
+
+    The step takes ``(I - Q)^T - Q^T`` from one Gram solve, ``Q = M^{-1}
+    mu^T C^{-1} mu``, and hands the residual ``D1(q_curr, q_next) + (P^T -
+    Q^T) D2(q_prev, q_curr) + 2 Q^T Pi`` with the Jacobian ``d12`` to
     :func:`gni.numerics.newton_solve_stats`, so a general discrete
-    Lagrangian takes as many iterations as it needs.  The entries of the
-    Gram matrix, ``Q`` and ``(P^T - Q^T) D2`` are :func:`gni.numerics.dot`,
-    and ``M^{-1}`` and ``M`` the system's ``float_maps``: every sum in the
-    order of :mod:`gni.numerics`.
+    Lagrangian takes as many iterations as it needs; every sum of products
+    is in the order of :mod:`gni.numerics`.
     """
     if cfg is None:
         cfg = default_newton_config()
-    n = sys.dim
+    n, mass_inv = sys.dim, sys.mass_inv
     minv_times, minv_t_times, mass_times = sys.float_maps
-    identity = np.eye(n).tolist()
+    constraints, affine_field = sys.constraints, sys.affine_field
+    constrained = constraints is not None and sys.num_constraints != 0
+    affine = constrained and affine_field is not None
+    m = sys.num_constraints if constrained else 0
+    point_size = n * (m + affine)
+    identity = [[float(a == b) for b in range(n)] for a in range(n)]
     d1, d2, d12 = ld.d1, ld.d2, ld.d12
-    constrained = sys.constraints is not None and sys.num_constraints != 0
 
-    def step(q_prev, q_curr):
-        x = q_curr.tolist()
-        rows = as_floats(sys.constraints(x), True) if constrained else []
-        carried = np.asarray(d2(q_prev, q_curr, h), dtype=float).tolist()
-        offset = None
-        if rows:
-            # (P^T - Q^T) D2 + 2 Q^T Pi with P = I - Q, where each entry of
-            # Q^T is a dot over the rows l of (C^{-1} mu)_l and (M^{-1} mu^T)_l.
-            gram = [[dot(w, r) for r in rows] for w in map(minv_t_times, rows)]
-            coeffs = list(zip(*solve_gram(gram, rows)))
-            m_cols = list(zip(*map(minv_times, rows)))
-            q_t = [[dot(c, m) for m in m_cols] for c in coeffs]
-            carried = [
-                dot([(e - x) - x for e, x in zip(unit, row)], carried)
-                for unit, row in zip(identity, q_t)
-            ]
-            if sys.affine_field is not None:
-                offset = mass_times(as_floats(sys.affine_field(x)))
-                carried = [c + 2.0 * dot(row, offset) for c, row in zip(carried, q_t)]
+    def window(flat, points, counts, j0, j1):
+        i, k = n * (j0 + 1), point_size * (j0 - 1)
+        q_prev, q_curr = flat[i - 2 * n : i - n].tolist(), flat[i - n : i].tolist()
+        j = j0
+        try:
+            rows = as_floats(constraints(q_prev), True, "constraints", n) if constrained else []
+            if len(rows) != m:  # else the points written would lose their places
+                raise ValueError(f"constraints must return {m} rows, not {len(rows)}")
+            offset = []
+            if affine:
+                offset = mass_times(as_floats(affine_field(q_prev), False, "affine_field", n))
+            if points is not None:
+                for v in sum(rows, []) + offset:
+                    points[k] = v
+                    k += 1
+            for j in range(j0, j1):
+                check = j == j0  # the first step checks the lengths ld's callables return
+                rows = as_floats(constraints(q_curr), True) if constrained else []
+                carried = as_floats(d2(q_prev, q_curr, h), False, check and "d2", n)
+                if rows:
+                    # (P^T - Q^T) D2 + 2 Q^T Pi with P = I - Q, where row i of Q^T
+                    # sums over the rows l (C^{-1} mu)_li (M^{-1} mu^T)_l, in dot's order.
+                    gram = [[dot(w, r) for r in rows] for w in map(minv_t_times, rows)]
+                    m_rows = list(map(minv_times, rows))
+                    q_t = [transpose_times(m_rows, c, n) for c in zip(*solve_gram(gram, rows))]
+                    carried = [
+                        dot([(e - v) - v for e, v in zip(unit, row)], carried)
+                        for unit, row in zip(identity, q_t)
+                    ]
+                    if affine:
+                        offset = mass_times(as_floats(affine_field(q_curr)))
+                        carried = [c + 2.0 * dot(row, offset) for c, row in zip(carried, q_t)]
 
-        def residual(q_next):
-            d1_next = np.asarray(d1(q_curr, np.array(q_next), h), dtype=float)
-            return list(map(add, d1_next.tolist(), carried))
+                def residual(q_next):
+                    d1_next = as_floats(d1(q_curr, q_next, h), False, check and "d1", n)
+                    return list(map(add, d1_next, carried))
 
-        def jacobian(q_next):
-            return np.asarray(d12(q_curr, np.array(q_next), h), dtype=float).tolist()
+                def jacobian(q_next):
+                    return as_floats(d12(q_curr, q_next, h), True, check and "d12", n)
 
-        start = [2.0 * c - p for c, p in zip(x, q_prev.tolist())]
-        q_next, iters = newton_solve_stats(residual, start, cfg, jacobian=jacobian)
-        return q_next, iters, rows, offset
+                start = [2.0 * c - p for c, p in zip(q_curr, q_prev)]
+                q_next, counts[j] = newton_solve_stats(residual, start, cfg, jacobian=jacobian)
+                for v in q_next:
+                    flat[i] = v
+                    i += 1
+                if points is not None:
+                    for v in sum(rows, []) + offset:
+                        points[k] = v
+                        k += 1
+                q_prev, q_curr = q_curr, q_next
+        except (NoConvergence, SingularMatrix, RankDeficient, ArithmeticError) as exc:
+            return j, exc
+        return None
 
-    return step
+    def form(momenta, points):
+        mus = points[:, : m * n].reshape(-1, m, n)
+        return stacked_form(mass_inv, momenta, mus, points[:, m * n :] if affine else None)
+
+    return window, form, point_size
 
 
 def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):

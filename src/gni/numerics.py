@@ -126,13 +126,14 @@ def lu_solve(a, b) -> list:
     stacked = n != 0 and isinstance(b[0], (list, tuple))
     # The rows of a with their right-hand-side entries appended.
     rows = [[*row, *r] for row, r in zip(a, b)] if stacked else [[*row, r] for row, r in zip(a, b)]
+    thresholds = [_PIVOT_RTOL * max(map(abs, column)) for column in zip(*a)]
     for k in range(n):
         pivot_at, magnitude = k, abs(rows[k][k])
         for i in range(k + 1, n):
             if (u := abs(rows[i][k])) > magnitude:
                 pivot_at, magnitude = i, u
-        if magnitude <= (threshold := _PIVOT_RTOL * max([abs(row[k]) for row in a])):
-            raise _singular(rows[pivot_at][k], k, threshold)
+        if magnitude <= thresholds[k]:
+            raise _singular(rows[pivot_at][k], k, thresholds[k])
         top = rows[pivot_at]
         rows[pivot_at], rows[k] = rows[k], top
         pivot = top[k]

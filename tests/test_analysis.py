@@ -494,14 +494,14 @@ def _array_three_point_step(ld, sys, q_prev, q_curr, h):
     # matrix products (in the order of gni.numerics.matmul), and Newton on
     # array residuals.  The kernel must reproduce it bit for bit.
     p_mat, q_mat = model.projectors(sys, q_curr)
-    carried = matmul(p_mat.T - q_mat.T, np.asarray(ld.d2(q_prev, q_curr, h), dtype=float))
+    carried = matmul(p_mat.T - q_mat.T, np.asarray(ld.d2(q_prev.tolist(), q_curr.tolist(), h), dtype=float))
     carried = carried + 2.0 * matmul(q_mat.T, sys.momentum_offset(q_curr))
 
     def residual(q_next):
-        return (ld.d1(q_curr, np.array(q_next), h) + carried).tolist()
+        return (np.asarray(ld.d1(q_curr.tolist(), q_next, h), dtype=float) + carried).tolist()
 
     def jacobian(q_next):
-        return ld.d12(q_curr, np.array(q_next), h).tolist()
+        return np.asarray(ld.d12(q_curr.tolist(), q_next, h), dtype=float).tolist()
 
     q_next, iters = newton_solve_stats(residual, (2.0 * q_curr - q_prev).tolist(), jacobian=jacobian)
     return np.array(q_next), iters
@@ -521,19 +521,20 @@ def _array_three_point_run(ld, sys, s0, h, n_steps):
 def _quartic_kinetic_lagrangian(sys, c=0.01):
     # Verlet with the quartic velocity term -(c/4) sum(((q1 - q0)/h)^4) h:
     # d1 is cubic in q1 and d12 depends on it, so Newton takes several
-    # iterations per step.
+    # iterations per step.  It takes its positions as lists, as the kernel
+    # passes them, and returns float64 arrays.
     mass = sys.mass_matrix
 
     def d1(q0, q1, h):
-        d = q1 - q0
+        q0, d = np.array(q0), np.subtract(q1, q0)
         return -(mass @ d) / h - 0.5 * h * np.asarray(sys.grad_potential(q0)) + (c / h**3) * d**3
 
     def d2(q0, q1, h):
-        d = q1 - q0
+        q1, d = np.array(q1), np.subtract(q1, q0)
         return (mass @ d) / h - 0.5 * h * np.asarray(sys.grad_potential(q1)) - (c / h**3) * d**3
 
     def d12(q0, q1, h):
-        return -mass / h + np.diag((3.0 * c / h**3) * (q1 - q0) ** 2)
+        return -mass / h + np.diag((3.0 * c / h**3) * np.subtract(q1, q0) ** 2)
 
     return gni_flat.DiscreteLagrangian(d1, d2, d12)
 
@@ -578,6 +579,15 @@ def test_run_three_point_rows_match_direct_recurrence(case, n_steps):
         assert np.max(traj.residuals) <= 1e-10
     if case == "particle-quartic" and n_steps:
         assert max(iters) > 1
+
+
+def test_an_ndarray_returning_lagrangian_keeps_the_array_oracles_bits():
+    # The quartic case's callables return float64 arrays, which the kernel
+    # takes through as_floats: its rows are still the array oracle's.
+    ld = _quartic_kinetic_lagrangian(model.nonholonomic_particle("harmonic"))
+    q0, q1 = [0.3, 0.2, 0.1], [0.35, 0.22, 0.11]
+    assert all(type(f(q0, q1, 0.05)) is np.ndarray for f in (ld.d1, ld.d2, ld.d12))
+    test_run_three_point_rows_match_direct_recurrence("particle-quartic", 300)
 
 
 def test_run_three_point_without_residuals_keeps_the_direct_recurrences_last_rows():

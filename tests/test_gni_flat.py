@@ -347,9 +347,9 @@ def test_gni_generic_no_convergence():
     # Triple root: Newton converges only linearly, so a tight budget from a
     # distant predictor is exhausted with the residual still large.
     ld = DiscreteLagrangian(
-        d1=lambda q0, q1, h: (q1 - 1.0) ** 3,
-        d2=lambda q0, q1, h: np.zeros(1),
-        d12=lambda q0, q1, h: np.diag(3.0 * (q1 - 1.0) ** 2),
+        d1=lambda q0, q1, h: [(q1[0] - 1.0) ** 3],
+        d2=lambda q0, q1, h: [0.0],
+        d12=lambda q0, q1, h: [[3.0 * (q1[0] - 1.0) ** 2]],
     )
     cfg = NewtonConfig(max_iters=3)
     with pytest.raises(NoConvergence) as excinfo:
@@ -369,15 +369,19 @@ def test_shipped_d12_matches_central_differences_of_d1(lagrangian):
         dim=3,
         mass_matrix=a @ a.T + 3.0 * np.eye(3),
         potential=lambda q: 0.25 * np.sum(q ** 4),
-        grad_potential=lambda q: q ** 3,
+        grad_potential=lambda q: [x ** 3 for x in q],
     )
     ld = lagrangian(sys)
     eps = 1e-6
+
+    def d1(q0, q1, h):
+        return np.array(ld.d1(q0.tolist(), q1.tolist(), h))
+
     for h in (0.1, 0.01):
         q0, q1 = rng.standard_normal(3), rng.standard_normal(3)
-        d12 = ld.d12(q0, q1, h)
+        d12 = np.array(ld.d12(q0.tolist(), q1.tolist(), h))
         fd = np.column_stack(
-            [(ld.d1(q0, q1 + e, h) - ld.d1(q0, q1 - e, h)) / (2.0 * eps) for e in eps * np.eye(3)]
+            [(d1(q0, q1 + e, h) - d1(q0, q1 - e, h)) / (2.0 * eps) for e in eps * np.eye(3)]
         )
         assert d12.shape == (3, 3)
         assert np.max(np.abs(d12 - fd)) <= 1e-8 * np.max(np.abs(d12))
@@ -397,6 +401,100 @@ def test_generic_recurrence_takes_one_newton_iteration_per_step(h):
     traj = run(verlet_lagrangian(sys), sys, s0, h, round(1.0 / h))
     assert traj.newton_iters[0] == 0
     assert np.all(traj.newton_iters[1:] == 1)
+
+
+# ---------------------------------------------------------------------------
+# the three-point window kernel: the discrete Lagrangian's point contract
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("d1", lambda q0, q1, h: [0.0, 0.0]),
+        ("d1", lambda q0, q1, h: [0.0, 0.0, 0]),  # an int entry
+        ("d2", lambda q0, q1, h: list(q1) + [0.0]),
+        ("d12", lambda q0, q1, h: [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+    ],
+)
+@pytest.mark.parametrize("with_points", [True, False])
+def test_three_point_window_rejects_a_lagrangian_result_of_the_wrong_length(name, bad, with_points):
+    # The window checks what d1, d2 and d12 return at its first step: a
+    # result that zip() would silently cut short raises, naming the callable.
+    sys, h = nonholonomic_particle("harmonic"), 0.05
+    good = verlet_lagrangian(sys)
+    ld = dataclasses.replace(good, **{name: bad})
+    window, _, point_size = gni_flat.three_point_kernel(ld, sys, h)
+    qs, points = np.full((7, 3), np.nan), np.full((6, point_size), np.nan)
+    qs[0], qs[1] = [0.3, 0.2, 0.1], [0.35, 0.22, 0.11]
+    counts = memoryview(np.zeros(6, dtype=int))
+    pts = memoryview(points.reshape(-1)) if with_points else None
+    with pytest.raises(ValueError, match=name):
+        window(memoryview(qs.reshape(-1)), pts, counts, 1, 6)
+    assert np.isnan(qs[2:]).all() and np.isnan(points[1:]).all()
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="rattle", h=h)
+    with pytest.raises(ValueError, match=name):
+        run(ld, sys, s0, h, 5, residual=with_points)
+    with pytest.raises(ValueError, match=name):
+        gni_generic_step_stats(ld, sys, qs[0], qs[1], h)
+
+
+def test_three_point_window_rejects_constraint_rows_other_than_declared():
+    # One point per position holds the declared number of rows, else the
+    # points written would shift; a zero second row passes run's own check.
+    good, h = nonholonomic_particle("harmonic"), 0.05
+    sys = dataclasses.replace(good, constraints=lambda q: [[q[1], 0.0, -1.0], [0.0, 0.0, 0.0]])
+    s0 = prepare_state(good, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="rattle", h=h)
+    for residual in (True, False):
+        with pytest.raises(ValueError, match="constraints must return 1 rows, not 2"):
+            run(verlet_lagrangian(sys), sys, s0, h, 5, residual=residual)
+
+
+@pytest.mark.parametrize("residual", [pytest.param(True, id="None"), pytest.param(False, id="False")])
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+def test_three_point_run_fails_where_d1_raises_an_arithmetic_error(error, residual):
+    # Step k evaluates d1 at q_k; raised there, the error fails the run as
+    # StepFailed at step k with the rows before it.
+    sys, h = nonholonomic_particle("harmonic"), 0.05
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="rattle", h=h)
+    ld = verlet_lagrangian(sys)
+    full = run(ld, sys, s0, h, 8)
+    q4 = full.states[4, :3].tolist()
+
+    def d1(q0, q1, h):
+        if q0 == q4:
+            raise error("raised at q_4")
+        return ld.d1(q0, q1, h)
+
+    with pytest.raises(StepFailed) as excinfo:
+        run(dataclasses.replace(ld, d1=d1), sys, s0, h, 8, residual=residual)
+    err = excinfo.value
+    assert err.step == 4 and type(err.cause) is error
+    assert np.array_equal(err.partial.states, full.states[:4])
+    assert np.array_equal(err.partial.residuals, full.residuals[:4] if residual else np.zeros(4))
+
+
+class _CountingNumpy:
+    """A stand-in for a module's ``np`` that counts the names looked up on it."""
+
+    def __init__(self):
+        self.lookups = 0
+
+    def __getattr__(self, name):
+        self.lookups += 1
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("lagrangian", [verlet_lagrangian, euler_a_lagrangian, euler_b_lagrangian])
+def test_a_three_point_run_makes_no_numpy_call_per_step(lagrangian, monkeypatch):
+    # The steps run on floats: twice the steps, no more NumPy from gni_flat.
+    sys, h = nonholonomic_particle("harmonic"), 0.05
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="rattle", h=h)
+    lookups = []
+    for n_steps in (200, 400):
+        proxy = _CountingNumpy()
+        monkeypatch.setattr(gni_flat, "np", proxy)
+        run(lagrangian(sys), sys, s0, h, n_steps)
+        lookups.append(proxy.lookups)
+    assert lookups[1] <= lookups[0]
 
 
 def test_prepare_state_continuous_consistency():
