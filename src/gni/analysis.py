@@ -567,22 +567,29 @@ def _check_admissible(system, state, h: float) -> None:
     inadmissible data is caught.  The comparison is on magnitudes: a state
     seeded at ``h = 0`` has no offset but is still checked at ``h``.  A
     non-finite residual (a state that overflowed when it was seeded) is not
-    compared: the run's first step reports that state as ``StepFailed``.
+    compared: the run reports that state as ``StepFailed``, and a callable
+    that raises an ``ArithmeticError`` here fails it at step 0, before any.
     """
-    res = np.asarray(constraint_residual(system, state), dtype=float)
-    if not np.isfinite(res).all():
-        return
-    slack = np.zeros_like(res)
-    if isinstance(state, PhaseState):
-        mu = system.constraint_matrix(state.q)
-        if mu.shape[0]:
-            slack = 0.5 * h * matmul(mu, matmul(system.mass_inv, system.grad_potential(state.q)))
-    elif isinstance(state, ReducedState):
-        rows = system.annihilator_matrix(state.x)
-        if rows.shape[0]:
-            offset = state.p_alg - matmul(dcay(h * state.xi).T, state.p_alg)
-            tilt = np.concatenate([0.5 * h * system.grad_potential(state.x), offset])
-            slack = matmul(rows, matmul(system.metric_inv, tilt))
+    try:
+        res = np.asarray(constraint_residual(system, state), dtype=float)
+        if not np.isfinite(res).all():
+            return
+        slack = np.zeros_like(res)
+        if isinstance(state, PhaseState):
+            mu = system.constraint_matrix(state.q)
+            if mu.shape[0]:
+                slack = 0.5 * h * matmul(mu, matmul(system.mass_inv, system.grad_potential(state.q)))
+        elif isinstance(state, ReducedState):
+            rows = system.annihilator_matrix(state.x)
+            if rows.shape[0]:
+                offset = state.p_alg - matmul(dcay(h * state.xi).T, state.p_alg)
+                tilt = np.concatenate([0.5 * h * system.grad_potential(state.x), offset])
+                slack = matmul(rows, matmul(system.metric_inv, tilt))
+    except ArithmeticError as exc:
+        layout = (flat_layout if isinstance(state, PhaseState) else reduced_layout)(system)
+        none = np.zeros(0)
+        empty = Trajectory(none, layout.stack([state])[:0], none, none, none.astype(int), layout)
+        raise StepFailed(0, exc, empty) from exc
     if np.any(np.abs(res) > _ADMISSIBLE_TOL + np.abs(slack)):
         raise ValueError(
             f"initial state is not admissible: constraint residual {_inf_norm(res):.3e}"

@@ -33,6 +33,7 @@ between them runs on lists, every sum of products in the order of
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Callable, Optional
@@ -47,6 +48,7 @@ from .numerics import (
     SingularMatrix,
     default_newton_config,
     dot,
+    lu_factor,
     matmul,
     newton_solve_stats,
     solve_gram,
@@ -171,11 +173,16 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
     stacked rows, one :func:`stacked_form` pass.
 
     The step takes ``(I - Q)^T - Q^T`` from one Gram solve, ``Q = M^{-1}
-    mu^T C^{-1} mu``, and hands the residual ``D1(q_curr, q_next) + (P^T -
-    Q^T) D2(q_prev, q_curr) + 2 Q^T Pi`` with the Jacobian ``d12`` to
-    :func:`gni.numerics.newton_solve_stats`, so a general discrete
+    mu^T C^{-1} mu`` (one constraint row: :func:`~gni.numerics.solve_gram`'s
+    division and ``g <= 0`` test, inline), and hands the residual ``D1(q_curr,
+    q_next) + (P^T - Q^T) D2(q_prev, q_curr) + 2 Q^T Pi`` with the Jacobian
+    ``d12`` to :func:`gni.numerics.newton_solve_stats`, so a general discrete
     Lagrangian takes as many iterations as it needs; every sum of products
-    is in the order of :mod:`gni.numerics`.
+    is in the order of :mod:`gni.numerics`.  The run keeps the last ``d12``
+    rows' :func:`~gni.numerics.lu_factor` and factors again only when their
+    bits change, so the constant ``-M/h`` of the shipped Lagrangians is
+    factored once per run, and each Newton system keeps the bits of
+    :func:`~gni.numerics.lu_solve`.
     """
     if cfg is None:
         cfg = default_newton_config()
@@ -188,11 +195,23 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
     point_size = n * (m + affine)
     identity = [[float(a == b) for b in range(n)] for a in range(n)]
     d1, d2, d12 = ld.d1, ld.d2, ld.d12
+    factored = [b"", None]  # the bits of the last d12 rows and their lu_factor
 
     def window(flat, points, counts, j0, j1):
         i, k = n * (j0 + 1), point_size * (j0 - 1)
         q_prev, q_curr = flat[i - 2 * n : i - n].tolist(), flat[i - n : i].tolist()
-        j = j0
+        j, check, carried = j0, True, []
+
+        def residual(q_next):
+            return list(map(add, as_floats(d1(q_curr, q_next, h), False, check and "d1", n), carried))
+
+        def jacobian(q_next):
+            rows = as_floats(d12(q_curr, q_next, h), True, check and "d12", n)
+            bits = array("d", sum(rows, [])).tobytes()
+            if bits != factored[0]:  # bits, not ==: -0.0 == 0.0, and nan != nan
+                factored[1], factored[0] = lu_factor(rows), bits
+            return factored[1]
+
         try:
             rows = as_floats(constraints(q_prev), True, "constraints", n) if constrained else []
             if len(rows) != m:  # else the points written would lose their places
@@ -211,9 +230,15 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
                 if rows:
                     # (P^T - Q^T) D2 + 2 Q^T Pi with P = I - Q, where row i of Q^T
                     # sums over the rows l (C^{-1} mu)_li (M^{-1} mu^T)_l, in dot's order.
-                    gram = [[dot(w, r) for r in rows] for w in map(minv_t_times, rows)]
-                    m_rows = list(map(minv_times, rows))
-                    q_t = [transpose_times(m_rows, c, n) for c in zip(*solve_gram(gram, rows))]
+                    if len(rows) == 1:  # solve_gram's division and test, inline
+                        r, mr = rows[0], minv_times(rows[0])
+                        if (g := dot(minv_t_times(r), r)) <= 0.0:
+                            raise RankDeficient("constraint row vanishes")
+                        q_t = [[0.0 + c * v for v in mr] for c in [x / g for x in r]]
+                    else:
+                        gram = [[dot(w, r) for r in rows] for w in map(minv_t_times, rows)]
+                        m_rows = list(map(minv_times, rows))
+                        q_t = [transpose_times(m_rows, c, n) for c in zip(*solve_gram(gram, rows))]
                     carried = [
                         dot([(e - v) - v for e, v in zip(unit, row)], carried)
                         for unit, row in zip(identity, q_t)
@@ -221,14 +246,6 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
                     if affine:
                         offset = mass_times(as_floats(affine_field(q_curr)))
                         carried = [c + 2.0 * dot(row, offset) for c, row in zip(carried, q_t)]
-
-                def residual(q_next):
-                    d1_next = as_floats(d1(q_curr, q_next, h), False, check and "d1", n)
-                    return list(map(add, d1_next, carried))
-
-                def jacobian(q_next):
-                    return as_floats(d12(q_curr, q_next, h), True, check and "d12", n)
-
                 start = [2.0 * c - p for c, p in zip(q_curr, q_prev)]
                 q_next, counts[j] = newton_solve_stats(residual, start, cfg, jacobian=jacobian)
                 for v in q_next:

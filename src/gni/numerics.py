@@ -4,7 +4,8 @@ damped Newton iteration.
 Every implicit solve in this package funnels through the entry points
 here, all on plain floats: :func:`lu_solve`, the one elimination, for
 square linear systems of any size with one or many right-hand sides
-(partial pivoting, each pivot tested against its own column's scale),
+(partial pivoting, each pivot tested against its own column's scale;
+:func:`lu_factor` keeps the elimination for more right-hand sides),
 :func:`solve_gram` for constraint Gram systems (a division for one row,
 else :func:`lu_solve`), and :func:`newton_solve_stats` for nonlinear
 root-finding (analytic Jacobian, step damping).  Array callers convert at
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf, isfinite, nan
 from operator import sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "NoConvergence",
     "NewtonConfig",
     "default_newton_config",
+    "lu_factor",
     "lu_solve",
     "solve_gram",
     "matmul",
@@ -97,8 +99,71 @@ def default_newton_config() -> NewtonConfig:
     return NewtonConfig()
 
 
+class LUFactors(NamedTuple):
+    """The elimination :func:`lu_factor` keeps: ``steps``, per column k,
+    ``(k, p, [(i, f), ...])``, row p swapped into row k and then ``row_i -=
+    f row_k``, and the eliminated ``rows``, whose upper triangle is ``U``."""
+
+    steps: list
+    rows: list
+
+    def solve(self, b) -> list:
+        """:func:`lu_solve` by these factors, with its layouts, bits and errors:
+        the swaps and updates ``b_i - f b_k`` in their order, then ``U``'s."""
+        rows = self.rows
+        n = len(rows)
+        if len(b) != n:
+            raise ValueError(f"expected n x n rows and n right-hand sides, got {n} and {len(b)}")
+        stacked = n != 0 and isinstance(b[0], (list, tuple))
+        solutions = []
+        for x in map(list, zip(*b)) if stacked else [list(b)]:
+            for k, p, updates in self.steps:
+                x[p], x[k] = x[k], x[p]
+                xk = x[k]
+                for i, f in updates:
+                    x[i] -= f * xk
+            if n:
+                x[-1] /= rows[-1][-1]
+            for i in range(n - 2, -1, -1):
+                row = rows[i]
+                total = row[i + 1] * x[i + 1]
+                for j in range(i + 2, n):
+                    total += row[j] * x[j]
+                x[i] = (x[i] - total) / row[i]
+            solutions.append(x)
+        return [list(r) for r in zip(*solutions)] if stacked else solutions[0] if n else []
+
+
+def lu_factor(a) -> LUFactors:
+    """:func:`lu_solve`'s elimination of ``a`` alone, kept for any number of
+    right-hand sides; ``ValueError`` if ``a`` is not square."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"expected n x n rows, got rows of lengths {[len(row) for row in a]}")
+    rows = [list(row) for row in a]
+    thresholds = [_PIVOT_RTOL * max(map(abs, column)) for column in zip(*a)]
+    steps = []
+    for k in range(n):
+        pivot_at, magnitude = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if (u := abs(rows[i][k])) > magnitude:
+                pivot_at, magnitude = i, u
+        if magnitude <= thresholds[k]:
+            raise _singular(rows[pivot_at][k], k, thresholds[k])
+        top = rows[pivot_at]
+        rows[pivot_at], rows[k] = rows[k], top
+        pivot, updates = top[k], []
+        for i in range(k + 1, n):
+            updates.append((i, f := rows[i][k] / pivot))
+            # The whole row in one pass: its columns left of k are not read again.
+            rows[i] = [v - f * w for v, w in zip(rows[i], top)]
+        steps.append((k, pivot_at, updates))
+    return LUFactors(steps, rows)
+
+
 def lu_solve(a, b) -> list:
-    """Solve the square linear system ``a @ x = b`` on plain floats.
+    """Solve the square linear system ``a @ x = b`` on plain floats:
+    ``lu_factor(a).solve(b)``, the one elimination.
 
     ``a`` is n rows of n floats.  ``b`` is n floats, one right-hand side,
     or n rows (lists or tuples) of k floats, k right-hand sides as columns
@@ -107,7 +172,7 @@ def lu_solve(a, b) -> list:
     row of largest magnitude at or below the diagonal, and the back
     substitution divides ``b_i - (a_i,i+1 x_i+1 + ... + a_i,n-1 x_n-1)``,
     its products summed left to right, by the pivot.  Each right-hand side
-    gets the operations it would get alone.
+    gets the operations it would get alone, here or from kept factors.
 
     Raises
     ------
@@ -123,38 +188,7 @@ def lu_solve(a, b) -> list:
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a):
         raise ValueError(f"expected n x n rows and n right-hand sides, got {len(a)} and {len(b)}")
-    stacked = n != 0 and isinstance(b[0], (list, tuple))
-    # The rows of a with their right-hand-side entries appended.
-    rows = [[*row, *r] for row, r in zip(a, b)] if stacked else [[*row, r] for row, r in zip(a, b)]
-    thresholds = [_PIVOT_RTOL * max(map(abs, column)) for column in zip(*a)]
-    for k in range(n):
-        pivot_at, magnitude = k, abs(rows[k][k])
-        for i in range(k + 1, n):
-            if (u := abs(rows[i][k])) > magnitude:
-                pivot_at, magnitude = i, u
-        if magnitude <= thresholds[k]:
-            raise _singular(rows[pivot_at][k], k, thresholds[k])
-        top = rows[pivot_at]
-        rows[pivot_at], rows[k] = rows[k], top
-        pivot = top[k]
-        for i in range(k + 1, n):
-            f = rows[i][k] / pivot
-            # The whole row in one pass: its columns left of k are not read again.
-            rows[i] = [v - f * w for v, w in zip(rows[i], top)]
-    solutions = []
-    for c in range(n, len(rows[0]) if n else 0):
-        x = [0.0] * n
-        for i in range(n - 1, -1, -1):
-            row = rows[i]
-            if i + 1 < n:
-                total = row[i + 1] * x[i + 1]
-                for j in range(i + 2, n):
-                    total += row[j] * x[j]
-                x[i] = (row[c] - total) / row[i]
-            else:
-                x[i] = row[c] / row[i]
-        solutions.append(x)
-    return [list(r) for r in zip(*solutions)] if stacked else solutions[0] if n else []
+    return lu_factor(a).solve(b)
 
 
 def _singular(pivot: float, col: int, threshold: float) -> SingularMatrix:
@@ -264,14 +298,15 @@ def newton_solve_stats(
     x0,
     cfg: Optional[NewtonConfig] = None,
     *,
-    jacobian: Callable[[list], Sequence[Sequence[float]]],
+    jacobian: Callable[[list], object],
 ):
     """Find ``x`` with ``|residual(x)|_inf <= cfg.residual_tol``.
 
     Damped Newton iteration on plain floats from the start ``x0``.
     ``residual(x)`` takes the iterate as one list of floats and returns a
     sequence of floats; ``jacobian(x)`` returns its analytic Jacobian as
-    rows.  At each step the correction ``d`` of ``J d = f``, by
+    rows, or factors with a ``solve`` method, as :func:`lu_factor` returns.
+    At each step the correction ``d`` of ``J d = f``, by those factors or
     :func:`lu_solve` whatever the number of unknowns, is taken as ``x -
     alpha d`` with ``alpha = 1``, and ``alpha`` is halved (at most eight
     times) while the residual norm fails to decrease to a finite value;
@@ -300,7 +335,8 @@ def newton_solve_stats(
             return x, iteration
         if not isfinite(norm):
             raise NoConvergence(iteration, norm)
-        d = lu_solve(jacobian(x), f)
+        jac = jacobian(x)
+        d = jac.solve(f) if hasattr(jac, "solve") else lu_solve(jac, f)
         # The full step: 1.0 * d is d.
         alpha = 1.0
         trial = list(map(sub, x, d))

@@ -1,10 +1,11 @@
 """Tests for the running, convergence, and invariant-suite layer."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from gni import analysis, gni_flat, gni_reduced, model
+from gni import analysis, gni_flat, gni_reduced, model, numerics
 from gni.analysis import (
     BelowNoiseFloor,
     ConvergenceReport,
@@ -605,6 +606,131 @@ def test_run_three_point_without_residuals_keeps_the_direct_recurrences_last_row
         assert np.array_equal(row[3:6], matmul(sys.mass_matrix, qs[k + 1] - qs[k - 1]) / (2.0 * h))
     assert traj.newton_iters.tolist() == iters[-2:]
     assert np.array_equal(traj.times, h * np.arange(n_steps - 1, n_steps + 1))
+
+
+def _chained_positions(ld, sys, s0, h, n_steps):
+    # Positions q_0 .. q_{N+1} and the Newton iterations of rows 1 .. N by
+    # one-step gni_generic_step_stats calls, each on a kernel of its own and
+    # so with a fresh factorization of d12.
+    qs, iters = [s0.q, gni_flat.rattle_step(sys, s0, h).q], []
+    for _ in range(n_steps):
+        q_next, it = gni_flat.gni_generic_step_stats(ld, sys, qs[-2], qs[-1], h)
+        qs.append(q_next)
+        iters.append(it)
+    return np.array(qs), iters
+
+
+def _switching_d12_lagrangian(sys, kind):
+    # Verlet's d1 and d2 with a d12 that changes with the parity of a digit
+    # of q_k: "alternating" switches between -M/h and -1.25 M/h (Newton then
+    # converges linearly), "signed_zero" between -M/h with its zeros +0.0 and
+    # with them -0.0, the same matrix under == but not in its bits.
+    ld, mass = gni_flat.verlet_lagrangian(sys), sys.mass_matrix.tolist()
+
+    def d12(q0, q1, h):
+        odd = int(q0[0] * 1e6) % 2 == 1
+        if kind == "alternating":
+            return [[-(1.25 if odd else 1.0) * a / h for a in row] for row in mass]
+        return [[-a / h if a else (-0.0 if odd else 0.0) for a in row] for row in mass]
+
+    return dataclasses.replace(ld, d12=d12)
+
+
+_FACTOR_CASES = {
+    "alternating": lambda sys: _switching_d12_lagrangian(sys, "alternating"),
+    "signed_zero": lambda sys: _switching_d12_lagrangian(sys, "signed_zero"),
+    "quartic": _quartic_kinetic_lagrangian,
+}
+
+
+def _counting_factor(monkeypatch):
+    # Counts the kernel's factorizations: each call of its lu_factor.
+    calls = []
+
+    def counting(rows):
+        calls.append(np.array(rows).tobytes())
+        return numerics.lu_factor(rows)
+
+    monkeypatch.setattr(gni_flat, "lu_factor", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(_FACTOR_CASES))
+def test_a_run_that_keeps_d12_factored_has_the_bits_of_fresh_factorizations(case, monkeypatch):
+    sys, h, n_steps = model.nonholonomic_particle("harmonic"), 0.05, 200
+    ld, s0 = _FACTOR_CASES[case](sys), _three_point_initial(sys)
+    qs, iters = _chained_positions(ld, sys, s0, h, n_steps)
+    calls = _counting_factor(monkeypatch)
+    traj = run(ld, sys, s0, h, n_steps)
+    assert np.array_equal(traj.states[:, :3], qs[:-1])
+    assert traj.newton_iters[1:].tolist() == iters
+    # The run factors again exactly where the bits of d12 change.
+    changes = sum(a != b for a, b in zip(calls, calls[1:]))
+    assert changes == len(calls) - 1 > 10
+    if case == "signed_zero":
+        assert all(np.array_equal(np.frombuffer(c), np.frombuffer(calls[0])) for c in calls)
+
+
+@pytest.mark.parametrize("make_lagrangian", [gni_flat.verlet_lagrangian, gni_flat.euler_a_lagrangian])
+def test_a_three_point_run_factors_a_constant_d12_once(make_lagrangian, monkeypatch):
+    sys, h = model.nonholonomic_particle("harmonic"), 0.05
+    s0 = _three_point_initial(sys)
+    factored = []
+    for n_steps in (200, 400):
+        calls = _counting_factor(monkeypatch)
+        run(make_lagrangian(sys), sys, s0, h, n_steps)
+        factored.append(len(calls))
+    assert factored[1] <= factored[0] == 1
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_a_three_point_run_fails_where_its_one_constraint_row_vanishes(residual):
+    # Free flight along x; the row (0, 1 - x) vanishes once x reaches 1: at
+    # step 10, as the general Gram solve reported it, with rows 0 .. 9.
+    sys = FlatSystem(
+        dim=2,
+        mass_matrix=np.eye(2),
+        potential=lambda q: 0.0,
+        grad_potential=lambda q: np.zeros(2),
+        constraints=lambda q: np.array([[0.0, max(1.0 - q[0], 0.0)]]),
+        num_constraints=1,
+    )
+    s0, h = PhaseState(np.zeros(2), np.array([1.0, 0.0]), np.zeros(1)), 0.1
+    ld = gni_flat.verlet_lagrangian(sys)
+    with pytest.raises(StepFailed) as excinfo:
+        run(ld, sys, s0, h, 40, residual=residual)
+    err = excinfo.value
+    assert err.step == 10 and type(err.cause) is numerics.RankDeficient
+    assert str(err.cause) == "constraint row vanishes"
+    head = run(ld, sys, s0, h, 9)
+    assert np.array_equal(err.partial.states, head.states)
+
+
+def _overflowing_row_particle():
+    # The particle whose constraint row overflows at x = 1: exp(800) does.
+    return FlatSystem(
+        dim=3,
+        mass_matrix=np.eye(3),
+        potential=lambda q: 0.0,
+        grad_potential=lambda q: [0.0, 0.0, 0.0],
+        constraints=lambda q: [[0.0 * math.exp(800.0 * q[0]), 0.0, 1.0]],
+        num_constraints=1,
+    )
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 5])
+@pytest.mark.parametrize("stepper", ["rattle", "gni_generic"])
+def test_a_callable_that_overflows_at_the_initial_state_fails_the_run_at_step_0(stepper, n_steps):
+    # As an initial state with a non-finite residual: StepFailed, before any
+    # step, with no rows, whatever the step count.
+    sys = _overflowing_row_particle()
+    s0 = PhaseState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.zeros(1))
+    step = gni_flat.rattle_step if stepper == "rattle" else gni_flat.verlet_lagrangian(sys)
+    with pytest.raises(StepFailed) as excinfo:
+        run(step, sys, s0, 0.1, n_steps)
+    err = excinfo.value
+    assert err.step == 0 and type(err.cause) is OverflowError
+    assert len(err.partial) == 0 and err.partial.states.shape == (0, 7)
 
 
 def test_run_three_point_failure_keeps_rows_before_failing_step():

@@ -741,18 +741,23 @@ def test_simulate_with_an_overflowing_step_count_exits_2_without_csv(tmp_path, c
 
 
 def test_generic_simulate_is_the_same_with_the_unrolled_solver(tmp_path, monkeypatch):
-    # The generic step's 3x3 Newton systems go through lu_solve, and the
-    # run has the bits of the unrolled elimination that lu_solve replaced.
+    # The generic step's 3x3 Newton systems go through the kernel's
+    # lu_factor and its solve, and the run has the bits of the unrolled
+    # elimination that lu_solve replaced, for every Newton system.
     args = ["simulate", "--config", str(CONFIG_DIR / "particle_generic.cfg"), "--quiet"]
     reference = tmp_path / "reference.csv"
     assert main(args + ["--out", str(reference)]) == 0
     sizes = []
 
-    def unrolled(a, b):
-        sizes.append(len(a))
-        return list(small_solve(a, b))
+    class Unrolled:
+        def __init__(self, a):
+            self.a = a
 
-    monkeypatch.setattr(numerics, "lu_solve", unrolled)
+        def solve(self, b):
+            sizes.append(len(self.a))
+            return list(small_solve(self.a, b))
+
+    monkeypatch.setattr(gni_flat, "lu_factor", Unrolled)
     out = tmp_path / "x.csv"
     assert main(args + ["--out", str(out)]) == 0
     assert sizes and set(sizes) == {3}

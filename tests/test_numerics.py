@@ -14,6 +14,7 @@ from gni.numerics import (
     default_newton_config,
     dot,
     linear_map,
+    lu_factor,
     lu_solve,
     matmul,
     newton_solve_stats,
@@ -286,6 +287,128 @@ def test_lu_solve_pivot_test_follows_each_columns_scale(n):
         dependent[:, -1] = scale * dependent[:, 0]
         with pytest.raises(SingularMatrix):
             lu_solve(dependent.tolist(), b.tolist())
+
+
+def _one_pass_lu_solve(a, b):
+    """The elimination with the right-hand sides carried along as extra
+    columns of ``a``, in one pass, as :func:`lu_solve` was written before
+    :func:`lu_factor` kept its factors: each right-hand side must get the
+    same operations from the kept factors."""
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in a):
+        raise ValueError(f"expected n x n rows and n right-hand sides, got {len(a)} and {len(b)}")
+    stacked = n != 0 and isinstance(b[0], (list, tuple))
+    rows = [[*row, *r] for row, r in zip(a, b)] if stacked else [[*row, r] for row, r in zip(a, b)]
+    thresholds = [1e-14 * max(map(abs, column)) for column in zip(*a)]
+    for k in range(n):
+        pivot_at, magnitude = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if (u := abs(rows[i][k])) > magnitude:
+                pivot_at, magnitude = i, u
+        if magnitude <= thresholds[k]:
+            raise numerics._singular(rows[pivot_at][k], k, thresholds[k])
+        top = rows[pivot_at]
+        rows[pivot_at], rows[k] = rows[k], top
+        for i in range(k + 1, n):
+            f = rows[i][k] / top[k]
+            rows[i] = [v - f * w for v, w in zip(rows[i], top)]
+    solutions = []
+    for c in range(n, len(rows[0]) if n else 0):
+        x = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            if i + 1 < n:
+                total = row[i + 1] * x[i + 1]
+                for j in range(i + 2, n):
+                    total += row[j] * x[j]
+                x[i] = (row[c] - total) / row[i]
+            else:
+                x[i] = row[c] / row[i]
+        solutions.append(x)
+    return [list(r) for r in zip(*solutions)] if stacked else solutions[0] if n else []
+
+
+def _outcome(solve, a, b):
+    """The bits of ``solve(a, b)``, or the type and text of what it raised."""
+    try:
+        return _bits(solve(a, b))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _battery_system(rng):
+    """A random n x n system, n from 1 to 5, with one or two right-hand
+    sides: columns scaled apart, a dependent row, a zero column, and
+    entries of +0.0, -0.0 and NaN, each in some of the draws."""
+    n = int(rng.integers(1, 6))
+    a = rng.standard_normal((n, n))
+    if rng.random() < 0.5:
+        a *= 10.0 ** rng.uniform(-8, 8, n)
+    if n > 1 and rng.random() < 0.15:
+        i, j = rng.choice(n, 2, replace=False)
+        a[i] = rng.choice([-2.0, 0.5, 3.0]) * a[j]
+    if rng.random() < 0.1:
+        a[:, rng.integers(n)] = 0.0
+    for value, chance in ((0.0, 0.3), (-0.0, 0.3), (math.nan, 0.05)):
+        if rng.random() < chance:
+            a[rng.integers(n), rng.integers(n)] = value
+    b = rng.standard_normal((n, int(rng.integers(1, 3))))
+    for value, chance in ((0.0, 0.2), (-0.0, 0.2), (math.nan, 0.05)):
+        if rng.random() < chance:
+            b[rng.integers(n), rng.integers(b.shape[1])] = value
+    return a.tolist(), (b[:, 0].tolist() if b.shape[1] == 1 and rng.random() < 0.5 else b.tolist())
+
+
+def test_lu_factor_solve_is_the_one_pass_elimination_bit_for_bit():
+    rng = np.random.default_rng(2029)
+    raised = 0
+    for _ in range(4000):
+        a, b = _battery_system(rng)
+        expected = _outcome(_one_pass_lu_solve, a, b)
+        assert _outcome(lambda a, b: lu_factor(a).solve(b), a, b) == expected
+        assert _outcome(lu_solve, a, b) == expected
+        raised += isinstance(expected, tuple)
+        stacked = isinstance(b[0], list)
+        if not stacked and len(a) <= 3 and not isinstance(expected, tuple):
+            # Where the unrolled oracle solves too, its bits.
+            try:
+                oracle = small_solve(a, b)
+            except SingularMatrix:
+                continue
+            assert _bits(oracle) == expected
+        if stacked and not isinstance(expected, tuple):
+            # One factorization, each right-hand side alone: the same bits.
+            factors = lu_factor(a)
+            columns = [_bits(factors.solve(list(column))) for column in zip(*b)]
+            assert [list(r) for r in zip(*columns)] == expected
+    assert 100 < raised < 3900  # both outcomes are exercised
+
+
+def test_lu_factor_raises_for_rows_that_are_not_square():
+    with pytest.raises(ValueError, match="expected n x n rows"):
+        lu_factor([[1.0, 2.0], [3.0]])
+    factors = lu_factor([[2.0, 0.0], [0.0, 4.0]])
+    with pytest.raises(ValueError, match="got 2 and 3"):
+        factors.solve([1.0, 2.0, 3.0])
+
+
+def test_newton_takes_factors_from_the_jacobian(monkeypatch):
+    # A jacobian that returns lu_factor's factors: the same iterates as rows,
+    # with no lu_solve call.
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    b = rng.standard_normal(3)
+
+    def residual(z):
+        return [dot(row, z) - c + 0.01 * v ** 3 for row, c, v in zip(a.tolist(), b.tolist(), z)]
+
+    by_rows = newton_solve_stats(residual, [0.0] * 3, jacobian=lambda z: a.tolist())
+    factors = lu_factor(a.tolist())
+    calls = []
+    monkeypatch.setattr(numerics, "lu_solve", lambda m, rhs: calls.append(m))
+    by_factors = newton_solve_stats(residual, [0.0] * 3, jacobian=lambda z: factors)
+    assert calls == [] and by_factors[1] == by_rows[1] > 1
+    assert _bits(by_factors[0]) == _bits(by_rows[0])
 
 
 def test_solve_gram_one_row_is_plain_division():
