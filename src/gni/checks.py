@@ -190,13 +190,30 @@ def _suite_steppers(seed: int):
 
     initial = gni_flat.prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2])
     grid = [0.1, 0.05, 0.025]
-    for label, stepper, lo, hi in (
-        ("one-sided scheme position order", gni_flat.euler_a_step, 0.8, 1.2),
-        ("symmetric scheme position order", gni_flat.rattle_step, 1.8, 2.2),
-        ("half-step composition order", gni_flat.composed_euler_step, 1.8, 2.2),
-    ):
-        slope = _mini_sweep(stepper, sys, initial, 1.0, grid)
-        results.append(_window_result(f"steppers: {label}", slope, lo, hi))
+    results.append(
+        _window_result(
+            "steppers: one-sided scheme position order",
+            _mini_sweep(gni_flat.euler_a_step, sys, initial, 1.0, grid),
+            0.8,
+            1.2,
+        )
+    )
+    results.append(
+        _window_result(
+            "steppers: symmetric scheme position order",
+            _mini_sweep(gni_flat.rattle_step, sys, initial, 1.0, grid),
+            1.8,
+            2.2,
+        )
+    )
+    results.append(
+        _window_result(
+            "steppers: half-step composition order",
+            _mini_sweep(gni_flat.composed_euler_step, sys, initial, 1.0, grid),
+            1.8,
+            2.2,
+        )
+    )
     results += _kept_structures()
 
     newton = default_newton_config()
@@ -225,8 +242,9 @@ def _suite_steppers(seed: int):
 
     homog = ChaplyginParams(m=1.0, r=1.0, omega=1.0, i1=2 / 3, i2=2 / 3, i3=2 / 3)
     hr = gni_reduced.chaplygin_reduced_system(homog)
-    sphere0 = (np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0]))  # contact point, body velocity
-    rstate = gni_reduced.chaplygin_initial_reduced_state(homog, *sphere0, 0.1)
+    rstate = gni_reduced.chaplygin_initial_reduced_state(
+        homog, np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0]), 0.1
+    )
     worst = 0.0
     for _ in range(20):
         nxt = gni_reduced.reduced_rattle_step(hr, rstate, 0.1, cfg=newton)
@@ -236,13 +254,31 @@ def _suite_steppers(seed: int):
         _bound_result("steppers: reduced discrete constraint residual", worst, 1e-10)
     )
 
-    residuals = run(None, homog, sphere0, 0.1, 200).residuals
-    label = "steppers: rolling-sphere discrete constraint residual"
-    results.append(_bound_result(label, float(np.max(residuals)), 1e-10))
+    traj = run(None, homog, (np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0])), 0.1, 200)
+    results.append(
+        _bound_result(
+            "steppers: rolling-sphere discrete constraint residual",
+            float(np.max(traj.residuals)),
+            1e-10,
+        )
+    )
 
-    report = convergence_sweep(None, homog, sphere0, 2.0, grid, ("self", grid[-1] / 30.0))
-    energy_order = report.slopes["energy"][0]
-    results.append(_window_result("steppers: homogeneous-sphere energy order", energy_order, 1.7, 2.3))
+    report = convergence_sweep(
+        None,
+        homog,
+        (np.array([1.0, 1.0]), np.array([0.0, 2.0, 0.0])),
+        2.0,
+        grid,
+        ("self", grid[-1] / 30.0),
+    )
+    results.append(
+        _window_result(
+            "steppers: homogeneous-sphere energy order",
+            report.slopes["energy"][0],
+            1.7,
+            2.3,
+        )
+    )
     return results
 
 

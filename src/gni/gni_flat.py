@@ -33,9 +33,9 @@ between them runs on lists, every sum of products in the order of
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from operator import add, sub
+from struct import Struct
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,11 +178,13 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
     q_next) + (P^T - Q^T) D2(q_prev, q_curr) + 2 Q^T Pi`` with the Jacobian
     ``d12`` to :func:`gni.numerics.newton_solve_stats`, so a general discrete
     Lagrangian takes as many iterations as it needs; every sum of products
-    is in the order of :mod:`gni.numerics`.  The run keeps the last ``d12``
-    rows' :func:`~gni.numerics.lu_factor` and factors again only when their
-    bits change, so the constant ``-M/h`` of the shipped Lagrangians is
-    factored once per run, and each Newton system keeps the bits of
-    :func:`~gni.numerics.lu_solve`.
+    is in the order of :mod:`gni.numerics`.  ``d12`` rows that differ from
+    the last are solved by :func:`~gni.numerics.lu_solve`; rows met again
+    are factored by :func:`~gni.numerics.lu_factor`, and the run keeps the
+    factors while the rows' bits stay.  So the constant ``-M/h`` of the
+    shipped Lagrangians is factored once per run, a ``d12`` that changes at
+    every iteration costs a list comparison more, and each Newton system
+    keeps the bits of :func:`~gni.numerics.lu_solve`.
     """
     if cfg is None:
         cfg = default_newton_config()
@@ -195,7 +197,8 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
     point_size = n * (m + affine)
     identity = [[float(a == b) for b in range(n)] for a in range(n)]
     d1, d2, d12 = ld.d1, ld.d2, ld.d12
-    factored = [b"", None]  # the bits of the last d12 rows and their lu_factor
+    bits_of = Struct(f"{n * n}d").pack
+    kept = [None, b"", None]  # the last d12 rows; the bits of the factored ones, their lu_factor
 
     def window(flat, points, counts, j0, j1):
         i, k = n * (j0 + 1), point_size * (j0 - 1)
@@ -207,10 +210,12 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
 
         def jacobian(q_next):
             rows = as_floats(d12(q_curr, q_next, h), True, check and "d12", n)
-            bits = array("d", sum(rows, [])).tobytes()
-            if bits != factored[0]:  # bits, not ==: -0.0 == 0.0, and nan != nan
-                factored[1], factored[0] = lu_factor(rows), bits
-            return factored[1]
+            if rows != kept[0]:
+                kept[0] = rows
+                return rows
+            if (bits := bits_of(*sum(rows, []))) != kept[1]:  # bits, not ==: -0.0 == 0.0
+                kept[1:] = bits, lu_factor(rows)
+            return kept[2]
 
         try:
             rows = as_floats(constraints(q_prev), True, "constraints", n) if constrained else []

@@ -100,38 +100,31 @@ def default_newton_config() -> NewtonConfig:
 
 
 class LUFactors(NamedTuple):
-    """The elimination :func:`lu_factor` keeps: ``steps``, per column k,
-    ``(k, p, [(i, f), ...])``, row p swapped into row k and then ``row_i -=
-    f row_k``, and the eliminated ``rows``, whose upper triangle is ``U``."""
+    """:func:`lu_factor`'s elimination of ``a``: the eliminated ``rows``,
+    ``U`` on and above the diagonal; ``pivots``, the row swapped into row k
+    at column k; and ``multipliers``, the ``f`` of each update ``row_i -= f
+    row_k`` in the order made."""
 
-    steps: list
     rows: list
+    pivots: list
+    multipliers: list
 
     def solve(self, b) -> list:
-        """:func:`lu_solve` by these factors, with its layouts, bits and errors:
-        the swaps and updates ``b_i - f b_k`` in their order, then ``U``'s."""
-        rows = self.rows
+        """:func:`lu_solve` by these factors, with its layouts, bits and errors."""
+        rows, pivots, multipliers = self
         n = len(rows)
         if len(b) != n:
             raise ValueError(f"expected n x n rows and n right-hand sides, got {n} and {len(b)}")
         stacked = n != 0 and isinstance(b[0], (list, tuple))
-        solutions = []
-        for x in map(list, zip(*b)) if stacked else [list(b)]:
-            for k, p, updates in self.steps:
+        xs = [list(c) for c in zip(*b)] if stacked else [list(b)]
+        for x in xs:  # the swaps and the updates b_i - f b_k in their order
+            f = iter(multipliers).__next__
+            for k, p in enumerate(pivots):
                 x[p], x[k] = x[k], x[p]
                 xk = x[k]
-                for i, f in updates:
-                    x[i] -= f * xk
-            if n:
-                x[-1] /= rows[-1][-1]
-            for i in range(n - 2, -1, -1):
-                row = rows[i]
-                total = row[i + 1] * x[i + 1]
-                for j in range(i + 2, n):
-                    total += row[j] * x[j]
-                x[i] = (x[i] - total) / row[i]
-            solutions.append(x)
-        return [list(r) for r in zip(*solutions)] if stacked else solutions[0] if n else []
+                for i in range(k + 1, n):
+                    x[i] -= f() * xk
+        return _back_substitute([[*row, *r] for row, r in zip(rows, zip(*xs))], n, stacked)
 
 
 def lu_factor(a) -> LUFactors:
@@ -141,29 +134,11 @@ def lu_factor(a) -> LUFactors:
     if any(len(row) != n for row in a):
         raise ValueError(f"expected n x n rows, got rows of lengths {[len(row) for row in a]}")
     rows = [list(row) for row in a]
-    thresholds = [_PIVOT_RTOL * max(map(abs, column)) for column in zip(*a)]
-    steps = []
-    for k in range(n):
-        pivot_at, magnitude = k, abs(rows[k][k])
-        for i in range(k + 1, n):
-            if (u := abs(rows[i][k])) > magnitude:
-                pivot_at, magnitude = i, u
-        if magnitude <= thresholds[k]:
-            raise _singular(rows[pivot_at][k], k, thresholds[k])
-        top = rows[pivot_at]
-        rows[pivot_at], rows[k] = rows[k], top
-        pivot, updates = top[k], []
-        for i in range(k + 1, n):
-            updates.append((i, f := rows[i][k] / pivot))
-            # The whole row in one pass: its columns left of k are not read again.
-            rows[i] = [v - f * w for v, w in zip(rows[i], top)]
-        steps.append((k, pivot_at, updates))
-    return LUFactors(steps, rows)
+    return LUFactors(rows, *_eliminate(a, rows))
 
 
 def lu_solve(a, b) -> list:
-    """Solve the square linear system ``a @ x = b`` on plain floats:
-    ``lu_factor(a).solve(b)``, the one elimination.
+    """Solve the square linear system ``a @ x = b`` on plain floats.
 
     ``a`` is n rows of n floats.  ``b`` is n floats, one right-hand side,
     or n rows (lists or tuples) of k floats, k right-hand sides as columns
@@ -172,7 +147,8 @@ def lu_solve(a, b) -> list:
     row of largest magnitude at or below the diagonal, and the back
     substitution divides ``b_i - (a_i,i+1 x_i+1 + ... + a_i,n-1 x_n-1)``,
     its products summed left to right, by the pivot.  Each right-hand side
-    gets the operations it would get alone, here or from kept factors.
+    gets the operations it would get alone; ``b`` rides along in
+    :func:`lu_factor`'s elimination, so its ``solve(b)`` gives the same.
 
     Raises
     ------
@@ -188,7 +164,52 @@ def lu_solve(a, b) -> list:
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a):
         raise ValueError(f"expected n x n rows and n right-hand sides, got {len(a)} and {len(b)}")
-    return lu_factor(a).solve(b)
+    stacked = n != 0 and isinstance(b[0], (list, tuple))
+    # The rows of a with their right-hand-side entries appended.
+    rows = [[*row, *r] for row, r in zip(a, b)] if stacked else [[*row, r] for row, r in zip(a, b)]
+    _eliminate(a, rows)
+    return _back_substitute(rows, n, stacked)
+
+
+def _eliminate(a, rows) -> tuple:
+    """Eliminate ``a``'s columns in ``rows``, its rows with any right-hand
+    sides appended, in place; return the pivots and the multipliers."""
+    n = len(a)
+    thresholds = [_PIVOT_RTOL * max(map(abs, column)) for column in zip(*a)]
+    pivots, multipliers = [], []
+    for k in range(n):
+        pivot_at, magnitude = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if (u := abs(rows[i][k])) > magnitude:
+                pivot_at, magnitude = i, u
+        if magnitude <= thresholds[k]:
+            raise _singular(rows[pivot_at][k], k, thresholds[k])
+        top = rows[pivot_at]
+        rows[pivot_at], rows[k] = rows[k], top
+        pivot = top[k]
+        for i in range(k + 1, n):
+            multipliers.append(f := rows[i][k] / pivot)
+            # The whole row in one pass: its columns left of k are not read again.
+            rows[i] = [v - f * w for v, w in zip(rows[i], top)]
+        pivots.append(pivot_at)
+    return pivots, multipliers
+
+
+def _back_substitute(rows, n: int, stacked: bool) -> list:
+    """Solve the upper triangle of ``rows``' n eliminated columns for each
+    right-hand side appended to them, in :func:`lu_solve`'s layout."""
+    solutions = []
+    for c in range(n, len(rows[0]) if rows else 0):
+        x = [0.0] * n
+        x[-1] = rows[-1][c] / rows[-1][n - 1]
+        for i in range(n - 2, -1, -1):
+            row = rows[i]
+            total = row[i + 1] * x[i + 1]
+            for j in range(i + 2, n):
+                total += row[j] * x[j]
+            x[i] = (row[c] - total) / row[i]
+        solutions.append(x)
+    return [list(r) for r in zip(*solutions)] if stacked else solutions[0] if n else []
 
 
 def _singular(pivot: float, col: int, threshold: float) -> SingularMatrix:
@@ -212,7 +233,8 @@ def solve_gram(gram, rhs) -> list:
     """
     if len(gram) == 1:
         # The column rule passes any nonzero 1x1 pivot, a negative one too: this
-        # test, and the flat kernel's inline copy, name a vanishing row.
+        # test, and its inline copies in the flat and three-point kernels, name
+        # a vanishing row.
         g = gram[0][0]
         if g <= 0.0:
             raise RankDeficient("constraint row vanishes")

@@ -664,9 +664,14 @@ def test_a_run_that_keeps_d12_factored_has_the_bits_of_fresh_factorizations(case
     traj = run(ld, sys, s0, h, n_steps)
     assert np.array_equal(traj.states[:, :3], qs[:-1])
     assert traj.newton_iters[1:].tolist() == iters
-    # The run factors again exactly where the bits of d12 change.
+    # The run factors d12 rows that it meets twice in a row, and again
+    # exactly where their bits change; the quartic's d12 changes at every
+    # iteration, so each of its Newton systems is a one-shot lu_solve.
     changes = sum(a != b for a, b in zip(calls, calls[1:]))
-    assert changes == len(calls) - 1 > 10
+    if case == "quartic":
+        assert calls == []
+    else:
+        assert changes == len(calls) - 1 > 10
     if case == "signed_zero":
         assert all(np.array_equal(np.frombuffer(c), np.frombuffer(calls[0])) for c in calls)
 

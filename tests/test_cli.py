@@ -741,26 +741,32 @@ def test_simulate_with_an_overflowing_step_count_exits_2_without_csv(tmp_path, c
 
 
 def test_generic_simulate_is_the_same_with_the_unrolled_solver(tmp_path, monkeypatch):
-    # The generic step's 3x3 Newton systems go through the kernel's
-    # lu_factor and its solve, and the run has the bits of the unrolled
-    # elimination that lu_solve replaced, for every Newton system.
+    # The generic step's 3x3 Newton systems go through lu_solve or, once the
+    # kernel has factored d12, through its lu_factor's solve; the run has the
+    # bits of the unrolled elimination that lu_solve replaced, for every one.
     args = ["simulate", "--config", str(CONFIG_DIR / "particle_generic.cfg"), "--quiet"]
     reference = tmp_path / "reference.csv"
     assert main(args + ["--out", str(reference)]) == 0
-    sizes = []
+    solved = []  # (by what, size) per system
+
+    def unrolled(a, b, by="lu_solve"):
+        solved.append((by, len(a)))
+        return list(small_solve(a, b))
 
     class Unrolled:
         def __init__(self, a):
             self.a = a
 
         def solve(self, b):
-            sizes.append(len(self.a))
-            return list(small_solve(self.a, b))
+            return unrolled(self.a, b, "factors")
 
+    monkeypatch.setattr(numerics, "lu_solve", unrolled)
     monkeypatch.setattr(gni_flat, "lu_factor", Unrolled)
     out = tmp_path / "x.csv"
     assert main(args + ["--out", str(out)]) == 0
-    assert sizes and set(sizes) == {3}
+    # One Newton system per step of 20: the first by lu_solve, the rest by
+    # the factors of the same d12.
+    assert solved == [("lu_solve", 3)] + [("factors", 3)] * 19
     assert out.read_bytes() == reference.read_bytes()
 
 
