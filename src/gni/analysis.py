@@ -210,6 +210,19 @@ def _non_finite(traj: Trajectory, first: int, name: str = "row"):
     return StepFailed(first + k, cause, traj.head(k).copy())
 
 
+def _assembled(assemble, n_rows: int, name: str = "row") -> Trajectory:
+    """``assemble(n_rows)``, the trajectory of the rows before run row
+    ``n_rows``; where a row's potential raises, the :class:`StepFailed` of
+    that row, or of a non-finite row before it, with the rows before it."""
+    try:
+        return assemble(n_rows)
+    except model.PotentialError as exc:  # its rows end at run row n_rows - 1
+        k = n_rows - exc.count + exc.row
+        partial = assemble(k)
+        failure = _non_finite(partial, k - len(partial), name) or StepFailed(k, exc.cause, partial)
+        raise failure from failure.cause
+
+
 @dataclass
 class ConvergenceReport:
     """Final-time errors over a family of step sizes with fitted orders.
@@ -308,12 +321,13 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
     ------
     StepFailed
         When the stepper's solver fails or its callables raise an
-        ``ArithmeticError``, or at the first row whose energy, residual or
-        state is not finite; carries the 1-based failing step index, the
-        cause, and the partial trajectory of the rows before that step
-        that the run still holds (all of them unless ``residual=False``).
-        The failing step and the type of the cause do not depend on
-        ``residual``.
+        ``ArithmeticError`` (at an earlier row whose potential raises, if
+        any), or else at the first row whose energy, residual or state is
+        not finite or whose potential raises; carries the 1-based failing
+        step index, the cause, and the partial trajectory of the rows
+        before that step that the run still holds (all of them unless
+        ``residual=False``).  The failing step and the type of the cause do
+        not depend on ``residual``.
     ValueError
         For a non-positive or non-finite ``h``, a negative ``n_steps``,
         an inadmissible initial state, a flat point callable's wrong
@@ -356,14 +370,14 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
             failed = advance(k0, k1)
             if failed is not None:
                 k, exc = failed
-                raise StepFailed(k, exc, assemble(k)) from exc
+                raise StepFailed(k, exc, _assembled(assemble, k)) from exc
             if window and k1 <= n_steps:
                 if failure is None:
-                    failure = _non_finite(assemble(k1), first)
+                    failure = _non_finite(_assembled(assemble, k1), first)
                 keep(k1 - 1)
                 first = k1 - 1
-        traj = assemble(n_steps + 1)
         if failure is None:
+            traj = _assembled(assemble, n_steps + 1)
             failure = _non_finite(traj, first)
     if failure is not None:
         raise failure

@@ -611,9 +611,16 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
     :class:`~gni.numerics.NoConvergence`: the Newton budget is exhausted,
     a pivot is at or below 1e-300, or at once a residual at the current
     iterate is not finite.  The constants that depend only on ``params``,
-    ``h`` and ``cfg`` are computed once per run; each is a leading factor
-    of the product it stands in, so every residual and Jacobian entry has
-    the bits of the expanded expression.
+    ``h`` and ``cfg`` are computed once per run, each a leading factor of
+    the product it stands in.  An iterate's products that the residuals
+    take (``i2 w2``, ``(k13 w1) w3``, ``(h2_4 w2) s``, ..., and ``s``
+    itself) are evaluated once, by the trial that reaches it (for row
+    ``j0-1``, at ``window`` entry), and carried into the next step, whose
+    known parts and predictor residuals add them up.  Every residual and
+    Jacobian entry keeps the bits of the expanded expression: each product
+    is the same operation on the same operands, ``(-a) b`` is ``-(a b)``,
+    a step that accepts its predictor passes on the products it was given,
+    and the trial kept after the last halving is the last one evaluated.
 
     Convergence is measured on row-scaled residuals (momentum-balance rows
     by h/(m r), constraint rows by 2h, spin row by 1/i3) so that the test
@@ -671,24 +678,28 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
 
     def window(flat, counts, j0, j1):
         i = 5 * j0
-        xm, ym, v1, v2, v3, x0, y0 = flat[i - 5 : i + 2]
+        xm, ym, w1, w2, w3, x0, y0 = flat[i - 5 : i + 2]
+        # The products of row j0-1's velocity, which each step carries into the next.
+        iw1, iw2, iw3 = i1 * w1, i2 * w2, i3 * w3
+        s = iw1 * w1 + iw2 * w2 + iw3 * w3
+        kw13, kw32, kw21 = k13 * w1 * w3, k32 * w2 * w3, k21 * w1 * w2
+        hw1, hw2, hw3 = h2_4 * w1 * s, h2_4 * w2 * s, h2_4 * w3 * s
+        rw1, rw2, aw4, aw5 = half_r * w1, half_r * w2, a4 * w1 * w3, a5 * w2 * w3
+        bw4, bw5 = b4 * w2 * s, b5 * w1 * s
         for j in range(j0, j1):
-            sv = i1 * v1 * v1 + i2 * v2 * v2 + i3 * v3 * v3
-            # Constant (known) parts of the five residuals.
-            c1 = -mr_h * (2.0 * x0 - xm) - i2 * v2 + k13 * v1 * v3 - h2_4 * v2 * sv
-            c2 = -mr_h * (2.0 * y0 - ym) + i1 * v1 - k32 * v2 * v3 + h2_4 * v1 * sv
-            c3 = -i3 * v3 + k21 * v1 * v2 - h2_4 * v3 * sv
-            c4 = -xm * inv2h + om * y0 - half_r * v2 + a4 * v1 * v3 - b4 * v2 * sv
-            c5 = -ym * inv2h - om * x0 + half_r * v1 - a5 * v2 * v3 + b5 * v1 * sv
-
-            # Predictor, and the residuals at it.
+            # Predictor, the known parts c of the residuals and the residuals at it.
             xp, yp = 2.0 * x0 - xm, 2.0 * y0 - ym
-            w1, w2, w3, s = v1, v2, v3, sv
-            f1 = s12 * (mr_h * xp + i2 * w2 + k13 * w1 * w3 + h2_4 * w2 * s + c1)
-            f2 = s12 * (mr_h * yp - i1 * w1 - k32 * w2 * w3 - h2_4 * w1 * s + c2)
-            f3 = s3 * (i3 * w3 + k21 * w1 * w2 + h2_4 * w3 * s + c3)
-            f4 = s45 * (inv2h * xp - half_r * w2 - a4 * w1 * w3 - b4 * w2 * s + c4)
-            f5 = s45 * (inv2h * yp + half_r * w1 + a5 * w2 * w3 + b5 * w1 * s + c5)
+            mx, my = mr_h * xp, mr_h * yp
+            c1 = -mx - iw2 + kw13 - hw2
+            c2 = -my + iw1 - kw32 + hw1
+            c3 = -iw3 + kw21 - hw3
+            c4 = -xm * inv2h + om * y0 - rw2 + aw4 - bw4
+            c5 = -ym * inv2h - om * x0 + rw1 - aw5 + bw5
+            f1 = s12 * (mx + iw2 + kw13 + hw2 + c1)
+            f2 = s12 * (my - iw1 - kw32 - hw1 + c2)
+            f3 = s3 * (iw3 + kw21 + hw3 + c3)
+            f4 = s45 * (inv2h * xp - rw2 - aw4 - bw4 + c4)
+            f5 = s45 * (inv2h * yp + rw1 + aw5 + bw5 + c5)
             # The infinity norm by builtin ``max``'s rule: strict ``>``, a first NaN kept.
             norm = abs(f1)
             if (a := abs(f2)) > norm:
@@ -709,19 +720,20 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
                     return j, NoConvergence(iteration, abs(f1) + abs(f2) + abs(f3) + abs(f4)
                                             + abs(f5))
                 # The Newton system J d = -f; its other entries are zero.
+                e1, e2 = s + di1 * w1 * w1, s + di2 * w2 * w2
                 a02 = s12 * (k13 * w3 + hi1 * w1 * w2)
-                a03 = s12 * (i2 + h2_4 * (s + di2 * w2 * w2))
+                a03 = s12 * (i2 + h2_4 * e2)
                 a04 = s12 * (k13 * w1 + hi3 * w3 * w2)
-                a12 = s12 * (-i1 - h2_4 * (s + di1 * w1 * w1))
+                a12 = s12 * (-i1 - h2_4 * e1)
                 a13 = s12 * (-k32 * w3 - hi2 * w2 * w1)
                 a14 = s12 * (-k32 * w2 - hi3 * w3 * w1)
                 a22 = s3 * (k21 * w2 + hi1 * w1 * w3)
                 a23 = s3 * (k21 * w1 + hi2 * w2 * w3)
                 a24 = s3 * (i3 + h2_4 * (s + di3 * w3 * w3))
                 a32 = s45 * (-a4 * w3 - b4i1 * w1 * w2)
-                a33 = s45 * (-half_r - b4 * (s + di2 * w2 * w2))
+                a33 = s45 * (-half_r - b4 * e2)
                 a34 = s45 * (-a4 * w1 - b4i3 * w3 * w2)
-                a42 = s45 * (half_r + b5 * (s + di1 * w1 * w1))
+                a42 = s45 * (half_r + b5 * e1)
                 a43 = s45 * (a5 * w3 + b5i2 * w2 * w1)
                 a44 = s45 * (a5 * w2 + b5i3 * w3 * w1)
                 r0, r1, r2, r3, r4 = -f1, -f2, -f3, -f4, -f5
@@ -794,27 +806,30 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
                     t3 = w1 + alpha * d2
                     t4 = w2 + alpha * d3
                     t5 = w3 + alpha * d4
-                    s_t = i1 * t3 * t3 + i2 * t4 * t4 + i3 * t5 * t5
-                    g1 = s12 * (mr_h * t1 + i2 * t4 + k13 * t3 * t5 + h2_4 * t4 * s_t + c1)
-                    g2 = s12 * (mr_h * t2 - i1 * t3 - k32 * t4 * t5 - h2_4 * t3 * s_t + c2)
-                    g3 = s3 * (i3 * t5 + k21 * t3 * t4 + h2_4 * t5 * s_t + c3)
-                    g4 = s45 * (inv2h * t1 - half_r * t4 - a4 * t3 * t5 - b4 * t4 * s_t + c4)
-                    g5 = s45 * (inv2h * t2 + half_r * t3 + a5 * t4 * t5 + b5 * t3 * s_t + c5)
-                    trial_norm = abs(g1)
-                    if (a := abs(g2)) > trial_norm:
+                    iw1, iw2, iw3 = i1 * t3, i2 * t4, i3 * t5
+                    s = iw1 * t3 + iw2 * t4 + iw3 * t5
+                    kw13, kw32, kw21 = k13 * t3 * t5, k32 * t4 * t5, k21 * t3 * t4
+                    hw1, hw2, hw3 = h2_4 * t3 * s, h2_4 * t4 * s, h2_4 * t5 * s
+                    rw1, rw2, aw4, aw5 = half_r * t3, half_r * t4, a4 * t3 * t5, a5 * t4 * t5
+                    bw4, bw5 = b4 * t4 * s, b5 * t3 * s
+                    f1 = s12 * (mr_h * t1 + iw2 + kw13 + hw2 + c1)
+                    f2 = s12 * (mr_h * t2 - iw1 - kw32 - hw1 + c2)
+                    f3 = s3 * (iw3 + kw21 + hw3 + c3)
+                    f4 = s45 * (inv2h * t1 - rw2 - aw4 - bw4 + c4)
+                    f5 = s45 * (inv2h * t2 + rw1 + aw5 + bw5 + c5)
+                    trial_norm = abs(f1)
+                    if (a := abs(f2)) > trial_norm:
                         trial_norm = a
-                    if (a := abs(g3)) > trial_norm:
+                    if (a := abs(f3)) > trial_norm:
                         trial_norm = a
-                    if (a := abs(g4)) > trial_norm:
+                    if (a := abs(f4)) > trial_norm:
                         trial_norm = a
-                    if (a := abs(g5)) > trial_norm:
+                    if (a := abs(f5)) > trial_norm:
                         trial_norm = a
                     if trial_norm < norm:
                         break
                     alpha *= 0.5
-                xp, yp, w1, w2, w3 = t1, t2, t3, t4, t5
-                f1, f2, f3, f4, f5, s = g1, g2, g3, g4, g5, s_t
-                norm = trial_norm
+                xp, yp, w1, w2, w3, norm = t1, t2, t3, t4, t5, trial_norm
             else:
                 if not norm <= tol:
                     return j, NoConvergence(max_iters, norm)
@@ -823,7 +838,7 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
             flat[i + 2], flat[i + 3], flat[i + 4] = w1, w2, w3
             flat[i + 5], flat[i + 6] = xp, yp
             counts[j] = iteration
-            xm, ym, x0, y0, v1, v2, v3 = x0, y0, xp, yp, w1, w2, w3
+            xm, ym, x0, y0 = x0, y0, xp, yp
             i += 5
         return None
 

@@ -34,6 +34,7 @@ from .numerics import (
 
 __all__ = [
     "RankDeficient",
+    "PotentialError",
     "FlatSystem",
     "ReducedSystem",
     "PhaseState",
@@ -390,17 +391,23 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
     gni.analysis.StepFailed
         At the first step whose state is not finite or whose callables raise
         an ``ArithmeticError``, or recorded ``RK4 row`` whose energy,
-        residual or state is not, with the rows before it.
+        residual or state is not or whose potential raises, with the rows
+        before it.
     RankDeficient
         If the constraint rows are dependent at a stage point.
     ValueError
         If ``T / h_ref`` overflows, or a point callable's result at ``s0``
         has the wrong length.
     """
-    from .analysis import StepFailed, Trajectory, check_finite  # deferred: analysis imports model
+    from .analysis import StepFailed, Trajectory, _assembled, check_finite  # analysis imports model
+
+    times, states = [0.0], [s0]
+
+    def assemble(n_rows):
+        return Trajectory.from_rows(sys, times[:n_rows], states[:n_rows])
 
     if T == 0.0:
-        return Trajectory.from_rows(sys, [0.0], [s0])
+        return _assembled(assemble, 1, "RK4 row")
     ratio = T / h_ref
     if not isfinite(ratio):
         raise ValueError(f"T / h_ref = {T} / {h_ref} overflows")
@@ -410,7 +417,7 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
     rhs, first = _continuous_kernel(sys), _continuous_kernel(sys, check=True)
     lam = np.zeros(sys.num_constraints)
     q, p = s0.q.tolist(), s0.p.tolist()
-    times, states = [0.0], [s0]
+    failed = None
     # A diverging run overflows on its way to the first non-finite state,
     # which fails the run as StepFailed, so NumPy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -423,19 +430,23 @@ def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, rec
                                [a + half_h * b for a, b in zip(p, dp2)])
                 dq4, dp4 = rhs([a + h * b for a, b in zip(q, dq3)], [a + h * b for a, b in zip(p, dp3)])
             except ArithmeticError as exc:
-                raise StepFailed(k, exc, Trajectory.from_rows(sys, times, states)) from exc
+                failed = k, exc
+                break
             q = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(q, dq1, dq2, dq3, dq4)]
             p = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(p, dp1, dp2, dp3, dp4)]
             total = sum(q) + sum(p)  # finite unless an entry is, or the sum overflows
             if total - total != 0.0 and not all(map(isfinite, q + p)):
-                cause = FloatingPointError(f"RK4 step {k} has a non-finite state")
-                raise StepFailed(k, cause, Trajectory.from_rows(sys, times, states))
+                failed = k, FloatingPointError(f"RK4 step {k} has a non-finite state")
+                break
             if k % record_every == 0 or k == n_steps:
                 times.append(k * h)
                 states.append(PhaseState(q, p, lam))
-        return check_finite(Trajectory.from_rows(sys, times, states), "RK4 row")
+        traj = _assembled(assemble, len(states), "RK4 row")
+    if failed is not None:
+        raise StepFailed(*failed, traj) from failed[1]
+    return check_finite(traj, "RK4 row")
 
 
 def constraint_residual(system, state) -> np.ndarray:
@@ -468,13 +479,22 @@ def energy(system, state) -> float:
     return float(kinetic_energies(metric_inv, momentum[None])[0] + float(system.potential(point)))
 
 
+class PotentialError(ArithmeticError):
+    """The potential raised ``cause`` at ``row`` of the ``count`` rows of :func:`energies`."""
+
+    def __init__(self, row: int, count: int, cause: ArithmeticError):
+        super().__init__(f"potential of row {row}: {cause}")
+        self.row, self.count, self.cause = row, count, cause
+
+
 def energies(system, rows: np.ndarray) -> np.ndarray:
     """Kinetic-plus-potential energy of each row of ``rows``.
 
     Flat rows ``[q, p, lam]``: ``p^T M^{-1} p / 2 + V(q)``.  Reduced rows
     ``[x, p, xi, p_alg, lam]``: the same with the combined momentum ``p ⊕
     p_alg`` and the bundle metric.  The kinetic part is
-    :func:`kinetic_energies`.
+    :func:`kinetic_energies`.  A potential that raises an
+    ``ArithmeticError`` raises :class:`PotentialError` at the first such row.
     """
     if isinstance(system, ReducedSystem):
         n, k = system.shape_dim, system.algebra_dim
@@ -483,7 +503,16 @@ def energies(system, rows: np.ndarray) -> np.ndarray:
     else:
         n = system.dim
         momenta, metric_inv = rows[:, n : 2 * n].copy(), system.mass_inv
-    potentials = np.fromiter((float(system.potential(x)) for x in rows[:, :n]), float, len(rows))
+    points = rows[:, :n]
+    try:
+        potentials = np.fromiter((float(system.potential(x)) for x in points), float, len(rows))
+    except ArithmeticError:
+        for row, x in enumerate(points):  # the first row whose potential raises
+            try:
+                float(system.potential(x))
+            except ArithmeticError as exc:
+                raise PotentialError(row, len(rows), exc) from exc
+        raise
     return kinetic_energies(metric_inv, momenta) + potentials
 
 

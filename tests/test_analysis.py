@@ -832,6 +832,87 @@ def test_run_fails_where_a_constraint_callable_overflows(kind, residual):
         assert np.array_equal(err.partial.residuals, head.residuals)
 
 
+def _overflowing_potential_system(infinite_band=False):
+    # V = 0, but evaluating it on floats overflows once x passes 709.78 / 800;
+    # with ``infinite_band`` it is also inf for 0.45 < x < 0.55.
+    def potential(q):
+        return (math.inf if infinite_band and 0.45 < q[0] < 0.55 else 0.0) + 0.0 * math.exp(800.0 * q[0])
+
+    return FlatSystem(
+        dim=3,
+        mass_matrix=np.eye(3),
+        potential=potential,
+        grad_potential=lambda q: [0.0, 0.0, 0.0],
+        constraints=lambda q: [[0.0, 0.0, 1.0]],
+        num_constraints=1,
+    )
+
+
+_POTENTIAL_STEPPERS = {
+    "rattle": lambda sys: gni_flat.rattle_step,
+    "gni_generic": gni_flat.verlet_lagrangian,
+    "one-step map": lambda sys: gni_flat.composed_euler_step,
+}
+
+
+@pytest.mark.parametrize("kind", list(_POTENTIAL_STEPPERS))
+@pytest.mark.parametrize("residual", _FULL_AND_WINDOWED)
+def test_run_fails_at_the_first_row_whose_potential_overflows(kind, residual):
+    # x moves at unit speed from 0, so the energy column first raises at row
+    # 9 (x = 0.9): StepFailed there, its cause the OverflowError, chained.
+    sys = _overflowing_potential_system()
+    stepper = _POTENTIAL_STEPPERS[kind](sys)
+    s0 = PhaseState(np.zeros(3), np.array([1.0, 1.0, 0.0]), np.zeros(1))
+    with pytest.raises(StepFailed) as excinfo:
+        run(stepper, sys, s0, 0.1, 20, residual=residual)
+    err = excinfo.value
+    assert err.step == 9
+    assert type(err.cause) is OverflowError and err.__cause__ is err.cause
+    head = run(stepper, sys, s0, 0.1, 8)
+    assert len(err.partial) == len(head) == 9
+    for name in ("times", "states", "energies", "residuals", "newton_iters"):
+        assert np.array_equal(getattr(err.partial, name), getattr(head, name)), name
+
+
+@pytest.mark.parametrize("kind", list(_POTENTIAL_STEPPERS))
+@pytest.mark.parametrize("residual", _FULL_AND_WINDOWED)
+def test_a_non_finite_energy_before_a_raising_potential_fails_the_run_first(kind, residual):
+    # The potential is inf at rows 5 (x = 0.5) before it raises at row 9.
+    sys = _overflowing_potential_system(infinite_band=True)
+    stepper = _POTENTIAL_STEPPERS[kind](sys)
+    s0 = PhaseState(np.zeros(3), np.array([1.0, 1.0, 0.0]), np.zeros(1))
+    with pytest.raises(StepFailed) as excinfo:
+        run(stepper, sys, s0, 0.1, 20, residual=residual)
+    err = excinfo.value
+    assert err.step == 5 and type(err.cause) is FloatingPointError
+    assert len(err.partial) == 5
+
+
+@pytest.mark.parametrize("infinite_band, step, first, cause", [
+    (False, 8873, 8192, OverflowError), (True, 4501, 4096, FloatingPointError)])
+@pytest.mark.parametrize("kind", ["rattle", "gni_generic"])
+def test_a_potential_that_overflows_in_a_later_window_fails_the_run_at_the_same_row(
+        kind, infinite_band, step, first, cause):
+    # At h = 1e-4 the potential first raises at row 8,873, in the third
+    # window of 4,096 steps, and is first inf at row 4,501, in the second:
+    # the windowed run fails where the full run does, with the rows of that
+    # window before it, never at the later row of its last window.
+    sys = _overflowing_potential_system(infinite_band)
+    stepper = _POTENTIAL_STEPPERS[kind](sys)
+    s0 = PhaseState(np.zeros(3), np.array([1.0, 1.0, 0.0]), np.zeros(1))
+    failures = []
+    for residual in (True, False):
+        with pytest.raises(StepFailed) as excinfo:
+            run(stepper, sys, s0, 1e-4, 9000, residual=residual)
+        failures.append(excinfo.value)
+    full, windowed = failures
+    assert full.step == windowed.step == step
+    assert type(full.cause) is type(windowed.cause) is cause
+    assert len(full.partial) == step
+    assert np.array_equal(windowed.partial.states, full.partial.states[first:])
+    assert np.array_equal(windowed.partial.energies, full.partial.energies[first:])
+
+
 def test_run_reports_the_schemes_own_residual_form():
     sys = model.nonholonomic_particle("harmonic")
     h = 0.05

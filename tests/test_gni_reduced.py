@@ -1525,6 +1525,60 @@ def test_edge_cases_take_the_paths_they_name(monkeypatch):
         assert (iters, finite, len(singular), last) == expected[name], name
 
 
+def _oracle_updates_and_trials(params, h, start, n_steps, cfg):
+    """Per step of the oracle's run, its accepted Newton updates and the
+    trials its damping loop evaluated: a step with more trials than
+    updates halved one.  The oracle's loops call ``range(cfg.max_iters)``
+    once per step and ``range(8)`` once per update; a module-level
+    ``range`` counts them."""
+    trials = []
+
+    def counting(stop):
+        for k in range(stop):
+            trials[-1] += 1
+            yield k
+
+    def counting_range(*args):
+        if args == (cfg.max_iters,):
+            trials.append(0)
+        return counting(*args) if args == (8,) else range(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sphere_oracle, "range", counting_range, raising=False)
+        _, counts, failed = _oracle_run(params, h, start, n_steps, cfg)
+    assert failed is None and len(trials) == n_steps
+    return counts[1:], np.array(trials)
+
+
+def test_window_kernel_carries_the_oracles_products_across_windows():
+    # A fast spin at h = 0.05 under a loose tolerance mixes steps that accept
+    # their predictor, steps that iterate and steps that halve an update, so
+    # the products each step carries in come from the window's entry, the
+    # predictor, an accepted trial, or the trial kept after a rejected one.
+    h, cfg = 0.05, NewtonConfig(residual_tol=1.0)
+    q0, w0 = np.array([-1.0, 2.0]), np.array([-15.0, -24.0, -12.0])
+    spin = (q0, w0, chaplygin_init(_SPHERE, q0, w0, h))
+    updates, trials = _oracle_updates_and_trials(_SPHERE, h, spin, 300, cfg)
+    assert (updates == 0).sum() > 100 and (updates > 0).sum() > 50
+    assert (trials > updates).sum() >= 5
+    for windows in ([1] * 300, [4096, 1], [26, 1, 1, 30, 2, 240]):
+        assert _assert_kernel_is_oracle(_SPHERE, h, spin, windows, cfg) is None
+    # One kernel stepping a second run: each window takes its products from
+    # its own row j0 - 1, not from the step its last call ended on.
+    criterion = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
+    window = gni_reduced._chaplygin_stepper(_SPHERE, h, cfg)
+    for q0, w0 in ((q0, w0), criterion):
+        start = (q0, w0, chaplygin_init(_SPHERE, q0, w0, h))
+        rows = np.full((302, 5), np.nan)
+        counts = np.full(301, -7)
+        (rows[0, :2], rows[0, 2:], rows[1, :2]) = start
+        for j0 in range(1, 301, 100):
+            assert window(memoryview(rows.reshape(-1)), memoryview(counts), j0, j0 + 100) is None
+        want_rows, want_counts, _ = _oracle_run(_SPHERE, h, start, 300, cfg)
+        np.testing.assert_array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
+        np.testing.assert_array_equal(counts, want_counts)
+
+
 def _column_pivot(params, h):
     """How the window kernel pivots columns 0 and 1 of its Newton system.
     Their constant entries, jac_mom = h/(m r) * (m r/h) in the momentum

@@ -1,5 +1,6 @@
 """Tests for system specifications, projectors, and the reference oracle."""
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -410,6 +411,29 @@ def test_reference_solve_fails_where_a_callable_overflows_on_floats():
     assert 1 < raised.step == non_finite.step < 300
     assert np.array_equal(raised.partial.states, non_finite.partial.states)
     assert np.isfinite(raised.partial.states).all()
+
+
+@pytest.mark.parametrize("record_every, row", [(1, 9), (2, 5)])
+def test_reference_solve_fails_at_the_first_recorded_row_whose_potential_overflows(record_every, row):
+    # V = 0, but evaluating it on floats overflows once x = t passes 0.887:
+    # at recorded row 9 (t = 0.9), or 5 (t = 1.0) when every second is kept.
+    sys = FlatSystem(
+        dim=1,
+        mass_matrix=np.array([[1.0]]),
+        potential=lambda q: 0.0 * math.exp(800.0 * q[0]),
+        grad_potential=lambda q: [0.0],
+    )
+    s0 = PhaseState(np.zeros(1), np.ones(1), np.zeros(0))
+    with pytest.raises(StepFailed) as excinfo:
+        reference_solve(sys, s0, T=2.0, h_ref=0.1, record_every=record_every)
+    err = excinfo.value
+    assert err.step == row
+    assert type(err.cause) is OverflowError and err.__cause__ is err.cause
+    head = reference_solve(sys, s0, T=0.1 * record_every * (row - 1), h_ref=0.1,
+                           record_every=record_every)
+    assert len(err.partial) == len(head) == row
+    assert np.array_equal(err.partial.states, head.states)
+    assert np.array_equal(err.partial.energies, head.energies)
 
 
 @pytest.mark.parametrize(
