@@ -29,7 +29,6 @@ __all__ = [
     "Trajectory",
     "ConvergenceReport",
     "run",
-    "check_finite",
     "state_matrix",
     "convergence_sweep",
     "adjoint_check",
@@ -43,7 +42,8 @@ CHANNELS = ("position", "velocity", "energy")
 # Errors at or below this magnitude carry no order information.
 _NOISE_FLOOR = 1e-14
 
-# Absolute slack of the initial-admissibility precondition in run().
+# Slack of the initial-admissibility precondition in run(), relative to
+# the momentum's scale max(1, |p|_inf).
 _ADMISSIBLE_TOL = 1e-8
 
 # Steps run() takes per call of a set-up's advance; the rows a
@@ -182,20 +182,6 @@ def state_matrix(traj: Trajectory) -> np.ndarray:
     return traj.states[:, : traj.layout.values]
 
 
-def check_finite(traj: Trajectory, name: str = "row") -> Trajectory:
-    """Return ``traj`` if every row's energy, residual and state is finite.
-
-    Raises
-    ------
-    StepFailed
-        At the first row that is not, named ``name``, with the rows before it.
-    """
-    failure = _non_finite(traj, 0, name)
-    if failure is not None:
-        raise failure
-    return traj
-
-
 def _non_finite(traj: Trajectory, first: int, name: str = "row"):
     """The :class:`StepFailed` of the first row of ``traj`` whose energy,
     residual or state is not finite, or ``None``; ``first`` is the run row
@@ -276,6 +262,11 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
       (:func:`gni.gni_flat.scheme_constraint_residual`, the momentum form
       for ``rattle``), one stacked pass over the points (gradient,
       constraint rows, offset) the kernel writes beside the rows;
+    * for the record :data:`gni.model.rk4`, the classical RK4 steps of the
+      continuous equations by its float window kernel
+      :func:`gni.model.rk4_kernel`, set up as a ``FlatStepper``'s: rows
+      ``[q, p, 0...]`` after row 0, and the momentum form as the residual
+      column.  A failure names the rows ``RK4 row``;
     * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
       three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`
       by the float window kernel :func:`gni.gni_flat.three_point_kernel`,
@@ -354,13 +345,15 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
                 setup = _reduced_rows(
                     kernel, stepper.retraction, system, initial, h, capacity, residual
                 )
-            elif isinstance(stepper, gni_flat.FlatStepper):
-                setup = _flat_rows(stepper.scheme, system, initial, h, capacity, residual)
+            elif isinstance(stepper, (gni_flat.FlatStepper, model.RK4)):
+                kernel = stepper.kernel(system, h, initial.lam.size)
+                setup = _flat_rows(kernel, system, initial, h, capacity, residual)
             elif isinstance(stepper, DiscreteLagrangian):
                 setup = _three_point_recurrence(stepper, system, initial, h, capacity, residual)
             else:
                 setup = _one_step_map(stepper, system, initial, h, residual)
         advance, assemble, keep = setup
+        name = getattr(stepper, "label", "row")  # how a failure names the rows
         # ``first`` is the first row the run holds; a non-finite row found
         # in a dropped window fails the run only once it has stepped to the
         # end, as the full run's one check would.
@@ -370,15 +363,15 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
             failed = advance(k0, k1)
             if failed is not None:
                 k, exc = failed
-                raise StepFailed(k, exc, _assembled(assemble, k)) from exc
+                raise StepFailed(k, exc, _assembled(assemble, k, name)) from exc
             if window and k1 <= n_steps:
                 if failure is None:
-                    failure = _non_finite(_assembled(assemble, k1), first)
+                    failure = _non_finite(_assembled(assemble, k1, name), first, name)
                 keep(k1 - 1)
                 first = k1 - 1
         if failure is None:
-            traj = _assembled(assemble, n_steps + 1)
-            failure = _non_finite(traj, first)
+            traj = _assembled(assemble, n_steps + 1, name)
+            failure = _non_finite(traj, first, name)
     if failure is not None:
         raise failure
     return traj.rows(-2) if window else traj
@@ -452,12 +445,13 @@ def _one_step_map(stepper, system, initial, h, residual):
     return advance, assemble, keep
 
 
-def _flat_rows(scheme, system, initial, h, capacity, residual):
-    # One row [q, p, lam] per step.  The residual is the scheme's own form,
-    # one stacked pass over the points the kernel writes beside the rows; a
-    # residual=False run keeps none.
+def _flat_rows(kernel, system, initial, h, capacity, residual):
+    # One row [q, p, lam] per step of the built kernel ``(window, form,
+    # point_size)``.  The residual is its form, one stacked pass over the
+    # points the kernel writes beside the rows; a residual=False run keeps
+    # none.
     n, m = system.dim, initial.lam.size
-    window, form, point_size = gni_flat.flat_kernel(system, h, scheme, m)
+    window, form, point_size = kernel
     layout = flat_layout(system)
     rows = np.empty((capacity, 2 * n + m))
     rows[0] = layout.stack([initial])[0]
@@ -578,7 +572,10 @@ def _check_admissible(system, state, h: float) -> None:
     :func:`gni.gni_reduced.chaplygin_initial_reduced_state` puts into the
     body momentum: the O(h) tilt ``h/2 xi x p_alg`` plus its O(h^2) part),
     so states prepared for any built-in scheme pass while genuinely
-    inadmissible data is caught.  The comparison is on magnitudes: a state
+    inadmissible data is caught.  The tolerance scales with the momentum,
+    ``max(1, |m|_inf)`` of ``m = p`` (flat) or ``p ⊕ p_alg`` (reduced), so a
+    state projected at large momenta passes as it would at unit scale.
+    The comparison is on magnitudes: a state
     seeded at ``h = 0`` has no offset but is still checked at ``h``.  A
     non-finite residual (a state that overflowed when it was seeded) is not
     compared: the run reports that state as ``StepFailed``, and a callable
@@ -590,10 +587,12 @@ def _check_admissible(system, state, h: float) -> None:
             return
         slack = np.zeros_like(res)
         if isinstance(state, PhaseState):
+            momentum = state.p
             mu = system.constraint_matrix(state.q)
             if mu.shape[0]:
                 slack = 0.5 * h * matmul(mu, matmul(system.mass_inv, system.grad_potential(state.q)))
         elif isinstance(state, ReducedState):
+            momentum = np.concatenate([state.p, state.p_alg])
             rows = system.annihilator_matrix(state.x)
             if rows.shape[0]:
                 offset = state.p_alg - matmul(dcay(h * state.xi).T, state.p_alg)
@@ -604,7 +603,7 @@ def _check_admissible(system, state, h: float) -> None:
         none = np.zeros(0)
         empty = Trajectory(none, layout.stack([state])[:0], none, none, none.astype(int), layout)
         raise StepFailed(0, exc, empty) from exc
-    if np.any(np.abs(res) > _ADMISSIBLE_TOL + np.abs(slack)):
+    if np.any(np.abs(res) > _ADMISSIBLE_TOL * max(1.0, _inf_norm(momentum)) + np.abs(slack)):
         raise ValueError(
             f"initial state is not admissible: constraint residual {_inf_norm(res):.3e}"
         )
@@ -691,16 +690,16 @@ def _resolve_reference(stepper, system, initial, T, h_min, mode, h_ref) -> Traje
     if h_ref > h_min / 30.0 * (1.0 + 1e-12):
         raise ValueError(f"reference step {h_ref} exceeds min(h)/30 = {h_min / 30.0}")
     n_ref = _step_count(T, h_ref)
-    if mode == "self":
-        return run(stepper, system, initial, T / n_ref, n_ref, residual=False)
     if mode == "rk4":
-        if isinstance(system, ChaplyginParams):
+        if not isinstance(system, model.FlatSystem):
             raise ValueError(
-                "no continuous-reference integrator for the rolling-sphere "
-                "recurrence; use a self-convergence reference"
+                "no continuous-reference integrator for a reduced system or the "
+                "rolling sphere; use a self-convergence reference"
             )
-        return model.reference_solve(system, initial, T, h_ref, record_every=n_ref)
-    raise ValueError(f"unknown reference mode {mode!r}; use 'self' or 'rk4'")
+        stepper = model.rk4
+    elif mode != "self":
+        raise ValueError(f"unknown reference mode {mode!r}; use 'self' or 'rk4'")
+    return run(stepper, system, initial, T / n_ref, n_ref, residual=False)
 
 
 def convergence_sweep(
@@ -712,9 +711,9 @@ def convergence_sweep(
     dividing ``T`` to within one step (the step actually used is
     ``T/round(T/h)`` so every run lands exactly on ``T``).  ``reference``
     is the pair ``(mode, h_ref)``: mode ``"self"`` runs the same stepper at
-    step ``h_ref``, mode ``"rk4"`` the continuous equations
-    (:func:`gni.model.reference_solve`), and ``h_ref`` must be at most
-    ``min(h_list)/30``.  A self reference is a ``residual=False``
+    step ``h_ref``, mode ``"rk4"`` the continuous equations of a flat
+    system (the record :data:`gni.model.rk4`), and ``h_ref`` must be at
+    most ``min(h_list)/30``.  Either reference is a ``residual=False``
     :func:`run`: it keeps only its final rows, so its memory does not grow
     with its number of steps.  Errors are infinity norms at the final
     time on position and velocity (body angular velocity for reduced and
@@ -727,8 +726,9 @@ def convergence_sweep(
     ValueError
         For a non-finite ``T``, fewer than 3 step sizes or ones not strictly
         decreasing, a step count ``T / h`` that overflows, a step that does
-        not divide ``T`` to within one step, or a reference step above
-        ``min(h_list)/30`` or of an unknown mode.
+        not divide ``T`` to within one step, a reference step above
+        ``min(h_list)/30`` or of an unknown mode, or an ``rk4`` reference
+        of a system that is not a :class:`gni.model.FlatSystem`.
     """
     if not np.isfinite(T):
         raise ValueError(f"final time T={T} is not finite")

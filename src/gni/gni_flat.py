@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FlatSystem, PhaseState, as_floats
+from .model import FlatSystem, PhaseState, as_floats, stacked_form
 from .numerics import (
     NewtonConfig,
     NoConvergence,
@@ -375,18 +375,6 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
     return window, form, point_size
 
 
-def stacked_form(mass_inv, momenta, mus, offsets=None, shift=None) -> np.ndarray:
-    """``mu M^{-1}(p - Pi + shift)`` of stacked rows, one stacked
-    :func:`gni.numerics.matmul` pass: the momenta ``(N, n)``, their
-    constraint rows ``(N, m, n)``, the momentum offsets ``(N, n)`` (``None``
-    for none) and an optional ``(N, n)`` shift, added last.  Each row has
-    the bits of the per-state form."""
-    vec = momenta - offsets if offsets is not None else momenta
-    if shift is not None:
-        vec = vec + shift
-    return matmul(mus, matmul(mass_inv, vec[:, :, None]))[:, :, 0]
-
-
 @dataclass(frozen=True)
 class FlatStepper:
     """One of the kick-drift-resolve maps, named by its ``scheme``.
@@ -411,12 +399,16 @@ class FlatStepper:
         """The one-step map's name, ``<scheme>_step``."""
         return f"{self.scheme}_step"
 
+    def kernel(self, sys: FlatSystem, h: float, m: int):
+        """:func:`flat_kernel` of this scheme."""
+        return flat_kernel(sys, h, self.scheme, m)
+
     def __call__(self, sys: FlatSystem, s: PhaseState, h: float) -> PhaseState:
         if h == 0.0:
             return s
         n, m = sys.dim, s.lam.size
         rows = np.concatenate([s.q, s.p, s.lam, s.q, s.p, s.lam])  # a two-row buffer
-        failed = flat_kernel(sys, h, self.scheme, m)[0](memoryview(rows), None, 1, 2)
+        failed = self.kernel(sys, h, m)[0](memoryview(rows), None, 1, 2)
         if failed is not None:
             raise failed[1]
         end = rows[2 * n + m :]

@@ -10,9 +10,9 @@ velocity-level constraint rows ``mu(q) @ qdot = 0`` (or the affine version
 
 The module also provides the orthogonal projector pair onto the constraint
 distribution and its metric complement, the eliminated-multiplier
-continuous equations of motion, and a classical RK4 reference integrator,
-stepped on plain floats, used as a convergence oracle by the analysis
-layer.
+continuous equations of motion, and their classical RK4 step as a window
+kernel on plain floats, which the analysis layer's runner steps as a
+convergence oracle.
 """
 from __future__ import annotations
 
@@ -42,7 +42,10 @@ __all__ = [
     "projectors",
     "reduced_projectors",
     "continuous_rhs",
-    "reference_solve",
+    "rk4_kernel",
+    "RK4",
+    "rk4",
+    "stacked_form",
     "constraint_residual",
     "energy",
     "energies",
@@ -329,7 +332,7 @@ def continuous_rhs(sys: FlatSystem, q: np.ndarray, p: np.ndarray) -> Tuple[np.nd
     eliminated through the differentiated constraint,
     ``lam = C^{-1} (mu_q[v, v] - mu M^{-1} V_q)``, ``C = mu M^{-1} mu^T``.
     Only linear constraints are supported (no affine field).  One call of
-    the float closure that :func:`reference_solve` steps with.
+    the float closure that :func:`rk4_kernel` steps with.
 
     Raises
     ------
@@ -374,79 +377,102 @@ def _continuous_kernel(sys: FlatSystem, check: bool = False):
     return rhs
 
 
-def reference_solve(sys: FlatSystem, s0: PhaseState, T: float, h_ref: float, record_every: int = 1):
-    """Integrate the continuous equations with classical RK4.
+def rk4_kernel(sys: FlatSystem, h: float, m: int):
+    """The classical RK4 step of :func:`continuous_rhs` at step size ``h``
+    as a window kernel on plain floats under the contract of
+    :func:`gni.gni_flat.flat_kernel`: ``(window, form, point_size)``.
 
-    The step is adjusted to ``T / round(T / h_ref)`` so the final time is
-    hit exactly.  Returns a :class:`gni.analysis.Trajectory` of flat rows
-    ``[q, p, lam]`` (a zero multiplier after row 0) at every
-    ``record_every``-th node (the final state is always recorded), whose
-    residual column is the momentum form.  The steps run on plain floats
-    through one closure of :func:`continuous_rhs`'s algebra, and only the
-    recorded states are kept.  Used as the convergence oracle for the flat
-    steppers.
-
-    Raises
-    ------
-    gni.analysis.StepFailed
-        At the first step whose state is not finite or whose callables raise
-        an ``ArithmeticError``, or recorded ``RK4 row`` whose energy,
-        residual or state is not or whose potential raises, with the rows
-        before it.
-    RankDeficient
-        If the constraint rows are dependent at a stage point.
-    ValueError
-        If ``T / h_ref`` overflows, or a point callable's result at ``s0``
-        has the wrong length.
+    ``window(flat, points, j0, j1)`` carries ``q`` and ``p`` of row ``j0-1``
+    in locals and writes row ``j`` as ``[q, p, 0...]`` (``m`` multipliers,
+    eliminated), and unless ``points`` is ``None`` the ``m x n`` constraint
+    rows of each row ``j0-1 .. j1-1``.  A window's first right-hand side
+    checks the point callables' results (:func:`as_floats`: a wrong length
+    raises ``ValueError``).  It returns ``None``, or ``(j, exc)`` for the
+    first step whose state is not finite (a ``FloatingPointError`` naming
+    the run's step: windows must follow one another, as
+    :func:`gni.analysis.run` steps them), whose multiplier solve raised
+    :class:`RankDeficient` or whose callables raised an ``ArithmeticError``.
+    ``form`` is the momentum form ``mu M^{-1} p``, one :func:`stacked_form`
+    pass.
     """
-    from .analysis import StepFailed, Trajectory, _assembled, check_finite  # analysis imports model
-
-    times, states = [0.0], [s0]
-
-    def assemble(n_rows):
-        return Trajectory.from_rows(sys, times[:n_rows], states[:n_rows])
-
-    if T == 0.0:
-        return _assembled(assemble, 1, "RK4 row")
-    ratio = T / h_ref
-    if not isfinite(ratio):
-        raise ValueError(f"T / h_ref = {T} / {h_ref} overflows")
-    n_steps = max(1, round(ratio))
-    h = T / n_steps
-    half_h, sixth_h = 0.5 * h, h / 6.0
+    half_h, sixth_h, n, mass_inv = 0.5 * h, h / 6.0, sys.dim, sys.mass_inv
     rhs, first = _continuous_kernel(sys), _continuous_kernel(sys, check=True)
-    lam = np.zeros(sys.num_constraints)
-    q, p = s0.q.tolist(), s0.p.tolist()
-    failed = None
-    # A diverging run overflows on its way to the first non-finite state,
-    # which fails the run as StepFailed, so NumPy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            try:
-                dq1, dp1 = (first if k == 1 else rhs)(q, p)
+    constraints, constrained = sys.constraints, sys.constraints is not None and sys.num_constraints != 0
+    width, point_size, zeros = 2 * n + m, n * m, [0.0] * m
+    steps = 0  # the run steps of the windows before
+
+    def rows_at(q):
+        rows = as_floats(constraints(q), True, "constraints", n) if constrained else []
+        if len(rows) != m:  # else the rows written would lose their places
+            raise ValueError(f"{m} multipliers for {len(rows)} constraint rows")
+        return sum(rows, [])
+
+    def window(flat, points, j0, j1):
+        nonlocal steps
+        i, k = width * j0, point_size * (j0 - 1)
+        row = flat[i - width : i].tolist()
+        q, p = row[:n], row[n : 2 * n]
+        j = j0
+        try:
+            if points is not None:
+                for v in rows_at(q):
+                    points[k] = v
+                    k += 1
+            for j in range(j0, j1):
+                dq1, dp1 = (first if j == j0 else rhs)(q, p)
                 dq2, dp2 = rhs([a + half_h * b for a, b in zip(q, dq1)],
                                [a + half_h * b for a, b in zip(p, dp1)])
                 dq3, dp3 = rhs([a + half_h * b for a, b in zip(q, dq2)],
                                [a + half_h * b for a, b in zip(p, dp2)])
                 dq4, dp4 = rhs([a + h * b for a, b in zip(q, dq3)], [a + h * b for a, b in zip(p, dp3)])
-            except ArithmeticError as exc:
-                failed = k, exc
-                break
-            q = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(q, dq1, dq2, dq3, dq4)]
-            p = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(p, dp1, dp2, dp3, dp4)]
-            total = sum(q) + sum(p)  # finite unless an entry is, or the sum overflows
-            if total - total != 0.0 and not all(map(isfinite, q + p)):
-                failed = k, FloatingPointError(f"RK4 step {k} has a non-finite state")
-                break
-            if k % record_every == 0 or k == n_steps:
-                times.append(k * h)
-                states.append(PhaseState(q, p, lam))
-        traj = _assembled(assemble, len(states), "RK4 row")
-    if failed is not None:
-        raise StepFailed(*failed, traj) from failed[1]
-    return check_finite(traj, "RK4 row")
+                q = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(q, dq1, dq2, dq3, dq4)]
+                p = [a + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(p, dp1, dp2, dp3, dp4)]
+                total = sum(q) + sum(p)  # finite unless an entry is, or the sum overflows
+                if total - total != 0.0 and not all(map(isfinite, q + p)):
+                    step = steps + j - j0 + 1
+                    return j, FloatingPointError(f"RK4 step {step} has a non-finite state")
+                for v in q + p + zeros:
+                    flat[i] = v
+                    i += 1
+                if points is not None:
+                    for v in rows_at(q):
+                        points[k] = v
+                        k += 1
+        except (ArithmeticError, RankDeficient) as exc:
+            return j, exc
+        steps += j1 - j0
+        return None
+
+    def form(momenta, points):
+        return stacked_form(mass_inv, momenta, points.reshape(-1, m, n))
+
+    return window, form, point_size
+
+
+class RK4:
+    """The classical RK4 reference of the continuous equations, a record
+    that :func:`gni.analysis.run` steps by its window kernel
+    ``kernel(sys, h, m)``, as it steps a :class:`gni.gni_flat.FlatStepper`."""
+
+    kernel = staticmethod(rk4_kernel)
+    label = "RK4 row"  # how a failure names the rows
+
+
+rk4 = RK4()
+
+
+def stacked_form(mass_inv, momenta, mus, offsets=None, shift=None) -> np.ndarray:
+    """``mu M^{-1}(p - Pi + shift)`` of stacked rows, one stacked
+    :func:`gni.numerics.matmul` pass: the momenta ``(N, n)``, their
+    constraint rows ``(N, m, n)``, the momentum offsets ``(N, n)`` (``None``
+    for none) and an optional ``(N, n)`` shift, added last.  Each row has
+    the bits of the per-state form."""
+    vec = momenta - offsets if offsets is not None else momenta
+    if shift is not None:
+        vec = vec + shift
+    return matmul(mus, matmul(mass_inv, vec[:, :, None]))[:, :, 0]
 
 
 def constraint_residual(system, state) -> np.ndarray:

@@ -14,7 +14,6 @@ from gni.analysis import (
     convergence_sweep,
     run,
     sample_admissible_states,
-    check_finite,
     slope_fit,
     state_matrix,
 )
@@ -131,6 +130,48 @@ def test_run_rejects_inadmissible_initial_state():
     bad = PhaseState(np.array([0.3, 0.2, 0.1]), np.array([0.0, 0.0, 5.0]), np.zeros(1))
     with pytest.raises(ValueError, match="admissible"):
         run(gni_flat.rattle_step, sys, bad, 0.1, 5)
+
+
+def _large_projected_states():
+    # A flat and a reduced state projected at large momenta, with the step
+    # each is checked at, whose residuals are rounding of their scale: 1.0
+    # against |p| = 1.07e16, and 3.1e-5 against |p ⊕ p_alg| = 6e11.  The
+    # reduced one is seeded, and checked, at h = 0, where its check allows
+    # no offset.
+    planar = model.constrained_2d()
+    flat = gni_flat.prepare_state(planar, [0.3, 0.2], [1e16, -3e15])
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    w0 = np.array([-0.2, 0.0, 0.4]) * 1e12
+    reduced = chaplygin_initial_reduced_state(params, np.array([1.0, 0.0]), w0, 0.0)
+    return [(planar, flat, 0.05), (chaplygin_reduced_system(params), reduced, 0.0)]
+
+
+def test_run_accepts_large_projected_states_at_the_scale_of_their_momenta():
+    for system, state, h in _large_projected_states():
+        res = np.max(np.abs(constraint_residual(system, state)))
+        assert 1e-8 < res < 1e-15 * _momentum_scale(state)
+        analysis._check_admissible(system, state, h)
+    planar, flat, h = _large_projected_states()[0]
+    assert len(run(gni_flat.rattle_step, planar, flat, h, 2)) == 3
+    # The particle of a sweep at v0 = (1e200,)*3: residual 1.3e184.
+    particle = model.nonholonomic_particle("harmonic")
+    analysis._check_admissible(particle, gni_flat.prepare_state(particle, [0.3, 0.2, 0.1], [1e200] * 3), 0.1)
+
+
+def test_run_rejects_large_states_a_relative_1e_3_off():
+    # p[0] enters the first row with coefficient 1 (flat) or 1/m (reduced).
+    for (system, state, h), coeff in zip(_large_projected_states(), (1.0, 1.0 / 3.0)):
+        scale = _momentum_scale(state)
+        moved = dataclasses.replace(state, p=state.p + np.array([1e-3 * scale / coeff, 0.0]))
+        res = np.max(np.abs(constraint_residual(system, moved)))
+        assert 0.9e-3 < res / scale < 1.1e-3
+        with pytest.raises(ValueError, match="admissible"):
+            analysis._check_admissible(system, moved, h)
+
+
+def _momentum_scale(state):
+    momentum = state.p if isinstance(state, PhaseState) else np.concatenate([state.p, state.p_alg])
+    return np.max(np.abs(momentum))
 
 
 def _reduced_sphere_run(params, state, h):
@@ -1256,7 +1297,7 @@ _FIELD_CASES = [(PhaseState, f) for f in ("q", "p", "lam")] + [
 @pytest.mark.parametrize(
     "state_type, field", _FIELD_CASES, ids=[f"{t.__name__}-{f}" for t, f in _FIELD_CASES]
 )
-def test_check_finite_reports_first_non_finite_field_row(state_type, field):
+def test_the_row_check_reports_first_non_finite_field_row(state_type, field):
     # Energies and residuals stay finite: only the state field is bad.
     if state_type is PhaseState:
         _, traj, _ = _DIAGNOSTIC_CASES["particle"]()
@@ -1269,11 +1310,11 @@ def test_check_finite_reports_first_non_finite_field_row(state_type, field):
     rows = traj.states.copy()
     rows[[3, 5], start : start + np.size(getattr(s0, field))] = np.nan
     broken = dataclasses.replace(traj, states=rows)
-    with pytest.raises(StepFailed) as excinfo:
-        check_finite(broken)
-    assert excinfo.value.step == 3
-    assert len(excinfo.value.partial) == 3
-    assert check_finite(traj) is traj
+    failure = analysis._non_finite(broken, 0)
+    assert isinstance(failure, StepFailed)
+    assert failure.step == 3
+    assert len(failure.partial) == 3
+    assert analysis._non_finite(traj, 0) is None
 
 
 def _state_values(state):
@@ -1311,7 +1352,7 @@ def _setup_runs():
         "reduced fallback": (lambda: run(lambda sys_, s, hh: stepper(sys_, s, hh), rsys, r0, h, 4), 12, 10),
         "reduced kernel": (lambda: run(stepper, rsys, r0, h, 4), 12, 10),
         "sphere": (lambda: run(None, params, (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])), h, 4), 5, 5),
-        "reference_solve": (lambda: model.reference_solve(particle, s0, 0.2, 0.05), 7, 6),
+        "rk4": (lambda: run(model.rk4, particle, s0, 0.05, 4), 7, 6),
     }
 
 
@@ -1477,6 +1518,17 @@ def test_sweep_with_an_overflowing_step_count_raises_value_error():
         convergence_sweep(gni_flat.rattle_step, sys, s0, 1e10, [1e-300, 5e-301, 2e-301], ("self", 1e-302))
     with pytest.raises(ValueError, match="overflows"):  # the reference step
         convergence_sweep(gni_flat.rattle_step, sys, s0, 1.0, [0.1, 0.05, 0.025], ("rk4", 1e-320))
+
+
+def test_rk4_reference_refuses_every_system_but_a_flat_one():
+    # A reduced system has no attribute affine_field for the RK4 kernel to
+    # read: the sweep refuses it, as the rolling sphere, before any run.
+    rsys, s0, h, stepper = _reduced_kernel_case()
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    sphere = (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4]))
+    for system, initial in ((rsys, s0), (params, sphere)):
+        with pytest.raises(ValueError, match="no continuous-reference integrator"):
+            convergence_sweep(stepper, system, initial, 1.0, [0.1, 0.05, 0.025], ("rk4", 0.025 / 30))
 
 
 def test_report_invariants():

@@ -8,7 +8,7 @@ import pytest
 
 from gni.gni_flat import prepare_state, rattle_step
 from gni import gni_reduced
-from gni.analysis import StepFailed, run
+from gni.analysis import StepFailed, run, slope_fit
 from gni.gni_reduced import (
     ChaplyginParams,
     _stage3_solver,
@@ -1933,3 +1933,46 @@ def test_stepper_stops_at_once_on_a_non_finite_residual(monkeypatch, w0):
         chaplygin_step_stats(params, q0, q1, np.array(w0), h)
     assert kernel_exc.value.iterations == 0
     assert _bits([kernel_exc.value.final_residual])[0] == _bits([excinfo.value.final_residual])[0]
+
+
+# ---------------------------------------------------------------------------
+# the moving energy of the sphere on a spinning plate
+
+
+def _moving_energy_variation(h, omega_sign=1.0, T=15.0):
+    # chaplygin_gni on the criterion-06 sphere, read in interval form: over
+    # interval k, xdot = (x_{k+1} - x_k) / h, x at the interval's midpoint
+    # and xi the row's w.  E_mov = E - Omega m (x ydot - y xdot); the
+    # variation is its largest minus its smallest value.
+    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
+    n = round(T / h)
+    rows = run(None, params, (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])), T / n, n).states
+    x, w = rows[:, :2], rows[:-1, 2:]
+    xdot = (x[1:] - x[:-1]) / (T / n)
+    mid = 0.5 * (x[1:] + x[:-1])
+    energy = 0.5 * params.m * np.sum(xdot * xdot, axis=1) + 0.5 * np.sum(params.inertia * w * w, axis=1)
+    moment = params.m * (mid[:, 0] * xdot[:, 1] - mid[:, 1] * xdot[:, 0])
+    moving = energy - omega_sign * params.omega * moment
+    return np.max(moving) - np.min(moving)
+
+
+_MOVING_ENERGY_H = [0.1, 0.05, 0.025, 0.0125]
+
+
+def test_sphere_moving_energy_varies_at_second_order():
+    # The continuous E_mov is a first integral for any inertia and plate
+    # rate; the scheme keeps it to O(h^2): 4.872e-3, 1.236e-3, 3.106e-4 and
+    # 7.779e-5 over the grid.
+    variation = [_moving_energy_variation(h) for h in _MOVING_ENERGY_H]
+    slope, _ = slope_fit(_MOVING_ENERGY_H, variation)
+    assert 1.8 <= slope <= 2.2
+    assert abs(variation[-1] - 7.779e-5) <= 0.05 * 7.779e-5
+
+
+def test_sphere_moving_energy_window_fails_with_the_plate_term_flipped():
+    # E + Omega m (x ydot - y xdot) is no integral: it varies by about 1.63
+    # at every h, slope -0.004.
+    variation = [_moving_energy_variation(h, omega_sign=-1.0) for h in _MOVING_ENERGY_H]
+    slope, _ = slope_fit(_MOVING_ENERGY_H, variation)
+    assert not 1.8 <= slope <= 2.2
+    assert 1.5 < variation[-1] < 1.8

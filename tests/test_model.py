@@ -1,4 +1,4 @@
-"""Tests for system specifications, projectors, and the reference oracle."""
+"""Tests for system specifications, projectors, and the RK4 reference kernel."""
 import dataclasses
 import math
 import warnings
@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gni.analysis import StepFailed, convergence_sweep
+from gni.analysis import StepFailed, _step_count, convergence_sweep, run
 from gni.gni_flat import prepare_state, rattle_step
 from gni.model import (
     FlatSystem,
@@ -22,7 +22,8 @@ from gni.model import (
     nonholonomic_particle,
     projectors,
     reduced_projectors,
-    reference_solve,
+    rk4,
+    rk4_kernel,
 )
 from gni.numerics import SingularMatrix, lu_solve, matmul, solve_gram
 
@@ -229,13 +230,20 @@ def _consistent_particle_state(sys):
     return PhaseState(q0, sys.mass_matrix @ v0, np.zeros(1))
 
 
+def _rk4(sys, s0, T, h_ref, residual=True):
+    # The RK4 reference run to ``T`` at about ``h_ref``, the step count as a
+    # sweep takes it; a residual=False run returns its last two rows.
+    n = _step_count(T, h_ref)
+    return run(rk4, sys, s0, T / n, n, residual)
+
+
 def test_rk4_preserves_constraint_on_particle():
     sys = nonholonomic_particle("none")
-    traj = reference_solve(sys, _consistent_particle_state(sys), T=1.0, h_ref=1e-3)
+    traj = _rk4(sys, _consistent_particle_state(sys), T=1.0, h_ref=1e-3)
     assert np.max(traj.residuals) <= 1e-8
 
 
-def test_reference_solve_harmonic_period():
+def test_rk4_reference_harmonic_period():
     sys = FlatSystem(
         dim=1,
         mass_matrix=np.array([[1.0]]),
@@ -243,34 +251,42 @@ def test_reference_solve_harmonic_period():
         grad_potential=lambda q: np.array([q[0]]),
     )
     s0 = PhaseState(np.array([1.0]), np.array([0.0]), np.zeros(0))
-    traj = reference_solve(sys, s0, T=2.0 * np.pi, h_ref=1e-3, record_every=10 ** 9)
+    traj = _rk4(sys, s0, T=2.0 * np.pi, h_ref=1e-3, residual=False)
     # Rows [q, p] of the one-dimensional system (no multiplier).
     assert abs(traj.final[0] - 1.0) <= 1e-7
     assert abs(traj.final[1]) <= 1e-7
 
 
-def test_reference_solve_straight_line():
+def test_rk4_reference_straight_line():
     sys = _axis_system()
     s0 = PhaseState(np.zeros(3), np.array([1.0, -2.0, 0.0]), np.zeros(1))
-    traj = reference_solve(sys, s0, T=3.0, h_ref=0.1)
+    traj = _rk4(sys, s0, T=3.0, h_ref=0.1)
     # Rows [q, p, lam].
     assert np.allclose(traj.final[:3], [3.0, -6.0, 0.0], atol=1e-12)
     assert np.allclose(traj.final[3:6], s0.p, atol=1e-14)
 
 
-def test_reference_solve_with_an_overflowing_step_count_raises_value_error():
+def test_rk4_reference_refuses_what_run_refuses():
+    # A step that is not positive (a loop of its own stepped T < 0
+    # backwards), an inadmissible start (residual 0.7), and rows with more
+    # multipliers than constraint rows, whose points would lose their places.
     sys = _axis_system()
     s0 = PhaseState(np.zeros(3), np.array([1.0, -2.0, 0.0]), np.zeros(1))
-    with pytest.raises(ValueError, match="overflows"):
-        reference_solve(sys, s0, 1.0, 1e-320)
+    with pytest.raises(ValueError, match="positive"):
+        run(rk4, sys, s0, -1.0, 1)
+    bad = PhaseState(np.zeros(3), np.array([1.0, -2.0, 0.7]), np.zeros(1))
+    with pytest.raises(ValueError, match="not admissible: constraint residual 7.000e-01"):
+        _rk4(sys, bad, T=1.0, h_ref=0.1)
+    two = PhaseState(s0.q, s0.p, np.zeros(2))
+    with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
+        run(rk4, sys, two, 0.1, 3)
 
 
-def test_reference_solve_energy_drift_bound():
+def test_rk4_reference_energy_drift_bound():
     sys = nonholonomic_particle("none")
-    traj = reference_solve(
-        sys, _consistent_particle_state(sys), T=10.0, h_ref=1e-4, record_every=10 ** 9
-    )
-    assert abs(traj.energies[-1] - traj.energies[0]) <= 1e-9
+    s0 = _consistent_particle_state(sys)
+    traj = _rk4(sys, s0, T=10.0, h_ref=1e-4, residual=False)
+    assert abs(traj.energies[-1] - energy(sys, s0)) <= 1e-9
 
 
 def _array_continuous_rhs(sys, q, p):
@@ -331,29 +347,33 @@ _RK4_CASES = {
 }
 
 
-@pytest.mark.parametrize("record_every", [1, 7, 10**9])
+@pytest.mark.parametrize("residual", [pytest.param(True, id="None"), pytest.param(False, id="False")])
 @pytest.mark.parametrize("case", sorted(_RK4_CASES))
-def test_reference_solve_is_the_array_rk4_loop_bit_for_bit(case, record_every):
+def test_rk4_kernel_is_the_array_rk4_loop_bit_for_bit(case, residual):
+    # The full run, with its residual column, and a windowed one, which
+    # returns the last two rows.
     base = _RK4_CASES[case]()
     s0 = prepare_state(base, np.linspace(0.3, 0.1, base.dim), np.linspace(1.0, 0.2, base.dim))
     times, rows = _array_rk4(base, s0, 0.3, 1e-3)
-    kept = [k for k in range(len(rows)) if k % record_every == 0 or k == len(rows) - 1]
+    kept = slice(None) if residual else slice(-2, None)
     n = base.dim
     # Point callables that return lists, 1-D or 2-D arrays give the same bits.
     for kind in RETURN_KINDS:
         sys = returning(kind, base)
-        traj = reference_solve(sys, s0, T=0.3, h_ref=1e-3, record_every=record_every)
+        traj = _rk4(sys, s0, T=0.3, h_ref=1e-3, residual=residual)
         assert np.array_equal(traj.times, times[kept])
         assert np.array_equal(traj.states[:, : 2 * n], rows[kept])
-        assert np.array_equal(traj.states[0, 2 * n :], s0.lam)
+        if residual:
+            assert np.array_equal(traj.states[0, 2 * n :], s0.lam)
         assert not np.any(traj.states[1:, 2 * n :])
         # Each qdot, pdot of continuous_rhs is the array one.
         for q, p in zip(rows[kept][:, :n], rows[kept][:, n:]):
             for got, want in zip(continuous_rhs(sys, q, p), _array_continuous_rhs(base, q, p)):
                 assert np.array_equal(got, want)
-        states = (PhaseState(r[:n], r[n : 2 * n], r[2 * n :]) for r in traj.states)
+        states = [PhaseState(r[:n], r[n : 2 * n], r[2 * n :]) for r in traj.states]
+        assert np.array_equal(traj.energies, [energy(sys, s) for s in states])
         residuals = [np.max(np.abs(constraint_residual(sys, s)), initial=0.0) for s in states]
-        assert np.array_equal(traj.residuals, residuals)
+        assert np.array_equal(traj.residuals, residuals if residual else [0.0, 0.0])
 
 
 def _nan_past(edge):
@@ -366,44 +386,57 @@ def _nan_past(edge):
     )
 
 
-def test_reference_solve_fails_at_the_first_non_finite_step():
+def test_rk4_reference_fails_at_the_first_non_finite_step():
     # q = t: step 6 (from q = 0.5) evaluates the gradient at 0.6 > 0.55.
     sys = _nan_past(0.55)
     s0 = PhaseState(np.zeros(1), np.ones(1), np.zeros(0))
     with pytest.raises(StepFailed) as excinfo:
-        reference_solve(sys, s0, T=1.0, h_ref=0.1, record_every=2)
+        _rk4(sys, s0, T=1.0, h_ref=0.1)
     err = excinfo.value
     assert err.step == 6
     assert isinstance(err.cause, FloatingPointError)
-    # The rows recorded before step 6: nodes 0, 2 and 4.
-    assert len(err.partial) == 3
-    np.testing.assert_allclose(err.partial.times, [0.0, 0.2, 0.4])
-    np.testing.assert_allclose(err.partial.states, [[0.0, 1.0], [0.2, 1.0], [0.4, 1.0]])
+    assert str(err.cause) == "RK4 step 6 has a non-finite state"
+    # The rows before step 6: nodes 0 to 5.
+    assert len(err.partial) == 6
+    np.testing.assert_allclose(err.partial.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+    np.testing.assert_allclose(err.partial.states, [[0.1 * k, 1.0] for k in range(6)])
     assert np.isfinite(err.partial.energies).all()
 
 
-def test_reference_solve_overflow_fails_without_warnings():
+def test_rk4_reference_names_the_run_step_past_a_dropped_window():
+    # A windowed run drops its rows every 4,096 steps, and its kernel counts
+    # buffer rows from the last kept one: the failure still names step 5001.
+    sys = _nan_past(5.0005)
+    s0 = PhaseState(np.zeros(1), np.ones(1), np.zeros(0))
+    for residual in (True, False):
+        with pytest.raises(StepFailed) as excinfo:
+            run(rk4, sys, s0, 1e-3, 6000, residual)
+        assert excinfo.value.step == 5001
+        assert str(excinfo.value.cause) == "RK4 step 5001 has a non-finite state"
+
+
+def test_rk4_reference_overflow_fails_without_warnings():
     # The constraint's second derivative v_y v_x overflows in the first step.
     sys = nonholonomic_particle("harmonic")
-    s0 = PhaseState(np.array([0.3, 0.2, 0.1]), np.full(3, 1e200), np.zeros(1))
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1e200, 1e200, 1e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepFailed) as excinfo:
-            reference_solve(sys, s0, T=1.0, h_ref=1e-3)
+            _rk4(sys, s0, T=1.0, h_ref=1e-3)
     err = excinfo.value
     assert err.step == 1
     assert np.array_equal(err.partial.states, [np.concatenate([s0.q, s0.p, s0.lam])])
 
 
-def test_reference_solve_fails_where_a_callable_overflows_on_floats():
+def test_rk4_reference_fails_where_a_callable_overflows_on_floats():
     # ``x ** 3`` raises OverflowError on a float where NumPy would give inf:
     # the RK4 step where the same cubes, taken to inf, make the state
-    # non-finite fails, as StepFailed, with the same recorded rows.
+    # non-finite fails, as StepFailed, with the same rows.
     s0 = PhaseState(np.array([1.0, 0.5]), np.array([0.5, 0.0]), np.zeros(0))
     failures = []
     for grad in (lambda q: [-(x ** 3) for x in q], lambda q: [cube_or_inf(x) for x in q]):
         with pytest.raises(StepFailed) as excinfo:
-            reference_solve(cubic_repeller(grad), s0, T=3.0, h_ref=0.01, record_every=3)
+            _rk4(cubic_repeller(grad), s0, T=3.0, h_ref=0.01)
         failures.append(excinfo.value)
     raised, non_finite = failures
     assert isinstance(raised.cause, OverflowError)
@@ -413,10 +446,10 @@ def test_reference_solve_fails_where_a_callable_overflows_on_floats():
     assert np.isfinite(raised.partial.states).all()
 
 
-@pytest.mark.parametrize("record_every, row", [(1, 9), (2, 5)])
-def test_reference_solve_fails_at_the_first_recorded_row_whose_potential_overflows(record_every, row):
+@pytest.mark.parametrize("residual", [pytest.param(True, id="None"), pytest.param(False, id="False")])
+def test_rk4_reference_fails_at_the_first_row_whose_potential_overflows(residual):
     # V = 0, but evaluating it on floats overflows once x = t passes 0.887:
-    # at recorded row 9 (t = 0.9), or 5 (t = 1.0) when every second is kept.
+    # at row 9 (t = 0.9), whatever ``residual`` is.
     sys = FlatSystem(
         dim=1,
         mass_matrix=np.array([[1.0]]),
@@ -425,13 +458,12 @@ def test_reference_solve_fails_at_the_first_recorded_row_whose_potential_overflo
     )
     s0 = PhaseState(np.zeros(1), np.ones(1), np.zeros(0))
     with pytest.raises(StepFailed) as excinfo:
-        reference_solve(sys, s0, T=2.0, h_ref=0.1, record_every=record_every)
+        _rk4(sys, s0, T=2.0, h_ref=0.1, residual=residual)
     err = excinfo.value
-    assert err.step == row
+    assert err.step == 9
     assert type(err.cause) is OverflowError and err.__cause__ is err.cause
-    head = reference_solve(sys, s0, T=0.1 * record_every * (row - 1), h_ref=0.1,
-                           record_every=record_every)
-    assert len(err.partial) == len(head) == row
+    head = _rk4(sys, s0, T=0.8, h_ref=0.1)
+    assert len(err.partial) == len(head) == 9
     assert np.array_equal(err.partial.states, head.states)
     assert np.array_equal(err.partial.energies, head.energies)
 
@@ -445,11 +477,23 @@ def test_reference_solve_fails_at_the_first_recorded_row_whose_potential_overflo
         ("grad_potential", {"grad_potential": lambda q: [q[0], q[1], 0]}),  # an int entry
     ],
 )
-def test_reference_solve_rejects_a_point_callable_of_the_wrong_length(name, overrides):
-    sys = dataclasses.replace(nonholonomic_particle("harmonic"), **overrides)
-    s0 = PhaseState(np.array([0.3, 0.2, 0.1]), np.array([1.0, 0.5, 0.1]), np.zeros(1))
+@pytest.mark.parametrize("with_points", [True, False])
+def test_rk4_window_rejects_a_point_callable_of_the_wrong_length(name, overrides, with_points):
+    # The window checks the point callables at its entry row, before any
+    # step: a result that zip() would silently cut short raises, naming it.
+    good = nonholonomic_particle("harmonic")
+    s0 = prepare_state(good, [0.3, 0.2, 0.1], [1.0, 0.5, 0.1])
+    sys = dataclasses.replace(good, **overrides)
+    window, _, point_size = rk4_kernel(sys, 0.01, 1)
+    rows, points = np.full((6, 7), np.nan), np.full((6, point_size), np.nan)
+    rows[0] = np.concatenate([s0.q, s0.p, s0.lam])
+    pts = memoryview(points.reshape(-1)) if with_points else None
     with pytest.raises(ValueError, match=name):
-        reference_solve(sys, s0, T=0.1, h_ref=0.01)
+        window(memoryview(rows.reshape(-1)), pts, 1, 6)
+    assert np.isnan(rows[1:]).all() and np.isnan(points[1:]).all()
+    if name == "grad_potential":  # run's own checks evaluate it on arrays, where it passes
+        with pytest.raises(ValueError, match=name):
+            _rk4(sys, s0, T=0.1, h_ref=0.01, residual=with_points)
 
 
 @pytest.mark.parametrize(
@@ -533,10 +577,12 @@ def test_convergence_sweep_fails_at_an_rk4_reference_with_a_non_finite_energy(mo
     # reference's rows fail as a run's would, before any grid run steps.
     from gni import analysis
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("grid run started")
+    def reference_only(stepper, *args, **kwargs):
+        if stepper is not rk4:
+            raise AssertionError("grid run started")
+        return run(stepper, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "run", refuse)
+    monkeypatch.setattr(analysis, "run", reference_only)
     sys = nonholonomic_particle("harmonic")
     s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1e200, 0.5, 0.2], scheme="rattle", h=0.025)
     assert np.isfinite(np.concatenate([s0.q, s0.p])).all()
