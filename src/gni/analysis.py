@@ -18,7 +18,7 @@ import numpy as np
 from . import gni_flat, gni_reduced, model
 from .gni_flat import DiscreteLagrangian, rattle_step
 from .lie_so3 import dcay
-from .model import PhaseState, ReducedState, ReducedSystem, constraint_residual
+from .model import PhaseState, ReducedSystem, constraint_residual
 from .numerics import NoConvergence, SingularMatrix, default_newton_config, dot, matmul
 from .gni_reduced import ChaplyginParams, chaplygin_init, chaplygin_scheme_residual
 
@@ -43,7 +43,7 @@ CHANNELS = ("position", "velocity", "energy")
 _NOISE_FLOOR = 1e-14
 
 # Slack of the initial-admissibility precondition in run(), relative to
-# the momentum's scale max(1, |p|_inf).
+# the scale max(1, |v|_inf) of the velocity v whose constraint rows it checks.
 _ADMISSIBLE_TOL = 1e-8
 
 # Steps run() takes per call of a set-up's advance; the rows a
@@ -182,21 +182,21 @@ def state_matrix(traj: Trajectory) -> np.ndarray:
     return traj.states[:, : traj.layout.values]
 
 
-def _non_finite(traj: Trajectory, first: int, name: str = "row"):
+def _non_finite(traj: Trajectory, first: int, name: str = ""):
     """The :class:`StepFailed` of the first row of ``traj`` whose energy,
     residual or state is not finite, or ``None``; ``first`` is the run row
-    of ``traj``'s first row, and the message calls it ``name``."""
+    of ``traj``'s first row, and the message calls it ``{name}row``."""
     ok = np.isfinite(traj.energies) & np.isfinite(traj.residuals) & np.isfinite(traj.states).all(axis=1)
     bad = np.flatnonzero(~ok)
     if not bad.size:
         return None
     k = int(bad[0])
-    cause = FloatingPointError(f"{name} {first + k} has a non-finite energy, residual or state")
+    cause = FloatingPointError(f"{name}row {first + k} has a non-finite energy, residual or state")
     # A copy: a windowed run goes on stepping into the buffers ``traj`` views.
     return StepFailed(first + k, cause, traj.head(k).copy())
 
 
-def _assembled(assemble, n_rows: int, name: str = "row") -> Trajectory:
+def _assembled(assemble, n_rows: int, name: str = "") -> Trajectory:
     """``assemble(n_rows)``, the trajectory of the rows before run row
     ``n_rows``; where a row's potential raises, the :class:`StepFailed` of
     that row, or of a non-finite row before it, with the rows before it."""
@@ -266,7 +266,7 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
       continuous equations by its float window kernel
       :func:`gni.model.rk4_kernel`, set up as a ``FlatStepper``'s: rows
       ``[q, p, 0...]`` after row 0, and the momentum form as the residual
-      column.  A failure names the rows ``RK4 row``;
+      column.  A failure names the rows and steps ``RK4 row`` and ``RK4 step``;
     * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
       three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`
       by the float window kernel :func:`gni.gni_flat.three_point_kernel`,
@@ -353,7 +353,7 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
             else:
                 setup = _one_step_map(stepper, system, initial, h, residual)
         advance, assemble, keep = setup
-        name = getattr(stepper, "label", "row")  # how a failure names the rows
+        name = getattr(stepper, "label", "")  # how a failure names the rows and steps
         # ``first`` is the first row the run holds; a non-finite row found
         # in a dropped window fails the run only once it has stepped to the
         # end, as the full run's one check would.
@@ -363,6 +363,7 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
             failed = advance(k0, k1)
             if failed is not None:
                 k, exc = failed
+                exc = exc or FloatingPointError(f"{name}step {k} has a non-finite state")
                 raise StepFailed(k, exc, _assembled(assemble, k, name)) from exc
             if window and k1 <= n_steps:
                 if failure is None:
@@ -379,7 +380,8 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
 
 # Each set-up below returns ``advance(k0, k1)``, which takes steps ``k0 ..
 # k1-1`` (step ``k`` produces row ``k``) and returns ``None``, or ``(k,
-# exc)`` for the step ``k`` that raised ``exc``, one of ``_STEP_ERRORS``;
+# exc)`` for the step ``k`` that raised ``exc``, one of ``_STEP_ERRORS``
+# (``exc`` is ``None`` for a step whose state is not finite);
 # ``assemble(n_rows)``, which builds the trajectory of the rows before row
 # ``n_rows`` that it holds; and ``keep(k)``, which drops every row before
 # row ``k`` but what the steps still read.  The buffers hold ``capacity``
@@ -572,10 +574,12 @@ def _check_admissible(system, state, h: float) -> None:
     :func:`gni.gni_reduced.chaplygin_initial_reduced_state` puts into the
     body momentum: the O(h) tilt ``h/2 xi x p_alg`` plus its O(h^2) part),
     so states prepared for any built-in scheme pass while genuinely
-    inadmissible data is caught.  The tolerance scales with the momentum,
-    ``max(1, |m|_inf)`` of ``m = p`` (flat) or ``p ⊕ p_alg`` (reduced), so a
-    state projected at large momenta passes as it would at unit scale.
-    The comparison is on magnitudes: a state
+    inadmissible data is caught.  The residual is the constraint rows of
+    the velocity ``v = G^{-1}(m - Pi)`` of the momentum ``m = p`` (flat)
+    or ``p ⊕ p_alg`` (reduced), and its tolerance scales with
+    ``max(1, |v|_inf)``: a state projected at large velocities passes as
+    it would at unit scale, and a heavy one at unit velocity is held to
+    the unit tolerance.  The comparison is on magnitudes: a state
     seeded at ``h = 0`` has no offset but is still checked at ``h``.  A
     non-finite residual (a state that overflowed when it was seeded) is not
     compared: the run reports that state as ``StepFailed``, and a callable
@@ -583,27 +587,24 @@ def _check_admissible(system, state, h: float) -> None:
     """
     try:
         res = np.asarray(constraint_residual(system, state), dtype=float)
-        if not np.isfinite(res).all():
+        if not res.size or not np.isfinite(res).all():
             return
-        slack = np.zeros_like(res)
         if isinstance(state, PhaseState):
-            momentum = state.p
-            mu = system.constraint_matrix(state.q)
-            if mu.shape[0]:
-                slack = 0.5 * h * matmul(mu, matmul(system.mass_inv, system.grad_potential(state.q)))
-        elif isinstance(state, ReducedState):
+            point, metric_inv, rows = state.q, system.mass_inv, system.constraint_matrix(state.q)
+            momentum, tilt = state.p, 0.5 * h * np.asarray(system.grad_potential(state.q), float)
+        else:
+            point, metric_inv, rows = state.x, system.metric_inv, system.annihilator_matrix(state.x)
             momentum = np.concatenate([state.p, state.p_alg])
-            rows = system.annihilator_matrix(state.x)
-            if rows.shape[0]:
-                offset = state.p_alg - matmul(dcay(h * state.xi).T, state.p_alg)
-                tilt = np.concatenate([0.5 * h * system.grad_potential(state.x), offset])
-                slack = matmul(rows, matmul(system.metric_inv, tilt))
+            offset = state.p_alg - matmul(dcay(h * state.xi).T, state.p_alg)
+            tilt = np.concatenate([0.5 * h * system.grad_potential(state.x), offset])
+        slack = matmul(rows, matmul(metric_inv, tilt))
+        scale = max(1.0, _inf_norm(matmul(metric_inv, momentum - system.momentum_offset(point))))
     except ArithmeticError as exc:
         layout = (flat_layout if isinstance(state, PhaseState) else reduced_layout)(system)
         none = np.zeros(0)
         empty = Trajectory(none, layout.stack([state])[:0], none, none, none.astype(int), layout)
         raise StepFailed(0, exc, empty) from exc
-    if np.any(np.abs(res) > _ADMISSIBLE_TOL * max(1.0, _inf_norm(momentum)) + np.abs(slack)):
+    if np.any(np.abs(res) > _ADMISSIBLE_TOL * scale + np.abs(slack)):
         raise ValueError(
             f"initial state is not admissible: constraint residual {_inf_norm(res):.3e}"
         )
@@ -780,12 +781,10 @@ def adjoint_check(step_a, step_b, states: Sequence[PhaseState], h: float) -> flo
     i.e. callables ``(state, h) -> state``.  A mutually adjoint pair (or a
     self-adjoint method passed twice) returns zero up to solver tolerance.
     """
-    from .gni_flat import state_difference
-
     worst = 0.0
     for s in states:
         roundtrip = step_b(step_a(s, h), -h)
-        worst = max(worst, state_difference(roundtrip, s))
+        worst = max(worst, gni_flat.state_difference(roundtrip, s))
     return worst
 
 
@@ -800,12 +799,10 @@ def sample_admissible_states(
     ``[-1, 1]^n``, Gaussian velocities projected onto the admissible
     set by the named scheme's own constraint form (see
     :func:`gni.gni_flat.prepare_state`)."""
-    from .gni_flat import prepare_state
-
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(count):
         q = rng.uniform(-1.0, 1.0, size=system.dim)
         v = rng.standard_normal(system.dim)
-        states.append(prepare_state(system, q, v, scheme=scheme, h=h))
+        states.append(gni_flat.prepare_state(system, q, v, scheme=scheme, h=h))
     return states

@@ -12,9 +12,10 @@ from functools import partial
 
 import numpy as np
 
-from . import gni_reduced, model
+from . import gni_flat, gni_reduced, model
 from .analysis import _inf_norm, adjoint_check, convergence_sweep, run, sample_admissible_states
 from .gni_reduced import ChaplyginParams
+from .lie_so3 import Ad, Ad_star, cay, dcay, dcay_inv, exp_so3, hat, vee
 from .numerics import default_newton_config
 
 __all__ = ["check_suite"]
@@ -33,8 +34,6 @@ def _window_result(label, value, lo, hi):
 
 
 def _suite_lie(seed: int):
-    from .lie_so3 import Ad, Ad_star, cay, dcay, dcay_inv, exp_so3, hat, vee
-
     rng = np.random.default_rng(seed)
     eye = np.eye(3)
     defects = {}
@@ -72,8 +71,6 @@ def _projector_defect(metric, p_mat, q_mat, rows) -> float:
 
 
 def _suite_projectors(seed: int):
-    from .gni_reduced import chaplygin_reduced_system
-
     rng = np.random.default_rng(seed)
     results = []
     flat_systems = [
@@ -96,7 +93,7 @@ def _suite_projectors(seed: int):
         ("unbalanced sphere", ChaplyginParams(3.0, 1.0, 0.2, 1.0, 1.1, 1.2)),
     ]
     for name, params in sphere_cases:
-        rsys = chaplygin_reduced_system(params)
+        rsys = gni_reduced.chaplygin_reduced_system(params)
         worst = 0.0
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, size=2)
@@ -109,7 +106,7 @@ def _suite_projectors(seed: int):
             )
         results.append(_bound_result(f"projectors: {name} algebra", worst, 1e-12))
 
-    homog = chaplygin_reduced_system(sphere_cases[0][1])
+    homog = gni_reduced.chaplygin_reduced_system(sphere_cases[0][1])
     p_mat, q_mat = model.reduced_projectors(homog, np.zeros(2))
     hand = max(
         abs(q_mat[0, 0] - 0.4), abs(q_mat[0, 3] + 0.4), abs(p_mat[4, 4] - 1.0)
@@ -129,8 +126,6 @@ def _kept_structures():
     p_x + y p_z`` obeys the discrete momentum equation ``J_{k+1} - J_k = h
     v_y v_z - h (x_k + x_{k+1}) / 2``, ``v = (q_{k+1} - q_k) / h`` and the
     last term the harmonic potential's, and without it ``|v|^2 / 2`` is kept."""
-    from . import gni_flat
-
     defects, kinetic = {"flat": 0.0, "gni_generic": 0.0}, 0.0
     for potential, scheme, h in itertools.product(
         ("harmonic", "none"), ("euler_a", "euler_b", "rattle", "gni_generic"), (0.1, 0.05)
@@ -159,8 +154,6 @@ def _kept_structures():
 
 
 def _suite_steppers(seed: int):
-    from . import gni_flat
-
     results = []
     sys = model.nonholonomic_particle("harmonic")
     h = 0.1
@@ -283,8 +276,6 @@ def _suite_steppers(seed: int):
 
 
 def _suite_adjoint(seed: int):
-    from . import gni_flat
-
     results = []
     cases = [
         ("particle", model.nonholonomic_particle("harmonic")),

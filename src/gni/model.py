@@ -383,23 +383,19 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
     :func:`gni.gni_flat.flat_kernel`: ``(window, form, point_size)``.
 
     ``window(flat, points, j0, j1)`` carries ``q`` and ``p`` of row ``j0-1``
-    in locals and writes row ``j`` as ``[q, p, 0...]`` (``m`` multipliers,
-    eliminated), and unless ``points`` is ``None`` the ``m x n`` constraint
-    rows of each row ``j0-1 .. j1-1``.  A window's first right-hand side
-    checks the point callables' results (:func:`as_floats`: a wrong length
-    raises ``ValueError``).  It returns ``None``, or ``(j, exc)`` for the
-    first step whose state is not finite (a ``FloatingPointError`` naming
-    the run's step: windows must follow one another, as
-    :func:`gni.analysis.run` steps them), whose multiplier solve raised
-    :class:`RankDeficient` or whose callables raised an ``ArithmeticError``.
-    ``form`` is the momentum form ``mu M^{-1} p``, one :func:`stacked_form`
-    pass.
+    in locals and writes row ``j`` as ``[q, p, 0...]`` (``m`` eliminated
+    multipliers), and unless ``points`` is ``None`` the ``m x n`` constraint
+    rows of each row ``j0-1 .. j1-1``.  A point callable's wrong length at
+    the window's first step, or constraint rows at row ``j0-1`` that are
+    not ``m``, raise ``ValueError``.  It returns ``None``, ``(j, None)`` for
+    the first step ``j`` whose state is not finite, or ``(j, exc)`` for one
+    whose multiplier solve raised :class:`RankDeficient` or whose callables
+    raised an ``ArithmeticError``.  ``form`` is the momentum form.
     """
     half_h, sixth_h, n, mass_inv = 0.5 * h, h / 6.0, sys.dim, sys.mass_inv
     rhs, first = _continuous_kernel(sys), _continuous_kernel(sys, check=True)
     constraints, constrained = sys.constraints, sys.constraints is not None and sys.num_constraints != 0
     width, point_size, zeros = 2 * n + m, n * m, [0.0] * m
-    steps = 0  # the run steps of the windows before
 
     def rows_at(q):
         rows = as_floats(constraints(q), True, "constraints", n) if constrained else []
@@ -408,14 +404,14 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
         return sum(rows, [])
 
     def window(flat, points, j0, j1):
-        nonlocal steps
         i, k = width * j0, point_size * (j0 - 1)
         row = flat[i - width : i].tolist()
         q, p = row[:n], row[n : 2 * n]
         j = j0
         try:
+            entry = rows_at(q)  # checked whether or not the points are kept
             if points is not None:
-                for v in rows_at(q):
+                for v in entry:
                     points[k] = v
                     k += 1
             for j in range(j0, j1):
@@ -431,8 +427,7 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
                      for a, b1, b2, b3, b4 in zip(p, dp1, dp2, dp3, dp4)]
                 total = sum(q) + sum(p)  # finite unless an entry is, or the sum overflows
                 if total - total != 0.0 and not all(map(isfinite, q + p)):
-                    step = steps + j - j0 + 1
-                    return j, FloatingPointError(f"RK4 step {step} has a non-finite state")
+                    return j, None
                 for v in q + p + zeros:
                     flat[i] = v
                     i += 1
@@ -442,7 +437,6 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
                         k += 1
         except (ArithmeticError, RankDeficient) as exc:
             return j, exc
-        steps += j1 - j0
         return None
 
     def form(momenta, points):
@@ -452,12 +446,11 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
 
 
 class RK4:
-    """The classical RK4 reference of the continuous equations, a record
-    that :func:`gni.analysis.run` steps by its window kernel
-    ``kernel(sys, h, m)``, as it steps a :class:`gni.gni_flat.FlatStepper`."""
+    """The RK4 reference, which :func:`gni.analysis.run` steps by its
+    ``kernel(sys, h, m)`` as it steps a :class:`gni.gni_flat.FlatStepper`."""
 
     kernel = staticmethod(rk4_kernel)
-    label = "RK4 row"  # how a failure names the rows
+    label = "RK4 "  # how a failure names the rows and steps
 
 
 rk4 = RK4()

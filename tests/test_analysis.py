@@ -133,9 +133,9 @@ def test_run_rejects_inadmissible_initial_state():
 
 
 def _large_projected_states():
-    # A flat and a reduced state projected at large momenta, with the step
-    # each is checked at, whose residuals are rounding of their scale: 1.0
-    # against |p| = 1.07e16, and 3.1e-5 against |p ⊕ p_alg| = 6e11.  The
+    # A flat and a reduced state projected at large velocities, with the
+    # step each is checked at, whose residuals are rounding of their scale:
+    # 1.0 against |v| = 1.07e16, and 3.1e-5 against |v| = 4e11.  The
     # reduced one is seeded, and checked, at h = 0, where its check allows
     # no offset.
     planar = model.constrained_2d()
@@ -146,10 +146,10 @@ def _large_projected_states():
     return [(planar, flat, 0.05), (chaplygin_reduced_system(params), reduced, 0.0)]
 
 
-def test_run_accepts_large_projected_states_at_the_scale_of_their_momenta():
+def test_run_accepts_large_projected_states_at_the_scale_of_their_velocities():
     for system, state, h in _large_projected_states():
         res = np.max(np.abs(constraint_residual(system, state)))
-        assert 1e-8 < res < 1e-15 * _momentum_scale(state)
+        assert 1e-8 < res < 1e-15 * _velocity_scale(system, state)
         analysis._check_admissible(system, state, h)
     planar, flat, h = _large_projected_states()[0]
     assert len(run(gni_flat.rattle_step, planar, flat, h, 2)) == 3
@@ -161,17 +161,39 @@ def test_run_accepts_large_projected_states_at_the_scale_of_their_momenta():
 def test_run_rejects_large_states_a_relative_1e_3_off():
     # p[0] enters the first row with coefficient 1 (flat) or 1/m (reduced).
     for (system, state, h), coeff in zip(_large_projected_states(), (1.0, 1.0 / 3.0)):
-        scale = _momentum_scale(state)
+        scale = _velocity_scale(system, state)
         moved = dataclasses.replace(state, p=state.p + np.array([1e-3 * scale / coeff, 0.0]))
         res = np.max(np.abs(constraint_residual(system, moved)))
-        assert 0.9e-3 < res / scale < 1.1e-3
+        assert 0.9e-3 < res / _velocity_scale(system, moved) < 1.1e-3
         with pytest.raises(ValueError, match="admissible"):
             analysis._check_admissible(system, moved, h)
 
 
-def _momentum_scale(state):
-    momentum = state.p if isinstance(state, PhaseState) else np.concatenate([state.p, state.p_alg])
-    return np.max(np.abs(momentum))
+def test_run_rejects_a_heavy_state_a_relative_1e_3_off_at_unit_velocity():
+    # M = 1e6 diag(1, 2): momenta of 1e6 at unit velocity leave the
+    # tolerance at its unit scale, so a velocity 1e-3 off the constraint
+    # v1 + v2 = 0 is refused, and the projected state passes.
+    planar = model.constrained_2d()
+    heavy = FlatSystem(dim=2, mass_matrix=1e6 * np.diag([1.0, 2.0]), potential=planar.potential,
+                       grad_potential=planar.grad_potential, constraints=planar.constraints,
+                       num_constraints=1)
+    s0 = gni_flat.prepare_state(heavy, [0.3, 0.2], [1.0, -1.0])
+    analysis._check_admissible(heavy, s0, 0.05)
+    off = PhaseState(s0.q, heavy.mass_matrix @ np.array([1.0, -1.0 + 1e-3]), s0.lam)
+    assert np.max(np.abs(off.p)) > 1e6
+    for h in (0.05, 0.0):
+        with pytest.raises(ValueError, match="constraint residual 1.000e-03"):
+            analysis._check_admissible(heavy, off, h)
+    with pytest.raises(ValueError, match="admissible"):
+        run(gni_flat.rattle_step, heavy, off, 0.05, 2)
+
+
+def _velocity_scale(system, state):
+    # |v|_inf of the velocity v = G^{-1}(m - Pi) whose constraint rows the residual is.
+    if isinstance(state, PhaseState):
+        return np.max(np.abs(system.mass_inv @ (state.p - system.momentum_offset(state.q))))
+    combined = np.concatenate([state.p, state.p_alg])
+    return np.max(np.abs(system.metric_inv @ (combined - system.momentum_offset(state.x))))
 
 
 def _reduced_sphere_run(params, state, h):

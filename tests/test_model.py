@@ -278,8 +278,9 @@ def test_rk4_reference_refuses_what_run_refuses():
     with pytest.raises(ValueError, match="not admissible: constraint residual 7.000e-01"):
         _rk4(sys, bad, T=1.0, h_ref=0.1)
     two = PhaseState(s0.q, s0.p, np.zeros(2))
-    with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
-        run(rk4, sys, two, 0.1, 3)
+    for residual in (True, False):
+        with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
+            run(rk4, sys, two, 0.1, 3, residual)
 
 
 def test_rk4_reference_energy_drift_bound():
@@ -404,7 +405,7 @@ def test_rk4_reference_fails_at_the_first_non_finite_step():
 
 
 def test_rk4_reference_names_the_run_step_past_a_dropped_window():
-    # A windowed run drops its rows every 4,096 steps, and its kernel counts
+    # A windowed run drops its rows every 4,096 steps, and its kernel steps
     # buffer rows from the last kept one: the failure still names step 5001.
     sys = _nan_past(5.0005)
     s0 = PhaseState(np.zeros(1), np.ones(1), np.zeros(0))
