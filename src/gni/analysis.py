@@ -16,7 +16,6 @@ from typing import Callable, Dict, Sequence, Set, Tuple
 import numpy as np
 
 from . import gni_flat, gni_reduced, model
-from .gni_flat import DiscreteLagrangian, rattle_step
 from .lie_so3 import dcay
 from .model import PhaseState, ReducedSystem, constraint_residual
 from .numerics import NoConvergence, SingularMatrix, default_newton_config, dot, matmul
@@ -104,6 +103,11 @@ def reduced_layout(system) -> Layout:
     )
 
 
+def _layout(system) -> Layout:
+    """The layout of a flat or reduced system's rows."""
+    return (reduced_layout if isinstance(system, ReducedSystem) else flat_layout)(system)
+
+
 # Rolling-sphere rows ``[x, y, w1, w2, w3]``: no state objects, no multiplier.
 SPHERE_LAYOUT = Layout((), 5, slice(0, 2), lambda row: row[2:])
 
@@ -137,7 +141,7 @@ class Trajectory:
         at zero.
         """
         states = list(states)
-        layout = (reduced_layout if isinstance(system, ReducedSystem) else flat_layout)(system)
+        layout = _layout(system)
         res = residual and (constraint_residual(system, s) for s in states)
         rows, iters = layout.stack(states), np.array([s.newton_iters for s in states], dtype=int)
         return cls(np.asarray(times, dtype=float), rows, model.energies(system, rows),
@@ -247,58 +251,41 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
     This is the one loop: over windows of ``_WINDOW_ROWS`` (4,096) steps,
     each taken by one call of the set-up's ``advance(k0, k1)``, which
     returns the failing step and its error instead of raising.  Every run
-    returns its rows as one float array (see :class:`Trajectory`); every
-    run but a one-step map's steps a window kernel on one row buffer that
-    one set-up, ``_kernel_rows``, owns.  What it advances depends on its
-    arguments:
+    returns its rows as one float array (see :class:`Trajectory`).  It
+    advances one of three things:
 
-    * a one-step map ``stepper(system, state, h) -> state`` on flat or
-      reduced state objects, which :meth:`Trajectory.from_rows` stacks;
-    * for a :class:`gni.gni_flat.FlatStepper` ``stepper`` (``euler_a_step``,
-      ``euler_b_step``, ``rattle_step``), the same steps by the float window
-      kernel :func:`gni.gni_flat.flat_kernel`, built once per run, which
-      writes rows ``[q, p, lam]`` straight into one ``(N+1, 2n+m)`` buffer.
-      The residual column is the scheme's own form
-      (:func:`gni.gni_flat.scheme_constraint_residual`, the momentum form
-      for ``rattle``), one stacked pass over the points (gradient,
-      constraint rows, offset) the kernel writes beside the rows;
-    * for the record :data:`gni.model.rk4`, the classical RK4 steps of the
-      continuous equations by its float window kernel
-      :func:`gni.model.rk4_kernel`, set up as a ``FlatStepper``'s: rows
-      ``[q, p, 0...]`` after row 0, and the momentum form as the residual
-      column.  A failure names the rows and steps ``RK4 row`` and ``RK4 step``;
-    * for a :class:`gni.gni_flat.DiscreteLagrangian` ``stepper``, the
-      three-point recurrence of :func:`gni.gni_flat.gni_generic_step_stats`
-      by the float window kernel :func:`gni.gni_flat.three_point_kernel`,
-      built once per run and seeded with one ``rattle_step``, which writes
-      the positions, and beside them each position's constraint rows and
-      offset, straight into float buffers; row ``k >= 1`` reports the
-      central-difference momentum ``M (q_{k+1} - q_{k-1}) / (2h)``, the
-      average of the discrete pre- and post-momenta that the scheme keeps
-      on the constraint, and a zero multiplier.  The residual column is
-      the momentum form, one stacked pass over those points;
-    * for a :class:`gni.gni_reduced.ReducedStepper` ``stepper`` on a
-      system that :func:`gni.gni_reduced.reduced_kernel` covers, the same
-      steps by that float window kernel, built once per run, which writes
-      rows ``[x, y, px, py, xi1, xi2, xi3, p_alg1, p_alg2, p_alg3, lam1,
-      lam2]`` straight into one ``(N+1, 12)`` buffer; the residual column is
-      one stacked pass of :func:`gni.gni_reduced.reduced_scheme_residual`
-      (0 on row 0).  On any other system the record steps as a one-step map;
+    * a record with a ``kernel`` (a :class:`gni.gni_flat.FlatStepper`, the
+      RK4 reference :data:`gni.model.rk4`, a
+      :class:`gni.gni_flat.DiscreteLagrangian` or a
+      :class:`gni.gni_reduced.ReducedStepper`), through one set-up.
+      ``stepper.kernel(system, h, m)``, built once per run for ``m``
+      multipliers, returns ``(window, form, point_size)``.
+      ``window(flat, points, counts, j0, j1)`` takes the steps ``j0 ..
+      j1-1`` on one buffer of rows in the system's layout, seen as flat
+      float memoryviews: step ``j`` writes row ``j`` (a recurrence, the
+      position after it), its Newton updates ``counts[j]`` and, unless
+      ``points`` is ``None``, the ``point_size`` floats of its row's point,
+      and it returns ``None`` or the failing ``(j, exc)``.  ``form(rows,
+      points)`` gives the residual rows of a stack of rows, the scheme's
+      own constraint form, whose norms are the residual column.  A
+      record's ``label`` names its rows and steps in a failure;
     * when ``system`` is a :class:`ChaplyginParams`, the rolling-sphere
-      two-point recurrence, stepped a window at a time by one float kernel
-      per run (:func:`gni.gni_reduced._chaplygin_stepper`; ``stepper`` is
-      ignored).  ``initial`` is the pair ``(q0, w0)`` of contact point and
-      body angular velocity, and rows pack ``[x, y, w1, w2, w3]`` where
-      ``w`` is the angular velocity of the interval starting at that row's
-      time; the energy monitor uses the central-difference contact velocity
+      two-point recurrence, stepped by the window kernel
+      :func:`gni.gni_reduced._chaplygin_stepper` (``stepper`` is ignored).
+      ``initial`` is the pair ``(q0, w0)`` of contact point and body
+      angular velocity, and rows pack ``[x, y, w1, w2, w3]`` where ``w`` is
+      the angular velocity of the interval starting at that row's time;
+      the energy monitor uses the central-difference contact velocity
       (forward difference on row 0), and the residual column the two
-      discretized rolling constraints (:func:`chaplygin_scheme_residual`).
+      discretized rolling constraints (:func:`chaplygin_scheme_residual`);
+    * any other ``stepper``, a one-step map ``stepper(system, state, h) ->
+      state`` on flat or reduced state objects, which
+      :meth:`Trajectory.from_rows` stacks; its residual column is the
+      momentum form.
 
-    Both recurrences keep one position beyond the last row, to close its
-    central difference.  A state-object ``initial`` must sit within the
-    stepper's admissible set, allowing for the half-step potential shift
-    of the one-sided schemes; a non-finite one is left to its first step
-    to report.  A one-step map's residual column is the momentum form.
+    A state-object ``initial`` must sit within the stepper's admissible
+    set, allowing for the half-step potential shift of the one-sided
+    schemes; a non-finite one is left to its first step to report.
 
     ``residual=False`` is for runs whose final state alone is read, such
     as the self reference of :func:`convergence_sweep`: the residual
@@ -338,18 +325,9 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
             setup = _sphere_recurrence(system, initial, h, capacity, residual)
         else:
             _check_admissible(system, initial, h)
-            kernel = None
-            if isinstance(stepper, gni_reduced.ReducedStepper):
-                kernel = gni_reduced.reduced_kernel(system, h, stepper.retraction, stepper.cfg)
-            if kernel is not None:
-                setup = _reduced_rows(
-                    kernel, stepper.retraction, system, initial, h, capacity, residual
-                )
-            elif isinstance(stepper, (gni_flat.FlatStepper, model.RK4)):
+            if hasattr(stepper, "kernel"):
                 kernel = stepper.kernel(system, h, initial.lam.size)
-                setup = _flat_rows(kernel, system, initial, h, capacity, residual)
-            elif isinstance(stepper, DiscreteLagrangian):
-                setup = _three_point_recurrence(stepper, system, initial, h, capacity, residual)
+                setup = _rows(kernel, system, initial, h, capacity, residual)
             else:
                 setup = _one_step_map(stepper, system, initial, h, residual)
         advance, assemble, keep = setup
@@ -385,27 +363,30 @@ def run(stepper, system, initial, h: float, n_steps: int, residual: bool = True)
 # ``assemble(n_rows)``, which builds the trajectory of the rows before row
 # ``n_rows`` that it holds; and ``keep(k)``, which drops every row before
 # row ``k`` but what the steps still read.  The buffers hold ``capacity``
-# rows besides those carried.  The flat, three-point, reduced and sphere
-# set-ups share ``_kernel_rows``; only a one-step map loops step by step.
+# rows besides those carried: one on each side, the row a step reads
+# before its own and the position a recurrence writes after it.  Once rows
+# were dropped, buffer row 0 is the row before the first row the run holds,
+# and no row of its own.  ``_rows``, the set-up of every kernel record, and
+# the sphere's share ``_kernel_rows``; only a one-step map loops step by step.
 
 # What a failing step raises: a solver's error or, from a callable
 # evaluated on floats, an ``ArithmeticError``.
 _STEP_ERRORS = (NoConvergence, SingularMatrix, model.RankDeficient, ArithmeticError)
 
 
-def _kernel_rows(window, rows, iters, extra, lag, diagnose, h, layout):
-    """The set-up of a window kernel ``window(flat, extra, j0, j1)``, which
-    steps buffer rows ``j0 .. j1-1`` of ``rows`` and ``extra`` (or ``None``),
-    seen as flat memoryviews, and returns ``None`` or ``(j, exc)``.  Step
-    ``j`` reads the ``lag`` rows before row ``j`` and may write ``lag`` rows
-    beyond it, which ``keep`` carries; ``diagnose(m)`` gives the states,
-    energies and residual norms of buffer rows ``0 .. m-1``."""
-    flat = memoryview(rows.reshape(-1))
-    extra = None if extra is None else memoryview(extra.reshape(-1))
+def _kernel_rows(window, rows, iters, points, diagnose, h, layout):
+    """The set-up of a window kernel ``window(flat, points, counts, j0,
+    j1)``, which steps buffer rows ``j0 .. j1-1`` of ``rows``, ``points``
+    (or ``None``) and ``iters``, seen as flat memoryviews.  Step ``j`` reads
+    the row before row ``j`` and may write the row after it, which ``keep``
+    carries; ``diagnose(m)`` gives the states, energies and residual norms
+    of buffer rows ``0 .. m-1``."""
+    flat, counts = memoryview(rows.reshape(-1)), memoryview(iters)
+    points = None if points is None else memoryview(points.reshape(-1))
     base = skip = 0  # the run row of buffer row 0; the carried rows assemble drops
 
     def advance(k0, k1):
-        failed = window(flat, extra, k0 - base, k1 - base)
+        failed = window(flat, points, counts, k0 - base, k1 - base)
         return None if failed is None else (failed[0] + base, failed[1])
 
     def assemble(n_rows):
@@ -416,9 +397,9 @@ def _kernel_rows(window, rows, iters, extra, lag, diagnose, h, layout):
     def keep(k):
         nonlocal base, skip
         j = k - base
-        rows[: 1 + 2 * lag] = rows[j - lag : j + 1 + lag]
-        iters[: 1 + lag] = iters[j - lag : j + 1]
-        base, skip = k - lag, lag
+        rows[:3] = rows[j - 1 : j + 2]
+        iters[:2] = iters[j - 1 : j + 1]
+        base, skip = k - 1, 1
 
     return advance, assemble, keep
 
@@ -447,72 +428,25 @@ def _one_step_map(stepper, system, initial, h, residual):
     return advance, assemble, keep
 
 
-def _flat_rows(kernel, system, initial, h, capacity, residual):
-    # One row [q, p, lam] per step of the built kernel ``(window, form,
-    # point_size)``.  The residual is its form, one stacked pass over the
-    # points the kernel writes beside the rows; a residual=False run keeps
-    # none.
-    n, m = system.dim, initial.lam.size
+def _rows(kernel, system, initial, h, capacity, residual):
+    # One row of the system's layout per step of the built kernel, row 0 from
+    # ``initial``.  The residual is its form, one stacked pass over the rows
+    # and their points; a residual=False run, or one without multipliers, has none.
     window, form, point_size = kernel
-    layout = flat_layout(system)
-    rows = np.empty((capacity, 2 * n + m))
-    rows[0] = layout.stack([initial])[0]
-    iters = np.zeros(capacity, dtype=int)
+    layout, m = _layout(system), initial.lam.size
+    row0 = layout.stack([initial])[0]
+    rows = np.empty((capacity + 2, row0.size))
+    rows[0] = row0
+    iters = np.zeros(capacity + 2, dtype=int)
     iters[0] = initial.newton_iters
-    points = np.empty((capacity, point_size)) if residual and m else None
+    points = np.empty((capacity + 2, point_size)) if residual and m else None
 
     def diagnose(k):
         states = rows[:k]
-        res = points is not None and form(states[:, n : 2 * n], points[:k])
+        res = points is not None and form(states, points[:k])
         return states, model.energies(system, states), _norms(res, k)
 
-    advance, assemble, keep = _kernel_rows(window, rows, iters, points, 0, diagnose, h, layout)
-    advance(1, 1)  # an empty window: it checks row 0 (point and multipliers), writes its point
-    return advance, assemble, keep
-
-
-# The recurrences below (lag 1) step from the position before the current
-# one and write the position after it, which closes the last row's central
-# difference; once rows were dropped, buffer row 0 is the position before
-# the first row the run holds, and no row of its own.
-
-
-def _three_point_recurrence(ld, system, initial, h, capacity, residual):
-    # Flat rows [q, p, lam] from the positions the kernel writes: row 0 is
-    # ``initial``, later rows take the central-difference momentum and a
-    # zero multiplier.  The residual is the momentum form, one stacked pass
-    # over the points (constraint rows and offsets) the kernel writes beside
-    # the positions; a residual=False run keeps none.
-    window, form, point_size = gni_flat.three_point_kernel(ld, system, h)
-    layout = flat_layout(system)
-    n = system.dim
-    row0 = layout.stack([initial])[0]
-    qs = np.empty((capacity + 2, n))
-    iters = np.zeros(capacity + 1, dtype=int)
-    qs[0] = initial.q
-    iters[0] = initial.newton_iters
-    points = np.empty((capacity + 1, point_size)) if residual and point_size else None
-    counts = memoryview(iters)
-
-    def seeded(flat, extra, j0, j1):
-        # Step 1 seeds position 1, unset until then, with one rattle step.
-        if j0 == 1 < j1:
-            try:
-                qs[1] = rattle_step(system, initial, h).q
-            except _STEP_ERRORS as exc:
-                return 1, exc
-        return window(flat, extra, counts, j0, j1)
-
-    def diagnose(m):
-        rows = np.zeros((m, row0.size))
-        rows[:, :n] = qs[:m]
-        diffs = qs[2 : m + 1] - qs[: m - 1]
-        rows[1:, n : 2 * n] = matmul(system.mass_matrix, diffs[:, :, None])[:, :, 0] / (2.0 * h)
-        rows[0] = row0  # once rows were dropped, a carried position assemble drops
-        res = points is not None and form(rows[:, n : 2 * n], points[:m])
-        return rows, model.energies(system, rows), _norms(res, m)
-
-    advance, assemble, keep = _kernel_rows(seeded, qs, iters, points, 1, diagnose, h, layout)
+    advance, assemble, keep = _kernel_rows(window, rows, iters, points, diagnose, h, layout)
     advance(1, 1)  # an empty window: it checks row 0's point and writes it
     return advance, assemble, keep
 
@@ -542,26 +476,7 @@ def _sphere_recurrence(params, initial, h, capacity, residual):
             residuals[1:] = np.max(np.abs(res), axis=1)
         return rows[:m], 0.5 * params.m * vv + 0.5 * ww, residuals
 
-    return _kernel_rows(window, rows, iters, iters, 1, diagnose, h, SPHERE_LAYOUT)
-
-
-def _reduced_rows(window, retraction, system, initial, h, capacity, residual):
-    # One float row [x, y, px, py, xi, p_alg, lam] per step.
-    rows = np.empty((capacity, 12))
-    iters = np.zeros(capacity, dtype=int)
-    layout = reduced_layout(system)
-    rows[0] = layout.stack([initial])[0]
-    iters[0] = initial.newton_iters
-
-    def diagnose(m):
-        states = rows[:m]
-        residuals = np.zeros(m)
-        if residual and m > 1:
-            res = gni_reduced.reduced_scheme_residual(system, states[:-1], states[1:], h, retraction)
-            residuals[1:] = np.max(np.abs(res), axis=1)
-        return states, model.energies(system, states), residuals
-
-    return _kernel_rows(window, rows, iters, iters, 0, diagnose, h, layout)
+    return _kernel_rows(window, rows, iters, None, diagnose, h, SPHERE_LAYOUT)
 
 
 def _check_admissible(system, state, h: float) -> None:
@@ -600,7 +515,7 @@ def _check_admissible(system, state, h: float) -> None:
         slack = matmul(rows, matmul(metric_inv, tilt))
         scale = max(1.0, _inf_norm(matmul(metric_inv, momentum - system.momentum_offset(point))))
     except ArithmeticError as exc:
-        layout = (flat_layout if isinstance(state, PhaseState) else reduced_layout)(system)
+        layout = _layout(system)
         none = np.zeros(0)
         empty = Trajectory(none, layout.stack([state])[:0], none, none, none.astype(int), layout)
         raise StepFailed(0, exc, empty) from exc

@@ -91,10 +91,9 @@ class Integrator:
     :func:`gni.gni_reduced.reduced_scheme_residual`, or ``"sphere"`` for
     the rolling-sphere recurrence, which seeds itself and reports
     :func:`gni.gni_reduced.chaplygin_scheme_residual`.  ``stepper(system,
-    cfg)`` returns the stepper :func:`gni.analysis.run` advances: a
-    :class:`gni.gni_flat.FlatStepper` or
-    :class:`gni.gni_reduced.ReducedStepper` record that ``run`` steps by
-    its kernel, the generic step's discrete Lagrangian, or ``None``.
+    cfg)`` returns the stepper :func:`gni.analysis.run` advances: a record
+    that ``run`` steps by its ``kernel`` (a ``FlatStepper``, a
+    ``ReducedStepper`` or the generic step's discrete Lagrangian), or ``None``.
     ``columns`` names the CSV state columns (``None``: named after the
     flat system's dimension).
     """

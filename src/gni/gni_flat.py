@@ -98,6 +98,10 @@ class DiscreteLagrangian:
     d2: Callable[[list, list, float], list]
     d12: Callable[[list, list, float], list]
 
+    def kernel(self, sys: FlatSystem, h: float, m: int):
+        """:func:`three_point_kernel` of this discrete Lagrangian."""
+        return three_point_kernel(self, sys, h, m)
+
 
 def _endpoint_lagrangian(sys: FlatSystem, left: float, right: float) -> DiscreteLagrangian:
     """The shipped discretizations: kinetic term ``(q1 - q0)^T M (q1 - q0) /
@@ -137,39 +141,45 @@ def euler_b_lagrangian(sys: FlatSystem) -> DiscreteLagrangian:
 def gni_generic_step_stats(ld: DiscreteLagrangian, sys: FlatSystem, q_prev: np.ndarray,
                            q_curr: np.ndarray, h: float, cfg: Optional[NewtonConfig] = None):
     """Advance the three-point projected discrete Euler-Lagrange scheme: one
-    step of :func:`three_point_kernel` on a buffer of three positions, from
-    the free-flight predictor ``2 q_curr - q_prev``.  Returns ``(q_next,
-    iterations)``, ``q_next`` a float64 array and the accepted Newton updates
-    a per-step diagnostic, or raises the step's failure:
-    :class:`~gni.numerics.NoConvergence` if Newton stalls,
+    step of :func:`three_point_kernel` from the free-flight predictor ``2
+    q_curr - q_prev``, on rows 1 and 2 of a four-row buffer (step 2, so no
+    seed).  Returns ``(q_next, iterations)``, ``q_next`` a float64 array and
+    the accepted Newton updates a per-step diagnostic, or raises the step's
+    failure: :class:`~gni.numerics.NoConvergence` if Newton stalls,
     :class:`~gni.numerics.RankDeficient` if the projectors are undefined at
     ``q_curr``."""
     n = sys.dim
-    flat = np.concatenate([np.asarray(q_prev, dtype=float), np.asarray(q_curr, dtype=float), [0.0] * n])
-    counts = np.zeros(2, dtype=int)
-    failed = three_point_kernel(ld, sys, h, cfg)[0](memoryview(flat), None, memoryview(counts), 1, 2)
+    rows = np.zeros((4, 2 * n))
+    rows[1, :n], rows[2, :n] = q_prev, q_curr
+    counts = np.zeros(4, dtype=int)
+    failed = three_point_kernel(ld, sys, h, 0, cfg)[0](memoryview(rows.reshape(-1)), None, memoryview(counts), 2, 3)
     if failed is not None:
         raise failed[1]
-    return flat[2 * n :], int(counts[1])
+    return rows[3, :n], int(counts[2])
 
 
-def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
+def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float, m: int,
                        cfg: Optional[NewtonConfig] = None):
     """The step of :func:`gni_generic_step_stats` as a window kernel on plain
-    floats, built once per run: ``(window, form, point_size)``.
+    floats, built once per run of rows ``[q, p, lam]`` with ``m``
+    multipliers: ``(window, form, point_size)``.
 
     ``window(flat, points, counts, j0, j1)`` takes the steps ``j0 .. j1-1`` on
-    a buffer of positions seen as the flat float memoryview ``flat``: step
+    a buffer of such rows seen as the flat float memoryview ``flat``: step
     ``j`` reads positions ``j-1`` and ``j`` (carried in locals from the step
     before) and writes position ``j+1`` and its accepted Newton updates,
-    ``counts[j]``.  Unless ``points`` is ``None``, it writes there the point
-    of each position ``j0-1 .. j1-1``, ``point_size`` floats: the ``m x n``
-    constraint rows and, with a drift field, the momentum offset ``M Y``.  It
-    returns ``None`` or ``(j, exc)``, as :func:`flat_kernel` does, ``exc``
-    also a solver's :class:`~gni.numerics.NoConvergence` or
+    ``counts[j]``; step 1 first seeds position 1 with one :data:`rattle_step`
+    of row 0.  One stacked :func:`gni.numerics.matmul` pass gives each row
+    its steps closed the central-difference momentum ``M (q_{j+1} -
+    q_{j-1}) / (2h)``, which the scheme keeps on the constraint, and zero
+    multipliers.  Unless ``points`` is ``None``, it writes there the point
+    of each row ``j0-1 .. j1-1``: the constraint rows and, with a drift
+    field, the momentum offset ``M Y``.  It returns ``None`` or ``(j,
+    exc)``, as :func:`flat_kernel` does, ``exc`` also a solver's
+    :class:`~gni.numerics.NoConvergence` or
     :class:`~gni.numerics.SingularMatrix`; a wrong length from ``d1``,
     ``d2`` or ``d12`` at step ``j0`` raises ``ValueError`` too.
-    ``form(momenta, points)`` is the momentum form ``mu M^{-1}(p - Pi)`` of
+    ``form(rows, points)`` is the momentum form ``mu M^{-1}(p - Pi)`` of
     stacked rows, one :func:`stacked_form` pass.
 
     The step takes ``(I - Q)^T - Q^T`` from one Gram solve, ``Q = M^{-1}
@@ -188,22 +198,21 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
     """
     if cfg is None:
         cfg = default_newton_config()
-    n, mass_inv = sys.dim, sys.mass_inv
+    n, mass_inv, mass, width = sys.dim, sys.mass_inv, sys.mass_matrix, 2 * sys.dim + m
     minv_times, minv_t_times, mass_times = sys.float_maps
     constraints, affine_field = sys.constraints, sys.affine_field
     constrained = constraints is not None and sys.num_constraints != 0
     affine = constrained and affine_field is not None
-    m = sys.num_constraints if constrained else 0
-    point_size = n * (m + affine)
+    nc = sys.num_constraints if constrained else 0
+    point_size = n * (nc + affine)
     identity = [[float(a == b) for b in range(n)] for a in range(n)]
     d1, d2, d12 = ld.d1, ld.d2, ld.d12
     bits_of = Struct(f"{n * n}d").pack
     kept = [None, b"", None]  # the last d12 rows; the bits of the factored ones, their lu_factor
 
     def window(flat, points, counts, j0, j1):
-        i, k = n * (j0 + 1), point_size * (j0 - 1)
-        q_prev, q_curr = flat[i - 2 * n : i - n].tolist(), flat[i - n : i].tolist()
-        j, check, carried = j0, True, []
+        i, k = width * (j0 + 1), point_size * (j0 - 1)
+        j, check, carried, failed = j0, True, [], None
 
         def residual(q_next):
             return list(map(add, as_floats(d1(q_curr, q_next, h), False, check and "d1", n), carried))
@@ -218,9 +227,13 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
             return kept[2]
 
         try:
+            if j0 == 1 < j1:  # step 1 seeds position 1 with one rattle step of row 0
+                row = np.asarray(flat)[: width + n]
+                row[width:] = rattle_step(sys, PhaseState(row[:n], row[n : 2 * n], row[2 * n : width]), h).q
+            q_prev, q_curr = (flat[a : a + n].tolist() for a in (i - 2 * width, i - width))
             rows = as_floats(constraints(q_prev), True, "constraints", n) if constrained else []
-            if len(rows) != m:  # else the points written would lose their places
-                raise ValueError(f"constraints must return {m} rows, not {len(rows)}")
+            if len(rows) != nc:  # else the points written would lose their places
+                raise ValueError(f"constraints must return {nc} rows, not {len(rows)}")
             offset = []
             if affine:
                 offset = mass_times(as_floats(affine_field(q_prev), False, "affine_field", n))
@@ -256,18 +269,25 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float,
                 for v in q_next:
                     flat[i] = v
                     i += 1
+                i += width - n
                 if points is not None:
                     for v in sum(rows, []) + offset:
                         points[k] = v
                         k += 1
                 q_prev, q_curr = q_curr, q_next
+            j = j1
         except (NoConvergence, SingularMatrix, RankDeficient, ArithmeticError) as exc:
-            return j, exc
-        return None
+            failed = j, exc
+        if j > j0:  # rows j0 .. j-1, whose positions j0-1 .. j are written
+            buf = np.asarray(flat).reshape(-1, width)
+            q = buf[j0 - 1 : j + 1, :n]
+            buf[j0:j, n : 2 * n] = matmul(mass, (q[2:] - q[:-2])[:, :, None])[:, :, 0] / (2.0 * h)
+            buf[j0:j, 2 * n :] = 0.0
+        return failed
 
-    def form(momenta, points):
-        mus = points[:, : m * n].reshape(-1, m, n)
-        return stacked_form(mass_inv, momenta, mus, points[:, m * n :] if affine else None)
+    def form(rows, points):
+        mus = points[:, : nc * n].reshape(-1, nc, n)
+        return stacked_form(mass_inv, rows[:, n : 2 * n], mus, points[:, nc * n :] if affine else None)
 
     return window, form, point_size
 
@@ -277,9 +297,10 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
     size ``h`` as a window kernel on plain floats, for one run of rows with
     ``m`` multipliers: ``(window, form, point_size)``.
 
-    ``window(flat, points, j0, j1)`` takes the steps ``j0 .. j1-1`` on a
-    buffer of rows ``[q, p, lam]`` seen as the flat float memoryview
-    ``flat``; step ``j`` writes row ``j``.  It derives the kick ``(h/2)(V_q
+    ``window(flat, points, counts, j0, j1)`` takes the steps ``j0 .. j1-1``
+    on a buffer of rows ``[q, p, lam]`` seen as the flat float memoryview
+    ``flat``; step ``j`` writes row ``j`` (and no ``counts``: a direct solve
+    takes no Newton updates).  It derives the kick ``(h/2)(V_q
     + mu^T lam)`` of row ``j0-1`` from that row's ``q`` and ``lam`` alone,
     then carries the state and the kick in locals: the kick that closes a
     step opens the next, so each configuration is evaluated once.  Unless
@@ -292,7 +313,7 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
     :class:`~gni.numerics.RankDeficient`, or whose callables raised an
     ``ArithmeticError``; a point callable's wrong length at row ``j0-1``, or
     a row without one multiplier per constraint row, raises ``ValueError``.
-    ``form(momenta, points)`` is :func:`scheme_constraint_residual` of
+    ``form(rows, points)`` is :func:`scheme_constraint_residual` of
     stacked rows and points, in one stacked :func:`gni.numerics.matmul`
     pass.
 
@@ -312,7 +333,7 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
     affine = constrained and affine_field is not None
     width, point_size = 2 * n + m, n * (m + 1 + affine)
 
-    def window(flat, points, j0, j1):
+    def window(flat, points, counts, j0, j1):
         i, k = width * j0, point_size * (j0 - 1)
         row = flat[i - width : i].tolist()
         q, p, lam = row[:n], row[n : 2 * n], row[2 * n :]
@@ -367,10 +388,10 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
             return j, exc
         return None
 
-    def form(momenta, points):
+    def form(rows, points):
         grads, mus = points[:, :n], points[:, n : n + m * n].reshape(-1, m, n)
         offsets = points[:, n + m * n :] if affine else None
-        return stacked_form(mass_inv, momenta, mus, offsets, shift_h * grads if shift_h else None)
+        return stacked_form(mass_inv, rows[:, n : 2 * n], mus, offsets, shift_h * grads if shift_h else None)
 
     return window, form, point_size
 
@@ -408,7 +429,7 @@ class FlatStepper:
             return s
         n, m = sys.dim, s.lam.size
         rows = np.concatenate([s.q, s.p, s.lam, s.q, s.p, s.lam])  # a two-row buffer
-        failed = self.kernel(sys, h, m)[0](memoryview(rows), None, 1, 2)
+        failed = self.kernel(sys, h, m)[0](memoryview(rows), None, None, 1, 2)
         if failed is not None:
             raise failed[1]
         end = rows[2 * n + m :]

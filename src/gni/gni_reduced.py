@@ -19,8 +19,8 @@ algebra gradient is affine in the unknown ``xi``, and both inverse
 retraction tangents have the form ``a(t) I - hat(s)/2 + c(t) hat(s)^2``
 with ``t = |s|^2``, so stage 3 is one Newton solve on plain floats with an
 analytic Jacobian, :func:`_stage3_solver`.  :func:`reduced_kernel` is the
-same step on plain floats for a whole run, for systems that declare
-constant constraint rows and a linear affine section.
+step as a window kernel for a whole run, on plain floats for systems that
+declare constant constraint rows and a linear affine section.
 
 The rolling sphere on a uniformly rotating plate ships as the worked
 system: :func:`chaplygin_step_stats` advances its five coupled discrete
@@ -43,6 +43,7 @@ from .numerics import (
     _PIVOT_RTOL,
     NewtonConfig,
     NoConvergence,
+    RankDeficient,
     SingularMatrix,
     _singular,
     default_newton_config,
@@ -329,13 +330,13 @@ def reduced_scheme_residual(
     values ``[x, p, xi, p_alg, ...]`` (later columns ignored), or a stack
     of such rows; the result has shape ``(m,)``, or ``(rows, m)`` for
     stacks.  Every product is :func:`gni.numerics.matmul`, so stacked
-    rows give the same bits as one call per row.  Stacks need a system
-    that declares its rows and section as arrays.
+    rows give the same bits as one call per row; a system whose rows or
+    section are callables takes stacks one pair of rows at a time.
     """
     prev, new = _values(prev), _values(new)
     one_row = prev.ndim == 1
     if not one_row and (callable(rsys.annihilator) or callable(rsys.affine_section)):
-        raise ValueError("stacked rows need declared constraint rows and section")
+        return np.array([reduced_scheme_residual(rsys, a, b, h, retraction) for a, b in zip(prev, new)])
     # Columns: one entry per row.
     prev, new = np.atleast_2d(prev).T, np.atleast_2d(new).T
     n = rsys.shape_dim
@@ -364,8 +365,7 @@ class ReducedStepper:
     """:func:`reduced_rattle_step` with its retraction and Newton settings.
 
     Calling the record takes one step, ``stepper(rsys, state, h)``.
-    :func:`gni.analysis.run` reads it to step a whole run with
-    :func:`reduced_kernel` where the system allows that.
+    :func:`gni.analysis.run` steps a whole run by its :meth:`kernel`.
     """
 
     retraction: str = "cay"
@@ -374,46 +374,75 @@ class ReducedStepper:
     def __call__(self, rsys: ReducedSystem, s: ReducedState, h: float) -> ReducedState:
         return reduced_rattle_step(rsys, s, h, self.retraction, self.cfg)
 
+    def kernel(self, rsys: ReducedSystem, h: float, m: int):
+        """:func:`reduced_kernel` of this retraction and Newton settings, for
+        rows of ``m`` multipliers, one per constraint row."""
+        if m != rsys.num_constraints:  # else the rows written would lose their places
+            raise ValueError(f"{m} multipliers for {rsys.num_constraints} constraint rows")
+        return reduced_kernel(rsys, h, self.retraction, self.cfg)
+
 
 def reduced_kernel(
     rsys: ReducedSystem, h: float, retraction: str = "cay", cfg: Optional[NewtonConfig] = None
 ):
-    """:func:`reduced_rattle_step` as a window kernel on plain floats, for one run.
+    """:func:`reduced_rattle_step` as a window kernel for one run of rows
+    ``[x, p, xi, p_alg, lam]``: ``(window, form, 0)``, no points.
 
-    It covers systems with a 2-dim shape, the 3-dim algebra and two
-    constraint rows, that declare those rows as a constant array and the
-    affine section as a matrix (or none), and give no potential; for any
-    other system it returns ``None``.  The step constants are built here,
-    once per run: ``Gs^{-1}`` and ``Gc`` in the shape drift, ``K = (2/h)
-    C^{-1} W`` of stage 2 (``W`` the rows times ``G^{-1}``, ``C = W`` times
-    the rows transposed), the section's momentum offset ``G A`` and the
-    Schur block, and the stage-3 solve of :func:`_stage3_solver`.  The
-    transport ``tau(h xi)^T p_alg`` is written in closed form.
-
-    Returns ``window(flat, counts, j0, j1)``, which takes the steps ``j0 ..
-    j1-1`` on a buffer of rows ``[x, y, px, py, xi1, xi2, xi3, pa1, pa2,
-    pa3, lam1, lam2]`` seen as the flat float memoryview ``flat``, carrying
-    row ``j0-1`` in locals from step to step: step ``j`` writes row ``j``
-    and its stage-3 iterations ``counts[j]``.  It returns ``None``, or
-    ``(j, exc)`` for the first step ``j`` whose stage-3 solve raised.  The
-    algebra is that of :func:`reduced_rattle_step` up to rounding.
+    ``window(flat, points, counts, j0, j1)`` takes the steps ``j0 .. j1-1``
+    on a buffer of such rows seen as the flat float memoryview ``flat``:
+    step ``j`` writes row ``j`` and its stage-3 iterations ``counts[j]``,
+    and it returns ``None`` or the first failing ``(j, exc)``.  ``form(rows,
+    points)`` is :func:`reduced_scheme_residual` of each row and the one
+    before it, 0 on the first row.  A system with a 2-dim shape, two
+    constraint rows declared as a constant array, the affine section as a
+    matrix (or none) and no potential is stepped on plain floats, carrying
+    row ``j0-1`` in locals; any other, by :func:`reduced_rattle_step` on
+    each row's state.  The float step's constants are built here, once per
+    run: ``Gs^{-1}`` and ``Gc`` in the shape drift, ``K = (2/h) C^{-1} W``
+    of stage 2 (``W`` the rows times ``G^{-1}``, ``C = W`` times the rows
+    transposed), the section's momentum offset ``G A`` and the Schur block,
+    and the stage-3 solve of :func:`_stage3_solver`.  The transport ``tau(h
+    xi)^T p_alg`` is written in closed form, and the algebra is that of
+    :func:`reduced_rattle_step` up to rounding.
 
     Raises
     ------
     ValueError
-        For an unknown retraction.
+        For an unknown retraction or an algebra that is not 3-dim.
     RankDeficient
         If the constant constraint rows are dependent.
     """
+    if rsys.algebra_dim != 3:
+        raise ValueError("reduced stepping is implemented for a 3-dim algebra")
+    n, m = rsys.shape_dim, rsys.num_constraints
+
+    def form(rows, points):
+        res = np.zeros((len(rows), m))
+        if len(rows) > 1:
+            res[1:] = reduced_scheme_residual(rsys, rows[:-1], rows[1:], h, retraction)
+        return res
+
     cayley = _retraction(retraction, {"cay": True, "exp": False})
     covered = (
-        (rsys.shape_dim, rsys.algebra_dim, rsys.num_constraints) == (2, 3, 2)
+        (n, m) == (2, 2)
         and isinstance(rsys.annihilator, np.ndarray)
         and not callable(rsys.affine_section)
         and rsys.potential_free
     )
     if not covered:
-        return None
+
+        def window(flat, points, counts, j0, j1):
+            rows = np.asarray(flat).reshape(-1, 2 * n + 6 + m)
+            for j in range(j0, j1):
+                s = ReducedState(*np.split(rows[j - 1], [n, 2 * n, 2 * n + 3, 2 * n + 6]))
+                try:
+                    s = reduced_rattle_step(rsys, s, h, retraction, cfg)
+                except (NoConvergence, SingularMatrix, RankDeficient, ArithmeticError) as exc:
+                    return j, exc
+                rows[j], counts[j] = np.concatenate([s.x, s.p, s.xi, s.p_alg, s.lam]), s.newton_iters
+            return None
+
+        return window, form, 0
     solve = _stage3_solver(retraction, rsys.algebra_schur.tolist(), h, cfg)
 
     rows = rsys.annihilator
@@ -435,7 +464,7 @@ def reduced_kernel(
     (o00, o01), (o10, o11) = matmul(k_mat, offset).tolist()
     (c00, c01), (c10, c11), (c20, c21) = matmul(gc.T, gs_inv).tolist()
 
-    def window(flat, counts, j0, j1):
+    def window(flat, points, counts, j0, j1):
         i = 12 * j0
         x, y, px, py, w1, w2, w3, g1, g2, g3, l1, l2 = flat[i - 12 : i]
         for j in range(j0, j1):
@@ -477,7 +506,7 @@ def reduced_kernel(
             i += 12
         return None
 
-    return window
+    return window, form, 0
 
 
 @dataclass(frozen=True)
@@ -591,7 +620,7 @@ def chaplygin_step_stats(params: ChaplyginParams, q_prev, q_curr, w_prev, h: flo
     rows = np.empty((3, 5))
     rows[0, :2], rows[0, 2:], rows[1, :2] = q_prev, w_prev, q_curr
     counts = memoryview(np.zeros(3, dtype=int))
-    failed = _chaplygin_stepper(params, h, cfg)(memoryview(rows.reshape(-1)), counts, 1, 2)
+    failed = _chaplygin_stepper(params, h, cfg)(memoryview(rows.reshape(-1)), None, counts, 1, 2)
     if failed is not None:
         raise failed[1]
     return rows[2, :2], rows[1, 2:], counts[1]
@@ -600,9 +629,9 @@ def chaplygin_step_stats(params: ChaplyginParams, q_prev, q_curr, w_prev, h: flo
 def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonConfig] = None):
     """The rolling-sphere Newton core as a window kernel on plain floats.
 
-    Returns ``window(flat, counts, j0, j1)``, which takes the steps ``j0 ..
-    j1-1`` on a buffer of rows ``[x, y, w1, w2, w3]`` seen as the flat
-    float memoryview ``flat``.  Step ``j`` reads the contact points of rows
+    Returns ``window(flat, points, counts, j0, j1)``, which takes the steps
+    ``j0 .. j1-1`` on a buffer of rows ``[x, y, w1, w2, w3]`` seen as the
+    flat float memoryview ``flat`` (and writes no ``points``).  Step ``j`` reads the contact points of rows
     ``j-1`` and ``j`` and the interval velocity of row ``j-1`` (carried in
     locals from the step before) and writes the velocity of row ``j``, the
     contact point of row ``j+1`` and its accepted Newton updates into
@@ -676,7 +705,7 @@ def _chaplygin_stepper(params: ChaplyginParams, h: float, cfg: Optional[NewtonCo
     factor01 = other / pivot
     newton_iterations, halvings = range(max_iters), range(_MAX_HALVINGS)
 
-    def window(flat, counts, j0, j1):
+    def window(flat, points, counts, j0, j1):
         i = 5 * j0
         xm, ym, w1, w2, w3, x0, y0 = flat[i - 5 : i + 2]
         # The products of row j0-1's velocity, which each step carries into the next.

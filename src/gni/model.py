@@ -187,7 +187,7 @@ class ReducedSystem:
     by ``affine_section(x)`` in the affine case.  Either may instead be
     declared as an array: constant ``(m, n+k)`` rows, and an ``(n+k, n)``
     matrix ``A`` of the linear section ``A @ x``.  Systems that declare
-    both and give no potential can be stepped by
+    both and give no potential are stepped on plain floats by
     :func:`gni.gni_reduced.reduced_kernel`.
 
     With the metric blocks ``Gs`` (shape), ``Gc`` (coupling) and ``Ga``
@@ -382,10 +382,10 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
     as a window kernel on plain floats under the contract of
     :func:`gni.gni_flat.flat_kernel`: ``(window, form, point_size)``.
 
-    ``window(flat, points, j0, j1)`` carries ``q`` and ``p`` of row ``j0-1``
-    in locals and writes row ``j`` as ``[q, p, 0...]`` (``m`` eliminated
-    multipliers), and unless ``points`` is ``None`` the ``m x n`` constraint
-    rows of each row ``j0-1 .. j1-1``.  A point callable's wrong length at
+    ``window(flat, points, counts, j0, j1)`` carries ``q`` and ``p`` of row
+    ``j0-1`` in locals and writes row ``j`` as ``[q, p, 0...]`` (``m``
+    eliminated multipliers; no ``counts``), and unless ``points`` is
+    ``None`` the ``m x n`` constraint rows of each row ``j0-1 .. j1-1``.  A point callable's wrong length at
     the window's first step, or constraint rows at row ``j0-1`` that are
     not ``m``, raise ``ValueError``.  It returns ``None``, ``(j, None)`` for
     the first step ``j`` whose state is not finite, or ``(j, exc)`` for one
@@ -403,7 +403,7 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
             raise ValueError(f"{m} multipliers for {len(rows)} constraint rows")
         return sum(rows, [])
 
-    def window(flat, points, j0, j1):
+    def window(flat, points, counts, j0, j1):
         i, k = width * j0, point_size * (j0 - 1)
         row = flat[i - width : i].tolist()
         q, p = row[:n], row[n : 2 * n]
@@ -439,15 +439,15 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
             return j, exc
         return None
 
-    def form(momenta, points):
-        return stacked_form(mass_inv, momenta, points.reshape(-1, m, n))
+    def form(rows, points):
+        return stacked_form(mass_inv, rows[:, n : 2 * n], points.reshape(-1, m, n))
 
     return window, form, point_size
 
 
 class RK4:
     """The RK4 reference, which :func:`gni.analysis.run` steps by its
-    ``kernel(sys, h, m)`` as it steps a :class:`gni.gni_flat.FlatStepper`."""
+    ``kernel(sys, h, m)`` as it steps every record with a ``kernel``."""
 
     kernel = staticmethod(rk4_kernel)
     label = "RK4 "  # how a failure names the rows and steps

@@ -336,12 +336,12 @@ def _fail_sphere_kernel_at(monkeypatch, failing_step):
         window = make_kernel(*args)
         taken = [0]
 
-        def window_or_fail(flat, counts, j0, j1):
+        def window_or_fail(flat, points, counts, j0, j1):
             stop = j0 + failing_step - 1 - taken[0]  # the failing step's buffer row
             if stop >= j1:
                 taken[0] += j1 - j0
-                return window(flat, counts, j0, j1)
-            failed = window(flat, counts, j0, stop)
+                return window(flat, points, counts, j0, j1)
+            failed = window(flat, points, counts, j0, stop)
             return (stop, NoConvergence(50, 1.0)) if failed is None else failed
 
         return window_or_fail
@@ -1038,10 +1038,29 @@ def _window_cases():
             particle,
             gni_flat.prepare_state(particle, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "euler_a", h),
         ),
+        "euler_b": (
+            gni_flat.euler_b_step,
+            particle,
+            gni_flat.prepare_state(particle, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "euler_b", h),
+        ),
+        "rattle": (
+            gni_flat.rattle_step,
+            particle,
+            gni_flat.prepare_state(particle, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", h),
+        ),
+        "rk4": (model.rk4, particle, gni_flat.prepare_state(particle, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2])),
+        # Constant rows passed as a callable: the reduced kernel steps the array step.
+        "reduced-callable": (
+            gni_reduced.ReducedStepper("cay"),
+            dataclasses.replace(rsys, annihilator=lambda x, rows=rsys.annihilator: rows),
+            chaplygin_initial_reduced_state(params, q0, w0, h),
+        ),
     }, h
 
 
-_WINDOW_CASES = ["sphere", "reduced-cay", "reduced-exp", "gni_generic", "euler_a"]
+_WINDOW_CASES = [
+    "sphere", "reduced-cay", "reduced-exp", "reduced-callable", "gni_generic", "euler_a", "rk4"
+]
 
 
 @pytest.mark.parametrize(
@@ -1069,6 +1088,27 @@ def test_run_without_residuals_keeps_the_full_runs_last_two_rows(monkeypatch, ca
             assert np.array_equal(getattr(bare, name), getattr(last, name)), (n_steps, name)
         assert np.array_equal(state_matrix(bare), state_matrix(last)), n_steps
         assert not np.any(bare.residuals)
+
+
+@pytest.mark.parametrize(
+    "case", ["euler_a", "euler_b", "rattle", "rk4", "gni_generic", "reduced-cay", "reduced-callable"]
+)
+def test_every_kernel_record_keeps_the_window_contract(case):
+    # ``kernel(system, h, m)`` gives ``(window, form, point_size)``, and an
+    # empty window (1, 1) writes at most row 0's point, no row past 0.
+    cases, h = _window_cases()
+    stepper, system, initial = cases[case]
+    window, form, point_size = stepper.kernel(system, h, initial.lam.size)
+    assert callable(form) and isinstance(point_size, int) and point_size >= 0
+    row0 = analysis._layout(system).stack([initial])[0]
+    rows, points = np.full((4, row0.size), np.nan), np.full((4, point_size), np.nan)
+    rows[0] = row0
+    counts = np.full(4, -7)
+    flat = memoryview(rows.reshape(-1))
+    assert window(flat, memoryview(points.reshape(-1)), memoryview(counts), 1, 1) is None
+    assert np.array_equal(rows[0], row0) and np.isnan(rows[1:]).all()
+    assert np.isnan(points[1:]).all() and (counts == -7).all()
+    assert form(rows[:1], points[:1]).shape == (1, initial.lam.size)
 
 
 @pytest.mark.parametrize("case", ["sphere", "reduced-cay", "gni_generic", "euler_a", "one-step map"])
@@ -1139,7 +1179,7 @@ def test_run_sphere_non_finite_row_at_the_smallest_windows_is_the_full_runs(monk
     # central difference is the first to overflow: at a window of one step
     # it is found after the first keep, which has dropped no row yet.
     def growing_stepper(params, h, cfg):
-        def window_kernel(flat, counts, j0, j1):
+        def window_kernel(flat, points, counts, j0, j1):
             for j in range(j0, j1):
                 i = 5 * j
                 flat[i + 5], flat[i + 6] = flat[i] * 1e100, flat[i + 1]
@@ -1201,7 +1241,7 @@ def test_sphere_sweep_reference_memory_does_not_grow_with_its_steps(monkeypatch)
     import tracemalloc
 
     def straight_line_stepper(params, h, cfg):
-        def window(flat, counts, j0, j1):
+        def window(flat, points, counts, j0, j1):
             for j in range(j0, j1):
                 i = 5 * j
                 flat[i + 5] = flat[i] + (flat[i] - flat[i - 5])
@@ -1613,6 +1653,7 @@ def test_sample_admissible_states_properties():
 def test_check_suite_all_passes():
     results = check_suite("all", seed=0, quiet=True)
     assert results, "suite must not be empty"
+    assert "steppers: sphere moving energy order" in [label for label, _, _ in results]
     for label, passed, detail in results:
         assert isinstance(label, str) and isinstance(detail, str)
         assert passed, f"{label}: {detail}"

@@ -418,23 +418,26 @@ def test_generic_recurrence_takes_one_newton_iteration_per_step(h):
 @pytest.mark.parametrize("with_points", [True, False])
 def test_three_point_window_rejects_a_lagrangian_result_of_the_wrong_length(name, bad, with_points):
     # The window checks what d1, d2 and d12 return at its first step: a
-    # result that zip() would silently cut short raises, naming the callable.
+    # result that zip() would silently cut short raises, naming the callable,
+    # before that step writes its position or any momentum.
     sys, h = nonholonomic_particle("harmonic"), 0.05
     good = verlet_lagrangian(sys)
     ld = dataclasses.replace(good, **{name: bad})
-    window, _, point_size = gni_flat.three_point_kernel(ld, sys, h)
-    qs, points = np.full((7, 3), np.nan), np.full((6, point_size), np.nan)
-    qs[0], qs[1] = [0.3, 0.2, 0.1], [0.35, 0.22, 0.11]
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="rattle", h=h)
+    window, _, point_size = ld.kernel(sys, h, 1)
+    rows, points = np.full((7, 7), np.nan), np.full((6, point_size), np.nan)
+    rows[0] = np.concatenate([s0.q, s0.p, s0.lam])
     counts = memoryview(np.zeros(6, dtype=int))
     pts = memoryview(points.reshape(-1)) if with_points else None
     with pytest.raises(ValueError, match=name):
-        window(memoryview(qs.reshape(-1)), pts, counts, 1, 6)
-    assert np.isnan(qs[2:]).all() and np.isnan(points[1:]).all()
-    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], scheme="rattle", h=h)
+        window(memoryview(rows.reshape(-1)), pts, counts, 1, 6)
+    seed = rattle_step(sys, s0, h).q  # step 1's seed of position 1
+    assert np.array_equal(rows[1, :3], seed) and np.isnan(rows[1, 3:]).all()
+    assert np.isnan(rows[2:]).all() and np.isnan(points[1:]).all()
     with pytest.raises(ValueError, match=name):
         run(ld, sys, s0, h, 5, residual=with_points)
     with pytest.raises(ValueError, match=name):
-        gni_generic_step_stats(ld, sys, qs[0], qs[1], h)
+        gni_generic_step_stats(ld, sys, s0.q, seed, h)
 
 
 def test_three_point_window_rejects_constraint_rows_other_than_declared():
@@ -446,6 +449,21 @@ def test_three_point_window_rejects_constraint_rows_other_than_declared():
     for residual in (True, False):
         with pytest.raises(ValueError, match="constraints must return 1 rows, not 2"):
             run(verlet_lagrangian(sys), sys, s0, h, 5, residual=residual)
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_three_point_run_fails_at_step_1_where_its_rattle_seed_raises(residual):
+    # Step 1 seeds position 1 with one rattle step of row 0, which here
+    # drifts to x = 1.05, where the constraint row vanishes: the run fails
+    # at step 1 and keeps row 0 alone.
+    sys, h = _vanishing_row_system(), 0.1
+    s0 = PhaseState(np.array([0.95, 0.0]), np.array([1.0, 0.0]), np.zeros(1))
+    with pytest.raises(StepFailed) as excinfo:
+        run(verlet_lagrangian(sys), sys, s0, h, 5, residual=residual)
+    err = excinfo.value
+    assert err.step == 1 and type(err.cause) is RankDeficient
+    assert len(err.partial) == 1
+    np.testing.assert_array_equal(err.partial.states, [np.concatenate([s0.q, s0.p, s0.lam])])
 
 
 @pytest.mark.parametrize("residual", [pytest.param(True, id="None"), pytest.param(False, id="False")])
@@ -806,15 +824,15 @@ def _flat_window_run(sys, scheme, h, row0, windows):
     points = np.full((total + 1, point_size), np.nan)
     rows[0] = row0
     flat, pts = memoryview(rows.reshape(-1)), memoryview(points.reshape(-1))
-    window(flat, pts, 1, 1)
+    window(flat, pts, None, 1, 1)
     j0, failed = 1, None
     for size in windows:
-        failed = window(flat, pts, j0, j0 + size)
+        failed = window(flat, pts, None, j0, j0 + size)
         if failed is not None:
             break
         j0 += size
     k = j0 if failed is None else failed[0]
-    res = form(rows[:k, n : 2 * n], points[:k]) if m else None
+    res = form(rows[:k], points[:k]) if m else None
     return rows, points, res, failed
 
 
@@ -955,7 +973,7 @@ def test_flat_window_rejects_a_point_callable_of_the_wrong_length(name, override
     rows[0] = row0
     pts = memoryview(points.reshape(-1)) if with_points else None
     with pytest.raises(ValueError, match=name):
-        window(memoryview(rows.reshape(-1)), pts, 1, 6)
+        window(memoryview(rows.reshape(-1)), pts, None, 1, 6)
     assert np.isnan(rows[1:]).all() and np.isnan(points).all()
     if name == "grad_potential":  # run's own checks evaluate it on arrays, where it passes
         s0 = PhaseState(row0[:2], row0[2:4], row0[4:])

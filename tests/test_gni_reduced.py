@@ -1,4 +1,5 @@
 """Tests for the reduced steppers and the rolling-sphere specialization."""
+import dataclasses
 import itertools
 import warnings
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from gni.gni_flat import prepare_state, rattle_step
 from gni import gni_reduced
 from gni.analysis import StepFailed, run, slope_fit
+from gni.checks import _moving_energy_variation
 from gni.gni_reduced import (
     ChaplyginParams,
     _stage3_solver,
@@ -841,10 +843,10 @@ def _reduced_window_run(rsys, h, retraction, row0, windows, cfg=None):
     rows = np.full((sum(windows) + 1, 12), np.nan)
     counts = np.full(sum(windows) + 1, -7)
     rows[0] = row0
-    window = gni_reduced.reduced_kernel(rsys, h, retraction, cfg)
+    window = gni_reduced.reduced_kernel(rsys, h, retraction, cfg)[0]
     flat, j0, failed = memoryview(rows.reshape(-1)), 1, None
     for size in windows:
-        failed = window(flat, memoryview(counts), j0, j0 + size)
+        failed = window(flat, None, memoryview(counts), j0, j0 + size)
         if failed is not None:
             break
         j0 += size
@@ -909,10 +911,11 @@ def test_kernel_agrees_with_reduced_rattle_step(retraction, steps):
 
 
 def test_kernel_covers_only_declared_potential_free_systems():
-    rsys, _, h = _shipped_reduced_sphere()
-    assert gni_reduced.reduced_kernel(rsys, h) is not None
+    # The float body covers the declared, potential-free systems; every
+    # other system gets a kernel too, whose window steps reduced_rattle_step
+    # on each row's state, bit for bit.
+    rsys, s, h = _shipped_reduced_sphere()
     no_plate = chaplygin_reduced_system(ChaplyginParams(1.0, 1.0, 0.0, 1.0, 1.0, 1.0))
-    assert gni_reduced.reduced_kernel(no_plate, h) is not None
     rows = rsys.annihilator
     callable_rows = ReducedSystem(
         2, 3, rsys.bundle_metric, annihilator=lambda x: rows, num_constraints=2
@@ -921,10 +924,55 @@ def test_kernel_covers_only_declared_potential_free_systems():
         2, 3, rsys.bundle_metric, annihilator=rows, num_constraints=2,
         potential=lambda x: 0.5 * x @ x, grad_potential=lambda x: x,
     )
-    for other in (callable_rows, with_potential, _coupled_system()):
-        assert gni_reduced.reduced_kernel(other, h) is None
+    for system in (rsys, no_plate, callable_rows, with_potential, _coupled_system()):
+        window, form, point_size = gni_reduced.reduced_kernel(system, h)
+        assert callable(window) and callable(form) and point_size == 0
+    for other in (callable_rows, with_potential):
+        buf = np.full((4, 12), np.nan)
+        buf[0] = _row(s)
+        counts = np.full(4, -7)
+        window = gni_reduced.reduced_kernel(other, h)[0]
+        assert window(memoryview(buf.reshape(-1)), None, memoryview(counts), 1, 4) is None
+        state = s
+        for row, iters in zip(buf[1:], counts[1:]):
+            state = reduced_rattle_step(other, state, h)
+            assert np.array_equal(_bits(row), _bits(_row(state))) and iters == state.newton_iters
     with pytest.raises(ValueError, match="unknown retraction"):
         gni_reduced.reduced_kernel(rsys, h, "polar")
+    with pytest.raises(ValueError, match="3-dim algebra"):
+        gni_reduced.reduced_kernel(ReducedSystem(1, 2, np.eye(3)), h)
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_run_refuses_a_reduced_state_without_one_multiplier_per_constraint_row(residual):
+    # Else the rows written would lose their places in the kernel's buffer.
+    rsys, s, h = _shipped_reduced_sphere()
+    for lam in ([], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match=f"{len(lam)} multipliers for 2 constraint rows"):
+            run(gni_reduced.ReducedStepper(), rsys, dataclasses.replace(s, lam=lam), h, 5, residual=residual)
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_uncovered_reduced_run_reports_the_schemes_residual(residual):
+    # The criterion-06 sphere with its constant rows passed as a callable:
+    # the kernel does not cover it, yet its residual column is the scheme's
+    # own form, as on the covered run (the momentum form read 3.46e-3 here).
+    rsys, s0, h = _shipped_reduced_sphere()
+    rows = rsys.annihilator
+    callable_rows = dataclasses.replace(rsys, annihilator=lambda x: rows)
+    stepper = gni_reduced.ReducedStepper()
+    covered = run(stepper, rsys, s0, h, 200, residual=residual)
+    traj = run(stepper, callable_rows, s0, h, 200, residual=residual)
+    assert np.max(np.abs(traj.states - covered.states)) <= 1e-12
+    if residual:
+        assert traj.residuals[0] == 0.0 and np.max(traj.residuals) <= 1e-15
+        per_pair = [
+            _inf_norm(reduced_scheme_residual(callable_rows, a, b, h))
+            for a, b in zip(traj.states, traj.states[1:])
+        ]
+        assert np.array_equal(traj.residuals[1:], per_pair)
+    else:
+        assert len(traj) == 2 and not np.any(traj.residuals)
 
 
 @pytest.mark.parametrize("retraction", ["cay", "exp"])
@@ -945,7 +993,7 @@ def test_stacked_reduced_scheme_residual_matches_one_row_calls(retraction):
         reduced_scheme_residual(rsys, states[1], states[2], h, retraction), stacked[1]
     )
     assert np.max(np.abs(stacked)) <= 1e-10
-    # The same system given by callables takes one row at a time.
+    # The same system given by callables takes a stack one pair at a time.
     callables = ReducedSystem(
         2, 3, rsys.bundle_metric, annihilator=lambda x: rsys.annihilator, num_constraints=2,
         affine_section=lambda x: rsys.affine_section @ x,
@@ -954,8 +1002,8 @@ def test_stacked_reduced_scheme_residual_matches_one_row_calls(retraction):
         reduced_scheme_residual(callables, rows[1], rows[2], h, retraction),
         stacked[1], rtol=0.0, atol=1e-15,
     )
-    with pytest.raises(ValueError, match="stacked rows"):
-        reduced_scheme_residual(callables, rows[:-1], rows[1:], h, retraction)
+    pairs = [reduced_scheme_residual(callables, a, b, h, retraction) for a, b in zip(rows[:-1], rows[1:])]
+    assert np.array_equal(reduced_scheme_residual(callables, rows[:-1], rows[1:], h, retraction), pairs)
 
 
 @pytest.mark.parametrize("retraction, steps", [("cay", 3000), ("exp", 2500)])
@@ -1254,7 +1302,7 @@ def _kernel_run(params, h, start, windows, cfg=None):
     window = gni_reduced._chaplygin_stepper(params, h, cfg)
     flat, j0, failed = memoryview(rows.reshape(-1)), 1, None
     for size in windows:
-        failed = window(flat, memoryview(counts), j0, j0 + size)
+        failed = window(flat, None, memoryview(counts), j0, j0 + size)
         if failed is not None:
             break
         j0 += size
@@ -1573,7 +1621,7 @@ def test_window_kernel_carries_the_oracles_products_across_windows():
         counts = np.full(301, -7)
         (rows[0, :2], rows[0, 2:], rows[1, :2]) = start
         for j0 in range(1, 301, 100):
-            assert window(memoryview(rows.reshape(-1)), memoryview(counts), j0, j0 + 100) is None
+            assert window(memoryview(rows.reshape(-1)), None, memoryview(counts), j0, j0 + 100) is None
         want_rows, want_counts, _ = _oracle_run(_SPHERE, h, start, 300, cfg)
         np.testing.assert_array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
         np.testing.assert_array_equal(counts, want_counts)
@@ -1937,23 +1985,6 @@ def test_stepper_stops_at_once_on_a_non_finite_residual(monkeypatch, w0):
 
 # ---------------------------------------------------------------------------
 # the moving energy of the sphere on a spinning plate
-
-
-def _moving_energy_variation(h, omega_sign=1.0, T=15.0):
-    # chaplygin_gni on the criterion-06 sphere, read in interval form: over
-    # interval k, xdot = (x_{k+1} - x_k) / h, x at the interval's midpoint
-    # and xi the row's w.  E_mov = E - Omega m (x ydot - y xdot); the
-    # variation is its largest minus its smallest value.
-    params = ChaplyginParams(m=3.0, r=1.0, omega=0.2, i1=1.0, i2=1.1, i3=1.2)
-    n = round(T / h)
-    rows = run(None, params, (np.array([1.0, 0.0]), np.array([-0.2, 0.0, 0.4])), T / n, n).states
-    x, w = rows[:, :2], rows[:-1, 2:]
-    xdot = (x[1:] - x[:-1]) / (T / n)
-    mid = 0.5 * (x[1:] + x[:-1])
-    energy = 0.5 * params.m * np.sum(xdot * xdot, axis=1) + 0.5 * np.sum(params.inertia * w * w, axis=1)
-    moment = params.m * (mid[:, 0] * xdot[:, 1] - mid[:, 1] * xdot[:, 0])
-    moving = energy - omega_sign * params.omega * moment
-    return np.max(moving) - np.min(moving)
 
 
 _MOVING_ENERGY_H = [0.1, 0.05, 0.025, 0.0125]

@@ -64,3 +64,39 @@ def test_the_scan_sees_lazy_and_absolute_imports():
     )
     found = [name for name, _ in _imported_modules(ast.parse(source))]
     assert found == ["analysis", "cli", "checks", "gni_flat", "model"]
+
+
+# The stepper records that ``analysis.run`` steps by their ``kernel``: it
+# reads them by that contract, not by their class.
+KERNEL_RECORDS = {"FlatStepper", "RK4", "ReducedStepper", "DiscreteLagrangian"}
+
+
+def _isinstance_classes(tree):
+    """The class names each ``isinstance`` call of a syntax tree tests
+    against, bare or as attributes, alone or in a tuple, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            for part in ast.walk(node.args[1]):
+                if isinstance(part, ast.Name):
+                    yield part.id, node.lineno
+                elif isinstance(part, ast.Attribute):
+                    yield part.attr, node.lineno
+
+
+def test_analysis_tests_no_kernel_record_by_class():
+    tree = ast.parse((SRC / "analysis.py").read_text())
+    found = [f"analysis.py:{line} isinstance of {name}"
+             for name, line in _isinstance_classes(tree) if name in KERNEL_RECORDS]
+    assert not found
+
+
+def test_the_isinstance_scan_sees_attributes_and_tuples():
+    source = (
+        "isinstance(s, gni_reduced.ReducedStepper)\n"
+        "isinstance(s, (gni_flat.FlatStepper, model.RK4))\n"
+        "if isinstance(s, DiscreteLagrangian): pass\n"
+    )
+    found = {name: line for name, line in _isinstance_classes(ast.parse(source))}
+    assert {name: found.get(name) for name in KERNEL_RECORDS} == {
+        "ReducedStepper": 1, "FlatStepper": 2, "RK4": 2, "DiscreteLagrangian": 3
+    }

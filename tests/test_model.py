@@ -490,7 +490,7 @@ def test_rk4_window_rejects_a_point_callable_of_the_wrong_length(name, overrides
     rows[0] = np.concatenate([s0.q, s0.p, s0.lam])
     pts = memoryview(points.reshape(-1)) if with_points else None
     with pytest.raises(ValueError, match=name):
-        window(memoryview(rows.reshape(-1)), pts, 1, 6)
+        window(memoryview(rows.reshape(-1)), pts, None, 1, 6)
     assert np.isnan(rows[1:]).all() and np.isnan(points[1:]).all()
     if name == "grad_potential":  # run's own checks evaluate it on arrays, where it passes
         with pytest.raises(ValueError, match=name):
