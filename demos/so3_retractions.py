@@ -26,7 +26,7 @@ def main() -> None:
     print(f"  dcay_inv(w) dcay(w) - I:      {np.max(np.abs(dcay_inv(w) @ dcay(w) - np.eye(3))):.3e}")
     r_exp = exp_so3(w)
     print(f"  exp(w) orthogonality defect:  {np.max(np.abs(r_exp.T @ r_exp - np.eye(3))):.3e}")
-    print(f"  dexp_inv series vs dcay_inv at small w:")
+    print("  dexp_inv (closed form) vs dcay_inv at small w:")
     for scale in (1e-1, 1e-2, 1e-3):
         diff = np.max(np.abs(dexp_inv(scale * w) - dcay_inv(scale * w)))
         print(f"    |w| ~ {scale:.0e}: difference {diff:.3e} (both -> I as w -> 0)")

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .lie_so3 import cay, dcay_inv, exp_coefficients, exp_so3
+from .lie_so3 import cay, dcay_inv, dexp_inv_coefficients, exp_coefficients, exp_so3
 from .model import ReducedState, ReducedSystem
 from .numerics import (
     _MAX_HALVINGS,
@@ -70,12 +70,11 @@ _RETRACTIONS = {"cay": cay, "exp": exp_so3}
 
 
 # Coefficients of the inverse tangents written as a(t) I - hat(s)/2 +
-# c(t) hat(s)^2 with t = |s|^2: (a, c, da/dt, dc/dt).  cay is exact
-# (dcay_inv); exp is the order-4 series of dexp_inv, whose hat(s)^4 term
-# is -t hat(s)^2 / 720.
+# c(t) hat(s)^2 with t = |s|^2: (a, da/dt, c, dc/dt).  Both are exact:
+# cay's is dcay_inv, exp's the closed form of dexp_inv.
 _TANGENT_COEFFS = {
     "cay": lambda t: (1.0 + 0.25 * t, 0.25, 0.25, 0.0),
-    "exp": lambda t: (1.0, 1.0 / 12.0 + t / 720.0, 0.0, 1.0 / 720.0),
+    "exp": lambda t: (1.0, 0.0, *dexp_inv_coefficients(t)),
 }
 
 
@@ -204,7 +203,7 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
     ``schur`` is the Schur block ``S`` as three rows of three floats.  With
     ``sigma = h xi``, ``t = |sigma|^2``, ``v = b + S xi`` and the inverse
     tangent ``T = a I - hat(sigma)/2 + c hat(sigma)^2`` of the retraction,
-    the residual is
+    exact for both (``_TANGENT_COEFFS``), the residual is
 
         T^T v - alg1 = (a - c t) v + sigma x v / 2 + c (sigma . v) sigma - alg1
 
@@ -236,7 +235,7 @@ def _stage3_solver(retraction: str, schur, h: float, cfg: Optional[NewtonConfig]
             v2 = b2 + s20 * y0 + s21 * y1 + s22 * y2
             o0, o1, o2 = h * y0, h * y1, h * y2
             t = o0 * o0 + o1 * o1 + o2 * o2
-            a, c, da, dc = coeffs(t)
+            a, da, c, dc = coeffs(t)
             d = a - c * t
             sv = o0 * v0 + o1 * v1 + o2 * v2
             cw = c * sv

@@ -14,9 +14,7 @@ tau(w)``; ``Ad(R) @ xi`` is conjugation expressed in vector form and
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from math import cos, factorial, inf, nan, sin, sqrt
+from math import cos, inf, nan, sin, sqrt, tan
 
 import numpy as np
 
@@ -31,6 +29,7 @@ __all__ = [
     "dcay_inv",
     "exp_so3",
     "exp_coefficients",
+    "dexp_inv_coefficients",
     "dexp_inv",
     "Ad",
     "Ad_star",
@@ -96,11 +95,8 @@ def dcay_inv(w: np.ndarray) -> np.ndarray:
 
 
 def exp_so3(w: np.ndarray) -> np.ndarray:
-    """Matrix exponential so(3) -> SO(3) in Rodrigues form.
-
-    For angles below ``1e-8`` the trigonometric coefficients are replaced
-    by their Taylor expansions to avoid cancellation.
-    """
+    """Matrix exponential so(3) -> SO(3) in Rodrigues form, with the
+    coefficients of :func:`exp_coefficients`."""
     w = np.asarray(w, dtype=float)
     a, b = exp_coefficients(sqrt(matmul(w, w)))
     s = hat(w)
@@ -122,37 +118,41 @@ def exp_coefficients(theta: float):
     return sin(theta) / theta, (1.0 - cos(theta)) / (theta * theta)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention), computed exactly."""
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    binom = 1
-    for k in range(n):
-        total += binom * _bernoulli(k)
-        binom = binom * (n + 1 - k) // (k + 1)
-    return -total / (n + 1)
+# Taylor coefficients |B_{2n+2}| / (2n+2)! of c(t) = sum_n c_n t^n, highest first.
+_DEXP_INV_SERIES = (
+    174611 / 802857662698291200000, 43867 / 5109094217170944000, 3617 / 10670622842880000,
+    1 / 74724249600, 691 / 1307674368000, 1 / 47900160, 1 / 1209600, 1 / 30240, 1 / 720, 1 / 12,
+)
+_DEXP_INV_SHORT = _DEXP_INV_SERIES[5:]  # the five lowest terms: exact to rounding below t = 0.01
 
 
-def dexp_inv(w: np.ndarray, order: int = 4) -> np.ndarray:
-    """Inverse right-trivialized tangent of :func:`exp_so3`.
-
-    Truncated series ``sum_j B_j / j! * hat(w)^j`` up to ``hat(w)^order``
-    with Bernoulli numbers ``B_j`` (``B_1 = -1/2``).  The default order 4
-    is accurate for the small arguments arising in time stepping; raise
-    the order for large ``|w|`` (the series converges for ``|w| < 2*pi``).
+def dexp_inv_coefficients(t: float):
+    """``(c, dc/dt)`` of ``dexp_inv(s) = I - hat(s)/2 + c hat(s)^2`` at the
+    float ``t = |s|^2``: ``c = (1 - x) / t`` and ``dc/dt = (1/8 - c (1 +
+    x/2)) / t`` with ``x = (theta/2) cot(theta/2)``, ``theta = sqrt(t)``.
+    Below ``t = 1``, where the cotangent cancels, the Taylor series is exact
+    to rounding; at a non-finite ``t`` both are NaN, as in :func:`exp_coefficients`.
     """
+    if t < 1.0:
+        c = dc = 0.0
+        for k in _DEXP_INV_SHORT if t < 0.01 else _DEXP_INV_SERIES:  # Horner for c and dc/dt
+            c, dc = c * t + k, dc * t + c
+        return c, dc
+    if t == inf:  # math.tan raises at an infinite angle
+        return nan, nan
+    half = 0.5 * sqrt(t)
+    x = half / tan(half)
+    c = (1.0 - x) / t
+    return c, (0.125 - c * (1.0 + 0.5 * x)) / t
+
+
+def dexp_inv(w: np.ndarray) -> np.ndarray:
+    """Inverse right-trivialized tangent of :func:`exp_so3`: ``I - hat(w)/2
+    + c hat(w)^2`` with ``c`` of :func:`dexp_inv_coefficients` at ``|w|^2``
+    (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 2000)."""
     w = np.asarray(w, dtype=float)
     s = hat(w)
-    result = np.eye(3)
-    power = np.eye(3)
-    for j in range(1, order + 1):
-        power = matmul(power, s)
-        coeff = _bernoulli(j)
-        if coeff:
-            result = result + (float(coeff) / factorial(j)) * power
-    return result
+    return np.eye(3) - 0.5 * s + dexp_inv_coefficients(matmul(w, w))[0] * matmul(s, s)
 
 
 def Ad(rot: np.ndarray, xi: np.ndarray) -> np.ndarray:

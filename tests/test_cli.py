@@ -1040,6 +1040,7 @@ def test_simulate_and_sweep_leave_the_check_batteries_unloaded(tmp_path):
         f"assert main(['sweep', '--config', {str(sweep)!r}, '--out', {str(tmp_path / 'conv.csv')!r},"
         " '--quiet']) == 0",
         "print('gni.checks' in sys.modules)",
+        "print('fractions' in sys.modules, 'decimal' in sys.modules)",
         "assert main(['check', '--suite', 'lie', '--quiet']) == 0",
         "print('gni.checks' in sys.modules)",
     ])
@@ -1049,7 +1050,7 @@ def test_simulate_and_sweep_leave_the_check_batteries_unloaded(tmp_path):
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\nTrue\n"
+    assert proc.stdout == "False\nFalse False\nTrue\n"
 
 
 def test_help_exits_zero(capsys):

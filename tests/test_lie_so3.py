@@ -1,4 +1,7 @@
 """Tests for the rotation-group calculus."""
+from fractions import Fraction
+from math import sqrt, tan
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,14 @@ from gni.lie_so3 import (
     dcay,
     dcay_inv,
     dexp_inv,
+    dexp_inv_coefficients,
     exp_coefficients,
     exp_so3,
     hat,
     vee,
 )
 from gni.numerics import matmul
+from dexp_inv_oracle import exact_c
 
 
 def _random_vectors(seed, count, radius):
@@ -37,7 +42,7 @@ def _dexp_oracle(w):
     if t < 1e-6:
         a, b = 0.5 - t * t / 24.0, 1.0 / 6.0 - t * t / 120.0
     else:
-        a = (1.0 - np.cos(t)) / (t * t)
+        a = 0.5 * (np.sin(0.5 * t) / (0.5 * t)) ** 2  # (1-cos t)/t^2 without its cancellation
         b = (t - np.sin(t)) / (t ** 3)
     return np.eye(3) + a * s + b * (s @ s)
 
@@ -137,34 +142,45 @@ def test_exp_is_rotation_and_involution():
         assert np.allclose(r @ exp_so3(-w), np.eye(3), atol=1e-13)
 
 
-def test_dexp_inv_low_order_polynomial():
-    # Order 4 must equal the explicit Bernoulli polynomial exactly.
-    w = np.array([0.3, -0.2, 0.5])
-    s = hat(w)
-    expected = (
-        np.eye(3) - 0.5 * s + (s @ s) / 12.0 - (s @ s @ s @ s) / 720.0
-    )
-    assert np.allclose(dexp_inv(w, order=4), expected, atol=1e-15)
-    assert np.allclose(dexp_inv(np.zeros(3)), np.eye(3), atol=1e-15)
+def test_dexp_inv_coefficients_match_the_exact_series_and_the_cotangent_form():
+    # The exact-fraction Bernoulli series for theta <= 1, the float cotangent
+    # form c = (1 - (theta/2) cot(theta/2)) / theta^2 above; both sides of
+    # the switches at t = 0.01 (five Taylor terms to ten) and t = 1.
+    rng = np.random.default_rng(7)
+    below = [0.0, 5e-324, 1e-16, 1e-8, 1e-3, np.nextafter(0.01, 0.0), 0.01, 0.05, 0.5,
+             np.nextafter(1.0, 0.0), 1.0]
+    above = [np.nextafter(1.0, 2.0), 1.5, 36.0]
+    for t in below + list(rng.uniform(0.0, 1.0, 60)):
+        c, dc = dexp_inv_coefficients(float(t))
+        want_c, want_dc = exact_c(t)
+        assert abs(Fraction(c) - want_c) <= 1e-15 * want_c
+        assert abs(Fraction(dc) - want_dc) <= 1e-13 * want_dc
+    for t in above + list(rng.uniform(1.0, 36.0, 60)):
+        c, dc = dexp_inv_coefficients(float(t))
+        half = 0.5 * sqrt(t)
+        closed = (1.0 - half / tan(half)) / t
+        assert abs(c - closed) <= 1e-15 * abs(closed)
+        step = 1e-6 * t  # dc/dt against a central difference of c
+        difference = (dexp_inv_coefficients(t + step)[0] - dexp_inv_coefficients(t - step)[0]) / (2 * step)
+        assert dc == pytest.approx(difference, rel=1e-7)
+    assert dexp_inv_coefficients(0.0) == (1.0 / 12.0, 1.0 / 720.0)
+    assert np.array_equal(dexp_inv(np.zeros(3)), np.eye(3))
 
 
 def test_dexp_inv_matches_cotangent_closed_form():
-    # Independent check of the Bernoulli series: the closed form is
-    # I - hat/2 + c(t) hat^2 with c = (1 - (t/2)/tan(t/2)) / t^2.
+    # I - hat/2 + c(t) hat^2 with c = (1 - (t/2)/tan(t/2)) / t^2, t = |w|.
     for w in _random_vectors(7, 100, 2.0):
         t = np.linalg.norm(w)
-        if t < 1e-3:
-            continue
         c = (1.0 - 0.5 * t / np.tan(0.5 * t)) / (t * t)
         s = hat(w)
         expected = np.eye(3) - 0.5 * s + c * (s @ s)
-        assert np.allclose(dexp_inv(w, order=30), expected, atol=1e-12)
+        assert np.max(np.abs(dexp_inv(w) - expected)) <= 1e-15
 
 
 def test_dexp_inv_inverts_exp_tangent():
     for w in _random_vectors(8, 100, 2.0):
-        product = dexp_inv(w, order=30) @ _dexp_oracle(w)
-        assert np.max(np.abs(product - np.eye(3))) <= 1e-10
+        product = dexp_inv(w) @ _dexp_oracle(w)
+        assert np.max(np.abs(product - np.eye(3))) <= 1e-15
 
 
 def test_tangent_flip_identity_cay():
@@ -181,9 +197,9 @@ def test_tangent_flip_identity_exp():
     rng = np.random.default_rng(11)
     for w in _random_vectors(12, 100, 2.0):
         eta = rng.standard_normal(3)
-        lhs = dexp_inv(w, order=30) @ eta
-        rhs = dexp_inv(-w, order=30) @ (exp_so3(-w) @ eta)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10
+        lhs = dexp_inv(w) @ eta
+        rhs = dexp_inv(-w) @ (exp_so3(-w) @ eta)
+        assert np.max(np.abs(lhs - rhs)) <= 2e-15 * np.max(np.abs(eta))
 
 
 def test_ad_pairing():
@@ -207,5 +223,7 @@ def test_exp_of_an_infinite_increment_is_nan_not_an_error():
     # math.sin(inf) raises ValueError; an overflowed increment must give a
     # NaN rotation for the run to report instead.
     assert all(np.isnan(c) for c in exp_coefficients(float("inf")))
+    for t in (float("inf"), float("nan")):  # math.tan(inf) raises ValueError too
+        assert all(np.isnan(c) for c in dexp_inv_coefficients(t))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(exp_so3(np.array([1e160, 0.0, 0.0]))).any()
