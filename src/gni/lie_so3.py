@@ -123,7 +123,6 @@ _DEXP_INV_SERIES = (
     174611 / 802857662698291200000, 43867 / 5109094217170944000, 3617 / 10670622842880000,
     1 / 74724249600, 691 / 1307674368000, 1 / 47900160, 1 / 1209600, 1 / 30240, 1 / 720, 1 / 12,
 )
-_DEXP_INV_SHORT = _DEXP_INV_SERIES[5:]  # the five lowest terms: exact to rounding below t = 0.01
 
 
 def dexp_inv_coefficients(t: float):
@@ -135,7 +134,7 @@ def dexp_inv_coefficients(t: float):
     """
     if t < 1.0:
         c = dc = 0.0
-        for k in _DEXP_INV_SHORT if t < 0.01 else _DEXP_INV_SERIES:  # Horner for c and dc/dt
+        for k in _DEXP_INV_SERIES:  # Horner for c and dc/dt
             c, dc = c * t + k, dc * t + c
         return c, dc
     if t == inf:  # math.tan raises at an infinite angle

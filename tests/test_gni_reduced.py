@@ -550,11 +550,15 @@ def test_stage3_solver_is_newton_solve_stats_on_random_systems(retraction):
 # with b = 0 that system is S itself) picks its pivots, with an alg1 whose
 # iterates tell the two choices apart: column 0 between rows 0 and 1, rows
 # 1 and 2 after row 1 beat row 0, rows 0 and 2, and column 1 after the
-# elimination of column 0.
+# elimination of column 0.  The third block is near-singular (det -4.7e-3):
+# at its cay alg1 the cay root lies at |h xi| near 10, and exp's Newton,
+# which meets the poles of dexp_inv at |h xi| = 2 pi, does not converge, so
+# exp runs that block with a fifth of the alg1.
 _PIVOT_TIES = [
     ([[-0.83, -0.53, 0.6], [-0.83, -0.81, -0.13], [-0.04, -0.68, 0.47]], [-3.9, -1.1, 0.2]),
     ([[0.1, 0.7, 0.11], [0.3, 0.5, 0.13], [-0.3, 0.17, 0.9]], [3.7, -2.1, 5.3]),
-    ([[0.3, 0.7, 0.11], [0.2, 0.5, 0.13], [-0.3, 0.17, 0.9]], [0.74, -0.42, 1.06]),
+    ([[0.3, 0.7, 0.11], [0.2, 0.5, 0.13], [-0.3, 0.17, 0.9]],
+     {"cay": [3.7, -2.1, 5.3], "exp": [0.74, -0.42, 1.06]}),
     ([[-0.22, -0.24, 0.82], [0.0, -0.3, -0.3], [0.0, -0.3, 0.09]], [4.2, 0.6, 2.4]),
 ]
 
@@ -563,6 +567,8 @@ _PIVOT_TIES = [
 @pytest.mark.parametrize("retraction", ["cay", "exp"])
 def test_stage3_solver_breaks_pivot_ties_as_newton_solve_stats(retraction, schur, alg1):
     # Ties keep the first row, as lu_solve's do.
+    if isinstance(alg1, dict):
+        alg1 = alg1[retraction]
     got, _ = _check_stage3_solver(retraction, schur, [0.0] * 3, alg1, [0.0] * 3, 0.1,
                                   NewtonConfig(residual_tol=1.0))
     assert got[0] == "returned"

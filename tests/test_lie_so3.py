@@ -1,6 +1,6 @@
 """Tests for the rotation-group calculus."""
 from fractions import Fraction
-from math import sqrt, tan
+from math import cos, sin, sqrt
 
 import numpy as np
 import pytest
@@ -143,22 +143,25 @@ def test_exp_is_rotation_and_involution():
 
 
 def test_dexp_inv_coefficients_match_the_exact_series_and_the_cotangent_form():
-    # The exact-fraction Bernoulli series for theta <= 1, the float cotangent
-    # form c = (1 - (theta/2) cot(theta/2)) / theta^2 above; both sides of
-    # the switches at t = 0.01 (five Taylor terms to ten) and t = 1.
+    # The exact-fraction Bernoulli series over its range t <= 4, across the
+    # switch at t = 1 from the Taylor series to the cotangent form.  Just
+    # above the switch 1 - (theta/2) cot(theta/2) cancels, and the rounding
+    # of tan grows to 1.5e-15 relative in c and 1.3e-13 in dc/dt.  Above
+    # t = 4, c = (1 - (theta/2) cos(theta/2) / sin(theta/2)) / theta^2.
     rng = np.random.default_rng(7)
-    below = [0.0, 5e-324, 1e-16, 1e-8, 1e-3, np.nextafter(0.01, 0.0), 0.01, 0.05, 0.5,
-             np.nextafter(1.0, 0.0), 1.0]
-    above = [np.nextafter(1.0, 2.0), 1.5, 36.0]
-    for t in below + list(rng.uniform(0.0, 1.0, 60)):
-        c, dc = dexp_inv_coefficients(float(t))
-        want_c, want_dc = exact_c(t)
-        assert abs(Fraction(c) - want_c) <= 1e-15 * want_c
-        assert abs(Fraction(dc) - want_dc) <= 1e-13 * want_dc
-    for t in above + list(rng.uniform(1.0, 36.0, 60)):
+    below = [0.0, 5e-324, 1e-16, 1e-8, 1e-3, 0.01, 0.05, 0.5, np.nextafter(1.0, 0.0)]
+    above = [1.0, np.nextafter(1.0, 2.0), 1.5, 3.0, 4.0]
+    for ts, c_rel, dc_rel in ((below + list(rng.uniform(0.0, 1.0, 60)), 1e-15, 1e-13),
+                              (above + list(rng.uniform(1.0, 4.0, 60)), 2e-15, 2e-13)):
+        for t in ts:
+            c, dc = dexp_inv_coefficients(float(t))
+            want_c, want_dc = exact_c(t)
+            assert abs(Fraction(c) - want_c) <= c_rel * want_c
+            assert abs(Fraction(dc) - want_dc) <= dc_rel * want_dc
+    for t in [np.nextafter(4.0, 5.0), 20.0, 36.0] + list(rng.uniform(4.0, 36.0, 60)):
         c, dc = dexp_inv_coefficients(float(t))
         half = 0.5 * sqrt(t)
-        closed = (1.0 - half / tan(half)) / t
+        closed = (1.0 - half * cos(half) / sin(half)) / t
         assert abs(c - closed) <= 1e-15 * abs(closed)
         step = 1e-6 * t  # dc/dt against a central difference of c
         difference = (dexp_inv_coefficients(t + step)[0] - dexp_inv_coefficients(t - step)[0]) / (2 * step)
