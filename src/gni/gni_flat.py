@@ -34,7 +34,7 @@ between them runs on lists, every sum of products in the order of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add
 from struct import Struct
 from typing import Callable, Optional
 
@@ -52,6 +52,7 @@ from .numerics import (
     matmul,
     newton_solve_stats,
     solve_gram,
+    sum_text,
     transpose_times,
 )
 
@@ -177,8 +178,9 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float, m: int
     field, the momentum offset ``M Y``.  It returns ``None`` or ``(j,
     exc)``, as :func:`flat_kernel` does, ``exc`` also a solver's
     :class:`~gni.numerics.NoConvergence` or
-    :class:`~gni.numerics.SingularMatrix`; a wrong length from ``d1``,
-    ``d2`` or ``d12`` at step ``j0`` raises ``ValueError`` too.
+    :class:`~gni.numerics.SingularMatrix`; a wrong length from a callable,
+    or constraint rows other than the system declares, raise ``ValueError``
+    naming the step.
     ``form(rows, points)`` is the momentum form ``mu M^{-1}(p - Pi)`` of
     stacked rows, one :func:`stacked_form` pass.
 
@@ -210,17 +212,26 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float, m: int
     bits_of = Struct(f"{n * n}d").pack
     kept = [None, b"", None]  # the last d12 rows; the bits of the factored ones, their lu_factor
 
+    def rows_at(q, check):
+        rows = as_floats(constraints(q), True, check and "constraints", n) if constrained else []
+        if len(rows) != nc:  # else the points written would lose their places
+            raise ValueError(f"constraints must return {nc} rows, not {len(rows)}")
+        return rows
+
     def window(flat, points, counts, j0, j1):
         i, k = width * (j0 + 1), point_size * (j0 - 1)
         j, check, carried, failed = j0, True, [], None
 
         def residual(q_next):
-            return list(map(add, as_floats(d1(q_curr, q_next, h), False, check and "d1", n), carried))
+            value = as_floats(d1(q_curr, q_next, h), False, check and "d1", n)
+            if len(value) != n:  # as_floats' check, at every step
+                as_floats(value, False, "d1", n)
+            return list(map(add, value, carried))
 
         def jacobian(q_next):
             rows = as_floats(d12(q_curr, q_next, h), True, check and "d12", n)
-            if rows != kept[0]:
-                kept[0] = rows
+            if rows != kept[0]:  # rows met first are checked
+                kept[0] = as_floats(rows, True, "d12", n)
                 return rows
             if (bits := bits_of(*sum(rows, []))) != kept[1]:  # bits, not ==: -0.0 == 0.0
                 kept[1:] = bits, lu_factor(rows)
@@ -231,20 +242,18 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float, m: int
                 row = np.asarray(flat)[: width + n]
                 row[width:] = rattle_step(sys, PhaseState(row[:n], row[n : 2 * n], row[2 * n : width]), h).q
             q_prev, q_curr = (flat[a : a + n].tolist() for a in (i - 2 * width, i - width))
-            rows = as_floats(constraints(q_prev), True, "constraints", n) if constrained else []
-            if len(rows) != nc:  # else the points written would lose their places
-                raise ValueError(f"constraints must return {nc} rows, not {len(rows)}")
-            offset = []
-            if affine:
-                offset = mass_times(as_floats(affine_field(q_prev), False, "affine_field", n))
+            rows = rows_at(q_prev, True)
+            offset = mass_times(as_floats(affine_field(q_prev), False, "affine_field", n)) if affine else []
             if points is not None:
                 for v in sum(rows, []) + offset:
                     points[k] = v
                     k += 1
             for j in range(j0, j1):
-                check = j == j0  # the first step checks the lengths ld's callables return
-                rows = as_floats(constraints(q_curr), True) if constrained else []
+                check = j == j0  # the first step checks every result in full
+                rows = rows_at(q_curr, check)
                 carried = as_floats(d2(q_prev, q_curr, h), False, check and "d2", n)
+                if len(carried) != n:  # as_floats' check, at every step
+                    as_floats(carried, False, "d2", n)
                 if rows:
                     # (P^T - Q^T) D2 + 2 Q^T Pi with P = I - Q, where row i of Q^T
                     # sums over the rows l (C^{-1} mu)_li (M^{-1} mu^T)_l, in dot's order.
@@ -278,6 +287,8 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float, m: int
             j = j1
         except (NoConvergence, SingularMatrix, RankDeficient, ArithmeticError) as exc:
             failed = j, exc
+        except ValueError as exc:  # a wrong length, at the step that met it
+            raise ValueError(f"{exc}, at step {j}") from exc
         if j > j0:  # rows j0 .. j-1, whose positions j0-1 .. j are written
             buf = np.asarray(flat).reshape(-1, width)
             q = buf[j0 - 1 : j + 1, :n]
@@ -290,6 +301,68 @@ def three_point_kernel(ld: DiscreteLagrangian, sys: FlatSystem, h: float, m: int
         return stacked_form(mass_inv, rows[:, n : 2 * n], mus, points[:, nc * n :] if affine else None)
 
     return window, form, point_size
+
+
+# The compiled ``bind`` of each shape ``(n, m, constrained, affine)`` met.
+_STEPS: dict = {}
+
+
+def _step_source(n: int, m: int, constrained: bool, affine: bool) -> str:
+    """The text of ``bind(h, ..., affine_field)``, which returns ``steps(flat,
+    points, j0, j1, i, k, *q, *p, *lam, *kick)``: :func:`flat_kernel`'s steps
+    as straight-line code on scalar locals, writing from the byte offsets
+    ``i`` and ``k``; every sum of products is :func:`gni.numerics.sum_text`."""
+    N, L, solve = range(n), range(m), m > 0  # an unconstrained row has no multipliers
+
+    def names(*prefixes, indices=N):
+        return ", ".join(f"{prefix}{i}" for prefix in prefixes for i in indices)
+
+    def rows(prefix, count):  # the nested unpack target of count rows
+        return ", ".join(f"[{names(f'{prefix}{a}_')}]" for a in range(count))
+
+    def unpack(target, name, nested):  # as_floats' fast path; a wrong length fails its check
+        fast = "type(v) is list and v and type(v[0]) is list" if nested else "type(v) is list"
+        return [f"v = {name}(qs)", "try:", f"    [{target}] = v if {fast} else as_floats(v, {nested})",
+                "except ValueError:", f"    as_floats(v, {nested}, {name!r}, {n})",
+                f"    raise ValueError(f'{name} must return {m} rows, not {{len(v)}}') from None"]
+
+    body = [f"s{i} = p{i} - k{i}" for i in N]  # the half-step momentum
+    body += [f"q{i} = q{i} + h * {sum_text((f'a{i}_{j}', f's{j}') for j in N)}" for i in N]
+    body += [f"qs = [{names('q')}]", *unpack(names("g"), "grad_potential", False)]
+    body += unpack(rows("r", m), "constraints", True) if constrained else []
+    if affine:  # the momentum offset M Y
+        body += unpack(names("y"), "affine_field", False)
+        body += [f"o{i} = {sum_text((f'b{i}_{j}', f'y{j}') for j in N)}" for i in N]
+    if solve:  # w = M^{-T} mu, from the columns of M^{-1}; target (p_half - weight h V_q) - M Y
+        body += [f"w{a}_{i} = {sum_text((f'a{j}_{i}', f'r{a}_{j}') for j in N)}" for a in L for i in N]
+        body += [f"t{i} = s{i} - weight_h * g{i}" + f" - o{i}" * affine for i in N]
+        gram = [", ".join(sum_text((f"w{a}_{i}", f"r{b}_{i}") for i in N) for b in L) for a in L]
+        rhs = [sum_text((f"w{a}_{i}", f"t{i}") for i in N) for a in L]
+        if m == 1:  # solve_gram's division and g <= 0 test, inline
+            body += [f"gram = {gram[0]}", "if gram <= 0.0:", '    return j, RankDeficient("constraint row vanishes")',
+                     f"l0 = two_over_h * ({rhs[0]} / gram)"]
+        else:
+            body += [f"[{names('l', indices=L)}] = solve_gram([[{'], ['.join(gram)}]], [{', '.join(rhs)}])"]
+            body += [f"l{a} = two_over_h * l{a}" for a in L]
+    else:
+        body += [f"p{i} = s{i} - half_h * g{i}" for i in N]
+    # The kick (h/2)(V_q + mu^T lam), whose sum over no rows is 0.0.
+    body += [f"k{i} = half_h * (g{i} + {sum_text((f'l{a}', f'r{a}_{i}') for a in L if solve)})" for i in N]
+    body += [f"p{i} = s{i} - k{i}" for i in N if solve]
+    width, size = 2 * n + m, n * (1 + m + affine)
+    point = ", ".join([names("g")] + [names(f"r{a}_") for a in L] + [names("o")] * affine)
+    state = ", ".join(filter(None, [names("q", "p"), names("l", indices=L)]))
+    body += [f"pack_row(flat, i, {state})", f"i += {8 * width}",
+             "if points is not None:", f"    pack_point(points, k, {point})", f"    k += {8 * size}"]
+    return "\n".join([
+        "def bind(h, half_h, weight_h, two_over_h, minv, mass, grad_potential, constraints, affine_field):",
+        f"    [{rows('a', n)}] = minv", *[f"    [{rows('b', n)}] = mass"] * affine,
+        f"    pack_row, pack_point = Struct('{width}d').pack_into, Struct('{size}d').pack_into",
+        f"    def steps(flat, points, j0, j1, i, k, {state}, {names('k')}):",
+        "        j = j0", "        try:", "            for j in range(j0, j1):", *(f"{'':16}{line}" for line in body),
+        "        except (ArithmeticError, RankDeficient) as exc:", "            return j, exc",
+        "        except ValueError as exc:", "            raise ValueError(f'{exc}, at step {j}') from exc",
+        "    return steps\n"])
 
 
 def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
@@ -311,82 +384,52 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
     :class:`~gni.model.FlatSystem`).  It returns ``None``, or ``(j, exc)``
     for the first step ``j`` whose multiplier resolve raised
     :class:`~gni.numerics.RankDeficient`, or whose callables raised an
-    ``ArithmeticError``; a point callable's wrong length at row ``j0-1``, or
-    a row without one multiplier per constraint row, raises ``ValueError``.
-    ``form(rows, points)`` is :func:`scheme_constraint_residual` of
-    stacked rows and points, in one stacked :func:`gni.numerics.matmul`
-    pass.
+    ``ArithmeticError``; a point callable's wrong length, or a row without
+    one multiplier per constraint row, raises ``ValueError``, naming the
+    step after row ``j0-1``.  ``form(rows, points)`` is
+    :func:`scheme_constraint_residual` of stacked rows and points, in one
+    stacked :func:`gni.numerics.matmul` pass.
 
-    Each ``h``-only factor leads its product, ``M^{-1}``, its transpose and
-    ``M`` are the system's ``float_maps``, the Gram matrix ``mu M^{-1}
-    mu^T`` and the other sums of products are :func:`gni.numerics.dot`,
-    and the Gram solve is :func:`gni.numerics.solve_gram`, whose one-row
-    division, with its ``g <= 0`` test, is written out inline: every sum in
-    the order of :mod:`gni.numerics`.
+    The steps are :func:`_step_source`'s code for the system's shape,
+    compiled once per shape and process when a window first has a step to
+    take, with ``M^{-1}``, ``M`` and the ``h``-only factors bound here: the
+    bits of the system's ``float_maps``, :func:`gni.numerics.dot` and
+    :func:`gni.numerics.solve_gram` (a one-row division and ``g <= 0`` test
+    inline), each ``h``-only factor leading its product.
     """
     half_h, weight_h, two_over_h = 0.5 * h, _STAGE2_WEIGHT[scheme] * h, 2.0 / h
-    shift_h = _FORM_SHIFT[scheme] * h
-    mass_inv, grad_potential, n = sys.mass_inv, sys.grad_potential, sys.dim
-    minv_times, minv_t_times, mass_times = sys.float_maps
-    constraints, affine_field = sys.constraints, sys.affine_field
+    shift_h, mass_inv, grad_potential, n = _FORM_SHIFT[scheme] * h, sys.mass_inv, sys.grad_potential, sys.dim
+    constraints, affine_field, mass_times = sys.constraints, sys.affine_field, sys.float_maps[2]
     constrained = constraints is not None and sys.num_constraints != 0
     affine = constrained and affine_field is not None
-    width, point_size = 2 * n + m, n * (m + 1 + affine)
+    shape, width, point_size = (n, m, constrained, affine), 2 * n + m, n * (m + 1 + affine)
+    bound = (h, half_h, weight_h, two_over_h, mass_inv.tolist(), sys.mass_matrix.tolist(),
+             grad_potential, constraints, affine_field)
+    pack_point, steps = Struct(f"{point_size}d").pack_into, None
 
     def window(flat, points, counts, j0, j1):
-        i, k = width * j0, point_size * (j0 - 1)
-        row = flat[i - width : i].tolist()
-        q, p, lam = row[:n], row[n : 2 * n], row[2 * n :]
-        j = j0
+        nonlocal steps
+        k, row = point_size * (j0 - 1), flat[width * (j0 - 1) : width * j0].tolist()
+        q, lam = row[:n], row[2 * n :]
         try:
             grad = as_floats(grad_potential(q), False, "grad_potential", n)
             rows = as_floats(constraints(q), True, "constraints", n) if constrained else []
-            if constrained and len(rows) != m:  # else the rows written would lose their places
+            if len(rows) != m:  # else the rows written would lose their places
                 raise ValueError(f"{m} multipliers for {len(rows)} constraint rows")
             kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
             offset = mass_times(as_floats(affine_field(q), False, "affine_field", n)) if affine else []
-            if points is not None:
-                for v in grad + sum(rows, []) + offset:
-                    points[k] = v
-                    k += 1
-            for j in range(j0, j1):
-                p_half = list(map(sub, p, kick))
-                q = [a + h * v for a, v in zip(q, minv_times(p_half))]
-                grad = as_floats(grad_potential(q))
-                rows = as_floats(constraints(q), True) if constrained else []
-                offset = mass_times(as_floats(affine_field(q))) if affine else []
-                if not rows:
-                    p = [a - half_h * g for a, g in zip(p_half, grad)]
-                    kick = [half_h * (g + 0.0) for g in grad]  # mu^T lam sums no row: 0.0
-                else:
-                    target = [a - weight_h * g for a, g in zip(p_half, grad)]
-                    if affine:
-                        target = list(map(sub, target, offset))
-                    if len(rows) == 1:
-                        r = rows[0]
-                        w = minv_t_times(r)
-                        gram = dot(w, r)
-                        if gram <= 0.0:
-                            return j, RankDeficient("constraint row vanishes")
-                        lam = [c := two_over_h * (dot(w, target) / gram)]
-                        kick = [half_h * (g + (0.0 + c * e)) for g, e in zip(grad, r)]
-                    else:
-                        w = list(map(minv_t_times, rows))
-                        gram = [[dot(wi, r) for r in rows] for wi in w]
-                        lam = solve_gram(gram, [dot(wi, target) for wi in w])
-                        lam = [two_over_h * c for c in lam]
-                        kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
-                    p = list(map(sub, p_half, kick))
-                for v in q + p + lam:
-                    flat[i] = v
-                    i += 1
-                if points is not None:
-                    for v in grad + sum(rows, []) + offset:
-                        points[k] = v
-                        k += 1
         except (ArithmeticError, RankDeficient) as exc:
-            return j, exc
-        return None
+            return j0, exc
+        if points is not None:
+            pack_point(points, 8 * k, *grad, *sum(rows, []), *offset)
+        if j1 <= j0:
+            return None
+        if steps is None:
+            if shape not in _STEPS:
+                exec(_step_source(*shape), namespace := dict(globals()))
+                _STEPS[shape] = namespace["bind"]
+            steps = _STEPS[shape](*bound)
+        return steps(flat, points, j0, j1, 8 * width * j0, 8 * (k + point_size), *row, *kick)
 
     def form(rows, points):
         grads, mus = points[:, :n], points[:, n : n + m * n].reshape(-1, m, n)

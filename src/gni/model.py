@@ -344,10 +344,11 @@ def continuous_rhs(sys: FlatSystem, q: np.ndarray, p: np.ndarray) -> Tuple[np.nd
     return np.array(qdot), np.array(pdot)
 
 
-def _continuous_kernel(sys: FlatSystem, check: bool = False):
+def _continuous_kernel(sys: FlatSystem, check: bool = False, count: Optional[int] = None):
     """:func:`continuous_rhs` of ``sys`` on plain floats, built once:
     ``rhs(q, p) -> (qdot, pdot)`` on lists of floats, which the point
-    callables receive (``check`` checks their results by :func:`as_floats`).
+    callables receive (``check`` checks their results by :func:`as_floats`,
+    and ``count``, unless ``None``, the number of constraint rows).
     The central difference of the rows, without ``constraints_derivative``,
     is taken entry by entry as the array one, and every sum of products is
     :func:`gni.numerics.dot` or the system's ``float_maps``."""
@@ -359,10 +360,14 @@ def _continuous_kernel(sys: FlatSystem, check: bool = False):
 
     def rhs(q, p):
         v = minv_times(p)
-        grad = as_floats(grad_at(q), False, check and "grad_potential", n)
+        grad = as_floats(grad_at(q))
+        if check or len(grad) != n:  # a wrong length fails at any step
+            as_floats(grad, False, "grad_potential", n)
         if not constrained:
             return v, [-g for g in grad]
         rows = as_floats(rows_at(q), True, check and "constraints", n)
+        if count is not None and len(rows) != count:
+            raise ValueError(f"constraints must return {count} rows, not {len(rows)}")
         w = list(map(minv_t_times, rows))
         gram = [[dot(wi, r) for r in rows] for wi in w]
         if derivative is not None:
@@ -385,15 +390,16 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
     ``window(flat, points, counts, j0, j1)`` carries ``q`` and ``p`` of row
     ``j0-1`` in locals and writes row ``j`` as ``[q, p, 0...]`` (``m``
     eliminated multipliers; no ``counts``), and unless ``points`` is
-    ``None`` the ``m x n`` constraint rows of each row ``j0-1 .. j1-1``.  A point callable's wrong length at
-    the window's first step, or constraint rows at row ``j0-1`` that are
-    not ``m``, raise ``ValueError``.  It returns ``None``, ``(j, None)`` for
-    the first step ``j`` whose state is not finite, or ``(j, exc)`` for one
-    whose multiplier solve raised :class:`RankDeficient` or whose callables
-    raised an ``ArithmeticError``.  ``form`` is the momentum form.
+    ``None`` the ``m x n`` constraint rows of each row ``j0-1 .. j1-1``.  A
+    point callable's result that fails :func:`as_floats`' check at the
+    window's first step, or a gradient's length or row count that is wrong
+    at any step, raises ``ValueError`` naming the step.  It returns ``None``, ``(j, None)`` for the first step ``j`` whose
+    state is not finite, or ``(j, exc)`` for one whose multiplier solve
+    raised :class:`RankDeficient` or whose callables raised an
+    ``ArithmeticError``.  ``form`` is the momentum form.
     """
     half_h, sixth_h, n, mass_inv = 0.5 * h, h / 6.0, sys.dim, sys.mass_inv
-    rhs, first = _continuous_kernel(sys), _continuous_kernel(sys, check=True)
+    rhs, first = _continuous_kernel(sys, count=m), _continuous_kernel(sys, check=True, count=m)
     constraints, constrained = sys.constraints, sys.constraints is not None and sys.num_constraints != 0
     width, point_size, zeros = 2 * n + m, n * m, [0.0] * m
 
@@ -437,6 +443,8 @@ def rk4_kernel(sys: FlatSystem, h: float, m: int):
                         k += 1
         except (ArithmeticError, RankDeficient) as exc:
             return j, exc
+        except ValueError as exc:  # a wrong length, at the step that met it
+            raise ValueError(f"{exc}, at step {j}") from exc
         return None
 
     def form(rows, points):

@@ -15,9 +15,10 @@ modes uniform: linear degeneracies surface as
 iterations as :class:`NoConvergence`.  Every product whose value reaches a
 CSV, a kernel constant or a test is summed in one order, defined here and
 not by a BLAS: each product rounded on its own, added left to right from
-0.0, by :func:`matmul` on arrays and :func:`dot`, :func:`linear_map` and
-:func:`transpose_times` on plain floats; only the back substitution of
-:func:`lu_solve` starts its sums at their first product.
+0.0, by :func:`matmul` on arrays, :func:`dot`, :func:`linear_map` and
+:func:`transpose_times` on plain floats, and :func:`sum_text` in compiled
+code; only the back substitution of :func:`lu_solve` starts its sums at
+their first product.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ __all__ = [
     "solve_gram",
     "matmul",
     "dot",
+    "sum_text",
     "linear_map",
     "transpose_times",
     "newton_solve_stats",
@@ -272,19 +274,25 @@ def dot(xs, ys) -> float:
     return total
 
 
+def sum_text(pairs) -> str:
+    """The Python text of the products ``x * y`` of ``pairs`` of names or
+    literals summed left to right from 0.0, in parentheses: the order of
+    :func:`dot`, spelled once for the code :func:`linear_map` and the flat
+    kernel compile."""
+    return "(" + " + ".join(["0.0", *(f"{x} * {y}" for x, y in pairs)]) + ")"
+
+
 def linear_map(matrix) -> Callable[[Sequence[float]], list]:
     """``x -> matrix @ x`` for a constant ``(k, n)`` matrix, as a function
     on plain floats: it takes a sequence of n floats and returns a list of
-    k.  Each entry is one unrolled expression, the row's products summed in
-    column order from 0.0, the bits of :func:`dot` of the row and ``x``;
-    the function is compiled here, once, so a kernel applies a constant
-    matrix such as a system's ``M^{-1}`` without a Python loop."""
+    k.  Each entry is one unrolled :func:`sum_text` expression, the row's
+    products in column order, the bits of :func:`dot` of the row and
+    ``x``; the function is compiled here, once, so a kernel applies a
+    constant matrix such as a system's ``M^{-1}`` without a Python loop."""
     matrix = np.asarray(matrix, dtype=float)
     # Float reprs round-trip exactly; ``inf`` and ``nan`` are names below.
     names = ", ".join(f"x{j}" for j in range(matrix.shape[1]))
-    entries = ", ".join(
-        " + ".join(["0.0"] + [f"{a!r} * x{j}" for j, a in enumerate(row)]) for row in matrix.tolist()
-    )
+    entries = ", ".join(sum_text((repr(a), f"x{j}") for j, a in enumerate(row)) for row in matrix.tolist())
     source = f"def apply(x):\n    {names}, = x\n    return [{entries}]\n"
     namespace = {"inf": inf, "nan": nan}
     exec(source, namespace)

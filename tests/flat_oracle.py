@@ -1,10 +1,12 @@
-"""The flat float kernel one step at a time, kept as the oracle of
+"""The flat float kernel kept as the oracles of
 :func:`gni.gni_flat.flat_kernel`.
 
 :func:`flat_kernel` here is the per-step ``(start, step, form)`` closure set
 that the window kernel writes out with its state in locals, its sums of
-products in the order of :mod:`gni.numerics`: the window kernel must
-reproduce it bit for bit, in rows, points, residual column and failures.
+products in the order of :mod:`gni.numerics`, and :func:`list_kernel` the
+window kernel as a loop over lists, before its step was generated: the
+window kernel must reproduce both bit for bit, in rows, points, residual
+column and failures.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from operator import sub
 import numpy as np
 
 from gni.gni_flat import _FORM_SHIFT, _STAGE2_WEIGHT, stacked_form
-from gni.model import FlatSystem
-from gni.numerics import dot, linear_map, solve_gram, transpose_times
+from gni.model import FlatSystem, as_floats
+from gni.numerics import RankDeficient, dot, linear_map, solve_gram, transpose_times
 
 
 def flat_kernel(sys: FlatSystem, h: float, scheme: str):
@@ -84,3 +86,81 @@ def flat_kernel(sys: FlatSystem, h: float, scheme: str):
         return stacked_form(mass_inv, momenta, mus, offsets, shift_h * grads if shift_h else None)
 
     return start, step, form
+
+
+def list_kernel(sys: FlatSystem, h: float, scheme: str, m: int):
+    """The list loop that :func:`gni.gni_flat.flat_kernel` replaced, kept
+    as its reference: the same ``(window, form, point_size)`` under the same
+    contract, every sum of products in the order of :mod:`gni.numerics`,
+    on lists of floats with ``zip`` and ``map``.  Its point callables'
+    results are checked at window entry only."""
+    half_h, weight_h, two_over_h = 0.5 * h, _STAGE2_WEIGHT[scheme] * h, 2.0 / h
+    shift_h = _FORM_SHIFT[scheme] * h
+    mass_inv, grad_potential, n = sys.mass_inv, sys.grad_potential, sys.dim
+    minv_times, minv_t_times, mass_times = sys.float_maps
+    constraints, affine_field = sys.constraints, sys.affine_field
+    constrained = constraints is not None and sys.num_constraints != 0
+    affine = constrained and affine_field is not None
+    width, point_size = 2 * n + m, n * (m + 1 + affine)
+
+    def window(flat, points, counts, j0, j1):
+        i, k = width * j0, point_size * (j0 - 1)
+        row = flat[i - width : i].tolist()
+        q, p, lam = row[:n], row[n : 2 * n], row[2 * n :]
+        j = j0
+        try:
+            grad = as_floats(grad_potential(q), False, "grad_potential", n)
+            rows = as_floats(constraints(q), True, "constraints", n) if constrained else []
+            if constrained and len(rows) != m:  # else the rows written would lose their places
+                raise ValueError(f"{m} multipliers for {len(rows)} constraint rows")
+            kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
+            offset = mass_times(as_floats(affine_field(q), False, "affine_field", n)) if affine else []
+            if points is not None:
+                for v in grad + sum(rows, []) + offset:
+                    points[k] = v
+                    k += 1
+            for j in range(j0, j1):
+                p_half = list(map(sub, p, kick))
+                q = [a + h * v for a, v in zip(q, minv_times(p_half))]
+                grad = as_floats(grad_potential(q))
+                rows = as_floats(constraints(q), True) if constrained else []
+                offset = mass_times(as_floats(affine_field(q))) if affine else []
+                if not rows:
+                    p = [a - half_h * g for a, g in zip(p_half, grad)]
+                    kick = [half_h * (g + 0.0) for g in grad]  # mu^T lam sums no row: 0.0
+                else:
+                    target = [a - weight_h * g for a, g in zip(p_half, grad)]
+                    if affine:
+                        target = list(map(sub, target, offset))
+                    if len(rows) == 1:
+                        r = rows[0]
+                        w = minv_t_times(r)
+                        gram = dot(w, r)
+                        if gram <= 0.0:
+                            return j, RankDeficient("constraint row vanishes")
+                        lam = [c := two_over_h * (dot(w, target) / gram)]
+                        kick = [half_h * (g + (0.0 + c * e)) for g, e in zip(grad, r)]
+                    else:
+                        w = list(map(minv_t_times, rows))
+                        gram = [[dot(wi, r) for r in rows] for wi in w]
+                        lam = solve_gram(gram, [dot(wi, target) for wi in w])
+                        lam = [two_over_h * c for c in lam]
+                        kick = [half_h * (g + c) for g, c in zip(grad, transpose_times(rows, lam, n))]
+                    p = list(map(sub, p_half, kick))
+                for v in q + p + lam:
+                    flat[i] = v
+                    i += 1
+                if points is not None:
+                    for v in grad + sum(rows, []) + offset:
+                        points[k] = v
+                        k += 1
+        except (ArithmeticError, RankDeficient) as exc:
+            return j, exc
+        return None
+
+    def form(rows, points):
+        grads, mus = points[:, :n], points[:, n : n + m * n].reshape(-1, m, n)
+        offsets = points[:, n + m * n :] if affine else None
+        return stacked_form(mass_inv, rows[:, n : 2 * n], mus, offsets, shift_h * grads if shift_h else None)
+
+    return window, form, point_size

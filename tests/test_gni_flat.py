@@ -6,7 +6,7 @@ import pytest
 
 import flat_oracle
 from flat_systems import RETURN_KINDS, cube_or_inf, cubic_repeller, returning, two_row_system
-from gni import analysis, gni_flat
+from gni import analysis, checks, gni_flat
 from gni.model import (
     FlatSystem,
     PhaseState,
@@ -15,6 +15,7 @@ from gni.model import (
     constraint_residual,
     energy,
     nonholonomic_particle,
+    rk4,
 )
 from gni.analysis import StepFailed, adjoint_check, run
 from gni.gni_flat import (
@@ -940,15 +941,21 @@ def test_flat_window_fails_as_the_oracle(failing_step, scheme):
             _STEPPERS[scheme](sys, s0, h)
 
 
-def test_flat_kernel_rejects_a_multiplier_count_other_than_the_constraint_rows():
-    # One multiplier per constraint row, else the rows written would shift.
+@pytest.mark.parametrize("constrained", [True, False])
+def test_flat_kernel_rejects_a_multiplier_count_other_than_the_constraint_rows(constrained):
+    # One multiplier per constraint row, else the rows written would shift;
+    # an unconstrained system has none, else its residual column read
+    # points that no step wrote.
     sys, h = nonholonomic_particle("harmonic"), 0.05
     s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", h)
     bad = PhaseState(s0.q, s0.p, np.append(s0.lam, 0.0))
+    if not constrained:
+        sys = dataclasses.replace(sys, constraints=None, num_constraints=0)
+    message = "2 multipliers for 1 constraint rows" if constrained else "2 multipliers for 0 constraint rows"
     for residual in (True, False):
-        with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
+        with pytest.raises(ValueError, match=message):
             run(rattle_step, sys, bad, h, 5, residual=residual)
-    with pytest.raises(ValueError, match="2 multipliers for 1 constraint rows"):
+    with pytest.raises(ValueError, match=message):
         rattle_step(sys, bad, h)
 
 
@@ -1047,3 +1054,143 @@ def test_dependent_constraint_rows_are_rank_deficient_at_every_scale(scale, seco
     with pytest.raises(StepFailed) as excinfo:
         run(rattle_step, sys, s0, 0.05, 3)
     assert excinfo.value.step == 1 and type(excinfo.value.cause) is RankDeficient
+
+
+# ---------------------------------------------------------------------------
+# the generated step of flat_kernel against the list loop of tests/flat_oracle.py
+
+
+def _shape_system(n, m, drift):
+    # A full mass matrix, a nonlinear gradient, m rows that move with q (m > n:
+    # dependent rows) and, with ``drift``, a drift field; callables return lists.
+    k = np.arange(1.0, n + 1.0)
+    return FlatSystem(
+        dim=n,
+        mass_matrix=np.eye(n) + 0.25 * np.outer(k, k) / n,
+        potential=lambda q: 0.0,
+        grad_potential=lambda q: [x + 0.1 * x * x * x for x in q],
+        constraints=(lambda q: [[(a + 1.0) * np.cos(a + i) + 0.2 * q[(i + a) % n] for i in range(n)]
+                                for a in range(m)]) if m else None,
+        num_constraints=m,
+        affine_field=(lambda q: [0.3 * np.sin(x) - 0.1 * i for i, x in enumerate(q)]) if drift else None,
+    )
+
+
+def _shape_row0(n, m):
+    return np.concatenate([0.3 - 0.1 * np.arange(n), 0.5 + 0.2 * np.arange(n), 0.1 * np.arange(1.0, m + 1.0)])
+
+
+def _windows_of(kernel, row0, n_rows, cuts, with_points):
+    """Run ``kernel``'s window over the windows ``cuts`` on NaN buffers:
+    rows, points and what each window returned (``(j, type, message)`` for
+    a failure, after which no window runs)."""
+    window, _, point_size = kernel
+    rows, points = np.full((n_rows, len(row0)), np.nan), np.full((n_rows, point_size), np.nan)
+    rows[0] = row0
+    flat, pts = memoryview(rows.reshape(-1)), memoryview(points.reshape(-1)) if with_points else None
+    returned = []
+    for j0, j1 in cuts:
+        failed = window(flat, pts, None, j0, j1)
+        returned.append(failed and (failed[0], type(failed[1]), str(failed[1])))
+        if failed is not None:
+            break
+    return rows, points, returned
+
+
+def _assert_generated_is_the_list_loop(sys, scheme, h, row0, cuts):
+    m = len(row0) - 2 * sys.dim
+    n_rows = cuts[-1][1] + 1
+    for with_points in (True, False):
+        got = _windows_of(gni_flat.flat_kernel(sys, h, scheme, m), row0, n_rows, cuts, with_points)
+        want = _windows_of(flat_oracle.list_kernel(sys, h, scheme, m), row0, n_rows, cuts, with_points)
+        np.testing.assert_array_equal(_bits(got[0]), _bits(want[0]))
+        np.testing.assert_array_equal(_bits(got[1]), _bits(want[1]))
+        assert got[2] == want[2]
+    return want[2]
+
+
+_CUTS = [(1, 1), (1, 2), (2, 2), (2, 9), (9, 60)]  # empty windows, and windows from j0 > 1
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_generated_step_writes_the_list_loop_bits(n, m, drift):
+    sys, row0 = _shape_system(n, m, drift), _shape_row0(n, m)
+    for scheme in _SCHEMES:
+        returned = _assert_generated_is_the_list_loop(sys, scheme, 0.05, row0, _CUTS)
+        if m > n:  # dependent rows fail the first step's Gram solve
+            assert returned[:2] == [None, (1, RankDeficient, "constraint rows are linearly dependent")]
+        else:
+            assert returned == [None] * len(_CUTS)
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_generated_step_fails_as_the_list_loop_where_a_row_vanishes(scheme):
+    # x_j = 0.55 + 0.05 j reaches 1, where the row vanishes (g <= 0), at step 9.
+    sys, row0 = _vanishing_row_system(), np.array([0.55, 0.0, 0.5, 0.0, 0.0])
+    returned = _assert_generated_is_the_list_loop(sys, scheme, 0.1, row0, [(1, 3), (3, 20)])
+    assert returned == [None, (9, RankDeficient, "constraint row vanishes")]
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+def test_generated_step_fails_as_the_list_loop_where_a_callable_raises(scheme, error):
+    def grad(q):
+        if q[0] > 0.6:
+            raise error("past 0.6")
+        return [q[0], 2.0 * q[1]]
+
+    sys, row0 = dataclasses.replace(constrained_2d(), grad_potential=grad), np.array([0.3, -0.3, 2.0, -2.0, 0.0])
+    returned = _assert_generated_is_the_list_loop(sys, scheme, 0.05, row0, [(1, 2), (2, 40)])
+    assert returned[0] is None and returned[1][1:] == (error, "past 0.6") and returned[1][0] > 2
+
+
+def test_one_shape_compiles_one_step(monkeypatch):
+    # Per shape and process: not per call of a one-step map, run or battery,
+    # and not for a run that takes no step.
+    compiled, source = [], gni_flat._step_source
+    monkeypatch.setattr(gni_flat, "_STEPS", {})
+    monkeypatch.setattr(gni_flat, "_step_source", lambda *shape: compiled.append(shape) or source(*shape))
+    sys, h = nonholonomic_particle("harmonic"), 0.05
+    s0 = prepare_state(sys, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", h)
+    run(rattle_step, sys, s0, h, 0)
+    assert compiled == []
+    for _ in range(3):
+        rattle_step(sys, s0, h), euler_a_step(sys, s0, h), composed_euler_step(sys, s0, h)
+        run(euler_b_step, sys, s0, h, 20), run(rattle_step, sys, s0, h, 20, residual=False)
+    assert compiled == [(3, 1, True, False)]
+    for _ in range(2):
+        assert all(passed for _, passed, _ in checks.check_suite("adjoint", quiet=True))
+    assert compiled == [(3, 1, True, False), (2, 1, True, True)]
+
+
+def _switching(record, name, extra):
+    # ``record`` whose callable ``name`` appends ``extra`` once q_x reaches 0.5.
+    call = getattr(record, name)
+    return dataclasses.replace(record, **{name: lambda q, *a: call(q, *a) + extra if q[0] >= 0.5 else call(q, *a)})
+
+
+_ROWS = [[1.0, 0.0, 0.0]], "constraints must return 1 rows, not 2"
+_FLOATS = [0.0], r"{} must return 3 floats, not \[.*\]"
+_LENGTH_CASES = [(stepper, "constraints", *_ROWS) for stepper in ("euler_a", "rattle", "verlet", "rk4")]
+_LENGTH_CASES += [(stepper, "grad_potential", *_FLOATS) for stepper in ("euler_a", "rattle", "rk4")]
+_LENGTH_CASES += [("verlet", name, *_FLOATS) for name in ("d1", "d2")]
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("stepper, name, extra, message", _LENGTH_CASES)
+def test_a_result_whose_length_changes_mid_window_fails_at_its_step(stepper, name, extra, message, residual):
+    good, h = nonholonomic_particle("harmonic"), 0.05
+    s0 = prepare_state(good, [0.3, 0.2, 0.1], [1.0, 0.5, 0.2], "rattle", h)
+    record = {"verlet": verlet_lagrangian(good), "rk4": rk4}.get(stepper) or _STEPPERS[stepper]
+    first = int(np.argmax(run(record, good, s0, h, 10).states[:, 0] >= 0.5))  # the first row past x = 0.5
+    sys = _switching(good, name, extra) if hasattr(good, name) else good
+    if stepper == "verlet":
+        record = _switching(verlet_lagrangian(sys), name, extra) if name in ("d1", "d2") else verlet_lagrangian(sys)
+    with pytest.raises(ValueError, match=rf"^{message.format(name)}, at step (\d+)$") as excinfo:
+        run(record, sys, s0, h, 10, residual=residual)
+    step = int(str(excinfo.value).rsplit(" ", 1)[1])
+    # RK4 meets x = 0.5 at a stage point of the step before, or at its end;
+    # step j calls d2 at (q_{j-1}, q_j), and the switch reads the first.
+    assert step in ((first - 1, first) if stepper == "rk4" else (first + (name == "d2"),))
